@@ -237,7 +237,9 @@ def get_ids_ds(
     ordered = _j1_slim(state, runs, context, only_needed).sort(["tier", "rank", "id"])
     if limit > 0:
         ordered = ordered.limit(limit)
-    return [int(i) for i in ordered.to_pandas()["id"]]
+    # iter_rows, not to_pandas: an empty selection's pandas frame has no
+    # columns at all, while the pandas J1 returns [] there
+    return [int(r["id"]) for r in ordered.iter_rows()]
 
 
 def upsert_from_details_bucketed(

@@ -18,8 +18,6 @@ cluster cores.
 
 from __future__ import annotations
 
-import pyarrow.compute as pc
-
 import ray
 import ray.data
 
@@ -30,14 +28,7 @@ from ..sources.pages import (
     read_pages,
     semi_join_frontier,
 )
-from ..stages.extract_stage import (
-    PENDING_STATUS,
-    RESULT_SCHEMA,
-    extract_block_clustered,
-    extract_bucket,
-)
-
-RESULT_COLUMNS = [f.name for f in RESULT_SCHEMA]
+from ..stages.extract_stage import extract_bucket
 
 
 def run_details_extraction(
@@ -46,8 +37,6 @@ def run_details_extraction(
     num_buckets: int = 64,
     strict: bool = False,
     politeness=None,
-    mode: str = "clustered",
-    redo_cap: int = 100_000,
     stats_out: dict | None = None,
 ) -> "ray.data.Dataset":
     """Extract items for all (or the frontier-selected) entities.
@@ -55,188 +44,26 @@ def run_details_extraction(
     ``frontier_keys``: optional iterable of ``(context, id)`` tuples —
     the budget-bounded crawl frontier (broadcast, not shuffled).
 
-    ``mode``:
+    The bucket groupby co-locates every page variant of an entity
+    wherever the corpus stores it, so the output is the same for any
+    row order (tests/test_clustered_degradation.py).
 
-    - ``"clustered"`` (default): shuffle-free chain assembly per block
-      with boundary repair — optimal when all page variants of an
-      entity are contiguous in the corpus (the layout a fetch layer /
-      our generator produces): only the ≤2-entities-per-block boundary
-      rows leave their block. Entities a non-clustered layout splits
-      across block interiors are detected from the result rows and
-      re-extracted through the keyed path, so the mode is CORRECT on
-      any layout and merely loses its speed edge on a shuffled one
-      (tests/test_clustered_degradation.py).
-    - ``"shuffle"``: the general path — one all-to-all exchange keyed
-      by the hashed canonical entity key (``bucket``); correct for any
-      corpus layout.
-
-    ``redo_cap``: clustered-mode safety valve — the conflict-key set
-    (entities split across block interiors, empty on a clustered
-    corpus) is only ever collected to the driver when its DISTRIBUTED
-    count is ≤ this bound; past it the layout is adversarial, the
-    clustered fast path has no edge left, and the run falls back to
-    ``mode="shuffle"`` wholesale. Driver memory is therefore bounded
-    by ``redo_cap`` keys on ANY layout, never corpus cardinality.
-
-    ``stats_out``: optional dict populated with run observability —
-    ``n_conflicts`` (the distributed conflict-census count, clustered
-    mode only) and ``path`` (``"shuffle"``, ``"clustered"``,
-    ``"clustered+redo"`` or ``"fallback_shuffle"``) — the hook the
-    redo_cap boundary test pins the broadcast/wholesale decision with.
+    ``stats_out``: optional dict that receives ``path="shuffle"``, the
+    pipeline's only path; kept for callers that record it.
 
     Returns a Dataset of item rows (stages.extract_stage.RESULT_SCHEMA).
     """
-    if frontier_keys is not None:
-        frontier_keys = set(frontier_keys)
     ds = read_pages(pages_dir, kinds=DETAIL_KINDS)
     ds = annotate_pages(ds, num_buckets=num_buckets)
     ds = filter_detail_pages(ds)
     if frontier_keys is not None:
-        keys_ref = ray.put(set(frontier_keys))
-        ds = semi_join_frontier(ds, keys_ref)
-    if mode == "shuffle":
-        if stats_out is not None:
-            stats_out["path"] = "shuffle"
-        return ds.groupby("bucket").map_groups(
-            lambda b: extract_bucket(b, strict=strict, politeness=politeness),
-            batch_format="pyarrow",
-        )
-    if mode != "clustered":
-        raise ValueError(f"unknown mode {mode!r}")
-    combined = ds.map_batches(
-        lambda b: extract_block_clustered(b, strict=strict, politeness=politeness),
-        batch_format="pyarrow",
-        batch_size=None,  # whole block → boundary entities are block edges
-        zero_copy_batch=True,
-    ).materialize()  # branch point: done rows + pending boundary rows
-
-    # Safety net for non-clustered layouts: an entity whose pages are
-    # split across block INTERIORS yields one (partial) done row per
-    # block. Detect such keys DISTRIBUTED — per-block partial counts
-    # (one tiny row per key per block), a hash-bucket shuffle of those
-    # count rows only (never html), vectorised per-bucket sums — and
-    # collect ONLY the conflicting keys, which are empty on a properly
-    # clustered corpus and tiny by construction otherwise. The driver
-    # never sees per-entity status at corpus cardinality.
-    import pandas as pd
-    import pyarrow as pa
-
-    _STATUS_PARTIAL_SCHEMA = pa.schema(
-        [
-            ("context", pa.string()),
-            ("id", pa.int64()),
-            ("n_done", pa.int64()),
-            ("n_pending", pa.int64()),
-            ("rbucket", pa.int32()),
-        ]
-    )
-
-    def status_partial(b: pa.Table) -> pa.Table:
-        if b.num_rows == 0:
-            return _STATUS_PARTIAL_SCHEMA.empty_table()
-        df = b.select(["context", "id", "status"]).to_pandas()
-        df["n_done"] = (df["status"] != PENDING_STATUS).astype("int64")
-        df["n_pending"] = 1 - df["n_done"]
-        g = df.groupby(["context", "id"], as_index=False)[["n_done", "n_pending"]].sum()
-        # shuffle key: any even spread of entity keys works here
-        g["rbucket"] = (g["id"] % 64).astype("int32")
-        return pa.Table.from_pandas(g, preserve_index=False).cast(_STATUS_PARTIAL_SCHEMA)
-
-    def bucket_conflicts(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.groupby(["context", "id"], as_index=False)[["n_done", "n_pending"]].sum()
-        bad = g[(g["n_done"] > 1) | ((g["n_done"] >= 1) & (g["n_pending"] >= 1))]
-        return bad[["context", "id"]]
-
-    # coalesce the per-block partials (a few dozen bytes per key) into
-    # ~64 blocks before the keyed shuffle: Ray's sort-shuffle pays a
-    # fixed cost per INPUT block, and the clustered extract emits one
-    # tiny partial block per corpus block (measured at sf0.1×256:
-    # 4,000 input blocks → 59 s shuffle; repartition(64) first → 3.7 s)
-    conflicts = (
-        combined.map_batches(status_partial, batch_format="pyarrow", zero_copy_batch=True)
-        .repartition(64)
-        .groupby("rbucket")
-        .map_groups(bucket_conflicts, batch_format="pandas")
-        .materialize()  # stays in the object store; driver sees a count
-    )
-    n_conflicts = conflicts.count()
+        ds = semi_join_frontier(ds, ray.put(set(frontier_keys)))
     if stats_out is not None:
-        stats_out["n_conflicts"] = int(n_conflicts)
-        stats_out["path"] = (
-            "fallback_shuffle" if n_conflicts > redo_cap
-            else ("clustered+redo" if n_conflicts else "clustered")
-        )
-    if n_conflicts > redo_cap:
-        # Adversarial layout: more split entities than the broadcast
-        # redo path may hold on the driver. The clustered fast path has
-        # already lost its edge here, so degrade safely to the general
-        # keyed exchange for the WHOLE corpus — no driver-side key set
-        # at any cardinality.
-        return run_details_extraction(
-            pages_dir,
-            frontier_keys=frontier_keys,
-            num_buckets=num_buckets,
-            strict=strict,
-            politeness=politeness,
-            mode="shuffle",
-        )
-    redo_rows = conflicts.take_all()  # ≤ redo_cap rows by the gate above
-    redo_keys = {(r["context"], r["id"]) for r in redo_rows}
-
-    if redo_keys:
-        redo_ref = ray.put(redo_keys)
-
-        def drop_redo(b: pa.Table) -> pa.Table:
-            redo = ray.get(redo_ref)
-            keep = [
-                (c, i) not in redo
-                for c, i in zip(b.column("context").to_pylist(), b.column("id").to_pylist())
-            ]
-            return b.filter(pa.array(keep))
-
-        combined = combined.map_batches(
-            drop_redo, batch_format="pyarrow", zero_copy_batch=True
-        )
-        redone = run_details_extraction(
-            pages_dir,
-            frontier_keys=redo_keys,
-            num_buckets=num_buckets,
-            strict=strict,
-            politeness=politeness,
-            mode="shuffle",
-        )
-    else:
-        redone = None
-
-    done = combined.map_batches(
-        lambda b: b.filter(
-            pc.invert(pc.equal(b.column("status"), PENDING_STATUS))
-        ).select(RESULT_COLUMNS),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-    )
-    if redone is not None:
-        done = done.union(redone)
-    # boundary repair: all-pending entities carry their pages in the
-    # pending rows (possibly from several blocks). Route them through
-    # the same keyed path as mode="shuffle" — a bucket groupby over
-    # ONLY the boundary rows (≤2 entities per block by construction),
-    # so the raw html never funnels through the driver regardless of
-    # how many blocks the corpus has.
-    # repartition(8) first: the boundary rows are ≤2 entities per input
-    # block, so the filter leaves thousands of near-empty blocks whose
-    # per-block shuffle overhead would dwarf the data (same effect as
-    # the redo-scan coalesce above)
-    pending = combined.map_batches(
-        lambda b: b.filter(pc.equal(b.column("status"), PENDING_STATUS)),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-    ).repartition(8)
-    repaired = pending.groupby("bucket").map_groups(
+        stats_out["path"] = "shuffle"
+    return ds.groupby("bucket").map_groups(
         lambda b: extract_bucket(b, strict=strict, politeness=politeness),
         batch_format="pyarrow",
     )
-    return done.union(repaired)
 
 
 def write_items(items: "ray.data.Dataset", out_dir: str) -> None:

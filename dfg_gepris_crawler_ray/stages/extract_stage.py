@@ -252,66 +252,6 @@ def _extract_rows(tbl: pa.Table, strict: bool, politeness) -> list[dict]:
     return rows
 
 
-PENDING_STATUS = "__pending__"
-
-#: result columns + raw passthrough columns for boundary entities
-COMBINED_SCHEMA = pa.schema(
-    list(RESULT_SCHEMA)
-    + [
-        ("kind", pa.string()),
-        ("language", pa.string()),
-        ("warc_ts", pa.timestamp("us")),
-        ("html", pa.binary()),
-        ("bucket", pa.int32()),
-    ]
-)
-
-
-def extract_block_clustered(batch: pa.Table, strict: bool = False, politeness=None) -> pa.Table:
-    """Shuffle-free chain assembly for key-clustered corpora.
-
-    Valid when all page variants of an entity are contiguous in the
-    corpus (the layout a fetch layer naturally produces, and what our
-    generator writes). Entities whose pages touch the block boundary
-    (the first/last key of the block) can be split across blocks, so
-    their raw pages pass through with ``status='__pending__'`` and are
-    assembled by a tiny keyed shuffle over just those rows
-    (pipelines.details mode='clustered'). A corpus that is NOT
-    key-clustered degrades to explicit ``missing_page`` error rows —
-    never silently-wrong items; use mode='shuffle' there.
-    """
-    if batch.num_rows == 0:
-        return COMBINED_SCHEMA.empty_table()
-    ctxs = batch.column("context").to_pylist()
-    ids = batch.column("id").to_pylist()
-    first_key = (ctxs[0], ids[0])
-    last_key = (ctxs[-1], ids[-1])
-    pending_mask = [
-        (c, i) == first_key or (c, i) == last_key for c, i in zip(ctxs, ids)
-    ]
-    mask = pa.array(pending_mask)
-    pending_tbl = batch.filter(mask)
-    inner_tbl = batch.filter(pa.compute.invert(mask))
-    rows = _extract_rows(inner_tbl, strict, politeness)
-    n_pad = len(rows)
-    out = {
-        "id": [r["id"] for r in rows] + pending_tbl.column("id").to_pylist(),
-        "context": [r["context"] for r in rows] + pending_tbl.column("context").to_pylist(),
-        "status": [r["status"] for r in rows] + [PENDING_STATUS] * pending_tbl.num_rows,
-        "item": [r["item"] for r in rows] + [None] * pending_tbl.num_rows,
-        "error_kind": [r["error_kind"] for r in rows] + [None] * pending_tbl.num_rows,
-        "host": [r["host"] for r in rows] + pending_tbl.column("host").to_pylist(),
-        "attempts": [r["attempts"] for r in rows] + [0] * pending_tbl.num_rows,
-        "pages_fetched": [r["pages_fetched"] for r in rows] + [0] * pending_tbl.num_rows,
-        "kind": [None] * n_pad + pending_tbl.column("kind").to_pylist(),
-        "language": [None] * n_pad + pending_tbl.column("language").to_pylist(),
-        "warc_ts": [None] * n_pad + pending_tbl.column("warc_ts").to_pylist(),
-        "html": [None] * n_pad + pending_tbl.column("html").to_pylist(),
-        "bucket": [None] * n_pad + pending_tbl.column("bucket").to_pylist(),
-    }
-    return pa.Table.from_pydict(out, schema=COMBINED_SCHEMA)
-
-
 def extract_bucket(batch, strict: bool = False, politeness=None):
     """``map_groups`` UDF over one hash bucket of annotated detail pages.
 

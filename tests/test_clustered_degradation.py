@@ -1,12 +1,10 @@
-"""The clustered-mode safety property (pipelines/details.py):
+"""Layout immunity of the details pipeline (pipelines/details.py):
+the bucket groupby co-locates every page variant of an entity wherever
+the corpus stores it.
 
-> A non-clustered corpus degrades to explicit ``missing_page`` error
-> rows, never wrong items.
-
-Shuffle the pages corpus into random row order and verify that every
-item the clustered path does produce is byte-identical to the shuffle
-path's (ground truth), with the remainder reported as errors — and
-that the general shuffle path is immune to layout entirely.
+Permute the pages corpus into random row order, so that entities
+straddle block interiors, and verify that the items are byte-identical
+to those of the corpus in its generated (key-clustered) order.
 """
 
 import glob
@@ -42,102 +40,16 @@ def shuffled_pages(tmp_path_factory):
     return out
 
 
-def _items(pages_dir, mode, ray_session):
+def _items(pages_dir):
     from dfg_gepris_crawler_ray.pipelines.details import run_details_extraction
 
-    return run_details_extraction(pages_dir, num_buckets=8, mode=mode).to_pandas()
+    return run_details_extraction(pages_dir, num_buckets=8).to_pandas()
 
 
 def test_shuffle_mode_immune_to_layout(shuffled_pages, ray_session):
     from dfg_gepris_crawler_ray.testdata.gen_pages import ensure_pages
 
-    truth = _items(ensure_pages(SF), "shuffle", ray_session)
-    got = _items(shuffled_pages, "shuffle", ray_session)
+    truth = _items(ensure_pages(SF))
+    got = _items(shuffled_pages)
     key = lambda df: sorted(zip(df["id"], df["context"], df["status"], df["item"].fillna("")))
     assert key(got) == key(truth)
-
-
-def test_clustered_mode_correct_on_shuffled_corpus(shuffled_pages, ray_session):
-    """Entities split across block interiors are detected and
-    re-extracted through the keyed path: clustered output equals the
-    layout-immune shuffle path byte-for-byte even on a randomly
-    permuted corpus."""
-    from dfg_gepris_crawler_ray.testdata.gen_pages import ensure_pages
-
-    truth = _items(ensure_pages(SF), "shuffle", ray_session)
-    got = _items(shuffled_pages, "clustered", ray_session)
-    key = lambda df: sorted(zip(df["id"], df["context"], df["status"], df["item"].fillna("")))
-    assert key(got) == key(truth)
-
-
-def test_clustered_redo_cap_falls_back_to_shuffle(shuffled_pages, ray_session):
-    """Past ``redo_cap`` conflicting keys the clustered path must NOT
-    collect the conflict set to the driver — it degrades wholesale to
-    the layout-immune shuffle exchange. With ``redo_cap=0`` every
-    conflict (and the adversarially permuted corpus produces many)
-    triggers the fallback, and the output is still byte-identical to
-    ground truth."""
-    from dfg_gepris_crawler_ray.pipelines.details import run_details_extraction
-    from dfg_gepris_crawler_ray.testdata.gen_pages import ensure_pages
-
-    truth = _items(ensure_pages(SF), "shuffle", ray_session)
-    got = run_details_extraction(
-        shuffled_pages, num_buckets=8, mode="clustered", redo_cap=0
-    ).to_pandas()
-    key = lambda df: sorted(zip(df["id"], df["context"], df["status"], df["item"].fillna("")))
-    assert key(got) == key(truth)
-
-
-def test_clustered_redo_cap_not_triggered_on_clustered_corpus(ray_session):
-    """On a properly clustered corpus the conflict count is zero, so
-    ``redo_cap=0`` never triggers the fallback and the fast path's
-    output is unchanged."""
-    from dfg_gepris_crawler_ray.pipelines.details import run_details_extraction
-    from dfg_gepris_crawler_ray.testdata.gen_pages import ensure_pages
-
-    src = ensure_pages(SF)
-    base = _items(src, "clustered", ray_session)
-    capped = run_details_extraction(
-        src, num_buckets=8, mode="clustered", redo_cap=0
-    ).to_pandas()
-    key = lambda df: sorted(zip(df["id"], df["context"], df["status"], df["item"].fillna("")))
-    assert key(capped) == key(base)
-
-
-def test_clustered_redo_cap_boundary(shuffled_pages, ray_session):
-    """The redo_cap decision boundary, pinned exactly: with the
-    adversarially permuted corpus producing C conflicting keys,
-    ``redo_cap=C`` takes the bounded-broadcast redo path and
-    ``redo_cap=C-1`` degrades wholesale to the shuffle exchange —
-    and BOTH sides produce byte-identical results."""
-    from dfg_gepris_crawler_ray.pipelines.details import run_details_extraction
-    from dfg_gepris_crawler_ray.testdata.gen_pages import ensure_pages
-
-    probe: dict = {}
-    run_details_extraction(
-        shuffled_pages, num_buckets=8, mode="clustered", stats_out=probe
-    ).materialize()
-    c = probe["n_conflicts"]
-    assert c > 1  # the permutation must actually split entities
-    assert probe["path"] == "clustered+redo"
-
-    truth = _items(ensure_pages(SF), "shuffle", ray_session)
-    key = lambda df: sorted(
-        zip(df["id"], df["context"], df["status"], df["item"].fillna(""))
-    )
-
-    stats_at, stats_below = {}, {}
-    at_cap = run_details_extraction(
-        shuffled_pages, num_buckets=8, mode="clustered",
-        redo_cap=c, stats_out=stats_at,
-    ).to_pandas()
-    below_cap = run_details_extraction(
-        shuffled_pages, num_buckets=8, mode="clustered",
-        redo_cap=c - 1, stats_out=stats_below,
-    ).to_pandas()
-
-    assert stats_at["n_conflicts"] == stats_below["n_conflicts"] == c
-    assert stats_at["path"] == "clustered+redo"       # n_conflicts <= cap
-    assert stats_below["path"] == "fallback_shuffle"  # n_conflicts > cap
-    assert key(at_cap) == key(truth)
-    assert key(below_cap) == key(truth)

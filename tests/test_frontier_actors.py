@@ -145,19 +145,6 @@ def test_robots_blocked_entities_skipped(ray_session):
     assert (other["status"] != "error").any()
 
 
-def test_shuffle_and_clustered_modes_agree(ray_session):
-    """The general shuffle path and the boundary-repair clustered path
-    produce identical item sets."""
-    from dfg_gepris_crawler_ray.pipelines.details import run_details_extraction
-    from dfg_gepris_crawler_ray.testdata.gen_pages import ensure_pages
-
-    pages = ensure_pages("/root/testdata/sf0.001")
-    a = run_details_extraction(pages, num_buckets=8, mode="clustered").to_pandas()
-    b = run_details_extraction(pages, num_buckets=8, mode="shuffle").to_pandas()
-    key = lambda df: sorted(zip(df["id"], df["context"], df["status"], df["item"].fillna("")))
-    assert key(a) == key(b)
-
-
 def test_apply_host_budget_preserves_priority():
     frontier = pd.DataFrame(
         {"context": "p", "id": range(10),

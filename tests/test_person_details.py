@@ -1,8 +1,11 @@
 """person_details spider port (reference spiders/person_details.py):
-raw-details parse golden against the reference person fixture, and the
-cache→gepris per-entity fallback chain through the pipeline."""
+raw-details parse golden against the reference person fixture (skipped
+when the reference fixtures are absent), and the cache→gepris
+per-entity fallback chain through the pipeline on a generated person
+page."""
 
 import json
+import os
 
 import pyarrow as pa
 import pyarrow.parquet as pq
@@ -12,6 +15,7 @@ from dfg_gepris_crawler_ray.extract.details import parse_person_details_raw
 from dfg_gepris_crawler_ray.kernels.htmlmini import parse_html
 from dfg_gepris_crawler_ray.kernels.urls import details_page_url, google_cache_url, details_url
 from dfg_gepris_crawler_ray.pipelines.person_details import run_person_details
+from dfg_gepris_crawler_ray.testdata.gen_pages import person_de_html
 
 FIXTURE = (
     "/root/reference/test/resources/responses/details/"
@@ -29,6 +33,13 @@ def _fixture_html() -> bytes:
         return f.read()
 
 
+def _person_html() -> bytes:
+    """Generated person page of doc 4: name 'Professor Dr. Vorname
+    Nachname 4', address 'Institut 4', 'Weg 4 1', '10004 Stadt'."""
+    return person_de_html(4, 30).encode()
+
+
+@pytest.mark.skipif(not os.path.isfile(FIXTURE), reason="reference fixtures not available")
 def test_parse_person_details_raw_golden():
     """The spider's parse (person_details.py:54-63) on the reference
     person fixture: first-text-node name, RAW per-row details pairs
@@ -88,7 +99,7 @@ def test_person_details_fallback_chain(tmp_path):
     cache copy goes straight to gepris."""
     import datetime
 
-    html = _fixture_html()
+    html = _person_html()
     t0 = datetime.datetime(2021, 10, 22)
     rows = [
         # id 1: good cache + gepris
@@ -113,9 +124,9 @@ def test_person_details_fallback_chain(tmp_path):
     assert out["source"].tolist() == ["cache", "gepris", "gepris"]
     assert out["status"].tolist() == ["success"] * 3
     assert out["attempts"].tolist() == [1, 2, 1]
-    assert set(out["name_de"]) == {"Professor Dr. Oliver Cornely"}
+    assert set(out["name_de"]) == {"Professor Dr. Vorname Nachname 4"}
     details = json.loads(out.loc[0, "details"])
-    assert details[0][0][0] == "Adresse"
+    assert details[0] == [["Adresse", ["Institut 4", "Weg 4 1", "10004 Stadt"]]]
 
 
 def test_person_details_ids_string_and_dedup(tmp_path):
@@ -124,10 +135,11 @@ def test_person_details_ids_string_and_dedup(tmp_path):
     import datetime
 
     rows = [
-        (details_page_url(7, "person", "de"), datetime.datetime(2021, 1, 1), _fixture_html()),
+        (details_page_url(7, "person", "de"), datetime.datetime(2021, 1, 1), _person_html()),
     ]
     _write_pages(tmp_path / "pages.parquet", rows)
     out = run_person_details(str(tmp_path), ids="7,7,7").to_pandas()
     assert out["id"].tolist() == [7]
+    assert out["name_de"].tolist() == ["Professor Dr. Vorname Nachname 4"]
     with pytest.raises(ValueError):
         run_person_details(str(tmp_path))

@@ -123,6 +123,30 @@ def test_get_ids_ds_matches_pandas():
             assert got == want, (only_needed, limit)
 
 
+def test_get_ids_ds_empty_selection():
+    """A selection with no candidate rows is an empty id list, as in
+    the pandas form: every projekt key is checked and none is needed
+    again, so ``only_needed`` selects nothing."""
+    from dfg_gepris_crawler_ray.frontier.state_ds import get_ids_ds
+
+    obs = [(i, f'{{"id":{i}}}') for i in range(20)]
+    st = S.upsert_from_search(S.empty_state(), obs, "projekt", 1)
+    st = S.upsert_from_details(st, list(range(20)), "projekt", 2)
+    runs = pd.DataFrame(
+        [
+            dict(id=r, spider="s", context="projekt", run_started_at=r * 10,
+                 run_ended_at=None, total_scraped_items=None)
+            for r in (1, 2)
+        ]
+    )
+    for limit in (0, 5):
+        want = S.get_ids(st, runs, "projekt", only_needed=True, limit=limit)
+        got = get_ids_ds(
+            ray.data.from_pandas(st), runs, "projekt", only_needed=True, limit=limit
+        )
+        assert got == want == [], limit
+
+
 def test_latest_items_ds_matches_pandas():
     from dfg_gepris_crawler_ray.frontier.state_ds import latest_items_ds
 
