@@ -1004,8 +1004,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # brute-force ground truth pinned in
         # test_ops::test_host_boilerplate_matches_bruteforce)
         "crawl_host_boilerplate": _q_host_boilerplate,
-        # exact distinct urls per host via HOT-KEY SALTING (the 70%-hot
-        # host splits across num_salts disjoint distinct-space shards)
+        # exact distinct urls per host, routed by the full (host, url)
+        # key (the 70%-hot host splits across every route bucket)
         "crawl_host_distinct_urls": _q_host_distinct_urls,
         # snapshot token-frequency drift (data-monitor at corpus scale;
         # integer-exact ppm, per-bucket top-k prune)
@@ -1313,7 +1313,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # targets are the dangling set
         "crawl_host_rank": _q_host_rank,
         # largest-remainder fetch-budget apportionment across hosts:
-        # salted distinct-URL weights, row-local floors, leftover +1s
+        # exact distinct-URL weights, row-local floors, leftover +1s
         # by global remainder rank — sums to the budget EXACTLY
         "crawl_host_budget_allocation": _q_host_budget_allocation,
         # the two scheduler ops composed: apportioned per-host quotas
@@ -1323,19 +1323,19 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # a canonical URL — one canonical-hash exchange
         "crawl_language_variants": _q_language_variants,
         # crawler-trap census: exact distinct-URL cardinality per
-        # (host, digit-collapsed URL template) via salted exact-distinct
-        # cells; inventory-CTE oracle with the same regexp in SQL
+        # (host, digit-collapsed URL template) via (host, template, url)
+        # keyed partials; inventory-CTE oracle with the same regexp in SQL
         "crawl_trap_templates": _q_trap_templates,
         # pre-flight robots-compliance census: per host, how much of
         # the URL inventory / capture volume a path-prefix Disallow
         # set cuts + integer-exact crawlable share (the fleet-planning
-        # twin of PolitenessShard.allowed); one url-hash exchange +
+        # twin of PolitenessShard.allowed); one url-keyed exchange +
         # one host-keyed exchange of additive count partials
         "crawl_robots_audit": _q_robots_audit,
         # per-host fetch-budget YIELD: distinct canonical contents per
         # capture (novelty_ppm, integer-exact) — the crawl-efficiency
         # feedback signal for host_budget_allocation; url exchange →
-        # salted-distinct cells → host exchange
+        # (host, digest) keyed distinct partials → host exchange
         "crawl_host_novelty": _q_host_novelty,
         # the EFFECTIVE frontier: fetch waves computed over only the
         # robots-ALLOWED URLs (fetch_waves' pluggable url_filter ×

@@ -8,8 +8,11 @@ across buckets, and every transition is key-local, so the bucketed
 composition is exactly the driver-side semantics (equivalence tests in
 tests/test_state_ds.py).
 
-Shuffle key: 64-way bucket of ``(context, id)`` — the one partitioning
-key the whole engine reuses (SURVEY.md §7.3).
+Shuffle key: the ``(context, id)`` entity key, routed by
+``kernels.partitioning.keyed_exchange`` — the one partitioning key the
+whole engine reuses (SURVEY.md §7.3). ``NUM_BUCKETS`` is the exchange
+width: the sort-shuffle's cost grows with its square, so it is sized to
+the per-run state a crawl cycle touches; raise it with the cluster.
 """
 
 from __future__ import annotations
@@ -18,18 +21,56 @@ import pandas as pd
 
 import ray.data
 
-from ..kernels.hashing import stable_hash64
+from ..kernels.partitioning import keyed_exchange
 from . import state as S
 
-NUM_BUCKETS = 64
+NUM_BUCKETS = 8
 
 
-def _bucket_of(context, ids) -> list[int]:
-    return [stable_hash64(f"{c}/{int(i)}") % NUM_BUCKETS for c, i in zip(context, ids)]
+def _co_bucket(sides: dict, reduce) -> "ray.data.Dataset":
+    """Union-tag transition: ``sides`` maps a kind to ``(ds, template)``,
+    ``template`` being that side's typed empty frame. The tagged sides
+    co-partition by ``(context, id)``, and ``reduce`` gets, per bucket,
+    a dict kind → that side's rows (its template's columns; the
+    template itself when the bucket holds none of them).
 
+    Every side emits the SAME column set (the union of the templates'
+    columns): a sorted block downstream of the union can hold rows from
+    only one side (sort partition boundaries are sampled), and a
+    single-side block carries only that side's schema — a column of the
+    other side would then be missing from that group (observed as a
+    flaky KeyError). The fillers are object-typed None, NOT reindex's
+    float NaN: a float filler column would coerce the other side's
+    bool/int columns on block concat (False -> 0.0)."""
+    templates = {kind: template for kind, (_, template) in sides.items()}
+    cols = list(dict.fromkeys(c for t in templates.values() for c in t.columns))
 
-def _with_bucket(df: pd.DataFrame) -> pd.DataFrame:
-    return df.assign(bucket=_bucket_of(df["context"], df["id"]))
+    def tag(kind: str):
+        def fn(df: pd.DataFrame) -> pd.DataFrame:
+            out = df.assign(_kind=kind)
+            for c in cols:
+                if c not in out.columns:
+                    out[c] = pd.Series([None] * len(out), dtype="object", index=out.index)
+            return out[cols + ["_kind"]]
+
+        return fn
+
+    tagged = [ds.map_batches(tag(k), batch_format="pandas") for k, (ds, _) in sides.items()]
+
+    def per_bucket(group: pd.DataFrame) -> pd.DataFrame:
+        parts = {}
+        for kind, template in templates.items():
+            rows = group[group["_kind"] == kind]
+            parts[kind] = (
+                rows[list(template.columns)].reset_index(drop=True)
+                if len(rows)
+                else template.copy()
+            )
+        return reduce(parts)
+
+    return keyed_exchange(
+        tagged[0].union(*tagged[1:]), ["context", "id"], per_bucket, n=NUM_BUCKETS
+    )
 
 
 def upsert_from_search_ds(
@@ -41,41 +82,28 @@ def upsert_from_search_ds(
 
     ``observations``: Dataset of ``(id, item)`` rows (the search run's
     extracted items)."""
-    # Both tag fns emit the SAME column set: a sorted block downstream
-    # of the union can hold rows from only one side (sort partition
-    # boundaries are sampled), and a single-side block carries only
-    # that side's schema — an obs-only column like _obs_item would then
-    # be missing from a state-only group (observed as a flaky KeyError).
-    cols = list(S.STATE_COLUMNS) + ["_obs_item", "bucket", "_kind"]
 
-    def tag_state(df: pd.DataFrame) -> pd.DataFrame:
-        return _with_bucket(df).assign(_kind="state", _obs_item=None)[cols]
-
-    def tag_obs(df: pd.DataFrame) -> pd.DataFrame:
+    def to_obs(df: pd.DataFrame) -> pd.DataFrame:
         out = pd.DataFrame({"id": df["id"].astype("int64"), "_obs_item": df["item"]})
         out["context"] = context
-        out = _with_bucket(out).assign(_kind="obs")
-        # object-typed None fillers (NOT reindex's float NaN): a float
-        # filler column would coerce the state side's bool/int columns
-        # on block concat (False -> 0.0)
-        for c in cols:
-            if c not in out.columns:
-                out[c] = pd.Series([None] * len(out), dtype="object")
-        return out[cols]
+        return out
 
-    unioned = state.map_batches(tag_state, batch_format="pandas").union(
-        observations.map_batches(tag_obs, batch_format="pandas")
-    )
-
-    def per_bucket(group: pd.DataFrame) -> pd.DataFrame:
-        st = group[group["_kind"] == "state"]
-        st = st[[c for c in S.STATE_COLUMNS]].reset_index(drop=True) if len(st) else S.empty_state()
-        obs_rows = group[group["_kind"] == "obs"]
-        obs = list(zip(obs_rows["id"].astype(int), obs_rows["_obs_item"]))
-        out = S.upsert_from_search(st, obs, context, run_id)
+    def per_bucket(parts: dict) -> pd.DataFrame:
+        o = parts["obs"]
+        obs = list(zip(o["id"].astype(int), o["_obs_item"]))
+        out = S.upsert_from_search(parts["state"], obs, context, run_id)
         return S.mark_not_found(out, context, run_id)  # J6 is key-local too
 
-    return unioned.groupby("bucket").map_groups(per_bucket, batch_format="pandas")
+    return _co_bucket(
+        {
+            "state": (state, S.empty_state()),
+            "obs": (
+                observations.map_batches(to_obs, batch_format="pandas"),
+                pd.DataFrame(columns=["id", "context", "_obs_item"]),
+            ),
+        },
+        per_bucket,
+    )
 
 
 def insert_detail_items_ds(
@@ -88,32 +116,18 @@ def insert_detail_items_ds(
     per key bucket; the tiny runs ledger broadcasts by closure."""
     runs = runs.copy()
 
-    def tag_hist(df: pd.DataFrame) -> pd.DataFrame:
-        return _with_bucket(df).assign(_kind="hist")
-
-    def tag_new(df: pd.DataFrame) -> pd.DataFrame:
-        return _with_bucket(df).assign(_kind="new")
-
-    unioned = history.map_batches(tag_hist, batch_format="pandas").union(
-        rows.map_batches(tag_new, batch_format="pandas")
-    )
-
-    def per_bucket(group: pd.DataFrame) -> pd.DataFrame:
-        hist = group[group["_kind"] == "hist"]
-        hist = (
-            hist[[c for c in S.HISTORY_COLUMNS]].reset_index(drop=True)
-            if len(hist)
-            else S.empty_history()
-        )
-        new = group[group["_kind"] == "new"]
+    def per_bucket(parts: dict) -> pd.DataFrame:
         new_rows = [
             dict(id=int(r.id), context=r.context, created_at=r.created_at,
                  item=None if pd.isna(r.item) else r.item, status=r.status)
-            for r in new.itertuples()
+            for r in parts["new"].itertuples()
         ]
-        return S.insert_detail_items(hist, runs, new_rows)
+        return S.insert_detail_items(parts["hist"], runs, new_rows)
 
-    return unioned.groupby("bucket").map_groups(per_bucket, batch_format="pandas")
+    return _co_bucket(
+        {"hist": (history, S.empty_history()), "new": (rows, S.empty_history())},
+        per_bucket,
+    )
 
 
 def upsert_from_details_ds(
@@ -253,34 +267,25 @@ def upsert_from_details_bucketed(
     the ``db:all:0`` form of :func:`upsert_from_details_ds`, whose
     broadcast id set is only safe when a J1 budget bounds the run."""
 
-    def tag_state(df: pd.DataFrame) -> pd.DataFrame:
-        return _with_bucket(df).assign(_kind="state")
-
-    def tag_proc(df: pd.DataFrame) -> pd.DataFrame:
+    def to_proc(df: pd.DataFrame) -> pd.DataFrame:
         out = pd.DataFrame({"id": df["id"].astype("int64")})
         out["context"] = context
-        return _with_bucket(out).assign(_kind="proc")
+        return out
 
-    unioned = state.map_batches(tag_state, batch_format="pandas").union(
-        processed.map_batches(tag_proc, batch_format="pandas")
+    def per_bucket(parts: dict) -> pd.DataFrame:
+        ids = parts["proc"]["id"].astype("int64").drop_duplicates().tolist()
+        return S.upsert_from_details(parts["state"], ids, context, run_id)
+
+    return _co_bucket(
+        {
+            "state": (state, S.empty_state()),
+            "proc": (
+                processed.map_batches(to_proc, batch_format="pandas"),
+                pd.DataFrame(columns=["id", "context"]),
+            ),
+        },
+        per_bucket,
     )
-
-    def per_bucket(group: pd.DataFrame) -> pd.DataFrame:
-        st = group[group["_kind"] == "state"]
-        st = (
-            st[[c for c in S.STATE_COLUMNS]].reset_index(drop=True)
-            if len(st)
-            else S.empty_state()
-        )
-        ids = (
-            group.loc[group["_kind"] == "proc", "id"]
-            .astype("int64")
-            .drop_duplicates()
-            .tolist()
-        )
-        return S.upsert_from_details(st, ids, context, run_id)
-
-    return unioned.groupby("bucket").map_groups(per_bucket, batch_format="pandas")
 
 
 # --- A2: coalesce view at scale ---------------------------------------------
@@ -292,32 +297,13 @@ def latest_items_ds(
     latest detail rows and state snapshots co-partition by key bucket;
     each bucket replays the exact pandas coalesce."""
 
-    def tag_latest(df: pd.DataFrame) -> pd.DataFrame:
-        return _with_bucket(df).assign(_kind="latest")
-
-    def tag_state(df: pd.DataFrame) -> pd.DataFrame:
-        return _with_bucket(df).assign(_kind="state")
-
-    unioned = latest_details.map_batches(tag_latest, batch_format="pandas").union(
-        state.map_batches(tag_state, batch_format="pandas")
+    return _co_bucket(
+        {
+            "latest": (latest_details, S.empty_history()),
+            "state": (state, S.empty_state()),
+        },
+        lambda parts: S.latest_items(parts["latest"], parts["state"]),
     )
-
-    def per_bucket(group: pd.DataFrame) -> pd.DataFrame:
-        ld = group[group["_kind"] == "latest"]
-        ld = (
-            ld[[c for c in S.HISTORY_COLUMNS]].reset_index(drop=True)
-            if len(ld)
-            else S.empty_history()
-        )
-        st = group[group["_kind"] == "state"]
-        st = (
-            st[[c for c in S.STATE_COLUMNS]].reset_index(drop=True)
-            if len(st)
-            else S.empty_state()
-        )
-        return S.latest_items(ld, st)
-
-    return unioned.groupby("bucket").map_groups(per_bucket, batch_format="pandas")
 
 
 # --- J7/J8: moved propagation at scale --------------------------------------

@@ -13,8 +13,8 @@ Distributed shape — two scans over pages, one model-sized exchange:
 1. **counting scan**: each batch emits per-(host, segment-hash)
    page-count partials (segments deduped within a page first, so the
    count is pages-containing, not occurrences) plus one page-count
-   row per host (sentinel ``seg_hash = -1``) → 64-way hash-bucket
-   ``groupby`` with vectorized pandas sums per bucket — the exchange
+   row per host (sentinel ``seg_hash = -1``) → 64-way segment-keyed
+   exchange with vectorized pandas sums per bucket — the exchange
    carries distinct (host, segment) rows, i.e. hosts × template
    size, not the corpus;
 2. **verdict broadcast**: boilerplate segment hashes per host (and
@@ -47,6 +47,7 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
+from ..kernels.partitioning import keyed_exchange
 from ..testdata.gen_pages import ensure_pages
 
 
@@ -87,12 +88,10 @@ def host_boilerplate(
         rows_host = [h for (h, _), _c in ctr.items()] + list(pages.keys())
         rows_seg = [s for (_, s), _c in ctr.items()] + [-1] * len(pages)
         rows_n = list(ctr.values()) + list(pages.values())
-        seg_arr = np.asarray(rows_seg, dtype=np.int64)
         return pa.table(
             {
-                "bucket": pa.array((seg_arr % 64).astype(np.int32)),
                 "host": pa.array(rows_host, type=pa.string()),
-                "seg_hash": pa.array(seg_arr),
+                "seg_hash": pa.array(np.asarray(rows_seg, dtype=np.int64)),
                 "n": pa.array(rows_n, type=pa.int64()),
             }
         )
@@ -100,13 +99,10 @@ def host_boilerplate(
     def bucket_sum(df: pd.DataFrame) -> pd.DataFrame:
         return df.groupby(["host", "seg_hash"], as_index=False)["n"].sum()
 
-    agg = (
-        ds.map_batches(count_partial, batch_format="pyarrow", zero_copy_batch=True)
-        .repartition(64)
-        .groupby("bucket")
-        .map_groups(bucket_sum, batch_format="pandas")
-        .to_pandas()
-    )
+    agg = keyed_exchange(
+        ds.map_batches(count_partial, batch_format="pyarrow", zero_copy_batch=True),
+        "seg_hash", bucket_sum,
+    ).to_pandas()
     # verdict: model-sized (hosts × template segments)
     page_totals = (
         agg[agg.seg_hash == -1].groupby("host")["n"].sum().to_dict()
@@ -157,39 +153,31 @@ def host_boilerplate(
     return ds.map_batches(remove, batch_format="pyarrow", zero_copy_batch=True)
 
 
-def host_distinct_urls(
-    pages_dir: str, num_salts: int = 16
-) -> "ray.data.Dataset":
-    """(host, distinct_urls) — exact distinct-URL count per host with
-    the HOT-KEY SALTING pattern (the corpus's 70%-hot host
-    `gepris.example.org` would otherwise funnel into ONE reduce task
-    under a plain groupby(host) distinct).
+def host_distinct_urls(pages_dir: str) -> "ray.data.Dataset":
+    """(host, distinct_urls) — exact distinct-URL count per host that
+    survives a HOT key (the corpus's 70%-hot host `gepris.example.org`
+    would otherwise funnel into ONE reduce task under a plain
+    groupby(host) distinct).
 
-    Salt = stable_hash(url) % num_salts: a function of the counted
-    value itself, so it PARTITIONS each host's distinct space into
-    disjoint shards — each (host, salt) group deduplicates and counts
-    independently (num_salts-way parallelism on the hot key, no double
-    counting by construction), then a tiny per-host Sum reassembles
-    the exact total. Per-batch dedup bounds the exchange by distinct
-    urls, not page rows. This is the skew treatment to reach for
-    whenever one key holds a constant fraction of a 100 TB corpus.
+    The exchange routes by the FULL distinct key (host, url): every
+    copy of a URL lands in one bucket, so each bucket deduplicates and
+    counts its share of a host independently (the hot host spreads
+    over all 64 buckets, no double counting by construction), then a
+    tiny per-host Sum reassembles the exact total. Per-batch dedup
+    bounds the exchange by distinct urls, not page rows. This is the
+    skew treatment to reach for whenever one key holds a constant
+    fraction of a 100 TB corpus.
     """
-    import pandas as pd
-
-    from ..kernels.hashing import stable_hash64_array
     from ..sources.pages import read_pages
 
-    import ray.data
     from ray.data.aggregate import Sum
 
     ds = read_pages(pages_dir, columns=["url"])
 
     def partial(batch: pa.Table) -> pd.DataFrame:
         df = pd.DataFrame({"url": batch.column("url").to_pylist()}).drop_duplicates()
-        h = stable_hash64_array(df["url"].tolist())
-        df["salt"] = (h % np.uint64(num_salts)).astype("int32")
         df["host"] = df["url"].str.split("/").str[2]
-        return df[["host", "salt", "url"]]
+        return df[["host", "url"]]
 
     def count_shard(g: pd.DataFrame) -> pd.DataFrame:
         out = g.groupby("host", as_index=False)["url"].nunique()
@@ -197,17 +185,10 @@ def host_distinct_urls(
         out["n"] = out["n"].astype("int64")
         return out
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        # coalesce per-block partials before the keyed shuffle: Ray's
-        # sort-shuffle pays a fixed cost per INPUT block (measured at
-        # sf0.1×256: 15.6 s → 4.6 s, same 17-host result)
-        .repartition(64)
-        .groupby(["host", "salt"])
-        .map_groups(count_shard, batch_format="pandas")
-        .groupby("host")
-        .aggregate(Sum("n", alias_name="distinct_urls"))
-    )
+    return keyed_exchange(
+        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True),
+        ["host", "url"], count_shard,
+    ).groupby("host").aggregate(Sum("n", alias_name="distinct_urls"))
 
 
 _ANCHOR_RE = None
@@ -229,9 +210,7 @@ def _anchor_pairs(html: bytes) -> list[tuple[str, str]]:
     ]
 
 
-def anchor_term_index(
-    pages_dir: str, k: int = 3, num_buckets: int = 64
-) -> "ray.data.Dataset":
+def anchor_term_index(pages_dir: str, k: int = 3) -> "ray.data.Dataset":
     """(target, term, cnt) — the INBOUND ANCHOR-TEXT index: for every
     link target, the top-``k`` terms other pages use when linking to
     it (count desc, term asc).  Anchor text is the classic off-page
@@ -247,13 +226,12 @@ def anchor_term_index(
        (target, term) counts — HTML never leaves the scan and the
        exchange carries distinct (target, term) partials, not link
        occurrences;
-    2. **target-hash exchange** (vectorized pandas per bucket): exact
+    2. **target-keyed exchange** (vectorized Arrow per bucket): exact
        per-(target, term) totals, then the per-target top-k prune —
        output is ≤ targets × k rows.
 
     Self-links count too (the generator's language-switch links) —
     the census and the pytest pin the same contract."""
-    from ..kernels.hashing import stable_hash64_array
     from ..sources.pages import read_pages
 
     ds = read_pages(pages_dir, columns=["url", "html"])
@@ -278,7 +256,6 @@ def anchor_term_index(
                 cnt[(hd, term)] += n
         targets = [t for (t, _) in cnt]
         terms = [w for (_, w) in cnt]
-        h = stable_hash64_array(targets)
         # Arrow block (not pandas): the (target, term) partials are the
         # exchange payload — Arrow string buffers slice zero-copy through
         # repartition/sort where pandas object columns would be pickled
@@ -286,8 +263,7 @@ def anchor_term_index(
             {"target": pa.array(targets, type=pa.string()),
              "term": pa.array(terms, type=pa.string()),
              "cnt": pa.array(
-                 np.fromiter(cnt.values(), dtype=np.int64, count=len(cnt))),
-             "_b": pa.array((h % np.uint64(num_buckets)).astype(np.int32))}
+                 np.fromiter(cnt.values(), dtype=np.int64, count=len(cnt)))}
         )
 
     def per_target_topk(t: pa.Table) -> pa.Table:
@@ -295,9 +271,7 @@ def anchor_term_index(
         # 49.5 s of UDF CPU over the 11M-row exchange; this is ~6x less):
         # C++ hash-agg for exact totals, one vectorized 3-key sort, then
         # a run-boundary cumcount for the per-target head(k)
-        agg = pa.TableGroupBy(
-            t.select(["target", "term", "cnt"]), ["target", "term"]
-        ).aggregate([("cnt", "sum")])
+        agg = pa.TableGroupBy(t, ["target", "term"]).aggregate([("cnt", "sum")])
         idx = pc.sort_indices(
             agg,
             sort_keys=[("target", "ascending"), ("cnt_sum", "descending"),
@@ -322,20 +296,16 @@ def anchor_term_index(
         s = s.filter(pa.array(rank < k))
         return s.rename_columns(["target", "term", "cnt"])
 
-    return (
-        ds.map_batches(extract, batch_format="pyarrow", zero_copy_batch=True)
-        .repartition(num_buckets)
-        .groupby("_b")
-        .map_groups(per_target_topk, batch_format="pyarrow")
+    return keyed_exchange(
+        ds.map_batches(extract, batch_format="pyarrow", zero_copy_batch=True),
+        "target", per_target_topk, batch_format="pyarrow",
     )
 
 
 _LANG_PARAM_RE = None
 
 
-def language_variant_clusters(
-    pages_dir: str, num_buckets: int = 64
-) -> "ray.data.Dataset":
+def language_variant_clusters(pages_dir: str) -> "ray.data.Dataset":
     """(canonical, n_variants, langs) — alternate-language clustering:
     URLs that differ only in their ``language=de|en`` query parameter
     collapse onto one canonical URL (the hreflang/alternate contract a
@@ -345,17 +315,16 @@ def language_variant_clusters(
     extractors).  ``langs`` is the sorted comma-joined distinct
     language set ('-' marks a URL with no language parameter).
 
-    Distributed shape — one scan, one canonical-hash exchange:
+    Distributed shape — one scan, one canonical-keyed exchange:
 
     - per batch: URL dedup, vectorized regex canonicalization +
       language extraction (compiled once per process), pre-aggregated
       to distinct (canonical, url, lang) rows;
-    - canonical-hash exchange: per-cluster distinct-variant count and
+    - canonical-keyed exchange: per-cluster distinct-variant count and
       the sorted language-set join, both vectorized pandas."""
     global _LANG_PARAM_RE
     import re
 
-    from ..kernels.hashing import stable_hash64_array
     from ..sources.pages import read_pages
 
     if _LANG_PARAM_RE is None:
@@ -370,9 +339,7 @@ def language_variant_clusters(
         lang = df["url"].str.extract(_LANG_PARAM_RE, expand=False)
         df["lang"] = lang.fillna("-")
         df["canonical"] = df["url"].str.replace(_LANG_PARAM_RE, "", regex=True)
-        h = stable_hash64_array(df["canonical"].tolist())
-        df["_b"] = (h % np.uint64(num_buckets)).astype(np.int32)
-        return df[["canonical", "url", "lang", "_b"]]
+        return df[["canonical", "url", "lang"]]
 
     def per_cluster(g: pd.DataFrame) -> pd.DataFrame:
         d = g.drop_duplicates(["canonical", "url", "lang"])
@@ -383,17 +350,13 @@ def language_variant_clusters(
         out["n_variants"] = out["n_variants"].astype("int64")
         return out
 
-    return (
-        ds.map_batches(canon_rows, batch_format="pyarrow", zero_copy_batch=True)
-        .repartition(num_buckets)
-        .groupby("_b")
-        .map_groups(per_cluster, batch_format="pandas")
+    return keyed_exchange(
+        ds.map_batches(canon_rows, batch_format="pyarrow", zero_copy_batch=True),
+        "canonical", per_cluster,
     )
 
 
-def host_link_graph(
-    pages_dir: str, num_buckets: int = 32
-) -> "ray.data.Dataset":
+def host_link_graph(pages_dir: str) -> "ray.data.Dataset":
     """(src_host, dst_host, n_links) — the HOST-LEVEL link matrix:
     every anchor href resolved against its page's host (site-relative
     hrefs stay on-host, absolute ones carry their own netloc), counted
@@ -417,7 +380,6 @@ def host_link_graph(
     from ..sources.pages import read_pages
 
     ds = read_pages(pages_dir, columns=["url", "html"])
-    nbk = np.uint64(num_buckets)
 
     def extract(batch: pa.Table) -> pd.DataFrame:
         cnt: Counter = Counter()
@@ -435,16 +397,12 @@ def host_link_graph(
             return pd.DataFrame(
                 {"src_host": pd.Series(dtype="object"),
                  "dst_host": pd.Series(dtype="object"),
-                 "n": pd.Series(dtype="int64"),
-                 "_b": pd.Series(dtype="int32")}
+                 "n": pd.Series(dtype="int64")}
             )
-        src = pd.Series([a for a, _ in cnt], dtype="object")
-        dst = pd.Series([b for _, b in cnt], dtype="object")
-        h = pd.util.hash_pandas_object(src + "\x00" + dst, index=False).to_numpy()
         return pd.DataFrame(
-            {"src_host": src, "dst_host": dst,
-             "n": np.fromiter(cnt.values(), dtype=np.int64, count=len(cnt)),
-             "_b": (h % nbk).astype("int32")}
+            {"src_host": pd.Series([a for a, _ in cnt], dtype="object"),
+             "dst_host": pd.Series([b for _, b in cnt], dtype="object"),
+             "n": np.fromiter(cnt.values(), dtype=np.int64, count=len(cnt))}
         )
 
     def reduce_pairs(g: pd.DataFrame) -> pd.DataFrame:
@@ -454,9 +412,7 @@ def host_link_graph(
              "n_links": out["n"].astype("int64")}
         )
 
-    return (
-        ds.map_batches(extract, batch_format="pyarrow", zero_copy_batch=True)
-        .repartition(num_buckets)
-        .groupby("_b")
-        .map_groups(reduce_pairs, batch_format="pandas")
+    return keyed_exchange(
+        ds.map_batches(extract, batch_format="pyarrow", zero_copy_batch=True),
+        ["src_host", "dst_host"], reduce_pairs, n=32,
     )

@@ -37,8 +37,6 @@ _TEMPLATE_TOKEN = "{N}"
 def url_template_stats(
     pages_dir: str,
     min_urls: int = 5,
-    num_buckets: int = 64,
-    num_salts: int = 16,
 ) -> "ray.data.Dataset":
     """(host, template, n_urls) — exact distinct-URL count per
     (host, URL-template), templates below ``min_urls`` pruned.
@@ -49,26 +47,24 @@ def url_template_stats(
     ``min_urls`` sits around 10^5 and the survivors are trap suspects;
     the default is test-scale so the gate output is non-trivial.
 
-    Distributed shape (the salted exact-distinct discipline of
+    Distributed shape (the exact-distinct discipline of
     ``boilerplate.host_distinct_urls``):
 
     1. scan (url column only): per-batch URL dedup, vectorized
-       template + host extraction, routed to
-       ``(template-key bucket × url-salt)`` cells — every copy of a
-       URL lands in exactly one cell, so per-cell ``nunique`` partials
-       sum to the exact global distinct count;
-    2. cell exchange: per-cell distinct-URL partial counts
-       (output rows ≤ cells × templates-per-cell, not URLs);
-    3. key exchange: sum partials per (host, template), prune — a hot
-       template (the trap itself!) spreads over ``num_salts`` cells
-       instead of melting one reduce task.
+       template + host extraction;
+    2. (host, template, url) exchange: every copy of a URL lands in
+       exactly one bucket, so per-bucket distinct-URL partial counts
+       sum to the exact global distinct count (output rows ≤ buckets ×
+       templates-per-bucket, not URLs);
+    3. (host, template) exchange: sum partials, prune — a hot template
+       (the trap itself!) spreads over every bucket of step 2 instead
+       of melting one reduce task.
     """
 
+    from ..kernels.partitioning import keyed_exchange
     from ..sources.pages import read_pages
 
     ds = read_pages(pages_dir, columns=["url"])
-    nbk = np.uint64(num_buckets)
-    nsl = np.uint64(num_salts)
 
     def partial(batch: pa.Table) -> pa.Table:
         url = pd.Series(pd.unique(batch.column("url").to_pandas()))
@@ -81,11 +77,6 @@ def url_template_stats(
                 "url": url,
             }
         )
-        kh = pd.util.hash_pandas_object(
-            df["host"] + "\x00" + df["template"], index=False
-        ).to_numpy()
-        uh = pd.util.hash_pandas_object(df["url"], index=False).to_numpy()
-        df["_c"] = ((kh % nbk) * nsl + uh % nsl).astype("int64")
         # Arrow block: the (host, template, url) partials are the
         # exchange payload — Arrow string buffers slice zero-copy
         # through repartition/sort where pandas object blocks pickle
@@ -98,10 +89,6 @@ def url_template_stats(
             .size()
         )
         n.columns = ["host", "template", "n"]
-        kh = pd.util.hash_pandas_object(
-            n["host"] + "\x00" + n["template"], index=False
-        ).to_numpy()
-        n["_b"] = (kh % nbk).astype("int32")
         return pa.Table.from_pandas(n, preserve_index=False)
 
     def totals(g: pd.DataFrame) -> pd.DataFrame:
@@ -115,16 +102,11 @@ def url_template_stats(
             }
         )
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        # coalesce per-block partials before the keyed shuffle (the
-        # sort-shuffle pays per-INPUT-block fixed costs)
-        .repartition(num_buckets)
-        .groupby("_c")
-        .map_groups(cell_counts, batch_format="pandas")
-        .groupby("_b")
-        .map_groups(totals, batch_format="pandas")
+    cells = keyed_exchange(
+        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True),
+        ["host", "template", "url"], cell_counts,
     )
+    return keyed_exchange(cells, ["host", "template"], totals)
 
 
 def mirror_host_pairs(
@@ -132,7 +114,6 @@ def mirror_host_pairs(
     fp_chars: int = 40,
     min_shared: int = 1,
     max_hosts_per_fp: int = 64,
-    num_buckets: int = 64,
 ) -> "ray.data.Dataset":
     """(host_a, host_b, shared, resemblance) — host pairs sharing
     ``shared`` ≥ ``min_shared`` distinct content fingerprints, scored
@@ -158,17 +139,18 @@ def mirror_host_pairs(
     2. host_a exchange: sum pair counts per (host_a, host_b) and
        fingerprint totals per host; each pair row picks up ``n_a``
        from the total row riding the same bucket;
-    3. host_b exchange: same trick for ``n_b``; score + prune.
+    3. host_b exchange (a total row routes by its own host): same
+       trick for ``n_b``; score + prune.
 
     Output is ≤ (mirror pairs), never corpus-sized; no driver-side
     lookup table at any step (host cardinality is unbounded at
     open-web scale, so totals attach via the exchanges, not a
     broadcast)."""
 
+    from ..kernels.partitioning import keyed_exchange
     from ..sources.pages import read_pages
 
     ds = read_pages(pages_dir, columns=["url", "text"])
-    nbk = np.uint64(num_buckets)
 
     def partial(batch: pa.Table) -> pa.Table:
         url = batch.column("url").to_pandas()
@@ -180,8 +162,6 @@ def mirror_host_pairs(
                 "host": url[keep].str.split("/").str[2],
             }
         ).drop_duplicates()
-        h = pd.util.hash_pandas_object(df["fp"], index=False).to_numpy()
-        df["_b"] = (h % nbk).astype("int32")
         # Arrow block: zero-copy through the fingerprint exchange
         return pa.Table.from_pandas(df, preserve_index=False)
 
@@ -204,10 +184,6 @@ def mirror_host_pairs(
             ignore_index=True,
         )
 
-    def tag_a(df: pd.DataFrame) -> pd.DataFrame:
-        h = pd.util.hash_pandas_object(df["host_a"], index=False).to_numpy()
-        return df.assign(_b2=(h % nbk).astype("int32"))
-
     def reduce_a(g: pd.DataFrame) -> pd.DataFrame:
         s = g.groupby(["host_a", "host_b"], as_index=False)["n"].sum()
         is_tot = s["host_b"] == ""
@@ -216,12 +192,10 @@ def mirror_host_pairs(
         p["na"] = p["host_a"].map(tot).astype("int64")
         trows = s[is_tot].copy()
         trows["na"] = np.int64(-1)
-        return pd.concat([p, trows], ignore_index=True)
-
-    def tag_b(df: pd.DataFrame) -> pd.DataFrame:
-        key = df["host_b"].where(df["host_b"] != "", df["host_a"])
-        h = pd.util.hash_pandas_object(key, index=False).to_numpy()
-        return df.assign(_b3=(h % nbk).astype("int32"))
+        out = pd.concat([p, trows], ignore_index=True)
+        return out.assign(
+            host_k=out["host_b"].where(out["host_b"] != "", out["host_a"])
+        )
 
     def reduce_b(g: pd.DataFrame) -> pd.DataFrame:
         is_tot = g["host_b"] == ""
@@ -239,17 +213,12 @@ def mirror_host_pairs(
             }
         )
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .repartition(num_buckets)
-        .groupby("_b")
-        .map_groups(bucket_kernel, batch_format="pandas")
-        .map_batches(tag_a, batch_format="pandas")
-        .groupby("_b2")
-        .map_groups(reduce_a, batch_format="pandas")
-        .map_batches(tag_b, batch_format="pandas")
-        .groupby("_b3")
-        .map_groups(reduce_b, batch_format="pandas")
+    fp = keyed_exchange(
+        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True),
+        "fp", bucket_kernel,
+    )
+    return keyed_exchange(
+        keyed_exchange(fp, "host_a", reduce_a), "host_k", reduce_b
     )
 
 
@@ -368,7 +337,7 @@ def warc_revisits(pages_dir: str) -> "ray.data.Dataset":
     digests are checked end-to-end."""
     import hashlib
 
-    import ray
+    from ..kernels.partitioning import keyed_exchange
 
     ds = ray.data.read_parquet(pages_dir, columns=["url", "warc_ts", "html"])
 
@@ -380,14 +349,8 @@ def warc_revisits(pages_dir: str) -> "ray.data.Dataset":
              for h in batch.column("html").to_pylist()),
             dtype=np.int64, count=len(batch),
         )
-        bucket = np.fromiter(
-            (int.from_bytes(hashlib.md5(u.encode()).digest()[:8], "big",
-                            signed=True) % 64
-             for u in urls.to_pylist()),
-            dtype=np.int64, count=len(batch),
-        )
         return pa.table({"url": urls, "warc_ts_us": ts,
-                         "h64": pa.array(h64), "bucket": pa.array(bucket)})
+                         "h64": pa.array(h64)})
 
     def mark(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["url", "warc_ts_us", "h64"], kind="stable")
@@ -399,19 +362,14 @@ def warc_revisits(pages_dir: str) -> "ray.data.Dataset":
              "revisit": rv.to_numpy()}
         )
 
-    return (
+    return keyed_exchange(
         ds.map_batches(digest_rows, batch_format="pyarrow",
-                       zero_copy_batch=True)
-        .repartition(64)
-        .groupby("bucket")
-        .map_groups(mark, batch_format="pandas")
+                       zero_copy_batch=True),
+        "url", mark,
     )
 
 
-def param_hygiene(
-    pages_dir: str,
-    num_buckets: int = 64,
-) -> "ray.data.Dataset":
+def param_hygiene(pages_dir: str) -> "ray.data.Dataset":
     """(host, param, n_captures, n_urls, n_vals, n_stripped,
     n_digests, content_invariant) — per (host, query-parameter) URL
     hygiene census: the statistics a production canonicalizer uses to
@@ -448,15 +406,15 @@ def param_hygiene(
        scan task), captures collapse to one row per URL (canonical
        digest + capture count) in url-hash buckets;
     2. mixed key exchange: URL rows explode row-locally into one row
-       per param occurrence, routed THREE ways in one exchange —
-       stripped-group rows by hash(host,param,stripped), value rows
-       by hash(host,param,value), digest rows by
-       hash(host,param,digest). Each bucket reduces to per-(host,
+       per param occurrence, routed THREE ways in one exchange keyed
+       by (kind, host, param, skey) — stripped-group rows by
+       (host,param,stripped), value rows by (host,param,value), digest
+       rows by (host,param,digest). Each bucket reduces to per-(host,
        param) PARTIALS (sums / group counts / AND of group
        invariance / distinct-value and distinct-digest counts —
        additive across buckets because each distinct member lands in
        exactly one bucket);
-    3. final exchange: ≤ 3 × ``num_buckets`` partial rows per key
+    3. final exchange: ≤ 3 × 64 partial rows per key
        sum/AND into the verdict row. A hot parameter (``language`` on
        a 10^9-page host) spreads its distinct-member counting over
        the bucket space instead of melting one reduce task; only the
@@ -465,15 +423,10 @@ def param_hygiene(
     """
     import hashlib
 
+    from ..kernels.partitioning import keyed_exchange
     from ..sources.pages import read_pages
 
     ds = read_pages(pages_dir, columns=["url", "warc_ts", "text"])
-    nbk = num_buckets
-
-    def _b64(s: str) -> int:
-        return int.from_bytes(
-            hashlib.md5(s.encode()).digest()[:8], "big", signed=True
-        )
 
     def digest_scan(batch: pa.Table) -> pa.Table:
         urls = batch.column("url")
@@ -484,12 +437,7 @@ def param_hygiene(
              for t in batch.column("text").to_pylist()),
             dtype=np.int64, count=len(batch),
         )
-        bucket = np.fromiter(
-            (_b64(u) % nbk for u in urls.to_pylist()),
-            dtype=np.int64, count=len(batch),
-        )
-        return pa.table({"url": urls, "ts_us": ts, "d64": pa.array(d64),
-                         "bucket": pa.array(bucket)})
+        return pa.table({"url": urls, "ts_us": ts, "d64": pa.array(d64)})
 
     def url_reduce(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["url", "ts_us", "d64"], kind="stable")
@@ -509,8 +457,7 @@ def param_hygiene(
                 {"kind": pd.Series(dtype=str), "host": pd.Series(dtype=str),
                  "param": pd.Series(dtype=str), "skey": pd.Series(dtype=str),
                  "d64": pd.Series(dtype="int64"),
-                 "n_caps": pd.Series(dtype="int64"),
-                 "bucket2": pd.Series(dtype="int64")}
+                 "n_caps": pd.Series(dtype="int64")}
             )
         base = part[0][has]
         host = base.str.split("/").str[2]
@@ -544,13 +491,7 @@ def param_hygiene(
             ["kind", "host", "param", "skey"]
         )
         out = out[~dup]
-        out["bucket2"] = [
-            _b64(f"{k}|{h}|{p}|{s}") % nbk
-            for k, h, p, s in zip(out["kind"], out["host"], out["param"],
-                                  out["skey"])
-        ]
-        return out.astype({"d64": "int64", "n_caps": "int64",
-                           "bucket2": "int64"})
+        return out.astype({"d64": "int64", "n_caps": "int64"})
 
     def partial_reduce(g: pd.DataFrame) -> pd.DataFrame:
         outs = []
@@ -595,29 +536,16 @@ def param_hygiene(
             content_invariant=("inv", "min")).reset_index()
         return agg.astype({c: "int64" for c in agg.columns[2:]})
 
-    urls = (
+    urls = keyed_exchange(
         ds.map_batches(digest_scan, batch_format="pyarrow",
-                       zero_copy_batch=True)
-        .repartition(nbk)
-        .groupby("bucket")
-        .map_groups(url_reduce, batch_format="pandas")
+                       zero_copy_batch=True),
+        "url", url_reduce,
     )
-    partials = (
-        urls.map_batches(explode_params, batch_format="pandas")
-        .repartition(nbk)
-        .groupby("bucket2")
-        .map_groups(partial_reduce, batch_format="pandas")
+    partials = keyed_exchange(
+        urls.map_batches(explode_params, batch_format="pandas"),
+        ["kind", "host", "param", "skey"], partial_reduce,
     )
-    return (
-        partials.map_batches(
-            lambda df: df.assign(
-                bucket3=[_b64(f"{h}|{p}") % nbk
-                         for h, p in zip(df["host"], df["param"])]),
-            batch_format="pandas")
-        .repartition(8)
-        .groupby("bucket3")
-        .map_groups(final_reduce, batch_format="pandas")
-    )
+    return keyed_exchange(partials, ["host", "param"], final_reduce, n=8)
 
 
 def revisit_rate(pages_dir: str) -> "ray.data.Dataset":
@@ -646,7 +574,7 @@ def revisit_rate(pages_dir: str) -> "ray.data.Dataset":
     by url hash; no driver state."""
     import hashlib
 
-    import ray
+    from ..kernels.partitioning import keyed_exchange
 
     ds = ray.data.read_parquet(pages_dir, columns=["url", "warc_ts", "html"])
 
@@ -658,14 +586,7 @@ def revisit_rate(pages_dir: str) -> "ray.data.Dataset":
              for h in batch.column("html").to_pylist()),
             dtype=np.int64, count=len(batch),
         )
-        bucket = np.fromiter(
-            (int.from_bytes(hashlib.md5(u.encode()).digest()[:8], "big",
-                            signed=True) % 64
-             for u in urls.to_pylist()),
-            dtype=np.int64, count=len(batch),
-        )
-        return pa.table({"url": urls, "ts_us": ts,
-                         "h64": pa.array(h64), "bucket": pa.array(bucket)})
+        return pa.table({"url": urls, "ts_us": ts, "h64": pa.array(h64)})
 
     DAY_US = 86_400_000_000
 
@@ -715,12 +636,10 @@ def revisit_rate(pages_dir: str) -> "ray.data.Dataset":
              "rate_ppm_day": rate.astype("int64")}
         )
 
-    return (
+    return keyed_exchange(
         ds.map_batches(digest_rows, batch_format="pyarrow",
-                       zero_copy_batch=True)
-        .repartition(64)
-        .groupby("bucket")
-        .map_groups(rate, batch_format="pandas")
+                       zero_copy_batch=True),
+        "url", rate,
     )
 
 
@@ -740,7 +659,7 @@ def robots_policy_bits(host: str) -> tuple[bool, bool]:
     return (int(hx[0], 16) < 8, int(hx[1], 16) < 8)
 
 
-def robots_audit(pages_dir: str, num_buckets: int = 64) -> "ray.data.Dataset":
+def robots_audit(pages_dir: str) -> "ray.data.Dataset":
     """(host, n_urls, n_captures, n_disallowed_urls,
     n_disallowed_captures, crawlable_share_ppm) — the PRE-FLIGHT
     robots-compliance census a crawl cycle runs before spending
@@ -765,23 +684,10 @@ def robots_audit(pages_dir: str, num_buckets: int = 64) -> "ray.data.Dataset":
     exchange of tiny count rows. A 10^9-URL host is fine: its
     partials are pre-summed per batch, the final group task adds a
     handful of rows."""
-    import hashlib
-
+    from ..kernels.partitioning import keyed_exchange
     from ..sources.pages import read_pages
 
     ds = read_pages(pages_dir, columns=["url"])
-    nbk = num_buckets
-
-    def url_rows(batch: pa.Table) -> pd.DataFrame:
-        urls = batch.column("url").to_pylist()
-        bucket = np.fromiter(
-            (int.from_bytes(hashlib.md5(u.encode()).digest()[:8], "big",
-                            signed=True) % nbk
-             for u in urls),
-            dtype=np.int64, count=len(urls),
-        )
-        return pd.DataFrame({"url": pd.Series(urls, dtype=str),
-                             "bucket": bucket})
 
     def per_url(g: pd.DataFrame) -> pd.DataFrame:
         c = g.groupby("url", sort=False).size()
@@ -803,18 +709,11 @@ def robots_audit(pages_dir: str, num_buckets: int = 64) -> "ray.data.Dataset":
             du=df["dis"].astype("int64"),
             dc=(df["dis"].astype("int64") * df["n_caps"]),
         )
-        g = d.groupby("host", as_index=False).agg(
+        return d.groupby("host", as_index=False).agg(
             n_urls=("dis", "size"), n_captures=("n_caps", "sum"),
             n_disallowed_urls=("du", "sum"),
             n_disallowed_captures=("dc", "sum"),
         )
-        g["hb"] = np.fromiter(
-            (int.from_bytes(hashlib.md5(h.encode()).digest()[:8], "big",
-                            signed=True) % 16
-             for h in g["host"]),
-            dtype=np.int64, count=len(g),
-        )
-        return g
 
     def host_final(g: pd.DataFrame) -> pd.DataFrame:
         a = g.groupby("host", as_index=False)[
@@ -827,20 +726,13 @@ def robots_audit(pages_dir: str, num_buckets: int = 64) -> "ray.data.Dataset":
         ).astype("int64")
         return a.astype({c: "int64" for c in a.columns[1:]})
 
-    return (
-        ds.map_batches(url_rows, batch_format="pyarrow",
-                       zero_copy_batch=True)
-        .repartition(nbk)
-        .groupby("bucket")
-        .map_groups(per_url, batch_format="pandas")
-        .map_batches(host_partial, batch_format="pandas")
-        .repartition(16)
-        .groupby("hb")
-        .map_groups(host_final, batch_format="pandas")
+    per_host = keyed_exchange(ds, "url", per_url).map_batches(
+        host_partial, batch_format="pandas"
     )
+    return keyed_exchange(per_host, "host", host_final, n=16)
 
 
-def host_novelty(pages_dir: str, num_salts: int = 16) -> "ray.data.Dataset":
+def host_novelty(pages_dir: str) -> "ray.data.Dataset":
     """(host, n_captures, n_distinct_texts, novelty_ppm) — per-host
     fetch-budget YIELD: of everything fetched from a host, how much
     was novel content? ``n_distinct_texts`` counts distinct CANONICAL
@@ -861,20 +753,19 @@ def host_novelty(pages_dir: str, num_salts: int = 16) -> "ray.data.Dataset":
        collapses captures to one (url → canonical digest, n_caps)
        row;
     2. per-batch partials: additive per-host capture sums PLUS
-       (host, salt-of-digest, digest) dedup rows, keyed by
-       (host, salt) cell — the salted exact-distinct discipline of
+       (host, digest) dedup rows, keyed by the full (host, kind,
+       digest) key — the exact-distinct discipline of
        ``boilerplate.host_distinct_urls``: the 70%-hot host spreads
-       its distinct space over ``num_salts`` disjoint cells, no
-       double count possible because the salt is a function of the
-       digest;
+       its distinct space over every bucket, no double count possible
+       because each (host, digest) lands in exactly one bucket;
     3. ONE host-keyed exchange sums the tiny count rows into the
        verdict row. Output is host-cardinality."""
     import hashlib
 
+    from ..kernels.partitioning import keyed_exchange
     from ..sources.pages import read_pages
 
     ds = read_pages(pages_dir, columns=["url", "warc_ts", "text"])
-    nsl = num_salts
 
     def digest_scan(batch: pa.Table) -> pa.Table:
         urls = batch.column("url")
@@ -885,14 +776,7 @@ def host_novelty(pages_dir: str, num_salts: int = 16) -> "ray.data.Dataset":
              for t in batch.column("text").to_pylist()),
             dtype=np.int64, count=len(batch),
         )
-        bucket = np.fromiter(
-            (int.from_bytes(hashlib.md5(u.encode()).digest()[:8], "big",
-                            signed=True) % 64
-             for u in urls.to_pylist()),
-            dtype=np.int64, count=len(batch),
-        )
-        return pa.table({"url": urls, "ts_us": ts, "d64": pa.array(d64),
-                         "bucket": pa.array(bucket)})
+        return pa.table({"url": urls, "ts_us": ts, "d64": pa.array(d64)})
 
     def url_reduce(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["url", "ts_us", "d64"], kind="stable")
@@ -908,21 +792,14 @@ def host_novelty(pages_dir: str, num_salts: int = 16) -> "ray.data.Dataset":
         caps = df.groupby("host", as_index=False)["n_caps"].sum()
         caps = caps.rename(columns={"n_caps": "n"})
         caps["kind"] = "c"
-        caps["salt"] = np.int64(-1)
         caps["d64"] = np.int64(0)
         dd = df[["host", "d64"]].drop_duplicates()
-        dd = dd.assign(salt=(dd["d64"].to_numpy() % nsl).astype("int64"),
-                       kind="d", n=np.int64(0))
-        out = pd.concat(
-            [caps[["host", "salt", "kind", "d64", "n"]],
-             dd[["host", "salt", "kind", "d64", "n"]]],
+        dd = dd.assign(kind="d", n=np.int64(0))
+        return pd.concat(
+            [caps[["host", "kind", "d64", "n"]],
+             dd[["host", "kind", "d64", "n"]]],
             ignore_index=True,
         )
-        h = pd.util.hash_pandas_object(
-            out["host"] + "\x00" + out["salt"].astype(str), index=False
-        ).to_numpy()
-        out["_c"] = (h % np.uint64(64)).astype("int32")
-        return out
 
     def cell_reduce(g: pd.DataFrame) -> pd.DataFrame:
         outs = []
@@ -933,20 +810,16 @@ def host_novelty(pages_dir: str, num_salts: int = 16) -> "ray.data.Dataset":
             outs.append(sm)
         d = g[g["kind"] == "d"]
         if len(d):
-            n = (d.drop_duplicates(["host", "salt", "d64"])
+            n = (d.drop_duplicates(["host", "d64"])
                  .groupby("host", as_index=False).size()
                  .rename(columns={"size": "n"}))
             n["kind"] = "d"
             outs.append(n)
         if not outs:
-            out = pd.DataFrame({"host": pd.Series(dtype=str),
-                                "n": pd.Series(dtype="int64"),
-                                "kind": pd.Series(dtype=str)})
-        else:
-            out = pd.concat(outs, ignore_index=True)
-        h = pd.util.hash_pandas_object(out["host"] + "\x01", index=False)
-        out["_h"] = (h.to_numpy() % np.uint64(16)).astype("int32")
-        return out
+            return pd.DataFrame({"host": pd.Series(dtype=str),
+                                 "n": pd.Series(dtype="int64"),
+                                 "kind": pd.Series(dtype=str)})
+        return pd.concat(outs, ignore_index=True)
 
     def host_reduce(g: pd.DataFrame) -> pd.DataFrame:
         piv = g.groupby(["host", "kind"], as_index=False)["n"].sum()
@@ -961,39 +834,34 @@ def host_novelty(pages_dir: str, num_salts: int = 16) -> "ray.data.Dataset":
              "novelty_ppm": nd * 1_000_000 // np.maximum(nc, 1)}
         )
 
-    return (
+    urls = keyed_exchange(
         ds.map_batches(digest_scan, batch_format="pyarrow",
-                       zero_copy_batch=True)
-        .repartition(64)
-        .groupby("bucket")
-        .map_groups(url_reduce, batch_format="pandas")
-        .map_batches(partials, batch_format="pandas")
-        .repartition(64)
-        .groupby("_c")
-        .map_groups(cell_reduce, batch_format="pandas")
-        .repartition(16)
-        .groupby("_h")
-        .map_groups(host_reduce, batch_format="pandas")
+                       zero_copy_batch=True),
+        "url", url_reduce,
     )
+    cells = keyed_exchange(
+        urls.map_batches(partials, batch_format="pandas"),
+        ["host", "kind", "d64"], cell_reduce,
+    )
+    return keyed_exchange(cells, "host", host_reduce, n=16)
 
 
 def robots_allowed_mask(df: pd.DataFrame) -> np.ndarray:
     """Boolean keep-mask over a frame with ``url`` and ``host``
     columns: True where the synthetic robots policy
-    (:func:`robots_policy_bits`) ALLOWS the URL. Row-local and
-    vectorizable per batch (per-host policy bits cached within the
-    batch) — the pluggable ``url_filter`` the effective-frontier
-    composition passes into ``recrawl.fetch_waves``."""
-    pol: dict[str, tuple[bool, bool]] = {}
-    keep = np.ones(len(df), dtype=bool)
-    for i, (h, u) in enumerate(zip(df["host"].to_numpy(),
-                                   df["url"].to_numpy())):
-        bits = pol.get(h)
-        if bits is None:
-            bits = pol[h] = robots_policy_bits(h)
-        path = u[8 + len(h):]
-        keep[i] = not (
-            (bits[0] and path.startswith(ROBOTS_RULES[0]))
-            or (bits[1] and path.startswith(ROBOTS_RULES[1]))
-        )
-    return keep
+    (:func:`robots_policy_bits`) ALLOWS the URL. Row-local: the policy
+    bits are computed once per distinct host in the batch, and the
+    path-prefix tests (path = the URL after ``https://`` + host) run
+    as one vectorized ``startswith`` per rule — the pluggable
+    ``url_filter`` the effective-frontier composition passes into
+    ``recrawl.fetch_waves``."""
+    codes, hosts = pd.factorize(df["host"])
+    bits = np.array(
+        [robots_policy_bits(h) for h in hosts], dtype=bool
+    ).reshape(-1, 2)[codes]
+    url = np.asarray(df["url"], dtype=str)
+    start = 8 + np.char.str_len(np.asarray(df["host"], dtype=str))
+    blocked = np.zeros(len(df), dtype=bool)
+    for r, rule in enumerate(ROBOTS_RULES):
+        blocked |= bits[:, r] & np.char.startswith(url, rule, start)
+    return ~blocked

@@ -15,7 +15,7 @@ Distributed shape — one scan, one keyed exchange over fingerprints:
 1. **fingerprint scan**: per page emit ``(url, ts_us, h64)`` — an
    md5-derived 64-bit content fingerprint; HTML bytes never leave the
    scan;
-2. **url-bucket groupby** (64 hash buckets, vectorized pandas inside
+2. **url-keyed exchange** (8 buckets, vectorized pandas inside
    each): per URL sort snapshots by ``warc_ts`` and compare the last
    two fingerprints. The exchange carries one tiny row per snapshot,
    not the corpus.
@@ -42,6 +42,7 @@ import pyarrow as pa
 import ray
 import ray.data
 
+from ..kernels.partitioning import keyed_exchange
 from ..testdata.gen_pages import ensure_pages
 
 
@@ -62,19 +63,7 @@ def recrawl_delta(sf_dir: str, replicate: int = 1) -> "ray.data.Dataset":
             dtype=np.int64,
             count=len(batch),
         )
-        buckets = np.fromiter(
-            (_h64(u.encode()) % 64 for u in urls.to_pylist()),
-            dtype=np.int64,
-            count=len(batch),
-        )
-        return pa.table(
-            {
-                "url": urls,
-                "ts_us": ts,
-                "h64": pa.array(hs),
-                "bucket": pa.array(buckets),
-            }
-        )
+        return pa.table({"url": urls, "ts_us": ts, "h64": pa.array(hs)})
 
     def per_url(group: "pd.DataFrame") -> "pd.DataFrame":
         g = group.sort_values(["url", "ts_us"], kind="stable")
@@ -92,11 +81,9 @@ def recrawl_delta(sf_dir: str, replicate: int = 1) -> "ray.data.Dataset":
         )
         return out
 
-    return (
-        ds.map_batches(fingerprint, batch_format="pyarrow", zero_copy_batch=True)
-        .repartition(8)
-        .groupby("bucket")
-        .map_groups(per_url, batch_format="pandas")
+    return keyed_exchange(
+        ds.map_batches(fingerprint, batch_format="pyarrow", zero_copy_batch=True),
+        "url", per_url, n=8,
     )
 
 
@@ -120,8 +107,8 @@ def recrawl_schedule(
     - interval //= 2 again if the URL's host is hot
     - next_fetch_ts_us = latest_ts_us + interval * 1_000_000
 
-    Shape: :func:`recrawl_delta` (one scan + one url-bucket exchange)
-    → host tagged row-locally → ONE host-bucket keyed exchange where
+    Shape: :func:`recrawl_delta` (one scan + one url-keyed exchange)
+    → host tagged row-locally → ONE host-keyed exchange where
     each group computes its hosts' change rates AND applies the policy
     in the same task — host stats never leave the bucket, nothing is
     broadcast, no driver state. At 10^8 hosts the exchange carries one
@@ -132,13 +119,7 @@ def recrawl_schedule(
     delta = recrawl_delta(sf_dir)
 
     def tag_host(df: pd.DataFrame) -> pd.DataFrame:
-        hosts = df["url"].str.split("/", n=3).str[2]
-        hb = np.fromiter(
-            (_h64(h.encode()) % 64 for h in hosts),
-            dtype=np.int64,
-            count=len(df),
-        )
-        return df.assign(host=hosts, _hb=hb.astype(np.int32))
+        return df.assign(host=df["url"].str.split("/", n=3).str[2])
 
     def schedule_bucket(g: pd.DataFrame) -> pd.DataFrame:
         stats = g.groupby("host")["changed"].agg(["sum", "size"])
@@ -159,10 +140,8 @@ def recrawl_schedule(
             }
         )
 
-    return (
-        delta.map_batches(tag_host, batch_format="pandas")
-        .groupby("_hb")
-        .map_groups(schedule_bucket, batch_format="pandas")
+    return keyed_exchange(
+        delta.map_batches(tag_host, batch_format="pandas"), "host", schedule_bucket, n=8
     )
 
 
@@ -170,7 +149,6 @@ def key_gap_quantiles(
     ds: "ray.data.Dataset",
     key_col: str,
     ts_col: str,
-    num_buckets: int = 64,
 ) -> "ray.data.Dataset":
     """(key, n_events, gap_p50_us, gap_p90_us) — per-key inter-arrival
     gap statistics over an event stream: the adaptive-politeness
@@ -185,25 +163,13 @@ def key_gap_quantiles(
     Tie-order between equal timestamps is immaterial by construction:
     the sorted-gap multiset of a timestamp multiset is order-free.
 
-    Shape: pruned 2-column scan → ONE key-hash exchange (string keys
-    hash-bucket; integer keys bucket by value) → per-bucket fully
+    Shape: pruned 2-column scan → ONE key-hash exchange → per-bucket fully
     vectorized kernel (sort by (key, ts), per-key shifted diff, sort
     by (key, gap), offset+index fancy-select — NO per-key Python
     loop)."""
-    from ..kernels.hashing import stable_hash64_array
 
     def tag(df: pd.DataFrame) -> pd.DataFrame:
-        import pandas.api.types as ptypes
-
-        out = pd.DataFrame({"key": df[key_col], "ts": df[ts_col]})
-        if ptypes.is_integer_dtype(out["key"]):
-            b = (out["key"].astype("int64") % num_buckets).astype("int32")
-        else:
-            h = stable_hash64_array([str(v) for v in out["key"].tolist()])
-            b = pd.Series(
-                (h % np.uint64(num_buckets)).astype("int32"), index=out.index
-            )
-        return out.assign(_b=b)
+        return pd.DataFrame({"key": df[key_col], "ts": df[ts_col]})
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         empty = pd.DataFrame(
@@ -240,12 +206,7 @@ def key_gap_quantiles(
              "gap_p90_us": gaps_sorted[start + k90 - 1]}
         )
 
-    return (
-        ds.map_batches(tag, batch_format="pandas")
-        .repartition(num_buckets)
-        .groupby("_b")
-        .map_groups(per_bucket, batch_format="pandas")
-    )
+    return keyed_exchange(ds.map_batches(tag, batch_format="pandas"), "key", per_bucket)
 
 
 def user_event_gap_quantiles(sf_dir: str) -> "ray.data.Dataset":
@@ -295,7 +256,6 @@ def fetch_waves(
     quota: int = 10,
     replicate: int = 1,
     ts_buckets: int = 1024,
-    num_groups: int = 64,
     quota_by_host: dict | None = None,
     url_filter=None,
 ) -> "ray.data.Dataset":
@@ -314,19 +274,21 @@ def fetch_waves(
 
     1. ``recrawl_delta`` gives one (url, changed, latest_ts_us) row per
        URL (HTML never leaves that scan);
-    2. ts range (2 scalars) → a monotone ts→bucket map; a per-(host,
-       changed, ts_bucket) histogram pre-reduces to ≤ 8 × cells rows
-       (cells ≤ hosts × 2 × ``ts_buckets``, bucket-geometry-bounded,
-       independent of URL count), then a HOST-keyed exchange computes
-       each host's exclusive cum-below prefix IN THE ORDER KEY'S
-       ORDER inside its group task — the cell table never lands on
-       the driver and is never broadcast (at 10^7–10^8 hosts it would
-       be a multi-GB driver structure);
-    3. ONE exchange keyed on hash(host, changed, ts_bucket) carrying
-       the URL rows UNION the prefix rows (a cell's cum row shares
-       its cell hash, so it co-locates with the cell's URLs): each
-       group sorts its slice by (ts, url) — the within-bucket residual
-       of the order key — attaches cum group-locally, so rank =
+    2. ts range (2 scalars) → a monotone ts→bucket map; per-batch
+       (host, changed, ts_bucket) histogram partials (cells ≤ hosts ×
+       2 × ``ts_buckets``, bucket-geometry-bounded, independent of URL
+       count) meet in a HOST-keyed exchange that computes each host's
+       exclusive cum-below prefix IN THE ORDER KEY'S ORDER inside its
+       group task — the cell table never lands on the driver and is
+       never broadcast (at 10^7–10^8 hosts it would be a multi-GB
+       driver structure). With ``quota_by_host`` the per-host quota
+       rows ride the same exchange, and each cum row carries its
+       host's quota;
+    3. ONE exchange keyed on (host, changed, ts_bucket) carrying the
+       URL rows UNION the prefix rows (a cell's cum row has its cell's
+       key, so it co-locates with the cell's URLs): each group sorts
+       its slice by (ts, url) — the within-bucket residual of the
+       order key — attaches cum and quota group-locally, so rank =
        cum_below + position, and the wave follows row-locally.  The
        hot host spreads across 2 × ``ts_buckets`` groups instead of
        one; no driver-resident structure grows with host count."""
@@ -342,8 +304,6 @@ def fetch_waves(
              "ts_us": df["latest_ts_us"].astype("int64")}
         )
 
-    # restore full width: delta's output inherits its 8-bucket block
-    # layout, which would cap every downstream stage at 8 tasks
     per_url = delta.map_batches(add_host, batch_format="pandas")
     if url_filter is not None:
         # pluggable pre-schedule gate (e.g. the robots Disallow mask,
@@ -355,7 +315,7 @@ def fetch_waves(
             lambda df, _f=url_filter: df[_f(df)],
             batch_format="pandas",
         )
-    per_url = per_url.repartition(64).materialize()
+    per_url = per_url.materialize()
 
     rng = per_url.aggregate(Min("ts_us"), Max("ts_us"))
     tmin, tmax = int(rng["min(ts_us)"]), int(rng["max(ts_us)"])
@@ -364,87 +324,63 @@ def fetch_waves(
     def tsb(ts: np.ndarray) -> np.ndarray:
         return ((ts - tmin) * ts_buckets // span).astype("int64")
 
+    cell = ["host", "changed", "tsb"]
+    budgeted = quota_by_host is not None  # the map itself stays out of the closures
+
     def hist_partial(df: pd.DataFrame) -> pd.DataFrame:
         d = df.assign(tsb=tsb(df["ts_us"].to_numpy()))
-        g = d.groupby(["host", "changed", "tsb"], as_index=False).size()
-        g["size"] = g["size"].astype("int64")
-        return g.rename(columns={"size": "cnt"})
+        g = d.groupby(cell, as_index=False).size()
+        return g.assign(cnt=g["size"].astype("int64"), q=np.int64(0),
+                        _k="h")[cell + ["cnt", "q", "_k"]]
 
-    def merge_cells(df: pd.DataFrame) -> pd.DataFrame:
-        return df.groupby(["host", "changed", "tsb"], as_index=False)[
-            "cnt"
-        ].sum()
-
-    # fanin-bounded pre-reduce instead of a Ray sort-aggregate (the
-    # string-keyed Aggregate measured 62.6 s to produce 22k rows at
-    # 1.9M URLs; this shape: 2.4 s), then the per-host EXCLUSIVE
-    # prefix is computed inside a host-keyed exchange — cells ≈ hosts
-    # × 2 × ts_buckets NEVER touch the driver (a driver cumsum +
-    # ray.put broadcast would be a multi-GB table at 10^7–10^8 hosts,
-    # exactly the funnel class the repo's driver-funnel discipline
-    # forbids). A host's ≤ 2 × ts_buckets cells sort-and-cumsum in
-    # one group task; the cell volume is bucket-geometry-bounded, so
-    # this exchange carries ~1/quota-th of the URL exchange's rows.
-    def _cell_g(host: pd.Series, changed: pd.Series,
-                tsb_col: pd.Series) -> np.ndarray:
-        # vectorized deterministic cell hash (C-speed, fixed hash key —
-        # identical cells co-locate across batches and processes)
-        key = host + "\x00" + changed.astype(int).astype(str) \
-            + "\x00" + tsb_col.astype(str)
-        h = pd.util.hash_pandas_object(key, index=False).to_numpy()
-        return (h % np.uint64(num_groups)).astype(np.int32)
-
+    # the per-host EXCLUSIVE prefix is computed inside a host-keyed
+    # exchange — cells ≈ hosts × 2 × ts_buckets NEVER touch the driver
+    # (a driver cumsum + ray.put broadcast would be a multi-GB table at
+    # 10^7–10^8 hosts, exactly the funnel class the repo's
+    # driver-funnel discipline forbids). A host's ≤ 2 × ts_buckets
+    # cells sort-and-cumsum in one group task; the cell volume is
+    # bucket-geometry-bounded, so this exchange carries ~1/quota-th of
+    # the URL exchange's rows.
     def host_prefix(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.groupby(["host", "changed", "tsb"], as_index=False)[
-            "cnt"
-        ].sum()
+        is_q = g["_k"] == "q"
+        qmap = g[is_q].set_index("host")["q"]
+        g = g[~is_q].groupby(cell, as_index=False)["cnt"].sum()
         # exclusive cumsum per host in the ORDER KEY's order:
         # changed DESC, ts_bucket ASC
-        g = g.sort_values(
-            ["host", "changed", "tsb"], ascending=[True, False, True],
-            kind="mergesort",
-        )
+        g = g.sort_values(cell, ascending=[True, False, True], kind="mergesort")
         cum = g.groupby("host", sort=False)["cnt"].cumsum() - g["cnt"]
-        out = pd.DataFrame(
+        # budget-aware waves: each host's wave size is ITS quota from
+        # host_budget_allocation; a host with no quota row gets 0
+        q = (g["host"].map(qmap).fillna(0) if budgeted
+             else pd.Series(quota, index=g.index))
+        return pd.DataFrame(
             {"url": "", "host": g["host"].astype(str),
              "changed": g["changed"].astype(bool),
              "ts_us": np.int64(-1), "tsb": g["tsb"].astype("int64"),
-             "cum": cum.astype("int64").to_numpy(), "_k": "c"}
+             "cum": cum.astype("int64").to_numpy(),
+             "q": q.astype("int64").to_numpy(), "_k": "c"}
         )
-        out["_g"] = _cell_g(out["host"], out["changed"], out["tsb"])
-        return out
 
-    def _hb(df: pd.DataFrame) -> pd.DataFrame:
-        h = pd.util.hash_pandas_object(
-            df["host"] + "\x01", index=False
-        ).to_numpy()
-        return df.assign(_hb=(h % np.uint64(16)).astype(np.int32))
+    hist = per_url.map_batches(hist_partial, batch_format="pandas")
+    if budgeted:
+        hist = hist.union(ray.data.from_pandas(pd.DataFrame(
+            {"host": pd.Series(list(quota_by_host), dtype=object),
+             "changed": False, "tsb": np.int64(-1), "cnt": np.int64(0),
+             "q": pd.Series(list(quota_by_host.values()), dtype="int64"),
+             "_k": "q"}
+        )))
+    cum_rows = keyed_exchange(hist, "host", host_prefix, n=16)
 
-    cum_rows = (
-        per_url.map_batches(hist_partial, batch_format="pandas")
-        .repartition(8)
-        .map_batches(merge_cells, batch_format="pandas")
-        .map_batches(_hb, batch_format="pandas")
-        .repartition(16)
-        .groupby("_hb")
-        .map_groups(host_prefix, batch_format="pandas")
-    )
-
-    def tag_group(df: pd.DataFrame) -> pd.DataFrame:
+    def tag_url(df: pd.DataFrame) -> pd.DataFrame:
         d = df.assign(tsb=tsb(df["ts_us"].to_numpy()),
-                      cum=np.int64(-1), _k="u")
-        d["_g"] = _cell_g(d["host"], d["changed"], d["tsb"])
-        return d[["url", "host", "changed", "ts_us", "tsb", "cum",
-                  "_k", "_g"]]
-
-    quota_ref = ray.put(quota_by_host) if quota_by_host is not None else None
+                      cum=np.int64(-1), q=np.int64(0), _k="u")
+        return d[["url", "host", "changed", "ts_us", "tsb", "cum", "q", "_k"]]
 
     def rank_waves(g: pd.DataFrame) -> pd.DataFrame:
-        # a cell's cum row and ALL its URL rows share the cell hash,
-        # so they land in the same group: the prefix attach is a
+        # a cell's cum row and ALL its URL rows share the cell key, so
+        # they land in the same group: the prefix attach is a
         # group-local merge, no driver table and no broadcast
-        lookup = g.loc[g["_k"] == "c",
-                       ["host", "changed", "tsb", "cum"]]
+        lookup = g.loc[g["_k"] == "c", cell + ["cum", "q"]]
         g = g[g["_k"] == "u"]
         if not len(g):
             return pd.DataFrame(
@@ -454,38 +390,26 @@ def fetch_waves(
             )
         # residual order inside one (host, changed, tsb) cell: ts, url
         g = g.sort_values(
-            ["host", "changed", "tsb", "ts_us", "url"],
+            cell + ["ts_us", "url"],
             ascending=[True, False, True, True, True], kind="mergesort",
         )
-        pos = g.groupby(["host", "changed", "tsb"], sort=False).cumcount()
+        pos = g.groupby(cell, sort=False).cumcount()
         # vectorized cum-below attach (merge preserves g's sorted
         # order); every nonempty cell has exactly one cum row by
         # construction (the histogram is built from the same per_url)
-        base = g.drop(columns=["cum"]).merge(
-            lookup, on=["host", "changed", "tsb"], how="left"
-        )["cum"].to_numpy(dtype=np.int64)
-        rank = base + pos.to_numpy()
-        if quota_ref is not None:
-            # budget-aware waves: each host's wave size is ITS quota
-            # from host_budget_allocation (hosts-cardinality broadcast,
-            # the boilerplate-verdict size assumption; shard by
-            # host-hash past ~10^8 hosts). Hosts allocated 0 slots
-            # never fetch: their URLs park in wave 0.
-            qmap = ray.get(quota_ref)
-            q = g["host"].map(qmap).fillna(0).to_numpy(dtype=np.int64)
-            wave = np.where(q > 0, rank // np.maximum(q, 1) + 1, 0)
-        else:
-            wave = rank // quota + 1
+        att = g.drop(columns=["cum", "q"]).merge(lookup, on=cell, how="left")
+        rank = att["cum"].to_numpy(dtype=np.int64) + pos.to_numpy()
+        # hosts allocated 0 slots never fetch: their URLs park in wave 0
+        q = att["q"].to_numpy(dtype=np.int64)
+        wave = np.where(q > 0, rank // np.maximum(q, 1) + 1, 0)
         return pd.DataFrame(
             {"url": g["url"], "host": g["host"],
              "wave": pd.Series(wave, dtype="int64").to_numpy()}
         )
 
-    return (
-        per_url.map_batches(tag_group, batch_format="pandas")
-        .union(cum_rows)
-        .groupby("_g")
-        .map_groups(rank_waves, batch_format="pandas")
+    return keyed_exchange(
+        per_url.map_batches(tag_url, batch_format="pandas").union(cum_rows),
+        cell, rank_waves,
     )
 
 
@@ -507,8 +431,8 @@ def host_budget_allocation(
     Scale shape:
 
     - weights come from ``boilerplate.host_distinct_urls`` — the
-      salted exact distinct count (the hot host never funnels into one
-      reduce task);
+      exact distinct count keyed by (host, url) (the hot host never
+      funnels into one reduce task);
     - the total ``W`` is one scalar aggregate; floors and remainders
       are then ROW-LOCAL (integer ``//`` and ``%`` against broadcast
       scalars);
@@ -525,7 +449,7 @@ def host_budget_allocation(
         # the host_novelty feedback loop: budget follows NOVEL content
         # (distinct canonical digests), not raw inventory size — a
         # host full of duplicate calendars/mirrors loses share even if
-        # its URL space is huge; same salted-distinct scale shape
+        # its URL space is huge; same exact-distinct scale shape
         from .crawlhealth import host_novelty
 
         weights = host_novelty(pages_dir).map_batches(
@@ -593,7 +517,7 @@ def host_budget_allocation(
 
 
 def decayed_activity(
-    sf_dir: str, half_life_hours: float = 24.0, num_buckets: int = 32
+    sf_dir: str, half_life_hours: float = 24.0
 ) -> "ray.data.Dataset":
     """(user_id, n_events, score) — exponentially-decayed activity
     counters over the events stream: score = Σ 2^(−(T−ts)/half-life),
@@ -631,7 +555,7 @@ def decayed_activity(
         return agg
 
     parts = ev.map_batches(partial, batch_format="pyarrow")
-    nb = adaptive_buckets(parts.count(), requested=num_buckets)
+    nb = adaptive_buckets(parts.count(), requested=32)
 
     def merge(g: pd.DataFrame) -> pd.DataFrame:
         out = g.groupby("user_id", as_index=False).agg(
@@ -639,15 +563,7 @@ def decayed_activity(
         )
         return out.astype({"user_id": "int64", "n_events": "int64"})
 
-    return (
-        parts.map_batches(
-            lambda df: df.assign(_b=(df["user_id"] % nb).astype("int32")),
-            batch_format="pandas",
-        )
-        .repartition(nb)
-        .groupby("_b")
-        .map_groups(merge, batch_format="pandas")
-    )
+    return keyed_exchange(parts, "user_id", merge, n=nb)
 
 
 def staleness_histogram(
@@ -683,14 +599,9 @@ def staleness_histogram(
             {"host": host, "age_bucket": age.astype("int64"),
              "chg": df["changed"].astype("int64")}
         )
-        g = d.groupby(["host", "age_bucket"], as_index=False).agg(
+        return d.groupby(["host", "age_bucket"], as_index=False).agg(
             n_urls=("chg", "size"), n_changed=("chg", "sum")
         )
-        hb = np.fromiter(
-            (_h64(h.encode()) % 16 for h in g["host"]),
-            dtype=np.int64, count=len(g),
-        )
-        return g.assign(_hb=hb.astype(np.int32))
 
     def merge(g: pd.DataFrame) -> pd.DataFrame:
         out = g.groupby(["host", "age_bucket"], as_index=False)[
@@ -699,9 +610,6 @@ def staleness_histogram(
         return out.astype({"age_bucket": "int64", "n_urls": "int64",
                            "n_changed": "int64"})
 
-    return (
-        delta.map_batches(partial, batch_format="pandas")
-        .repartition(16)
-        .groupby("_hb")
-        .map_groups(merge, batch_format="pandas")
+    return keyed_exchange(
+        delta.map_batches(partial, batch_format="pandas"), "host", merge, n=16
     )

@@ -28,41 +28,31 @@ def _items(ds: "ray.data.Dataset", context: str) -> "ray.data.Dataset":
 
 
 def latest_detail_items_ds(
-    history: "ray.data.Dataset", run_started: dict[int, object], num_buckets: int = 64
+    history: "ray.data.Dataset", run_started: dict[int, object]
 ) -> "ray.data.Dataset":
     """A1 at state scale: per (id, context) the row of the most recent
     run — the distributed form of ``frontier.state.latest_detail_items``
     (which is pandas on the driver, right up to ~10^6 keys).
 
-    Shuffle key = 64-way hash bucket of the entity key; the per-key
-    top-1 computes vectorized inside each bucket. ``run_started`` (the
-    tiny runs ledger) broadcasts via closure. Per-batch pre-reduction
-    keeps one candidate row per key before the exchange."""
+    Shuffle key = the entity key ``(context, id)``, 8 buckets; the
+    per-key top-1 computes vectorized inside each bucket. ``run_started``
+    (the tiny runs ledger) broadcasts via closure. Per-batch
+    pre-reduction keeps one candidate row per key before the exchange."""
     import pandas as pd
 
-    from ..kernels.hashing import stable_hash64
+    from ..kernels.partitioning import keyed_exchange
 
-    def order(df: pd.DataFrame) -> pd.DataFrame:
+    def latest(df: pd.DataFrame) -> pd.DataFrame:
         started = df["created_at"].map(run_started)
         return (
             df.assign(_started=started)
             .sort_values(["_started", "created_at"], kind="stable")
             .drop_duplicates(subset=["id", "context"], keep="last")
+            .drop(columns=["_started"])
         )
 
-    def prereduce(batch: pd.DataFrame) -> pd.DataFrame:
-        g = order(batch)
-        key = [f"{c}/{i}" for c, i in zip(g["context"], g["id"])]
-        g = g.assign(bucket=[stable_hash64(k) % num_buckets for k in key])
-        return g.drop(columns=["_started"])
-
-    def bucket_latest(group: pd.DataFrame) -> pd.DataFrame:
-        return order(group).drop(columns=["_started", "bucket"])
-
-    return (
-        history.map_batches(prereduce, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(bucket_latest, batch_format="pandas")
+    return keyed_exchange(
+        history.map_batches(latest, batch_format="pandas"), ["context", "id"], latest, n=8
     )
 
 

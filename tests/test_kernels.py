@@ -106,3 +106,126 @@ def test_hashing_stable():
     assert list(stable_hash64_array(["a", "b"])) == [stable_hash64("a"), stable_hash64("b")]
     assert 0 <= crc32_shard("x", 8) < 8
     assert key_hash("person", 5) == stable_hash64("person/5")
+
+
+# --- keyed exchange / route_bucket -----------------------------------------
+
+
+def test_route_bucket_same_bucket_whatever_the_dtype():
+    """Equal key values route to the same bucket under any column dtype
+    (a raw ``hash_pandas_object`` hashes int64 1001 and object 1001
+    differently, which would split a key across two unioned sides)."""
+    import numpy as np
+    import pandas as pd
+
+    from dfg_gepris_crawler_ray.kernels.partitioning import route_bucket
+
+    ids = [1001, 5, 7, 123456789, 0]
+    forms = [
+        pd.Series(ids, dtype="int64"),
+        pd.Series(ids, dtype="int32"),
+        pd.Series(ids, dtype="object"),
+        pd.Series([np.int64(i) for i in ids], dtype="object"),
+        pd.Series(ids, dtype="Int64"),
+        pd.Series([float(i) for i in ids]),
+    ]
+    got = [
+        route_bucket(pd.DataFrame({"context": "person", "id": s}), ["context", "id"], 64).tolist()
+        for s in forms
+    ]
+    assert all(g == got[0] for g in got)
+    raw = [pd.util.hash_pandas_object(s, index=False).tolist() for s in forms[:3]]
+    assert raw[0] != raw[2]  # the dtype split route_bucket exists to avoid
+    b = route_bucket(pd.DataFrame({"k": [str(i) for i in range(1000)]}), "k", 8)
+    assert b.dtype == np.int32 and set(b.tolist()) == set(range(8))
+
+
+def test_route_bucket_agrees_between_driver_and_ray_task(ray_session):
+    import pandas as pd
+    import ray
+
+    from dfg_gepris_crawler_ray.kernels.partitioning import route_bucket
+
+    frame = pd.DataFrame(
+        {"host": [f"h{i % 13}.example.org" for i in range(500)],
+         "url": [f"https://h{i % 13}.example.org/p/{i}" for i in range(500)]}
+    )
+
+    @ray.remote
+    def remote_route(f):
+        return route_bucket(f, ["host", "url"], 64)
+
+    assert ray.get(remote_route.remote(frame)).tolist() == route_bucket(
+        frame, ["host", "url"], 64
+    ).tolist()
+
+
+def _exchange_frame():
+    import numpy as np
+    import pandas as pd
+
+    rng = np.random.default_rng(3)
+    return pd.DataFrame(
+        {"k": rng.integers(0, 40, 2000),
+         "s": rng.choice(["a", "b", "c"], 2000),
+         "v": rng.integers(0, 100, 2000)}
+    )
+
+
+def test_keyed_exchange_invariant_to_n_and_layout(ray_session):
+    """A key-local reduce gives the same rows for any bucket count and
+    for a permuted, re-blocked input (Arrow or pandas blocks); the
+    reduce never sees the routing column."""
+    import numpy as np
+    import pyarrow as pa
+    import ray.data
+
+    from dfg_gepris_crawler_ray.kernels.partitioning import keyed_exchange
+
+    df = _exchange_frame()
+
+    def reduce(g):
+        assert "_b" not in g.columns
+        return g.groupby(["k", "s"], as_index=False)["v"].agg(["sum", "count"])
+
+    def canon(out):
+        return out.sort_values(["k", "s"]).reset_index(drop=True).to_dict("records")
+
+    want = canon(reduce(df))
+    for n in (1, 4, 64):
+        assert canon(keyed_exchange(ray.data.from_pandas(df), ["k", "s"], reduce, n=n).to_pandas()) == want
+    shuffled = df.sample(frac=1.0, random_state=5)
+    reblocked = ray.data.from_pandas([shuffled.iloc[i::7] for i in range(7)])
+    assert canon(keyed_exchange(reblocked, ["k", "s"], reduce, n=4).to_pandas()) == want
+    arrow = ray.data.from_arrow(
+        [pa.Table.from_pandas(shuffled.iloc[i::3], preserve_index=False) for i in range(3)]
+    )
+    assert canon(keyed_exchange(arrow, ["k", "s"], reduce, n=4).to_pandas()) == want
+
+
+def test_keyed_exchange_colocates_unioned_sides(ray_session):
+    """Two unioned sides keyed the same way meet in one group even when
+    one side's key column is object-typed (the state_ds / fetch_waves
+    union pattern)."""
+    import numpy as np
+    import pandas as pd
+    import ray.data
+
+    from dfg_gepris_crawler_ray.kernels.partitioning import keyed_exchange
+
+    left = pd.DataFrame({"context": "person", "id": np.arange(300, dtype="int64"), "side": "l"})
+    right = pd.DataFrame(
+        {"context": "person", "id": pd.Series(list(range(0, 600, 2)), dtype="object"), "side": "r"}
+    )
+
+    def sides_per_key(g):
+        g = g.assign(id=g["id"].astype("int64"))
+        return g.groupby("id", as_index=False)["side"].nunique()
+
+    out = keyed_exchange(
+        ray.data.from_pandas(left).union(ray.data.from_pandas(right)),
+        ["context", "id"], sides_per_key, n=16,
+    ).to_pandas()
+    assert out["id"].is_unique  # each key reduced in exactly one group
+    both = set(out.loc[out["side"] == 2, "id"].tolist())
+    assert both == set(range(0, 300, 2))

@@ -2798,21 +2798,22 @@ def test_triangle_degree_routes_agree():
 
 
 def test_host_distinct_urls_salting_splits_hot_key():
-    """Salted exact distinct: result equals a direct pandas distinct
-    count, and the hot host's distinct space actually splits across
-    all salt shards (the skew treatment, not just a correct answer)."""
+    """Exact distinct routed by the full (host, url) key: result equals
+    a direct pandas distinct count, and the hot host's distinct space
+    actually splits across the route buckets (the skew treatment, not
+    just a correct answer)."""
     import glob
 
     import pandas as pd
     import pyarrow.parquet as pq
 
     from dfg_gepris_crawler_ray.ops.boilerplate import host_distinct_urls
-    from dfg_gepris_crawler_ray.kernels.hashing import stable_hash64_array
+    from dfg_gepris_crawler_ray.kernels.partitioning import route_bucket
     from dfg_gepris_crawler_ray.testdata.gen_pages import ensure_pages
 
     pages = ensure_pages(SF)
     got = (
-        host_distinct_urls(pages, num_salts=16)
+        host_distinct_urls(pages)
         .to_pandas()
         .sort_values("host")
         .reset_index(drop=True)
@@ -2834,9 +2835,13 @@ def test_host_distinct_urls_salting_splits_hot_key():
     # the hot host dominates the corpus AND its urls hit every salt
     hot = "gepris.example.org"
     assert int(got.set_index("host").loc[hot, "distinct_urls"]) > got["distinct_urls"].sum() * 0.5
-    hot_urls = urls[urls.str.contains(hot)]
-    salts = set((stable_hash64_array(hot_urls.tolist()) % np.uint64(16)).tolist())
-    assert len(salts) == 16
+    hot_urls = pd.DataFrame({"host": hot, "url": urls[urls.str.contains(hot)]})
+    # every one of 16 route buckets gets some of the hot host's urls,
+    # and at the op's 64 buckets no bucket holds more than 3% of them
+    # (a groupby(host) would put 100% in one reduce task)
+    assert len(set(route_bucket(hot_urls, ["host", "url"], 16))) == 16
+    b64 = np.bincount(route_bucket(hot_urls, ["host", "url"], 64), minlength=64)
+    assert b64.max() <= 0.03 * len(hot_urls)
 
 
 def test_q18_routes_agree_and_threshold_binds():
@@ -3172,7 +3177,7 @@ def test_key_gap_quantiles_matches_brute_with_ties():
     df = pd.DataFrame(rows).sample(frac=1.0, random_state=3)  # shuffled input
 
     got = (
-        key_gap_quantiles(ray.data.from_pandas(df), "k", "t", num_buckets=8)
+        key_gap_quantiles(ray.data.from_pandas(df), "k", "t")
         .to_pandas()
         .sort_values("key")
         .reset_index(drop=True)
@@ -3480,8 +3485,8 @@ def test_fetch_waves_prefix_is_exchange_local():
     host cardinality: the (host, changed, ts_bucket) prefix table must
     be computed inside a host-keyed exchange and attached through the
     rank exchange — never collected to the driver (`.to_pandas()`) or
-    broadcast (`ray.put` of the cum table). The only permitted ray.put
-    is the explicitly documented quota_by_host map."""
+    broadcast (`ray.put` of the cum table). The quota_by_host rows ride
+    the host-keyed exchange too, so there is no ray.put at all."""
     import inspect
 
     from dfg_gepris_crawler_ray.ops import recrawl
@@ -3490,7 +3495,7 @@ def test_fetch_waves_prefix_is_exchange_local():
     assert ".to_pandas()" not in src
     puts = [ln for ln in src.splitlines()
             if "ray.put(" in ln and not ln.lstrip().startswith("#")]
-    assert len(puts) == 1 and "quota_by_host" in puts[0]
+    assert puts == []
 
 
 def test_fetch_waves_matches_brute_rank_and_spreads_hot_host():
@@ -4346,9 +4351,9 @@ def test_personalized_pagerank_matches_numpy_and_conserves_mass():
 
 
 def test_decayed_activity_matches_brute_and_merges():
-    """Decayed counters vs a brute python walk at two half-lives; the
-    forward-decay merge property means block layout cannot change the
-    result (checked by re-running with a different bucket count)."""
+    """Decayed counters vs a brute python walk at two half-lives (the
+    bucket-count invariance of the keyed exchange is pinned by
+    tests/test_kernels.py::test_keyed_exchange_invariant_to_n_and_layout)."""
     import duckdb
 
     from dfg_gepris_crawler_ray.ops.recrawl import decayed_activity
@@ -4363,16 +4368,15 @@ def test_decayed_activity_matches_brute_and_merges():
         for uid, g in ev.groupby("user_id"):
             w = 2.0 ** (-(t - g["us"].to_numpy()) / (hl * 3600e6))
             want[int(uid)] = (len(g), float(w.sum()))
-        for nb in (4, 16):
-            got = {
-                int(r["user_id"]): (int(r["n_events"]), float(r["score"]))
-                for r in decayed_activity(SF, half_life_hours=hl, num_buckets=nb)
-                .to_pandas().to_dict("records")
-            }
-            assert set(got) == set(want)
-            for k in want:
-                assert got[k][0] == want[k][0]
-                assert abs(got[k][1] - want[k][1]) < 1e-9
+        got = {
+            int(r["user_id"]): (int(r["n_events"]), float(r["score"]))
+            for r in decayed_activity(SF, half_life_hours=hl)
+            .to_pandas().to_dict("records")
+        }
+        assert set(got) == set(want)
+        for k in want:
+            assert got[k][0] == want[k][0]
+            assert abs(got[k][1] - want[k][1]) < 1e-9
 
 
 def test_knn_lsh_determinism_margins():

@@ -227,7 +227,7 @@ def test_latest_detail_items_distributed_matches_pandas(ray_session):
     want = S.latest_detail_items(history, runs).sort_values(["id", "context"]).reset_index(drop=True)
     run_started = dict(zip(runs["id"], runs["run_started_at"]))
     got = (
-        latest_detail_items_ds(ray.data.from_pandas(history), run_started, num_buckets=8)
+        latest_detail_items_ds(ray.data.from_pandas(history), run_started)
         .to_pandas()
         .sort_values(["id", "context"])
         .reset_index(drop=True)
