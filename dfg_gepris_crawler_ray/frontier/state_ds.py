@@ -8,11 +8,9 @@ across buckets, and every transition is key-local, so the bucketed
 composition is exactly the driver-side semantics (equivalence tests in
 tests/test_state_ds.py).
 
-Shuffle key: the ``(context, id)`` entity key, routed by
-``kernels.partitioning.keyed_exchange`` — the one partitioning key the
-whole engine reuses (SURVEY.md §7.3). ``NUM_BUCKETS`` is the exchange
-width: the sort-shuffle's cost grows with its square, so it is sized to
-the per-run state a crawl cycle touches; raise it with the cluster.
+Shuffle key: the ``(context, id)`` entity key in ``NUM_BUCKETS``
+buckets, routed by ``kernels.partitioning.route_bucket`` — the one
+partitioning key the whole engine reuses (SURVEY.md §7.3).
 """
 
 from __future__ import annotations
@@ -21,10 +19,10 @@ import pandas as pd
 
 import ray.data
 
-from ..kernels.partitioning import keyed_exchange
+from ..kernels.partitioning import route_bucket
 from . import state as S
 
-NUM_BUCKETS = 8
+NUM_BUCKETS = 64
 
 
 def _co_bucket(sides: dict, reduce) -> "ray.data.Dataset":
@@ -41,17 +39,23 @@ def _co_bucket(sides: dict, reduce) -> "ray.data.Dataset":
     other side would then be missing from that group (observed as a
     flaky KeyError). The fillers are object-typed None, NOT reindex's
     float NaN: a float filler column would coerce the other side's
-    bool/int columns on block concat (False -> 0.0)."""
+    bool/int columns on block concat (False -> 0.0).
+
+    The exchange is NOT ``keyed_exchange``: its coalesce-to-``n`` step
+    is an extra all-to-all barrier over the state-scale union, which
+    made a 10^6-key ``bench.py --frontier-scale`` run at least 1.8x
+    slower, at 8 and at 64 buckets alike. Routing stays the shared
+    ``route_bucket``; the reduce count follows the union's blocks."""
     templates = {kind: template for kind, (_, template) in sides.items()}
     cols = list(dict.fromkeys(c for t in templates.values() for c in t.columns))
 
     def tag(kind: str):
         def fn(df: pd.DataFrame) -> pd.DataFrame:
-            out = df.assign(_kind=kind)
+            out = df.assign(_kind=kind, _b=route_bucket(df, ["context", "id"], NUM_BUCKETS))
             for c in cols:
                 if c not in out.columns:
                     out[c] = pd.Series([None] * len(out), dtype="object", index=out.index)
-            return out[cols + ["_kind"]]
+            return out[cols + ["_kind", "_b"]]
 
         return fn
 
@@ -68,8 +72,11 @@ def _co_bucket(sides: dict, reduce) -> "ray.data.Dataset":
             )
         return reduce(parts)
 
-    return keyed_exchange(
-        tagged[0].union(*tagged[1:]), ["context", "id"], per_bucket, n=NUM_BUCKETS
+    return (
+        tagged[0]
+        .union(*tagged[1:])
+        .groupby("_b")
+        .map_groups(per_bucket, batch_format="pandas")
     )
 
 

@@ -6,9 +6,9 @@ Every keyed reduce in the crawl engine has the same three steps, and
 1. **route** — each row gets a bucket ``_b`` in ``[0, n)`` from
    :func:`route_bucket` over its key columns. The hash is vectorized
    (``pd.util.hash_pandas_object``, C speed, a fixed hash key so the
-   driver and every worker agree) and sees the key's *value*, not its
-   dtype: an ``id`` of 1001 routes the same as int64, int32 or an
-   object column, so two unioned sides always co-locate. Hashing the
+   driver and every worker agree) over the key's ``str`` form, so an
+   ``id`` of 1001 routes the same as int64, int32, Int64 or an object
+   column, and two unioned sides always co-locate. Hashing the
    FULL key — e.g. ``(host, url)`` for an exact per-host distinct
    count — spreads a hot host over all ``n`` buckets while every copy
    of one key still lands in one bucket, so per-bucket partials stay
@@ -17,7 +17,13 @@ Every keyed reduce in the crawl engine has the same three steps, and
    sort-shuffle. Ray's sort-shuffle pays a fixed cost per INPUT block
    (measured on ``host_distinct_urls`` at sf0.1×256: 15.6 s → 4.6 s),
    and the block count also sets the reduce-task count, so ``n`` is
-   the one knob for both.
+   the one knob for both. The coalesce is an all-to-all barrier, so
+   it pays off on the many small blocks of the pages corpus and costs
+   on inputs that arrive in few large blocks: the Dataset-state
+   transitions (``frontier.state_ds``, ``derive.latest_detail_items_ds``)
+   and the ``runs`` id exchanges ran 1.5-2x slower through it over
+   10^6 rows, so they route with :func:`route_bucket` (or ``id % 64``)
+   and group without it.
 3. **reduce** — ``groupby(_b).map_groups(reduce)``; ``reduce`` gets one
    bucket's rows without ``_b`` and returns its output rows. Any
    reduce that is key-local gives the same output for every ``n``.
@@ -38,23 +44,13 @@ import pandas as pd
 import pyarrow as pa
 
 
-def _key_text(s: pd.Series) -> pd.Series:
-    """One canonical text form per key value, whatever the dtype:
-    integral floats print as ints, everything else via ``str``."""
-    if pd.api.types.is_float_dtype(s):
-        v = s.to_numpy()
-        fin = np.isfinite(v)
-        if (v[fin] == np.floor(v[fin])).all():
-            s = s.where(fin).astype("Int64")
-    return s.astype(str)
-
-
 def route_bucket(frame: pd.DataFrame, keys, n: int) -> np.ndarray:
     """int32 bucket in ``[0, n)`` per row of ``frame``, from the key
     columns ``keys`` (a name or a list). Equal key values get equal
-    buckets in any process and under any column dtype."""
+    buckets in any process, whether an integer key is held as int64,
+    int32, Int64 or object (the hash reads each key's ``str`` form)."""
     keys = [keys] if isinstance(keys, str) else list(keys)
-    text = pd.DataFrame({k: _key_text(frame[k]) for k in keys})
+    text = pd.DataFrame({k: frame[k].astype(str) for k in keys})
     h = pd.util.hash_pandas_object(text, index=False).to_numpy()
     return (h % np.uint64(n)).astype(np.int32)
 

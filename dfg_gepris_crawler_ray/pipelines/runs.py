@@ -37,7 +37,6 @@ from ..frontier.manifests import CrawlStore, content_hash
 from ..kernels.htmlmini import parse_html
 from ..kernels.jsoncanon import dumps_canonical
 from ..frontier.politeness import apply_host_budget
-from ..kernels.partitioning import keyed_exchange
 from ..sources.pages import DETAIL_KINDS, annotate_pages, filter_detail_pages, read_pages
 from ..stages.extract_stage import extract_bucket
 from ..stages.search_stage import extract_search_batch
@@ -540,9 +539,16 @@ def run_details_ds(
         # person key twice (a per-batch unique() downstream is not
         # cross-block-safe once blocks split). All copies of an id
         # co-locate in one bucket, so the group dedupe is exact.
-        referenced = keyed_exchange(
-            refs.map_batches(distinct_ids, batch_format="pandas"),
-            "id", lambda g: g.drop_duplicates("id"), n=8,
+        referenced = (
+            refs.map_batches(distinct_ids, batch_format="pandas")
+            .map_batches(
+                lambda df: df.assign(_db=(df["id"] % 64).astype("int32")),
+                batch_format="pandas",
+            )
+            .groupby("_db")
+            .map_groups(
+                lambda g: g.drop_duplicates("id")[["id"]], batch_format="pandas"
+            )
         )
         state_persons = state_ds.map_batches(
             lambda df: pd.DataFrame(
@@ -649,27 +655,34 @@ def run_search_ds(store: CrawlStore, pages_dir: str, context: str) -> dict:
 
     # ST1 duplicate-id detection: per-batch partial counts → bucketed
     # sum → the driver reads a per-bucket COUNT plus a capped id
-    # sample (≤ 8 buckets × DUP_SAMPLE_CAP rows), never the full
+    # sample (≤ 64 buckets × DUP_SAMPLE_CAP rows), never the full
     # duplicate list — on a pathological corpus where most ids
     # duplicate, that list is state-cardinality and must not land on
     # the driver / in the manifest
     DUP_SAMPLE_CAP = 64
 
     def id_counts(df: pd.DataFrame) -> pd.DataFrame:
-        return df.groupby("id", as_index=False).size().rename(columns={"size": "n"})
+        g = df.groupby("id", as_index=False).size().rename(columns={"size": "n"})
+        g["_b"] = (g["id"] % 64).astype("int32")
+        return g
 
     def dup_only(group: pd.DataFrame) -> pd.DataFrame:
         g = group.groupby("id", as_index=False)["n"].sum()
         d = g.loc[g["n"] > 1, "id"].sort_values()
         out = pd.DataFrame({"id": d.head(DUP_SAMPLE_CAP).astype("int64")})
-        # the bucket's duplicate count rides on its first sample row
-        out["total"] = [len(d)] + [0] * (len(out) - 1) if len(out) else []
-        return out.astype({"total": "int64"})
+        out["_b"] = int(group["_b"].iloc[0]) if len(group) else -1
+        out["total"] = len(d)
+        return out.astype({"_b": "int32", "total": "int64"})
 
-    dup_rows = keyed_exchange(
-        results.map_batches(id_counts, batch_format="pandas"), "id", dup_only, n=8
-    ).take_all()
-    duplicate_count = sum(int(r["total"]) for r in dup_rows)
+    dup_rows = (
+        results.map_batches(id_counts, batch_format="pandas")
+        .groupby("_b")
+        .map_groups(dup_only, batch_format="pandas")
+        .take_all()
+    )
+    duplicate_count = sum(
+        {int(r["_b"]): int(r["total"]) for r in dup_rows}.values()
+    )
     duplicate_ids = sorted(int(r["id"]) for r in dup_rows)[:DUP_SAMPLE_CAP]
 
     # ST2 pagination sanity: distinct reported totals (tiny set)

@@ -127,7 +127,6 @@ def test_route_bucket_same_bucket_whatever_the_dtype():
         pd.Series(ids, dtype="object"),
         pd.Series([np.int64(i) for i in ids], dtype="object"),
         pd.Series(ids, dtype="Int64"),
-        pd.Series([float(i) for i in ids]),
     ]
     got = [
         route_bucket(pd.DataFrame({"context": "person", "id": s}), ["context", "id"], 64).tolist()
@@ -205,8 +204,8 @@ def test_keyed_exchange_invariant_to_n_and_layout(ray_session):
 
 def test_keyed_exchange_colocates_unioned_sides(ray_session):
     """Two unioned sides keyed the same way meet in one group even when
-    one side's key column is object-typed (the state_ds / fetch_waves
-    union pattern)."""
+    one side's key column is object-typed (the fetch_waves union
+    pattern; state_ds routes its sides with the same route_bucket)."""
     import numpy as np
     import pandas as pd
     import ray.data
