@@ -191,23 +191,28 @@ def get_ids(
 
 # --- J2/J3: upserts ---------------------------------------------------------
 
-def _ensure_keys(state: pd.DataFrame, keys: list[tuple[int, str]]) -> pd.DataFrame:
-    existing = set(zip(state["id"], state["context"]))
-    new_rows = [
+def new_state_rows(ids: list[int], context, needed: bool) -> pd.DataFrame:
+    """State rows for keys first met here: never seen, never checked.
+    ``context`` is one context or one per id."""
+    return pd.DataFrame(
         dict(
-            id=i,
-            context=c,
+            id=pd.Series(ids, dtype="int64"),
+            context=context,
             last_available_seen=None,
             last_available_change=None,
             last_available_item=None,
             last_detail_check=None,
-            detail_check_needed=False,
+            detail_check_needed=needed,
         )
-        for (i, c) in keys
-        if (i, c) not in existing
-    ]
-    if new_rows:
-        state = _concat_rows(state, pd.DataFrame(new_rows))
+    )
+
+
+def _ensure_keys(state: pd.DataFrame, keys: list[tuple[int, str]]) -> pd.DataFrame:
+    existing = set(zip(state["id"], state["context"]))
+    new = [(i, c) for (i, c) in keys if (i, c) not in existing]
+    if new:
+        ids, contexts = zip(*new)
+        state = _concat_rows(state, new_state_rows(list(ids), list(contexts), needed=False))
     return state
 
 
@@ -395,21 +400,7 @@ def expand_person_frontier(state: pd.DataFrame, history: pd.DataFrame, run_id: i
     new_ids = sorted(referenced - known)
     if not new_ids:
         return state
-    new_rows = pd.DataFrame(
-        [
-            dict(
-                id=i,
-                context="person",
-                last_available_seen=None,
-                last_available_change=None,
-                last_available_item=None,
-                last_detail_check=None,
-                detail_check_needed=True,
-            )
-            for i in new_ids
-        ]
-    )
-    return _concat_rows(state, new_rows)
+    return _concat_rows(state, new_state_rows(new_ids, "person", needed=True))
 
 
 # --- J7/J8: moved propagation ----------------------------------------------

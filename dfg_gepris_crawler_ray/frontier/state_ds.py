@@ -80,6 +80,16 @@ def _co_bucket(sides: dict, reduce) -> "ray.data.Dataset":
     )
 
 
+def collect_ids(ds: "ray.data.Dataset", col: str = "id") -> set[int]:
+    """The distinct ints of ``col`` on the driver — only for
+    run-bounded selections (a frontier, a run's moved keys)."""
+    return {
+        int(i)
+        for b in ds.select_columns([col]).iter_batches(batch_format="pandas")
+        for i in b[col]
+    }
+
+
 def upsert_from_search_ds(
     state: "ray.data.Dataset", observations: "ray.data.Dataset", context: str, run_id: int
 ) -> "ray.data.Dataset":
@@ -156,11 +166,7 @@ def upsert_from_details_ds(
         sel = (df["context"] == context) & df["id"].isin(known)
         return pd.DataFrame({"id": df.loc[sel, "id"].astype("int64")})
 
-    seen_ids: set[int] = set()
-    for batch in state.map_batches(intersect, batch_format="pandas").iter_batches(
-        batch_format="pandas"
-    ):
-        seen_ids.update(int(i) for i in batch["id"])
+    seen_ids = collect_ids(state.map_batches(intersect, batch_format="pandas"))
 
     def update(df: pd.DataFrame) -> pd.DataFrame:
         known = ray.get(ids_ref)
@@ -176,6 +182,38 @@ def upsert_from_details_ds(
         return updated
     new_rows = S.upsert_from_details(S.empty_state(), new_ids, context, run_id)
     return updated.union(ray.data.from_pandas(new_rows))
+
+
+def expand_person_frontier_bucketed(
+    state: "ray.data.Dataset", references: "ray.data.Dataset"
+) -> "ray.data.Dataset":
+    """J5 at state scale: the persons this run's projekt items reference
+    (``references.person_id``) EXCEPT persons already in the state join
+    the frontier as ``S.new_state_rows``. Both sides ship only
+    ``("person", id)`` keys; each bucket dedupes the referenced ids and
+    anti-joins them with the known ones, and the new rows union onto
+    the state."""
+
+    def known(df: pd.DataFrame) -> pd.DataFrame:
+        ids = df.loc[df["context"] == "person", "id"].astype("int64")
+        return pd.DataFrame({"id": ids, "context": "person"})
+
+    def referenced(df: pd.DataFrame) -> pd.DataFrame:
+        return pd.DataFrame({"id": df["person_id"].astype("int64").unique(), "context": "person"})
+
+    def per_bucket(parts: dict) -> pd.DataFrame:
+        new_ids = set(parts["ref"]["id"].astype("int64")) - set(parts["known"]["id"].astype("int64"))
+        return S.new_state_rows(sorted(new_ids), "person", needed=True)
+
+    keys = pd.DataFrame(columns=["id", "context"])
+    new_rows = _co_bucket(
+        {
+            "known": (state.map_batches(known, batch_format="pandas"), keys),
+            "ref": (references.map_batches(referenced, batch_format="pandas"), keys),
+        },
+        per_bucket,
+    )
+    return state.union(new_rows)
 
 
 # --- J1: crawl-priority selection at state scale ----------------------------
@@ -315,23 +353,41 @@ def latest_items_ds(
 
 # --- J7/J8: moved propagation at scale --------------------------------------
 
-def _moved_ids_of_run(history: "ray.data.Dataset", run_id: int) -> set[int]:
-    """The run's moved keys — bounded by the run's frontier budget, so
-    a driver set is safe by construction; the filter runs distributed."""
-    moved: set[int] = set()
-    filt = history.map_batches(
-        lambda df: pd.DataFrame(
-            {
-                "id": df.loc[
-                    (df["created_at"] == run_id) & (df["status"] == "moved"), "id"
-                ].astype("int64")
-            }
-        ),
-        batch_format="pandas",
+def _flag_moved_targets(
+    state: "ray.data.Dataset",
+    history: "ray.data.Dataset",
+    run_id: int,
+    edges: "ray.data.Dataset",
+    moved_col: str,
+    target_col: str,
+) -> "ray.data.Dataset":
+    """J7/J8 shape: the run's moved keys (run-bounded, so a driver set
+    is safe by construction) broadcast; the edge scan keeps the
+    ``target_col`` of every edge whose ``moved_col`` moved; those
+    targets flag ``detail_check_needed`` row-locally (matching on id
+    only — faithful to the reference's missing context filter)."""
+    import ray
+
+    moved = collect_ids(
+        history.map_batches(
+            lambda df: df.loc[(df["created_at"] == run_id) & (df["status"] == "moved"), ["id"]],
+            batch_format="pandas",
+        )
     )
-    for batch in filt.iter_batches(batch_format="pandas"):
-        moved.update(int(i) for i in batch["id"])
-    return moved
+    moved_ref = ray.put(moved)
+
+    def hits(df: pd.DataFrame) -> pd.DataFrame:
+        sel = df[df[moved_col].isin(ray.get(moved_ref))]
+        return pd.DataFrame({"t": sel[target_col].astype("int64")})
+
+    targets_ref = ray.put(collect_ids(edges.map_batches(hits, batch_format="pandas"), "t"))
+
+    def flag(df: pd.DataFrame) -> pd.DataFrame:
+        df = df.copy()
+        df.loc[df["id"].isin(ray.get(targets_ref)), "detail_check_needed"] = True
+        return df
+
+    return state.map_batches(flag, batch_format="pandas")
 
 
 def mark_projekts_for_moved_ds(
@@ -342,35 +398,9 @@ def mark_projekts_for_moved_ds(
     references: "ray.data.Dataset",
 ) -> "ray.data.Dataset":
     """J7 (reference database.py:163-187) at scale: moved persons /
-    institutions re-check their projekts. The moved set (run-bounded)
-    broadcasts; the reference-edge scan filters distributed; the flag
-    update is row-local (matches on id only — faithful to the
-    reference's missing context filter)."""
-    import ray
-
+    institutions re-check their projekts."""
     id_col = "person_id" if context == "person" else "institution_id"
-    moved = _moved_ids_of_run(history, run_id)
-    moved_ref = ray.put(moved)
-
-    def edge_hits(df: pd.DataFrame) -> pd.DataFrame:
-        mv = ray.get(moved_ref)
-        sel = df[df[id_col].isin(mv)]
-        return pd.DataFrame({"projekt_id": sel["projekt_id"].astype("int64")})
-
-    projekt_ids: set[int] = set()
-    for batch in references.map_batches(edge_hits, batch_format="pandas").iter_batches(
-        batch_format="pandas"
-    ):
-        projekt_ids.update(int(i) for i in batch["projekt_id"])
-    proj_ref = ray.put(projekt_ids)
-
-    def flag(df: pd.DataFrame) -> pd.DataFrame:
-        targets = ray.get(proj_ref)
-        df = df.copy()
-        df.loc[df["id"].isin(targets), "detail_check_needed"] = True
-        return df
-
-    return state.map_batches(flag, batch_format="pandas")
+    return _flag_moved_targets(state, history, run_id, references, id_col, "projekt_id")
 
 
 def mark_roots_for_moved_subinstitutions_ds(
@@ -380,29 +410,6 @@ def mark_roots_for_moved_subinstitutions_ds(
     hierarchy: "ray.data.Dataset",
 ) -> "ray.data.Dataset":
     """J8 (reference database.py:189-207) at scale: moved
-    sub-institutions re-check their root. Same shape as J7 with the
-    hierarchy closure as the edge table."""
-    import ray
-
-    moved = _moved_ids_of_run(history, run_id)
-    moved_ref = ray.put(moved)
-
-    def root_hits(df: pd.DataFrame) -> pd.DataFrame:
-        mv = ray.get(moved_ref)
-        sel = df[df["parent_id"].notna() & df["id"].isin(mv)]
-        return pd.DataFrame({"root_id": sel["root_id"].astype("int64")})
-
-    roots: set[int] = set()
-    for batch in hierarchy.map_batches(root_hits, batch_format="pandas").iter_batches(
-        batch_format="pandas"
-    ):
-        roots.update(int(i) for i in batch["root_id"])
-    roots_ref = ray.put(roots)
-
-    def flag(df: pd.DataFrame) -> pd.DataFrame:
-        targets = ray.get(roots_ref)
-        df = df.copy()
-        df.loc[df["id"].isin(targets), "detail_check_needed"] = True
-        return df
-
-    return state.map_batches(flag, batch_format="pandas")
+    sub-institutions (rows with a parent) re-check their root."""
+    subs = hierarchy.map_batches(lambda df: df[df["parent_id"].notna()], batch_format="pandas")
+    return _flag_moved_targets(state, history, run_id, subs, "id", "root_id")

@@ -12,11 +12,20 @@ Each run is one driver invocation (≙ one ``scrapy crawl`` / one
   J4 history append + J5/J7/J8 post-jobs → manifest.
 - ``run_data_monitor`` ≙ ``scrapy crawl data_monitor`` (§3.3).
 
-The heavy lifting (page scan, parse, chain assembly) streams through
-Ray Data; the state-table transitions are the exact pandas semantics
-of ``frontier.state`` — at reference corpus scale (~10^5 keys/context)
-the state fits comfortably on the driver, while the pages corpus never
-does and never leaves the streaming path.
+One body per spider, two state residencies. ``run_search`` and
+``run_details`` each write their lifecycle once; ``backend`` picks
+where the crawl state lives while the run transitions it:
+
+- ``"pandas"`` (:class:`_DriverState`): state and history are driver
+  frames and every transition is the exact pandas semantics of
+  ``frontier.state`` — at reference corpus scale (~10^5 keys/context)
+  the state fits comfortably on the driver;
+- ``"ds"`` (:class:`_DatasetState`): state and history stay Datasets
+  and every transition runs through ``frontier.state_ds`` — the
+  10^10-key form, in which only run-bounded artifacts reach the driver.
+
+The pages corpus never leaves the streaming path in either form.
+``run_search_ds`` / ``run_details_ds`` are the ``backend="ds"`` calls.
 """
 
 from __future__ import annotations
@@ -24,6 +33,7 @@ from __future__ import annotations
 import json
 import os
 import re
+import time
 from datetime import datetime, timezone
 
 import pandas as pd
@@ -33,26 +43,38 @@ import ray.data
 
 from ..extract.data_monitor import parse_data_monitor
 from ..frontier import state as S
+from ..frontier import state_ds as SD
 from ..frontier.manifests import CrawlStore, content_hash
 from ..kernels.htmlmini import parse_html
 from ..kernels.jsoncanon import dumps_canonical
+from ..kernels.partitioning import route_bucket
 from ..frontier.politeness import apply_host_budget
-from ..sources.pages import DETAIL_KINDS, annotate_pages, filter_detail_pages, read_pages
-from ..stages.extract_stage import extract_bucket
+from ..sources.pages import annotate_pages, read_pages
 from ..stages.search_stage import extract_search_batch
+from . import derive
 from .details import run_details_extraction
+
+DELTA_COLUMNS = ["id", "context", "status", "item", "error_kind",
+                 "host", "attempts", "pages_fetched"]
+
+#: the ``ds`` search run's duplicate-id sample cap (ST1 diagnostic)
+DUP_SAMPLE_CAP = 64
 
 
 def _now():
     return datetime.now(timezone.utc).isoformat()
 
 
-def _load(store: CrawlStore):
-    return (
-        store.load_table("state", S.empty_state()),
-        store.load_table("runs", S.empty_runs()),
-        store.load_table("history", S.empty_history()),
-    )
+def _db_spec(ids_spec):
+    """``db:all:N`` / ``db:needed:N`` → (only_needed, N); else None."""
+    if isinstance(ids_spec, str) and re.match(r"db:(all|needed):\d+", ids_spec):
+        _, mode, limit = ids_spec.split(":")
+        return mode == "needed", int(limit)
+    return None
+
+
+def _size(rows) -> int:
+    return len(rows) if isinstance(rows, pd.DataFrame) else rows.count()
 
 
 # ---------------------------------------------------------------------------
@@ -68,11 +90,9 @@ def parse_ids_spec(ids_spec, state: pd.DataFrame, runs: pd.DataFrame, context: s
     if isinstance(ids_spec, str) and ids_spec.endswith(".json"):
         with open(ids_spec) as f:
             return sorted({int(p["id"]) for p in json.load(f)})
-    if isinstance(ids_spec, str) and re.match(r"db:(all|needed):\d+", ids_spec):
-        _, mode, limit = ids_spec.split(":")
-        return S.get_ids(
-            state, runs, context, only_needed=(mode == "needed"), limit=int(limit)
-        )
+    db = _db_spec(ids_spec)
+    if db:
+        return S.get_ids(state, runs, context, only_needed=db[0], limit=db[1])
     raise ValueError(f"Wrong format of the 'ids' argument: {ids_spec!r}")
 
 
@@ -93,6 +113,279 @@ def plan_frontier(
 
 
 # ---------------------------------------------------------------------------
+# where the state lives
+# ---------------------------------------------------------------------------
+
+class _DriverState:
+    """State and history as driver frames; ``frontier.state``
+    transitions. Each method is one lifecycle step of the run bodies."""
+
+    name = "pandas"
+
+    def __init__(self, store: CrawlStore):
+        self.store = store
+        self.runs = store.load_table("runs", S.empty_runs())
+        self.state = self._load("state", S.empty_state())
+        self.history = self._load("history", S.empty_history())
+
+    def _load(self, name, empty):
+        return self.store.load_table(name, empty)
+
+    def _save(self, name, table):
+        self.store.save_table(name, table)
+
+    def open_run(self, spider: str, context: str) -> int:
+        self.runs, run_id = S.store_run(self.runs, spider, context, _now())
+        return run_id
+
+    def close_run(self, run_id: int, total_items: int) -> None:
+        self.runs = S.update_run_result(self.runs, run_id, _now(), total_items)
+
+    def save(self, run_id: int, delta, *tables: str) -> None:
+        for name in tables:
+            self._save(name, getattr(self, name))
+        self.store.save_table("runs", self.runs)
+        self._write_delta(run_id, delta)
+
+    def _write_delta(self, run_id, delta):
+        self.store.write_run_delta(run_id, delta)
+
+    delta_hash = staticmethod(content_hash)
+    # a run's rows (a Dataset to collect, or a frame) in this backend's
+    # form: driver frames here, materialized Datasets in _DatasetState
+    collect = staticmethod(ray.data.Dataset.to_pandas)
+    from_frame = staticmethod(lambda df: df)
+
+    # -- details ---------------------------------------------------------
+    def frontier(self, ids_spec, context, host_lookup, max_per_host):
+        """J1 + host budget → the planned frontier frame."""
+        ids = parse_ids_spec(ids_spec, self.state, self.runs, context)
+        return plan_frontier(ids, context, host_lookup, max_per_host)
+
+    def tally(self, delta) -> tuple[dict, dict]:
+        counts = delta["status"].value_counts().to_dict()
+        return counts, dict(rows=int(len(delta)),
+                            pages_fetched=int(delta["pages_fetched"].sum()),
+                            attempts=int(delta["attempts"].sum()))
+
+    def upsert_details(self, delta, context, run_id, resident):  # J3
+        # every processed id (success AND moved/error rows all call
+        # upsert_available_item(id, None, details) — pipelines.py:52-54,
+        # middlewares.py:35,50)
+        self.state = S.upsert_from_details(self.state, list(delta["id"]), context, run_id)
+
+    def append_history(self, delta, context, run_id):  # J4, per-key change dedup
+        rows = _history_rows(delta, context, run_id).to_dict("records")
+        self.history = S.insert_detail_items(self.history, self.runs, rows)
+
+    def expand_person_frontier(self, delta, run_id):  # J5
+        self.state = S.expand_person_frontier(self.state, self.history, run_id)
+
+    def mark_moved(self, context, run_id):  # J7 (+ J8)
+        latest = S.latest_detail_items(self.history, self.runs)
+        if context == "person":
+            refs = S.person_projekt_references(latest)
+        else:
+            refs = S.institution_projekt_references(latest)
+        self.state = S.mark_projekts_for_moved(self.state, self.history, run_id, context, refs)
+        if context == "institution":
+            hierarchy = S.institution_hierarchy(S.latest_items(latest, self.state))
+            self.state = S.mark_roots_for_moved_subinstitutions(
+                self.state, self.history, run_id, hierarchy
+            )
+
+    # -- search ----------------------------------------------------------
+    def duplicates(self, results) -> tuple[list[int], int]:
+        ids = sorted(int(i) for i, n in results["id"].value_counts().items() if n > 1)
+        return ids, len(ids)
+
+    def totals(self, results) -> list[int]:
+        return sorted({int(t) for t in results["page_total"].unique() if t >= 0})
+
+    def upsert_search(self, results, context, run_id):  # J2 + J6
+        observations = [(int(r.id), r.item) for r in results.itertuples()]
+        self.state = S.upsert_from_search(self.state, observations, context, run_id)
+        self.state = S.mark_not_found(self.state, context, run_id)
+
+
+def _history_rows(delta: pd.DataFrame, context: str, run_id: int) -> pd.DataFrame:
+    """A details delta as history rows (the item only on success)."""
+    return pd.DataFrame(
+        {
+            "id": delta["id"].astype("int64"),
+            "context": context,
+            "created_at": run_id,
+            "item": delta["item"].where(delta["status"] == "success", None),
+            "status": delta["status"],
+        }
+    )
+
+
+class _DatasetState(_DriverState):
+    """State and history as Datasets; ``frontier.state_ds`` transitions.
+    Neither table materializes on the driver; the runs ledger (one row
+    per run) stays a driver frame.
+
+    Two frontier regimes, chosen by the ids spec:
+
+    - **budgeted** (``db:*:N`` with N>0, literal lists, id files): the
+      frontier is run-bounded by construction, so it collects to an
+      ordered driver frame (exact planned-order manifests, broadcast
+      semi-join page selection, broadcast J3) — the reference's cron
+      budgets never exceed 50k ids.
+    - **resident** (``db:all:0`` / ``db:needed:0``): the frontier NEVER
+      touches the driver — J1 selection stays a Dataset
+      (``get_frontier_ds``), the host budget applies per host
+      distributed, page selection fuses into the extract shuffle
+      (``run_details_extraction`` over a key Dataset), and J3 runs
+      through the bucketed upsert.
+    """
+
+    name = "dataset"
+
+    def _load(self, name, empty):
+        return self.store.load_table_ds(name, empty)
+
+    def _save(self, name, table):
+        # no materialize before the save: each table is consumed exactly
+        # once here, so write_parquet streams the plan's blocks straight
+        # to the versioned directory
+        self.store.save_table_ds(name, table)
+
+    def _write_delta(self, run_id, delta):
+        delta.write_parquet(os.path.join(self.store.run_dir(run_id), "items_ds"))
+
+    @staticmethod
+    def delta_hash(delta, cols):
+        return None  # a content hash would collect the delta
+
+    collect = staticmethod(ray.data.Dataset.materialize)
+    from_frame = staticmethod(ray.data.from_pandas)
+
+    # -- details ---------------------------------------------------------
+    def frontier(self, ids_spec, context, host_lookup, max_per_host):
+        db = _db_spec(ids_spec)
+        if db is None:
+            ids = parse_ids_spec(ids_spec, S.empty_state(), self.runs, context)
+        elif db[1] > 0:  # budget-bounded: distributed sort, bounded collect
+            ids = SD.get_ids_ds(self.state, self.runs, context, only_needed=db[0], limit=db[1])
+        else:
+            return self._resident_frontier(context, db[0], host_lookup, max_per_host)
+        return plan_frontier(ids, context, host_lookup, max_per_host)
+
+    def _resident_frontier(self, context, only_needed, host_lookup, max_per_host):
+        sel = SD.get_frontier_ds(self.state, self.runs, context, only_needed=only_needed)
+        if max_per_host is not None:
+            # each host's keys co-locate and the J1 priority order is
+            # rebuilt from the carried (tier, rank, id) columns —
+            # apply_host_budget's keep-first-N-per-host without a
+            # global sort
+            def add_host(df: pd.DataFrame) -> pd.DataFrame:
+                hosts = [host_lookup(context, int(i)) if host_lookup else "default"
+                         for i in df["id"]]
+                return df.assign(host=hosts)
+
+            def cap_host(g: pd.DataFrame) -> pd.DataFrame:
+                g = g.sort_values(["tier", "rank", "id"], kind="mergesort")
+                return g.head(max_per_host)
+
+            sel = (
+                sel.map_batches(add_host, batch_format="pandas")
+                .groupby("host")
+                .map_groups(cap_host, batch_format="pandas")
+            )
+        return sel.map_batches(
+            lambda df: pd.DataFrame({"context": context, "id": df["id"].astype("int64")}),
+            batch_format="pandas",
+        ).materialize()
+
+    def tally(self, delta):
+        counts = {r["status"]: int(r["n"]) for r in derive.status_counts(delta).take_all()}
+        rows = sum(counts.values())
+        return counts, dict(rows=rows,
+                            pages_fetched=int(delta.sum("pages_fetched") or 0) if rows else 0,
+                            attempts=int(delta.sum("attempts") or 0) if rows else 0)
+
+    def upsert_details(self, delta, context, run_id, resident):
+        if resident:  # processed ids stay a Dataset → bucketed upsert
+            self.state = SD.upsert_from_details_bucketed(self.state, delta, context, run_id)
+        else:  # budget-bounded: broadcast intersection
+            self.state = SD.upsert_from_details_ds(
+                self.state, SD.collect_ids(delta), context, run_id
+            )
+
+    def append_history(self, delta, context, run_id):
+        rows = delta.map_batches(_history_rows, batch_format="pandas",
+                                 fn_args=(context, run_id))
+        self.history = SD.insert_detail_items_ds(self.history, self.runs, rows).materialize()
+
+    def expand_person_frontier(self, delta, run_id):
+        self.state = SD.expand_person_frontier_bucketed(
+            self.state, derive.all_reference_edges(delta, "person")
+        )
+
+    def mark_moved(self, context, run_id):
+        run_started = dict(zip(self.runs["id"].astype(int), self.runs["run_started_at"]))
+        latest = derive.latest_detail_items_ds(self.history, run_started).materialize()
+        refs = derive.all_reference_edges(latest, kind=context)
+        self.state = SD.mark_projekts_for_moved_ds(
+            self.state, self.history, run_id, context, refs
+        )
+        if context == "institution":
+            # hierarchy closure from the latest institution items
+            # (row-local tree flatten — derive.hierarchy_rows shape)
+            self.state = SD.mark_roots_for_moved_subinstitutions_ds(
+                self.state, self.history, run_id, derive.hierarchy_rows(latest)
+            )
+
+    # -- search ----------------------------------------------------------
+    def duplicates(self, results):
+        """Per-batch partial counts → one id-routed exchange → the exact
+        duplicate count plus the first ``DUP_SAMPLE_CAP`` duplicate ids
+        ascending. The full list is state-cardinality on a pathological
+        corpus, so it never reaches the driver or the manifest."""
+
+        def id_counts(df: pd.DataFrame) -> pd.DataFrame:
+            g = df.groupby("id", as_index=False).size().rename(columns={"size": "n"})
+            return g.assign(_b=route_bucket(g, "id", 64))
+
+        def dup_only(group: pd.DataFrame) -> pd.DataFrame:
+            g = group.groupby("id", as_index=False)["n"].sum()
+            d = g.loc[g["n"] > 1, "id"].sort_values()
+            out = pd.DataFrame({"id": d.head(DUP_SAMPLE_CAP).astype("int64")})
+            out["_b"] = int(group["_b"].iloc[0]) if len(group) else -1
+            out["total"] = len(d)
+            return out.astype({"_b": "int32", "total": "int64"})
+
+        rows = (
+            results.map_batches(id_counts, batch_format="pandas")
+            .groupby("_b")
+            .map_groups(dup_only, batch_format="pandas")
+            .take_all()
+        )
+        count = sum({int(r["_b"]): int(r["total"]) for r in rows}.values())
+        return sorted(int(r["id"]) for r in rows)[:DUP_SAMPLE_CAP], count
+
+    def totals(self, results):
+        return sorted(int(t) for t in results.unique("page_total") if t >= 0)
+
+    def upsert_search(self, results, context, run_id):
+        observations = results.map_batches(
+            lambda df: pd.DataFrame({"id": df["id"].astype("int64"), "item": df["item"]}),
+            batch_format="pandas",
+        )
+        self.state = SD.upsert_from_search_ds(self.state, observations, context, run_id)
+
+
+def _open_state(store: CrawlStore, backend: str) -> _DriverState:
+    if backend == "pandas":
+        return _DriverState(store)
+    if backend == "ds":
+        return _DatasetState(store)
+    raise ValueError(f"unknown backend {backend!r}")
+
+
+# ---------------------------------------------------------------------------
 # details run
 # ---------------------------------------------------------------------------
 
@@ -105,96 +398,85 @@ def run_details(
     max_per_host: int | None = None,
     num_buckets: int = 64,
     politeness=None,
+    backend: str = "pandas",
 ) -> dict:
-    state, runs, history = _load(store)
-    runs, run_id = S.store_run(runs, "details", context, _now())
+    """One details run. Returns ``run_id``, ``frontier`` (the planned
+    frame, None when the ``ds`` backend keeps it resident),
+    ``frontier_size``, ``delta`` (the processed rows: a DataFrame, or a
+    Dataset under ``backend="ds"``), ``manifest`` and ``n_<status>``."""
+    st = _open_state(store, backend)
+    run_id = st.open_run("details", context)
 
-    ids = parse_ids_spec(ids_spec, state, runs, context)
-    frontier = plan_frontier(ids, context, host_lookup, max_per_host)
-    frontier_keys = [(context, int(i)) for i in frontier["id"]]
-
-    import time as _time
-
-    _t0 = _time.perf_counter()
-    if frontier_keys:
-        delta = run_details_extraction(
-            pages_dir, frontier_keys, num_buckets, politeness=politeness
-        ).to_pandas()
+    frontier = st.frontier(ids_spec, context, host_lookup, max_per_host)  # J1
+    resident = not isinstance(frontier, pd.DataFrame)
+    frontier_size = _size(frontier)
+    t0 = time.perf_counter()
+    if frontier_size:
+        # a driver frontier broadcasts its keys; a resident one is a
+        # (context, id) Dataset that joins inside the extract shuffle
+        keys = frontier if resident else [(context, int(i)) for i in frontier["id"]]
+        delta = st.collect(
+            run_details_extraction(pages_dir, keys, num_buckets, politeness=politeness)
+        )
     else:
         # empty frontier crawls nothing (reference: no ids → the spider
         # issues no requests, spiders/details.py:53-57)
-        delta = pd.DataFrame(
-            columns=["id", "context", "status", "item", "error_kind",
-                     "host", "attempts", "pages_fetched"]
-        )
-    extract_wall_s = round(_time.perf_counter() - _t0, 3)
+        delta = st.from_frame(pd.DataFrame(columns=DELTA_COLUMNS))
+    extract_wall_s = round(time.perf_counter() - t0, 3)
 
-    # J3 upsert for every processed id (success AND moved/error rows all
-    # call upsert_available_item(id, None, details) — pipelines.py:52-54,
-    # middlewares.py:35,50)
-    state = S.upsert_from_details(state, list(delta["id"]), context, run_id)
-    # J4 history append with per-key change dedup
-    history = S.insert_detail_items(
-        history,
-        runs,
-        [
-            dict(id=int(r.id), context=context, created_at=run_id,
-                 item=r.item if r.status == "success" else None, status=r.status)
-            for r in delta.itertuples()
-        ],
-    )
+    st.upsert_details(delta, context, run_id, resident)  # J3
+    st.append_history(delta, context, run_id)  # J4
     # post-run jobs (pipelines.py:36-43)
     if context == "projekt":
-        state = S.expand_person_frontier(state, history, run_id)  # J5
+        st.expand_person_frontier(delta, run_id)  # J5
     else:
-        latest = S.latest_detail_items(history, runs)
-        if context == "person":
-            refs = S.person_projekt_references(latest)
-        else:
-            refs = S.institution_projekt_references(latest)
-        state = S.mark_projekts_for_moved(state, history, run_id, context, refs)  # J7
-        if context == "institution":
-            hierarchy = S.institution_hierarchy(S.latest_items(latest, state))
-            state = S.mark_roots_for_moved_subinstitutions(state, history, run_id, hierarchy)  # J8
+        st.mark_moved(context, run_id)  # J7 (+ J8)
 
-    scraped = int((delta["status"] == "success").sum())
-    runs = S.update_run_result(runs, run_id, _now(), scraped)
-
-    store.save_table("state", state)
-    store.save_table("runs", runs)
-    store.save_table("history", history)
-    store.write_run_delta(run_id, delta)
-    status_counts = delta["status"].value_counts().to_dict()
+    status_counts, metrics = st.tally(delta)
+    st.close_run(run_id, int(status_counts.get("success", 0)))
+    st.save(run_id, delta, "state", "history")
     manifest = store.write_manifest(
         run_id,
         spider="details",
         context=context,
         pages_dir=pages_dir,
         ids_spec=str(ids_spec),
-        frontier_size=len(frontier),
-        planned_order_hash=content_hash(frontier, ["fetch_seq", "context", "id"]),
+        frontier_size=frontier_size,
+        frontier_resident=resident,
+        planned_order_hash=(
+            None if resident else content_hash(frontier, ["fetch_seq", "context", "id"])
+        ),
         status_counts=status_counts,
-        delta_hash=content_hash(delta, ["id", "context", "status"]),
+        delta_hash=st.delta_hash(delta, ["id", "context", "status"]),
+        state_backend=st.name,
         parent_run=run_id - 1 if run_id > 1 else None,
         metrics=dict(
             extract_wall_s=extract_wall_s,
-            rows=int(len(delta)),
-            rows_per_s=round(len(delta) / extract_wall_s, 1) if extract_wall_s else None,
-            pages_fetched=int(delta["pages_fetched"].sum()),
-            attempts=int(delta["attempts"].sum()),
+            rows_per_s=round(metrics["rows"] / extract_wall_s, 1) if extract_wall_s else None,
+            **metrics,
         ),
     )
-    return dict(run_id=run_id, frontier=frontier, delta=delta,
-                manifest=manifest, **{f"n_{k}": v for k, v in status_counts.items()})
+    return dict(run_id=run_id, frontier=None if resident else frontier,
+                frontier_size=frontier_size, delta=delta, manifest=manifest,
+                **{f"n_{k}": v for k, v in status_counts.items()})
+
+
+def run_details_ds(store: CrawlStore, pages_dir: str, context: str, **kwargs) -> dict:
+    """``run_details`` with Dataset-resident state (``backend="ds"``)."""
+    return run_details(store, pages_dir, context, backend="ds", **kwargs)
 
 
 # ---------------------------------------------------------------------------
 # search run
 # ---------------------------------------------------------------------------
 
-def run_search(store: CrawlStore, pages_dir: str, context: str) -> dict:
-    state, runs, history = _load(store)
-    runs, run_id = S.store_run(runs, "search_results", context, _now())
+def run_search(store: CrawlStore, pages_dir: str, context: str, backend: str = "pandas") -> dict:
+    """One search run. Under ``backend="ds"`` ``items`` is a Dataset
+    (else a DataFrame) and ``duplicate_ids`` holds the first
+    ``DUP_SAMPLE_CAP`` ascending ids of the exact ``duplicate_count``
+    (else all of them)."""
+    st = _open_state(store, backend)
+    run_id = st.open_run("search_results", context)
 
     ds = annotate_pages(read_pages(pages_dir), num_buckets=8)
     ds = ds.map_batches(
@@ -207,35 +489,37 @@ def run_search(store: CrawlStore, pages_dir: str, context: str) -> dict:
         batch_format="pyarrow",
         zero_copy_batch=True,
     )
-    results = ds.map_batches(extract_search_batch, batch_format="pyarrow").to_pandas()
+    results = st.collect(ds.map_batches(extract_search_batch, batch_format="pyarrow"))
+    n_items = _size(results)
 
     # ST1 duplicate-id detection across pages (warn-only in the reference)
-    duplicate_ids = sorted(
-        int(i) for i, n in results["id"].value_counts().items() if n > 1
-    )
+    duplicate_ids, duplicate_count = st.duplicates(results)
     # pagination sanity (ST2): every page reported the same total
-    totals = set(int(t) for t in results["page_total"].unique() if t >= 0)
+    totals = st.totals(results)
 
-    observations = [(int(r.id), r.item) for r in results.itertuples()]
-    state = S.upsert_from_search(state, observations, context, run_id)
-    state = S.mark_not_found(state, context, run_id)  # J6
+    st.upsert_search(results, context, run_id)  # J2 + J6
 
-    runs = S.update_run_result(runs, run_id, _now(), len(results))
-    store.save_table("state", state)
-    store.save_table("runs", runs)
-    store.write_run_delta(run_id, results)
+    st.close_run(run_id, n_items)
+    st.save(run_id, results, "state")
     manifest = store.write_manifest(
         run_id,
         spider="search_results",
         context=context,
         pages_dir=pages_dir,
-        items=len(results),
+        items=n_items,
         duplicate_ids=duplicate_ids,
-        reported_totals=sorted(totals),
-        delta_hash=content_hash(results, ["id", "context"]),
+        duplicate_count=duplicate_count,
+        reported_totals=totals,
+        delta_hash=st.delta_hash(results, ["id", "context"]),
+        state_backend=st.name,
     )
     return dict(run_id=run_id, items=results, duplicate_ids=duplicate_ids,
-                totals=sorted(totals), manifest=manifest)
+                duplicate_count=duplicate_count, totals=totals, manifest=manifest)
+
+
+def run_search_ds(store: CrawlStore, pages_dir: str, context: str) -> dict:
+    """``run_search`` with Dataset-resident state (``backend="ds"``)."""
+    return run_search(store, pages_dir, context, backend="ds")
 
 
 # ---------------------------------------------------------------------------
@@ -266,453 +550,3 @@ def get_latest_dm_stat(store: CrawlStore, stat: str):
     if not len(dm):
         return None
     return dm.sort_values("run_ended_at").iloc[-1][stat]
-
-
-# ---------------------------------------------------------------------------
-# details run — Dataset-resident state (the 10^10-key form)
-# ---------------------------------------------------------------------------
-
-def _annotated_pages_schema(pages_dir: str, num_buckets: int):
-    """Arrow schema of the annotated pages stream, computed statically
-    (empty-batch pass through the annotator) — no Dataset execution."""
-    import glob
-
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-
-    from ..sources.pages import annotate_batch
-
-    f = sorted(glob.glob(os.path.join(pages_dir, "*.parquet")))[0]
-    base = pq.read_schema(f)
-    empty = pa.table(
-        {c: pa.array([], type=base.field(c).type) for c in ["url", "warc_ts", "html"]}
-    )
-    return annotate_batch(empty, num_buckets).schema
-
-
-def _extract_frontier_resident(
-    pages: "ray.data.Dataset",
-    frontier: "ray.data.Dataset",
-    context: str,
-    pages_schema,
-    num_buckets: int,
-    politeness=None,
-) -> "ray.data.Dataset":
-    """Fused bucketed semi-join + extract — the frontier never touches
-    the driver. Frontier ids enter the pages stream as sentinel rows
-    (``kind='frontier'``, every other column null) bucketed by the SAME
-    entity-key hash the pages carry, so ONE keyed shuffle co-locates
-    each entity's pages with its membership row; the group task filters
-    to frontier members and runs the normal per-entity chain. Per-bucket
-    frontier share is |frontier| / num_buckets — raise ``num_buckets``
-    with frontier cardinality (the documented partitioning knob)."""
-    import numpy as np
-    import pyarrow as pa
-    import pyarrow.compute as pc2
-
-    from ..kernels.hashing import stable_hash64
-
-    def to_sentinel_rows(df: pd.DataFrame) -> "pa.Table":
-        ids = df["id"].astype("int64").to_numpy()
-        n = len(ids)
-        arrays = []
-        for field in pages_schema:
-            if field.name == "id":
-                arrays.append(pa.array(ids, type=field.type))
-            elif field.name == "context":
-                arrays.append(pa.array([context] * n, type=field.type))
-            elif field.name == "kind":
-                arrays.append(pa.array(["frontier"] * n, type=field.type))
-            elif field.name == "bucket":
-                b = np.asarray(
-                    [stable_hash64(f"{context}/{int(i)}") % num_buckets for i in ids],
-                    dtype=np.int32,
-                )
-                arrays.append(pa.array(b, type=field.type))
-            else:
-                arrays.append(pa.nulls(n, type=field.type))
-        return pa.Table.from_arrays(arrays, schema=pages_schema)
-
-    sentinel_rows = frontier.map_batches(to_sentinel_rows, batch_format="pandas")
-
-    def extract_group(tbl: "pa.Table") -> "pa.Table":
-        is_fr = pc2.equal(tbl.column("kind"), "frontier")
-        fr = tbl.filter(is_fr)
-        pg = tbl.filter(pc2.invert(is_fr))
-        keys = set(
-            zip(
-                fr.column("context").to_pylist(),
-                (int(i) for i in fr.column("id").to_pylist()),
-            )
-        )
-        if pg.num_rows:
-            mi = pd.MultiIndex.from_arrays(
-                [pg.column("context").to_pandas(), pg.column("id").to_pandas()]
-            )
-            pg = pg.filter(pa.array(mi.isin(list(keys))))
-        return extract_bucket(pg, politeness=politeness)
-
-    return (
-        pages.union(sentinel_rows)
-        .groupby("bucket")
-        .map_groups(extract_group, batch_format="pyarrow")
-    )
-
-def run_details_ds(
-    store: CrawlStore,
-    pages_dir: str,
-    context: str,
-    ids_spec="db:all:0",
-    host_lookup=None,
-    max_per_host: int | None = None,
-    num_buckets: int = 64,
-    politeness=None,
-) -> dict:
-    """``run_details`` with the state machine Dataset-resident
-    end-to-end: state and history never materialize on the driver.
-    Every transition runs through the distributed forms
-    (``frontier.state_ds`` J1/J3/J4/J7/J8, bucketed J5 anti-join).
-    Equivalence with the pandas ``run_details`` is pinned in
-    tests/test_runs_ds.py.
-
-    Two frontier regimes, chosen by the ids spec:
-
-    - **budgeted** (``db:*:N`` with N>0, literal lists, id files): the
-      frontier is run-bounded by construction, so it collects to an
-      ordered driver list (exact planned-order manifests, broadcast
-      semi-join page selection, broadcast J3) — the reference's cron
-      budgets never exceed 50k ids.
-    - **unbudgeted** (``db:all:0`` / ``db:needed:0``): the frontier
-      NEVER touches the driver — J1 selection stays a Dataset
-      (``get_frontier_ds``), the host budget applies per-host
-      distributed, page selection fuses into the extract shuffle as
-      sentinel rows (``_extract_frontier_resident``), and J3 runs
-      through the bucketed upsert. The driver holds only counters and
-      the manifest — the 10^10-key form.
-    """
-
-    from . import derive
-    from ..frontier.state_ds import (
-        get_frontier_ds,
-        get_ids_ds,
-        insert_detail_items_ds,
-        mark_projekts_for_moved_ds,
-        mark_roots_for_moved_subinstitutions_ds,
-        upsert_from_details_bucketed,
-        upsert_from_details_ds,
-    )
-    from ..ops.relational import anti_join_bucketed
-
-    state_ds = store.load_table_ds("state", S.empty_state())
-    history_ds = store.load_table_ds("history", S.empty_history())
-    runs = store.load_table("runs", S.empty_runs())  # tiny ledger, driver-side
-    runs, run_id = S.store_run(runs, "details", context, _now())
-
-    # J1 frontier selection
-    import time as _time
-
-    _t0 = _time.perf_counter()
-    resident = False
-    if isinstance(ids_spec, str) and re.match(r"db:(all|needed):\d+", ids_spec):
-        _, mode, limit = ids_spec.split(":")
-        if int(limit) > 0:
-            # budget-bounded: distributed sort, bounded collect
-            ids = get_ids_ds(
-                state_ds, runs, context, only_needed=(mode == "needed"), limit=int(limit)
-            )
-        else:
-            resident = True
-            frontier_sel = get_frontier_ds(
-                state_ds, runs, context, only_needed=(mode == "needed")
-            )
-    else:
-        ids = parse_ids_spec(ids_spec, S.empty_state(), runs, context)
-
-    empty_items_df = pd.DataFrame(
-        columns=["id", "context", "status", "item", "error_kind",
-                 "host", "attempts", "pages_fetched"]
-    )
-    if resident:
-        frontier = None
-        # host budget, distributed: each host's keys co-locate and the
-        # J1 priority order is reconstructed from the carried
-        # (tier, rank, id) columns — apply_host_budget's exact
-        # keep-first-N-per-host semantics without a global sort
-        if max_per_host is not None:
-            def add_host(df: pd.DataFrame) -> pd.DataFrame:
-                hosts = [
-                    host_lookup(context, int(i)) if host_lookup else "default"
-                    for i in df["id"]
-                ]
-                return df.assign(host=hosts)
-
-            def cap_host(g: pd.DataFrame) -> pd.DataFrame:
-                g = g.sort_values(["tier", "rank", "id"], kind="mergesort")
-                return g.head(max_per_host)
-
-            frontier_sel = (
-                frontier_sel.map_batches(add_host, batch_format="pandas")
-                .groupby("host")
-                .map_groups(cap_host, batch_format="pandas")
-            )
-        frontier_sel = frontier_sel.materialize()
-        n_frontier = frontier_sel.count()
-        if n_frontier:
-            pages = filter_detail_pages(
-                annotate_pages(read_pages(pages_dir, kinds=DETAIL_KINDS), num_buckets)
-            )
-            items = _extract_frontier_resident(
-                pages,
-                frontier_sel,
-                context,
-                _annotated_pages_schema(pages_dir, num_buckets),
-                num_buckets,
-                politeness,
-            ).materialize()
-        else:
-            items = ray.data.from_pandas(empty_items_df)
-    else:
-        frontier = plan_frontier(ids, context, host_lookup, max_per_host)
-        n_frontier = len(frontier)
-        frontier_keys = [(context, int(i)) for i in frontier["id"]]
-        if frontier_keys:
-            items = run_details_extraction(
-                pages_dir, frontier_keys, num_buckets, politeness=politeness
-            ).materialize()
-        else:
-            items = ray.data.from_pandas(empty_items_df)
-
-    extract_wall_s = round(_time.perf_counter() - _t0, 3)
-
-    # run counters: distributed aggregation, tiny results
-    status_counts: dict[str, int] = {}
-    n_rows = 0
-    for row in derive.status_counts(items).take_all():
-        status_counts[row["status"]] = int(row["n"])
-        n_rows += int(row["n"])
-
-    # J3 upsert
-    if resident:
-        # processed ids stay a Dataset → bucketed upsert (no broadcast)
-        processed = items.map_batches(
-            lambda df: pd.DataFrame({"id": df["id"].astype("int64")}),
-            batch_format="pandas",
-        )
-        state_ds = upsert_from_details_bucketed(state_ds, processed, context, run_id)
-    else:
-        # budget-bounded: broadcast intersection (bounded by the budget)
-        processed_ids: set[int] = set()
-        for b in items.map_batches(
-            lambda df: pd.DataFrame({"id": df["id"].astype("int64")}),
-            batch_format="pandas",
-        ).iter_batches(batch_format="pandas"):
-            processed_ids.update(int(i) for i in b["id"])
-        state_ds = upsert_from_details_ds(state_ds, processed_ids, context, run_id)
-
-    # J4 history dedup-on-append (bucketed replay)
-    def to_history_rows(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "id": df["id"].astype("int64"),
-                "context": context,
-                "created_at": run_id,
-                "item": df["item"].where(df["status"] == "success", None),
-                "status": df["status"],
-            }
-        )
-
-    delta_rows = items.map_batches(to_history_rows, batch_format="pandas")
-    history_ds = insert_detail_items_ds(history_ds, runs, delta_rows).materialize()
-
-    # post-run jobs — all through the distributed forms
-    if context == "projekt":
-        # J5 frontier expansion: referenced persons ANTI-JOIN state
-        # persons via the bucketed hash anti-join (both sides Datasets)
-        refs = derive.all_reference_edges(items, "person")
-
-        def distinct_ids(df: pd.DataFrame) -> pd.DataFrame:
-            return pd.DataFrame({"id": df["person_id"].astype("int64").unique()})
-
-        # GLOBAL dedupe of the referenced ids BEFORE the anti-join: the
-        # per-batch distinct leaves cross-batch duplicates, and a
-        # duplicate surviving the anti-join would insert the same
-        # person key twice (a per-batch unique() downstream is not
-        # cross-block-safe once blocks split). All copies of an id
-        # co-locate in one bucket, so the group dedupe is exact.
-        referenced = (
-            refs.map_batches(distinct_ids, batch_format="pandas")
-            .map_batches(
-                lambda df: df.assign(_db=(df["id"] % 64).astype("int32")),
-                batch_format="pandas",
-            )
-            .groupby("_db")
-            .map_groups(
-                lambda g: g.drop_duplicates("id")[["id"]], batch_format="pandas"
-            )
-        )
-        state_persons = state_ds.map_batches(
-            lambda df: pd.DataFrame(
-                {"id": df.loc[df["context"] == "person", "id"].astype("int64")}
-            ),
-            batch_format="pandas",
-        )
-        new_person_rows = (
-            anti_join_bucketed(referenced, state_persons, on="id")
-            .map_batches(
-                lambda df: pd.DataFrame(
-                    dict(
-                        id=df["id"],
-                        context="person",
-                        last_available_seen=None,
-                        last_available_change=None,
-                        last_available_item=None,
-                        last_detail_check=None,
-                        detail_check_needed=True,
-                    )
-                ),
-                batch_format="pandas",
-            )
-        )
-        state_ds = state_ds.union(new_person_rows)
-    else:
-        run_started = dict(zip(runs["id"].astype(int), runs["run_started_at"]))
-        latest = derive.latest_detail_items_ds(history_ds, run_started).materialize()
-        refs = derive.all_reference_edges(latest, kind=context)
-        state_ds = mark_projekts_for_moved_ds(
-            state_ds, history_ds, run_id, context, refs
-        )
-        if context == "institution":
-            # J8: hierarchy closure from the latest institution items
-            # (row-local tree flatten — derive.hierarchy_rows shape)
-            hierarchy = derive.hierarchy_rows(latest)
-            state_ds = mark_roots_for_moved_subinstitutions_ds(
-                state_ds, history_ds, run_id, hierarchy
-            )
-
-    scraped = int(status_counts.get("success", 0))
-    runs = S.update_run_result(runs, run_id, _now(), scraped)
-
-    # no materialize before the save: state_ds is consumed exactly once
-    # here, so write_parquet streams the plan's blocks straight to the
-    # versioned directory (a materialize would be one extra full copy
-    # of a 10^10-key table through the object store)
-    store.save_table_ds("state", state_ds)
-    store.save_table_ds("history", history_ds)
-    store.save_table("runs", runs)
-    items.write_parquet(os.path.join(store.run_dir(run_id), "items_ds"))
-    manifest = store.write_manifest(
-        run_id,
-        spider="details",
-        context=context,
-        pages_dir=pages_dir,
-        ids_spec=str(ids_spec),
-        frontier_size=n_frontier,
-        frontier_resident=resident,
-        status_counts=status_counts,
-        state_backend="dataset",
-        parent_run=run_id - 1 if run_id > 1 else None,
-        metrics=dict(
-            extract_wall_s=extract_wall_s,
-            rows=n_rows,
-            rows_per_s=round(n_rows / extract_wall_s, 1) if extract_wall_s else None,
-            pages_fetched=int(items.sum("pages_fetched") or 0) if n_rows else 0,
-            attempts=int(items.sum("attempts") or 0) if n_rows else 0,
-        ),
-    )
-    return dict(run_id=run_id, frontier=frontier, frontier_size=n_frontier,
-                items=items, manifest=manifest,
-                **{f"n_{k}": v for k, v in status_counts.items()})
-
-
-def run_search_ds(store: CrawlStore, pages_dir: str, context: str) -> dict:
-    """``run_search`` with Dataset-resident state: the search
-    observations are CORPUS-cardinality (one per listed entity), so at
-    10^10 entities neither they nor the state may visit the driver.
-    J2 change detection + J6 not-found marking run through
-    ``upsert_from_search_ds`` (bucketed replay of the exact pandas
-    semantics); duplicate-id detection and the pagination sanity check
-    reduce distributed to tiny results. Equivalence pinned in
-    tests/test_runs_ds.py."""
-    from ..frontier.state_ds import upsert_from_search_ds
-
-    state_ds = store.load_table_ds("state", S.empty_state())
-    runs = store.load_table("runs", S.empty_runs())
-    runs, run_id = S.store_run(runs, "search_results", context, _now())
-
-    ds = annotate_pages(read_pages(pages_dir), num_buckets=8)
-    ds = ds.map_batches(
-        lambda b: b.filter(
-            pc.and_(
-                pc.equal(b.column("kind"), "search"),
-                pc.equal(b.column("context"), context),
-            )
-        ),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-    )
-    results = ds.map_batches(extract_search_batch, batch_format="pyarrow").materialize()
-    n_items = results.count()
-
-    # ST1 duplicate-id detection: per-batch partial counts → bucketed
-    # sum → the driver reads a per-bucket COUNT plus a capped id
-    # sample (≤ 64 buckets × DUP_SAMPLE_CAP rows), never the full
-    # duplicate list — on a pathological corpus where most ids
-    # duplicate, that list is state-cardinality and must not land on
-    # the driver / in the manifest
-    DUP_SAMPLE_CAP = 64
-
-    def id_counts(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby("id", as_index=False).size().rename(columns={"size": "n"})
-        g["_b"] = (g["id"] % 64).astype("int32")
-        return g
-
-    def dup_only(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.groupby("id", as_index=False)["n"].sum()
-        d = g.loc[g["n"] > 1, "id"].sort_values()
-        out = pd.DataFrame({"id": d.head(DUP_SAMPLE_CAP).astype("int64")})
-        out["_b"] = int(group["_b"].iloc[0]) if len(group) else -1
-        out["total"] = len(d)
-        return out.astype({"_b": "int32", "total": "int64"})
-
-    dup_rows = (
-        results.map_batches(id_counts, batch_format="pandas")
-        .groupby("_b")
-        .map_groups(dup_only, batch_format="pandas")
-        .take_all()
-    )
-    duplicate_count = sum(
-        {int(r["_b"]): int(r["total"]) for r in dup_rows}.values()
-    )
-    duplicate_ids = sorted(int(r["id"]) for r in dup_rows)[:DUP_SAMPLE_CAP]
-
-    # ST2 pagination sanity: distinct reported totals (tiny set)
-    totals: set[int] = set()
-    for b in results.map_batches(
-        lambda df: df[["page_total"]].drop_duplicates(), batch_format="pandas"
-    ).iter_batches(batch_format="pandas"):
-        totals.update(int(t) for t in b["page_total"] if t >= 0)
-
-    observations = results.map_batches(
-        lambda df: pd.DataFrame({"id": df["id"].astype("int64"), "item": df["item"]}),
-        batch_format="pandas",
-    )
-    state_ds = upsert_from_search_ds(state_ds, observations, context, run_id)  # J2 + J6
-
-    runs = S.update_run_result(runs, run_id, _now(), n_items)
-    store.save_table_ds("state", state_ds)  # single consumer — stream to disk
-    store.save_table("runs", runs)
-    results.write_parquet(os.path.join(store.run_dir(run_id), "items_ds"))
-    manifest = store.write_manifest(
-        run_id,
-        spider="search_results",
-        context=context,
-        pages_dir=pages_dir,
-        items=n_items,
-        duplicate_ids=duplicate_ids,  # first-64 ascending SAMPLE
-        duplicate_count=duplicate_count,
-        reported_totals=sorted(totals),
-        state_backend="dataset",
-    )
-    return dict(run_id=run_id, items=results, duplicate_ids=duplicate_ids,
-                duplicate_count=duplicate_count,
-                totals=sorted(totals), manifest=manifest)

@@ -7,7 +7,9 @@ cronfile:5-18), plus a monthly re-index rotation of ``db:all`` runs
 (day-of-month mod 10 picks the context; cronfile:19-33). Each run is
 one batch job here; a production deployment calls these from whatever
 scheduler it has (cron, Airflow, a driver while-loop) — the cadence is
-data, not infrastructure.
+data, not infrastructure. The runs are the one search and details run
+bodies of ``pipelines.runs``; ``backend`` only says where the crawl
+state lives while they run.
 """
 
 from __future__ import annotations
@@ -53,17 +55,11 @@ def run_daily_cycle(
     results plus the notifier classification each run would have mailed
     (pipelines.notify).
 
-    ``backend="ds"`` routes every search/details run through the
-    Dataset-resident forms (``run_search_ds`` / ``run_details_ds``) so
-    the cron cadence exercises the 10^10-key scale path end-to-end;
-    the budgets and notifier classifications are identical (equivalence
-    pinned in tests/test_schedule.py)."""
-    if backend == "ds":
-        from .runs import run_details_ds as _details
-        from .runs import run_search_ds as _search
-    elif backend == "pandas":
-        _details, _search = run_details, run_search
-    else:
+    ``backend`` passes through to every search/details run: ``"pandas"``
+    keeps the state on the driver, ``"ds"`` keeps it in Datasets (the
+    10^10-key form) — the budgets and notifier classifications are
+    identical (equivalence pinned in tests/test_schedule.py)."""
+    if backend not in ("pandas", "ds"):
         raise ValueError(f"unknown backend {backend!r}")
     out: dict = {"notifications": []}
 
@@ -77,7 +73,7 @@ def run_daily_cycle(
         out["notifications"].append(note)
 
     for context, budget in DAILY_NEEDED_BUDGETS:
-        search = _search(store, pages_dir, context)
+        search = run_search(store, pages_dir, context, backend=backend)
         out[f"search_{context}"] = search
         n_items = int(search["manifest"]["items"])
         note = classify_run(
@@ -90,9 +86,9 @@ def run_daily_cycle(
         if note:
             out["notifications"].append(note)
 
-        details = _details(
+        details = run_details(
             store, pages_dir, context,
-            ids_spec=f"db:needed:{budget}", host_lookup=host_lookup,
+            ids_spec=f"db:needed:{budget}", host_lookup=host_lookup, backend=backend,
         )
         out[f"details_{context}"] = details
         counts = details["manifest"]["status_counts"]
@@ -113,9 +109,9 @@ def run_daily_cycle(
         out["reindex_plan"] = plan
         if plan is not None:
             context, budget = plan
-            out["reindex"] = _details(
+            out["reindex"] = run_details(
                 store, pages_dir, context,
-                ids_spec=f"db:all:{budget}", host_lookup=host_lookup,
+                ids_spec=f"db:all:{budget}", host_lookup=host_lookup, backend=backend,
             )
 
     if backend == "ds":

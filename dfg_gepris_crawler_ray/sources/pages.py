@@ -21,7 +21,7 @@ import pyarrow as pa
 
 import ray.data
 
-from ..kernels.hashing import stable_hash64, stable_hash64_array
+from ..kernels.hashing import stable_hash64_array
 from ..kernels.urls import parse_page_url
 
 DETAIL_KINDS = ("details", "result")
@@ -111,17 +111,30 @@ _DETAIL_URL_RE = (
 )
 
 
+def entity_bucket(keys, num_buckets: int) -> np.ndarray:
+    """The entity bucket of each ``"ctx/id"`` key: blake2b
+    (``stable_hash64``) mod ``num_buckets``, as int32, each distinct key
+    hashed once; a null key gets bucket 0. The pages and the resident
+    frontier's sentinel rows both bucket by this one formula."""
+    import pandas as pd
+
+    codes, uniques = pd.factorize(np.asarray(keys, dtype=object))
+    if not len(uniques):
+        return np.zeros(len(codes), dtype=np.int32)
+    buckets = (stable_hash64_array(list(uniques)) % num_buckets).astype(np.int32)
+    return np.where(codes >= 0, buckets[np.clip(codes, 0, None)], 0).astype(np.int32)
+
+
 def annotate_batch(batch: pa.Table, num_buckets: int = 64) -> pa.Table:
     """Add canonical-key columns to a pages batch.
 
     Vectorised: ``pc.extract_regex`` classifies detail/result URLs in
     one RE2 pass (SURVEY.md M8 as pyarrow.compute string ops); the
-    entity-key bucket hashes each *unique* key once (clustered corpora
-    repeat each key ~6×). Rows the regex rejects go through
-    :func:`parse_page_url` individually — identical semantics, scalar
-    speed, negligible count.
+    entity-key bucket (:func:`entity_bucket`) hashes each *unique* key
+    once (clustered corpora repeat each key ~6×). Rows the regex rejects
+    go through :func:`parse_page_url` individually — identical
+    semantics, scalar speed, negligible count.
     """
-    import pandas as pd
     import pyarrow.compute as pc
 
     n = batch.num_rows
@@ -150,20 +163,14 @@ def annotate_batch(batch: pa.Table, num_buckets: int = 64) -> pa.Table:
     ids = pc.cast(id_str, pa.int64())
     host = pc.struct_field(m, "host")
 
-    # bucket: blake2b over each UNIQUE "ctx/id" key, broadcast back
-    keys = pc.binary_join_element_wise(ctx_arr, id_str, "/")
-    codes, uniques = pd.factorize(keys.to_numpy(zero_copy_only=False))
-    if len(uniques):
-        uniq_buckets = (stable_hash64_array(list(uniques)) % num_buckets).astype(np.int64)
-        bucket = np.where(codes >= 0, uniq_buckets[np.clip(codes, 0, None)], 0).astype(np.int32)
-    else:  # no row matched the detail shapes (e.g. a search-pages batch)
-        bucket = np.zeros(n, dtype=np.int32)
+    # the "ctx/id" entity keys (null where the regex rejected the URL)
+    keys = pc.binary_join_element_wise(ctx_arr, id_str, "/").to_numpy(zero_copy_only=False)
 
     if matched.all():
         index = np.full(n, -1, dtype=np.int64)
         out_cols = dict(
             kind=kind, context=ctx_arr, id=ids, language=language, host=host,
-            index=pa.array(index), bucket=pa.array(bucket, type=pa.int32()),
+            index=pa.array(index),
         )
     else:
         # patch the scalar-fallback rows in materialised arrays
@@ -174,6 +181,7 @@ def annotate_batch(batch: pa.Table, num_buckets: int = 64) -> pa.Table:
         host_l = host.to_pylist()
         index = np.full(n, -1, dtype=np.int64)
         urls = url_col.to_pylist()
+        keys = keys.copy()
         for i in np.flatnonzero(~matched):
             info = parse_page_url(urls[i])
             kind_l[i] = info["kind"]
@@ -182,7 +190,7 @@ def annotate_batch(batch: pa.Table, num_buckets: int = 64) -> pa.Table:
             lang_l[i] = info["language"]
             host_l[i] = info["host"]
             index[i] = info["index"]
-            bucket[i] = stable_hash64(f"{info['context']}/{info['id']}") % num_buckets
+            keys[i] = f"{info['context']}/{info['id']}"
         out_cols = dict(
             kind=pa.array(kind_l, type=pa.string()),
             context=pa.array(ctx_l, type=pa.string()),
@@ -190,8 +198,8 @@ def annotate_batch(batch: pa.Table, num_buckets: int = 64) -> pa.Table:
             language=pa.array(lang_l, type=pa.string()),
             host=pa.array(host_l, type=pa.string()),
             index=pa.array(index),
-            bucket=pa.array(bucket, type=pa.int32()),
         )
+    out_cols["bucket"] = pa.array(entity_bucket(keys, num_buckets), type=pa.int32())
     out = batch
     for name, col in out_cols.items():
         out = out.append_column(name, col)
