@@ -294,7 +294,7 @@ def _graph_scale():
         chain_rows, batch_format="numpy"
     )
     t0 = time.perf_counter()
-    rr = redirect_resolve_ds(chain_edges, num_buckets=64).materialize()
+    rr = redirect_resolve_ds(chain_edges).materialize()
     rr_wall = round(time.perf_counter() - t0, 3)
     n_rr = rr.count()
 
@@ -325,7 +325,7 @@ def _graph_scale():
         )
     )
     t0 = time.perf_counter()
-    kc = kcore_ds(sym, k=16, num_buckets=64).materialize()
+    kc = kcore_ds(sym, k=16).materialize()
     kc_wall = round(time.perf_counter() - t0, 3)
     n_kc = kc.count()
 
@@ -376,7 +376,7 @@ def _graph_scale():
 
     nf: list = []
     t0 = time.perf_counter()
-    hb = hyperball_ds(edges, rounds=2, num_buckets=64, nf_out=nf)
+    hb = hyperball_ds(edges, rounds=2, nf_out=nf)
     hb.materialize()
     hb_wall = round(time.perf_counter() - t0, 3)
 

@@ -19,7 +19,7 @@ import pandas as pd
 
 import ray.data
 
-from ..kernels.partitioning import route_bucket
+from ..kernels.partitioning import co_route
 from . import state as S
 
 NUM_BUCKETS = 64
@@ -27,57 +27,21 @@ NUM_BUCKETS = 64
 
 def _co_bucket(sides: dict, reduce) -> "ray.data.Dataset":
     """Union-tag transition: ``sides`` maps a kind to ``(ds, template)``,
-    ``template`` being that side's typed empty frame. The tagged sides
+    ``template`` being that side's typed empty frame. The sides
     co-partition by ``(context, id)``, and ``reduce`` gets, per bucket,
-    a dict kind → that side's rows (its template's columns; the
-    template itself when the bucket holds none of them).
+    a dict kind → that side's rows (:func:`~..kernels.partitioning.co_route`
+    tags, fills and splits them, as for ``co_exchange``).
 
-    Every side emits the SAME column set (the union of the templates'
-    columns): a sorted block downstream of the union can hold rows from
-    only one side (sort partition boundaries are sampled), and a
-    single-side block carries only that side's schema — a column of the
-    other side would then be missing from that group (observed as a
-    flaky KeyError). The fillers are object-typed None, NOT reindex's
-    float NaN: a float filler column would coerce the other side's
-    bool/int columns on block concat (False -> 0.0).
-
-    The exchange is NOT ``keyed_exchange``: its coalesce-to-``n`` step
+    The exchange is NOT ``co_exchange``: its coalesce-to-``n`` step
     is an extra all-to-all barrier over the state-scale union, which
     made a 10^6-key ``bench.py --frontier-scale`` run at least 1.8x
     slower, at 8 and at 64 buckets alike. Routing stays the shared
     ``route_bucket``; the reduce count follows the union's blocks."""
-    templates = {kind: template for kind, (_, template) in sides.items()}
-    cols = list(dict.fromkeys(c for t in templates.values() for c in t.columns))
-
-    def tag(kind: str):
-        def fn(df: pd.DataFrame) -> pd.DataFrame:
-            out = df.assign(_kind=kind, _b=route_bucket(df, ["context", "id"], NUM_BUCKETS))
-            for c in cols:
-                if c not in out.columns:
-                    out[c] = pd.Series([None] * len(out), dtype="object", index=out.index)
-            return out[cols + ["_kind", "_b"]]
-
-        return fn
-
-    tagged = [ds.map_batches(tag(k), batch_format="pandas") for k, (ds, _) in sides.items()]
-
-    def per_bucket(group: pd.DataFrame) -> pd.DataFrame:
-        parts = {}
-        for kind, template in templates.items():
-            rows = group[group["_kind"] == kind]
-            parts[kind] = (
-                rows[list(template.columns)].reset_index(drop=True)
-                if len(rows)
-                else template.copy()
-            )
-        return reduce(parts)
-
-    return (
-        tagged[0]
-        .union(*tagged[1:])
-        .groupby("_b")
-        .map_groups(per_bucket, batch_format="pandas")
+    routed, split = co_route(
+        {kind: (ds, ["context", "id"], template) for kind, (ds, template) in sides.items()},
+        NUM_BUCKETS,
     )
+    return routed.groupby("_b").map_groups(lambda group: reduce(split(group)), batch_format="pandas")
 
 
 def collect_ids(ds: "ray.data.Dataset", col: str = "id") -> set[int]:

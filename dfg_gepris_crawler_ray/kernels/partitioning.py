@@ -5,14 +5,15 @@ Every keyed reduce in the crawl engine has the same three steps, and
 
 1. **route** — each row gets a bucket ``_b`` in ``[0, n)`` from
    :func:`route_bucket` over its key columns. The hash is vectorized
-   (``pd.util.hash_pandas_object``, C speed, a fixed hash key so the
-   driver and every worker agree) over the key's ``str`` form, so an
-   ``id`` of 1001 routes the same as int64, int32, Int64 or an object
-   column, and two unioned sides always co-locate. Hashing the
-   FULL key — e.g. ``(host, url)`` for an exact per-host distinct
-   count — spreads a hot host over all ``n`` buckets while every copy
-   of one key still lands in one bucket, so per-bucket partials stay
-   exact and need no salt.
+   (``pd.util.hash_array``, C speed, a fixed hash key so the driver
+   and every worker agree). An integer-valued key is hashed by
+   its int64 value and any other key by its ``str`` form, so an ``id``
+   of 1001 routes the same as int64, int32, Int64 or an object column,
+   and two unioned sides always co-locate. Hashing the FULL key —
+   e.g. ``(host, url)`` for an exact per-host distinct count — spreads
+   a hot host over all ``n`` buckets while every copy of one key still
+   lands in one bucket, so per-bucket partials stay exact and need no
+   salt.
 2. **coalesce** — the routed blocks are re-blocked to ``n`` before the
    sort-shuffle. Ray's sort-shuffle pays a fixed cost per INPUT block
    (measured on ``host_distinct_urls`` at sf0.1×256: 15.6 s → 4.6 s),
@@ -22,11 +23,20 @@ Every keyed reduce in the crawl engine has the same three steps, and
    on inputs that arrive in few large blocks: the Dataset-state
    transitions (``frontier.state_ds``, ``derive.latest_detail_items_ds``)
    and the ``runs`` id exchanges ran 1.5-2x slower through it over
-   10^6 rows, so they route with :func:`route_bucket` (or ``id % 64``)
-   and group without it.
+   10^6 rows, so they route with :func:`route_bucket` and group
+   without it.
 3. **reduce** — ``groupby(_b).map_groups(reduce)``; ``reduce`` gets one
    bucket's rows without ``_b`` and returns its output rows. Any
    reduce that is key-local gives the same output for every ``n``.
+
+:func:`co_exchange` is the same exchange over several sides (a join,
+or state meeting its edges): each side is routed by its OWN key
+columns, tagged with its kind, and given the union of all sides'
+columns (a column a side lacks is filled with the default of that
+column's dtype, so no side's int64 or bool column is coerced when
+blocks of two sides meet); ``reduce`` gets a dict kind → that side's
+rows. :func:`co_route` is its tag-and-split step, which the
+uncoalesced state transitions reuse.
 
 The exchange stays a sort-shuffle (Ray's hash shuffle hung on this
 engine's Ray version; BASELINE.md). Hashes that are values or that an
@@ -43,16 +53,42 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+# the int64 stand-in a missing integer key routes as
+_NA_KEY = np.iinfo(np.int64).min
+
+
+def _routing_values(col: pd.Series) -> np.ndarray:
+    """``col`` as the values :func:`route_bucket` hashes: int64 for an
+    integer-valued column (numpy signed ints, unsigned ints up to 32
+    bits, the nullable ``Int*`` types, object columns of ints; a
+    missing value becomes ``_NA_KEY``), the ``str`` form otherwise."""
+    dt = col.dtype
+    if pd.api.types.is_integer_dtype(dt) and not (dt.kind == "u" and dt.itemsize == 8):
+        if isinstance(dt, np.dtype):
+            return col.to_numpy(dtype=np.int64)
+    elif not (dt == object and pd.api.types.infer_dtype(col) == "integer"):
+        return col.astype(str).to_numpy(dtype=object)
+    return pd.array(col, dtype="Int64").to_numpy(dtype=np.int64, na_value=_NA_KEY)
+
 
 def route_bucket(frame: pd.DataFrame, keys, n: int) -> np.ndarray:
     """int32 bucket in ``[0, n)`` per row of ``frame``, from the key
     columns ``keys`` (a name or a list). Equal key values get equal
     buckets in any process, whether an integer key is held as int64,
-    int32, Int64 or object (the hash reads each key's ``str`` form)."""
+    int32, Int64 or object: integer-valued columns hash by their int64
+    value, every other column by its ``str`` form (``pd.util.hash_array``,
+    a fixed hash key), and the column hashes combine FNV-style."""
     keys = [keys] if isinstance(keys, str) else list(keys)
-    text = pd.DataFrame({k: frame[k].astype(str) for k in keys})
-    h = pd.util.hash_pandas_object(text, index=False).to_numpy()
+    h = pd.util.hash_array(_routing_values(frame[keys[0]]))
+    for k in keys[1:]:
+        h = (h * np.uint64(0x100000001B3)) ^ pd.util.hash_array(_routing_values(frame[k]))
     return (h % np.uint64(n)).astype(np.int32)
+
+
+def _reduce_routed(routed, reduce_bucket, n: int, batch_format: str):
+    """Coalesce the ``_b``-routed ``routed`` to ``n`` blocks and apply
+    ``reduce_bucket`` to each bucket's rows."""
+    return routed.repartition(n).groupby("_b").map_groups(reduce_bucket, batch_format=batch_format)
 
 
 def keyed_exchange(ds, keys, reduce, n: int = 64, batch_format: str = "pandas"):
@@ -76,12 +112,82 @@ def keyed_exchange(ds, keys, reduce, n: int = 64, batch_format: str = "pandas"):
             return reduce(group.drop_columns(["_b"]))
         return reduce(group.drop(columns="_b"))
 
-    return (
-        ds.map_batches(route, batch_format=None, zero_copy_batch=True)
-        .repartition(n)
-        .groupby("_b")
-        .map_groups(reduce_bucket, batch_format=batch_format)
-    )
+    routed = ds.map_batches(route, batch_format=None, zero_copy_batch=True)
+    return _reduce_routed(routed, reduce_bucket, n, batch_format)
+
+
+def _filler(dtype, n: int):
+    """``n`` copies of ``dtype``'s default: zero (False) for numpy
+    numbers and bools, a missing value for every other dtype."""
+    if isinstance(dtype, np.dtype) and dtype.kind in "iufcb":
+        return np.zeros(n, dtype=dtype)
+    return pd.array([None] * n, dtype=dtype)
+
+
+def co_route(sides: dict, n: int):
+    """Tag and union the sides of a co-partition exchange.
+
+    ``sides`` maps a kind to ``(ds, keys, template)``: the side's
+    Dataset, its key column(s) and its typed empty frame. Each row gets
+    ``_kind`` (the kind's position in ``sides``) and ``_b`` (
+    :func:`route_bucket` over that side's keys into ``n``), and every
+    side emits the SAME columns — the union of the templates' columns,
+    a missing one filled by :func:`_filler` with its template dtype. A
+    sorted block downstream of the union can hold rows of one side
+    only, and a single-side block carries only that side's schema, so
+    a column of another side would be missing from a group (observed
+    as a flaky KeyError); a typed filler, unlike an object ``None``,
+    leaves the other side's int64/bool columns exact when the blocks
+    meet (an int64 column next to ``None`` came back float64).
+
+    Returns the unioned Dataset and ``split(group)`` → dict kind → that
+    side's rows (:func:`_co_split` bound to these sides)."""
+    templates = {kind: template for kind, (_, _, template) in sides.items()}
+    dtypes = {}
+    for template in templates.values():
+        for c, dt in template.dtypes.items():
+            dtypes.setdefault(c, dt)
+    cols = list(dtypes)
+
+    def tag(code: int, keys):
+        def fn(df: pd.DataFrame) -> pd.DataFrame:
+            out = {c: df[c].array if c in df.columns else _filler(dtypes[c], len(df)) for c in cols}
+            out["_kind"] = np.full(len(df), code, dtype=np.int8)
+            out["_b"] = route_bucket(df, keys, n)
+            return pd.DataFrame(out)
+
+        return fn
+
+    tagged = [
+        ds.map_batches(tag(code, keys), batch_format="pandas")
+        for code, (ds, keys, _) in enumerate(sides.values())
+    ]
+    routed = tagged[0].union(*tagged[1:]) if len(tagged) > 1 else tagged[0]
+    return routed, lambda group: _co_split(group, templates)
+
+
+def _co_split(group: pd.DataFrame, templates: dict) -> dict:
+    """One bucket's tagged rows as a dict kind → that side's rows, in
+    its template's columns (the template itself when the bucket holds
+    none of them)."""
+    kind = group["_kind"].to_numpy()
+    parts = {}
+    for code, (name, template) in enumerate(templates.items()):
+        rows = group[kind == code]
+        parts[name] = (
+            rows[list(template.columns)].reset_index(drop=True) if len(rows) else template.copy()
+        )
+    return parts
+
+
+def co_exchange(sides: dict, reduce, n: int = 64):
+    """Co-partition ``sides`` (kind → ``(ds, keys, template)``, see
+    :func:`co_route`) into ``n`` buckets through the keyed exchange's
+    coalesce and sort-shuffle, and apply ``reduce`` to each bucket's
+    dict kind → that side's rows. Rows of every side whose key values
+    are equal meet in one call, whatever the key columns are named."""
+    routed, split = co_route(sides, n)
+    return _reduce_routed(routed, lambda group: reduce(split(group)), n, "pandas")
 
 
 def adaptive_buckets(

@@ -1,14 +1,21 @@
 """Distributed link-graph operators — crawl-prioritization signals.
 
-A production crawler orders its frontier by link importance; PageRank
-over the reference-edge graph is the classic signal (the reference's
-GEPRIS graph: person/institution ↔ projekt edges, J9 views). The
-implementation is the same bucketed-iteration shape as
-``dedup._cluster_labels_distributed``: per round, TWO key-hash-bucket
-shuffles (ship rank/outdeg along edges by src bucket; reduce
-contributions by dst bucket), all per-bucket work vectorized pandas —
-no driver-resident edge set or rank vector at any point; only the
-scalar dangling mass reduces to the driver each round.
+The SURVEY's frontier-expansion loop (the J5 anti-join over the
+``spiders/details.py`` discovered-id fan-out) iterated over the
+reference-edge graph: BFS tiers, PageRank (global, weighted,
+personalized), HITS, OPIC, HyperBall and harmonic centrality, k-core,
+SCC with its bow-tie and condensation layers, redirect chains, label
+propagation, random walks, triangles, co-citation and assortativity.
+
+Every op is a sequence of keyed exchanges and nothing else. State (one
+row per node) and edges co-partition by node key through
+``kernels.partitioning.co_exchange`` (``keyed_exchange`` when there is
+one side); each bucket runs a vectorized pandas kernel; per round only
+scalars (a dangling mass, a change count) reach the driver. No op holds
+a node or edge set on the driver. Iterative loops re-root each round's
+materialized blocks with ``cut_lineage`` so plans stay constant-depth.
+An op's exchange width is ``adaptive_buckets`` of its edge (or node)
+count; every reduce is key-local, so the width never changes a value.
 """
 
 from __future__ import annotations
@@ -20,9 +27,73 @@ import pandas as pd
 
 import ray.data
 
+from ..kernels.partitioning import adaptive_buckets, co_exchange, cut_lineage, keyed_exchange
+
 # module-top import: a runtime relative import inside a map_batches UDF
 # body fails on workers even under pickle-by-value registration
 from ..testdata.gen_pages import institution_ref, person_ref, projekt_ref
+
+
+def _typed(**dtypes) -> pd.DataFrame:
+    """A typed empty frame: a co_exchange side's template, or an op's
+    empty result."""
+    return pd.DataFrame({c: pd.Series(dtype=d) for c, d in dtypes.items()})
+
+
+EDGES = _typed(src="int64", dst="int64")
+NODES = _typed(node="int64")
+CONTRIB = _typed(node="int64", contrib="float64")
+
+
+def _int64_edges(edges: "ray.data.Dataset", dedup: bool = False) -> "ray.data.Dataset":
+    """``edges`` as materialized int64 ``(src, dst)`` rows."""
+
+    def cast(df: pd.DataFrame) -> pd.DataFrame:
+        out = pd.DataFrame({"src": df["src"].astype("int64"), "dst": df["dst"].astype("int64")})
+        return out.drop_duplicates() if dedup else out
+
+    return edges.map_batches(cast, batch_format="pandas").materialize()
+
+
+def _node_rows(df: pd.DataFrame) -> pd.DataFrame:
+    """The distinct endpoints of one edge batch."""
+    return pd.DataFrame({"node": pd.unique(pd.concat([df["src"], df["dst"]], ignore_index=True))})
+
+
+def _reference_edges(sf_dir: str, symmetric: bool = False) -> "ray.data.Dataset":
+    """(src, dst) — the projekt → person reference edges (the J5/J9
+    frontier-expansion edges: projekt ``1000 + d`` for every doc_id
+    ``d`` divisible by 3 cites ``person_ref(d, k)``, k = 1..4), fused
+    into the documents scan. ``symmetric`` adds each edge's reverse
+    right after it (the crawl follows links in both page directions)."""
+    import pyarrow.parquet as pq
+
+    n_docs = pq.read_metadata(f"{sf_dir}/documents.parquet").num_rows
+    docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id"])
+
+    def edge_rows(batch) -> pd.DataFrame:
+        ids = batch.column("doc_id").to_numpy(zero_copy_only=False).astype(np.int64)
+        ids = ids[ids % 3 == 0]
+        src = np.repeat(1000 + ids, 4)
+        dst = person_ref(ids[:, None], np.arange(1, 5)[None, :], n_docs).ravel()
+        if symmetric:
+            src, dst = np.column_stack([src, dst]).ravel(), np.column_stack([dst, src]).ravel()
+        return pd.DataFrame({"src": src.astype(np.int64), "dst": dst.astype(np.int64)})
+
+    return docs.map_batches(edge_rows, batch_format="pyarrow")
+
+
+def _seed_rows(stride: int):
+    """map_batches fn: the seed list — projekt nodes whose doc_id is a
+    multiple of ``stride`` (the deterministic stand-in for a curated
+    seed file)."""
+
+    def fn(batch) -> pd.DataFrame:
+        ids = batch.column("doc_id").to_numpy(zero_copy_only=False).astype(np.int64)
+        return pd.DataFrame({"node": 1000 + ids[ids % stride == 0]})
+
+    return fn
+
 
 def pagerank_ds(
     edges: "ray.data.Dataset",
@@ -52,267 +123,126 @@ def pagerank_ds(
     seed list, not global importance. Seeds are attached through ONE
     node-keyed exchange (never a driver set — the seed list may be
     huge); seed ids absent from the graph are ignored.
-    ``seeds=None`` preserves the global arithmetic bit-for-bit."""
+    ``seeds=None`` preserves the global arithmetic bit-for-bit.
+
+    Per round TWO exchanges: rank/outdeg meets the out-edges by src
+    and per-edge contributions are pre-summed per dst INSIDE the bucket
+    (so the second exchange carries at most one row per (bucket,
+    distinct dst) — O(min(E, nb·V)) instead of O(E)); then the
+    contributions meet their node by dst. The dangling mass is the one
+    driver scalar per round."""
     weighted = weight_col is not None
     personalized = seeds is not None
+    deg_dtype = "float64" if weighted else "int64"
 
     def cast_edges(df: pd.DataFrame) -> pd.DataFrame:
-        out = {"src": df["src"].astype("int64"),
-               "dst": df["dst"].astype("int64")}
+        out = {"src": df["src"].astype("int64"), "dst": df["dst"].astype("int64")}
         if weighted:
             out["w"] = df[weight_col].astype("float64")
         return pd.DataFrame(out)
 
     edges = edges.map_batches(cast_edges, batch_format="pandas").materialize()
-    deg_dtype = "float64" if weighted else "int64"
-
-    # fanout is a pure perf knob (all keying is by node value) —
-    # shrink it when the edge set underfills the cluster-scale 64
-    from ..kernels.partitioning import adaptive_buckets
-
+    edge_t = _typed(src="int64", dst="int64", **({"w": "float64"} if weighted else {}))
     nb = adaptive_buckets(edges.count())
 
-    def _bl(s: pd.Series) -> pd.Series:
-        return (s.astype("int64") % nb).astype("int32")
-
-    # node list + out-degree/out-weight (one shuffle, computed once)
+    # node list + out-degree/out-weight (one exchange, computed once)
     def node_rows(df: pd.DataFrame) -> pd.DataFrame:
-        nodes = pd.unique(pd.concat([df["src"], df["dst"]], ignore_index=True))
-        out = pd.DataFrame({"node": nodes})
-        if weighted:
-            deg = df.groupby("src", as_index=False)["w"].sum()
-        else:
-            deg = df.groupby("src", as_index=False).size()
+        out = _node_rows(df)
+        by_src = df.groupby("src", as_index=False)
+        deg = by_src["w"].sum() if weighted else by_src.size()
         deg.columns = ["node", "outdeg"]
         out = out.merge(deg, on="node", how="left")
         out["outdeg"] = out["outdeg"].fillna(0).astype(deg_dtype)
-        return out.assign(_nb=_bl(out["node"]))
+        return out
 
-    def merge_nodes(g: pd.DataFrame) -> pd.DataFrame:
-        m = g.groupby("node", as_index=False)["outdeg"].sum()
-        return m
-
-    nodes = (
-        edges.map_batches(node_rows, batch_format="pandas")
-        .groupby("_nb")
-        .map_groups(merge_nodes, batch_format="pandas")
-        .materialize()
-    )
+    nodes = keyed_exchange(
+        edges.map_batches(node_rows, batch_format="pandas"), "node",
+        lambda g: g.groupby("node", as_index=False)["outdeg"].sum(), nb,
+    ).materialize()
     n_nodes = nodes.count()
     if n_nodes == 0:
-        return ray.data.from_pandas(
-            pd.DataFrame({"node": pd.Series(dtype="int64"),
-                          "rank": pd.Series(dtype="float64")})
-        )
+        return ray.data.from_pandas(_typed(node="int64", rank="float64"))
 
+    ranks_t = _typed(
+        node="int64", rank="float64", outdeg=deg_dtype, **({"seed": "int64"} if personalized else {})
+    )
     n_seeds = 0
     if personalized:
-        seed_rows = seeds.map_batches(
-            lambda df: pd.DataFrame({"node": df["node"].astype("int64")})
-            .drop_duplicates()
-            .assign(outdeg=0, _nb=lambda d: _bl(d["node"]), _k="s"),
-            batch_format="pandas",
-        )
+        def attach_seed(parts: dict) -> pd.DataFrame:
+            nd = parts["n"]
+            return nd.assign(seed=nd["node"].isin(parts["s"]["node"].to_numpy()).astype("int64"))
 
-        def attach_seed(g: pd.DataFrame) -> pd.DataFrame:
-            sn = g.loc[g["_k"] == "s", "node"].to_numpy()
-            nd_ = g[g["_k"] == "n"]
-            return pd.DataFrame(
-                {"node": nd_["node"].astype("int64"),
-                 "outdeg": nd_["outdeg"].astype(deg_dtype),
-                 "seed": nd_["node"].isin(sn).astype("int64")}
-            )
-
-        nodes = (
-            nodes.map_batches(
-                lambda df: df.assign(_nb=_bl(df["node"]), _k="n"),
-                batch_format="pandas",
-            )
-            .union(seed_rows)
-            .repartition(nb)
-            .groupby("_nb")
-            .map_groups(attach_seed, batch_format="pandas")
-            .materialize()
-        )
-        n_seeds = int(
-            nodes.map_batches(
-                lambda df: pd.DataFrame({"n": [int(df["seed"].sum())]}),
-                batch_format="pandas",
-            ).sum("n")
-            or 0
-        )
+        nodes = co_exchange(
+            {"n": (nodes, "node", _typed(node="int64", outdeg=deg_dtype)),
+             "s": (seeds.map_batches(lambda df: df[["node"]].drop_duplicates(), batch_format="pandas"),
+                   "node", NODES)},
+            attach_seed, nb,
+        ).materialize()
+        n_seeds = int(nodes.sum("seed") or 0)
         if n_seeds == 0:
             raise ValueError(
                 "pagerank_ds: no seed id appears in the graph — "
                 "personalized rank is undefined"
             )
         ranks = nodes.map_batches(
-            lambda df: pd.DataFrame(
-                {"node": df["node"].astype("int64"),
-                 "rank": df["seed"].astype("float64") / n_seeds,
-                 "outdeg": df["outdeg"].astype(deg_dtype),
-                 "seed": df["seed"].astype("int64")}
-            ),
-            batch_format="pandas",
+            lambda df: df.assign(rank=df["seed"].astype("float64") / n_seeds), batch_format="pandas"
         ).materialize()
     else:
         ranks = nodes.map_batches(
-            lambda df: pd.DataFrame(
-                {"node": df["node"].astype("int64"), "rank": 1.0 / n_nodes,
-                 "outdeg": df["outdeg"].astype(deg_dtype)}
-            ),
-            batch_format="pandas",
+            lambda df: df.assign(rank=1.0 / n_nodes), batch_format="pandas"
         ).materialize()
+
+    def contribs(parts: dict) -> pd.DataFrame:
+        r, e = parts["r"], parts["e"]
+        if weighted:
+            outw = r["outdeg"].to_numpy()
+            val = np.where(outw > 0, r["rank"].to_numpy() / np.clip(outw, 1e-300, None), 0.0)
+        else:
+            val = r["rank"] / r["outdeg"].clip(lower=1)
+        m = e.merge(pd.DataFrame({"src": r["node"], "val": val}), on="src")
+        c = m["val"] * m["w"] if weighted else m["val"]
+        out = pd.DataFrame({"node": m["dst"], "contrib": c})
+        return out.groupby("node", as_index=False)["contrib"].sum()
 
     for _ in range(n_iters):
         # dangling mass: tiny per-bucket partials → one driver scalar
         dangling = float(
             ranks.map_batches(
-                lambda df: pd.DataFrame(
-                    {"m": [df.loc[df["outdeg"] == 0, "rank"].sum()]}
-                ),
+                lambda df: pd.DataFrame({"m": [df.loc[df["outdeg"] == 0, "rank"].sum()]}),
                 batch_format="pandas",
             ).sum("m")
             or 0.0
         )
+        contrib = co_exchange({"r": (ranks, "node", ranks_t), "e": (edges, "src", edge_t)}, contribs, nb)
 
-        # shuffle 1 (by src bucket): rank/outdeg (weighted: rank/outw)
-        # meets its out-edges; per-edge contributions are pre-summed
-        # per dst INSIDE the group, so shuffle 2 carries at most one
-        # row per (src-bucket, distinct dst) — O(min(E, nb·V)) instead
-        # of O(E) exchange volume
-        def tag_rank(df: pd.DataFrame) -> pd.DataFrame:
-            if weighted:
-                val = np.where(
-                    df["outdeg"].to_numpy() > 0,
-                    df["rank"].to_numpy()
-                    / np.clip(df["outdeg"].to_numpy(), 1e-300, None),
-                    0.0,
-                )
-            else:
-                val = df["rank"] / df["outdeg"].clip(lower=1)
-            return pd.DataFrame(
-                {"key": df["node"].astype("int64"), "dst": -1,
-                 "val": val,
-                 "_sb": _bl(df["node"]), "_k": "r"}
-            )
-
-        def tag_edges(df: pd.DataFrame) -> pd.DataFrame:
-            out = {"key": df["src"].astype("int64"),
-                   "dst": df["dst"].astype("int64"),
-                   "val": df["w"] if weighted else 0.0,
-                   "_sb": _bl(df["src"]), "_k": "e"}
-            return pd.DataFrame(out)
-
-        def contribs(g: pd.DataFrame) -> pd.DataFrame:
-            r = g[g["_k"] == "r"][["key", "val"]]
-            e = g[g["_k"] == "e"][["key", "dst", "val"]].rename(
-                columns={"val": "w"}
-            )
-            m = e.merge(r, on="key")
-            c = m["val"] * m["w"] if weighted else m["val"]
-            out = pd.DataFrame({"node": m["dst"].astype("int64"), "contrib": c})
-            out = out.groupby("node", as_index=False)["contrib"].sum()
-            out["_nb"] = _bl(out["node"])
-            return out
-
-        contrib = (
-            ranks.map_batches(tag_rank, batch_format="pandas")
-            .union(edges.map_batches(tag_edges, batch_format="pandas"))
-            .repartition(nb)
-            .groupby("_sb")
-            .map_groups(contribs, batch_format="pandas")
-        )
-
-        # shuffle 2 (by dst bucket): sum contributions per node and
-        # apply the rank update; nodes ride along so zero-in-degree
-        # nodes keep a row
         base = (1.0 - damping) / n_nodes + damping * dangling / n_nodes
         # personalized: teleport + dangling mass restart AT THE SEEDS
-        seed_base = (
-            ((1.0 - damping) + damping * dangling) / n_seeds
-            if personalized
-            else 0.0
-        )
+        seed_base = ((1.0 - damping) + damping * dangling) / n_seeds if personalized else 0.0
 
-        def tag_node(df: pd.DataFrame) -> pd.DataFrame:
-            out = {"node": df["node"].astype("int64"), "contrib": 0.0,
-                   "outdeg": df["outdeg"].astype(deg_dtype),
-                   "_nb": _bl(df["node"]), "_k": "n"}
-            if personalized:
-                out["seed"] = df["seed"].astype("int64")
-            return pd.DataFrame(out)
-
-        def tag_contrib(df: pd.DataFrame) -> pd.DataFrame:
-            cols = ["node", "contrib", "outdeg", "_nb", "_k"]
-            df = df.assign(outdeg=-1.0 if weighted else -1, _k="c")
-            if personalized:
-                df = df.assign(seed=np.int64(-1))
-                cols = cols + ["seed"]
-            return df[cols]
-
-        def reduce_rank(g: pd.DataFrame) -> pd.DataFrame:
-            keep = ["node", "outdeg"] + (["seed"] if personalized else [])
-            nd = g[g["_k"] == "n"][keep]
+        def reduce_rank(parts: dict, _base=base, _seed_base=seed_base) -> pd.DataFrame:
+            nd = parts["n"]
             # deterministic summation: order by node (groupby sorts keys)
-            cs = g[g["_k"] == "c"].groupby("node")["contrib"].sum()
-            m = nd.merge(cs.rename("s"), left_on="node", right_index=True, how="left")
-            m["s"] = m["s"].fillna(0.0)
-            out = {"node": m["node"].astype("int64"),
-                   "outdeg": m["outdeg"].astype(deg_dtype)}
+            cs = parts["c"].groupby("node")["contrib"].sum()
+            s = nd.merge(cs.rename("s"), left_on="node", right_index=True, how="left")["s"].fillna(0.0)
             if personalized:
-                out["rank"] = seed_base * m["seed"] + damping * m["s"]
-                out["seed"] = m["seed"].astype("int64")
-            else:
-                out["rank"] = base + damping * m["s"]
-            return pd.DataFrame(out)
-
-        from ..kernels.partitioning import cut_lineage
+                return nd.assign(rank=_seed_base * nd["seed"] + damping * s.to_numpy())
+            return nd.assign(rank=_base + damping * s.to_numpy())
 
         ranks = cut_lineage(
-            ranks.map_batches(tag_node, batch_format="pandas")
-            .union(contrib.map_batches(tag_contrib, batch_format="pandas"))
-            .repartition(nb)
-            .groupby("_nb")
-            .map_groups(reduce_rank, batch_format="pandas")
-            .materialize()
+            co_exchange(
+                {"n": (ranks, "node", ranks_t), "c": (contrib, "node", CONTRIB)},
+                reduce_rank, nb,
+            ).materialize()
         )
 
-    return ranks.map_batches(
-        lambda df: pd.DataFrame(
-            {"node": df["node"].astype("int64"), "rank": df["rank"]}
-        ),
-        batch_format="pandas",
-    )
+    return ranks.map_batches(lambda df: df[["node", "rank"]], batch_format="pandas")
 
 
 def reference_graph_pagerank(sf_dir: str, n_iters: int = 10) -> "ray.data.Dataset":
     """PageRank over the synthetic GEPRIS reference graph: directed
     projekt → person edges (the J5/J9 frontier-expansion edges) — the
     crawl-priority signal a production frontier would ORDER BY."""
-    import numpy as np
-    import pyarrow as pa
-
-    import pyarrow.parquet as pq
-    import ray
-
-    n_docs = pq.read_metadata(f"{sf_dir}/documents.parquet").num_rows
-    docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id"])
-
-    def edge_rows(batch: pa.Table) -> pd.DataFrame:
-        ids = [int(i) for i in batch.column("doc_id").to_pylist() if i % 3 == 0]
-        rows = {"src": [], "dst": []}
-        for d in ids:
-            for k in (1, 2, 3, 4):
-                rows["src"].append(1000 + d)
-                rows["dst"].append(person_ref(d, k, n_docs))
-        return pd.DataFrame(
-            {"src": pd.Series(rows["src"], dtype="int64"),
-             "dst": pd.Series(rows["dst"], dtype="int64")}
-        )
-
-    edges = docs.map_batches(edge_rows, batch_format="pyarrow")
-    return pagerank_ds(edges, n_iters=n_iters)
+    return pagerank_ds(_reference_edges(sf_dir), n_iters=n_iters)
 
 
 def reference_graph_components(sf_dir: str) -> "ray.data.Dataset":
@@ -324,28 +254,11 @@ def reference_graph_components(sf_dir: str) -> "ray.data.Dataset":
     cluster — crawl/refresh it as a unit, and a frontier partitioned
     by component key never splits an entity's neighborhood across
     politeness shards."""
-    import pyarrow.parquet as pq
-
-    import ray
-
     from .dedup import _cluster_labels_distributed
 
-    n_docs = pq.read_metadata(f"{sf_dir}/documents.parquet").num_rows
-    docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id"])
-
-    def edge_rows(batch) -> pd.DataFrame:
-        ids = [int(i) for i in batch.column("doc_id").to_pylist() if i % 3 == 0]
-        rows = {"doc_a": [], "doc_b": []}
-        for d in ids:
-            for k in (1, 2, 3, 4):
-                rows["doc_a"].append(1000 + d)
-                rows["doc_b"].append(person_ref(d, k, n_docs))
-        return pd.DataFrame(
-            {"doc_a": pd.Series(rows["doc_a"], dtype="int64"),
-             "doc_b": pd.Series(rows["doc_b"], dtype="int64")}
-        )
-
-    pairs = docs.map_batches(edge_rows, batch_format="pyarrow")
+    pairs = _reference_edges(sf_dir).map_batches(
+        lambda df: df.rename(columns={"src": "doc_a", "dst": "doc_b"}), batch_format="pandas"
+    )
     # the link graph is structured (arithmetic-progression refs →
     # diameter ~30 at test scale): pointer-jumping keeps rounds log
     labels = _cluster_labels_distributed(pairs, shortcut=True)
@@ -376,8 +289,6 @@ def frontier_order_by_pagerank(
     ranks = reference_graph_pagerank(sf_dir, n_iters=n_iters)
 
     def round_rank(df: pd.DataFrame) -> pd.DataFrame:
-        import numpy as np
-
         return pd.DataFrame(
             {"node": df["node"].astype("int64"),
              "rank": (df["rank"].to_numpy() * 1e9).round() / 1e9}
@@ -402,28 +313,16 @@ def inbound_reference_topk(sf_dir: str, k: int = 25) -> "pa.Table":
 
     Shape: edge emission fused into the documents scan (formula
     edges, no page parse needed), per-batch partial in-degree counts,
-    ONE dst-bucket keyed sum, per-bucket top-k prune, ≤ buckets·k
-    driver rows."""
+    ONE dst-keyed sum, per-bucket top-k prune, ≤ buckets·k driver
+    rows."""
     import pyarrow as pa
     import pyarrow.parquet as pq
 
-    import ray
+    n_docs = pq.read_metadata(f"{sf_dir}/documents.parquet").num_rows
 
-    from ..kernels.partitioning import adaptive_buckets
-
-    path = f"{sf_dir}/documents.parquet"
-    n_docs = pq.read_metadata(path).num_rows
-    nb = adaptive_buckets(n_docs)
-    docs = ray.data.read_parquet(path, columns=["doc_id"])
-
-    def partial_indeg(batch) -> pd.DataFrame:
-        ids = [int(i) for i in batch.column("doc_id").to_pylist() if i % 3 == 0]
-        dsts = [person_ref(d, kk, n_docs) for d in ids for kk in (1, 2, 3, 4)]
-        s = pd.Series(dsts, dtype="int64").value_counts()
-        return pd.DataFrame(
-            {"person_id": s.index.astype("int64"), "n": s.to_numpy().astype("int64"),
-             "_b": (s.index.astype("int64") % nb).astype("int32")}
-        )
+    def partial_indeg(df: pd.DataFrame) -> pd.DataFrame:
+        s = df["dst"].value_counts()
+        return pd.DataFrame({"person_id": s.index.astype("int64"), "n": s.to_numpy().astype("int64")})
 
     def bucket_topk(g: pd.DataFrame) -> pd.DataFrame:
         s = g.groupby("person_id", as_index=False)["n"].sum()
@@ -431,10 +330,10 @@ def inbound_reference_topk(sf_dir: str, k: int = 25) -> "pa.Table":
                              kind="mergesort").head(k)
 
     top = (
-        docs.map_batches(partial_indeg, batch_format="pyarrow")
-        .repartition(nb)
-        .groupby("_b")
-        .map_groups(bucket_topk, batch_format="pandas")
+        keyed_exchange(
+            _reference_edges(sf_dir).map_batches(partial_indeg, batch_format="pandas"),
+            "person_id", bucket_topk, adaptive_buckets(n_docs),
+        )
         .to_pandas()
         .sort_values(["n", "person_id"], ascending=[False, True], kind="mergesort")
         .head(k)
@@ -449,9 +348,7 @@ def inbound_reference_topk(sf_dir: str, k: int = 25) -> "pa.Table":
     )
 
 
-def person_projection_triangles(
-    sf_dir: str, num_buckets: int = 64, degree_route: str = "auto"
-) -> "ray.data.Dataset":
+def person_projection_triangles(sf_dir: str, degree_route: str = "auto") -> "ray.data.Dataset":
     """One row: (n_edges, n_wedges, n_triangles, transitivity) over the
     person co-participation graph (persons linked when they share a
     projekt — the J9 projection a crawl scheduler clusters by; the raw
@@ -462,21 +359,21 @@ def person_projection_triangles(
     map or edge set at any cardinality:
 
     1. per-projekt person pairs (C(4,2)=6 per projekt, canonical
-       a<b, per-batch dedup) → pair-hash exchange → global dedup =
+       a<b, per-batch dedup) → pair-keyed exchange → global dedup =
        the undirected edge set E.
     2. degree rows from both endpoints (per-batch partial counts) →
-       node-hash exchange → (node, deg); n_wedges = Σ C(deg, 2)
+       node-keyed exchange → (node, deg); n_wedges = Σ C(deg, 2)
        reduces distributed (per-bucket partial sums).
-    3. two tag-join exchanges attach deg(a), deg(b) to each edge,
+    3. two co-partition exchanges attach deg(a), deg(b) to each edge,
        then each edge orients low→high by (deg, id) — every node's
        out-degree is O(√m), the classic wedge-explosion bound, which
        is why the orientation uses DEGREES and not ids (a hub's id
        order could emit deg² wedges).
     4. out-adjacency groups by src; each group emits its
        wedge pairs ((v, w) canonical by the same (deg, id) order,
-       vectorized triu) → wedges ∪ oriented-edges union-tag exchange
-       on the pair key → per bucket, wedges whose pair is an edge
-       close a triangle; partial counts Sum to one row.
+       vectorized triu) → wedges and oriented edges co-partition on
+       the pair key → per bucket, wedges whose pair is an edge close a
+       triangle; partial counts Sum to one row.
 
     Cites reference J9 (`database.py` reference views) for the
     projection semantics; the count itself is a standard public
@@ -486,18 +383,9 @@ def person_projection_triangles(
 
     from ray.data.aggregate import Sum
 
-    from ..kernels.hashing import stable_hash64_array
-    from ..kernels.partitioning import adaptive_buckets
-
     n_docs = pq.read_metadata(f"{sf_dir}/documents.parquet").num_rows
     docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id"])
-    nb = adaptive_buckets(n_docs, requested=num_buckets)
-
-    def _pair_bucket(a: pd.Series, b: pd.Series) -> pd.Series:
-        h = stable_hash64_array(
-            [f"{x}\x00{y}" for x, y in zip(a.tolist(), b.tolist())]
-        )
-        return pd.Series((h % np.uint64(nb)).astype("int32"), index=a.index)
+    nb = adaptive_buckets(n_docs)
 
     # 1. candidate pairs, deduped per batch
     def pair_rows(batch) -> pd.DataFrame:
@@ -505,41 +393,27 @@ def person_projection_triangles(
         ids = doc_ids[doc_ids % 3 == 0].astype(np.int64)
         # vectorized person_ref over the (doc, k) grid, then all 6
         # within-projekt pairs via row-sorted column picks — no loop
-        m = (n_docs + 1) // 3
-        ps = 1000 + 3 * ((ids[:, None] * 7 + np.arange(1, 5)[None, :]) % m) + 1
-        ps = np.sort(ps, axis=1)
+        ps = np.sort(person_ref(ids[:, None], np.arange(1, 5)[None, :], n_docs), axis=1)
         ii, jj = np.triu_indices(4, k=1)
         a = ps[:, ii].ravel()
         b = ps[:, jj].ravel()
         keep = a != b  # a projekt may reference the same person twice
-        df = pd.DataFrame({"a": a[keep], "b": b[keep]}).drop_duplicates()
-        return df.assign(_pb=_pair_bucket(df["a"], df["b"]))
+        return pd.DataFrame({"a": a[keep], "b": b[keep]}).drop_duplicates()
 
-    edges = (
-        docs.map_batches(pair_rows, batch_format="pyarrow")
-        .groupby("_pb")
-        .map_groups(
-            lambda g: g[["a", "b"]].drop_duplicates(), batch_format="pandas"
-        )
-        .materialize()
-    )
+    edges = keyed_exchange(
+        docs.map_batches(pair_rows, batch_format="pyarrow"), ["a", "b"], lambda g: g.drop_duplicates(), nb
+    ).materialize()
     n_edges = edges.count()
 
-    # 2. degrees (node-hash exchange over per-batch partials)
+    # 2. degrees (node-keyed exchange over per-batch partials)
     def deg_partial(df: pd.DataFrame) -> pd.DataFrame:
         nodes = pd.concat([df["a"], df["b"]], ignore_index=True)
-        g = nodes.value_counts().rename_axis("node").reset_index(name="n")
-        return g.assign(_b=(g["node"] % nb).astype("int32"))
+        return nodes.value_counts().rename_axis("node").reset_index(name="n")
 
-    degrees = (
-        edges.map_batches(deg_partial, batch_format="pandas")
-        .groupby("_b")
-        .map_groups(
-            lambda g: g.groupby("node", as_index=False)["n"].sum(),
-            batch_format="pandas",
-        )
-        .materialize()
-    )
+    degrees = keyed_exchange(
+        edges.map_batches(deg_partial, batch_format="pandas"), "node",
+        lambda g: g.groupby("node", as_index=False)["n"].sum(), nb,
+    ).materialize()
     n_wedges = int(
         degrees.map_batches(
             lambda df: pd.DataFrame(
@@ -549,32 +423,13 @@ def person_projection_triangles(
         ).aggregate(Sum("w", alias_name="w"))["w"]
     )
 
-    # 3. attach degrees via two union-tag exchanges, then orient
-    def tag_edge_on(col):
-        def fn(df: pd.DataFrame) -> pd.DataFrame:
-            out = df.assign(_side="e", node=df[col])
-            return out.assign(_b=(out["node"] % nb).astype("int32"))
-        return fn
-
-    def tag_deg(df: pd.DataFrame) -> pd.DataFrame:
-        out = df.rename(columns={"n": "deg"}).assign(_side="d")
-        return out.assign(_b=(out["node"] % nb).astype("int32"))
-
-    def join_deg(outcol):
-        def fn(g: pd.DataFrame) -> pd.DataFrame:
-            dmap = g[g["_side"] == "d"].set_index("node")["deg"]
-            e = g[g["_side"] == "e"].copy()
-            e[outcol] = e["node"].map(dmap).astype("int64")
-            keep = [c for c in ("a", "b", "deg_a", "deg_b") if c in e.columns]
-            return e[keep]
-        return fn
-
+    # 3. attach degrees, then orient
     # route selection (the minhash-verify broadcast/bucketed pattern):
     # the degree table is NODE-cardinality — broadcast it only while it
     # comfortably fits the object store as one map (≈16 B/node; the
     # 2M-node threshold is ~32 MB), otherwise attach each endpoint's
-    # degree through a node-keyed union-tag exchange (unbounded scale,
-    # two more exchanges).
+    # degree through a node-keyed co-partition exchange (unbounded
+    # scale, two more exchanges).
     if degree_route not in ("auto", "broadcast", "bucketed"):
         raise ValueError(f"unknown degree_route {degree_route!r}")
     use_broadcast = degree_route == "broadcast" or (
@@ -595,17 +450,22 @@ def person_projection_triangles(
 
         e2 = edges.map_batches(attach_both, batch_format="pandas")
     else:
-        e1 = (
-            edges.map_batches(tag_edge_on("a"), batch_format="pandas")
-            .union(degrees.map_batches(tag_deg, batch_format="pandas"))
-            .groupby("_b")
-            .map_groups(join_deg("deg_a"), batch_format="pandas")
+        def join_deg(col: str):
+            def fn(parts: dict) -> pd.DataFrame:
+                e = parts["e"]
+                deg = e[col].map(parts["d"].set_index("node")["n"]).astype("int64")
+                return e.assign(**{f"deg_{col}": deg})
+
+            return fn
+
+        deg_t = _typed(node="int64", n="int64")
+        e1 = co_exchange(
+            {"e": (edges, "a", _typed(a="int64", b="int64")), "d": (degrees, "node", deg_t)},
+            join_deg("a"), nb,
         )
-        e2 = (
-            e1.map_batches(tag_edge_on("b"), batch_format="pandas")
-            .union(degrees.map_batches(tag_deg, batch_format="pandas"))
-            .groupby("_b")
-            .map_groups(join_deg("deg_b"), batch_format="pandas")
+        e2 = co_exchange(
+            {"e": (e1, "b", _typed(a="int64", b="int64", deg_a="int64")), "d": (degrees, "node", deg_t)},
+            join_deg("b"), nb,
         )
 
     # orient low→high by (deg, id); canonical order key for pair keys
@@ -614,67 +474,45 @@ def person_projection_triangles(
             (df["deg_a"].to_numpy() == df["deg_b"].to_numpy())
             & (df["a"].to_numpy() < df["b"].to_numpy())
         )
-        src = np.where(a_first, df["a"], df["b"])
-        dst = np.where(a_first, df["b"], df["a"])
-        sdeg = np.where(a_first, df["deg_a"], df["deg_b"])
-        ddeg = np.where(a_first, df["deg_b"], df["deg_a"])
-        out = pd.DataFrame(
-            {"src": src.astype("int64"), "dst": dst.astype("int64"),
-             "sdeg": sdeg.astype("int64"), "ddeg": ddeg.astype("int64")}
+        return pd.DataFrame(
+            {"src": np.where(a_first, df["a"], df["b"]).astype("int64"),
+             "dst": np.where(a_first, df["b"], df["a"]).astype("int64"),
+             "ddeg": np.where(a_first, df["deg_b"], df["deg_a"]).astype("int64")}
         )
-        return out.assign(_sb=(out["src"] % nb).astype("int32"))
 
     oriented = e2.map_batches(orient, batch_format="pandas").materialize()
 
     # 4. wedges per src group (vectorized triu over (deg,id)-sorted
     # out-neighbors so (v, w) is already canonical), then close
-    def wedge_rows(g: pd.DataFrame) -> pd.DataFrame:
+    def wedge_rows(e: pd.DataFrame) -> pd.DataFrame:
         # vectorized across ALL src groups: self-merge on src, keep the
         # (deg, id)-ordered half — the intermediate is exactly the
         # wedge set, whose size the degree orientation already bounds
         # (out-degree O(√m)); no per-node Python loop
-        e = g[["src", "dst", "ddeg"]]
         m = e.merge(e, on="src")
         lt = (m["ddeg_x"] < m["ddeg_y"]) | (
             (m["ddeg_x"] == m["ddeg_y"]) & (m["dst_x"] < m["dst_y"])
         )
         m = m[lt]
         return pd.DataFrame(
-            {
-                "v": m["dst_x"].to_numpy(dtype=np.int64),
-                "w": m["dst_y"].to_numpy(dtype=np.int64),
-                "_t": np.full(len(m), "w", dtype=object),
-            }
+            {"v": m["dst_x"].to_numpy(dtype=np.int64), "w": m["dst_y"].to_numpy(dtype=np.int64)}
         )
 
-    wedge_ds = (
-        oriented.groupby("_sb").map_groups(wedge_rows, batch_format="pandas")
-        .map_batches(
-            lambda df: df.assign(_pb=_pair_bucket(df["v"], df["w"])),
-            batch_format="pandas",
-        )
-    )
-    edge_keys = oriented.map_batches(
-        lambda df: pd.DataFrame(
-            {"v": df["src"].astype("int64"), "w": df["dst"].astype("int64"), "_t": "e"}
-        ).assign(_pb=_pair_bucket(df["src"], df["dst"])),
-        batch_format="pandas",
-    )
-
-    def close_triangles(g: pd.DataFrame) -> pd.DataFrame:
+    def close_triangles(parts: dict) -> pd.DataFrame:
         # vectorized wedge∧edge intersection: inner-merge the bucket's
         # wedge rows with its (deduped) edge keys — no Python loop over
         # wedges, which dominate this stage's row count
-        ek = g.loc[g["_t"] == "e", ["v", "w"]].drop_duplicates()
-        wd = g.loc[g["_t"] == "w", ["v", "w"]]
-        n = len(wd.merge(ek, on=["v", "w"]))
+        n = len(parts["w"].merge(parts["e"].drop_duplicates(), on=["v", "w"]))
         return pd.DataFrame({"n_tri": [int(n)]})
 
+    pair_t = _typed(v="int64", w="int64")
     n_triangles = int(
-        wedge_ds.union(edge_keys)
-        .groupby("_pb")
-        .map_groups(close_triangles, batch_format="pandas")
-        .aggregate(Sum("n_tri", alias_name="n_tri"))["n_tri"]
+        co_exchange(
+            {"w": (keyed_exchange(oriented, "src", wedge_rows, nb), ["v", "w"], pair_t),
+             "e": (oriented.map_batches(lambda df: pd.DataFrame({"v": df["src"], "w": df["dst"]}),
+                                        batch_format="pandas"), ["v", "w"], pair_t)},
+            close_triangles, nb,
+        ).aggregate(Sum("n_tri", alias_name="n_tri"))["n_tri"]
     )
 
     import pyarrow as pa
@@ -698,7 +536,6 @@ def bfs_depth_ds(
     edges: "ray.data.Dataset",
     seeds: "ray.data.Dataset",
     max_depth: int = 6,
-    num_buckets: int = 64,
 ) -> "ray.data.Dataset":
     """(node, depth) — breadth-first minimum hop distance from a seed
     set along directed ``(src, dst)`` edges, capped at ``max_depth``:
@@ -710,34 +547,19 @@ def bfs_depth_ds(
     Scale shape — the textbook distributed BFS, no driver-resident
     node set anywhere:
 
-    - edges are bucket-tagged by ``src`` ONCE and pinned (reused every
-      round — the loop never re-reads or re-shuffles the raw edges
-      beyond the per-round keyed exchange);
-    - per round: frontier ⋈ edges by src-hash bucket (ONE exchange;
-      per-bucket vectorized ``isin`` + in-bucket dst dedup), then the
-      dtype-safe bucketed anti-join against the visited set (second
-      exchange) keeps only first-time nodes;
+    - edges are cast and pinned ONCE (reused every round — the loop
+      never re-reads the raw edges);
+    - per round: frontier ⋈ edges by src (ONE exchange; per-bucket
+      vectorized ``isin`` + in-bucket dst dedup), then the bucketed
+      anti-join against the visited set (second exchange) keeps only
+      first-time nodes;
     - visited grows by union of materialized per-round deltas with
       ``cut_lineage`` re-rooting (constant-depth plans — the
       label-propagation discipline);
     - the ONLY driver value per round is the new-node count (the stop
       test a real crawler logs anyway)."""
-    from ..kernels.partitioning import adaptive_buckets, cut_lineage
-
-    edges = edges.map_batches(
-        lambda df: pd.DataFrame(
-            {"key": df["src"].astype("int64"),
-             "dst": df["dst"].astype("int64")}
-        ).assign(_b=lambda d: (d["key"] % num_buckets).astype("int32"),
-                 _k="e"),
-        batch_format="pandas",
-    ).materialize()
-    nb = adaptive_buckets(edges.count(), requested=num_buckets)
-    if nb != num_buckets:
-        edges = edges.map_batches(
-            lambda df: df.assign(_b=(df["key"] % nb).astype("int32")),
-            batch_format="pandas",
-        ).materialize()
+    edges = _int64_edges(edges)
+    nb = adaptive_buckets(edges.count())
 
     visited = seeds.map_batches(
         lambda df: pd.DataFrame(
@@ -747,59 +569,30 @@ def bfs_depth_ds(
     ).materialize()
     frontier = visited
 
-    def tag_frontier(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {"key": df["node"].astype("int64"), "dst": np.int64(-1)}
-        ).assign(_b=lambda d: (d["key"] % nb).astype("int32"), _k="f")
-
-    def expand(g: pd.DataFrame) -> pd.DataFrame:
-        fr = g.loc[g["_k"] == "f", "key"].unique()
-        e = g[g["_k"] == "e"]
-        if not len(fr) or not len(e):
-            return pd.DataFrame({"node": pd.Series(dtype="int64")})
-        hit = e.loc[e["key"].isin(fr), "dst"].unique()
+    def expand(parts: dict) -> pd.DataFrame:
+        fr = parts["f"]["node"].unique()
+        e = parts["e"]
+        hit = e.loc[e["src"].isin(fr), "dst"].unique() if len(fr) and len(e) else []
         return pd.DataFrame({"node": pd.Series(hit, dtype="int64")})
 
-    def tag_nbr(df: pd.DataFrame) -> pd.DataFrame:
-        d_ = df.drop_duplicates("node")
-        return pd.DataFrame({"node": d_["node"].astype("int64")}).assign(
-            _ab=lambda x: (x["node"] % nb).astype("int32"), _s="n"
-        )
-
-    def tag_vis(df: pd.DataFrame) -> pd.DataFrame:
-        d_ = df[["node"]].drop_duplicates()
-        return pd.DataFrame({"node": d_["node"].astype("int64")}).assign(
-            _ab=lambda x: (x["node"] % nb).astype("int32"), _s="v"
-        )
-
     for d in range(1, max_depth + 1):
-        nbrs = (
-            frontier.map_batches(tag_frontier, batch_format="pandas")
-            .union(edges)
-            .repartition(nb)
-            .groupby("_b")
-            .map_groups(expand, batch_format="pandas")
-        )
-        # anti-join + GLOBAL dedup in one node-hash exchange: every
+        nbrs = co_exchange({"f": (frontier, "node", NODES), "e": (edges, "src", EDGES)}, expand, nb)
+
+        # anti-join + GLOBAL dedup in one node-keyed exchange: every
         # copy of a node (one per src bucket that reached it) lands in
         # the same group as any visited record of it
-        depth_now = np.int64(d)
-
-        def new_nodes(g: pd.DataFrame, _d=depth_now) -> pd.DataFrame:
-            vn = g.loc[g["_s"] == "v", "node"].to_numpy()
-            n = g.loc[g["_s"] == "n", "node"].unique()
-            out = np.setdiff1d(n, vn)
+        def new_nodes(parts: dict, _d=np.int64(d)) -> pd.DataFrame:
+            out = np.setdiff1d(parts["n"]["node"].unique(), parts["v"]["node"].to_numpy())
             return pd.DataFrame(
                 {"node": pd.Series(out, dtype="int64"),
                  "depth": np.full(len(out), _d, dtype="int64")}
             )
 
-        new = (
-            nbrs.map_batches(tag_nbr, batch_format="pandas")
-            .union(visited.map_batches(tag_vis, batch_format="pandas"))
-            .repartition(nb)
-            .groupby("_ab")
-            .map_groups(new_nodes, batch_format="pandas")
+        new = co_exchange(
+            {"n": (nbrs.map_batches(lambda df: df.drop_duplicates("node"), batch_format="pandas"),
+                   "node", NODES),
+             "v": (visited, "node", NODES)},
+            new_nodes, nb,
         )
         new = cut_lineage(new.materialize())
         if new.count() == 0:
@@ -820,39 +613,9 @@ def reference_graph_bfs_depth(
     discoverable N link-follows later; a production frontier fetches
     tiers in order (reference: `spiders/details.py` discovered-id
     fan-out + J5 anti-join, iterated)."""
-    import pyarrow.parquet as pq
-
-    import ray
-
-    n_docs = pq.read_metadata(f"{sf_dir}/documents.parquet").num_rows
-    docs = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id"]
-    )
-
-    def edge_rows(batch) -> pd.DataFrame:
-        ids = [int(i) for i in batch.column("doc_id").to_pylist() if i % 3 == 0]
-        src, dst = [], []
-        for dd in ids:
-            for k in (1, 2, 3, 4):
-                p = person_ref(dd, k, n_docs)
-                src += [1000 + dd, p]  # symmetrized: crawl follows
-                dst += [p, 1000 + dd]  # links in both page directions
-        return pd.DataFrame(
-            {"src": pd.Series(src, dtype="int64"),
-             "dst": pd.Series(dst, dtype="int64")}
-        )
-
-    def seed_rows(batch) -> pd.DataFrame:
-        ids = [
-            1000 + int(i)
-            for i in batch.column("doc_id").to_pylist()
-            if i % seed_stride == 0
-        ]
-        return pd.DataFrame({"node": pd.Series(ids, dtype="int64")})
-
-    edges = docs.map_batches(edge_rows, batch_format="pyarrow")
-    seeds = docs.map_batches(seed_rows, batch_format="pyarrow")
-    return bfs_depth_ds(edges, seeds, max_depth=max_depth)
+    docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id"])
+    seeds = docs.map_batches(_seed_rows(seed_stride), batch_format="pyarrow")
+    return bfs_depth_ds(_reference_edges(sf_dir, symmetric=True), seeds, max_depth=max_depth)
 
 
 def hits_ds(
@@ -870,131 +633,56 @@ def hits_ds(
     value) — the complementary signal to PageRank for frontier
     ordering.
 
-    Distributed shape — the same tag/bucket exchange discipline as
-    :func:`pagerank_ds`, two join + two reduce exchanges per
-    iteration (auth half-step joins hubs to edges by ``src`` and
-    reduces by ``dst``; hub half-step joins auths to edges by ``dst``
-    and reduces by ``src``); each normalization constant is one driver
-    scalar from per-block partial sums (fanin-bounded, never
-    block-bounded).  Iterative lineage is cut per round
-    (``kernels.partitioning.cut_lineage``)."""
-    from ..kernels.partitioning import adaptive_buckets, cut_lineage
-
-    edges = edges.map_batches(
-        lambda df: pd.DataFrame(
-            {"src": df["src"].astype("int64"), "dst": df["dst"].astype("int64")}
-        ),
-        batch_format="pandas",
-    ).materialize()
-
+    Distributed shape — the exchange discipline of :func:`pagerank_ds`,
+    two join + two reduce exchanges per iteration (auth half-step joins
+    hubs to edges by ``src`` and reduces by ``dst``; hub half-step joins
+    auths to edges by ``dst`` and reduces by ``src``); each
+    normalization constant is one driver scalar from per-block partial
+    sums (fanin-bounded, never block-bounded).  Iterative lineage is
+    cut per round (``kernels.partitioning.cut_lineage``)."""
+    edges = _int64_edges(edges)
     nb = adaptive_buckets(edges.count())
 
-    def _bl(s: pd.Series) -> pd.Series:
-        return (s.astype("int64") % nb).astype("int32")
-
     # distinct node set (one exchange, computed once)
-    def node_rows(df: pd.DataFrame) -> pd.DataFrame:
-        nodes = pd.unique(pd.concat([df["src"], df["dst"]], ignore_index=True))
-        out = pd.DataFrame({"node": pd.Series(nodes, dtype="int64")})
-        return out.assign(_nb=_bl(out["node"]))
-
-    nodes = (
-        edges.map_batches(node_rows, batch_format="pandas")
-        .groupby("_nb")
-        .map_groups(
-            lambda g: g.drop_duplicates("node")[["node"]],
-            batch_format="pandas",
-        )
-        .materialize()
-    )
-    if nodes.count() == 0:
-        return ray.data.from_pandas(
-            pd.DataFrame(
-                {"node": pd.Series(dtype="int64"),
-                 "hub": pd.Series(dtype="float64"),
-                 "auth": pd.Series(dtype="float64")}
-            )
-        )
-
-    hubs = nodes.map_batches(
-        lambda df: pd.DataFrame(
-            {"node": df["node"].astype("int64"), "hub": 1.0}
-        ),
-        batch_format="pandas",
+    nodes = keyed_exchange(
+        edges.map_batches(_node_rows, batch_format="pandas"), "node",
+        lambda g: g.drop_duplicates("node"), nb,
     ).materialize()
+    if nodes.count() == 0:
+        return ray.data.from_pandas(_typed(node="int64", hub="float64", auth="float64"))
+
+    hubs = nodes.map_batches(lambda df: df.assign(hub=1.0), batch_format="pandas").materialize()
     auths = None
 
     def _half_step(scores, score_col, edge_key, emit_key, keep_all_nodes):
         """One HITS half-step: out[emit_key node] = Σ scores over edges
-        joined on ``edge_key``; raw (unnormalized) sums."""
+        joined on ``edge_key``; raw (unnormalized) sums ``(node, s)``."""
 
-        def tag_score(df: pd.DataFrame) -> pd.DataFrame:
-            return pd.DataFrame(
-                {"key": df["node"].astype("int64"), "other": -1,
-                 "val": df[score_col], "_sb": _bl(df["node"]), "_k": "r"}
-            )
-
-        def tag_edges(df: pd.DataFrame) -> pd.DataFrame:
-            return pd.DataFrame(
-                {"key": df[edge_key].astype("int64"),
-                 "other": df[emit_key].astype("int64"),
-                 "val": 0.0, "_sb": _bl(df[edge_key]), "_k": "e"}
-            )
-
-        def contribs(g: pd.DataFrame) -> pd.DataFrame:
-            r = g[g["_k"] == "r"][["key", "val"]]
-            e = g[g["_k"] == "e"][["key", "other"]]
-            m = e.merge(r, on="key")
-            out = pd.DataFrame(
-                {"node": m["other"].astype("int64"), "contrib": m["val"]}
-            )
+        def contribs(parts: dict) -> pd.DataFrame:
+            m = parts["e"].merge(parts["s"].rename(columns={"node": edge_key}), on=edge_key)
+            out = pd.DataFrame({"node": m[emit_key], "contrib": m[score_col]})
             # pre-sum per target inside the group: the reduce exchange
-            # carries ≤ one row per (src-bucket, distinct target), not
-            # one per edge
-            out = out.groupby("node", as_index=False)["contrib"].sum()
-            out["_nb"] = _bl(out["node"])
-            out["_k"] = "c"
-            return out
+            # carries ≤ one row per (bucket, distinct target), not one
+            # per edge
+            return out.groupby("node", as_index=False)["contrib"].sum()
 
-        contrib = (
-            scores.map_batches(tag_score, batch_format="pandas")
-            .union(edges.map_batches(tag_edges, batch_format="pandas"))
-            .repartition(nb)
-            .groupby("_sb")
-            .map_groups(contribs, batch_format="pandas")
+        contrib = co_exchange(
+            {"s": (scores, "node", _typed(node="int64", **{score_col: "float64"})),
+             "e": (edges, edge_key, EDGES)},
+            contribs, nb,
         )
 
-        def reduce_sum(g: pd.DataFrame) -> pd.DataFrame:
-            cs = (
-                g[g["_k"] == "c"]
-                .groupby("node", as_index=False)["contrib"]
-                .sum()
-            )
+        def reduce_sum(parts: dict) -> pd.DataFrame:
+            cs = parts["c"].groupby("node", as_index=False)["contrib"].sum()
             if keep_all_nodes:
-                nd = g[g["_k"] == "n"][["node"]]
-                cs = nd.merge(cs, on="node", how="left")
+                cs = parts["n"].merge(cs, on="node", how="left")
                 cs["contrib"] = cs["contrib"].fillna(0.0)
-            return pd.DataFrame(
-                {"node": cs["node"].astype("int64"), "s": cs["contrib"]}
-            )
+            return pd.DataFrame({"node": cs["node"].astype("int64"), "s": cs["contrib"]})
 
-        stream = contrib
+        sides = {"c": (contrib, "node", CONTRIB)}
         if keep_all_nodes:
-            def tag_node(df: pd.DataFrame) -> pd.DataFrame:
-                return pd.DataFrame(
-                    {"node": df["node"].astype("int64"), "contrib": 0.0,
-                     "_nb": _bl(df["node"]), "_k": "n"}
-                )
-
-            stream = contrib.union(
-                nodes.map_batches(tag_node, batch_format="pandas")
-            )
-        return (
-            stream.repartition(nb)
-            .groupby("_nb")
-            .map_groups(reduce_sum, batch_format="pandas")
-            .materialize()
-        )
+            sides["n"] = (nodes, "node", NODES)
+        return co_exchange(sides, reduce_sum, nb).materialize()
 
     def _normalize(raw, out_col):
         # one driver scalar off the already-materialized raw sums; the
@@ -1004,10 +692,7 @@ def hits_ds(
         total = float(raw.sum("s") or 0.0)
         t = total if total != 0.0 else 1.0
         return raw.map_batches(
-            lambda df, _t=t: pd.DataFrame(
-                {"node": df["node"].astype("int64"),
-                 out_col: df["s"] / _t}
-            ),
+            lambda df, _t=t: pd.DataFrame({"node": df["node"], out_col: df["s"] / _t}),
             batch_format="pandas",
         )
 
@@ -1022,36 +707,17 @@ def hits_ds(
         hub_raw = _half_step(auths, "auth", "dst", "src", keep_all_nodes=True)
         hubs = cut_lineage(_normalize(hub_raw, "hub").materialize())
 
-    # final assembly: one node-keyed exchange unions hubs (all nodes)
+    # final assembly: one node-keyed exchange joins hubs (all nodes)
     # with auths (in-edge nodes), filling auth=0 elsewhere
-    def tag_hub(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {"node": df["node"].astype("int64"), "val": df["hub"],
-             "_nb": _bl(df["node"]), "_k": "h"}
-        )
-
-    def tag_auth(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {"node": df["node"].astype("int64"), "val": df["auth"],
-             "_nb": _bl(df["node"]), "_k": "a"}
-        )
-
-    def assemble(g: pd.DataFrame) -> pd.DataFrame:
-        h = g[g["_k"] == "h"][["node", "val"]].rename(columns={"val": "hub"})
-        a = g[g["_k"] == "a"][["node", "val"]].rename(columns={"val": "auth"})
-        m = h.merge(a, on="node", how="left")
+    def assemble(parts: dict) -> pd.DataFrame:
+        m = parts["h"].merge(parts["a"], on="node", how="left")
         m["auth"] = m["auth"].fillna(0.0)
-        return pd.DataFrame(
-            {"node": m["node"].astype("int64"),
-             "hub": m["hub"], "auth": m["auth"]}
-        )
+        return m
 
-    return (
-        hubs.map_batches(tag_hub, batch_format="pandas")
-        .union(auths.map_batches(tag_auth, batch_format="pandas"))
-        .repartition(nb)
-        .groupby("_nb")
-        .map_groups(assemble, batch_format="pandas")
+    return co_exchange(
+        {"h": (hubs, "node", _typed(node="int64", hub="float64")),
+         "a": (auths, "node", _typed(node="int64", auth="float64"))},
+        assemble, nb,
     )
 
 
@@ -1060,25 +726,7 @@ def reference_graph_hits(sf_dir: str, n_iters: int = 4) -> "ray.data.Dataset":
     :func:`reference_graph_pagerank`): authorities = persons many
     projekt pages cite, hubs = projekt pages citing the strong
     authorities — the complementary frontier-priority signal."""
-    import pyarrow.parquet as pq
-
-    n_docs = pq.read_metadata(f"{sf_dir}/documents.parquet").num_rows
-    docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id"])
-
-    def edge_rows(batch: pa.Table) -> pd.DataFrame:
-        ids = [int(i) for i in batch.column("doc_id").to_pylist() if i % 3 == 0]
-        rows = {"src": [], "dst": []}
-        for d in ids:
-            for k in (1, 2, 3, 4):
-                rows["src"].append(1000 + d)
-                rows["dst"].append(person_ref(d, k, n_docs))
-        return pd.DataFrame(
-            {"src": pd.Series(rows["src"], dtype="int64"),
-             "dst": pd.Series(rows["dst"], dtype="int64")}
-        )
-
-    edges = docs.map_batches(edge_rows, batch_format="pyarrow")
-    return hits_ds(edges, n_iters=n_iters)
+    return hits_ds(_reference_edges(sf_dir), n_iters=n_iters)
 
 
 def host_link_rank(
@@ -1100,7 +748,6 @@ def host_link_rank(
     coding is internal only), and ONE final node-keyed exchange that
     joins ranks back to host strings — no driver-side host table."""
     from ..kernels.hashing import stable_hash64_array
-    from ..kernels.partitioning import adaptive_buckets
     from .boilerplate import host_link_graph
 
     links = host_link_graph(pages_dir).materialize()
@@ -1119,49 +766,28 @@ def host_link_rank(
         n_iters=n_iters, damping=damping, weight_col="w",
     )
 
-    nb = adaptive_buckets(links.count() * 2)
-
-    def _bl(s: pd.Series) -> pd.Series:
-        return (s.astype("int64") % nb).astype("int32")
-
-    def tag_rank(df: pd.DataFrame) -> pd.DataFrame:
+    def host_rows(df: pd.DataFrame) -> pd.DataFrame:
+        c = code(df)
         return pd.DataFrame(
-            {"node": df["node"].astype("int64"), "host": "",
-             "rank": df["rank"], "_nb": _bl(df["node"]), "_k": "r"}
-        )
-
-    def tag_hosts(df: pd.DataFrame) -> pd.DataFrame:
-        s = stable_hash64_array(df["src_host"].tolist()).view(np.int64)
-        d = stable_hash64_array(df["dst_host"].tolist()).view(np.int64)
-        out = pd.DataFrame(
-            {"node": np.concatenate([s, d]).astype("int64"),
-             "host": pd.concat(
-                 [df["src_host"], df["dst_host"]], ignore_index=True
-             ),
-             "rank": 0.0, "_k": "h"}
+            {"node": np.concatenate([c["src"], c["dst"]]),
+             "host": pd.concat([df["src_host"], df["dst_host"]], ignore_index=True)}
         ).drop_duplicates(["node"])
-        out["_nb"] = _bl(out["node"])
-        return out[["node", "host", "rank", "_nb", "_k"]]
 
-    def attach(g: pd.DataFrame) -> pd.DataFrame:
-        r = g[g["_k"] == "r"][["node", "rank"]]
-        h = g[g["_k"] == "h"].drop_duplicates(["node"])[["node", "host"]]
-        m = r.merge(h, on="node")
+    def attach(parts: dict) -> pd.DataFrame:
+        m = parts["r"].merge(parts["h"].drop_duplicates(["node"]), on="node")
         return pd.DataFrame({"host": m["host"], "rank": m["rank"]})
 
-    return (
-        ranks.map_batches(tag_rank, batch_format="pandas")
-        .union(links.map_batches(tag_hosts, batch_format="pandas"))
-        .repartition(nb)
-        .groupby("_nb")
-        .map_groups(attach, batch_format="pandas")
+    return co_exchange(
+        {"r": (ranks, "node", _typed(node="int64", rank="float64")),
+         "h": (links.map_batches(host_rows, batch_format="pandas"),
+               "node", _typed(node="int64", host="object"))},
+        attach, adaptive_buckets(links.count() * 2),
     )
 
 
 def redirect_resolve_ds(
     edges: "ray.data.Dataset",
     max_rounds: int = 40,
-    num_buckets: int = 64,
 ) -> "ray.data.Dataset":
     """(node, final, hops) — resolve every redirecting node of a
     functional alias graph (``src`` → ``dst``, at most ONE out-edge
@@ -1174,18 +800,19 @@ def redirect_resolve_ds(
     ``final`` is the chain's terminal (a node with no out-edge; it
     need not be a known src — an off-corpus destination is a valid
     terminal), ``hops`` the exact number of original edges traversed.
+    An empty edge set resolves to an empty (typed) result.
 
     Scale shape — pointer jumping (path doubling), the
     Shiloach–Vishkin discipline already used by
     ``dedup._cluster_labels_distributed``:
 
     - state = one row per src: (node, succ, hops, done);
-    - per round, ONE key-hash exchange: every pending row is routed by
-      ``succ`` into the bucket where succ's OWN state row lives (rows
-      double as lookup targets, routed by ``node``) and composes
-      succ := state[succ].succ, hops += state[succ].hops — so pending
-      chain distances DOUBLE each round and any acyclic input resolves
-      in ⌈log2 L⌉ rounds, not L;
+    - per round, ONE co-partition exchange: every pending row is
+      routed by ``succ`` into the bucket where succ's OWN state row
+      lives (rows double as lookup targets, routed by ``node``) and
+      composes succ := state[succ].succ, hops += state[succ].hops — so
+      pending chain distances DOUBLE each round and any acyclic input
+      resolves in ⌈log2 L⌉ rounds, not L;
     - a pending row whose succ has no state row anywhere is done
       (terminal); one that composes onto a DONE row inherits its final
       in one step — so resolved rows stay in the exchange as
@@ -1198,89 +825,53 @@ def redirect_resolve_ds(
       raise (corrupt functional graph) rather than resolving
       arbitrarily.
     """
-    from ..kernels.partitioning import adaptive_buckets, cut_lineage
-
-    state = edges.map_batches(
+    rows_t = _typed(node="int64", succ="int64", hops="int64", done="bool")
+    pending = edges.map_batches(
         lambda df: pd.DataFrame(
-            {"node": df["src"].astype("int64"),
-             "succ": df["dst"].astype("int64")}
-        ).assign(hops=np.int64(1)),
+            {"node": df["src"].astype("int64"), "succ": df["dst"].astype("int64"),
+             "hops": np.int64(1), "done": False}
+        ),
         batch_format="pandas",
     ).materialize()
-    nb = adaptive_buckets(state.count(), requested=num_buckets)
+    nb = adaptive_buckets(pending.count())
 
-    def tag_map(df: pd.DataFrame) -> pd.DataFrame:
-        return df.assign(_b=(df["node"] % nb).astype("int32"), _k="m")
-
-    def tag_query(df: pd.DataFrame) -> pd.DataFrame:
-        return df.assign(_b=(df["succ"] % nb).astype("int32"), _k="q")
-
-    def compose(g: pd.DataFrame) -> pd.DataFrame:
-        m = g[g["_k"] == "m"]
+    def compose(parts: dict) -> pd.DataFrame:
+        m, q = parts["m"], parts["q"]
         if m["node"].duplicated().any():
             bad = m.loc[m["node"].duplicated(), "node"].iloc[0]
             raise ValueError(
                 f"redirect_resolve_ds: src {int(bad)} has multiple "
                 "out-edges — input is not a functional graph"
             )
-        q = g[g["_k"] == "q"]
-        if not len(q):
-            return pd.DataFrame({
-                "node": pd.Series(dtype="int64"),
-                "succ": pd.Series(dtype="int64"),
-                "hops": pd.Series(dtype="int64"),
-                "done": pd.Series(dtype="bool"),
-            })
         j = q.merge(
-            m[["node", "succ", "hops", "done"]].rename(columns={
+            m.rename(columns={
                 "node": "succ", "succ": "m_succ",
                 "hops": "m_hops", "done": "m_done",
             }),
             on="succ", how="left",
         )
         hit = j["m_succ"].notna()
-        out = pd.DataFrame({
+        return pd.DataFrame({
             "node": j["node"].astype("int64"),
-            "succ": np.where(hit, j["m_succ"].fillna(0), j["succ"]),
-            "hops": np.where(hit, j["hops"] + j["m_hops"].fillna(0),
-                             j["hops"]),
+            "succ": np.where(hit, j["m_succ"].fillna(0), j["succ"]).astype("int64"),
+            "hops": np.where(hit, j["hops"] + j["m_hops"].fillna(0), j["hops"]).astype("int64"),
             # no state row for succ → succ is terminal → done;
             # composed onto a done row → our new succ is ITS final
-            "done": np.where(hit, j["m_done"].eq(True), True),
+            "done": np.where(hit, j["m_done"].eq(True), True).astype("bool"),
         })
-        out["succ"] = out["succ"].astype("int64")
-        out["hops"] = out["hops"].astype("int64")
-        out["done"] = out["done"].astype("bool")
-        return out
 
-    pending = state.map_batches(
-        lambda df: df.assign(done=False), batch_format="pandas"
-    ).materialize()
     resolved = None  # accumulated done rows (still lookup targets)
-
-    def split_done(df: pd.DataFrame) -> pd.DataFrame:
-        return df[df["done"]][["node", "succ", "hops", "done"]]
-
-    def split_pending(df: pd.DataFrame) -> pd.DataFrame:
-        return df[~df["done"]][["node", "succ", "hops", "done"]]
-
     for _ in range(max_rounds):
         map_side = pending if resolved is None else pending.union(resolved)
-        stepped = (
-            map_side.map_batches(tag_map, batch_format="pandas")
-            .union(pending.map_batches(tag_query, batch_format="pandas"))
-            .repartition(nb)
-            .groupby("_b")
-            .map_groups(compose, batch_format="pandas")
-        )
-        stepped = cut_lineage(stepped.materialize())
-        nd = cut_lineage(
-            stepped.map_batches(split_done, batch_format="pandas")
+        stepped = cut_lineage(
+            co_exchange({"m": (map_side, "node", rows_t), "q": (pending, "succ", rows_t)}, compose, nb)
             .materialize()
+        )
+        nd = cut_lineage(
+            stepped.map_batches(lambda df: df[df["done"]], batch_format="pandas").materialize()
         )
         still = cut_lineage(
-            stepped.map_batches(split_pending, batch_format="pandas")
-            .materialize()
+            stepped.map_batches(lambda df: df[~df["done"]], batch_format="pandas").materialize()
         )
         if nd.count() > 0:
             resolved = nd if resolved is None else cut_lineage(
@@ -1295,12 +886,10 @@ def redirect_resolve_ds(
             f"after {max_rounds} pointer-jump rounds — redirect cycle"
         )
 
+    if resolved is None:
+        return ray.data.from_pandas(_typed(node="int64", final="int64", hops="int64"))
     return resolved.map_batches(
-        lambda df: pd.DataFrame(
-            {"node": df["node"].astype("int64"),
-             "final": df["succ"].astype("int64"),
-             "hops": df["hops"].astype("int64")}
-        ),
+        lambda df: pd.DataFrame({"node": df["node"], "final": df["succ"], "hops": df["hops"]}),
         batch_format="pandas",
     )
 
@@ -1313,27 +902,20 @@ def reference_redirect_chains(sf_dir: str) -> "ray.data.Dataset":
     a valid off-corpus terminal). Exercises multi-hop composition,
     done-row inheritance and the off-corpus-terminal rule; resolves in
     4 pointer-jump rounds where naive chasing needs 15."""
-    import ray
+    docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id"])
 
-    docs = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id"]
-    )
-
-    def edge_rows(batch: pa.Table) -> pd.DataFrame:
+    def edge_rows(batch) -> pd.DataFrame:
         ids = batch.column("doc_id").to_numpy(zero_copy_only=False)
         ids = ids[ids % 16 != 0].astype(np.int64)
         return pd.DataFrame({"src": ids, "dst": ids - 1})
 
-    return redirect_resolve_ds(
-        docs.map_batches(edge_rows, batch_format="pyarrow"), num_buckets=16
-    )
+    return redirect_resolve_ds(docs.map_batches(edge_rows, batch_format="pyarrow"))
 
 
 def kcore_ds(
     edges: "ray.data.Dataset",
     k: int = 5,
     max_rounds: int = 100,
-    num_buckets: int = 64,
 ) -> "ray.data.Dataset":
     """(node, core_degree) — the k-CORE of an undirected graph: the
     maximal subgraph where every node keeps ≥ k neighbors, computed by
@@ -1351,32 +933,28 @@ def kcore_ds(
     Scale shape — per round exactly TWO keyed exchanges, no
     driver-resident node or edge set:
 
-    - exchange 1 routes edges by src-hash bucket: per bucket a
-      vectorized value_counts gives every src's degree; edges whose
-      src survives pass through, peeled srcs emit one marker row each
-      (degree testing and src-side dropping fused into one exchange);
-    - exchange 2 routes survivors by DST-hash bucket together with the
-      markers: edges pointing at a peeled node are dropped (symmetric
-      list ⇒ both directions of every incident edge die this round);
+    - exchange 1 routes edges by src: per bucket a vectorized
+      value_counts gives every src's degree; edges whose src survives
+      pass through, peeled srcs emit one marker row each (degree
+      testing and src-side dropping fused into one exchange);
+    - exchange 2 routes survivors by DST together with the markers
+      (by their node): edges pointing at a peeled node are dropped
+      (symmetric list ⇒ both directions of every incident edge die
+      this round);
     - the only driver value per round is the peeled count (stop test);
       the edge set shrinks monotonically, so later rounds cost less;
     - rounds to fixpoint is bounded by the peel depth (the graph's
       degeneracy ordering length), never the node count: each round
       removes EVERY currently-under-k node at once.
     """
-    from ..kernels.partitioning import adaptive_buckets, cut_lineage
-
     cur = edges.map_batches(
         lambda df: pd.DataFrame(
             {"u": df["u"].astype("int64"), "v": df["v"].astype("int64")}
         ),
         batch_format="pandas",
     ).materialize()
-    nb = adaptive_buckets(cur.count(), requested=num_buckets)
+    nb = adaptive_buckets(cur.count())
     kk = int(k)
-
-    def tag_u(df: pd.DataFrame) -> pd.DataFrame:
-        return df.assign(_b=(df["u"] % nb).astype("int32"))
 
     def peel_src(g: pd.DataFrame) -> pd.DataFrame:
         deg = g["u"].value_counts()
@@ -1395,24 +973,13 @@ def kcore_ds(
             )
         return out
 
-    def tag_v(df: pd.DataFrame) -> pd.DataFrame:
-        key = np.where(df["_peel"], df["u"], df["v"])
-        return df.assign(_b=pd.Series(key % nb, dtype="int32",
-                                      index=df.index))
-
     def drop_dst(g: pd.DataFrame) -> pd.DataFrame:
         dead = g.loc[g["_peel"], "u"].to_numpy()
         e = g[~g["_peel"]]
         return e.loc[~e["v"].isin(dead), ["u", "v"]]
 
     for _ in range(max_rounds):
-        stepped = (
-            cur.map_batches(tag_u, batch_format="pandas")
-            .repartition(nb)
-            .groupby("_b")
-            .map_groups(peel_src, batch_format="pandas")
-        )
-        stepped = cut_lineage(stepped.materialize())
+        stepped = cut_lineage(keyed_exchange(cur, "u", peel_src, nb).materialize())
         n_peeled = stepped.map_batches(
             lambda df: pd.DataFrame(
                 {"n": [int(df["_peel"].sum())]}
@@ -1427,12 +994,15 @@ def kcore_ds(
                 ).materialize()
             )
             break
+        # a marker routes by its peeled node, a survivor by its dst
         cur = cut_lineage(
-            stepped.map_batches(tag_v, batch_format="pandas")
-            .repartition(nb)
-            .groupby("_b")
-            .map_groups(drop_dst, batch_format="pandas")
-            .materialize()
+            keyed_exchange(
+                stepped.map_batches(
+                    lambda df: df.assign(key=np.where(df["_peel"], df["u"], df["v"])),
+                    batch_format="pandas",
+                ),
+                "key", drop_dst, nb,
+            ).materialize()
         )
     else:
         raise RuntimeError(
@@ -1446,12 +1016,7 @@ def kcore_ds(
              "core_degree": d["core_degree"].astype("int64")}
         )
 
-    return (
-        final.map_batches(tag_u, batch_format="pandas")
-        .repartition(nb)
-        .groupby("_b")
-        .map_groups(degree, batch_format="pandas")
-    )
+    return keyed_exchange(final, "u", degree, nb)
 
 
 def reference_kcore(sf_dir: str, k: int = 5) -> "ray.data.Dataset":
@@ -1464,14 +1029,10 @@ def reference_kcore(sf_dir: str, k: int = 5) -> "ray.data.Dataset":
     survive) instead of the all-or-nothing a regular graph gives."""
     import pyarrow.parquet as pq
 
-    import ray
-
     n_docs = pq.read_metadata(f"{sf_dir}/documents.parquet").num_rows
-    docs = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id"]
-    )
+    docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id"])
 
-    def edge_rows(batch: pa.Table) -> pd.DataFrame:
+    def edge_rows(batch) -> pd.DataFrame:
         ids = batch.column("doc_id").to_numpy(zero_copy_only=False).astype(np.int64)
         us, vs = [], []
         for j in range(1, 7):
@@ -1483,29 +1044,14 @@ def reference_kcore(sf_dir: str, k: int = 5) -> "ray.data.Dataset":
         both_u = np.concatenate([u, v])
         both_v = np.concatenate([v, u])
         keep = both_u != both_v
-        df = pd.DataFrame(
-            {"u": both_u[keep], "v": both_v[keep]}
-        ).drop_duplicates()
-        return df
+        return pd.DataFrame({"u": both_u[keep], "v": both_v[keep]}).drop_duplicates()
 
-    edges = docs.map_batches(edge_rows, batch_format="pyarrow")
     # in-batch drop_duplicates dedups only within one batch; a global
     # distinct exchange makes the contract hold at any block layout
-    nb = 16
-
-    dedup = (
-        edges.map_batches(
-            lambda df: df.assign(_b=(df["u"] % nb).astype("int32")),
-            batch_format="pandas",
-        )
-        .repartition(nb)
-        .groupby("_b")
-        .map_groups(
-            lambda g: g.drop_duplicates(["u", "v"])[["u", "v"]],
-            batch_format="pandas",
-        )
+    dedup = keyed_exchange(
+        docs.map_batches(edge_rows, batch_format="pyarrow"), ["u", "v"], lambda g: g.drop_duplicates(), 16
     )
-    return kcore_ds(dedup, k=k, num_buckets=16)
+    return kcore_ds(dedup, k=k)
 
 
 def focused_frontier_rank(sf_dir: str, n_iters: int = 4) -> "ray.data.Dataset":
@@ -1517,36 +1063,11 @@ def focused_frontier_rank(sf_dir: str, n_iters: int = 4) -> "ray.data.Dataset":
     seeds rather than global importance (Haveliwala 2002). BFS tiers
     give the hop metric; this gives the smooth, link-density-aware
     one."""
-    import pyarrow.parquet as pq
-
-    import ray
-
-    n_docs = pq.read_metadata(f"{sf_dir}/documents.parquet").num_rows
-    docs = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id"]
-    )
-
-    def edge_rows(batch: pa.Table) -> pd.DataFrame:
-        ids = [int(i) for i in batch.column("doc_id").to_pylist() if i % 3 == 0]
-        rows = {"src": [], "dst": []}
-        for d in ids:
-            for k in (1, 2, 3, 4):
-                rows["src"].append(1000 + d)
-                rows["dst"].append(person_ref(d, k, n_docs))
-        return pd.DataFrame(
-            {"src": pd.Series(rows["src"], dtype="int64"),
-             "dst": pd.Series(rows["dst"], dtype="int64")}
-        )
-
-    def seed_rows(batch: pa.Table) -> pd.DataFrame:
-        ids = batch.column("doc_id").to_numpy(zero_copy_only=False)
-        sel = ids[ids % 30 == 0].astype(np.int64)
-        return pd.DataFrame({"node": 1000 + sel})
-
+    docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id"])
     return pagerank_ds(
-        docs.map_batches(edge_rows, batch_format="pyarrow"),
+        _reference_edges(sf_dir),
         n_iters=n_iters,
-        seeds=docs.map_batches(seed_rows, batch_format="pyarrow"),
+        seeds=docs.map_batches(_seed_rows(30), batch_format="pyarrow"),
     )
 
 
@@ -1554,7 +1075,6 @@ def hyperball_ds(
     edges: "ray.data.Dataset",
     rounds: int = 4,
     p: int = 8,
-    num_buckets: int = 64,
     harmonic: bool = False,
     nf_out: "list[int] | None" = None,
 ) -> "ray.data.Dataset":
@@ -1573,22 +1093,22 @@ def hyperball_ds(
 
     Determinism: counters are register-wise MAX-merged, so the final
     registers — and the integer estimates — are independent of batch
-    layout, merge order, and round scheduling; the same
+    layout, merge order, exchange width and round scheduling; the same
     order-independence that graduated the HLL distinct ops to
     value-hash oracles applies here.
 
     Scale shape — per round exactly TWO keyed exchanges, the PageRank
     discipline with registers instead of floats:
 
-    - exchange 1 (by src bucket): each node's current registers meet
-      its out-edges; ONLY srcs whose registers changed in the last
-      round contribute (delta shipping — register-wise max makes the
-      skip exact: an unchanged src's registers were already absorbed
-      by every dst in the previous round), and a per-bucket pre-merge
+    - exchange 1 (by src): each node's current registers meet its
+      out-edges; ONLY srcs whose registers changed in the last round
+      contribute (delta shipping — register-wise max makes the skip
+      exact: an unchanged src's registers were already absorbed by
+      every dst in the previous round), and a per-bucket pre-merge
       collapses the shipped rows to one per (bucket, distinct dst) —
       O(min(E_changed, nb·V)) exchange volume, decaying as balls
       saturate; the same combiner the PageRank contributions use;
-    - exchange 2 (by node bucket): vectorized ``maximum.reduceat``
+    - exchange 2 (by node): vectorized ``maximum.reduceat``
       max-merges each node's incoming registers with its own;
     - no driver value at all until the final estimates scan
       (a production run would also read the per-round global
@@ -1602,18 +1122,12 @@ def hyperball_ds(
     and connectivity mass all derive from it.
     """
     from ..kernels.hashing import splitmix64
-    from ..kernels.partitioning import adaptive_buckets, cut_lineage
     from .textstats import _hll_estimate_rows, _hll_register_rows
 
     m = 1 << p
-
-    edges = edges.map_batches(
-        lambda df: pd.DataFrame(
-            {"src": df["src"].astype("int64"), "dst": df["dst"].astype("int64")}
-        ),
-        batch_format="pandas",
-    ).materialize()
-    nb = adaptive_buckets(edges.count(), requested=num_buckets)
+    edges = _int64_edges(edges)
+    nb = adaptive_buckets(edges.count())
+    state_t = _typed(node="int64", regs="object", chg="uint8")
 
     def _bytes_rows(regmat: np.ndarray) -> list:
         """Per-row bytes views of one contiguous buffer (no per-row
@@ -1621,18 +1135,14 @@ def hyperball_ds(
         blob = regmat.tobytes()
         return [blob[i * m:(i + 1) * m] for i in range(regmat.shape[0])]
 
-    # init: ship NODE KEYS only (8 bytes/row), build registers ONCE
-    # per deduped node inside the group task, fully vectorized — the
-    # old per-singleton ``_hll_registers`` Python loop ran once per
-    # (batch, node) occurrence and dominated the whole op (~140 s of
-    # a 170 s run at 2M edges)
-    def init_keys(df: pd.DataFrame) -> pd.DataFrame:
-        nodes = pd.unique(pd.concat([df["src"], df["dst"]], ignore_index=True))
-        return pd.DataFrame(
-            {"node": pd.Series(nodes, dtype="int64"),
-             "_nb": pd.Series(nodes % nb, dtype="int32")}
-        )
+    def _regmat_of(df: pd.DataFrame) -> np.ndarray:
+        return np.frombuffer(b"".join(df["regs"].tolist()), dtype=np.uint8).reshape(len(df), m)
 
+    # init: ship NODE KEYS only (8 bytes/row), build registers ONCE
+    # per deduped node inside the group task, fully vectorized — a
+    # per-singleton register loop ran once per (batch, node)
+    # occurrence and dominated the whole op (~140 s of a 170 s run at
+    # 2M edges)
     def init_group(g: pd.DataFrame) -> pd.DataFrame:
         nodes = np.unique(g["node"].to_numpy())
         regmat = _hll_register_rows(splitmix64(nodes.astype(np.uint64)), p)
@@ -1642,29 +1152,9 @@ def hyperball_ds(
              "chg": np.uint8(1)}
         )
 
-    state = (
-        edges.map_batches(init_keys, batch_format="pandas")
-        .repartition(nb)
-        .groupby("_nb")
-        .map_groups(init_group, batch_format="pandas")
-        .materialize()
-    )
-
-    def tag_state(df: pd.DataFrame) -> pd.DataFrame:
-        return df.assign(
-            dst=np.int64(-1),
-            _b=(df["node"] % nb).astype("int32"),
-            _k="s",
-        )[["node", "regs", "chg", "dst", "_b", "_k"]]
-
-    def tag_edges(df: pd.DataFrame) -> pd.DataFrame:
-        n = len(df)
-        return pd.DataFrame(
-            {"node": df["src"].astype("int64").to_numpy(),  # keyed by src
-             "regs": [b""] * n,
-             "chg": np.uint8(0),
-             "dst": df["dst"].astype("int64").to_numpy()}
-        ).assign(_b=lambda d: (d["node"] % nb).astype("int32"), _k="e")
+    state = keyed_exchange(
+        edges.map_batches(_node_rows, batch_format="pandas"), "node", init_group, nb
+    ).materialize()
 
     def _merge_by_key(keys: np.ndarray, regmat: np.ndarray):
         """(sorted unique keys, per-key max-merged register matrix)."""
@@ -1674,12 +1164,10 @@ def hyperball_ds(
         out = np.maximum.reduceat(rm, starts, axis=0)
         return uniq, out
 
-    def ship(g: pd.DataFrame) -> pd.DataFrame:
-        s = g[g["_k"] == "s"]
-        e = g[g["_k"] == "e"]
+    def ship(parts: dict) -> pd.DataFrame:
+        s, e = parts["s"], parts["e"]
         # self rows carry each node's own registers forward
-        outs = [pd.DataFrame({"node": s["node"].astype("int64"),
-                              "regs": s["regs"], "self": np.uint8(1)})]
+        outs = [pd.DataFrame({"node": s["node"], "regs": s["regs"], "self": np.uint8(1)})]
         # DELTA SHIPPING: only srcs whose registers CHANGED in the
         # last absorb contribute — an unchanged src's registers were
         # already max-merged into every dst in the previous round, so
@@ -1688,29 +1176,19 @@ def hyperball_ds(
         # balls saturate.
         sc = s[s["chg"].to_numpy() != 0]
         if len(e) and len(sc):
-            j = e[["node", "dst"]].merge(
-                sc[["node", "regs"]], on="node", how="inner"
-            )
+            j = e.merge(sc[["node", "regs"]].rename(columns={"node": "src"}), on="src")
             if len(j):
                 # pre-merge per distinct dst inside the bucket (the
                 # PageRank combiner): ONE row per (bucket, dst)
-                regmat = np.frombuffer(
-                    b"".join(j["regs"].tolist()), dtype=np.uint8
-                ).reshape(len(j), m)
-                uniq, merged = _merge_by_key(
-                    j["dst"].to_numpy(), regmat
-                )
+                uniq, merged = _merge_by_key(j["dst"].to_numpy(), _regmat_of(j))
                 outs.append(pd.DataFrame(
                     {"node": pd.Series(uniq, dtype="int64"),
                      "regs": _bytes_rows(merged), "self": np.uint8(0)}
                 ))
-        out = pd.concat(outs, ignore_index=True) if len(outs) > 1 else outs[0]
-        return out.assign(_ab=(out["node"] % nb).astype("int32"))
+        return pd.concat(outs, ignore_index=True) if len(outs) > 1 else outs[0]
 
     def absorb(g: pd.DataFrame) -> pd.DataFrame:
-        regmat = np.frombuffer(
-            b"".join(g["regs"].tolist()), dtype=np.uint8
-        ).reshape(len(g), m)
+        regmat = _regmat_of(g)
         keys = g["node"].to_numpy()
         uniq, merged = _merge_by_key(keys, regmat)
         # chg: did the node's registers grow vs its own (exactly one)
@@ -1726,30 +1204,18 @@ def hyperball_ds(
              "chg": chg.astype(np.uint8)}
         )
 
-    def _regmat_of(df: pd.DataFrame) -> np.ndarray:
-        return np.frombuffer(
-            b"".join(df["regs"].tolist()), dtype=np.uint8
-        ).reshape(len(df), m)
+    def estimates(col: str):
+        def fn(df: pd.DataFrame) -> pd.DataFrame:
+            est = pd.Series(_hll_estimate_rows(_regmat_of(df)), dtype="int64")
+            return pd.DataFrame({"node": df["node"], col: est})
 
-    def est_rows(df: pd.DataFrame, as_acc: bool) -> pd.DataFrame:
-        ests = _hll_estimate_rows(_regmat_of(df))
-        node = df["node"].astype("int64").to_numpy()
-        out = pd.DataFrame(
-            {"node": node,
-             "prev": ests if as_acc else np.int64(-1),
-             "hc": 0.0,
-             "est": np.int64(-1) if as_acc else ests}
-        )
-        return out.assign(_hb=(out["node"] % nb).astype("int32"),
-                          _k="a" if as_acc else "e")
+        return fn
 
     def _nf_scalar(st: "ray.data.Dataset") -> int:
         """Σ ball_est over all nodes — per-batch partials, one scalar."""
         return int(
             st.map_batches(
-                lambda df: pd.DataFrame(
-                    {"s": [int(_hll_estimate_rows(_regmat_of(df)).sum())]}
-                ),
+                lambda df: pd.DataFrame({"s": [int(_hll_estimate_rows(_regmat_of(df)).sum())]}),
                 batch_format="pandas",
             ).sum("s")
             or 0
@@ -1758,74 +1224,49 @@ def hyperball_ds(
     if nf_out is not None:
         nf_out.append(_nf_scalar(state))  # N(0): the {self} estimates
 
-    # harmonic accumulator: H(n) = Σ_r (N_r − N_{r−1}) / r over the
-    # per-round ball estimates (Boldi–Vigna's centrality readout);
-    # N_0 = the single-element estimate of {self}
+    # harmonic accumulator (node, prev, hc): H(n) = Σ_r (N_r − N_{r−1})
+    # / r over the per-round ball estimates (Boldi–Vigna's centrality
+    # readout); N_0 = the single-element estimate of {self}
     acc = None
+    acc_t = _typed(node="int64", prev="int64", hc="float64")
     if harmonic:
         acc = state.map_batches(
-            lambda df: est_rows(df, as_acc=True), batch_format="pandas"
+            lambda df: estimates("prev")(df).assign(hc=0.0), batch_format="pandas"
         ).materialize()
 
     for r in range(1, rounds + 1):
         state = cut_lineage(
-            state.map_batches(tag_state, batch_format="pandas")
-            .union(edges.map_batches(tag_edges, batch_format="pandas"))
-            .repartition(nb)
-            .groupby("_b")
-            .map_groups(ship, batch_format="pandas")
-            .repartition(nb)
-            .groupby("_ab")
-            .map_groups(absorb, batch_format="pandas")
-            .materialize()
+            keyed_exchange(
+                co_exchange({"s": (state, "node", state_t), "e": (edges, "src", EDGES)}, ship, nb),
+                "node", absorb, nb,
+            ).materialize()
         )
         if nf_out is not None:
             nf_out.append(_nf_scalar(state))
         if harmonic:
-            def upd(g: pd.DataFrame, _r=r) -> pd.DataFrame:
-                a = g[g["_k"] == "a"][["node", "prev", "hc"]]
-                e = g[g["_k"] == "e"][["node", "est"]]
-                m = a.merge(e, on="node", how="inner")
-                m["hc"] = m["hc"] + (m["est"] - m["prev"]) / float(_r)
+            def upd(parts: dict, _r=r) -> pd.DataFrame:
+                m_ = parts["a"].merge(parts["e"], on="node", how="inner")
                 return pd.DataFrame(
-                    {"node": m["node"].astype("int64"),
-                     "prev": m["est"].astype("int64"),
-                     "hc": m["hc"].astype("float64"),
-                     "est": np.int64(-1)}
-                ).assign(_hb=(m["node"] % nb).astype("int32").to_numpy(),
-                         _k="a")
+                    {"node": m_["node"],
+                     "prev": m_["est"],
+                     "hc": m_["hc"] + (m_["est"] - m_["prev"]) / float(_r)}
+                )
 
             acc = cut_lineage(
-                acc.union(
-                    state.map_batches(
-                        lambda df: est_rows(df, as_acc=False),
-                        batch_format="pandas",
-                    )
-                )
-                .repartition(nb)
-                .groupby("_hb")
-                .map_groups(upd, batch_format="pandas")
-                .materialize()
+                co_exchange(
+                    {"a": (acc, "node", acc_t),
+                     "e": (state.map_batches(estimates("est"), batch_format="pandas"), "node",
+                           _typed(node="int64", est="int64"))},
+                    upd, nb,
+                ).materialize()
             )
 
     if harmonic:
         return acc.map_batches(
-            lambda df: pd.DataFrame(
-                {"node": df["node"].astype("int64"),
-                 "ball_est": df["prev"].astype("int64"),
-                 "harmonic": df["hc"].astype("float64")}
-            ),
+            lambda df: pd.DataFrame({"node": df["node"], "ball_est": df["prev"], "harmonic": df["hc"]}),
             batch_format="pandas",
         )
-
-    def estimate(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {"node": df["node"].astype("int64"),
-             "ball_est": pd.Series(_hll_estimate_rows(_regmat_of(df)),
-                                   dtype="int64")}
-        )
-
-    return state.map_batches(estimate, batch_format="pandas")
+    return state.map_batches(estimates("ball_est"), batch_format="pandas")
 
 
 def reference_hyperball(sf_dir: str, rounds: int = 4) -> "ray.data.Dataset":
@@ -1834,32 +1275,7 @@ def reference_hyperball(sf_dir: str, rounds: int = 4) -> "ray.data.Dataset":
     edge set): the sketch-based counterpart of ``crawl_bfs_tiers``,
     measuring HOW MUCH of the graph each page can reach in 4 hops
     rather than which tier it sits in."""
-    import pyarrow.parquet as pq
-
-    import ray
-
-    n_docs = pq.read_metadata(f"{sf_dir}/documents.parquet").num_rows
-    docs = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id"]
-    )
-
-    def edge_rows(batch: pa.Table) -> pd.DataFrame:
-        ids = [int(i) for i in batch.column("doc_id").to_pylist() if i % 3 == 0]
-        src, dst = [], []
-        for d in ids:
-            for k in (1, 2, 3, 4):
-                pr = person_ref(d, k, n_docs)
-                src += [1000 + d, pr]
-                dst += [pr, 1000 + d]
-        return pd.DataFrame(
-            {"src": pd.Series(src, dtype="int64"),
-             "dst": pd.Series(dst, dtype="int64")}
-        )
-
-    return hyperball_ds(
-        docs.map_batches(edge_rows, batch_format="pyarrow"), rounds=rounds,
-        num_buckets=16,
-    )
+    return hyperball_ds(_reference_edges(sf_dir, symmetric=True), rounds=rounds)
 
 
 def reference_harmonic(sf_dir: str, rounds: int = 4) -> "ray.data.Dataset":
@@ -1869,32 +1285,7 @@ def reference_harmonic(sf_dir: str, rounds: int = 4) -> "ray.data.Dataset":
     contribute 0, not ∞ — why web-graph work prefers it to
     closeness), truncated at radius ``rounds`` exactly as HyperBall
     computes it."""
-    import pyarrow.parquet as pq
-
-    import ray
-
-    n_docs = pq.read_metadata(f"{sf_dir}/documents.parquet").num_rows
-    docs = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id"]
-    )
-
-    def edge_rows(batch: pa.Table) -> pd.DataFrame:
-        ids = [int(i) for i in batch.column("doc_id").to_pylist() if i % 3 == 0]
-        src, dst = [], []
-        for d in ids:
-            for k in (1, 2, 3, 4):
-                pr = person_ref(d, k, n_docs)
-                src += [1000 + d, pr]
-                dst += [pr, 1000 + d]
-        return pd.DataFrame(
-            {"src": pd.Series(src, dtype="int64"),
-             "dst": pd.Series(dst, dtype="int64")}
-        )
-
-    return hyperball_ds(
-        docs.map_batches(edge_rows, batch_format="pyarrow"),
-        rounds=rounds, num_buckets=16, harmonic=True,
-    )
+    return hyperball_ds(_reference_edges(sf_dir, symmetric=True), rounds=rounds, harmonic=True)
 
 
 def _scc_brute(edge_list: "list[tuple[int, int]]") -> dict[int, int]:
@@ -1960,7 +1351,6 @@ def scc_ds(
     edges: "ray.data.Dataset",
     max_outer: int = 16,
     max_label_rounds: int = 50,
-    num_buckets: int = 64,
 ) -> "ray.data.Dataset":
     """(node, scc_id) — STRONGLY connected components of a directed
     edge Dataset (``src``, ``dst`` int64), scc_id = the SCC's minimum
@@ -1990,15 +1380,16 @@ def scc_ds(
       SCC with minimum member m = scc_id. Size-1 classes freeze out
       early (a singleton class can never re-merge).
 
-    Scale shape — everything is key-hash-bucketed exchanges with
-    vectorized per-bucket kernels; no driver-resident node/edge set:
+    Scale shape — everything is co-partition exchanges with vectorized
+    per-bucket kernels; no driver-resident node/edge set:
 
-    - outer round setup: TWO exchanges attach src/dst classes and drop
-      cross-class edges (the active edge set only shrinks);
+    - outer round setup: TWO exchanges attach src/dst classes and keep
+      the in-class edges (the active edge set only shrinks);
     - inner label round: ONE exchange carries min-label proposals and
-      both pointer-doubling lookups together (labels, flow rows and
-      jump rows co-bucket by node key), ONE exchange min-reduces —
-      2 exchanges/round;
+      both pointer-doubling lookups together (state rows by node, the
+      in-class label-flow rows and the jump rows by the node they ask);
+      each bucket's state rows ride along with its proposals into ONE
+      min-reduce exchange — 2 exchanges/round;
     - only per-round scalar change counts reach the driver.
 
     Round count honesty: the doubling jump composes horizons along the
@@ -2013,202 +1404,96 @@ def scc_ds(
 
     Raises RuntimeError if either loop exhausts its budget with labels
     still moving (the dedup._cluster_labels_distributed convention)."""
-    from ..kernels.partitioning import adaptive_buckets, cut_lineage
+    edges = _int64_edges(edges, dedup=True)
+    nb = adaptive_buckets(edges.count())
 
-    def cast(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {"src": df["src"].astype("int64"),
-             "dst": df["dst"].astype("int64")}
-        ).drop_duplicates()
-
-    edges = edges.map_batches(cast, batch_format="pandas").materialize()
-    nb = adaptive_buckets(edges.count(), requested=num_buckets)
-
-    def init_labels(df: pd.DataFrame) -> pd.DataFrame:
-        nodes = pd.unique(pd.concat([df["src"], df["dst"]], ignore_index=True))
-        return pd.DataFrame(
-            {"node": pd.Series(nodes, dtype="int64"),
-             "cf": np.int64(0), "cb": np.int64(0),
-             "_b": pd.Series(nodes % nb, dtype="int32")}
-        )
-
-    labels = (
-        edges.map_batches(init_labels, batch_format="pandas")
-        .groupby("_b")
-        .map_groups(
-            lambda g: g.drop_duplicates("node")[["node", "cf", "cb"]],
-            batch_format="pandas",
-        )
-        .materialize()
-    )
+    labels = keyed_exchange(
+        edges.map_batches(_node_rows, batch_format="pandas"), "node",
+        lambda g: g.drop_duplicates("node").assign(cf=np.int64(0), cb=np.int64(0)), nb,
+    ).materialize()
     if labels.count() == 0:
-        return ray.data.from_pandas(
-            pd.DataFrame({"node": pd.Series(dtype="int64"),
-                          "scc_id": pd.Series(dtype="int64")})
-        )
+        return ray.data.from_pandas(_typed(node="int64", scc_id="int64"))
 
     done: list["ray.data.Dataset"] = []
-    empty_out = pd.DataFrame(
-        {"node": pd.Series(dtype="int64"), "scc_id": pd.Series(dtype="int64")}
-    )
+    cls_t = _typed(node="int64", cf="int64", cb="int64")
+    fb_t = _typed(node="int64", f="int64", b="int64")
+    flow_t = _typed(key="int64", out="int64", dir="int8")
 
-    # row schema shared by every union side of the inner exchanges:
-    # (key, out, f, b, _b, _k)
-    def _schema(df: pd.DataFrame) -> pd.DataFrame:
-        return df[["key", "out", "f", "b", "_b", "_k"]]
+    def _flow_rows(key0, out0, key1, out1) -> pd.DataFrame:
+        """Label-flow rows ``(key, out, dir)``: dir 0 carries f from
+        ``key0`` to ``out0``, dir 1 carries b from ``key1`` to ``out1``."""
+        return pd.DataFrame(
+            {"key": np.concatenate([key0, key1]).astype(np.int64),
+             "out": np.concatenate([out0, out1]).astype(np.int64),
+             "dir": np.repeat(np.array([0, 1], dtype=np.int8), [len(key0), len(key1)])}
+        )
+
+    def attach_src(parts: dict) -> pd.DataFrame:
+        # src class rides along; the next exchange re-keys by dst
+        m = parts["e"].merge(parts["s"].rename(columns={"node": "src"}), on="src")
+        return pd.DataFrame({"src": m["src"], "dst": m["dst"], "f": m["cf"], "b": m["cb"]})
+
+    def attach_dst(parts: dict) -> pd.DataFrame:
+        m = parts["e"].merge(parts["s"].rename(columns={"node": "dst"}), on="dst")
+        m = m[(m["f"] == m["cf"]) & (m["b"] == m["cb"])]
+        # both flow directions of each surviving in-class edge: f labels
+        # flow src → dst, b labels dst → src
+        return _flow_rows(m["src"], m["dst"], m["dst"], m["src"])
+
+    def jump_rows(df: pd.DataFrame) -> pd.DataFrame:
+        # pointer doubling: ask f(v) for its f, and b(v) for its b
+        return _flow_rows(df["f"], df["node"], df["b"], df["node"])
+
+    def propose(parts: dict) -> pd.DataFrame:
+        s = parts["s"]
+        ask = pd.concat([parts["flow"], parts["j"]], ignore_index=True)
+        pf = ask[ask["dir"] == 0].merge(s[["node", "f"]].rename(columns={"node": "key"}), on="key")
+        pb = ask[ask["dir"] == 1].merge(s[["node", "b"]].rename(columns={"node": "key"}), on="key")
+        # per-bucket pre-reduce: one proposal per (out, kind); the
+        # bucket's own state rows ride along (own=1) into the reduce
+        pf = pf.groupby("out", as_index=False)["f"].min()
+        pb = pb.groupby("out", as_index=False)["b"].min()
+        return pd.concat(
+            [s.assign(own=np.int8(1)),
+             pf.rename(columns={"out": "node"}).assign(b=np.int64(2**62), own=np.int8(0)),
+             pb.rename(columns={"out": "node"}).assign(f=np.int64(2**62), own=np.int8(0))],
+            ignore_index=True,
+        )[["node", "f", "b", "own"]]
+
+    def reduce_min(g: pd.DataFrame) -> pd.DataFrame:
+        new = g.groupby("node", as_index=False)[["f", "b"]].min()
+        m = new.merge(g.loc[g["own"] == 1, ["node", "f", "b"]], on="node", suffixes=("", "_old"))
+        return pd.DataFrame(
+            {"node": m["node"], "f": m["f"], "b": m["b"],
+             "_changed": ((m["f"] < m["f_old"]) | (m["b"] < m["b_old"])).astype("int64")}
+        )
 
     for outer in range(max_outer):
-        # ---- outer setup: in-class edge filter → flow rows ----------
-        def tag_cls_src(df: pd.DataFrame) -> pd.DataFrame:
-            return _schema(pd.DataFrame(
-                {"key": df["node"].astype("int64"),
-                 "out": np.int64(-1),
-                 "f": df["cf"].astype("int64"),
-                 "b": df["cb"].astype("int64")}
-            ).assign(_b=lambda d: (d["key"] % nb).astype("int32"), _k="s"))
-
-        def tag_edge(df: pd.DataFrame) -> pd.DataFrame:
-            return _schema(pd.DataFrame(
-                {"key": df["src"].astype("int64"),
-                 "out": df["dst"].astype("int64"),
-                 "f": np.int64(-1), "b": np.int64(-1)}
-            ).assign(_b=lambda d: (d["key"] % nb).astype("int32"), _k="e"))
-
-        def attach_src(g: pd.DataFrame) -> pd.DataFrame:
-            s = g[g["_k"] == "s"][["key", "f", "b"]]
-            e = g[g["_k"] == "e"][["key", "out"]]
-            m = e.merge(s, on="key", how="inner")
-            # re-key by dst for the second hop; src class rides along
-            return pd.DataFrame(
-                {"key": m["out"].astype("int64"),
-                 "out": m["key"].astype("int64"),
-                 "f": m["f"].astype("int64"),
-                 "b": m["b"].astype("int64"),
-                 "_b": (m["out"] % nb).astype("int32"),
-                 "_k": "e"}
-            )
-
-        def attach_dst(g: pd.DataFrame) -> pd.DataFrame:
-            s = g[g["_k"] == "s"][["key", "f", "b"]]
-            e = g[g["_k"] == "e"]
-            m = e[["key", "out", "f", "b"]].merge(
-                s, on="key", how="inner", suffixes=("", "_d")
-            )
-            m = m[(m["f"] == m["f_d"]) & (m["b"] == m["b_d"])]
-            # emit BOTH flow directions of the surviving in-class edge
-            # (src = m.out, dst = m.key):
-            #   kind 'f': key=src, out=dst  (f labels flow src→dst)
-            #   kind 'b': key=dst, out=src  (b labels flow dst→src)
-            fwd = pd.DataFrame(
-                {"key": m["out"].astype("int64"),
-                 "out": m["key"].astype("int64"), "_k": "f"}
-            )
-            bwd = pd.DataFrame(
-                {"key": m["key"].astype("int64"),
-                 "out": m["out"].astype("int64"), "_k": "b"}
-            )
-            both = pd.concat([fwd, bwd], ignore_index=True)
-            both["f"] = np.int64(-1)
-            both["b"] = np.int64(-1)
-            both["_b"] = (both["key"] % nb).astype("int32")
-            return _schema(both)
-
-        cls_tagged = labels.map_batches(tag_cls_src, batch_format="pandas")
-        flow = (
-            cls_tagged.union(edges.map_batches(tag_edge, batch_format="pandas"))
-            .repartition(nb)
-            .groupby("_b")
-            .map_groups(attach_src, batch_format="pandas")
-            .union(cls_tagged)
-            .repartition(nb)
-            .groupby("_b")
-            .map_groups(attach_dst, batch_format="pandas")
-            .materialize()
+        # ---- outer setup: in-class edges → flow rows ------------------
+        flow = cut_lineage(
+            co_exchange(
+                {"s": (labels, "node", cls_t),
+                 "e": (co_exchange({"s": (labels, "node", cls_t), "e": (edges, "src", EDGES)},
+                                   attach_src, nb),
+                       "dst", _typed(src="int64", dst="int64", f="int64", b="int64"))},
+                attach_dst, nb,
+            ).materialize()
         )
-        flow = cut_lineage(flow)
 
         # ---- inner: f/b min-label propagation with doubling ---------
         state = cut_lineage(labels.map_batches(
-            lambda df: pd.DataFrame(
-                {"node": df["node"].astype("int64"),
-                 "f": df["node"].astype("int64"),
-                 "b": df["node"].astype("int64")}
-            ),
+            lambda df: pd.DataFrame({"node": df["node"], "f": df["node"], "b": df["node"]}),
             batch_format="pandas",
         ).materialize())
 
         for _inner in range(max_label_rounds):
-            def tag_state(df: pd.DataFrame) -> pd.DataFrame:
-                return _schema(pd.DataFrame(
-                    {"key": df["node"].astype("int64"),
-                     "out": np.int64(-1),
-                     "f": df["f"].astype("int64"),
-                     "b": df["b"].astype("int64")}
-                ).assign(_b=lambda d: (d["key"] % nb).astype("int32"), _k="s"))
-
-            def tag_jumps(df: pd.DataFrame) -> pd.DataFrame:
-                jf = pd.DataFrame(
-                    {"key": df["f"].astype("int64"),
-                     "out": df["node"].astype("int64"), "_k": "f"}
-                )
-                jb = pd.DataFrame(
-                    {"key": df["b"].astype("int64"),
-                     "out": df["node"].astype("int64"), "_k": "b"}
-                )
-                both = pd.concat([jf, jb], ignore_index=True)
-                both["f"] = np.int64(-1)
-                both["b"] = np.int64(-1)
-                both["_b"] = (both["key"] % nb).astype("int32")
-                return _schema(both)
-
-            def propose(g: pd.DataFrame) -> pd.DataFrame:
-                s = g[g["_k"] == "s"][["key", "f", "b"]]
-                pf = g[g["_k"] == "f"][["key", "out"]].merge(s, on="key")
-                pb = g[g["_k"] == "b"][["key", "out"]].merge(s, on="key")
-                # f-proposals carry f(key) toward out; b-proposals b(key).
-                # Per-bucket pre-reduce: one proposal per (out, kind).
-                pf = pf.groupby("out", as_index=False)["f"].min()
-                pb = pb.groupby("out", as_index=False)["b"].min()
-                out = pd.concat(
-                    [pf.rename(columns={"out": "key"}).assign(b=np.int64(2**62)),
-                     pb.rename(columns={"out": "key"}).assign(f=np.int64(2**62))],
-                    ignore_index=True,
-                )[["key", "f", "b"]]
-                out["out"] = np.int64(-1)
-                out["_b"] = (out["key"] % nb).astype("int32")
-                out["_k"] = "p"
-                return _schema(out)
-
-            def reduce_min(g: pd.DataFrame) -> pd.DataFrame:
-                s = g[g["_k"] == "s"][["key", "f", "b"]]
-                p = g[g["_k"] == "p"][["key", "f", "b"]]
-                allr = pd.concat([s, p], ignore_index=True)
-                new = allr.groupby("key", as_index=False)[["f", "b"]].min()
-                m = new.merge(s, on="key", suffixes=("", "_old"))
-                ch = ((m["f"] < m["f_old"]) | (m["b"] < m["b_old"]))
-                return pd.DataFrame(
-                    {"node": m["key"].astype("int64"),
-                     "f": m["f"].astype("int64"),
-                     "b": m["b"].astype("int64"),
-                     "_changed": ch.astype("int64")}
-                )
-
-            tagged = state.map_batches(tag_state, batch_format="pandas")
-            proposals = (
-                tagged
-                .union(flow)
-                .union(state.map_batches(tag_jumps, batch_format="pandas"))
-                .repartition(nb)
-                .groupby("_b")
-                .map_groups(propose, batch_format="pandas")
+            proposals = co_exchange(
+                {"s": (state, "node", fb_t),
+                 "flow": (flow, "key", flow_t),
+                 "j": (state.map_batches(jump_rows, batch_format="pandas"), "key", flow_t)},
+                propose, nb,
             )
-            reduced = (
-                tagged.union(proposals)
-                .repartition(nb)
-                .groupby("_b")
-                .map_groups(reduce_min, batch_format="pandas")
-                .materialize()
-            )
+            reduced = keyed_exchange(proposals, "node", reduce_min, nb).materialize()
             n_changed = int(reduced.sum("_changed") or 0)
             # reduced carries (node, f, b, _changed); the extra column
             # rides along unused — saves a materialize per round
@@ -2263,7 +1548,7 @@ def scc_ds(
         )
 
     if not done:
-        return ray.data.from_pandas(empty_out)
+        return ray.data.from_pandas(_typed(node="int64", scc_id="int64"))
     out = done[0]
     for d in done[1:]:
         out = out.union(d)
@@ -2372,7 +1657,6 @@ def reference_scc_brute(sf_dir: str) -> pd.DataFrame:
 def bowtie_ds(
     edges: "ray.data.Dataset",
     max_depth: int = 64,
-    num_buckets: int = 64,
 ) -> "ray.data.Dataset":
     """(node, cls) — the Broder et al. (2000) BOW-TIE decomposition of
     a directed graph: ``core`` (the largest SCC; ties broken by min
@@ -2389,21 +1673,10 @@ def bowtie_ds(
     core's (scc_id, size) row. ``max_depth`` caps the reach sweeps
     (64 ≫ any real web graph's effective diameter; raise it for
     adversarial chains)."""
-    from ..kernels.partitioning import adaptive_buckets
-
-    edges = edges.map_batches(
-        lambda df: pd.DataFrame(
-            {"src": df["src"].astype("int64"),
-             "dst": df["dst"].astype("int64")}
-        ),
-        batch_format="pandas",
-    ).materialize()
+    edges = _int64_edges(edges)
     scc = scc_ds(edges).materialize()
     if scc.count() == 0:
-        return ray.data.from_pandas(
-            pd.DataFrame({"node": pd.Series(dtype="int64"),
-                          "cls": pd.Series(dtype="object")})
-        )
+        return ray.data.from_pandas(_typed(node="int64", cls="object"))
     top = (
         scc.groupby("scc_id")
         .count()
@@ -2414,55 +1687,30 @@ def bowtie_ds(
     rep = int(top[0]["scc_id"])
 
     core_seeds = scc.map_batches(
-        lambda df, _r=rep: pd.DataFrame(
-            {"node": df.loc[df["scc_id"] == _r, "node"].astype("int64")}
-        ),
-        batch_format="pandas",
+        lambda df, _r=rep: df.loc[df["scc_id"] == _r, ["node"]], batch_format="pandas"
     )
-    fwd = bfs_depth_ds(edges, core_seeds, max_depth=max_depth,
-                       num_buckets=num_buckets)
+    fwd = bfs_depth_ds(edges, core_seeds, max_depth=max_depth)
     rev = edges.map_batches(
-        lambda df: pd.DataFrame(
-            {"src": df["dst"].astype("int64"),
-             "dst": df["src"].astype("int64")}
-        ),
-        batch_format="pandas",
+        lambda df: pd.DataFrame({"src": df["dst"], "dst": df["src"]}), batch_format="pandas"
     )
-    bwd = bfs_depth_ds(rev, core_seeds, max_depth=max_depth,
-                       num_buckets=num_buckets)
+    bwd = bfs_depth_ds(rev, core_seeds, max_depth=max_depth)
 
-    nb = adaptive_buckets(scc.count(), requested=num_buckets)
-
-    def tag(ds: "ray.data.Dataset", kind: str) -> "ray.data.Dataset":
-        return ds.map_batches(
-            lambda df, _k=kind: pd.DataFrame(
-                {"node": df["node"].astype("int64"),
-                 "scc_id": (df["scc_id"].astype("int64")
-                            if "scc_id" in df else np.int64(-1))}
-            ).assign(_b=lambda d: (d["node"] % nb).astype("int32"), _k=_k),
-            batch_format="pandas",
-        )
-
-    def classify(g: pd.DataFrame, _r=rep) -> pd.DataFrame:
-        s = g[g["_k"] == "s"][["node", "scc_id"]].drop_duplicates("node")
-        o = set(g.loc[g["_k"] == "o", "node"].tolist())
-        i = set(g.loc[g["_k"] == "i", "node"].tolist())
+    def classify(parts: dict, _r=rep) -> pd.DataFrame:
+        s = parts["s"].drop_duplicates("node")
         node = s["node"].to_numpy()
         core = s["scc_id"].to_numpy() == _r
-        ino = np.isin(node, np.fromiter(i, dtype=np.int64, count=len(i)))
-        outo = np.isin(node, np.fromiter(o, dtype=np.int64, count=len(o)))
+        ino = np.isin(node, parts["i"]["node"].to_numpy())
+        outo = np.isin(node, parts["o"]["node"].to_numpy())
         cls = np.where(core, "core",
                        np.where(ino, "in",
                                 np.where(outo, "out", "other")))
         return pd.DataFrame({"node": node, "cls": cls})
 
-    return (
-        tag(scc, "s")
-        .union(tag(fwd, "o"))     # forward reach from core = OUT side
-        .union(tag(bwd, "i"))     # backward reach = nodes reaching core
-        .repartition(nb)
-        .groupby("_b")
-        .map_groups(classify, batch_format="pandas")
+    return co_exchange(
+        {"s": (scc, "node", _typed(node="int64", scc_id="int64")),
+         "o": (fwd, "node", NODES),     # forward reach from core = OUT side
+         "i": (bwd, "node", NODES)},    # backward reach = nodes reaching core
+        classify, adaptive_buckets(scc.count()),
     )
 
 
@@ -2475,7 +1723,6 @@ def reference_graph_bowtie(sf_dir: str) -> "ray.data.Dataset":
 def condensation_layers_ds(
     edges: "ray.data.Dataset",
     max_rounds: int = 64,
-    num_buckets: int = 64,
 ) -> "ray.data.Dataset":
     """(node, scc_id, layer) — topological LAYERS of the SCC
     condensation: layer(C) = longest path (in condensation hops) from
@@ -2488,160 +1735,76 @@ def condensation_layers_ds(
     Shape — reuses scc_ds, then:
 
     - condensation edges: two node-keyed exchanges map (src, dst)
-      through the scc labels; cross-SCC pairs dedup per bucket (the
-      condensation is a DAG by construction);
+      through the scc labels; cross-SCC pairs dedup per bucket and
+      then globally by csrc (the condensation is a DAG by
+      construction);
     - layering: longest-path relaxation — per round ONE scc-keyed
       exchange ships layer(src)+1 along condensation edges and ONE
       max-reduces (converges in ≤ condensation depth rounds; the DAG
       guarantees termination, checked against ``max_rounds``);
-    - one final node-keyed exchange joins layers back to members.
+    - one final scc-keyed exchange joins layers back to members.
     Only per-round scalar change counts reach the driver."""
-    from ..kernels.partitioning import adaptive_buckets, cut_lineage
-
-    edges = edges.map_batches(
-        lambda df: pd.DataFrame(
-            {"src": df["src"].astype("int64"),
-             "dst": df["dst"].astype("int64")}
-        ),
-        batch_format="pandas",
-    ).materialize()
+    edges = _int64_edges(edges)
     scc = scc_ds(edges).materialize()
     if scc.count() == 0:
-        return ray.data.from_pandas(
-            pd.DataFrame({"node": pd.Series(dtype="int64"),
-                          "scc_id": pd.Series(dtype="int64"),
-                          "layer": pd.Series(dtype="int64")})
-        )
-    nb = adaptive_buckets(scc.count(), requested=num_buckets)
+        return ray.data.from_pandas(_typed(node="int64", scc_id="int64", layer="int64"))
+    nb = adaptive_buckets(scc.count())
+    scc_t = _typed(node="int64", scc_id="int64")
+    layer_t = _typed(c="int64", layer="int64")
 
     # --- condensation edges: map endpoints through scc labels --------
-    def tag_scc(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {"key": df["node"].astype("int64"),
-             "oth": np.int64(-1),
-             "lbl": df["scc_id"].astype("int64"),
-             "_b": (df["node"] % nb).astype("int32"), "_k": "s"}
-        )
+    def map_src(parts: dict) -> pd.DataFrame:
+        s = parts["s"].drop_duplicates("node").rename(columns={"node": "src", "scc_id": "sl"})
+        # src's scc rides in sl; the next exchange re-keys by dst
+        return parts["e"].merge(s, on="src")[["dst", "sl"]]
 
-    def tag_e_src(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {"key": df["src"].astype("int64"),
-             "oth": df["dst"].astype("int64"),
-             "lbl": np.int64(-1),
-             "_b": (df["src"] % nb).astype("int32"), "_k": "e"}
-        )
+    def map_dst(parts: dict) -> pd.DataFrame:
+        s = parts["s"].drop_duplicates("node").rename(columns={"node": "dst"})
+        m = parts["e"].merge(s, on="dst")
+        m = m[m["sl"] != m["scc_id"]][["sl", "scc_id"]].drop_duplicates()
+        return pd.DataFrame({"csrc": m["sl"], "cdst": m["scc_id"]})
 
-    def map_src(g: pd.DataFrame) -> pd.DataFrame:
-        s = g[g["_k"] == "s"][["key", "lbl"]].drop_duplicates("key")
-        e = g[g["_k"] == "e"][["key", "oth"]]
-        m = e.merge(s, on="key", how="inner")
-        # re-key by dst, src's scc rides in lbl
-        return pd.DataFrame(
-            {"key": m["oth"].astype("int64"),
-             "oth": np.int64(-1),
-             "lbl": m["lbl"].astype("int64"),
-             "_b": (m["oth"] % nb).astype("int32"), "_k": "e"}
-        )
-
-    def map_dst(g: pd.DataFrame) -> pd.DataFrame:
-        s = g[g["_k"] == "s"][["key", "lbl"]].drop_duplicates("key")
-        e = g[g["_k"] == "e"][["key", "lbl"]].rename(columns={"lbl": "sl"})
-        m = e.merge(s, on="key", how="inner")
-        m = m[m["sl"] != m["lbl"]][["sl", "lbl"]].drop_duplicates()
-        return pd.DataFrame(
-            {"csrc": m["sl"].astype("int64"),
-             "cdst": m["lbl"].astype("int64")}
-        )
-
-    scc_tagged = scc.map_batches(tag_scc, batch_format="pandas")
-    cond = (
-        scc_tagged.union(edges.map_batches(tag_e_src, batch_format="pandas"))
-        .repartition(nb)
-        .groupby("_b")
-        .map_groups(map_src, batch_format="pandas")
-        .union(scc_tagged)
-        .repartition(nb)
-        .groupby("_b")
-        .map_groups(map_dst, batch_format="pandas")
-        # global dedup of (csrc, cdst) by csrc bucket
-        .map_batches(
-            lambda df: df.assign(_b=(df["csrc"] % nb).astype("int32")),
-            batch_format="pandas",
-        )
-        .groupby("_b")
-        .map_groups(
-            lambda g: g.drop_duplicates(["csrc", "cdst"])[["csrc", "cdst"]],
-            batch_format="pandas",
-        )
-        .materialize()
+    mapped_src = co_exchange({"s": (scc, "node", scc_t), "e": (edges, "src", EDGES)}, map_src, nb)
+    cond = cut_lineage(
+        keyed_exchange(
+            co_exchange(
+                {"s": (scc, "node", scc_t), "e": (mapped_src, "dst", _typed(dst="int64", sl="int64"))},
+                map_dst, nb,
+            ),
+            "csrc", lambda g: g.drop_duplicates(["csrc", "cdst"]), nb,
+        ).materialize()
     )
-    cond = cut_lineage(cond)
 
     # --- longest-path relaxation over the condensation DAG -----------
     layers = cut_lineage(scc.map_batches(
-        lambda df: pd.DataFrame(
-            {"c": df["scc_id"].astype("int64")}
-        ).drop_duplicates().assign(layer=np.int64(0)),
+        lambda df: pd.DataFrame({"c": df["scc_id"]}).drop_duplicates().assign(layer=np.int64(0)),
         batch_format="pandas",
     ).materialize())
 
-    def tag_layer(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {"key": df["c"].astype("int64"),
-             "oth": np.int64(-1),
-             "lbl": df["layer"].astype("int64"),
-             "_b": (df["c"] % nb).astype("int32"), "_k": "s"}
-        )
-
-    def tag_ce(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {"key": df["csrc"].astype("int64"),
-             "oth": df["cdst"].astype("int64"),
-             "lbl": np.int64(-1),
-             "_b": (df["csrc"] % nb).astype("int32"), "_k": "e"}
-        )
-
-    def ship(g: pd.DataFrame) -> pd.DataFrame:
-        s = g[g["_k"] == "s"][["key", "lbl"]].drop_duplicates("key")
-        e = g[g["_k"] == "e"][["key", "oth"]]
-        m = e.merge(s, on="key", how="inner")
-        # per-bucket pre-reduce: one (dst, max proposal) row
-        p = m.groupby("oth", as_index=False)["lbl"].max()
-        return pd.DataFrame(
-            {"key": p["oth"].astype("int64"),
-             "oth": np.int64(-1),
-             "lbl": (p["lbl"] + 1).astype("int64"),
-             "_b": (p["oth"] % nb).astype("int32"), "_k": "p"}
+    def ship(parts: dict) -> pd.DataFrame:
+        s = parts["s"]
+        m = parts["e"].merge(s.drop_duplicates("c").rename(columns={"c": "csrc"}), on="csrc")
+        # per-bucket pre-reduce: one (dst, max proposal) row; the
+        # bucket's own layer rows ride along (own=1) into the reduce
+        p = m.groupby("cdst", as_index=False)["layer"].max()
+        return pd.concat(
+            [s.assign(own=np.int8(1)),
+             pd.DataFrame({"c": p["cdst"], "layer": p["layer"] + 1, "own": np.int8(0)})],
+            ignore_index=True,
         )
 
     def reduce_max(g: pd.DataFrame) -> pd.DataFrame:
-        s = g[g["_k"] == "s"][["key", "lbl"]]
-        p = g[g["_k"] == "p"][["key", "lbl"]]
-        allr = pd.concat([s, p], ignore_index=True)
-        new = allr.groupby("key", as_index=False)["lbl"].max()
-        m = new.merge(s, on="key", suffixes=("", "_old"))
+        new = g.groupby("c", as_index=False)["layer"].max()
+        m = new.merge(g.loc[g["own"] == 1, ["c", "layer"]], on="c", suffixes=("", "_old"))
         return pd.DataFrame(
-            {"c": m["key"].astype("int64"),
-             "layer": m["lbl"].astype("int64"),
-             "_changed": (m["lbl"] > m["lbl_old"]).astype("int64")}
+            {"c": m["c"], "layer": m["layer"], "_changed": (m["layer"] > m["layer_old"]).astype("int64")}
         )
 
-    ce_tagged = cond.map_batches(tag_ce, batch_format="pandas").materialize()
     for _round in range(max_rounds):
-        lt = layers.map_batches(tag_layer, batch_format="pandas")
-        props = (
-            lt.union(ce_tagged)
-            .repartition(nb)
-            .groupby("_b")
-            .map_groups(ship, batch_format="pandas")
+        props = co_exchange(
+            {"s": (layers, "c", layer_t), "e": (cond, "csrc", _typed(csrc="int64", cdst="int64"))}, ship, nb
         )
-        reduced = (
-            lt.union(props)
-            .repartition(nb)
-            .groupby("_b")
-            .map_groups(reduce_max, batch_format="pandas")
-            .materialize()
-        )
+        reduced = keyed_exchange(props, "c", reduce_max, nb).materialize()
         n_changed = int(reduced.sum("_changed") or 0)
         layers = cut_lineage(reduced)
         if n_changed == 0:
@@ -2653,38 +1816,12 @@ def condensation_layers_ds(
         )
 
     # --- join layers back to members ---------------------------------
-    def tag_l2(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {"key": df["c"].astype("int64"),
-             "node": np.int64(-1),
-             "layer": df["layer"].astype("int64"),
-             "_b": (df["c"] % nb).astype("int32"), "_k": "l"}
-        )
+    def attach(parts: dict) -> pd.DataFrame:
+        lay = parts["l"].drop_duplicates("c").rename(columns={"c": "scc_id"})
+        return parts["m"].merge(lay, on="scc_id")[["node", "scc_id", "layer"]]
 
-    def tag_m(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {"key": df["scc_id"].astype("int64"),
-             "node": df["node"].astype("int64"),
-             "layer": np.int64(-1),
-             "_b": (df["scc_id"] % nb).astype("int32"), "_k": "m"}
-        )
-
-    def attach(g: pd.DataFrame) -> pd.DataFrame:
-        l_ = g[g["_k"] == "l"][["key", "layer"]].drop_duplicates("key")
-        m_ = g[g["_k"] == "m"][["key", "node"]]
-        j = m_.merge(l_, on="key", how="inner")
-        return pd.DataFrame(
-            {"node": j["node"].astype("int64"),
-             "scc_id": j["key"].astype("int64"),
-             "layer": j["layer"].astype("int64")}
-        )
-
-    return (
-        layers.map_batches(tag_l2, batch_format="pandas")
-        .union(scc.map_batches(tag_m, batch_format="pandas"))
-        .repartition(nb)
-        .groupby("_b")
-        .map_groups(attach, batch_format="pandas")
+    return co_exchange(
+        {"l": (layers, "c", layer_t), "m": (scc, "scc_id", scc_t)}, attach, nb
     )
 
 
@@ -2697,7 +1834,6 @@ def reference_condensation_layers(sf_dir: str) -> "ray.data.Dataset":
 def opic_ds(
     edges: "ray.data.Dataset",
     n_rounds: int = 6,
-    num_buckets: int = 64,
 ) -> "ray.data.Dataset":
     """(node, importance) — OPIC, On-line Page Importance Computation
     (Abiteboul–Preda–Cobéna, WWW 2003): the CRAWLER-NATIVE importance
@@ -2711,57 +1847,39 @@ def opic_ds(
     and exactly SQL-unrollable (the crawl_pagerank oracle discipline).
 
     Scale shape — identical to ``pagerank_ds``: per round exactly TWO
-    key-hash-bucket exchanges (ship cash/outdeg along out-edges with
+    co-partition exchanges (ship cash/outdeg along out-edges with
     the per-(bucket, dst) pre-sum combiner; reduce per node), and one
     driver SCALAR (the dangling cash mass)."""
-    from ..kernels.partitioning import adaptive_buckets, cut_lineage
-
-    edges = edges.map_batches(
-        lambda df: pd.DataFrame(
-            {"src": df["src"].astype("int64"),
-             "dst": df["dst"].astype("int64")}
-        ),
-        batch_format="pandas",
-    ).materialize()
-    nb = adaptive_buckets(edges.count(), requested=num_buckets)
-
-    def _bl(s: pd.Series) -> pd.Series:
-        return (s.astype("int64") % nb).astype("int32")
+    edges = _int64_edges(edges)
+    nb = adaptive_buckets(edges.count())
 
     def node_rows(df: pd.DataFrame) -> pd.DataFrame:
-        nodes = pd.unique(pd.concat([df["src"], df["dst"]], ignore_index=True))
-        out = pd.DataFrame({"node": nodes})
+        out = _node_rows(df)
         deg = df.groupby("src", as_index=False).size()
         deg.columns = ["node", "outdeg"]
         out = out.merge(deg, on="node", how="left")
         out["outdeg"] = out["outdeg"].fillna(0).astype("int64")
-        return out.assign(_nb=_bl(out["node"]))
+        return out
 
-    nodes = (
-        edges.map_batches(node_rows, batch_format="pandas")
-        .groupby("_nb")
-        .map_groups(
-            lambda g: g.groupby("node", as_index=False)["outdeg"].sum(),
-            batch_format="pandas",
-        )
-        .materialize()
-    )
+    nodes = keyed_exchange(
+        edges.map_batches(node_rows, batch_format="pandas"), "node",
+        lambda g: g.groupby("node", as_index=False)["outdeg"].sum(), nb,
+    ).materialize()
     n_nodes = nodes.count()
     if n_nodes == 0:
-        return ray.data.from_pandas(
-            pd.DataFrame({"node": pd.Series(dtype="int64"),
-                          "importance": pd.Series(dtype="float64")})
-        )
+        return ray.data.from_pandas(_typed(node="int64", importance="float64"))
 
+    state_t = _typed(node="int64", cash="float64", hist="float64", outdeg="int64")
     state = nodes.map_batches(
-        lambda df: pd.DataFrame(
-            {"node": df["node"].astype("int64"),
-             "cash": 1.0 / n_nodes,
-             "hist": 0.0,
-             "outdeg": df["outdeg"].astype("int64")}
-        ),
-        batch_format="pandas",
+        lambda df: df.assign(cash=1.0 / n_nodes, hist=0.0), batch_format="pandas"
     ).materialize()
+
+    def contribs(parts: dict) -> pd.DataFrame:
+        r = parts["r"]
+        val = pd.DataFrame({"src": r["node"], "val": r["cash"] / r["outdeg"].clip(lower=1)})
+        m = parts["e"].merge(val, on="src")
+        out = pd.DataFrame({"node": m["dst"], "contrib": m["val"]})
+        return out.groupby("node", as_index=False)["contrib"].sum()
 
     for _ in range(n_rounds):
         dangling = float(
@@ -2773,84 +1891,25 @@ def opic_ds(
             ).sum("m")
             or 0.0
         )
+        contrib = co_exchange({"r": (state, "node", state_t), "e": (edges, "src", EDGES)}, contribs, nb)
 
-        def tag_cash(df: pd.DataFrame) -> pd.DataFrame:
-            return pd.DataFrame(
-                {"key": df["node"].astype("int64"), "dst": -1,
-                 "val": df["cash"] / df["outdeg"].clip(lower=1),
-                 "_sb": _bl(df["node"]), "_k": "r"}
-            )
-
-        def tag_e(df: pd.DataFrame) -> pd.DataFrame:
-            return pd.DataFrame(
-                {"key": df["src"].astype("int64"),
-                 "dst": df["dst"].astype("int64"),
-                 "val": 0.0, "_sb": _bl(df["src"]), "_k": "e"}
-            )
-
-        def contribs(g: pd.DataFrame) -> pd.DataFrame:
-            r = g[g["_k"] == "r"][["key", "val"]]
-            e = g[g["_k"] == "e"][["key", "dst"]]
-            m = e.merge(r, on="key")
-            out = pd.DataFrame(
-                {"node": m["dst"].astype("int64"), "contrib": m["val"]}
-            )
-            out = out.groupby("node", as_index=False)["contrib"].sum()
-            out["_nb"] = _bl(out["node"])
-            return out
-
-        contrib = (
-            state.map_batches(tag_cash, batch_format="pandas")
-            .union(edges.map_batches(tag_e, batch_format="pandas"))
-            .repartition(nb)
-            .groupby("_sb")
-            .map_groups(contribs, batch_format="pandas")
-        )
-
-        share = dangling / n_nodes
-
-        def tag_node(df: pd.DataFrame) -> pd.DataFrame:
-            return pd.DataFrame(
-                {"node": df["node"].astype("int64"),
-                 "contrib": 0.0,
-                 "cash": df["cash"], "hist": df["hist"],
-                 "outdeg": df["outdeg"].astype("int64"),
-                 "_nb": _bl(df["node"]), "_k": "n"}
-            )
-
-        def tag_contrib(df: pd.DataFrame) -> pd.DataFrame:
-            return df.assign(
-                cash=-1.0, hist=-1.0, outdeg=np.int64(-1), _k="c"
-            )[["node", "contrib", "cash", "hist", "outdeg", "_nb", "_k"]]
-
-        def reduce_cash(g: pd.DataFrame, _s=share) -> pd.DataFrame:
-            nd = g[g["_k"] == "n"][["node", "cash", "hist", "outdeg"]]
-            cs = g[g["_k"] == "c"].groupby("node")["contrib"].sum()
-            m = nd.merge(
-                cs.rename("s"), left_on="node", right_index=True, how="left"
-            )
-            m["s"] = m["s"].fillna(0.0)
-            return pd.DataFrame(
-                {"node": m["node"].astype("int64"),
-                 "cash": m["s"] + _s,
-                 "hist": m["hist"] + m["cash"],
-                 "outdeg": m["outdeg"].astype("int64")}
-            )
+        def reduce_cash(parts: dict, _s=dangling / n_nodes) -> pd.DataFrame:
+            nd = parts["n"]
+            cs = parts["c"].groupby("node")["contrib"].sum()
+            s = nd.merge(cs.rename("s"), left_on="node", right_index=True, how="left")["s"].fillna(0.0)
+            return nd.assign(cash=s.to_numpy() + _s, hist=nd["hist"] + nd["cash"])
 
         state = cut_lineage(
-            state.map_batches(tag_node, batch_format="pandas")
-            .union(contrib.map_batches(tag_contrib, batch_format="pandas"))
-            .repartition(nb)
-            .groupby("_nb")
-            .map_groups(reduce_cash, batch_format="pandas")
-            .materialize()
+            co_exchange(
+                {"n": (state, "node", state_t), "c": (contrib, "node", CONTRIB)},
+                reduce_cash, nb,
+            ).materialize()
         )
 
     return state.map_batches(
         lambda df: pd.DataFrame(
-            {"node": df["node"].astype("int64"),
-             "importance": ((df["hist"] + df["cash"])
-                            / (n_rounds + 1)).round(9)}
+            {"node": df["node"],
+             "importance": ((df["hist"] + df["cash"]) / (n_rounds + 1)).round(9)}
         ),
         batch_format="pandas",
     )
@@ -2865,7 +1924,6 @@ def spam_mass_ds(
     ranks: "ray.data.Dataset",
     trust: "ray.data.Dataset",
     candidate_threshold_x1e9: int = 500_000_000,
-    num_buckets: int = 64,
 ) -> "ray.data.Dataset":
     """(node, rank_x1e9, trust_x1e9, spam_mass_x1e9, spam_candidate) —
     relative spam mass (Gyöngyi, Berkhin, Garcia-Molina, Pedersen,
@@ -2885,61 +1943,37 @@ def spam_mass_ds(
     average", not spam) — so op and oracle hash-match bit-for-bit
     with no float division on either side.
 
-    Scale shape: ONE node-keyed exchange aligns the two vectors
-    (tagged union → bucket groupby → per-bucket pivot); nothing
-    reaches the driver."""
-    from ..kernels.partitioning import adaptive_buckets
+    Scale shape: ONE node-keyed co-partition exchange aligns the two
+    vectors (per-bucket left join); nothing reaches the driver."""
+    nb = adaptive_buckets(ranks.count(), rows_per_bucket=4096)
+    v9_t = _typed(node="int64", v9="int64")
 
-    nb = adaptive_buckets(
-        ranks.count(), requested=num_buckets, rows_per_bucket=4096
-    )
-
-    def tag(which: str):
-        def _t(df: pd.DataFrame) -> pd.DataFrame:
-            return pd.DataFrame(
-                {"node": df["node"].astype("int64"),
-                 "v9": (df["rank"].to_numpy(np.float64) * 1e9)
-                       .round().astype("int64"),
-                 "_k": which,
-                 "_nb": (df["node"].astype("int64") % nb).astype("int32")}
-            )
-        return _t
-
-    empty = pd.DataFrame(
-        {"node": pd.Series(dtype="int64"),
-         "rank_x1e9": pd.Series(dtype="int64"),
-         "trust_x1e9": pd.Series(dtype="int64"),
-         "spam_mass_x1e9": pd.Series(dtype="int64"),
-         "spam_candidate": pd.Series(dtype="int64")}
-    )
-
-    def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        r = g[g["_k"] == "g"][["node", "v9"]].rename(columns={"v9": "r9"})
-        t = g[g["_k"] == "t"][["node", "v9"]].rename(columns={"v9": "t9"})
-        if not len(r):
-            return empty.copy()
-        m = r.merge(t, on="node", how="left")
-        m["t9"] = m["t9"].fillna(0).astype("int64")
-        diff = np.maximum(m["r9"].to_numpy() - m["t9"].to_numpy(), 0)
-        # int64-safe: r9 ≤ 10^9 (rank ≤ 1), so diff × 10^9 ≤ 10^18 < 2^63
-        mass = np.where(
-            m["r9"].to_numpy() > 0, diff * 10**9, 0
-        ) // np.maximum(m["r9"].to_numpy(), 1)
+    def to_v9(df: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame(
-            {"node": m["node"].astype("int64"),
-             "rank_x1e9": m["r9"].astype("int64"),
-             "trust_x1e9": m["t9"].astype("int64"),
-             "spam_mass_x1e9": mass.astype("int64"),
-             "spam_candidate":
-                 (mass >= candidate_threshold_x1e9).astype("int64")}
+            {"node": df["node"].astype("int64"),
+             "v9": (df["rank"].to_numpy(np.float64) * 1e9).round().astype("int64")}
         )
 
-    return (
-        ranks.map_batches(tag("g"), batch_format="pandas")
-        .union(trust.map_batches(tag("t"), batch_format="pandas"))
-        .repartition(nb)
-        .groupby("_nb")
-        .map_groups(per_bucket, batch_format="pandas")
+    def per_bucket(parts: dict) -> pd.DataFrame:
+        m = parts["g"].rename(columns={"v9": "r9"}).merge(
+            parts["t"].rename(columns={"v9": "t9"}), on="node", how="left"
+        )
+        r9 = m["r9"].to_numpy()
+        t9 = m["t9"].fillna(0).to_numpy().astype("int64")
+        # int64-safe: r9 ≤ 10^9 (rank ≤ 1), so diff × 10^9 ≤ 10^18 < 2^63
+        mass = np.where(r9 > 0, np.maximum(r9 - t9, 0) * 10**9, 0) // np.maximum(r9, 1)
+        return pd.DataFrame(
+            {"node": m["node"],
+             "rank_x1e9": r9.astype("int64"),
+             "trust_x1e9": t9,
+             "spam_mass_x1e9": mass.astype("int64"),
+             "spam_candidate": (mass >= candidate_threshold_x1e9).astype("int64")}
+        )
+
+    return co_exchange(
+        {"g": (ranks.map_batches(to_v9, batch_format="pandas"), "node", v9_t),
+         "t": (trust.map_batches(to_v9, batch_format="pandas"), "node", v9_t)},
+        per_bucket, nb,
     )
 
 
@@ -2999,36 +2033,11 @@ def reference_effective_diameter(
     the same HyperBall run ``crawl_hyperball`` gates: per round ONE
     extra driver scalar (the global ball-size sum), then the
     interpolation is (rounds+1)-int driver math."""
-    import pyarrow.parquet as pq
-
-    import ray
-
-    n_docs = pq.read_metadata(f"{sf_dir}/documents.parquet").num_rows
-    docs = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id"]
-    )
-
-    def edge_rows(batch: pa.Table) -> pd.DataFrame:
-        ids = [int(i) for i in batch.column("doc_id").to_pylist() if i % 3 == 0]
-        src, dst = [], []
-        for d in ids:
-            for k in (1, 2, 3, 4):
-                pr = person_ref(d, k, n_docs)
-                src += [1000 + d, pr]
-                dst += [pr, 1000 + d]
-        return pd.DataFrame(
-            {"src": pd.Series(src, dtype="int64"),
-             "dst": pd.Series(dst, dtype="int64")}
-        )
-
     nf: list[int] = []
     # the per-round materializes inside hyperball_ds run the loop (and
     # fill nf) during the call — the per-node estimate scan the
     # returned Dataset would add is not needed here
-    hyperball_ds(
-        docs.map_batches(edge_rows, batch_format="pyarrow"),
-        rounds=rounds, num_buckets=16, nf_out=nf,
-    )
+    hyperball_ds(_reference_edges(sf_dir, symmetric=True), rounds=rounds, nf_out=nf)
     return effective_diameter_rows(nf)
 
 
@@ -3053,17 +2062,13 @@ def label_propagation_ds(
     finer, density-driven granularity than pure connectivity).
 
     Scale shape (identical to ``pagerank_ds``): per round TWO keyed
-    exchanges — shuffle 1 by src-bucket joins current labels to
-    out-edges and pre-sums (dst, label) weight partials INSIDE the
-    group task (≤ one row per distinct (dst,label) per bucket);
-    shuffle 2 by dst-bucket reduces the argmax per node, nodes riding
-    along so every node keeps a row. ZERO driver reads per round (no
-    scalar funnel at all); lineage is cut per round. Returns
-    ``(node, label)``.
+    exchanges — exchange 1 by src joins current labels to out-edges
+    and pre-sums (dst, label) weight partials INSIDE the group task
+    (≤ one row per distinct (dst,label) per bucket); exchange 2 by dst
+    reduces the argmax per node, nodes riding along so every node
+    keeps a row. ZERO driver reads per round (no scalar funnel at
+    all); lineage is cut per round. Returns ``(node, label)``.
     """
-    import ray
-
-    from ..kernels.partitioning import adaptive_buckets, cut_lineage
 
     def sym_edges(df: pd.DataFrame) -> pd.DataFrame:
         s = df["src"].astype("int64")
@@ -3076,106 +2081,46 @@ def label_propagation_ds(
 
     edges = edges.map_batches(sym_edges, batch_format="pandas").materialize()
     nb = adaptive_buckets(edges.count())
-
-    def _bl(s: pd.Series) -> pd.Series:
-        return (s.astype("int64") % nb).astype("int32")
+    label_t = _typed(node="int64", label="int64")
 
     # labels init: every endpoint is a node, label = own id (one
     # keyed exchange dedupes endpoints; multiplicity is NOT collapsed
     # in the edge set itself — w=1 rows sum to the multiplicity in
     # the vote, which is the same total by commutativity)
-    labels = (
-        edges.map_batches(
-            lambda df: pd.DataFrame({"node": df["src"].astype("int64")})
-            .drop_duplicates()
-            .assign(_nb=lambda d: _bl(d["node"])),
-            batch_format="pandas",
-        )
-        .groupby("_nb")
-        .map_groups(
-            lambda g: g[["node"]]
-            .drop_duplicates()
-            .assign(label=lambda d: d["node"].astype("int64")),
-            batch_format="pandas",
-        )
-        .materialize()
-    )
+    labels = keyed_exchange(
+        edges.map_batches(lambda df: df[["src"]].drop_duplicates().rename(columns={"src": "node"}),
+                          batch_format="pandas"),
+        "node", lambda g: g.drop_duplicates().assign(label=lambda d: d["node"]), nb,
+    ).materialize()
+
+    def votes(parts: dict) -> pd.DataFrame:
+        # (dst, label) weight partials pre-summed inside the group
+        m = parts["e"].merge(parts["l"].rename(columns={"node": "src"}), on="src")
+        return m.groupby(["dst", "label"], as_index=False)["w"].sum().rename(columns={"dst": "node"})
+
+    def reduce_label(parts: dict) -> pd.DataFrame:
+        # argmax(total w, tie -> min label) per node; current labels
+        # ride along so a node with no in-votes (impossible after
+        # symmetrization, kept for safety) retains its label
+        nd, v = parts["n"], parts["v"]
+        v = v.groupby(["node", "label"], as_index=False)["w"].sum()
+        # argmax by weight, tie -> smallest label: sort then first
+        v = v.sort_values(["node", "w", "label"], ascending=[True, False, True]).drop_duplicates("node")
+        new = nd["node"].map(dict(zip(v["node"], v["label"])))
+        return pd.DataFrame({"node": nd["node"], "label": new.fillna(nd["label"]).astype("int64")})
 
     for _ in range(n_rounds):
-        # shuffle 1 (src bucket): current labels meet out-edges;
-        # (dst, label) weight partials pre-summed inside the group
-        def tag_label(df: pd.DataFrame) -> pd.DataFrame:
-            return pd.DataFrame(
-                {"key": df["node"].astype("int64"), "dst": np.int64(-1),
-                 "w": np.int64(0), "lab": df["label"].astype("int64"),
-                 "_sb": _bl(df["node"]), "_k": "l"}
-            )
-
-        def tag_edge(df: pd.DataFrame) -> pd.DataFrame:
-            return pd.DataFrame(
-                {"key": df["src"].astype("int64"),
-                 "dst": df["dst"].astype("int64"),
-                 "w": df["w"].astype("int64"), "lab": np.int64(-1),
-                 "_sb": _bl(df["src"]), "_k": "e"}
-            )
-
-        def votes(g: pd.DataFrame) -> pd.DataFrame:
-            lab = g[g["_k"] == "l"][["key", "lab"]]
-            e = g[g["_k"] == "e"][["key", "dst", "w"]]
-            m = e.merge(lab, on="key")
-            out = (
-                m.groupby(["dst", "lab"], as_index=False)["w"].sum()
-                .rename(columns={"dst": "node"})
-            )
-            out["_nb"] = _bl(out["node"])
-            return out
-
-        vote = (
-            labels.map_batches(tag_label, batch_format="pandas")
-            .union(edges.map_batches(tag_edge, batch_format="pandas"))
-            .repartition(nb)
-            .groupby("_sb")
-            .map_groups(votes, batch_format="pandas")
+        vote = co_exchange(
+            {"l": (labels, "node", label_t),
+             "e": (edges, "src", _typed(src="int64", dst="int64", w="int64"))},
+            votes, nb,
         )
-
-        # shuffle 2 (dst bucket): argmax(total w, tie -> min label)
-        # per node; current labels ride along so a node with no
-        # in-votes (impossible after symmetrization, kept for safety)
-        # retains its label
-        def tag_node(df: pd.DataFrame) -> pd.DataFrame:
-            return pd.DataFrame(
-                {"node": df["node"].astype("int64"), "lab": df["label"],
-                 "w": np.int64(-1), "_nb": _bl(df["node"]), "_k": "n"}
-            )
-
-        def tag_vote(df: pd.DataFrame) -> pd.DataFrame:
-            return df.assign(_k="v")[["node", "lab", "w", "_nb", "_k"]]
-
-        def reduce_label(g: pd.DataFrame) -> pd.DataFrame:
-            nd = g[g["_k"] == "n"][["node", "lab"]]
-            v = g[g["_k"] == "v"]
-            if len(v):
-                v = v.groupby(["node", "lab"], as_index=False)["w"].sum()
-                # argmax by weight, tie -> smallest label: sort then first
-                v = v.sort_values(
-                    ["node", "w", "lab"], ascending=[True, False, True]
-                ).drop_duplicates("node")
-                best = dict(zip(v["node"], v["lab"]))
-            else:
-                best = {}
-            new = nd["node"].map(best)
-            return pd.DataFrame(
-                {"node": nd["node"].astype("int64"),
-                 "label": new.fillna(nd["lab"]).astype("int64")}
-            )
-
         labels = cut_lineage(
-            labels.map_batches(tag_node, batch_format="pandas")
-            .union(vote.map_batches(tag_vote, batch_format="pandas"))
-            .repartition(nb)
-            .groupby("_nb")
-            .map_groups(reduce_label, batch_format="pandas")
-            .materialize()
+            co_exchange(
+                {"n": (labels, "node", label_t),
+                 "v": (vote, "node", _typed(node="int64", label="int64", w="int64"))},
+                reduce_label, nb,
+            ).materialize()
         )
 
     return labels
@@ -3187,31 +2132,7 @@ def reference_label_communities(
     """(node, label) — label-propagation communities over the
     reference projekt→person graph (symmetrized inside the op) at the
     gate's fixed round count."""
-    import pyarrow.parquet as pq
-
-    import ray
-
-    n_docs = pq.read_metadata(f"{sf_dir}/documents.parquet").num_rows
-    docs = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id"]
-    )
-
-    def edge_rows(batch: pa.Table) -> pd.DataFrame:
-        ids = [int(i) for i in batch.column("doc_id").to_pylist() if i % 3 == 0]
-        src, dst = [], []
-        for d in ids:
-            for k in (1, 2, 3, 4):
-                src.append(1000 + d)
-                dst.append(person_ref(d, k, n_docs))
-        return pd.DataFrame(
-            {"src": pd.Series(src, dtype="int64"),
-             "dst": pd.Series(dst, dtype="int64")}
-        )
-
-    return label_propagation_ds(
-        docs.map_batches(edge_rows, batch_format="pyarrow"),
-        n_rounds=n_rounds,
-    )
+    return label_propagation_ds(_reference_edges(sf_dir), n_rounds=n_rounds)
 
 
 def degree_assortativity_ds(edges: "ray.data.Dataset") -> "pd.DataFrame":
@@ -3240,19 +2161,9 @@ def degree_assortativity_ds(edges: "ray.data.Dataset") -> "pd.DataFrame":
     scalars. Driver I/O is O(1) regardless of edge count. Returns a
     one-row DataFrame.
     """
-    import ray
-
-    from ..kernels.partitioning import adaptive_buckets
-
-    edges = edges.map_batches(
-        lambda df: pd.DataFrame({"src": df["src"].astype("int64"),
-                                 "dst": df["dst"].astype("int64")}),
-        batch_format="pandas",
-    ).materialize()
+    edges = _int64_edges(edges)
     nb = adaptive_buckets(edges.count())
-
-    def _bl(s: pd.Series) -> pd.Series:
-        return (s.astype("int64") % nb).astype("int32")
+    deg_t = _typed(node="int64", outd="int64", ind="int64")
 
     # degree tables: per-batch (node, out_partial, in_partial) counts
     # merged in one keyed exchange
@@ -3260,74 +2171,23 @@ def degree_assortativity_ds(edges: "ray.data.Dataset") -> "pd.DataFrame":
         o = df.groupby("src").size().rename("outd")
         i = df.groupby("dst").size().rename("ind")
         m = pd.concat([o, i], axis=1).fillna(0).reset_index(names="node")
-        return pd.DataFrame(
-            {"node": m["node"].astype("int64"),
-             "outd": m["outd"].astype("int64"),
-             "ind": m["ind"].astype("int64"),
-             "_nb": _bl(m["node"])}
-        )
+        return m.astype("int64")
 
-    deg = (
-        edges.map_batches(deg_partials, batch_format="pandas")
-        .groupby("_nb")
-        .map_groups(
-            lambda g: g.groupby("node", as_index=False)[["outd", "ind"]].sum(),
-            batch_format="pandas",
-        )
-        .materialize()
-    )
+    deg = keyed_exchange(
+        edges.map_batches(deg_partials, batch_format="pandas"), "node",
+        lambda g: g.groupby("node", as_index=False)[["outd", "ind"]].sum(), nb,
+    ).materialize()
 
     # exchange 1 (by src): attach x = outdeg(src) to each edge
-    def tag_deg_src(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {"key": df["node"].astype("int64"), "dst": np.int64(-1),
-             "x": df["outd"].astype("int64"),
-             "_sb": _bl(df["node"]), "_k": "d"}
-        )
-
-    def tag_edge_src(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {"key": df["src"].astype("int64"),
-             "dst": df["dst"].astype("int64"), "x": np.int64(0),
-             "_sb": _bl(df["src"]), "_k": "e"}
-        )
-
-    def join_src(g: pd.DataFrame) -> pd.DataFrame:
-        d = g[g["_k"] == "d"][["key", "x"]]
-        e = g[g["_k"] == "e"][["key", "dst"]]
-        m = e.merge(d, on="key")
-        return pd.DataFrame(
-            {"dst": m["dst"].astype("int64"), "x": m["x"].astype("int64"),
-             "_db": _bl(m["dst"])}
-        )
-
-    ex = (
-        deg.map_batches(tag_deg_src, batch_format="pandas")
-        .union(edges.map_batches(tag_edge_src, batch_format="pandas"))
-        .repartition(nb)
-        .groupby("_sb")
-        .map_groups(join_src, batch_format="pandas")
-    )
+    def join_src(parts: dict) -> pd.DataFrame:
+        d = parts["d"].rename(columns={"node": "src", "outd": "x"})
+        return parts["e"].merge(d[["src", "x"]], on="src")[["dst", "x"]]
 
     # exchange 2 (by dst): attach y = indeg(dst), collapse to moment
     # partials INSIDE the group task
-    def tag_deg_dst(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {"key": df["node"].astype("int64"), "x": np.int64(-1),
-             "y": df["ind"].astype("int64"),
-             "_db": _bl(df["node"]), "_k": "d"}
-        )
-
-    def tag_ex(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {"key": df["dst"].astype("int64"), "x": df["x"].astype("int64"),
-             "y": np.int64(-1), "_db": df["_db"], "_k": "e"}
-        )
-
-    def moments(g: pd.DataFrame) -> pd.DataFrame:
-        d = g[g["_k"] == "d"][["key", "y"]]
-        e = g[g["_k"] == "e"][["key", "x"]]
-        m = e.merge(d, on="key")
+    def moments(parts: dict) -> pd.DataFrame:
+        d = parts["d"].rename(columns={"node": "dst", "ind": "y"})
+        m = parts["e"].merge(d[["dst", "y"]], on="dst")
         x = m["x"].to_numpy(dtype="int64")
         y = m["y"].to_numpy(dtype="int64")
         return pd.DataFrame(
@@ -3336,12 +2196,9 @@ def degree_assortativity_ds(edges: "ray.data.Dataset") -> "pd.DataFrame":
              "syy": [(y * y).sum()]}
         )
 
-    part = (
-        deg.map_batches(tag_deg_dst, batch_format="pandas")
-        .union(ex.map_batches(tag_ex, batch_format="pandas"))
-        .repartition(nb)
-        .groupby("_db")
-        .map_groups(moments, batch_format="pandas")
+    ex = co_exchange({"d": (deg, "node", deg_t), "e": (edges, "src", EDGES)}, join_src, nb)
+    part = co_exchange(
+        {"d": (deg, "node", deg_t), "e": (ex, "dst", _typed(dst="int64", x="int64"))}, moments, nb
     )
     # SIX driver scalars (tree aggregate over ≤nb one-row partials)
     tot = {c: int(part.sum(c) or 0) for c in
@@ -3375,30 +2232,7 @@ def reference_assortativity(sf_dir: str) -> "pd.DataFrame":
     """One-row (n_edges, Σx, Σy, Σxy, Σx², Σy², signed r²·10⁹) —
     out-degree→in-degree assortativity of the directed reference
     projekt→person graph."""
-    import pyarrow.parquet as pq
-
-    import ray
-
-    n_docs = pq.read_metadata(f"{sf_dir}/documents.parquet").num_rows
-    docs = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id"]
-    )
-
-    def edge_rows(batch: pa.Table) -> pd.DataFrame:
-        ids = [int(i) for i in batch.column("doc_id").to_pylist() if i % 3 == 0]
-        src, dst = [], []
-        for d in ids:
-            for k in (1, 2, 3, 4):
-                src.append(1000 + d)
-                dst.append(person_ref(d, k, n_docs))
-        return pd.DataFrame(
-            {"src": pd.Series(src, dtype="int64"),
-             "dst": pd.Series(dst, dtype="int64")}
-        )
-
-    return degree_assortativity_ds(
-        docs.map_batches(edge_rows, batch_format="pyarrow")
-    )
+    return degree_assortativity_ds(_reference_edges(sf_dir))
 
 
 def random_walks_ds(
@@ -3417,22 +2251,18 @@ def random_walks_ds(
     needs walk co-occurrence statistics, which hash-indexed draws
     preserve). Returns ``(start, step, node)``, steps 0..``n_steps``.
 
-    Scale shape: adjacency is built by ONE src-bucket exchange that
+    Scale shape: adjacency is built by ONE src-keyed exchange that
     assigns each neighbor its rank (``idx``) and degree — the walk
     draw needs only (deg, idx), never the whole neighbor list on the
-    driver. Each step is ONE keyed exchange: walk-state rows route to
-    their node's src bucket alongside the adjacency rows, the group
-    task draws the hash index and emits the next state — walk state
-    never concentrates (it stays one row per live walk, hash-spread
-    over buckets), and lineage is cut per step. ``n_steps`` exchanges
-    total; at 10^10 nodes each carries |walks| ≈ |nodes| fingerprint
-    rows, the same profile as a PageRank round.
+    driver. Each step is ONE co-partition exchange: walk-state rows
+    meet their node's adjacency rows, the group task draws the hash
+    index and emits the next state — walk state never concentrates
+    (it stays one row per live walk, hash-spread over buckets), and
+    lineage is cut per step. ``n_steps`` exchanges total; at 10^10
+    nodes each carries |walks| ≈ |nodes| fingerprint rows, the same
+    profile as a PageRank round.
     """
     import hashlib
-
-    import ray
-
-    from ..kernels.partitioning import adaptive_buckets, cut_lineage
 
     def sym_edges(df: pd.DataFrame) -> pd.DataFrame:
         s = df["src"].astype("int64")
@@ -3445,9 +2275,7 @@ def random_walks_ds(
 
     sedges = edges.map_batches(sym_edges, batch_format="pandas").materialize()
     nb = adaptive_buckets(sedges.count())
-
-    def _bl(s: pd.Series) -> pd.Series:
-        return (s.astype("int64") % nb).astype("int32")
+    walk_t = _typed(start="int64", node="int64")
 
     def adj_group(g: pd.DataFrame) -> pd.DataFrame:
         g = (g.drop_duplicates(["src", "dst"])
@@ -3460,15 +2288,7 @@ def random_walks_ds(
                      .astype("int64")}
         )
 
-    adj = (
-        sedges.map_batches(
-            lambda df: df.drop_duplicates().assign(_sb=_bl(df["src"])),
-            batch_format="pandas")
-        .repartition(nb)
-        .groupby("_sb")
-        .map_groups(adj_group, batch_format="pandas")
-        .materialize()
-    )
+    adj = keyed_exchange(sedges, "src", adj_group, nb).materialize()
 
     # walk state (start, node); one walk per node of the symmetrized
     # graph (every endpoint appears as a src after symmetrization).
@@ -3504,52 +2324,23 @@ def random_walks_ds(
         return int(hashlib.md5(key).hexdigest()[:15], 16)
 
     for t in range(n_steps):
-        def tag_state(df: pd.DataFrame, _t=t) -> pd.DataFrame:
-            return pd.DataFrame(
-                {"key": df["node"].astype("int64"),
-                 "start": df["start"].astype("int64"),
-                 "dst": np.int64(-1), "idx": np.int64(-1),
-                 "deg": np.int64(-1),
-                 "_sb": _bl(df["node"]), "_k": "s"}
-            )
-
-        def tag_adj(df: pd.DataFrame) -> pd.DataFrame:
-            return pd.DataFrame(
-                {"key": df["src"].astype("int64"),
-                 "start": np.int64(-1),
-                 "dst": df["dst"].astype("int64"),
-                 "idx": df["idx"].astype("int64"),
-                 "deg": df["deg"].astype("int64"),
-                 "_sb": _bl(df["src"]), "_k": "a"}
-            )
-
-        def step_reduce(g: pd.DataFrame, _t=t) -> pd.DataFrame:
-            s = g[g["_k"] == "s"][["key", "start"]]
-            a = g[g["_k"] == "a"][["key", "dst", "idx", "deg"]]
-            if not len(s) or not len(a):
-                return pd.DataFrame(
-                    {"start": pd.Series(dtype="int64"),
-                     "node": pd.Series(dtype="int64")}
-                )
-            m = s.merge(a.drop_duplicates("key")[["key", "deg"]], on="key")
+        def step_reduce(parts: dict, _t=t) -> pd.DataFrame:
+            s, a = parts["s"].rename(columns={"node": "src"}), parts["a"]
+            m = s.merge(a.drop_duplicates("src")[["src", "deg"]], on="src")
             m["idx"] = np.fromiter(
                 (_h60(k, _t, st) % dg
-                 for k, st, dg in zip(m["key"], m["start"], m["deg"])),
+                 for k, st, dg in zip(m["src"], m["start"], m["deg"])),
                 dtype=np.int64, count=len(m),
             )
-            nxt = m.merge(a[["key", "idx", "dst"]], on=["key", "idx"])
-            return pd.DataFrame(
-                {"start": nxt["start"].astype("int64"),
-                 "node": nxt["dst"].astype("int64")}
-            )
+            nxt = m.merge(a[["src", "idx", "dst"]], on=["src", "idx"])
+            return pd.DataFrame({"start": nxt["start"], "node": nxt["dst"]})
 
         state = cut_lineage(
-            state.map_batches(tag_state, batch_format="pandas")
-            .union(adj.map_batches(tag_adj, batch_format="pandas"))
-            .repartition(nb)
-            .groupby("_sb")
-            .map_groups(step_reduce, batch_format="pandas")
-            .materialize()
+            co_exchange(
+                {"s": (state, "node", walk_t),
+                 "a": (adj, "src", _typed(src="int64", dst="int64", idx="int64", deg="int64"))},
+                step_reduce, nb,
+            ).materialize()
         )
         outputs.append(state.map_batches(out_rows(t + 1),
                                          batch_format="pandas"))
@@ -3564,36 +2355,10 @@ def reference_random_walks(sf_dir: str, n_steps: int = 4) -> "ray.data.Dataset":
     """(start, step, node) — deterministic DeepWalk-style walk corpus
     over the symmetrized projekt→person reference graph (J5/J9
     edges), one walk per node, ``n_steps`` hash-indexed draws."""
-    import pyarrow.parquet as pq
-
-    import ray
-
-    n_docs = pq.read_metadata(f"{sf_dir}/documents.parquet").num_rows
-    docs = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id"]
-    )
-
-    def edge_rows(batch: pa.Table) -> pd.DataFrame:
-        ids = [int(i) for i in batch.column("doc_id").to_pylist() if i % 3 == 0]
-        src, dst = [], []
-        for d in ids:
-            for k in (1, 2, 3, 4):
-                src.append(1000 + d)
-                dst.append(person_ref(d, k, n_docs))
-        return pd.DataFrame(
-            {"src": pd.Series(src, dtype="int64"),
-             "dst": pd.Series(dst, dtype="int64")}
-        )
-
-    return random_walks_ds(
-        docs.map_batches(edge_rows, batch_format="pyarrow"),
-        n_steps=n_steps,
-    )
+    return random_walks_ds(_reference_edges(sf_dir), n_steps=n_steps)
 
 
-def cocitation_pairs(
-    sf_dir: str, max_out_deg: int = 64, num_buckets: int = 64
-) -> "ray.data.Dataset":
+def cocitation_pairs(sf_dir: str, max_out_deg: int = 64) -> "ray.data.Dataset":
     """(a, b, n_citers) — co-citation strength over the directed
     projekt→person reference graph (J5/J9 edges): for every canonical
     target pair ``a < b``, the number of sources citing BOTH. This is
@@ -3611,27 +2376,19 @@ def cocitation_pairs(
 
     Shape: pair partials form inside the scan (vectorized triu over
     the per-source target grid, per-batch pre-summed), then ONE
-    pair-hash keyed exchange sums counts — co-citation never builds
-    a node-keyed adjacency and ships only (pair, count) fingerprint
+    pair-keyed exchange sums counts — co-citation never builds a
+    node-keyed adjacency and ships only (pair, count) fingerprint
     rows.
     """
     import pyarrow.parquet as pq
 
-    from ..kernels.hashing import stable_hash64_array
-    from ..kernels.partitioning import adaptive_buckets
-
     n_docs = pq.read_metadata(f"{sf_dir}/documents.parquet").num_rows
-    docs = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id"]
-    )
-    nb = adaptive_buckets(n_docs, requested=num_buckets)
+    docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id"])
 
-    def pair_partials(batch: pa.Table) -> pd.DataFrame:
+    def pair_partials(batch) -> pd.DataFrame:
         doc_ids = batch.column("doc_id").to_numpy(zero_copy_only=False)
         ids = doc_ids[doc_ids % 3 == 0].astype(np.int64)
-        m = (n_docs + 1) // 3
-        ps = 1000 + 3 * ((ids[:, None] * 7 + np.arange(1, 5)[None, :]) % m) + 1
-        ps = np.sort(ps, axis=1)
+        ps = np.sort(person_ref(ids[:, None], np.arange(1, 5)[None, :], n_docs), axis=1)
         # hub rule, vectorized: distinct-target count per source
         ndist = (np.diff(ps, axis=1) != 0).sum(axis=1) + 1
         keep_src = ndist <= max_out_deg
@@ -3646,27 +2403,10 @@ def cocitation_pairs(
             .groupby(["a", "b"], as_index=False).size()
             .rename(columns={"size": "c"})
         )
-        if not len(df):
-            return pd.DataFrame(
-                {"a": pd.Series(dtype="int64"),
-                 "b": pd.Series(dtype="int64"),
-                 "c": pd.Series(dtype="int64"),
-                 "_pb": pd.Series(dtype="int32")}
-            )
-        h = stable_hash64_array(
-            [f"{x}\x00{y}" for x, y in zip(df["a"].tolist(),
-                                           df["b"].tolist())]
-        )
-        df["c"] = df["c"].astype("int64")
-        df["_pb"] = (h % np.uint64(nb)).astype("int32")
-        return df
+        return df.astype("int64") if len(df) else _typed(a="int64", b="int64", c="int64")
 
-    return (
-        docs.map_batches(pair_partials, batch_format="pyarrow")
-        .groupby("_pb")
-        .map_groups(
-            lambda g: g.groupby(["a", "b"], as_index=False)["c"].sum()
-            .rename(columns={"c": "n_citers"}),
-            batch_format="pandas",
-        )
+    return keyed_exchange(
+        docs.map_batches(pair_partials, batch_format="pyarrow"), ["a", "b"],
+        lambda g: g.groupby(["a", "b"], as_index=False)["c"].sum().rename(columns={"c": "n_citers"}),
+        adaptive_buckets(n_docs),
     )

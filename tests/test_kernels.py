@@ -133,6 +133,23 @@ def test_route_bucket_same_bucket_whatever_the_dtype():
         for s in forms
     ]
     assert all(g == got[0] for g in got)
+    # the integer path: values up to 2^62, and a missing value in an
+    # Int64 / object column (it routes like the others' NA)
+    big = [2**62, 2**62 - 1, 2**53 + 1, -(2**40), 1001]
+    forms = [
+        pd.Series(big, dtype="int64"),
+        pd.Series(big, dtype="object"),
+        pd.Series([np.int64(i) for i in big], dtype="object"),
+        pd.Series(big, dtype="Int64"),
+    ]
+    got = [route_bucket(pd.DataFrame({"id": s}), "id", 64).tolist() for s in forms]
+    assert all(g == got[0] for g in got)
+    with_na = [
+        pd.Series(big + [None], dtype="Int64"),
+        pd.Series(big + [None], dtype="object"),
+    ]
+    got_na = [route_bucket(pd.DataFrame({"id": s}), "id", 64).tolist() for s in with_na]
+    assert got_na[0] == got_na[1] and got_na[0][:-1] == got[0]
     raw = [pd.util.hash_pandas_object(s, index=False).tolist() for s in forms[:3]]
     assert raw[0] != raw[2]  # the dtype split route_bucket exists to avoid
     b = route_bucket(pd.DataFrame({"k": [str(i) for i in range(1000)]}), "k", 8)
@@ -151,12 +168,19 @@ def test_route_bucket_agrees_between_driver_and_ray_task(ray_session):
     )
 
     @ray.remote
-    def remote_route(f):
-        return route_bucket(f, ["host", "url"], 64)
+    def remote_route(f, keys):
+        return route_bucket(f, keys, 64)
 
-    assert ray.get(remote_route.remote(frame)).tolist() == route_bucket(
+    assert ray.get(remote_route.remote(frame, ["host", "url"])).tolist() == route_bucket(
         frame, ["host", "url"], 64
     ).tolist()
+    # the integer path: int64 ids up to 2^62 and an Int64 column with NA
+    ids = pd.DataFrame(
+        {"id": [2**62 - i * 7919 for i in range(500)],
+         "nid": pd.Series([None if i % 9 == 0 else i for i in range(500)], dtype="Int64")}
+    )
+    for keys in (["id"], ["nid"], ["id", "nid"]):
+        assert ray.get(remote_route.remote(ids, keys)).tolist() == route_bucket(ids, keys, 64).tolist()
 
 
 def _exchange_frame():
@@ -228,3 +252,94 @@ def test_keyed_exchange_colocates_unioned_sides(ray_session):
     assert out["id"].is_unique  # each key reduced in exactly one group
     both = set(out.loc[out["side"] == 2, "id"].tolist())
     assert both == set(range(0, 300, 2))
+
+
+def _co_case():
+    """Two sides keyed on differently named columns — ``edges`` by
+    ``src`` with an int64 payload above 2^53, ``state`` by ``node``
+    with a bool flag; neither payload column exists on the other side
+    — their templates, and a reduce (defined here so Ray ships it by
+    value) that asserts every part arrives in its template's dtypes."""
+    import numpy as np
+    import pandas as pd
+
+    rng = np.random.default_rng(11)
+    edges = pd.DataFrame(
+        {"src": rng.integers(0, 50, 900).astype("int64"),
+         "h": (2**60 + rng.integers(0, 2**40, 900)).astype("int64")}
+    )
+    state = pd.DataFrame(
+        {"node": np.arange(0, 60, dtype="int64"), "hot": np.arange(60) % 3 == 0}
+    )
+    templates = {
+        "e": pd.DataFrame({"src": pd.Series(dtype="int64"), "h": pd.Series(dtype="int64")}),
+        "s": pd.DataFrame({"node": pd.Series(dtype="int64"), "hot": pd.Series(dtype="bool")}),
+    }
+
+    def reduce(parts):
+        e, s = parts["e"], parts["s"]
+        assert list(e.columns) == ["src", "h"] and str(e["h"].dtype) == "int64"
+        assert list(s.columns) == ["node", "hot"] and str(s["hot"].dtype) == "bool"
+        agg = e.groupby("src", as_index=False).agg(n=("h", "size"), hmax=("h", "max"))
+        agg = agg.astype({"n": "Int64", "hmax": "Int64"})  # exact through the left join
+        m = s.merge(agg.rename(columns={"src": "node"}), on="node", how="left")
+        return pd.DataFrame(
+            {"node": m["node"], "hot": m["hot"],
+             "n": m["n"].fillna(0).astype("int64"),
+             "hmax": m["hmax"].fillna(-1).astype("int64")}
+        )
+
+    return edges, state, templates, reduce
+
+
+def test_co_exchange_invariant_to_n_and_layout(ray_session):
+    """co_exchange gives the same rows for n in {1, 4, 64} and for
+    permuted multi-block inputs, with sides keyed on differently named
+    columns and carrying disjoint payload columns."""
+    import ray.data
+
+    from dfg_gepris_crawler_ray.kernels.partitioning import co_exchange
+
+    edges, state, t, reduce = _co_case()
+
+    def canon(out):
+        return out.sort_values("node").reset_index(drop=True).to_dict("records")
+
+    want = canon(reduce({"e": edges, "s": state}))
+    for n in (1, 4, 64):
+        got = co_exchange(
+            {"e": (ray.data.from_pandas(edges), "src", t["e"]),
+             "s": (ray.data.from_pandas(state), "node", t["s"])},
+            reduce, n,
+        ).to_pandas()
+        assert canon(got) == want, n
+    pe = edges.sample(frac=1.0, random_state=2)
+    ps = state.sample(frac=1.0, random_state=3)
+    got = co_exchange(
+        {"e": (ray.data.from_pandas([pe.iloc[i::5] for i in range(5)]), "src", t["e"]),
+         "s": (ray.data.from_pandas([ps.iloc[i::3] for i in range(3)]), "node", t["s"])},
+        reduce, 4,
+    ).to_pandas()
+    assert canon(got) == want
+
+
+def test_co_exchange_keeps_one_sided_columns_exact_and_typed(ray_session):
+    """A column that exists on one side only reaches reduce with its
+    template dtype and exact values: an int64 above 2^53 stays int64
+    (an object None filler beside it came back float64 through Arrow,
+    which rounds 2^60 + 1) and a bool stays bool."""
+    import ray.data
+
+    from dfg_gepris_crawler_ray.kernels.partitioning import co_exchange
+
+    edges, state, t, _ = _co_case()
+    sides = {
+        "e": (ray.data.from_pandas(edges), "src", t["e"]),
+        "s": (ray.data.from_pandas(state), "node", t["s"]),
+    }
+    got = co_exchange(sides, lambda parts: parts["e"], 4).to_pandas()
+    assert str(got["h"].dtype) == "int64"
+    assert sorted(got["h"].tolist()) == sorted(edges["h"].tolist())
+    got = co_exchange(sides, lambda parts: parts["s"], 4).to_pandas()
+    assert str(got["hot"].dtype) == "bool"
+    assert got.sort_values("node")["hot"].tolist() == state["hot"].tolist()

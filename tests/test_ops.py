@@ -4108,7 +4108,7 @@ def test_redirect_resolve_matches_brute_and_detects_cycles():
     want = {s: chase(s) for s in srcs}
     got = {
         int(r["node"]): (int(r["final"]), int(r["hops"]))
-        for r in redirect_resolve_ds(edges, num_buckets=8)
+        for r in redirect_resolve_ds(edges)
         .to_pandas().to_dict("records")
     }
     assert got == want
@@ -4117,13 +4117,13 @@ def test_redirect_resolve_matches_brute_and_detects_cycles():
         pd.DataFrame({"src": [1, 2, 3, 10], "dst": [2, 3, 1, 1]})
     )
     with pytest.raises(RuntimeError, match="cycle"):
-        redirect_resolve_ds(cyc, max_rounds=8, num_buckets=4)
+        redirect_resolve_ds(cyc, max_rounds=8)
 
     dup = ray.data.from_pandas(
         pd.DataFrame({"src": [5, 5], "dst": [1, 2]})
     )
     with pytest.raises(Exception, match="functional"):
-        redirect_resolve_ds(dup, max_rounds=4, num_buckets=4).materialize()
+        redirect_resolve_ds(dup, max_rounds=4).materialize()
 
 
 def test_line_dedup_rewrite_keeps_first_and_empties_full_dups():
@@ -4230,7 +4230,7 @@ def test_kcore_matches_brute_peel_and_full_collapse():
     for k in (3, 5):
         want = brute(k)
         got = dict(
-            kcore_ds(ray.data.from_pandas(edges), k=k, num_buckets=4)
+            kcore_ds(ray.data.from_pandas(edges), k=k)
             .to_pandas().itertuples(index=False, name=None)
         )
         assert got == want, (k, len(got), len(want))
@@ -4240,7 +4240,7 @@ def test_kcore_matches_brute_peel_and_full_collapse():
         {"u": [0, 1, 1, 2, 2, 0], "v": [1, 0, 2, 1, 0, 2]}
     )
     assert (
-        kcore_ds(ray.data.from_pandas(tri), k=3, num_buckets=2).count() == 0
+        kcore_ds(ray.data.from_pandas(tri), k=3).count() == 0
     )
 
 
@@ -4424,8 +4424,9 @@ def test_hyperball_tracks_exact_bfs_balls():
     """HyperBall estimates vs exact BFS ball sizes on the reference
     graph: every node within the standard HLL error envelope (p=8 →
     σ≈6.5%; small balls hit the exact linear-counting regime), and
-    the estimate is layout-independent (two bucket counts agree
-    exactly — the register max-merge determinism argument)."""
+    the op on an in-memory copy of the edges agrees exactly (the
+    register max-merge determinism argument; exchange-width invariance
+    is the co_exchange primitive's own test)."""
     import pyarrow.parquet as pq
 
     from collections import deque
@@ -4472,11 +4473,9 @@ def test_hyperball_tracks_exact_bfs_balls():
     edges = pd.DataFrame(
         [(u, v) for u, s in adj.items() for v in s], columns=["src", "dst"]
     )
-    a = hyperball_ds(ray.data.from_pandas(edges), rounds=4, num_buckets=4)
-    b = hyperball_ds(ray.data.from_pandas(edges), rounds=4, num_buckets=16)
+    a = hyperball_ds(ray.data.from_pandas(edges), rounds=4)
     da = dict(a.to_pandas().itertuples(index=False, name=None))
-    db = dict(b.to_pandas().itertuples(index=False, name=None))
-    assert da == db == got
+    assert da == got
 
 
 def test_harmonic_centrality_matches_truncated_exact():
