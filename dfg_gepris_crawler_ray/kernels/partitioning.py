@@ -36,7 +36,18 @@ columns (a column a side lacks is filled with the default of that
 column's dtype, so no side's int64 or bool column is coerced when
 blocks of two sides meet); ``reduce`` gets a dict kind → that side's
 rows. :func:`co_route` is its tag-and-split step, which the
-uncoalesced state transitions reuse.
+uncoalesced state transitions reuse; :func:`typed_frame` builds a
+side's template.
+
+Callers: the crawl ops (``ops/crawlhealth``, ``ops/recrawl``,
+``ops/boilerplate``), every graph op (``ops/graph``), and every keyed
+join, semi-join and per-key window of ``ops/relational``. Sites that
+route with :func:`route_bucket` / :func:`co_route` but skip the
+coalesce, each because it measured slower through it: the state-scale
+ones named above, ``relational.q3_topk_revenue_shuffle`` (2.3x slower
+at one CPU), ``relational.anti_join_bucketed`` (7-10% slower for each
+of its callers) and the md5 keep-min of ``dedup.incremental_dedup``
+(~10% slower on its bloom route).
 
 The exchange stays a sort-shuffle (Ray's hash shuffle hung on this
 engine's Ray version; BASELINE.md). Hashes that are values or that an
@@ -114,6 +125,12 @@ def keyed_exchange(ds, keys, reduce, n: int = 64, batch_format: str = "pandas"):
 
     routed = ds.map_batches(route, batch_format=None, zero_copy_batch=True)
     return _reduce_routed(routed, reduce_bucket, n, batch_format)
+
+
+def typed_frame(**dtypes) -> pd.DataFrame:
+    """A typed empty frame, ``typed_frame(node="int64", ...)``: a
+    co-partition side's template, or an op's empty result."""
+    return pd.DataFrame({c: pd.Series(dtype=d) for c, d in dtypes.items()})
 
 
 def _filler(dtype, n: int):

@@ -1342,7 +1342,6 @@ def _md5_rows(batch: pa.Table, mod: int, want: int, negate: bool = False) -> pa.
 def incremental_dedup(
     sf_dir: str,
     route: str = "bucketed",
-    num_buckets: int = 64,
     bloom_bits: int = 1 << 20,
 ) -> "ray.data.Dataset":
     """Cross-snapshot exact dedup — the arrival-time form of
@@ -1356,13 +1355,12 @@ def incremental_dedup(
 
     Routes (identical output, pinned by pytest + shared gate oracle):
 
-    - ``"bucketed"``: within-batch keep-min (one md5-bucket exchange
-      over the NEW batch only) → corpus anti-join via the union-tag
-      bucket pattern (``relational.anti_join_bucketed``). At 100 TB
-      the old side would be a PRE-BUILT hash index, bucket-partitioned
-      on disk (the ``inverted_index`` sink layout), so only the new
-      batch moves; here both sides derive from one table so the old
-      hashes shuffle once.
+    - ``"bucketed"``: within-batch keep-min (one md5-keyed exchange
+      over the NEW batch only) → corpus anti-join
+      (``relational.anti_join_bucketed``, co-partitioned on the md5). At 100 TB the old side would be a PRE-BUILT hash
+      index, bucket-partitioned on disk (the ``inverted_index`` sink
+      layout), so only the new batch moves; here both sides derive
+      from one table so the old hashes shuffle once.
     - ``"bloom"``: per-batch OR-mergeable bloom partials over the old
       corpus reduce to one driver-held bitmap (``bloom_bits`` bits —
       bounded and small, NOT corpus-sized), broadcast via ``ray.put``;
@@ -1374,14 +1372,11 @@ def incremental_dedup(
     """
     import pyarrow.parquet as pq
 
-    from ..kernels.partitioning import adaptive_buckets
+    from ..kernels.partitioning import adaptive_buckets, route_bucket, typed_frame
     from .relational import anti_join_bucketed
 
     path = f"{sf_dir}/documents.parquet"
-    # fanout is a pure perf knob (md5 keying is bucket-count-agnostic)
-    num_buckets = adaptive_buckets(
-        pq.read_metadata(path).num_rows, requested=num_buckets
-    )
+    n = adaptive_buckets(pq.read_metadata(path).num_rows)
     docs = ray.data.read_parquet(path, columns=["doc_id", "text"])
 
     old_h = docs.map_batches(
@@ -1392,27 +1387,25 @@ def incremental_dedup(
         lambda b: _md5_rows(b, 2, 0),
         batch_format="pyarrow", zero_copy_batch=True,
     )
+    rows_t = typed_frame(doc_id="int64", h="object")
 
     # within-batch keep-min first (commutes with the cross-snapshot
-    # filter: members of an md5 group are all dropped or all kept)
-    def tag(df: pd.DataFrame) -> pd.DataFrame:
-        b = stable_hash64_array(list(df["h"])) % np.uint64(num_buckets)
-        return df.assign(_b=b.astype(np.int32))
-
-    def keep_min(g: pd.DataFrame) -> pd.DataFrame:
-        return (
-            g.groupby("h", as_index=False)["doc_id"].min()[["doc_id", "h"]]
-        )
-
+    # filter: members of an md5 group are all dropped or all kept).
+    # Routed without keyed_exchange's coalesce, which cost the bloom
+    # route ~10% at one CPU
     new_min = (
-        new_h.map_batches(tag, batch_format="pandas")
+        new_h.map_batches(lambda df: df.assign(_b=route_bucket(df, "h", n)), batch_format="pandas")
         .groupby("_b")
-        .map_groups(keep_min, batch_format="pandas")
+        .map_groups(
+            lambda g: g.groupby("h", as_index=False)["doc_id"].min()[["doc_id", "h"]],
+            batch_format="pandas",
+        )
     )
 
     if route == "bucketed":
-        survivors = anti_join_bucketed(new_min, old_h.select_columns(["h"]),
-                                       on="h", num_buckets=num_buckets)
+        # materialized first: at one CPU, a plan that unions a
+        # sort-shuffle branch with a streaming read never finishes
+        survivors = anti_join_bucketed(new_min.materialize(), old_h, "h", rows_t, n)
     elif route == "bloom":
         def bloom_rows(df: pd.DataFrame) -> pd.DataFrame:
             h64 = stable_hash64_array(list(df["h"]))
@@ -1434,9 +1427,7 @@ def incremental_dedup(
         tagged = new_min.map_batches(split_maybe, batch_format="pandas").materialize()
         fresh = tagged.filter(expr="_maybe == False").select_columns(["doc_id", "h"])
         maybe = tagged.filter(expr="_maybe == True").select_columns(["doc_id", "h"])
-        verified = anti_join_bucketed(maybe, old_h.select_columns(["h"]),
-                                      on="h", num_buckets=num_buckets)
-        survivors = fresh.union(verified)
+        survivors = fresh.union(anti_join_bucketed(maybe, old_h, "h", rows_t, n))
     else:  # pragma: no cover - guarded by callers
         raise ValueError(f"unknown route {route!r}")
 

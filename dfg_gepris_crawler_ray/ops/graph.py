@@ -27,22 +27,22 @@ import pandas as pd
 
 import ray.data
 
-from ..kernels.partitioning import adaptive_buckets, co_exchange, cut_lineage, keyed_exchange
+from ..kernels.partitioning import (
+    adaptive_buckets,
+    co_exchange,
+    cut_lineage,
+    keyed_exchange,
+    typed_frame,
+)
 
 # module-top import: a runtime relative import inside a map_batches UDF
 # body fails on workers even under pickle-by-value registration
 from ..testdata.gen_pages import institution_ref, person_ref, projekt_ref
 
 
-def _typed(**dtypes) -> pd.DataFrame:
-    """A typed empty frame: a co_exchange side's template, or an op's
-    empty result."""
-    return pd.DataFrame({c: pd.Series(dtype=d) for c, d in dtypes.items()})
-
-
-EDGES = _typed(src="int64", dst="int64")
-NODES = _typed(node="int64")
-CONTRIB = _typed(node="int64", contrib="float64")
+EDGES = typed_frame(src="int64", dst="int64")
+NODES = typed_frame(node="int64")
+CONTRIB = typed_frame(node="int64", contrib="float64")
 
 
 def _int64_edges(edges: "ray.data.Dataset", dedup: bool = False) -> "ray.data.Dataset":
@@ -142,7 +142,7 @@ def pagerank_ds(
         return pd.DataFrame(out)
 
     edges = edges.map_batches(cast_edges, batch_format="pandas").materialize()
-    edge_t = _typed(src="int64", dst="int64", **({"w": "float64"} if weighted else {}))
+    edge_t = typed_frame(src="int64", dst="int64", **({"w": "float64"} if weighted else {}))
     nb = adaptive_buckets(edges.count())
 
     # node list + out-degree/out-weight (one exchange, computed once)
@@ -161,9 +161,9 @@ def pagerank_ds(
     ).materialize()
     n_nodes = nodes.count()
     if n_nodes == 0:
-        return ray.data.from_pandas(_typed(node="int64", rank="float64"))
+        return ray.data.from_pandas(typed_frame(node="int64", rank="float64"))
 
-    ranks_t = _typed(
+    ranks_t = typed_frame(
         node="int64", rank="float64", outdeg=deg_dtype, **({"seed": "int64"} if personalized else {})
     )
     n_seeds = 0
@@ -173,7 +173,7 @@ def pagerank_ds(
             return nd.assign(seed=nd["node"].isin(parts["s"]["node"].to_numpy()).astype("int64"))
 
         nodes = co_exchange(
-            {"n": (nodes, "node", _typed(node="int64", outdeg=deg_dtype)),
+            {"n": (nodes, "node", typed_frame(node="int64", outdeg=deg_dtype)),
              "s": (seeds.map_batches(lambda df: df[["node"]].drop_duplicates(), batch_format="pandas"),
                    "node", NODES)},
             attach_seed, nb,
@@ -458,13 +458,13 @@ def person_projection_triangles(sf_dir: str, degree_route: str = "auto") -> "ray
 
             return fn
 
-        deg_t = _typed(node="int64", n="int64")
+        deg_t = typed_frame(node="int64", n="int64")
         e1 = co_exchange(
-            {"e": (edges, "a", _typed(a="int64", b="int64")), "d": (degrees, "node", deg_t)},
+            {"e": (edges, "a", typed_frame(a="int64", b="int64")), "d": (degrees, "node", deg_t)},
             join_deg("a"), nb,
         )
         e2 = co_exchange(
-            {"e": (e1, "b", _typed(a="int64", b="int64", deg_a="int64")), "d": (degrees, "node", deg_t)},
+            {"e": (e1, "b", typed_frame(a="int64", b="int64", deg_a="int64")), "d": (degrees, "node", deg_t)},
             join_deg("b"), nb,
         )
 
@@ -505,7 +505,7 @@ def person_projection_triangles(sf_dir: str, degree_route: str = "auto") -> "ray
         n = len(parts["w"].merge(parts["e"].drop_duplicates(), on=["v", "w"]))
         return pd.DataFrame({"n_tri": [int(n)]})
 
-    pair_t = _typed(v="int64", w="int64")
+    pair_t = typed_frame(v="int64", w="int64")
     n_triangles = int(
         co_exchange(
             {"w": (keyed_exchange(oriented, "src", wedge_rows, nb), ["v", "w"], pair_t),
@@ -649,7 +649,7 @@ def hits_ds(
         lambda g: g.drop_duplicates("node"), nb,
     ).materialize()
     if nodes.count() == 0:
-        return ray.data.from_pandas(_typed(node="int64", hub="float64", auth="float64"))
+        return ray.data.from_pandas(typed_frame(node="int64", hub="float64", auth="float64"))
 
     hubs = nodes.map_batches(lambda df: df.assign(hub=1.0), batch_format="pandas").materialize()
     auths = None
@@ -667,7 +667,7 @@ def hits_ds(
             return out.groupby("node", as_index=False)["contrib"].sum()
 
         contrib = co_exchange(
-            {"s": (scores, "node", _typed(node="int64", **{score_col: "float64"})),
+            {"s": (scores, "node", typed_frame(node="int64", **{score_col: "float64"})),
              "e": (edges, edge_key, EDGES)},
             contribs, nb,
         )
@@ -715,8 +715,8 @@ def hits_ds(
         return m
 
     return co_exchange(
-        {"h": (hubs, "node", _typed(node="int64", hub="float64")),
-         "a": (auths, "node", _typed(node="int64", auth="float64"))},
+        {"h": (hubs, "node", typed_frame(node="int64", hub="float64")),
+         "a": (auths, "node", typed_frame(node="int64", auth="float64"))},
         assemble, nb,
     )
 
@@ -778,9 +778,9 @@ def host_link_rank(
         return pd.DataFrame({"host": m["host"], "rank": m["rank"]})
 
     return co_exchange(
-        {"r": (ranks, "node", _typed(node="int64", rank="float64")),
+        {"r": (ranks, "node", typed_frame(node="int64", rank="float64")),
          "h": (links.map_batches(host_rows, batch_format="pandas"),
-               "node", _typed(node="int64", host="object"))},
+               "node", typed_frame(node="int64", host="object"))},
         attach, adaptive_buckets(links.count() * 2),
     )
 
@@ -825,7 +825,7 @@ def redirect_resolve_ds(
       raise (corrupt functional graph) rather than resolving
       arbitrarily.
     """
-    rows_t = _typed(node="int64", succ="int64", hops="int64", done="bool")
+    rows_t = typed_frame(node="int64", succ="int64", hops="int64", done="bool")
     pending = edges.map_batches(
         lambda df: pd.DataFrame(
             {"node": df["src"].astype("int64"), "succ": df["dst"].astype("int64"),
@@ -843,18 +843,20 @@ def redirect_resolve_ds(
                 f"redirect_resolve_ds: src {int(bad)} has multiple "
                 "out-edges — input is not a functional graph"
             )
+        # nullable Int64 lookups: a missed succ becomes <NA>, not a
+        # float64 NaN that would round ids above 2^53
         j = q.merge(
             m.rename(columns={
                 "node": "succ", "succ": "m_succ",
                 "hops": "m_hops", "done": "m_done",
-            }),
+            }).astype({"m_succ": "Int64", "m_hops": "Int64"}),
             on="succ", how="left",
         )
         hit = j["m_succ"].notna()
         return pd.DataFrame({
             "node": j["node"].astype("int64"),
-            "succ": np.where(hit, j["m_succ"].fillna(0), j["succ"]).astype("int64"),
-            "hops": np.where(hit, j["hops"] + j["m_hops"].fillna(0), j["hops"]).astype("int64"),
+            "succ": j["m_succ"].fillna(j["succ"]).astype("int64"),
+            "hops": (j["hops"] + j["m_hops"].fillna(0)).astype("int64"),
             # no state row for succ → succ is terminal → done;
             # composed onto a done row → our new succ is ITS final
             "done": np.where(hit, j["m_done"].eq(True), True).astype("bool"),
@@ -887,7 +889,7 @@ def redirect_resolve_ds(
         )
 
     if resolved is None:
-        return ray.data.from_pandas(_typed(node="int64", final="int64", hops="int64"))
+        return ray.data.from_pandas(typed_frame(node="int64", final="int64", hops="int64"))
     return resolved.map_batches(
         lambda df: pd.DataFrame({"node": df["node"], "final": df["succ"], "hops": df["hops"]}),
         batch_format="pandas",
@@ -1127,7 +1129,7 @@ def hyperball_ds(
     m = 1 << p
     edges = _int64_edges(edges)
     nb = adaptive_buckets(edges.count())
-    state_t = _typed(node="int64", regs="object", chg="uint8")
+    state_t = typed_frame(node="int64", regs="object", chg="uint8")
 
     def _bytes_rows(regmat: np.ndarray) -> list:
         """Per-row bytes views of one contiguous buffer (no per-row
@@ -1228,7 +1230,7 @@ def hyperball_ds(
     # / r over the per-round ball estimates (Boldi–Vigna's centrality
     # readout); N_0 = the single-element estimate of {self}
     acc = None
-    acc_t = _typed(node="int64", prev="int64", hc="float64")
+    acc_t = typed_frame(node="int64", prev="int64", hc="float64")
     if harmonic:
         acc = state.map_batches(
             lambda df: estimates("prev")(df).assign(hc=0.0), batch_format="pandas"
@@ -1256,7 +1258,7 @@ def hyperball_ds(
                 co_exchange(
                     {"a": (acc, "node", acc_t),
                      "e": (state.map_batches(estimates("est"), batch_format="pandas"), "node",
-                           _typed(node="int64", est="int64"))},
+                           typed_frame(node="int64", est="int64"))},
                     upd, nb,
                 ).materialize()
             )
@@ -1412,12 +1414,12 @@ def scc_ds(
         lambda g: g.drop_duplicates("node").assign(cf=np.int64(0), cb=np.int64(0)), nb,
     ).materialize()
     if labels.count() == 0:
-        return ray.data.from_pandas(_typed(node="int64", scc_id="int64"))
+        return ray.data.from_pandas(typed_frame(node="int64", scc_id="int64"))
 
     done: list["ray.data.Dataset"] = []
-    cls_t = _typed(node="int64", cf="int64", cb="int64")
-    fb_t = _typed(node="int64", f="int64", b="int64")
-    flow_t = _typed(key="int64", out="int64", dir="int8")
+    cls_t = typed_frame(node="int64", cf="int64", cb="int64")
+    fb_t = typed_frame(node="int64", f="int64", b="int64")
+    flow_t = typed_frame(key="int64", out="int64", dir="int8")
 
     def _flow_rows(key0, out0, key1, out1) -> pd.DataFrame:
         """Label-flow rows ``(key, out, dir)``: dir 0 carries f from
@@ -1475,7 +1477,7 @@ def scc_ds(
                 {"s": (labels, "node", cls_t),
                  "e": (co_exchange({"s": (labels, "node", cls_t), "e": (edges, "src", EDGES)},
                                    attach_src, nb),
-                       "dst", _typed(src="int64", dst="int64", f="int64", b="int64"))},
+                       "dst", typed_frame(src="int64", dst="int64", f="int64", b="int64"))},
                 attach_dst, nb,
             ).materialize()
         )
@@ -1548,7 +1550,7 @@ def scc_ds(
         )
 
     if not done:
-        return ray.data.from_pandas(_typed(node="int64", scc_id="int64"))
+        return ray.data.from_pandas(typed_frame(node="int64", scc_id="int64"))
     out = done[0]
     for d in done[1:]:
         out = out.union(d)
@@ -1676,7 +1678,7 @@ def bowtie_ds(
     edges = _int64_edges(edges)
     scc = scc_ds(edges).materialize()
     if scc.count() == 0:
-        return ray.data.from_pandas(_typed(node="int64", cls="object"))
+        return ray.data.from_pandas(typed_frame(node="int64", cls="object"))
     top = (
         scc.groupby("scc_id")
         .count()
@@ -1707,7 +1709,7 @@ def bowtie_ds(
         return pd.DataFrame({"node": node, "cls": cls})
 
     return co_exchange(
-        {"s": (scc, "node", _typed(node="int64", scc_id="int64")),
+        {"s": (scc, "node", typed_frame(node="int64", scc_id="int64")),
          "o": (fwd, "node", NODES),     # forward reach from core = OUT side
          "i": (bwd, "node", NODES)},    # backward reach = nodes reaching core
         classify, adaptive_buckets(scc.count()),
@@ -1747,10 +1749,10 @@ def condensation_layers_ds(
     edges = _int64_edges(edges)
     scc = scc_ds(edges).materialize()
     if scc.count() == 0:
-        return ray.data.from_pandas(_typed(node="int64", scc_id="int64", layer="int64"))
+        return ray.data.from_pandas(typed_frame(node="int64", scc_id="int64", layer="int64"))
     nb = adaptive_buckets(scc.count())
-    scc_t = _typed(node="int64", scc_id="int64")
-    layer_t = _typed(c="int64", layer="int64")
+    scc_t = typed_frame(node="int64", scc_id="int64")
+    layer_t = typed_frame(c="int64", layer="int64")
 
     # --- condensation edges: map endpoints through scc labels --------
     def map_src(parts: dict) -> pd.DataFrame:
@@ -1768,7 +1770,7 @@ def condensation_layers_ds(
     cond = cut_lineage(
         keyed_exchange(
             co_exchange(
-                {"s": (scc, "node", scc_t), "e": (mapped_src, "dst", _typed(dst="int64", sl="int64"))},
+                {"s": (scc, "node", scc_t), "e": (mapped_src, "dst", typed_frame(dst="int64", sl="int64"))},
                 map_dst, nb,
             ),
             "csrc", lambda g: g.drop_duplicates(["csrc", "cdst"]), nb,
@@ -1802,7 +1804,7 @@ def condensation_layers_ds(
 
     for _round in range(max_rounds):
         props = co_exchange(
-            {"s": (layers, "c", layer_t), "e": (cond, "csrc", _typed(csrc="int64", cdst="int64"))}, ship, nb
+            {"s": (layers, "c", layer_t), "e": (cond, "csrc", typed_frame(csrc="int64", cdst="int64"))}, ship, nb
         )
         reduced = keyed_exchange(props, "c", reduce_max, nb).materialize()
         n_changed = int(reduced.sum("_changed") or 0)
@@ -1867,9 +1869,9 @@ def opic_ds(
     ).materialize()
     n_nodes = nodes.count()
     if n_nodes == 0:
-        return ray.data.from_pandas(_typed(node="int64", importance="float64"))
+        return ray.data.from_pandas(typed_frame(node="int64", importance="float64"))
 
-    state_t = _typed(node="int64", cash="float64", hist="float64", outdeg="int64")
+    state_t = typed_frame(node="int64", cash="float64", hist="float64", outdeg="int64")
     state = nodes.map_batches(
         lambda df: df.assign(cash=1.0 / n_nodes, hist=0.0), batch_format="pandas"
     ).materialize()
@@ -1946,7 +1948,7 @@ def spam_mass_ds(
     Scale shape: ONE node-keyed co-partition exchange aligns the two
     vectors (per-bucket left join); nothing reaches the driver."""
     nb = adaptive_buckets(ranks.count(), rows_per_bucket=4096)
-    v9_t = _typed(node="int64", v9="int64")
+    v9_t = typed_frame(node="int64", v9="int64")
 
     def to_v9(df: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame(
@@ -2081,7 +2083,7 @@ def label_propagation_ds(
 
     edges = edges.map_batches(sym_edges, batch_format="pandas").materialize()
     nb = adaptive_buckets(edges.count())
-    label_t = _typed(node="int64", label="int64")
+    label_t = typed_frame(node="int64", label="int64")
 
     # labels init: every endpoint is a node, label = own id (one
     # keyed exchange dedupes endpoints; multiplicity is NOT collapsed
@@ -2112,13 +2114,13 @@ def label_propagation_ds(
     for _ in range(n_rounds):
         vote = co_exchange(
             {"l": (labels, "node", label_t),
-             "e": (edges, "src", _typed(src="int64", dst="int64", w="int64"))},
+             "e": (edges, "src", typed_frame(src="int64", dst="int64", w="int64"))},
             votes, nb,
         )
         labels = cut_lineage(
             co_exchange(
                 {"n": (labels, "node", label_t),
-                 "v": (vote, "node", _typed(node="int64", label="int64", w="int64"))},
+                 "v": (vote, "node", typed_frame(node="int64", label="int64", w="int64"))},
                 reduce_label, nb,
             ).materialize()
         )
@@ -2163,7 +2165,7 @@ def degree_assortativity_ds(edges: "ray.data.Dataset") -> "pd.DataFrame":
     """
     edges = _int64_edges(edges)
     nb = adaptive_buckets(edges.count())
-    deg_t = _typed(node="int64", outd="int64", ind="int64")
+    deg_t = typed_frame(node="int64", outd="int64", ind="int64")
 
     # degree tables: per-batch (node, out_partial, in_partial) counts
     # merged in one keyed exchange
@@ -2198,7 +2200,7 @@ def degree_assortativity_ds(edges: "ray.data.Dataset") -> "pd.DataFrame":
 
     ex = co_exchange({"d": (deg, "node", deg_t), "e": (edges, "src", EDGES)}, join_src, nb)
     part = co_exchange(
-        {"d": (deg, "node", deg_t), "e": (ex, "dst", _typed(dst="int64", x="int64"))}, moments, nb
+        {"d": (deg, "node", deg_t), "e": (ex, "dst", typed_frame(dst="int64", x="int64"))}, moments, nb
     )
     # SIX driver scalars (tree aggregate over ≤nb one-row partials)
     tot = {c: int(part.sum(c) or 0) for c in
@@ -2275,7 +2277,7 @@ def random_walks_ds(
 
     sedges = edges.map_batches(sym_edges, batch_format="pandas").materialize()
     nb = adaptive_buckets(sedges.count())
-    walk_t = _typed(start="int64", node="int64")
+    walk_t = typed_frame(start="int64", node="int64")
 
     def adj_group(g: pd.DataFrame) -> pd.DataFrame:
         g = (g.drop_duplicates(["src", "dst"])
@@ -2338,7 +2340,7 @@ def random_walks_ds(
         state = cut_lineage(
             co_exchange(
                 {"s": (state, "node", walk_t),
-                 "a": (adj, "src", _typed(src="int64", dst="int64", idx="int64", deg="int64"))},
+                 "a": (adj, "src", typed_frame(src="int64", dst="int64", idx="int64", deg="int64"))},
                 step_reduce, nb,
             ).materialize()
         )
@@ -2403,7 +2405,7 @@ def cocitation_pairs(sf_dir: str, max_out_deg: int = 64) -> "ray.data.Dataset":
             .groupby(["a", "b"], as_index=False).size()
             .rename(columns={"size": "c"})
         )
-        return df.astype("int64") if len(df) else _typed(a="int64", b="int64", c="int64")
+        return df.astype("int64") if len(df) else typed_frame(a="int64", b="int64", c="int64")
 
     return keyed_exchange(
         docs.map_batches(pair_partials, batch_format="pyarrow"), ["a", "b"],

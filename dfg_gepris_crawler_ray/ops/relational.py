@@ -3,27 +3,49 @@
 These demonstrate (and oracle-check) the engine's generic operator
 layer — the same primitives the crawl pipelines compose:
 
-- partial pre-aggregation inside ``map_batches`` before the groupby
+- partial pre-aggregation inside ``map_batches`` before the exchange
   (shrinks the shuffle to one row per key per batch)
 - broadcast hash join (small dimension side via ``ray.put``)
-- broadcast anti-join
+- the keyed exchange: every key-local join or reduce — hash joins,
+  semi-joins, per-user windows, sessions and funnels — runs through
+  ``kernels.partitioning.keyed_exchange`` (one side) or
+  ``co_exchange`` (several sides, each routed by its own key columns;
+  the reduce gets a dict kind → that side's rows); the anti-join and
+  the Q3 shuffle join route the same way (``co_route``) without the
+  coalesce, which measured slower for them
 - latest-per-key (the A1 pattern over the events stream)
-- tumbling-window aggregate over event time
+- tumbling- and sliding-window aggregates over event time
 - global sort + limit (top-k)
+
+An op's exchange width is ``adaptive_buckets`` over its driving
+table's parquet row count (:func:`_width`); every reduce is key-local,
+so the width never changes a value. Low-cardinality natural keys
+(event type, market segment, per-window register merges) group
+directly with ``groupby(col)``.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
+import datetime as _dt
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.dataset as pads
+import pyarrow.parquet as pq
 
 import ray
 import ray.data
-from ray.data.aggregate import Count, Max, Min, Sum
+from ray.data.aggregate import Sum
+
+from ..kernels.partitioning import (
+    adaptive_buckets,
+    co_exchange,
+    co_route,
+    keyed_exchange,
+    typed_frame,
+)
 
 
 def round_half_away(x, decimals: int = 2):
@@ -32,6 +54,43 @@ def round_half_away(x, decimals: int = 2):
     m = 10.0 ** decimals
     arr = np.asarray(x, dtype=np.float64)
     return np.sign(arr) * np.floor(np.abs(arr) * m + 0.5) / m
+
+
+def _width(sf_dir: str, table: str) -> int:
+    """An op's exchange width: ``adaptive_buckets`` over the row count
+    of its driving ``table`` (parquet metadata, no scan)."""
+    return adaptive_buckets(
+        pq.read_metadata(f"{sf_dir}/{table}.parquet").num_rows, rows_per_bucket=4096
+    )
+
+
+def _between(col: str, lo: str, hi: str):
+    """Scan pushdown predicate ``lo <= col < hi`` over ISO dates."""
+    return (pads.field(col) >= _dt.datetime.fromisoformat(lo)) & (
+        pads.field(col) < _dt.datetime.fromisoformat(hi)
+    )
+
+
+def _sum_by(ds: "ray.data.Dataset", keys, *cols) -> "ray.data.Dataset":
+    """The small final aggregate of an op's partials: ``cols`` summed
+    per ``keys``, each keeping its name."""
+    return ds.groupby(keys).aggregate(*[Sum(c, alias_name=c) for c in cols])
+
+
+def _int_revenue_x10000(extprice: pd.Series, discount: pd.Series) -> pd.Series:
+    """Integer ten-thousandths revenue — the Q5 rounding-boundary-safe
+    kernel (prices are cents, discounts centi-steps, so np.round's
+    half-even never disagrees with SQL's half-away here)."""
+    return (extprice * 100).round().astype("int64") * (
+        (1.0 - discount) * 100
+    ).round().astype("int64")
+
+
+def _scalar_partials(parts: "ray.data.Dataset", cols) -> pa.Table:
+    """One int64 row: each of ``cols`` summed over the per-bucket
+    single-row partials ``parts`` (≤ n rows reach the driver)."""
+    df = parts.to_pandas()
+    return pa.table({c: pa.array([int(df[c].sum())], pa.int64()) for c in cols})
 
 
 def pricing_summary(sf_dir: str) -> "ray.data.Dataset":
@@ -85,7 +144,6 @@ def segment_revenue(sf_dir: str) -> "ray.data.Dataset":
 
     customer is the small side: shipped once via ``ray.put``, looked up
     per batch — no shuffle join."""
-    import pyarrow.parquet as pq
 
     cust = pq.read_table(
         f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_mktsegment"]
@@ -124,52 +182,33 @@ def anti_join_bucketed(
     left: "ray.data.Dataset",
     right: "ray.data.Dataset",
     on: str,
-    num_buckets: int = 64,
+    left_t: pd.DataFrame,
+    n: int,
 ) -> "ray.data.Dataset":
-    """General hash anti-join: rows of ``left`` whose ``on`` key has no
-    match in ``right`` — BOTH sides at arbitrary scale.
+    """General hash anti-join: rows of ``left`` (typed like the empty
+    frame ``left_t``) whose ``on`` key has no match in ``right``'s
+    ``on`` column — BOTH sides at arbitrary scale.
 
     Shape: per-batch pre-dedup of the right side's keys (one key per
-    batch instead of every row), one key-hash-bucket shuffle of the
-    union, vectorized per-bucket ``isin``. This is the form to use
-    when neither side fits a ``ray.put`` broadcast; the broadcast
-    semi/anti-join (sources.pages.semi_join_frontier) stays the right
-    call when one side is budget-bounded.
+    batch instead of every row), one co-partition of both sides into
+    ``n`` buckets (``co_route``), vectorized per-bucket ``isin``. This
+    is the form to use when neither side fits a ``ray.put`` broadcast; the
+    broadcast semi/anti-join (sources.pages.semi_join_frontier) stays
+    the right call when one side is budget-bounded. Keys of any dtype
+    co-locate (``route_bucket``)."""
 
-    Keys of any dtype: integer keys bucket by value (cheap); everything
-    else buckets by a stable hash of the string form — equal keys land
-    in the same bucket whatever the dtype (float/str keys previously
-    raised or truncated under the int64 cast)."""
-    from ..kernels.hashing import stable_hash64_array
+    def right_keys(df: pd.DataFrame) -> pd.DataFrame:
+        return df[[on]].drop_duplicates()
 
-    def _bucket_of(s: pd.Series) -> pd.Series:
-        import pandas.api.types as ptypes
+    def per_bucket(parts: dict) -> pd.DataFrame:
+        rows = parts["l"]
+        return rows[~rows[on].isin(parts["r"][on])]
 
-        if ptypes.is_integer_dtype(s):
-            return (s.astype("int64") % num_buckets).astype("int32")
-        h = stable_hash64_array([str(v) for v in s.tolist()])
-        return pd.Series(
-            (h % np.uint64(num_buckets)).astype("int32"), index=s.index
-        )
-
-    def tag_left(df: pd.DataFrame) -> pd.DataFrame:
-        return df.assign(_ajb=_bucket_of(df[on]), _side="l")
-
-    def tag_right(df: pd.DataFrame) -> pd.DataFrame:
-        keys = df[[on]].drop_duplicates()
-        return keys.assign(_ajb=_bucket_of(keys[on]), _side="r")
-
-    unioned = left.map_batches(tag_left, batch_format="pandas").union(
-        right.map_batches(tag_right, batch_format="pandas")
-    )
-
-    def per_bucket(group: pd.DataFrame) -> pd.DataFrame:
-        rkeys = group.loc[group["_side"] == "r", on].unique()
-        lrows = group[group["_side"] == "l"]
-        out = lrows[~lrows[on].isin(rkeys)]
-        return out.drop(columns=["_ajb", "_side"])
-
-    return unioned.groupby("_ajb").map_groups(per_bucket, batch_format="pandas")
+    keys = right.map_batches(right_keys, batch_format="pandas")
+    # routed without co_exchange's coalesce, which made every caller
+    # 7-10% slower at one CPU (sf0.01)
+    routed, split = co_route({"l": (left, on, left_t), "r": (keys, on, left_t[[on]])}, n)
+    return routed.groupby("_b").map_groups(lambda g: per_bucket(split(g)), batch_format="pandas")
 
 
 def customers_without_orders(sf_dir: str) -> "ray.data.Dataset":
@@ -183,10 +222,10 @@ def customers_without_orders(sf_dir: str) -> "ray.data.Dataset":
         f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_name"]
     )
     orders = ray.data.read_parquet(f"{sf_dir}/orders.parquet", columns=["o_custkey"])
-    orders = orders.map_batches(
-        lambda df: df.rename(columns={"o_custkey": "c_custkey"}), batch_format="pandas"
+    out = anti_join_bucketed(
+        cust, orders.rename_columns({"o_custkey": "c_custkey"}), "c_custkey",
+        typed_frame(c_custkey="int64", c_name="object"), _width(sf_dir, "orders"),
     )
-    out = anti_join_bucketed(cust, orders, on="c_custkey")
     # materialise with an explicit schema so an empty result still
     # carries its columns (Dataset.to_pandas drops them on zero blocks)
     tables = [t for t in ray.get(out.to_arrow_refs()) if t.num_columns]
@@ -199,30 +238,22 @@ def latest_event_per_user(sf_dir: str) -> "ray.data.Dataset":
     """A1 pattern over the events stream: per user the most recent event
     (ties broken by event_id desc, deterministic).
 
-    Shuffle key = 64-way user-hash bucket; the per-user top-1 computes
-    vectorized inside each bucket (sort + drop_duplicates keep-last) —
-    one Python call per bucket, not per user (millions of users at
-    stream scale). Per-batch pre-reduction first: each input batch
-    keeps one candidate row per user before the exchange."""
+    One user-keyed exchange; the per-user top-1 computes vectorized
+    inside each bucket (sort + drop_duplicates keep-last) — one Python
+    call per bucket, not per user (millions of users at stream scale).
+    The same kernel pre-reduces each input batch first, so the exchange
+    carries one candidate row per user per batch."""
     ds = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["event_id", "ts", "user_id", "event_type", "value"]
     )
 
-    def prereduce(batch: pd.DataFrame) -> pd.DataFrame:
-        g = batch.sort_values(["ts", "event_id"], kind="stable")
-        g = g.drop_duplicates("user_id", keep="last")
-        g = g.assign(bucket=(g["user_id"] % 64).astype("int32"))
-        return g
+    def latest(df: pd.DataFrame) -> pd.DataFrame:
+        g = df.sort_values(["ts", "event_id"], kind="stable")
+        return g.drop_duplicates("user_id", keep="last")
 
-    def bucket_latest(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.sort_values(["ts", "event_id"], kind="stable")
-        g = g.drop_duplicates("user_id", keep="last")
-        return g[["event_id", "ts", "user_id", "event_type", "value"]]
-
-    return (
-        ds.map_batches(prereduce, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(bucket_latest, batch_format="pandas")
+    return keyed_exchange(
+        ds.map_batches(latest, batch_format="pandas"), "user_id", latest,
+        _width(sf_dir, "events"),
     )
 
 
@@ -275,7 +306,6 @@ def segment_order_revenue_topk(
     per surviving order per batch. At a scale where the order-key set
     no longer broadcasts, swap the semi-join for a hash-shuffle join on
     l_orderkey (same downstream code)."""
-    import pyarrow.parquet as pq
 
     cust = pq.read_table(
         f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_mktsegment"]
@@ -342,16 +372,11 @@ def session_windows(sf_dir: str, gap_minutes: int = 30) -> "ray.data.Dataset":
     sort + gap split (SURVEY.md §2.10 'custom operators' path (a)).
 
     A new session starts when the inter-event gap exceeds
-    ``gap_minutes``. Shuffle key = user_id (each user's event history
-    co-locates; per-user data is small by construction)."""
+    ``gap_minutes``. One user-keyed exchange: each user's event history
+    co-locates, and sessionization vectorizes across the whole bucket."""
     ds = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["ts", "user_id", "value"]
     )
-
-    def add_bucket(batch: pd.DataFrame) -> pd.DataFrame:
-        # shuffle key = user-hash bucket: all of one user's events
-        # co-locate, sessionization vectorizes across the whole bucket
-        return batch.assign(bucket=(batch["user_id"] % 64).astype("int32"))
 
     def sessions(group: pd.DataFrame) -> pd.DataFrame:
         g = group.sort_values(["user_id", "ts"], kind="stable")
@@ -372,11 +397,7 @@ def session_windows(sf_dir: str, gap_minutes: int = 30) -> "ray.data.Dataset":
         out["sum_value"] = round_half_away(out["sum_value"], 2)
         return out[["user_id", "session_no", "session_start", "session_end", "n_events", "sum_value"]]
 
-    return (
-        ds.map_batches(add_bucket, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(sessions, batch_format="pandas")
-    )
+    return keyed_exchange(ds, "user_id", sessions, _width(sf_dir, "events"))
 
 
 def value_quantiles(sf_dir: str, qs=(0.5, 0.9, 0.99)) -> "ray.data.Dataset":
@@ -385,7 +406,7 @@ def value_quantiles(sf_dir: str, qs=(0.5, 0.9, 0.99)) -> "ray.data.Dataset":
 
     Shuffle key = event_type (small cardinality; each group's values
     co-locate, np.quantile vectorizes over the whole group). For
-    high-cardinality keys swap in the 64-way bucket pattern; for
+    high-cardinality keys swap in ``keyed_exchange``; for
     corpus-scale value streams swap np.quantile for a t-digest partial
     merge — the exact path is the oracle either way."""
     ds = ray.data.read_parquet(f"{sf_dir}/events.parquet", columns=["event_type", "value"])
@@ -411,8 +432,9 @@ def sliding_window_counts(
     """Sliding event-time windows (60 min window, 15 min slide): each
     event replicates into window/slide windows inside ``map_batches``
     (vectorized epoch arithmetic), partial counts pre-combine per
-    batch, and the exchange carries one row per (window, type) per
-    batch — the batch-engine form of a sliding-window aggregation."""
+    batch, and the window-keyed exchange carries one row per
+    (window, type) per batch — the batch-engine form of a
+    sliding-window aggregation."""
     ds = ray.data.read_parquet(f"{sf_dir}/events.parquet", columns=["ts", "event_type"])
     w = window_minutes * 60
     s = slide_minutes * 60
@@ -438,34 +460,21 @@ def sliding_window_counts(
         )
         return g
 
-    partials = ds.map_batches(partial, batch_format="pandas")
+    def window_sum(group: pd.DataFrame) -> pd.DataFrame:
+        out = group.groupby(["window_start", "event_type"], as_index=False)["n"].sum()
+        return out.assign(window_start=pd.to_datetime(out["window_start"], unit="s"))
 
-    def bucket_sum(group: pd.DataFrame) -> pd.DataFrame:
-        return group.groupby(["window_start", "event_type"], as_index=False)["n"].sum()
-
-    return (
-        partials.map_batches(
-            lambda df: df.assign(bucket=(df["window_start"] // s % 64).astype("int32")),
-            batch_format="pandas",
-        )
-        .groupby("bucket")
-        .map_groups(bucket_sum, batch_format="pandas")
-        .map_batches(
-            lambda df: df.assign(
-                window_start=pd.to_datetime(df["window_start"], unit="s")
-            )[["window_start", "event_type", "n"]],
-            batch_format="pandas",
-        )
+    return keyed_exchange(
+        ds.map_batches(partial, batch_format="pandas"), "window_start", window_sum,
+        _width(sf_dir, "events"),
     )
 
 
 def distinct_customers_per_segment(sf_dir: str) -> "ray.data.Dataset":
     """count(DISTINCT o_custkey) per market segment, exact and
-    distributed: per-batch (segment, custkey) dedup, key-hash-bucketed
+    distributed: per-batch (segment, custkey) dedup, custkey-keyed
     global dedup (vectorized drop_duplicates per bucket), then partial
     counts sum — no full-width shuffle of the raw orders."""
-    import pyarrow.parquet as pq
-
     cust = pq.read_table(f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_mktsegment"])
     seg_map = dict(
         zip(cust.column("c_custkey").to_pylist(), cust.column("c_mktsegment").to_pylist())
@@ -475,26 +484,16 @@ def distinct_customers_per_segment(sf_dir: str) -> "ray.data.Dataset":
 
     def prereduce(batch: pd.DataFrame) -> pd.DataFrame:
         g = batch.drop_duplicates("o_custkey")
-        lookup = ray.get(seg_ref)
-        return pd.DataFrame(
-            {
-                "o_custkey": g["o_custkey"],
-                "c_mktsegment": g["o_custkey"].map(lookup),
-                "bucket": (g["o_custkey"] % 64).astype("int32"),
-            }
-        )
+        return g.assign(c_mktsegment=g["o_custkey"].map(ray.get(seg_ref)))
 
     def bucket_count(group: pd.DataFrame) -> pd.DataFrame:
         g = group.drop_duplicates("o_custkey")
         return g.groupby("c_mktsegment", as_index=False).size().rename(columns={"size": "n"})
 
-    partials = (
-        orders.map_batches(prereduce, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(bucket_count, batch_format="pandas")
+    partials = keyed_exchange(
+        orders.map_batches(prereduce, batch_format="pandas"), "o_custkey", bucket_count,
+        _width(sf_dir, "orders"),
     )
-    from ray.data.aggregate import Sum
-
     return partials.groupby("c_mktsegment").aggregate(
         Sum("n", alias_name="distinct_customers")
     )
@@ -504,7 +503,6 @@ def topk_orders_per_segment(sf_dir: str, k: int = 3) -> "ray.data.Dataset":
     """Top-k orders by totalprice within each market segment (the
     per-group top-k pattern): per-batch nsmallest pre-reduction, then
     one small groupby over ≤ k×batches candidate rows."""
-    import pyarrow.parquet as pq
 
     cust = pq.read_table(f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_mktsegment"])
     seg_map = dict(
@@ -552,8 +550,8 @@ def asof_join_latest_order(sf_dir: str) -> "ray.data.Dataset":
     semantics: events whose user has no prior order are dropped (keeps
     dtypes deterministic vs the SQL oracle).
 
-    Shape: co-partition both sides by user-hash bucket (ONE keyed
-    shuffle), per-bucket vectorized ``pd.merge_asof`` over frames
+    Shape: events and orders co-partition by user (``co_exchange``, ONE
+    keyed shuffle), per-bucket vectorized ``pd.merge_asof`` over frames
     sorted on the time key. At web scale with time-partitioned storage
     the same per-bucket kernel runs as a sorted merge join; no
     all-pairs work anywhere."""
@@ -563,74 +561,35 @@ def asof_join_latest_order(sf_dir: str) -> "ray.data.Dataset":
     orders = ray.data.read_parquet(
         f"{sf_dir}/orders.parquet", columns=["o_orderkey", "o_custkey", "o_orderdate"]
     )
-
-    def tag_events(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "key": df["user_id"].astype("int64"),
-                "event_id": df["event_id"].astype("int64"),
-                "ts": df["ts"],
-                "o_orderkey": -1,
-                "o_orderdate": pd.NaT,
-                "_side": "e",
-            }
-        ).assign(_b=lambda d: (d["key"] % 64).astype("int32"))
-
-    def tag_orders(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "key": df["o_custkey"].astype("int64"),
-                "event_id": -1,
-                "ts": pd.NaT,
-                "o_orderkey": df["o_orderkey"].astype("int64"),
-                "o_orderdate": df["o_orderdate"],
-                "_side": "o",
-            }
-        ).assign(_b=lambda d: (d["key"] % 64).astype("int32"))
-
-    unioned = events.map_batches(tag_events, batch_format="pandas").union(
-        orders.map_batches(tag_orders, batch_format="pandas")
+    empty = typed_frame(
+        event_id="int64", user_id="int64", ts="datetime64[us]",
+        o_orderkey="int64", o_orderdate="datetime64[us]",
     )
 
-    def per_bucket(group: pd.DataFrame) -> pd.DataFrame:
-        e = group[group["_side"] == "e"][["key", "event_id", "ts"]].sort_values(
-            "ts", kind="stable"
-        )
-        o = group[group["_side"] == "o"][["key", "o_orderkey", "o_orderdate"]].sort_values(
+    def per_bucket(parts: dict) -> pd.DataFrame:
+        e = parts["e"].sort_values("ts", kind="stable")
+        o = parts["o"].rename(columns={"o_custkey": "user_id"}).sort_values(
             ["o_orderdate", "o_orderkey"], kind="stable"
         )
-        out_cols = ["event_id", "user_id", "ts", "o_orderkey", "o_orderdate"]
         if not len(e) or not len(o):
-            return pd.DataFrame(
-                {
-                    "event_id": pd.Series([], dtype="int64"),
-                    "user_id": pd.Series([], dtype="int64"),
-                    "ts": pd.Series([], dtype="datetime64[us]"),
-                    "o_orderkey": pd.Series([], dtype="int64"),
-                    "o_orderdate": pd.Series([], dtype="datetime64[us]"),
-                }
-            )
+            return empty.copy()
+        # with the secondary o_orderkey sort, equal-timestamp ties
+        # resolve to the max o_orderkey
         m = pd.merge_asof(
-            e,
-            o,
-            left_on="ts",
-            right_on="o_orderdate",
-            by="key",
-            direction="backward",  # with the secondary o_orderkey sort,
-            # equal-timestamp ties resolve to the max o_orderkey
+            e, o, left_on="ts", right_on="o_orderdate", by="user_id", direction="backward"
         )
         m = m[m["o_orderkey"].notna()]
-        return pd.DataFrame(
-            {
-                "event_id": m["event_id"].astype("int64"),
-                "user_id": m["key"].astype("int64"),
-                "ts": m["ts"],
-                "o_orderkey": m["o_orderkey"].astype("int64"),
-                "o_orderdate": m["o_orderdate"],
-            }
-        )[out_cols]
+        return m.astype({"o_orderkey": "int64"})[list(empty.columns)]
 
-    return unioned.groupby("_b").map_groups(per_bucket, batch_format="pandas")
+    return co_exchange(
+        {
+            "e": (events, "user_id", typed_frame(event_id="int64", ts="datetime64[us]", user_id="int64")),
+            "o": (orders, "o_custkey", typed_frame(
+                o_orderkey="int64", o_custkey="int64", o_orderdate="datetime64[us]"
+            )),
+        },
+        per_bucket, _width(sf_dir, "orders"),
+    )
 
 
 def q3_topk_revenue_shuffle(
@@ -642,12 +601,10 @@ def q3_topk_revenue_shuffle(
 
     Shape: customer(segment) semi-join into orders stays broadcast
     (customers per segment ≪ orders); the orders⋈lineitem join runs as
-    a key-hash-bucket co-partition — per-batch partial revenue per
-    order first, so the shuffle carries one row per surviving order
-    per batch, never raw lineitems. Output identical to the broadcast
-    form (same oracle shape)."""
-    import pyarrow.parquet as pq
-
+    one orderkey co-partition (``co_route``) — per-batch partial revenue
+    per order first, so the shuffle carries one row per surviving order per
+    batch, never raw lineitems. Output identical to the broadcast form
+    (same oracle shape)."""
     cust = pq.read_table(
         f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_mktsegment"]
     )
@@ -668,51 +625,41 @@ def q3_topk_revenue_shuffle(
         columns=["l_orderkey", "l_extendedprice", "l_discount"],
     )
 
-    def tag_orders(df: pd.DataFrame) -> pd.DataFrame:
-        keys = ray.get(seg_ref)
-        sel = df[df["o_custkey"].isin(keys)]
-        return pd.DataFrame(
-            {
-                "o_orderkey": sel["o_orderkey"].astype("int64"),
-                "o_orderdate": sel["o_orderdate"],
-                "revenue": 0.0,
-                "_side": "o",
-            }
-        ).assign(_b=lambda d: (d["o_orderkey"] % 64).astype("int32"))
+    def seg_orders(df: pd.DataFrame) -> pd.DataFrame:
+        return df.loc[df["o_custkey"].isin(ray.get(seg_ref)), ["o_orderkey", "o_orderdate"]]
 
-    def tag_lineitem(df: pd.DataFrame) -> pd.DataFrame:
+    def line_partial(df: pd.DataFrame) -> pd.DataFrame:
         rev = df["l_extendedprice"] * (1.0 - df["l_discount"])
-        g = (
-            pd.DataFrame({"o_orderkey": df["l_orderkey"].astype("int64"), "revenue": rev})
-            .groupby("o_orderkey", as_index=False)["revenue"]
-            .sum()  # per-batch partial: one row per order per batch
-        )
-        g["o_orderdate"] = pd.NaT
-        g["_side"] = "l"
-        return g[["o_orderkey", "o_orderdate", "revenue", "_side"]].assign(
-            _b=lambda d: (d["o_orderkey"] % 64).astype("int32")
+        # per-batch partial: one row per order per batch
+        return (
+            pd.DataFrame({"o_orderkey": df["l_orderkey"], "revenue": rev})
+            .groupby("o_orderkey", as_index=False)["revenue"].sum()
         )
 
-    unioned = orders.map_batches(tag_orders, batch_format="pandas").union(
-        li.map_batches(tag_lineitem, batch_format="pandas")
-    )
+    empty = typed_frame(o_orderkey="int64", revenue="float64", o_orderdate="datetime64[us]")
 
-    def per_bucket(group: pd.DataFrame) -> pd.DataFrame:
-        o = group[group["_side"] == "o"][["o_orderkey", "o_orderdate"]]
-        l = group[group["_side"] == "l"]
+    def per_bucket(parts: dict) -> pd.DataFrame:
+        o, l = parts["o"], parts["l"]
         if not len(o) or not len(l):
-            return pd.DataFrame(
-                {
-                    "o_orderkey": pd.Series([], dtype="int64"),
-                    "revenue": pd.Series([], dtype="float64"),
-                    "o_orderdate": pd.Series([], dtype="datetime64[us]"),
-                }
-            )
+            return empty.copy()
         rev = l.groupby("o_orderkey", as_index=False)["revenue"].sum()
         m = rev.merge(o, on="o_orderkey")  # inner: only segment orders survive
         return m[["o_orderkey", "revenue", "o_orderdate"]]
 
-    per_order = unioned.groupby("_b").map_groups(per_bucket, batch_format="pandas")
+    # routed without co_exchange's coalesce, which made this op 2.3x
+    # slower at one CPU (sf0.01: 1.66 s against 0.71 s)
+    routed, split = co_route(
+        {
+            "o": (orders.map_batches(seg_orders, batch_format="pandas"), "o_orderkey",
+                  empty[["o_orderkey", "o_orderdate"]]),
+            "l": (li.map_batches(line_partial, batch_format="pandas"), "o_orderkey",
+                  empty[["o_orderkey", "revenue"]]),
+        },
+        _width(sf_dir, "lineitem"),
+    )
+    per_order = routed.groupby("_b").map_groups(
+        lambda g: per_bucket(split(g)), batch_format="pandas"
+    )
     topk = per_order.sort(["revenue", "o_orderkey"], descending=[True, False]).limit(k)
 
     def finish(df: pd.DataFrame) -> pd.DataFrame:
@@ -722,13 +669,12 @@ def q3_topk_revenue_shuffle(
     return topk.map_batches(finish, batch_format="pandas")
 
 
-def customer_order_rollup_bucketed(sf_dir: str, num_buckets: int = 64) -> "ray.data.Dataset":
+def customer_order_rollup_bucketed(sf_dir: str) -> "ray.data.Dataset":
     """Large⋈large inner join + per-key aggregate, both sides at
-    arbitrary scale: customers and orders co-partition by customer-key
-    hash bucket (the union-tag pattern of ``anti_join_bucketed``), and
-    each bucket joins + aggregates vectorized — ONE all-to-all
-    exchange, no broadcast side, no post-join shuffle (the aggregate
-    key equals the join key, so it is bucket-local).
+    arbitrary scale: customers and orders co-partition by customer key
+    (``co_exchange``), and each bucket joins + aggregates vectorized —
+    ONE all-to-all exchange, no broadcast side, no post-join shuffle
+    (the aggregate key equals the join key, so it is bucket-local).
 
     This is the scale form of the broadcast join in
     ``segment_revenue``: use it when the dimension side no longer fits
@@ -741,102 +687,63 @@ def customer_order_rollup_bucketed(sf_dir: str, num_buckets: int = 64) -> "ray.d
         f"{sf_dir}/orders.parquet", columns=["o_custkey", "o_totalprice"]
     )
 
-    def tag_cust(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "key": df["c_custkey"].astype("int64"),
-                "name": df["c_name"],
-                "price": 0.0,
-                "n": 0,
-                "_b": (df["c_custkey"].astype("int64") % num_buckets).astype("int32"),
-                "_side": "c",
-            }
-        )
-
-    def tag_orders(df: pd.DataFrame) -> pd.DataFrame:
+    def order_partial(df: pd.DataFrame) -> pd.DataFrame:
         # per-batch pre-aggregation: the exchange carries one partial
         # row per customer per batch, never the raw order stream
-        g = df.groupby("o_custkey", as_index=False).agg(
+        return df.groupby("o_custkey", as_index=False).agg(
             price=("o_totalprice", "sum"), n=("o_totalprice", "size")
         )
-        return pd.DataFrame(
-            {
-                "key": g["o_custkey"].astype("int64"),
-                "name": "",
-                "price": g["price"],
-                "n": g["n"].astype("int64"),
-                "_b": (g["o_custkey"].astype("int64") % num_buckets).astype("int32"),
-                "_side": "o",
-            }
-        )
 
-    unioned = cust.map_batches(tag_cust, batch_format="pandas").union(
-        orders.map_batches(tag_orders, batch_format="pandas")
-    )
-
-    def per_bucket(group: pd.DataFrame) -> pd.DataFrame:
-        c = group[group["_side"] == "c"][["key", "name"]]
-        o = group[group["_side"] == "o"].groupby("key", as_index=False).agg(
+    def per_bucket(parts: dict) -> pd.DataFrame:
+        o = parts["o"].groupby("o_custkey", as_index=False).agg(
             total_spent=("price", "sum"), n_orders=("n", "sum")
         )
-        m = c.merge(o, on="key")  # inner: customers with orders
+        m = parts["c"].merge(o, left_on="c_custkey", right_on="o_custkey")  # inner
         return pd.DataFrame(
             {
-                "c_custkey": m["key"].astype("int64"),
-                "c_name": m["name"],
+                "c_custkey": m["c_custkey"].astype("int64"),
+                "c_name": m["c_name"],
                 "n_orders": m["n_orders"].astype("int64"),
                 "total_spent": round_half_away(m["total_spent"], 2),
             }
         )
 
-    return (
-        unioned.repartition(num_buckets)
-        .groupby("_b")
-        .map_groups(per_bucket, batch_format="pandas")
+    return co_exchange(
+        {
+            "c": (cust, "c_custkey", typed_frame(c_custkey="int64", c_name="object")),
+            "o": (orders.map_batches(order_partial, batch_format="pandas"), "o_custkey",
+                  typed_frame(o_custkey="int64", price="float64", n="int64")),
+        },
+        per_bucket, _width(sf_dir, "orders"),
     )
 
 
-def purchase_followup_range_join(
-    sf_dir: str, minutes: int = 30, num_buckets: int = 64
-) -> "ray.data.Dataset":
+def purchase_followup_range_join(sf_dir: str, minutes: int = 30) -> "ray.data.Dataset":
     """Range self-join over the events stream: for every *purchase*
     event, the number of the same user's OTHER events inside the
     ``minutes``-minute window after it — the interval-join shape Ray
     Data has no native operator for.
 
-    Composition: events co-partition by user-key hash bucket (one
-    exchange); inside each bucket the per-user window count is a
-    vectorized double ``searchsorted`` over the user's time-sorted
-    event array — O(E log E) per bucket, never the O(E²) cross product
-    a naive join would materialize. Partitioning assumption: a single
-    user's events fit one task (salt hot users across sub-buckets if
-    not). Output: (event_id, n_follow) for purchases with ≥1 follow-up
-    in window."""
+    Composition: one user-keyed exchange; inside each bucket the
+    per-user window count is a vectorized double ``searchsorted`` over
+    the user's time-sorted event array — O(E log E) per bucket, never
+    the O(E²) cross product a naive join would materialize.
+    Partitioning assumption: a single user's events fit one task (salt
+    hot users across sub-buckets if not). Output: (event_id, n_follow)
+    for purchases with ≥1 follow-up in window."""
     events = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["event_id", "user_id", "ts", "event_type"]
     )
-
-    def tag(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "event_id": df["event_id"].astype("int64"),
-                "user": df["user_id"].astype("int64"),
-                "t": df["ts"],
-                "anchor": (df["event_type"] == "purchase"),
-                "_b": (df["user_id"].astype("int64") % num_buckets).astype("int32"),
-            }
-        )
-
     delta = pd.Timedelta(minutes=minutes)
 
     def per_bucket(group: pd.DataFrame) -> pd.DataFrame:
         out_key, out_n = [], []
-        for _, g in group.groupby("user"):
-            ev = np.sort(g["t"].to_numpy())
-            anchors = g[g["anchor"]]
+        for _, g in group.groupby("user_id"):
+            ev = np.sort(g["ts"].to_numpy())
+            anchors = g[g["event_type"] == "purchase"]
             if not len(anchors):
                 continue
-            starts = anchors["t"].to_numpy()
+            starts = anchors["ts"].to_numpy()
             lo = np.searchsorted(ev, starts, side="left")
             hi = np.searchsorted(ev, starts + delta, side="left")
             n = hi - lo - 1  # the anchor sits inside its own window
@@ -850,12 +757,7 @@ def purchase_followup_range_join(
             }
         )
 
-    return (
-        events.map_batches(tag, batch_format="pandas")
-        .repartition(num_buckets)
-        .groupby("_b")
-        .map_groups(per_bucket, batch_format="pandas")
-    )
+    return keyed_exchange(events, "user_id", per_bucket, _width(sf_dir, "events"))
 
 
 EVENT_TYPES = ("click", "view", "purchase", "signup", "error")
@@ -960,7 +862,7 @@ def order_rollup(sf_dir: str) -> pa.Table:
 
 
 def window_distinct_users(
-    sf_dir: str, num_buckets: int = 64, route: str = "exact", p: int = 12
+    sf_dir: str, route: str = "exact", p: int = 12
 ) -> "ray.data.Dataset":
     """(window_start, event_type, distinct_users) — distinct users per
     tumbling 1-hour window per event type.
@@ -971,8 +873,8 @@ def window_distinct_users(
 
     - ``"exact"``: per batch, project to DEDUPED
       (window, event_type, user_id) triples (the only thing that must
-      travel), then ONE window-hash keyed exchange where each group
-      counts uniques vectorized. Exchange volume is bounded by distinct
+      travel), then ONE window-keyed exchange where each group counts
+      uniques vectorized. Exchange volume is bounded by distinct
       triples, not events — the batch-level dedup already collapses
       hot users. At 10^12 events the exact form stays viable as long
       as distinct (window, user) fits the cluster.
@@ -985,8 +887,6 @@ def window_distinct_users(
       ``textstats.approx_distinct_tokens``; error ≈ 1.04/sqrt(2^p)
       (~1.6% at p=12), pinned against the exact route in pytest.
     """
-    import ray
-
     ds = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["ts", "event_type", "user_id"]
     )
@@ -1039,15 +939,13 @@ def window_distinct_users(
 
     def triples(batch: pa.Table) -> pd.DataFrame:
         hour = pc.floor_temporal(batch.column("ts"), unit="hour")
-        df = pd.DataFrame(
+        return pd.DataFrame(
             {
                 "window_start": hour.to_pandas(),
                 "event_type": batch.column("event_type").to_pylist(),
                 "user_id": batch.column("user_id").to_numpy(zero_copy_only=False),
             }
         ).drop_duplicates()
-        epoch = df["window_start"].to_numpy().astype("datetime64[s]").astype(np.int64)
-        return df.assign(_b=((epoch // 3600) % num_buckets).astype("int32"))
 
     def count_bucket(g: pd.DataFrame) -> pd.DataFrame:
         out = (
@@ -1059,17 +957,47 @@ def window_distinct_users(
         out["distinct_users"] = out["distinct_users"].astype("int64")
         return out
 
-    return (
-        ds.map_batches(triples, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("_b")
-        .map_groups(count_bucket, batch_format="pandas")
+    return keyed_exchange(
+        ds.map_batches(triples, batch_format="pyarrow", zero_copy_batch=True),
+        "window_start", count_bucket, _width(sf_dir, "events"),
+    )
+
+
+def funnel_bucket(g: pd.DataFrame, steps, within_hours: int | None) -> pd.DataFrame:
+    """One bucket of ``funnel_steps``: per step, the number of the
+    bucket's users (``user_id, ts, event_type`` rows) that reached it —
+    a semi-join on the previous step's first-reach time, the
+    strict-after (and within-window) filter, then the per-user min."""
+    reached: pd.Series | None = None  # user_id -> first-reach ts
+    counts: list[int] = []
+    for s in steps:
+        ev = g[g["event_type"] == s][["user_id", "ts"]]
+        if reached is not None:
+            ev = ev.merge(
+                reached.rename("prev_ts"), left_on="user_id", right_index=True
+            )
+            # on an EMPTY merge pandas names the result's index after
+            # the right side ("user_id"), which makes the groupby below
+            # ambiguous — found by the hypothesis kernel property test;
+            # reset unconditionally
+            ev = ev.reset_index(drop=True)
+            ev = ev[ev["ts"] > ev["prev_ts"]]
+            if within_hours is not None:
+                ev = ev[ev["ts"] <= ev["prev_ts"] + pd.Timedelta(hours=within_hours)]
+        reached = ev.groupby("user_id")["ts"].min()
+        counts.append(len(reached))
+    return pd.DataFrame(
+        {
+            "step_no": np.arange(1, len(steps) + 1, dtype=np.int64),
+            "step": list(steps),
+            "n_users": np.asarray(counts, dtype=np.int64),
+        }
     )
 
 
 def funnel_steps(
     sf_dir: str,
     steps: tuple[str, ...] = ("view", "click", "purchase"),
-    num_buckets: int = 64,
     within_hours: int | None = 24,
 ) -> "ray.data.Dataset":
     """(step_no, step, n_users) — ordered-funnel analysis: how many
@@ -1081,66 +1009,42 @@ def funnel_steps(
     yields a real drop-off per step rather than full conversion).
 
     Shape: rows not in ``steps`` never leave the scan (pushed into the
-    parquet read), ONE user-hash keyed exchange co-locates each user's
+    parquet read), ONE user-keyed exchange co-locates each user's
     (tiny) event history, the per-bucket progression is vectorized
-    pandas (per step: semi-join on the previous step's first-reach
-    time, strict-after filter, per-user min), and each bucket emits
+    pandas (:func:`funnel_bucket`), and each bucket emits
     ``len(steps)`` partial count rows — the final aggregate input is
     buckets × steps rows, independent of event cardinality.
     """
-    import pyarrow.dataset as pads
-
-    import ray
-    from ray.data.aggregate import Sum
-
     ds = ray.data.read_parquet(
         f"{sf_dir}/events.parquet",
         columns=["ts", "user_id", "event_type"],
         filter=pads.field("event_type").isin(steps),
     )
-
-    def add_bucket(batch: pd.DataFrame) -> pd.DataFrame:
-        return batch.assign(bucket=(batch["user_id"] % num_buckets).astype("int32"))
-
     step_list = list(steps)
-
-    def bucket_funnel(g: pd.DataFrame) -> pd.DataFrame:
-        reached: pd.Series | None = None  # user_id -> first-reach ts
-        counts: list[int] = []
-        for s in step_list:
-            ev = g[g["event_type"] == s][["user_id", "ts"]]
-            if reached is not None:
-                ev = ev.merge(
-                    reached.rename("prev_ts"), left_on="user_id", right_index=True
-                )
-                # on an EMPTY merge pandas names the result's index
-                # after the right side ("user_id"), which makes the
-                # groupby below ambiguous — found by the hypothesis
-                # kernel property test; reset unconditionally
-                ev = ev.reset_index(drop=True)
-                ev = ev[ev["ts"] > ev["prev_ts"]]
-                if within_hours is not None:
-                    ev = ev[ev["ts"] <= ev["prev_ts"] + pd.Timedelta(hours=within_hours)]
-            reached = ev.groupby("user_id")["ts"].min()
-            counts.append(len(reached))
-        return pd.DataFrame(
-            {
-                "step_no": np.arange(1, len(step_list) + 1, dtype=np.int64),
-                "step": step_list,
-                "n_users": np.asarray(counts, dtype=np.int64),
-            }
-        )
-
-    return (
-        ds.map_batches(add_bucket, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(bucket_funnel, batch_format="pandas")
-        .groupby(["step_no", "step"])
-        .aggregate(Sum("n_users", alias_name="n_users"))
+    return _sum_by(
+        keyed_exchange(
+            ds, "user_id", lambda g: funnel_bucket(g, step_list, within_hours),
+            _width(sf_dir, "events"),
+        ),
+        ["step_no", "step"], "n_users",
     )
 
 
-def retention_cohorts(sf_dir: str, num_buckets: int = 64) -> "ray.data.Dataset":
+def retention_bucket(g: pd.DataFrame) -> pd.DataFrame:
+    """One bucket of ``retention_cohorts``: from its users' (user_id,
+    day) activity pairs, each user's cohort (first day) and the
+    (cohort_day, day_offset, n_users) counts."""
+    df = g[["user_id", "day"]].drop_duplicates()
+    first = df.groupby("user_id")["day"].min().rename("cohort")
+    df = df.merge(first, left_on="user_id", right_index=True)
+    df["day_offset"] = (df["day"] - df["cohort"]).astype("int64")
+    out = df.groupby(["cohort", "day_offset"], as_index=False).size()
+    out.columns = ["cohort", "day_offset", "n_users"]
+    out["cohort_day"] = pd.to_datetime(out.pop("cohort"), unit="D")
+    return out[["cohort_day", "day_offset", "n_users"]].astype({"n_users": "int64"})
+
+
+def retention_cohorts(sf_dir: str) -> "ray.data.Dataset":
     """(cohort_day, day_offset, n_users) — the classic retention
     matrix: users grouped by the day of their FIRST event, counted on
     each later day they were active. With funnel_steps and
@@ -1148,16 +1052,13 @@ def retention_cohorts(sf_dir: str, num_buckets: int = 64) -> "ray.data.Dataset":
 
     Shape: only DEDUPED (user, day) pairs leave each batch (hot users
     collapse immediately — the same projection trick as
-    window_distinct_users), ONE user-hash exchange co-locates every
+    window_distinct_users), ONE user-keyed exchange co-locates every
     user's activity so the per-bucket first-day min is the global min,
     offsets and partial (cohort, offset) counts are vectorized integer
-    arithmetic (Monday-free day indexing: epoch days, no calendar
+    arithmetic (:func:`retention_bucket`; epoch days, no calendar
     lookups), and the final Sum sees ≤ buckets × cohorts × offsets
     rows — independent of both event and user cardinality.
     """
-    import ray
-    from ray.data.aggregate import Sum
-
     ds = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["ts", "user_id"]
     )
@@ -1166,36 +1067,23 @@ def retention_cohorts(sf_dir: str, num_buckets: int = 64) -> "ray.data.Dataset":
         days = batch.column("ts").to_numpy(zero_copy_only=False).astype(
             "datetime64[D]"
         ).astype(np.int64)
-        df = pd.DataFrame(
+        return pd.DataFrame(
             {
                 "user_id": batch.column("user_id").to_numpy(zero_copy_only=False),
                 "day": days,
             }
         ).drop_duplicates()
-        return df.assign(bucket=(df["user_id"] % num_buckets).astype("int32"))
 
-    def bucket_matrix(g: pd.DataFrame) -> pd.DataFrame:
-        df = g[["user_id", "day"]].drop_duplicates()
-        first = df.groupby("user_id")["day"].min().rename("cohort")
-        df = df.merge(first, left_on="user_id", right_index=True)
-        df["day_offset"] = (df["day"] - df["cohort"]).astype("int64")
-        out = df.groupby(["cohort", "day_offset"], as_index=False).size()
-        out.columns = ["cohort", "day_offset", "n_users"]
-        out["cohort_day"] = pd.to_datetime(out.pop("cohort"), unit="D")
-        return out[["cohort_day", "day_offset", "n_users"]].astype(
-            {"n_users": "int64"}
-        )
-
-    return (
-        ds.map_batches(pairs, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bucket")
-        .map_groups(bucket_matrix, batch_format="pandas")
-        .groupby(["cohort_day", "day_offset"])
-        .aggregate(Sum("n_users", alias_name="n_users"))
+    return _sum_by(
+        keyed_exchange(
+            ds.map_batches(pairs, batch_format="pyarrow", zero_copy_batch=True),
+            "user_id", retention_bucket, _width(sf_dir, "events"),
+        ),
+        ["cohort_day", "day_offset"], "n_users",
     )
 
 
-def running_totals(sf_dir: str, num_buckets: int = 64) -> "ray.data.Dataset":
+def running_totals(sf_dir: str) -> "ray.data.Dataset":
     """(event_id, user_id, running_value) — SQL's ordered analytic
     window ``SUM(value) OVER (PARTITION BY user_id ORDER BY ts,
     event_id)``: the per-event cumulative transform that a batch
@@ -1204,37 +1092,27 @@ def running_totals(sf_dir: str, num_buckets: int = 64) -> "ray.data.Dataset":
     aggregate sibling — this one is a TRANSFORM, output is
     event-cardinality by definition).
 
-    Shape: column-pruned read (4 columns), one user-hash exchange so
+    Shape: column-pruned read (4 columns), one user-keyed exchange so
     each user's history co-locates, per-bucket mergesort +
     vectorized ``groupby().cumsum()``. The running sum adds doubles in
     the same left-to-right order as the SQL window frame, so values
     match the oracle bit-for-bit, not just to rounding.
     """
-    import ray
-
     ds = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["event_id", "ts", "user_id", "value"]
     )
-
-    def add_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        return df.assign(bucket=(df["user_id"] % num_buckets).astype("int32"))
 
     def cumulate(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
         g["running_value"] = g.groupby("user_id", sort=False)["value"].cumsum()
         return g[["event_id", "user_id", "running_value"]]
 
-    return (
-        ds.map_batches(add_bucket, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(cumulate, batch_format="pandas")
-    )
+    return keyed_exchange(ds, "user_id", cumulate, _width(sf_dir, "events"))
 
 
 def returned_orders_by_priority(
     sf_dir: str,
     route: str = "bucketed",
-    num_buckets: int = 64,
     bloom_bits: int = 1 << 20,
 ) -> "ray.data.Dataset":
     """(o_orderpriority, n_orders) — orders with at least one RETURNED
@@ -1245,10 +1123,11 @@ def returned_orders_by_priority(
 
     Routes (identical output — FPs are exactly verified):
 
-    - ``"bucketed"``: union-tag both sides into ONE orderkey-hash
-      exchange (per-batch dedup of the lineitem side first: one key
-      per batch, not one per returned line), per-bucket vectorized
-      ``isin``, then the tiny priority aggregate.
+    - ``"bucketed"``: orders and the returned keys (per-batch dedup of
+      the lineitem side first: one key per batch, not one per returned
+      line) co-partition in ONE orderkey ``co_exchange``; each bucket
+      runs a vectorized ``isin`` and emits its per-priority partial
+      counts for the tiny priority aggregate.
     - ``"bloom"``: OR-mergeable bloom partials over returned orderkeys
       reduce to one driver bitmap (``bloom_bits`` — bounded, NOT
       key-cardinality) broadcast via ``ray.put``; bloom-NEGATIVE
@@ -1258,9 +1137,7 @@ def returned_orders_by_priority(
       the classic runtime-filter pushdown a distributed SQL engine
       plants on the probe side of a selective semi-join.
     """
-    import ray
-
-    from ..kernels.hashing import bloom_contains, bloom_partial
+    from ..kernels.hashing import bloom_contains, bloom_or_reduce, bloom_partial
 
     orders = ray.data.read_parquet(
         f"{sf_dir}/orders.parquet", columns=["o_orderkey", "o_orderpriority"]
@@ -1273,55 +1150,16 @@ def returned_orders_by_priority(
         keys = batch.filter(
             pc.equal(batch.column("l_returnflag"), "R")
         ).column("l_orderkey")
-        uniq = pc.unique(keys)
-        return pa.table({"key": uniq})
+        return pa.table({"key": pc.unique(keys)})
 
     keys_ds = returned.map_batches(
         returned_keys, batch_format="pyarrow", zero_copy_batch=True
     )
 
-    def priority_counts(df: pd.DataFrame) -> pd.DataFrame:
-        out = df.groupby("o_orderpriority", as_index=False).size()
-        out.columns = ["o_orderpriority", "n_orders"]
-        out["n_orders"] = out["n_orders"].astype("int64")
-        return out
-
-    if route == "bucketed":
-        def tag_orders(df: pd.DataFrame) -> pd.DataFrame:
-            return pd.DataFrame(
-                {"key": df["o_orderkey"].astype("int64"),
-                 "prio": df["o_orderpriority"],
-                 "_b": (df["o_orderkey"] % num_buckets).astype("int32"),
-                 "_k": "o"}
-            )
-
-        def tag_keys(df: pd.DataFrame) -> pd.DataFrame:
-            return pd.DataFrame(
-                {"key": df["key"].astype("int64"), "prio": "",
-                 "_b": (df["key"] % num_buckets).astype("int32"), "_k": "k"}
-            )
-
-        def semi(g: pd.DataFrame) -> pd.DataFrame:
-            have = g.loc[g["_k"] == "k", "key"].unique()
-            o = g[g["_k"] == "o"]
-            hit = o[o["key"].isin(have)]
-            return pd.DataFrame(
-                {"o_orderpriority": hit["prio"], "key": hit["key"].astype("int64")}
-            )
-
-        matched = (
-            orders.map_batches(tag_orders, batch_format="pandas")
-            .union(keys_ds.map_batches(tag_keys, batch_format="pandas"))
-            .repartition(num_buckets)
-            .groupby("_b")
-            .map_groups(semi, batch_format="pandas")
-        )
-    elif route == "bloom":
+    if route == "bloom":
         def bloom_rows(df: pd.DataFrame) -> pd.DataFrame:
             h = df["key"].to_numpy().astype(np.uint64)
             return pd.DataFrame({"w": [bloom_partial(h, bloom_bits).tobytes()]})
-
-        from ..kernels.hashing import bloom_or_reduce
 
         merged = bloom_or_reduce(
             keys_ds.map_batches(bloom_rows, batch_format="pandas"), bloom_bits
@@ -1329,62 +1167,32 @@ def returned_orders_by_priority(
         bloom_ref = ray.put(merged)
 
         def prefilter(df: pd.DataFrame) -> pd.DataFrame:
-            words = ray.get(bloom_ref)
             h = df["o_orderkey"].to_numpy().astype(np.uint64)
-            maybe = bloom_contains(words, h, bloom_bits)
-            keep = df.loc[maybe]
-            return pd.DataFrame(
-                {"key": keep["o_orderkey"].astype("int64"),
-                 "prio": keep["o_orderpriority"],
-                 "_b": (keep["o_orderkey"] % num_buckets).astype("int32"),
-                 "_k": "o"}
-            )
+            return df.loc[bloom_contains(ray.get(bloom_ref), h, bloom_bits)]
 
-        def tag_keys(df: pd.DataFrame) -> pd.DataFrame:
-            return pd.DataFrame(
-                {"key": df["key"].astype("int64"), "prio": "",
-                 "_b": (df["key"] % num_buckets).astype("int32"), "_k": "k"}
-            )
-
-        def semi(g: pd.DataFrame) -> pd.DataFrame:
-            have = g.loc[g["_k"] == "k", "key"].unique()
-            o = g[g["_k"] == "o"]
-            hit = o[o["key"].isin(have)]
-            return pd.DataFrame(
-                {"o_orderpriority": hit["prio"], "key": hit["key"].astype("int64")}
-            )
-
-        matched = (
-            orders.map_batches(prefilter, batch_format="pandas")
-            .union(keys_ds.map_batches(tag_keys, batch_format="pandas"))
-            .repartition(num_buckets)
-            .groupby("_b")
-            .map_groups(semi, batch_format="pandas")
-        )
-    else:  # pragma: no cover - guarded by callers
+        orders = orders.map_batches(prefilter, batch_format="pandas")
+    elif route != "bucketed":  # pragma: no cover - guarded by callers
         raise ValueError(f"unknown route {route!r}")
 
-    # per-bucket partial counts would also work; the matched set is
-    # already priority-labeled, so one tiny keyed sum finishes it
-    def partial_counts(df: pd.DataFrame) -> pd.DataFrame:
-        return priority_counts(df)
+    def semi(parts: dict) -> pd.DataFrame:
+        o = parts["o"]
+        hit = o[o["o_orderkey"].isin(parts["k"]["key"])]
+        out = hit.groupby("o_orderpriority", as_index=False).size()
+        out.columns = ["o_orderpriority", "n_orders"]
+        return out.astype({"n_orders": "int64"})
 
-    return (
-        matched.map_batches(partial_counts, batch_format="pandas")
-        .groupby("o_orderpriority")
-        .sum("n_orders")
-        .map_batches(
-            lambda df: pd.DataFrame(
-                {"o_orderpriority": df["o_orderpriority"],
-                 "n_orders": df["sum(n_orders)"].astype("int64")}
-            ),
-            batch_format="pandas",
-        )
+    matched = co_exchange(
+        {
+            "o": (orders, "o_orderkey", typed_frame(o_orderkey="int64", o_orderpriority="object")),
+            "k": (keys_ds, "key", typed_frame(key="int64")),
+        },
+        semi, _width(sf_dir, "orders"),
     )
+    return _sum_by(matched, "o_orderpriority", "n_orders")
 
 
 def regional_nation_revenue(
-    sf_dir: str, region: str = "EUROPE", num_buckets: int = 64,
+    sf_dir: str, region: str = "EUROPE",
     date_from: str = "1996-01-01", date_to: str = "1997-01-01",
 ) -> "ray.data.Dataset":
     """(n_name, revenue_x10000) — TPC-H Q5: revenue from lineitems of
@@ -1406,24 +1214,14 @@ def regional_nation_revenue(
       (``read_parquet(filter=...)``) so row groups outside the year
       never leave storage and the filtered rows never enter
       exchange 1;
-    - customer ⋈ orders: ONE custkey-hash bucket exchange (both fact-
-      scale at 10^10 — neither broadcastable);
-    - (customer⋈orders) ⋈ lineitem: ONE orderkey-hash bucket exchange;
-      the supplier/nation checks and the revenue partial happen inside
-      the same group task, so only per-nation partials leave it;
+    - customer ⋈ orders: ONE custkey ``co_exchange`` (both fact-scale
+      at 10^10 — neither broadcastable);
+    - (customer⋈orders) ⋈ lineitem: ONE orderkey ``co_exchange``; the
+      supplier/nation checks and the revenue partial happen inside the
+      same group task, so only per-nation partials leave it;
     - final keyed sum over ≤ nations rows.
     """
-    import pyarrow.parquet as pq
-
-    import ray
-
-    from ..kernels.partitioning import adaptive_buckets
-
-    nb = adaptive_buckets(
-        pq.read_metadata(f"{sf_dir}/orders.parquet").num_rows,
-        requested=num_buckets, rows_per_bucket=4096,
-    )
-
+    nb = _width(sf_dir, "orders")
     nation = pq.read_table(f"{sf_dir}/nation.parquet").to_pandas()
     reg = pq.read_table(f"{sf_dir}/region.parquet").to_pandas()
     nk2name = dict(
@@ -1441,119 +1239,64 @@ def regional_nation_revenue(
     customers = ray.data.read_parquet(
         f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_nationkey"]
     )
-    import datetime as _dt
-
-    import pyarrow.dataset as pads
-
-    date_expr = (
-        pads.field("o_orderdate") >= _dt.datetime.fromisoformat(date_from)
-    ) & (pads.field("o_orderdate") < _dt.datetime.fromisoformat(date_to))
     orders = ray.data.read_parquet(
         f"{sf_dir}/orders.parquet",
         columns=["o_orderkey", "o_custkey"],
-        filter=date_expr,
+        filter=_between("o_orderdate", date_from, date_to),
     )
     lineitem = ray.data.read_parquet(
         f"{sf_dir}/lineitem.parquet",
         columns=["l_orderkey", "l_suppkey", "l_extendedprice", "l_discount"],
     )
 
-    # exchange 1: customer ⋈ orders by custkey bucket (region filter
-    # applied on the customer side BEFORE the shuffle)
-    def tag_cust(df: pd.DataFrame) -> pd.DataFrame:
-        nk2name_, _ = ray.get(dims_ref)
-        keep = df["c_nationkey"].isin(nk2name_)
-        d = df.loc[keep]
-        return pd.DataFrame(
-            {"key": d["c_custkey"].astype("int64"),
-             "okey": np.int64(-1),
-             "nk": d["c_nationkey"].astype("int64"),
-             "_b": (d["c_custkey"] % nb).astype("int32"), "_k": "c"}
-        )
+    # exchange 1: customer ⋈ orders by custkey (region filter applied
+    # on the customer side BEFORE the shuffle)
+    def region_cust(df: pd.DataFrame) -> pd.DataFrame:
+        return df[df["c_nationkey"].isin(ray.get(dims_ref)[0])]
 
-    def tag_orders(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {"key": df["o_custkey"].astype("int64"),
-             "okey": df["o_orderkey"].astype("int64"),
-             "nk": np.int64(-1),
-             "_b": (df["o_custkey"] % nb).astype("int32"), "_k": "o"}
-        )
+    def join_co(parts: dict) -> pd.DataFrame:
+        m = parts["o"].merge(parts["c"], left_on="o_custkey", right_on="c_custkey")
+        return pd.DataFrame({"okey": m["o_orderkey"], "nk": m["c_nationkey"].astype("int64")})
 
-    def join_co(g: pd.DataFrame) -> pd.DataFrame:
-        c = g[g["_k"] == "c"][["key", "nk"]]
-        o = g[g["_k"] == "o"][["key", "okey"]]
-        m = o.merge(c, on="key")
-        return pd.DataFrame(
-            {"okey": m["okey"].astype("int64"), "nk": m["nk"].astype("int64"),
-             "_b2": (m["okey"] % nb).astype("int32"), "_k": "co"}
-        )
-
-    cust_orders = (
-        customers.map_batches(tag_cust, batch_format="pandas")
-        .union(orders.map_batches(tag_orders, batch_format="pandas"))
-        .repartition(nb)
-        .groupby("_b")
-        .map_groups(join_co, batch_format="pandas")
+    cust_orders = co_exchange(
+        {
+            "c": (customers.map_batches(region_cust, batch_format="pandas"), "c_custkey",
+                  typed_frame(c_custkey="int64", c_nationkey="int32")),
+            "o": (orders, "o_custkey", typed_frame(o_orderkey="int64", o_custkey="int64")),
+        },
+        join_co, nb,
     )
 
-    # exchange 2: ⋈ lineitem by orderkey bucket; revenue partial +
+    # exchange 2: ⋈ lineitem by orderkey; revenue partial +
     # supplier-nation check inside the group task
-    def tag_line(df: pd.DataFrame) -> pd.DataFrame:
-        # np.round (half-even) vs SQL round (half-away) agree here
-        # because neither factor can land on an exact .5 boundary:
-        # discounts are centi-steps (only dyadic values like .375
-        # could produce exact halves) and prices are cents
-        rev = (
-            (df["l_extendedprice"] * 100).round().astype("int64")
-            * ((1.0 - df["l_discount"]) * 100).round().astype("int64")
-        )
+    def line_rev(df: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame(
-            {"okey": df["l_orderkey"].astype("int64"),
-             "nk": df["l_suppkey"].astype("int64"),  # suppkey rides in nk
-             "rev": rev,
-             "_b2": (df["l_orderkey"] % nb).astype("int32"), "_k": "l"}
+            {"l_orderkey": df["l_orderkey"], "l_suppkey": df["l_suppkey"],
+             "rev": _int_revenue_x10000(df["l_extendedprice"], df["l_discount"])}
         )
 
-    def join_rev(g: pd.DataFrame) -> pd.DataFrame:
+    empty = typed_frame(n_name="object", revenue_x10000="int64")
+
+    def join_rev(parts: dict) -> pd.DataFrame:
         nk2name_, supp_nk_ = ray.get(dims_ref)
-        co = g[g["_k"] == "co"][["okey", "nk"]]
-        li = g[g["_k"] == "l"][["okey", "nk", "rev"]].rename(
-            columns={"nk": "suppkey"}
-        )
-        m = li.merge(co, on="okey")
-        m["snk"] = m["suppkey"].map(supp_nk_)
-        m = m[m["snk"] == m["nk"]]
+        m = parts["l"].merge(parts["co"], left_on="l_orderkey", right_on="okey")
+        m = m[m["l_suppkey"].map(supp_nk_) == m["nk"]]
         if not len(m):
-            return pd.DataFrame(
-                {"n_name": pd.Series(dtype="object"),
-                 "revenue_x10000": pd.Series(dtype="int64")}
-            )
-        m["n_name"] = m["nk"].map(nk2name_)
-        out = m.groupby("n_name", as_index=False)["rev"].sum()
+            return empty.copy()
+        out = m.assign(n_name=m["nk"].map(nk2name_)).groupby("n_name", as_index=False)["rev"].sum()
         return pd.DataFrame(
-            {"n_name": out["n_name"],
-             "revenue_x10000": out["rev"].astype("int64")}
+            {"n_name": out["n_name"], "revenue_x10000": out["rev"].astype("int64")}
         )
 
-    def add_rev_cols(df: pd.DataFrame) -> pd.DataFrame:
-        return df.assign(rev=np.int64(0))[["okey", "nk", "rev", "_b2", "_k"]]
-
-    return (
-        cust_orders.map_batches(add_rev_cols, batch_format="pandas")
-        .union(lineitem.map_batches(tag_line, batch_format="pandas"))
-        .repartition(nb)
-        .groupby("_b2")
-        .map_groups(join_rev, batch_format="pandas")
-        .groupby("n_name")
-        .sum("revenue_x10000")
-        .map_batches(
-            lambda df: pd.DataFrame(
-                {"n_name": df["n_name"],
-                 "revenue_x10000": df["sum(revenue_x10000)"].astype("int64")}
-            ),
-            batch_format="pandas",
-        )
+    joined = co_exchange(
+        {
+            "co": (cust_orders, "okey", typed_frame(okey="int64", nk="int64")),
+            "l": (lineitem.map_batches(line_rev, batch_format="pandas"), "l_orderkey",
+                  typed_frame(l_orderkey="int64", l_suppkey="int64", rev="int64")),
+        },
+        join_rev, nb,
     )
+    return _sum_by(joined, "n_name", "revenue_x10000")
 
 
 def large_quantity_orders(
@@ -1561,7 +1304,6 @@ def large_quantity_orders(
     threshold: float = 300.0,
     k: int = 100,
     route: str = "broadcast",
-    num_buckets: int = 64,
 ) -> "ray.data.Dataset":
     """TPC-H Q18 (large-volume customer): orders whose total lineitem
     quantity exceeds ``threshold``, joined back to orders + customer,
@@ -1579,16 +1321,14 @@ def large_quantity_orders(
       groupby → HAVING filter → the tiny survivor map broadcast via
       ``ray.put``; orders probe it in-scan. Driver traffic is
       survivor-bounded (selectivity × orders), NOT fact-bounded.
-    - ``"bucketed"``: survivors stay a Dataset and meet orders in a
-      union-tag orderkey-hash exchange — zero driver residency, the
-      form to use if the threshold were ever hot.
+    - ``"bucketed"``: survivors stay a Dataset and meet orders in an
+      orderkey ``co_exchange`` — zero driver residency, the form to use
+      if the threshold were ever hot.
 
     Customer names attach via dim broadcast either way; final top-k is
     a per-batch partial top-k pre-reduce, so the driver sees at most
     (blocks × k) rows, then exactly k.
     """
-    import pyarrow.parquet as pq
-
     lineitem = ray.data.read_parquet(
         f"{sf_dir}/lineitem.parquet", columns=["l_orderkey", "l_quantity"]
     )
@@ -1625,40 +1365,19 @@ def large_quantity_orders(
 
         joined = orders.map_batches(probe, batch_format="pandas")
     elif route == "bucketed":
-        def tag_orders(df: pd.DataFrame) -> pd.DataFrame:
-            return pd.DataFrame(
-                {"o_orderkey": df["o_orderkey"].astype("int64"),
-                 "o_custkey": df["o_custkey"].astype("int64"),
-                 "o_totalprice": df["o_totalprice"],
-                 "o_orderdate": df["o_orderdate"],
-                 "sum_qty": np.float64(np.nan),
-                 "_b": (df["o_orderkey"] % num_buckets).astype("int32"),
-                 "_k": "o"}
-            )
+        def join_bucket(parts: dict) -> pd.DataFrame:
+            s = parts["s"].rename(columns={"l_orderkey": "o_orderkey"})
+            return parts["o"].merge(s, on="o_orderkey", how="inner")
 
-        def tag_survivors(df: pd.DataFrame) -> pd.DataFrame:
-            return pd.DataFrame(
-                {"o_orderkey": df["l_orderkey"].astype("int64"),
-                 "o_custkey": np.int64(-1),
-                 "o_totalprice": np.float64(np.nan),
-                 "o_orderdate": pd.NaT,
-                 "sum_qty": df["sum_qty"].astype("float64"),
-                 "_b": (df["l_orderkey"] % num_buckets).astype("int32"),
-                 "_k": "s"}
-            )
-
-        def join_bucket(g: pd.DataFrame) -> pd.DataFrame:
-            s = g[g["_k"] == "s"][["o_orderkey", "sum_qty"]]
-            o = g[g["_k"] == "o"].drop(columns=["sum_qty", "_b", "_k"])
-            m = o.merge(s, on="o_orderkey", how="inner")
-            return m
-
-        joined = (
-            orders.map_batches(tag_orders, batch_format="pandas")
-            .union(survivors.map_batches(tag_survivors, batch_format="pandas"))
-            .repartition(num_buckets)
-            .groupby("_b")
-            .map_groups(join_bucket, batch_format="pandas")
+        joined = co_exchange(
+            {
+                "o": (orders, "o_orderkey", typed_frame(
+                    o_orderkey="int64", o_custkey="int64", o_totalprice="float64",
+                    o_orderdate="datetime64[us]",
+                )),
+                "s": (survivors, "l_orderkey", typed_frame(l_orderkey="int64", sum_qty="float64")),
+            },
+            join_bucket, _width(sf_dir, "orders"),
         )
     else:  # pragma: no cover - guarded by tests
         raise ValueError(f"unknown route {route!r}")
@@ -1689,14 +1408,14 @@ def large_quantity_orders(
     return pa.Table.from_pandas(out.reset_index(drop=True), preserve_index=False)
 
 
-def event_transition_counts(sf_dir: str, num_buckets: int = 64) -> "ray.data.Dataset":
+def event_transition_counts(sf_dir: str) -> "ray.data.Dataset":
     """(event_type, next_event_type, n_transitions) — first-order
     Markov transition counts over each user's time-ordered event
     stream (SQL's ``lead() OVER (PARTITION BY user_id ORDER BY ts,
     event_id)``): the sequence-mining primitive behind session-flow /
     next-action models.
 
-    Shape: column-pruned read, ONE user-hash exchange so each user's
+    Shape: column-pruned read, ONE user-keyed exchange so each user's
     history co-locates, per-bucket mergesort + vectorized
     ``groupby().shift(-1)``, per-bucket partial pair counts, then a
     tiny (|types|²-row) global sum. The shuffle carries only
@@ -1706,9 +1425,6 @@ def event_transition_counts(sf_dir: str, num_buckets: int = 64) -> "ray.data.Dat
     ds = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["event_id", "ts", "user_id", "event_type"]
     )
-
-    def add_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        return df.assign(_b=(df["user_id"] % num_buckets).astype("int32"))
 
     def transitions(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
@@ -1722,29 +1438,24 @@ def event_transition_counts(sf_dir: str, num_buckets: int = 64) -> "ray.data.Dat
         out["n_transitions"] = out["n_transitions"].astype("int64")
         return out
 
-    return (
-        ds.map_batches(add_bucket, batch_format="pandas")
-        .groupby("_b")
-        .map_groups(transitions, batch_format="pandas")
-        .groupby(["event_type", "next_event_type"])
-        .aggregate(Sum("n_transitions", alias_name="n_transitions"))
+    return _sum_by(
+        keyed_exchange(ds, "user_id", transitions, _width(sf_dir, "events")),
+        ["event_type", "next_event_type"], "n_transitions",
     )
 
 
-def late_shipment_priority(
-    sf_dir: str, grace_days: int = 90, num_buckets: int = 64
-) -> "ray.data.Dataset":
+def late_shipment_priority(sf_dir: str, grace_days: int = 90) -> "ray.data.Dataset":
     """(o_orderpriority, n_late, n_ontime) — TPC-H Q12 adapted to this
     schema (no receipt/commit dates): a lineitem ships LATE when
     ``l_shipdate > o_orderdate + grace_days``; count late vs on-time
     lines per order priority.
 
-    Shape: both fact sides column-pruned, ONE orderkey-hash union-tag
-    exchange (the o_orderdate/o_orderpriority pair must meet each
-    line, so no pre-aggregation is possible before the join), then
-    per-bucket vectorized date compare + CASE-count partials and a
-    tiny priority-cardinality global sum. The exchange carries 3
-    columns per line and 3 per order — nothing wider ever shuffles.
+    Shape: both fact sides column-pruned, ONE orderkey ``co_exchange``
+    (the o_orderdate/o_orderpriority pair must meet each line, so no
+    pre-aggregation is possible before the join), then per-bucket
+    vectorized date compare + CASE-count partials and a tiny
+    priority-cardinality global sum. The exchange carries 2 columns
+    per line and 3 per order — nothing wider ever shuffles.
     """
     orders = ray.data.read_parquet(
         f"{sf_dir}/orders.parquet",
@@ -1753,54 +1464,27 @@ def late_shipment_priority(
     lines = ray.data.read_parquet(
         f"{sf_dir}/lineitem.parquet", columns=["l_orderkey", "l_shipdate"]
     )
-
-    def tag_orders(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {"key": df["o_orderkey"].astype("int64"),
-             "o_orderdate": df["o_orderdate"],
-             "o_orderpriority": df["o_orderpriority"],
-             "l_shipdate": pd.NaT,
-             "_b": (df["o_orderkey"] % num_buckets).astype("int32"),
-             "_k": "o"}
-        )
-
-    def tag_lines(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {"key": df["l_orderkey"].astype("int64"),
-             "o_orderdate": pd.NaT,
-             "o_orderpriority": "",
-             "l_shipdate": df["l_shipdate"],
-             "_b": (df["l_orderkey"] % num_buckets).astype("int32"),
-             "_k": "l"}
-        )
-
     grace = pd.Timedelta(days=grace_days)
 
-    def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        o = g[g["_k"] == "o"][["key", "o_orderdate", "o_orderpriority"]]
-        l = g[g["_k"] == "l"][["key", "l_shipdate"]]
-        m = l.merge(o, on="key", how="inner")
+    def per_bucket(parts: dict) -> pd.DataFrame:
+        m = parts["l"].merge(parts["o"], left_on="l_orderkey", right_on="o_orderkey")
         late = m["l_shipdate"] > (m["o_orderdate"] + grace)
         out = pd.DataFrame({"o_orderpriority": m["o_orderpriority"], "late": late})
         agg = out.groupby("o_orderpriority", as_index=False).agg(
             n_late=("late", "sum"), n_ontime=("late", lambda s: int((~s).sum()))
         )
-        agg["n_late"] = agg["n_late"].astype("int64")
-        agg["n_ontime"] = agg["n_ontime"].astype("int64")
-        return agg
+        return agg.astype({"n_late": "int64", "n_ontime": "int64"})
 
-    return (
-        orders.map_batches(tag_orders, batch_format="pandas")
-        .union(lines.map_batches(tag_lines, batch_format="pandas"))
-        .repartition(num_buckets)
-        .groupby("_b")
-        .map_groups(per_bucket, batch_format="pandas")
-        .groupby("o_orderpriority")
-        .aggregate(
-            Sum("n_late", alias_name="n_late"),
-            Sum("n_ontime", alias_name="n_ontime"),
-        )
+    per_bucket_counts = co_exchange(
+        {
+            "o": (orders, "o_orderkey", typed_frame(
+                o_orderkey="int64", o_orderdate="datetime64[us]", o_orderpriority="object"
+            )),
+            "l": (lines, "l_orderkey", typed_frame(l_orderkey="int64", l_shipdate="datetime64[us]")),
+        },
+        per_bucket, _width(sf_dir, "lineitem"),
     )
+    return _sum_by(per_bucket_counts, "o_orderpriority", "n_late", "n_ontime")
 
 
 def rich_idle_customers(sf_dir: str, cutoff: str = "2001-01-01") -> "ray.data.Dataset":
@@ -1819,10 +1503,6 @@ def rich_idle_customers(sf_dir: str, cutoff: str = "2001-01-01") -> "ray.data.Da
     the final aggregate is segment-cardinality. No customer or order
     list ever lands on the driver.
     """
-    import datetime as _dt
-
-    import pyarrow.dataset as pads
-
     bal = ray.data.read_parquet(
         f"{sf_dir}/customer.parquet", columns=["c_acctbal"]
     )
@@ -1847,33 +1527,22 @@ def rich_idle_customers(sf_dir: str, cutoff: str = "2001-01-01") -> "ray.data.Da
         f"{sf_dir}/orders.parquet",
         columns=["o_custkey"],
         filter=pads.field("o_orderdate") >= _dt.datetime.fromisoformat(cutoff),
-    ).map_batches(
-        lambda df: df.rename(columns={"o_custkey": "c_custkey"}),
-        batch_format="pandas",
+    ).rename_columns({"o_custkey": "c_custkey"})
+    idle = anti_join_bucketed(
+        cust, orders, "c_custkey",
+        typed_frame(c_custkey="int64", c_mktsegment="object", c_acctbal="float64"),
+        _width(sf_dir, "orders"),
     )
 
-    idle = anti_join_bucketed(cust, orders, on="c_custkey")
-
     def seg_partial(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return pd.DataFrame(
-                {"c_mktsegment": pd.Series([], dtype="object"),
-                 "n_custs": pd.Series([], dtype="int64"),
-                 "total_acctbal": pd.Series([], dtype="float64")}
-            )
         g = df.groupby("c_mktsegment", as_index=False).agg(
             n_custs=("c_custkey", "size"), total_acctbal=("c_acctbal", "sum")
         )
-        g["n_custs"] = g["n_custs"].astype("int64")
-        return g
+        return g.astype({"n_custs": "int64"})
 
-    out = (
-        idle.map_batches(seg_partial, batch_format="pandas")
-        .groupby("c_mktsegment")
-        .aggregate(
-            Sum("n_custs", alias_name="n_custs"),
-            Sum("total_acctbal", alias_name="total_acctbal"),
-        )
+    out = _sum_by(
+        idle.map_batches(seg_partial, batch_format="pandas"),
+        "c_mktsegment", "n_custs", "total_acctbal",
     )
 
     def finish(df: pd.DataFrame) -> pd.DataFrame:
@@ -1883,22 +1552,12 @@ def rich_idle_customers(sf_dir: str, cutoff: str = "2001-01-01") -> "ray.data.Da
     return out.map_batches(finish, batch_format="pandas")
 
 
-def _int_revenue_x10000(extprice: pd.Series, discount: pd.Series) -> pd.Series:
-    """Integer ten-thousandths revenue — the Q5 rounding-boundary-safe
-    kernel (prices are cents, discounts centi-steps, so np.round's
-    half-even never disagrees with SQL's half-away here)."""
-    return (extprice * 100).round().astype("int64") * (
-        (1.0 - discount) * 100
-    ).round().astype("int64")
-
-
 def two_nation_volume(
     sf_dir: str,
     nation_a: str = "NATION_3",
     nation_b: str = "NATION_7",
     date_from: str = "1996-01-01",
     date_to: str = "1998-01-01",
-    num_buckets: int = 64,
 ) -> "ray.data.Dataset":
     """(supp_nation, cust_nation, l_year, revenue_x10000) — TPC-H Q7:
     trade volume between two nations per direction per ship-year, over
@@ -1914,21 +1573,13 @@ def two_nation_volume(
     - customer rows NOT in either nation drop before the first
       shuffle; the ship-date window is pushed into the lineitem
       parquet scan (row groups outside it never leave storage);
-    - exchange 1: customer ⋈ orders by custkey-hash bucket;
-    - exchange 2: ⋈ lineitem by orderkey-hash bucket — the supplier-
-      nation lookup, direction filter (exactly (a,b) or (b,a)) and the
-      integer-exact revenue partial all happen inside the group task,
-      so only per-(direction, year) partials leave it;
+    - exchange 1: customer ⋈ orders by custkey;
+    - exchange 2: ⋈ lineitem by orderkey — the supplier-nation lookup,
+      direction filter (exactly (a,b) or (b,a)) and the integer-exact
+      revenue partial all happen inside the group task, so only
+      per-(direction, year) partials leave it;
     - final keyed sum over ≤ 2·years rows."""
-    import pyarrow.parquet as pq
-
-    from ..kernels.partitioning import adaptive_buckets
-
-    nb = adaptive_buckets(
-        pq.read_metadata(f"{sf_dir}/orders.parquet").num_rows,
-        requested=num_buckets, rows_per_bucket=4096,
-    )
-
+    nb = _width(sf_dir, "orders")
     nation = pq.read_table(
         f"{sf_dir}/nation.parquet", columns=["n_nationkey", "n_name"]
     ).to_pandas()
@@ -1943,99 +1594,58 @@ def two_nation_volume(
     supp_nk = dict(supp.itertuples(index=False, name=None))
     dims_ref = ray.put((nk2name, supp_nk))
 
-    import datetime as _dt
-
-    import pyarrow.dataset as pads
-
     customers = ray.data.read_parquet(
         f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_nationkey"]
     )
     orders = ray.data.read_parquet(
         f"{sf_dir}/orders.parquet", columns=["o_orderkey", "o_custkey"]
     )
-    ship_expr = (
-        pads.field("l_shipdate") >= _dt.datetime.fromisoformat(date_from)
-    ) & (pads.field("l_shipdate") < _dt.datetime.fromisoformat(date_to))
     lineitem = ray.data.read_parquet(
         f"{sf_dir}/lineitem.parquet",
         columns=[
             "l_orderkey", "l_suppkey", "l_extendedprice", "l_discount",
             "l_shipdate",
         ],
-        filter=ship_expr,
+        filter=_between("l_shipdate", date_from, date_to),
     )
 
-    def tag_cust(df: pd.DataFrame) -> pd.DataFrame:
-        nk2name_, _ = ray.get(dims_ref)
-        d = df[df["c_nationkey"].isin(nk2name_)]
-        return pd.DataFrame(
-            {"key": d["c_custkey"].astype("int64"),
-             "okey": np.int64(-1),
-             "cnk": d["c_nationkey"].astype("int64"),
-             "_b": (d["c_custkey"] % nb).astype("int32"), "_k": "c"}
-        )
+    def pair_cust(df: pd.DataFrame) -> pd.DataFrame:
+        return df[df["c_nationkey"].isin(ray.get(dims_ref)[0])]
 
-    def tag_orders(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {"key": df["o_custkey"].astype("int64"),
-             "okey": df["o_orderkey"].astype("int64"),
-             "cnk": np.int64(-1),
-             "_b": (df["o_custkey"] % nb).astype("int32"), "_k": "o"}
-        )
+    def join_co(parts: dict) -> pd.DataFrame:
+        m = parts["o"].merge(parts["c"], left_on="o_custkey", right_on="c_custkey")
+        return pd.DataFrame({"okey": m["o_orderkey"], "cnk": m["c_nationkey"].astype("int64")})
 
-    def join_co(g: pd.DataFrame) -> pd.DataFrame:
-        c = g[g["_k"] == "c"][["key", "cnk"]]
-        o = g[g["_k"] == "o"][["key", "okey"]]
-        m = o.merge(c, on="key")
-        return pd.DataFrame(
-            {"okey": m["okey"].astype("int64"),
-             "cnk": m["cnk"].astype("int64"),
-             "skey": np.int64(-1), "yr": np.int64(-1), "rev": np.int64(0),
-             "_b2": (m["okey"] % nb).astype("int32"), "_k": "co"}
-        )
-
-    cust_orders = (
-        customers.map_batches(tag_cust, batch_format="pandas")
-        .union(orders.map_batches(tag_orders, batch_format="pandas"))
-        .repartition(nb)
-        .groupby("_b")
-        .map_groups(join_co, batch_format="pandas")
+    cust_orders = co_exchange(
+        {
+            "c": (customers.map_batches(pair_cust, batch_format="pandas"), "c_custkey",
+                  typed_frame(c_custkey="int64", c_nationkey="int32")),
+            "o": (orders, "o_custkey", typed_frame(o_orderkey="int64", o_custkey="int64")),
+        },
+        join_co, nb,
     )
 
-    def tag_line(df: pd.DataFrame) -> pd.DataFrame:
+    def line_rows(df: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame(
-            {"okey": df["l_orderkey"].astype("int64"),
-             "cnk": np.int64(-1),
-             "skey": df["l_suppkey"].astype("int64"),
+            {"l_orderkey": df["l_orderkey"], "l_suppkey": df["l_suppkey"],
              "yr": df["l_shipdate"].dt.year.astype("int64"),
-             "rev": _int_revenue_x10000(df["l_extendedprice"], df["l_discount"]),
-             "_b2": (df["l_orderkey"] % nb).astype("int32"), "_k": "l"}
+             "rev": _int_revenue_x10000(df["l_extendedprice"], df["l_discount"])}
         )
 
-    empty = pd.DataFrame(
-        {"supp_nation": pd.Series(dtype="object"),
-         "cust_nation": pd.Series(dtype="object"),
-         "l_year": pd.Series(dtype="int64"),
-         "revenue_x10000": pd.Series(dtype="int64")}
+    empty = typed_frame(
+        supp_nation="object", cust_nation="object", l_year="int64", revenue_x10000="int64"
     )
 
-    def join_vol(g: pd.DataFrame) -> pd.DataFrame:
+    def join_vol(parts: dict) -> pd.DataFrame:
         nk2name_, supp_nk_ = ray.get(dims_ref)
-        co = g[g["_k"] == "co"][["okey", "cnk"]]
-        li = g[g["_k"] == "l"][["okey", "skey", "yr", "rev"]]
-        if not len(co) or not len(li):
-            return empty.copy()
-        m = li.merge(co, on="okey")
-        m["snk"] = m["skey"].map(supp_nk_)
+        m = parts["l"].merge(parts["co"], left_on="l_orderkey", right_on="okey")
+        m = m.assign(snk=m["l_suppkey"].map(supp_nk_))
         # both endpoints in {a,b} and distinct ⇒ exactly (a,b) or (b,a)
         m = m[m["snk"].isin(nk2name_) & (m["snk"] != m["cnk"])]
         if not len(m):
             return empty.copy()
-        m["supp_nation"] = m["snk"].map(nk2name_)
-        m["cust_nation"] = m["cnk"].map(nk2name_)
-        out = m.groupby(["supp_nation", "cust_nation", "yr"], as_index=False)[
-            "rev"
-        ].sum()
+        m = m.assign(supp_nation=m["snk"].map(nk2name_), cust_nation=m["cnk"].map(nk2name_))
+        out = m.groupby(["supp_nation", "cust_nation", "yr"], as_index=False)["rev"].sum()
         return pd.DataFrame(
             {"supp_nation": out["supp_nation"],
              "cust_nation": out["cust_nation"],
@@ -2043,23 +1653,15 @@ def two_nation_volume(
              "revenue_x10000": out["rev"].astype("int64")}
         )
 
-    return (
-        cust_orders.union(lineitem.map_batches(tag_line, batch_format="pandas"))
-        .repartition(nb)
-        .groupby("_b2")
-        .map_groups(join_vol, batch_format="pandas")
-        .groupby(["supp_nation", "cust_nation", "l_year"])
-        .sum("revenue_x10000")
-        .map_batches(
-            lambda df: pd.DataFrame(
-                {"supp_nation": df["supp_nation"],
-                 "cust_nation": df["cust_nation"],
-                 "l_year": df["l_year"].astype("int64"),
-                 "revenue_x10000": df["sum(revenue_x10000)"].astype("int64")}
-            ),
-            batch_format="pandas",
-        )
+    joined = co_exchange(
+        {
+            "co": (cust_orders, "okey", typed_frame(okey="int64", cnk="int64")),
+            "l": (lineitem.map_batches(line_rows, batch_format="pandas"), "l_orderkey",
+                  typed_frame(l_orderkey="int64", l_suppkey="int64", yr="int64", rev="int64")),
+        },
+        join_vol, nb,
     )
+    return _sum_by(joined, ["supp_nation", "cust_nation", "l_year"], "revenue_x10000")
 
 
 def returned_customer_revenue(
@@ -2067,7 +1669,6 @@ def returned_customer_revenue(
     date_from: str = "1996-01-01",
     date_to: str = "1996-07-01",
     k: int = 20,
-    num_buckets: int = 64,
 ) -> "ray.data.Dataset":
     """(c_custkey, c_name, n_name, revenue_x10000) — TPC-H Q10: the
     top-``k`` customers by revenue from RETURNED lineitems
@@ -2079,34 +1680,18 @@ def returned_customer_revenue(
     - both scans pruned AND filtered at the read (order-date window
       on orders, returnflag on lineitem — row groups that can't match
       never leave storage);
-    - exchange 1: orders ⋈ lineitem by orderkey-hash bucket; per-batch
-      partial revenue per order shrinks the lineitem side before the
-      shuffle; the group task emits (custkey, rev) partials;
+    - exchange 1: orders ⋈ lineitem by orderkey (``co_exchange``);
+      per-batch partial revenue per order shrinks the lineitem side
+      before the shuffle; the group task emits (custkey, rev) partials;
     - exchange 2: keyed sum per custkey (10^9 customers — stays
       distributed), then distributed sort + limit for the top-k;
     - the ≤k winner custkeys broadcast back into a PRUNED customer
       scan (semi-join in the read path — never a customer-side
       shuffle); nation names via a dim broadcast."""
-    import pyarrow.parquet as pq
-
-    from ..kernels.partitioning import adaptive_buckets
-
-    nb = adaptive_buckets(
-        pq.read_metadata(f"{sf_dir}/orders.parquet").num_rows,
-        requested=num_buckets, rows_per_bucket=4096,
-    )
-
-    import datetime as _dt
-
-    import pyarrow.dataset as pads
-
-    date_expr = (
-        pads.field("o_orderdate") >= _dt.datetime.fromisoformat(date_from)
-    ) & (pads.field("o_orderdate") < _dt.datetime.fromisoformat(date_to))
     orders = ray.data.read_parquet(
         f"{sf_dir}/orders.parquet",
         columns=["o_orderkey", "o_custkey"],
-        filter=date_expr,
+        filter=_between("o_orderdate", date_from, date_to),
     )
     li = ray.data.read_parquet(
         f"{sf_dir}/lineitem.parquet",
@@ -2114,48 +1699,27 @@ def returned_customer_revenue(
         filter=pads.field("l_returnflag") == "R",
     )
 
-    def tag_orders(df: pd.DataFrame) -> pd.DataFrame:
+    def line_partial(df: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame(
-            {"okey": df["o_orderkey"].astype("int64"),
-             "ckey": df["o_custkey"].astype("int64"),
-             "rev": np.int64(0),
-             "_b": (df["o_orderkey"] % nb).astype("int32"), "_k": "o"}
-        )
-
-    def tag_line(df: pd.DataFrame) -> pd.DataFrame:
-        part = pd.DataFrame(
-            {"okey": df["l_orderkey"].astype("int64"),
+            {"l_orderkey": df["l_orderkey"],
              "rev": _int_revenue_x10000(df["l_extendedprice"], df["l_discount"])}
-        ).groupby("okey", as_index=False)["rev"].sum()  # per-batch partial
-        part["ckey"] = np.int64(-1)
-        part["_b"] = (part["okey"] % nb).astype("int32")
-        part["_k"] = "l"
-        return part[["okey", "ckey", "rev", "_b", "_k"]]
+        ).groupby("l_orderkey", as_index=False)["rev"].sum()  # per-batch partial
 
-    def join_rev(g: pd.DataFrame) -> pd.DataFrame:
-        o = g[g["_k"] == "o"][["okey", "ckey"]]
-        l = g[g["_k"] == "l"][["okey", "rev"]]
-        if not len(o) or not len(l):
-            return pd.DataFrame(
-                {"c_custkey": pd.Series(dtype="int64"),
-                 "rev": pd.Series(dtype="int64")}
-            )
-        m = l.groupby("okey", as_index=False)["rev"].sum().merge(o, on="okey")
-        out = m.groupby("ckey", as_index=False)["rev"].sum()
+    def join_rev(parts: dict) -> pd.DataFrame:
+        m = parts["l"].merge(parts["o"], left_on="l_orderkey", right_on="o_orderkey")
+        out = m.groupby("o_custkey", as_index=False)["rev"].sum()
         return pd.DataFrame(
-            {"c_custkey": out["ckey"].astype("int64"),
-             "rev": out["rev"].astype("int64")}
+            {"c_custkey": out["o_custkey"].astype("int64"), "rev": out["rev"].astype("int64")}
         )
 
-    per_cust = (
-        orders.map_batches(tag_orders, batch_format="pandas")
-        .union(li.map_batches(tag_line, batch_format="pandas"))
-        .repartition(nb)
-        .groupby("_b")
-        .map_groups(join_rev, batch_format="pandas")
-        .groupby("c_custkey")
-        .sum("rev")
-    )
+    per_cust = co_exchange(
+        {
+            "o": (orders, "o_orderkey", typed_frame(o_orderkey="int64", o_custkey="int64")),
+            "l": (li.map_batches(line_partial, batch_format="pandas"), "l_orderkey",
+                  typed_frame(l_orderkey="int64", rev="int64")),
+        },
+        join_rev, _width(sf_dir, "orders"),
+    ).groupby("c_custkey").sum("rev")
     winners = (
         per_cust.sort(["sum(rev)", "c_custkey"], descending=[True, False])
         .limit(k)
@@ -2201,7 +1765,6 @@ def promo_revenue_share(
     sf_dir: str,
     date_from: str = "1996-01-01",
     date_to: str = "1996-02-01",
-    num_buckets: int = 64,
 ) -> pa.Table:
     """One row (promo_revenue_x10000, total_revenue_x10000) — TPC-H
     Q14: revenue from PROMO-type parts vs all revenue in a one-month
@@ -2210,82 +1773,45 @@ def promo_revenue_share(
     float share wouldn't).
 
     Shape: part is fact-scale at 10^10 lineitems (~10^8 parts — too
-    big to broadcast), so part.(p_partkey, is_promo) ⋈ lineitem runs
-    as ONE partkey-hash bucket exchange; the lineitem side pre-reduces
-    per (partkey) per batch, the ship window is pushed into the scan,
-    and each group task emits a single (promo, total) partial — the
-    driver reads ≤ num_buckets rows."""
-    import pyarrow.parquet as pq
-
-    from ..kernels.partitioning import adaptive_buckets
-
-    nb = adaptive_buckets(
-        pq.read_metadata(f"{sf_dir}/lineitem.parquet").num_rows,
-        requested=num_buckets, rows_per_bucket=4096,
-    )
-
-    import datetime as _dt
-
-    import pyarrow.dataset as pads
-
+    big to broadcast), so part.(p_partkey, p_type) ⋈ lineitem runs as
+    ONE partkey ``co_exchange``; the lineitem side pre-reduces per
+    (partkey) per batch, the ship window is pushed into the scan, and
+    each group task emits a single (promo, total) partial — the driver
+    reads ≤ n rows."""
     part = ray.data.read_parquet(
         f"{sf_dir}/part.parquet", columns=["p_partkey", "p_type"]
     )
-    ship_expr = (
-        pads.field("l_shipdate") >= _dt.datetime.fromisoformat(date_from)
-    ) & (pads.field("l_shipdate") < _dt.datetime.fromisoformat(date_to))
     li = ray.data.read_parquet(
         f"{sf_dir}/lineitem.parquet",
         columns=["l_partkey", "l_extendedprice", "l_discount"],
-        filter=ship_expr,
+        filter=_between("l_shipdate", date_from, date_to),
     )
 
-    def tag_part(df: pd.DataFrame) -> pd.DataFrame:
+    def line_partial(df: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame(
-            {"pkey": df["p_partkey"].astype("int64"),
-             "promo": (df["p_type"] == "PROMO").astype("int8"),
-             "rev": np.int64(0),
-             "_b": (df["p_partkey"] % nb).astype("int32"), "_k": "p"}
-        )
-
-    def tag_line(df: pd.DataFrame) -> pd.DataFrame:
-        part_ = pd.DataFrame(
-            {"pkey": df["l_partkey"].astype("int64"),
+            {"l_partkey": df["l_partkey"],
              "rev": _int_revenue_x10000(df["l_extendedprice"], df["l_discount"])}
-        ).groupby("pkey", as_index=False)["rev"].sum()  # per-batch partial
-        part_["promo"] = np.int8(0)
-        part_["_b"] = (part_["pkey"] % nb).astype("int32")
-        part_["_k"] = "l"
-        return part_[["pkey", "promo", "rev", "_b", "_k"]]
+        ).groupby("l_partkey", as_index=False)["rev"].sum()  # per-batch partial
 
-    def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        p = g[g["_k"] == "p"][["pkey", "promo"]]
-        l = g[g["_k"] == "l"][["pkey", "rev"]]
-        if not len(p) or not len(l):
-            return pd.DataFrame(
-                {"promo_revenue_x10000": pd.Series(dtype="int64"),
-                 "total_revenue_x10000": pd.Series(dtype="int64")}
-            )
-        m = l.merge(p, on="pkey")
+    def per_bucket(parts: dict) -> pd.DataFrame:
+        m = parts["l"].merge(parts["p"], left_on="l_partkey", right_on="p_partkey")
+        promo = (m["p_type"] == "PROMO").to_numpy()
+        rev = m["rev"].to_numpy(np.int64)
         return pd.DataFrame(
-            {"promo_revenue_x10000":
-                 [np.int64((m["rev"] * m["promo"]).sum())],
-             "total_revenue_x10000": [np.int64(m["rev"].sum())]}
+            {"promo_revenue_x10000": [np.int64(rev[promo].sum())],
+             "total_revenue_x10000": [np.int64(rev.sum())]}
         )
 
-    partials = (
-        part.map_batches(tag_part, batch_format="pandas")
-        .union(li.map_batches(tag_line, batch_format="pandas"))
-        .repartition(nb)
-        .groupby("_b")
-        .map_groups(per_bucket, batch_format="pandas")
-        .to_pandas()  # ≤ nb single-row partials — fanin-bounded
-    )
-    return pa.table(
-        {"promo_revenue_x10000":
-             pa.array([int(partials["promo_revenue_x10000"].sum())], pa.int64()),
-         "total_revenue_x10000":
-             pa.array([int(partials["total_revenue_x10000"].sum())], pa.int64())}
+    return _scalar_partials(
+        co_exchange(
+            {
+                "p": (part, "p_partkey", typed_frame(p_partkey="int64", p_type="object")),
+                "l": (li.map_batches(line_partial, batch_format="pandas"), "l_partkey",
+                      typed_frame(l_partkey="int64", rev="int64")),
+            },
+            per_bucket, _width(sf_dir, "lineitem"),
+        ),
+        ["promo_revenue_x10000", "total_revenue_x10000"],
     )
 
 
@@ -2310,17 +1836,10 @@ def top_revenue_supplier(
       aggregate, no re-shuffle;
     - names attached from a PRUNED supplier read semi-joined against
       the broadcast winner set (≤ ties rows)."""
-    import datetime as _dt
-
-    import pyarrow.dataset as pads
-
-    ship_expr = (
-        pads.field("l_shipdate") >= _dt.datetime.fromisoformat(date_from)
-    ) & (pads.field("l_shipdate") < _dt.datetime.fromisoformat(date_to))
     li = ray.data.read_parquet(
         f"{sf_dir}/lineitem.parquet",
         columns=["l_suppkey", "l_extendedprice", "l_discount"],
-        filter=ship_expr,
+        filter=_between("l_shipdate", date_from, date_to),
     )
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
@@ -2366,34 +1885,19 @@ def top_revenue_supplier(
     return supp.map_batches(attach, batch_format="pyarrow")
 
 
-def small_quantity_revenue(
-    sf_dir: str,
-    brand: str = "Brand#4",
-    num_buckets: int = 64,
-) -> pa.Table:
+def small_quantity_revenue(sf_dir: str, brand: str = "Brand#4") -> pa.Table:
     """One row (total_extprice_x100, n_small_lines) — TPC-H Q17: the
     extended-price volume of lineitems of ``brand`` parts whose
     quantity is below 20% of that part's average lineitem quantity
     (the lost-revenue-from-small-orders probe).
 
     The correlated subquery (per-part average over ALL lineitems)
-    becomes key-local algebra: ONE partkey-hash exchange co-locates a
+    becomes key-local algebra: ONE partkey ``co_exchange`` co-locates a
     part's brand flag with every one of its lineitems, and the group
     task evaluates the threshold exactly — quantities are integral, so
     ``qty < avg/5`` is tested as ``5·qty·n_lines < sum_qty`` in int64
     (NO float average, hence no engine-specific summation-order
-    boundary). Driver reads ≤ num_buckets single-row partials."""
-    import pyarrow.parquet as pq
-
-    from ..kernels.partitioning import adaptive_buckets
-
-    nb = adaptive_buckets(
-        pq.read_metadata(f"{sf_dir}/lineitem.parquet").num_rows,
-        requested=num_buckets, rows_per_bucket=4096,
-    )
-
-    import pyarrow.dataset as pads
-
+    boundary). Driver reads ≤ n single-row partials."""
     brand_parts = ray.data.read_parquet(
         f"{sf_dir}/part.parquet",
         columns=["p_partkey"],
@@ -2404,66 +1908,40 @@ def small_quantity_revenue(
         columns=["l_partkey", "l_quantity", "l_extendedprice"],
     )
 
-    def tag_part(df: pd.DataFrame) -> pd.DataFrame:
+    def line_rows(df: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame(
-            {"pkey": df["p_partkey"].astype("int64"),
-             "qty": np.int64(-1), "ext": np.int64(-1),
-             "_b": (df["p_partkey"] % nb).astype("int32"), "_k": "p"}
-        )
-
-    def tag_line(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {"pkey": df["l_partkey"].astype("int64"),
+            {"l_partkey": df["l_partkey"],
              "qty": df["l_quantity"].round().astype("int64"),
-             "ext": (df["l_extendedprice"] * 100).round().astype("int64"),
-             "_b": (df["l_partkey"] % nb).astype("int32"), "_k": "l"}
+             "ext": (df["l_extendedprice"] * 100).round().astype("int64")}
         )
 
-    def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        pkeys = g.loc[g["_k"] == "p", "pkey"]
-        l = g[g["_k"] == "l"]
-        empty = pd.DataFrame(
-            {"total_extprice_x100": pd.Series(dtype="int64"),
-             "n_small_lines": pd.Series(dtype="int64")}
-        )
-        if not len(pkeys) or not len(l):
-            return empty
+    def per_bucket(parts: dict) -> pd.DataFrame:
+        l = parts["l"]
         # per-part (sum_qty, n) over ALL lineitems, then the exact
         # integer threshold 5·qty·n < sum_qty on brand parts only
-        stats = l.groupby("pkey")["qty"].agg(sum_qty="sum", n="size")
-        lb = l[l["pkey"].isin(set(pkeys))]
-        if not len(lb):
-            return empty
-        st = stats.loc[lb["pkey"]].reset_index(drop=True)
-        small = (5 * lb["qty"].to_numpy() * st["n"].to_numpy()) < st[
-            "sum_qty"
-        ].to_numpy()
+        stats = l.groupby("l_partkey")["qty"].agg(sum_qty="sum", n="size")
+        lb = l[l["l_partkey"].isin(parts["p"]["p_partkey"])]
+        st = stats.loc[lb["l_partkey"]]
+        small = (5 * lb["qty"].to_numpy() * st["n"].to_numpy()) < st["sum_qty"].to_numpy()
         return pd.DataFrame(
-            {"total_extprice_x100":
-                 [np.int64(lb["ext"].to_numpy()[small].sum())],
+            {"total_extprice_x100": [np.int64(lb["ext"].to_numpy()[small].sum())],
              "n_small_lines": [np.int64(small.sum())]}
         )
 
-    partials = (
-        brand_parts.map_batches(tag_part, batch_format="pandas")
-        .union(li.map_batches(tag_line, batch_format="pandas"))
-        .repartition(nb)
-        .groupby("_b")
-        .map_groups(per_bucket, batch_format="pandas")
-        .to_pandas()  # ≤ nb single-row partials
-    )
-    return pa.table(
-        {"total_extprice_x100":
-             pa.array([int(partials["total_extprice_x100"].sum())], pa.int64()),
-         "n_small_lines":
-             pa.array([int(partials["n_small_lines"].sum())], pa.int64())}
+    return _scalar_partials(
+        co_exchange(
+            {
+                "p": (brand_parts, "p_partkey", typed_frame(p_partkey="int64")),
+                "l": (li.map_batches(line_rows, batch_format="pandas"), "l_partkey",
+                      typed_frame(l_partkey="int64", qty="int64", ext="int64")),
+            },
+            per_bucket, _width(sf_dir, "lineitem"),
+        ),
+        ["total_extprice_x100", "n_small_lines"],
     )
 
 
-def disjunctive_predicate_revenue(
-    sf_dir: str,
-    num_buckets: int = 64,
-) -> pa.Table:
+def disjunctive_predicate_revenue(sf_dir: str) -> pa.Table:
     """One row (revenue_x10000, n_lines) — TPC-H Q19: revenue from
     lineitems matching ANY of three brand/size/quantity conjunctions
     (the disjunctive-predicate join no planner can push as a single
@@ -2476,19 +1954,8 @@ def disjunctive_predicate_revenue(
     Shape: the quantity-envelope (1–30, the UNION of the three ranges)
     and brand-set prefilters ARE pushable and are pushed into the
     scans; the residual disjunction is evaluated vectorized inside the
-    partkey-hash group task where a part's (brand, size) meets its
-    lineitems. Driver reads ≤ num_buckets single-row partials."""
-    import pyarrow.parquet as pq
-
-    from ..kernels.partitioning import adaptive_buckets
-
-    nb = adaptive_buckets(
-        pq.read_metadata(f"{sf_dir}/lineitem.parquet").num_rows,
-        requested=num_buckets, rows_per_bucket=4096,
-    )
-
-    import pyarrow.dataset as pads
-
+    partkey ``co_exchange`` group task where a part's (brand, size)
+    meets its lineitems. Driver reads ≤ n single-row partials."""
     brands = ["Brand#1", "Brand#2", "Brand#3"]
     part = ray.data.read_parquet(
         f"{sf_dir}/part.parquet",
@@ -2503,38 +1970,22 @@ def disjunctive_predicate_revenue(
         & (pads.field("l_quantity") <= 30.0),
     )
 
-    def tag_part(df: pd.DataFrame) -> pd.DataFrame:
+    def part_rows(df: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame(
-            {"pkey": df["p_partkey"].astype("int64"),
+            {"p_partkey": df["p_partkey"],
              "bno": df["p_brand"].str.removeprefix("Brand#").astype("int64"),
-             "size": df["p_size"].astype("int64"),
-             "qty": np.float64(-1), "rev": np.int64(0),
-             "_b": (df["p_partkey"] % nb).astype("int32"), "_k": "p"}
+             "size": df["p_size"].astype("int64")}
         )
 
-    def tag_line(df: pd.DataFrame) -> pd.DataFrame:
+    def line_rows(df: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame(
-            {"pkey": df["l_partkey"].astype("int64"),
-             "bno": np.int64(-1), "size": np.int64(-1),
-             "qty": df["l_quantity"].astype("float64"),
-             "rev": _int_revenue_x10000(df["l_extendedprice"], df["l_discount"]),
-             "_b": (df["l_partkey"] % nb).astype("int32"), "_k": "l"}
+            {"l_partkey": df["l_partkey"], "qty": df["l_quantity"],
+             "rev": _int_revenue_x10000(df["l_extendedprice"], df["l_discount"])}
         )
 
-    def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        p = g[g["_k"] == "p"][["pkey", "bno", "size"]]
-        l = g[g["_k"] == "l"][["pkey", "qty", "rev"]]
-        empty = pd.DataFrame(
-            {"revenue_x10000": pd.Series(dtype="int64"),
-             "n_lines": pd.Series(dtype="int64")}
-        )
-        if not len(p) or not len(l):
-            return empty
-        m = l.merge(p, on="pkey")
-        if not len(m):
-            return empty
-        bno, size, qty = (m["bno"].to_numpy(), m["size"].to_numpy(),
-                          m["qty"].to_numpy())
+    def per_bucket(parts: dict) -> pd.DataFrame:
+        m = parts["l"].merge(parts["p"], left_on="l_partkey", right_on="p_partkey")
+        bno, size, qty = m["bno"].to_numpy(), m["size"].to_numpy(), m["qty"].to_numpy()
         hit = (
             ((bno == 1) & (size <= 5) & (qty >= 1) & (qty <= 11))
             | ((bno == 2) & (size <= 10) & (qty >= 10) & (qty <= 20))
@@ -2545,18 +1996,17 @@ def disjunctive_predicate_revenue(
              "n_lines": [np.int64(hit.sum())]}
         )
 
-    partials = (
-        part.map_batches(tag_part, batch_format="pandas")
-        .union(li.map_batches(tag_line, batch_format="pandas"))
-        .repartition(nb)
-        .groupby("_b")
-        .map_groups(per_bucket, batch_format="pandas")
-        .to_pandas()  # ≤ nb single-row partials
-    )
-    return pa.table(
-        {"revenue_x10000":
-             pa.array([int(partials["revenue_x10000"].sum())], pa.int64()),
-         "n_lines": pa.array([int(partials["n_lines"].sum())], pa.int64())}
+    return _scalar_partials(
+        co_exchange(
+            {
+                "p": (part.map_batches(part_rows, batch_format="pandas"), "p_partkey",
+                      typed_frame(p_partkey="int64", bno="int64", size="int64")),
+                "l": (li.map_batches(line_rows, batch_format="pandas"), "l_partkey",
+                      typed_frame(l_partkey="int64", qty="float64", rev="int64")),
+            },
+            per_bucket, _width(sf_dir, "lineitem"),
+        ),
+        ["revenue_x10000", "n_lines"],
     )
 
 
@@ -2567,7 +2017,6 @@ def nation_market_share(
     part_type: str = "PROMO",
     date_from: str = "1995-01-01",
     date_to: str = "1997-01-01",
-    num_buckets: int = 64,
 ) -> "ray.data.Dataset":
     """(o_year, nation_revenue_x10000, total_revenue_x10000) — TPC-H Q8
     adapted to this schema (no ``partsupp``): within orders placed by
@@ -2584,28 +2033,17 @@ def nation_market_share(
       the supplier→nationkey map, the target nationkey, and the
       filtered-part keyset (only parts of ``part_type`` — at 100 TB
       this is the type's share of partkeys; if that outgrows a
-      broadcast, swap for the Q16 partkey-bucket tag-join — same
+      broadcast, swap for the Q16 partkey co-partition — same
       in-bucket kernel);
     - order-date window pushed into the orders parquet scan; customers
       outside the region drop before exchange 1; lineitems of other
       part types drop before exchange 2;
-    - exchange 1 (custkey buckets): customer ⋈ orders → (okey, year);
-    - exchange 2 (orderkey buckets): ⋈ lineitem — supplier-nation
-      lookup and both integer revenue partials happen in the group
-      task, so only per-year (num, den) partials leave it;
+    - exchange 1 (custkey): customer ⋈ orders → (okey, year);
+    - exchange 2 (orderkey): ⋈ lineitem — supplier-nation lookup and
+      both integer revenue partials happen in the group task, so only
+      per-year (num, den) partials leave it;
     - final keyed sum over ≤ years rows."""
-    import datetime as _dt
-
-    import pyarrow.dataset as pads
-    import pyarrow.parquet as pq
-
-    from ..kernels.partitioning import adaptive_buckets
-
-    nb = adaptive_buckets(
-        pq.read_metadata(f"{sf_dir}/orders.parquet").num_rows,
-        requested=num_buckets, rows_per_bucket=4096,
-    )
-
+    nb = _width(sf_dir, "orders")
     nation = pq.read_table(
         f"{sf_dir}/nation.parquet", columns=["n_nationkey", "n_name", "n_regionkey"]
     ).to_pandas()
@@ -2630,13 +2068,10 @@ def nation_market_share(
     customers = ray.data.read_parquet(
         f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_nationkey"]
     )
-    date_expr = (
-        pads.field("o_orderdate") >= _dt.datetime.fromisoformat(date_from)
-    ) & (pads.field("o_orderdate") < _dt.datetime.fromisoformat(date_to))
     orders = ray.data.read_parquet(
         f"{sf_dir}/orders.parquet",
         columns=["o_orderkey", "o_custkey", "o_orderdate"],
-        filter=date_expr,
+        filter=_between("o_orderdate", date_from, date_to),
     )
     lineitem = ray.data.read_parquet(
         f"{sf_dir}/lineitem.parquet",
@@ -2644,106 +2079,59 @@ def nation_market_share(
                  "l_extendedprice", "l_discount"],
     )
 
-    def tag_cust(df: pd.DataFrame) -> pd.DataFrame:
-        region_nks_, _, _ = ray.get(dims_ref)
-        d = df[df["c_nationkey"].isin(region_nks_)]
-        return pd.DataFrame(
-            {"key": d["c_custkey"].astype("int64"), "okey": np.int64(-1),
-             "yr": np.int64(-1),
-             "_b": (d["c_custkey"] % nb).astype("int32"), "_k": "c"}
-        )
+    def region_cust(df: pd.DataFrame) -> pd.DataFrame:
+        return df.loc[df["c_nationkey"].isin(ray.get(dims_ref)[0]), ["c_custkey"]]
 
-    def tag_orders(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {"key": df["o_custkey"].astype("int64"),
-             "okey": df["o_orderkey"].astype("int64"),
-             "yr": df["o_orderdate"].dt.year.astype("int64"),
-             "_b": (df["o_custkey"] % nb).astype("int32"), "_k": "o"}
-        )
+    def join_co(parts: dict) -> pd.DataFrame:
+        m = parts["o"].merge(parts["c"], left_on="o_custkey", right_on="c_custkey")
+        return pd.DataFrame({"okey": m["o_orderkey"], "yr": m["o_orderdate"].dt.year.astype("int64")})
 
-    def join_co(g: pd.DataFrame) -> pd.DataFrame:
-        c = g[g["_k"] == "c"][["key"]]
-        o = g[g["_k"] == "o"][["key", "okey", "yr"]]
-        m = o.merge(c, on="key")
-        return pd.DataFrame(
-            {"okey": m["okey"].astype("int64"), "yr": m["yr"].astype("int64"),
-             "skey": np.int64(-1), "rev": np.int64(0),
-             "_b2": (m["okey"] % nb).astype("int32"), "_k": "co"}
-        )
-
-    cust_orders = (
-        customers.map_batches(tag_cust, batch_format="pandas")
-        .union(orders.map_batches(tag_orders, batch_format="pandas"))
-        .repartition(nb)
-        .groupby("_b")
-        .map_groups(join_co, batch_format="pandas")
+    cust_orders = co_exchange(
+        {
+            "c": (customers.map_batches(region_cust, batch_format="pandas"), "c_custkey",
+                  typed_frame(c_custkey="int64")),
+            "o": (orders, "o_custkey", typed_frame(
+                o_orderkey="int64", o_custkey="int64", o_orderdate="datetime64[us]"
+            )),
+        },
+        join_co, nb,
     )
 
-    def tag_line(df: pd.DataFrame) -> pd.DataFrame:
-        _, _, part_keys_ = ray.get(dims_ref)
-        d = df[np.isin(df["l_partkey"].to_numpy(np.int64), part_keys_)]
+    def type_lines(df: pd.DataFrame) -> pd.DataFrame:
+        d = df[np.isin(df["l_partkey"].to_numpy(np.int64), ray.get(dims_ref)[2])]
         return pd.DataFrame(
-            {"okey": d["l_orderkey"].astype("int64"), "yr": np.int64(-1),
-             "skey": d["l_suppkey"].astype("int64"),
-             "rev": _int_revenue_x10000(d["l_extendedprice"], d["l_discount"]),
-             "_b2": (d["l_orderkey"] % nb).astype("int32"), "_k": "l"}
+            {"l_orderkey": d["l_orderkey"], "l_suppkey": d["l_suppkey"],
+             "rev": _int_revenue_x10000(d["l_extendedprice"], d["l_discount"])}
         )
 
-    empty = pd.DataFrame(
-        {"o_year": pd.Series(dtype="int64"),
-         "nation_revenue_x10000": pd.Series(dtype="int64"),
-         "total_revenue_x10000": pd.Series(dtype="int64")}
-    )
+    empty = typed_frame(o_year="int64", nation_revenue_x10000="int64", total_revenue_x10000="int64")
 
-    def join_share(g: pd.DataFrame) -> pd.DataFrame:
-        _, supp_nk_, _ = ray.get(dims_ref)
-        co = g[g["_k"] == "co"][["okey", "yr"]]
-        li = g[g["_k"] == "l"][["okey", "skey", "rev"]]
-        if not len(co) or not len(li):
-            return empty.copy()
-        m = li.merge(co, on="okey")
+    def join_share(parts: dict) -> pd.DataFrame:
+        supp_nk_ = ray.get(dims_ref)[1]
+        m = parts["l"].merge(parts["co"], left_on="l_orderkey", right_on="okey")
         if not len(m):
             return empty.copy()
-        m["is_target"] = (
-            m["skey"].map(supp_nk_).to_numpy() == target_nk
-        )
-        m["num"] = np.where(m["is_target"], m["rev"], 0).astype("int64")
+        is_target = m["l_suppkey"].map(supp_nk_).to_numpy() == target_nk
+        m["num"] = np.where(is_target, m["rev"], 0).astype("int64")
         out = m.groupby("yr", as_index=False).agg(
             nation_revenue_x10000=("num", "sum"),
             total_revenue_x10000=("rev", "sum"),
         )
-        return pd.DataFrame(
-            {"o_year": out["yr"].astype("int64"),
-             "nation_revenue_x10000":
-                 out["nation_revenue_x10000"].astype("int64"),
-             "total_revenue_x10000":
-                 out["total_revenue_x10000"].astype("int64")}
-        )
+        return out.rename(columns={"yr": "o_year"}).astype("int64")
 
-    return (
-        cust_orders.union(lineitem.map_batches(tag_line, batch_format="pandas"))
-        .repartition(nb)
-        .groupby("_b2")
-        .map_groups(join_share, batch_format="pandas")
-        .groupby("o_year")
-        .aggregate(Sum("nation_revenue_x10000"), Sum("total_revenue_x10000"))
-        .map_batches(
-            lambda df: pd.DataFrame(
-                {"o_year": df["o_year"].astype("int64"),
-                 "nation_revenue_x10000":
-                     df["sum(nation_revenue_x10000)"].astype("int64"),
-                 "total_revenue_x10000":
-                     df["sum(total_revenue_x10000)"].astype("int64")}
-            ),
-            batch_format="pandas",
-        )
+    joined = co_exchange(
+        {
+            "co": (cust_orders, "okey", typed_frame(okey="int64", yr="int64")),
+            "l": (lineitem.map_batches(type_lines, batch_format="pandas"), "l_orderkey",
+                  typed_frame(l_orderkey="int64", l_suppkey="int64", rev="int64")),
+        },
+        join_share, nb,
     )
+    return _sum_by(joined, "o_year", "nation_revenue_x10000", "total_revenue_x10000")
 
 
 def customer_order_distribution(
-    sf_dir: str,
-    exclude_priority: str = "PRIORITY_1",
-    num_buckets: int = 64,
+    sf_dir: str, exclude_priority: str = "PRIORITY_1"
 ) -> "ray.data.Dataset":
     """(c_count, custdist) — TPC-H Q13: the distribution of per-
     customer order counts (how many customers placed exactly N
@@ -2754,26 +2142,16 @@ def customer_order_distribution(
     Scale shape — LEFT JOIN COUNT as a two-level count aggregation,
     no driver-side scalar arithmetic:
 
-    - per-batch partial counts: every customer row emits
-      (custkey, 0); every qualifying order batch emits its per-custkey
-      partial count — so exchange 1 (custkey-hash buckets) carries
+    - per-batch partial counts: every qualifying order batch emits its
+      per-custkey partial count, so exchange 1 (a custkey
+      ``co_exchange`` of customers and those partials) carries
       customer-cardinality + per-(batch × custkey) count rows, never
       raw orders;
-    - per-bucket sum gives each customer's exact order count (the
-      customer-side zero row guarantees LEFT JOIN semantics: customers
-      with no orders surface as count 0);
+    - per-bucket sum gives each customer's exact order count (every
+      customer row counts in, so customers with no orders surface as
+      count 0 — LEFT JOIN semantics);
     - per-bucket histogram partials (count rows per c_count) feed a
       final small keyed sum over ≤ buckets × distinct-counts rows."""
-    import pyarrow.dataset as pads
-    import pyarrow.parquet as pq
-
-    from ..kernels.partitioning import adaptive_buckets
-
-    nb = adaptive_buckets(
-        pq.read_metadata(f"{sf_dir}/orders.parquet").num_rows,
-        requested=num_buckets, rows_per_bucket=4096,
-    )
-
     customers = ray.data.read_parquet(
         f"{sf_dir}/customer.parquet", columns=["c_custkey"]
     )
@@ -2782,43 +2160,27 @@ def customer_order_distribution(
         filter=pads.field("o_orderpriority") != exclude_priority,
     )
 
-    def tag_cust(df: pd.DataFrame) -> pd.DataFrame:
+    def order_counts(df: pd.DataFrame) -> pd.DataFrame:
+        return df.groupby("o_custkey", as_index=False).size().rename(columns={"size": "n"})
+
+    def bucket_hist(parts: dict) -> pd.DataFrame:
+        o = parts["o"].set_index("o_custkey")["n"]
+        per_cust = o.groupby(level=0).sum().reindex(parts["c"]["c_custkey"], fill_value=0)
+        hist = per_cust.value_counts()
         return pd.DataFrame(
-            {"key": df["c_custkey"].astype("int64"), "n": np.int64(0),
-             "_b": (df["c_custkey"] % nb).astype("int32")}
+            {"c_count": hist.index.to_numpy(np.int64), "custdist": hist.to_numpy(np.int64)}
         )
 
-    def tag_orders(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby("o_custkey", as_index=False).size()
-        return pd.DataFrame(
-            {"key": g["o_custkey"].astype("int64"),
-             "n": g["size"].astype("int64"),
-             "_b": (g["o_custkey"] % nb).astype("int32")}
-        )
-
-    def bucket_hist(g: pd.DataFrame) -> pd.DataFrame:
-        per_cust = g.groupby("key", as_index=False)["n"].sum()
-        hist = per_cust.groupby("n", as_index=False).size()
-        return pd.DataFrame(
-            {"c_count": hist["n"].astype("int64"),
-             "custdist": hist["size"].astype("int64")}
-        )
-
-    return (
-        customers.map_batches(tag_cust, batch_format="pandas")
-        .union(orders.map_batches(tag_orders, batch_format="pandas"))
-        .repartition(nb)
-        .groupby("_b")
-        .map_groups(bucket_hist, batch_format="pandas")
-        .groupby("c_count")
-        .sum("custdist")
-        .map_batches(
-            lambda df: pd.DataFrame(
-                {"c_count": df["c_count"].astype("int64"),
-                 "custdist": df["sum(custdist)"].astype("int64")}
-            ),
-            batch_format="pandas",
-        )
+    return _sum_by(
+        co_exchange(
+            {
+                "c": (customers, "c_custkey", typed_frame(c_custkey="int64")),
+                "o": (orders.map_batches(order_counts, batch_format="pandas"), "o_custkey",
+                      typed_frame(o_custkey="int64", n="int64")),
+            },
+            bucket_hist, _width(sf_dir, "orders"),
+        ),
+        "c_count", "custdist",
     )
 
 
@@ -2826,7 +2188,6 @@ def part_supplier_variety(
     sf_dir: str,
     exclude_brand: str = "Brand#1",
     sizes: tuple = (1, 3, 5, 7),
-    num_buckets: int = 64,
 ) -> "ray.data.Dataset":
     """(p_brand, p_type, p_size, supplier_cnt) — TPC-H Q16 adapted to
     this schema: for every (brand, type, size) combination of interest,
@@ -2843,23 +2204,13 @@ def part_supplier_variety(
       (lineitem rows collapse to the pair universe per batch);
     - excluded-supplier keyset broadcast via ``ray.put`` (complaint
       sets are tiny by construction);
-    - exchange 1 (partkey buckets): pair rows ⋈ filtered part-attr
-      rows, in-bucket pair dedup — emits distinct (brand, type, size,
-      suppkey) rows only;
-    - exchange 2 (attr-triple hash buckets): cross-part supplier dedup
+    - exchange 1 (partkey ``co_exchange``): pair rows ⋈ filtered
+      part-attr rows, in-bucket pair dedup — emits distinct (brand,
+      type, size, suppkey) rows only;
+    - exchange 2 (keyed on the attr triple): cross-part supplier dedup
       and the final count — each group task owns whole triples, so
       the count is exact with no driver collection."""
-    import pyarrow.dataset as pads
-    import pyarrow.parquet as pq
-
-    from ..kernels.hashing import stable_hash64_array
-    from ..kernels.partitioning import adaptive_buckets
-
-    nb = adaptive_buckets(
-        pq.read_metadata(f"{sf_dir}/lineitem.parquet").num_rows,
-        requested=num_buckets, rows_per_bucket=4096,
-    )
-
+    nb = _width(sf_dir, "lineitem")
     supp = pq.read_table(
         f"{sf_dir}/supplier.parquet", columns=["s_suppkey", "s_acctbal"]
     ).to_pandas()
@@ -2878,73 +2229,36 @@ def part_supplier_variety(
         f"{sf_dir}/lineitem.parquet", columns=["l_partkey", "l_suppkey"]
     )
 
-    def tag_pairs(df: pd.DataFrame) -> pd.DataFrame:
-        bad = ray.get(bad_ref)
+    def good_pairs(df: pd.DataFrame) -> pd.DataFrame:
         d = df.drop_duplicates()
-        d = d[~np.isin(d["l_suppkey"].to_numpy(np.int64), bad)]
-        return pd.DataFrame(
-            {"pkey": d["l_partkey"].astype("int64"),
-             "skey": d["l_suppkey"].astype("int64"),
-             "brand": "", "ptype": "", "size": np.int64(-1),
-             "_b": (d["l_partkey"] % nb).astype("int32"), "_k": "l"}
-        )
+        return d[~np.isin(d["l_suppkey"].to_numpy(np.int64), ray.get(bad_ref))]
 
-    def tag_part(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {"pkey": df["p_partkey"].astype("int64"), "skey": np.int64(-1),
-             "brand": df["p_brand"].astype(str),
-             "ptype": df["p_type"].astype(str),
-             "size": df["p_size"].astype("int64"),
-             "_b": (df["p_partkey"] % nb).astype("int32"), "_k": "p"}
-        )
+    triple = ["p_brand", "p_type", "p_size"]
 
-    triple_empty = pd.DataFrame(
-        {"p_brand": pd.Series(dtype="object"),
-         "p_type": pd.Series(dtype="object"),
-         "p_size": pd.Series(dtype="int64"),
-         "skey": pd.Series(dtype="int64"),
-         "_b2": pd.Series(dtype="int32")}
-    )
-
-    def join_attrs(g: pd.DataFrame) -> pd.DataFrame:
-        p = g[g["_k"] == "p"][["pkey", "brand", "ptype", "size"]]
-        l = g[g["_k"] == "l"][["pkey", "skey"]].drop_duplicates()
-        if not len(p) or not len(l):
-            return triple_empty.copy()
-        m = l.merge(p, on="pkey")
-        if not len(m):
-            return triple_empty.copy()
-        m = m[["brand", "ptype", "size", "skey"]].drop_duplicates()
-        h = stable_hash64_array(
-            [f"{b}\x00{t}\x00{s}" for b, t, s in
-             zip(m["brand"], m["ptype"], m["size"])]
-        )
-        return pd.DataFrame(
-            {"p_brand": m["brand"], "p_type": m["ptype"],
-             "p_size": m["size"].astype("int64"),
-             "skey": m["skey"].astype("int64"),
-             "_b2": (h % np.uint64(nb)).astype(np.int32)}
-        )
+    def join_attrs(parts: dict) -> pd.DataFrame:
+        m = parts["l"].drop_duplicates().merge(parts["p"], left_on="l_partkey", right_on="p_partkey")
+        m = m[triple + ["l_suppkey"]].drop_duplicates()
+        return m.astype({"p_size": "int64"})
 
     def count_distinct(g: pd.DataFrame) -> pd.DataFrame:
-        d = g[["p_brand", "p_type", "p_size", "skey"]].drop_duplicates()
-        out = d.groupby(["p_brand", "p_type", "p_size"], as_index=False).size()
+        out = g.drop_duplicates().groupby(triple, as_index=False).size()
         return pd.DataFrame(
             {"p_brand": out["p_brand"], "p_type": out["p_type"],
              "p_size": out["p_size"].astype("int64"),
              "supplier_cnt": out["size"].astype("int64")}
         )
 
-    return (
-        lineitem.map_batches(tag_pairs, batch_format="pandas")
-        .union(part.map_batches(tag_part, batch_format="pandas"))
-        .repartition(nb)
-        .groupby("_b")
-        .map_groups(join_attrs, batch_format="pandas")
-        .repartition(nb)
-        .groupby("_b2")
-        .map_groups(count_distinct, batch_format="pandas")
+    triples = co_exchange(
+        {
+            "l": (lineitem.map_batches(good_pairs, batch_format="pandas"), "l_partkey",
+                  typed_frame(l_partkey="int64", l_suppkey="int64")),
+            "p": (part, "p_partkey", typed_frame(
+                p_partkey="int64", p_brand="object", p_type="object", p_size="int32"
+            )),
+        },
+        join_attrs, nb,
     )
+    return keyed_exchange(triples, triple, count_distinct, nb)
 
 
 def important_parts(
@@ -2952,7 +2266,6 @@ def important_parts(
     supp_nation: str = "NATION_2",
     fraction_num: int = 1,
     fraction_den: int = 1000,
-    num_buckets: int = 64,
 ) -> "ray.data.Dataset":
     """(l_partkey, value_x100) — TPC-H Q11 adapted to this schema
     (no ``partsupp``): per-part shipped value (``Σ extprice_x100 ×
@@ -2970,15 +2283,6 @@ def important_parts(
     - ONE partkey exchange produces exact per-part values; the global
       total is the Sum aggregate of that same dataset — a scalar, the
       only thing the driver reads before the final distributed filter."""
-    import pyarrow.parquet as pq
-
-    from ..kernels.partitioning import adaptive_buckets
-
-    nb = adaptive_buckets(
-        pq.read_metadata(f"{sf_dir}/lineitem.parquet").num_rows,
-        requested=num_buckets, rows_per_bucket=4096,
-    )
-
     nation = pq.read_table(
         f"{sf_dir}/nation.parquet", columns=["n_nationkey", "n_name"]
     ).to_pandas()
@@ -2997,31 +2301,22 @@ def important_parts(
     )
 
     def partial_values(df: pd.DataFrame) -> pd.DataFrame:
-        keep = ray.get(supp_ref)
-        d = df[np.isin(df["l_suppkey"].to_numpy(np.int64), keep)]
+        d = df[np.isin(df["l_suppkey"].to_numpy(np.int64), ray.get(supp_ref))]
         val = (d["l_extendedprice"] * 100).round().astype("int64") * d[
             "l_quantity"
         ].round().astype("int64")
-        g = pd.DataFrame(
+        return pd.DataFrame(
             {"l_partkey": d["l_partkey"].astype("int64"), "value_x100": val}
         ).groupby("l_partkey", as_index=False)["value_x100"].sum()
-        g["_b"] = (g["l_partkey"] % nb).astype("int32")
-        return g
 
     def per_part(g: pd.DataFrame) -> pd.DataFrame:
         out = g.groupby("l_partkey", as_index=False)["value_x100"].sum()
-        return pd.DataFrame(
-            {"l_partkey": out["l_partkey"].astype("int64"),
-             "value_x100": out["value_x100"].astype("int64")}
-        )
+        return out.astype({"l_partkey": "int64", "value_x100": "int64"})
 
-    per_part_ds = (
-        lineitem.map_batches(partial_values, batch_format="pandas")
-        .repartition(nb)
-        .groupby("_b")
-        .map_groups(per_part, batch_format="pandas")
-        .materialize()  # reused by the total pass and the filter pass
-    )
+    per_part_ds = keyed_exchange(
+        lineitem.map_batches(partial_values, batch_format="pandas"), "l_partkey", per_part,
+        _width(sf_dir, "lineitem"),
+    ).materialize()  # reused by the total pass and the filter pass
     total = per_part_ds.sum("value_x100") or 0
     threshold_num = int(total) * fraction_num  # value*den > total*num
 
@@ -3031,11 +2326,7 @@ def important_parts(
     return per_part_ds.map_batches(keep_important, batch_format="pandas")
 
 
-def nation_year_profit(
-    sf_dir: str,
-    name_word: str = "red",
-    num_buckets: int = 64,
-) -> "ray.data.Dataset":
+def nation_year_profit(sf_dir: str, name_word: str = "red") -> "ray.data.Dataset":
     """(n_name, o_year, profit_x10000) — TPC-H Q9 adapted to this
     schema (no ``partsupp``): per supplier-nation per order-year profit
     on parts whose name contains ``name_word``, with the part's retail
@@ -3051,19 +2342,11 @@ def nation_year_profit(
     - lineitems of non-matching parts drop in the scan task, which
       also computes both integer money partials — the exchange never
       carries part or price columns;
-    - ONE orderkey exchange joins the order year in; supplier-nation
-      mapping and per-(nation, year) partial sums happen in the group
-      task, so only ≤ nations × years rows per bucket leave it;
+    - ONE orderkey ``co_exchange`` joins the order year in;
+      supplier-nation mapping and per-(nation, year) partial sums
+      happen in the group task, so only ≤ nations × years rows per
+      bucket leave it;
     - final keyed sum over ≤ nations × years rows."""
-    import pyarrow.parquet as pq
-
-    from ..kernels.partitioning import adaptive_buckets
-
-    nb = adaptive_buckets(
-        pq.read_metadata(f"{sf_dir}/lineitem.parquet").num_rows,
-        requested=num_buckets, rows_per_bucket=4096,
-    )
-
     nation = pq.read_table(
         f"{sf_dir}/nation.parquet", columns=["n_nationkey", "n_name"]
     ).to_pandas()
@@ -3091,17 +2374,8 @@ def nation_year_profit(
                  "l_extendedprice", "l_discount", "l_quantity"],
     )
 
-    def tag_orders(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {"okey": df["o_orderkey"].astype("int64"),
-             "yr": df["o_orderdate"].dt.year.astype("int64"),
-             "skey": np.int64(-1), "profit": np.int64(0),
-             "_b": (df["o_orderkey"] % nb).astype("int32"), "_k": "o"}
-        )
-
-    def tag_line(df: pd.DataFrame) -> pd.DataFrame:
-        _, _, retail_ = ray.get(dims_ref)
-        cost_unit = df["l_partkey"].map(retail_)
+    def line_profit(df: pd.DataFrame) -> pd.DataFrame:
+        cost_unit = df["l_partkey"].map(ray.get(dims_ref)[2])
         d = df[cost_unit.notna()]
         rev = _int_revenue_x10000(d["l_extendedprice"], d["l_discount"])
         # retail is per-unit cents → ×100 matches the rev scale, ×qty
@@ -3110,50 +2384,31 @@ def nation_year_profit(
             * d["l_quantity"].round().astype("int64")
         )
         return pd.DataFrame(
-            {"okey": d["l_orderkey"].astype("int64"), "yr": np.int64(-1),
-             "skey": d["l_suppkey"].astype("int64"),
-             "profit": (rev - cost).astype("int64"),
-             "_b": (d["l_orderkey"] % nb).astype("int32"), "_k": "l"}
+            {"l_orderkey": d["l_orderkey"], "l_suppkey": d["l_suppkey"],
+             "profit": (rev - cost).astype("int64")}
         )
 
-    empty = pd.DataFrame(
-        {"n_name": pd.Series(dtype="object"),
-         "o_year": pd.Series(dtype="int64"),
-         "profit_x10000": pd.Series(dtype="int64")}
-    )
+    empty = typed_frame(n_name="object", o_year="int64", profit_x10000="int64")
 
-    def join_profit(g: pd.DataFrame) -> pd.DataFrame:
+    def join_profit(parts: dict) -> pd.DataFrame:
         nk2name_, supp_nk_, _ = ray.get(dims_ref)
-        o = g[g["_k"] == "o"][["okey", "yr"]]
-        li = g[g["_k"] == "l"][["okey", "skey", "profit"]]
-        if not len(o) or not len(li):
-            return empty.copy()
-        m = li.merge(o, on="okey")
+        m = parts["l"].merge(parts["o"], left_on="l_orderkey", right_on="o_orderkey")
         if not len(m):
             return empty.copy()
-        m["n_name"] = m["skey"].map(supp_nk_).map(nk2name_)
-        out = m.groupby(["n_name", "yr"], as_index=False)["profit"].sum()
-        return pd.DataFrame(
-            {"n_name": out["n_name"], "o_year": out["yr"].astype("int64"),
-             "profit_x10000": out["profit"].astype("int64")}
-        )
+        m["n_name"] = m["l_suppkey"].map(supp_nk_).map(nk2name_)
+        m["o_year"] = m["o_orderdate"].dt.year.astype("int64")
+        out = m.groupby(["n_name", "o_year"], as_index=False)["profit"].sum()
+        return out.rename(columns={"profit": "profit_x10000"}).astype({"profit_x10000": "int64"})
 
-    return (
-        orders.map_batches(tag_orders, batch_format="pandas")
-        .union(lineitem.map_batches(tag_line, batch_format="pandas"))
-        .repartition(nb)
-        .groupby("_b")
-        .map_groups(join_profit, batch_format="pandas")
-        .groupby(["n_name", "o_year"])
-        .sum("profit_x10000")
-        .map_batches(
-            lambda df: pd.DataFrame(
-                {"n_name": df["n_name"], "o_year": df["o_year"].astype("int64"),
-                 "profit_x10000": df["sum(profit_x10000)"].astype("int64")}
-            ),
-            batch_format="pandas",
-        )
+    joined = co_exchange(
+        {
+            "o": (orders, "o_orderkey", typed_frame(o_orderkey="int64", o_orderdate="datetime64[us]")),
+            "l": (lineitem.map_batches(line_profit, batch_format="pandas"), "l_orderkey",
+                  typed_frame(l_orderkey="int64", l_suppkey="int64", profit="int64")),
+        },
+        join_profit, _width(sf_dir, "lineitem"),
     )
+    return _sum_by(joined, ["n_name", "o_year"], "profit_x10000")
 
 
 def min_cost_supplier(
@@ -3178,21 +2433,11 @@ def min_cost_supplier(
       nation name) broadcast once via ``ray.put`` — supplier is the
       smallest fact (10k rows/SF); non-region suppliers drop in the
       scan task;
-    - filtered part rows tagged into the SAME partkey exchange (no
-      part-table broadcast — the Q16 pattern);
+    - filtered part rows meet the pairs in ONE partkey ``co_exchange``
+      (no part-table broadcast — the Q16 pattern);
     - in-bucket: pair dedup, attr join, per-part correlated min, then
       a per-bucket top-k prune under the FINAL total order, so the
       driver assembles the answer from ≤ buckets × k rows."""
-    import pyarrow.dataset as pads
-    import pyarrow.parquet as pq
-
-    from ..kernels.partitioning import adaptive_buckets
-
-    nb = adaptive_buckets(
-        pq.read_metadata(f"{sf_dir}/lineitem.parquet").num_rows,
-        requested=64, rows_per_bucket=4096,
-    )
-
     nation = pq.read_table(
         f"{sf_dir}/nation.parquet",
         columns=["n_nationkey", "n_name", "n_regionkey"],
@@ -3223,66 +2468,41 @@ def min_cost_supplier(
         f"{sf_dir}/lineitem.parquet", columns=["l_partkey", "l_suppkey"]
     )
 
-    def tag_pairs(df: pd.DataFrame) -> pd.DataFrame:
-        attrs = ray.get(attrs_ref)
+    def region_pairs(df: pd.DataFrame) -> pd.DataFrame:
         d = df.drop_duplicates()
-        d = d[d["l_suppkey"].isin(attrs)]
-        return pd.DataFrame(
-            {"pkey": d["l_partkey"].astype("int64"),
-             "skey": d["l_suppkey"].astype("int64"),
-             "_b": (d["l_partkey"] % nb).astype("int32"), "_k": "l"}
-        )
+        return d[d["l_suppkey"].isin(ray.get(attrs_ref))]
 
-    def tag_part(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {"pkey": df["p_partkey"].astype("int64"), "skey": np.int64(-1),
-             "_b": (df["p_partkey"] % nb).astype("int32"), "_k": "p"}
-        )
+    empty = typed_frame(s_acctbal_x100="int64", s_name="object", n_name="object", p_partkey="int64")
 
-    empty = pd.DataFrame(
-        {"s_acctbal_x100": pd.Series(dtype="int64"),
-         "s_name": pd.Series(dtype="object"),
-         "n_name": pd.Series(dtype="object"),
-         "p_partkey": pd.Series(dtype="int64")}
-    )
-
-    def per_part_min(g: pd.DataFrame) -> pd.DataFrame:
+    def per_part_min(parts: dict) -> pd.DataFrame:
         attrs = ray.get(attrs_ref)
-        p = g[g["_k"] == "p"][["pkey"]]
-        l = g[g["_k"] == "l"][["pkey", "skey"]].drop_duplicates()
-        if not len(p) or not len(l):
-            return empty.copy()
-        m = l.merge(p, on="pkey")
+        m = parts["l"].drop_duplicates().merge(parts["p"], left_on="l_partkey", right_on="p_partkey")
         if not len(m):
             return empty.copy()
-        trip = m["skey"].map(attrs)
+        trip = m["l_suppkey"].map(attrs)
         m = m.assign(
-            bal=[t[0] for t in trip],
+            s_acctbal_x100=[t[0] for t in trip],
             s_name=[t[1] for t in trip],
             n_name=[t[2] for t in trip],
         )
-        part_min = m.groupby("pkey")["bal"].transform("min")
-        m = m[m["bal"] == part_min]
+        part_min = m.groupby("p_partkey")["s_acctbal_x100"].transform("min")
+        m = m[m["s_acctbal_x100"] == part_min]
         # per-bucket prune under the final total order (acctbal desc,
         # nation, supplier, part — unique within a bucket)
         m = m.sort_values(
-            ["bal", "n_name", "s_name", "pkey"],
+            ["s_acctbal_x100", "n_name", "s_name", "p_partkey"],
             ascending=[False, True, True, True], kind="mergesort",
         ).head(k)
-        return pd.DataFrame(
-            {"s_acctbal_x100": m["bal"].astype("int64"),
-             "s_name": m["s_name"], "n_name": m["n_name"],
-             "p_partkey": m["pkey"].astype("int64")}
-        )
+        return m[list(empty.columns)].astype({"s_acctbal_x100": "int64", "p_partkey": "int64"})
 
-    finalists = (
-        lineitem.map_batches(tag_pairs, batch_format="pandas")
-        .union(part.map_batches(tag_part, batch_format="pandas"))
-        .repartition(nb)
-        .groupby("_b")
-        .map_groups(per_part_min, batch_format="pandas")
-        .to_pandas()  # ≤ buckets × k pruned rows
-    )
+    finalists = co_exchange(
+        {
+            "l": (lineitem.map_batches(region_pairs, batch_format="pandas"), "l_partkey",
+                  typed_frame(l_partkey="int64", l_suppkey="int64")),
+            "p": (part, "p_partkey", typed_frame(p_partkey="int64")),
+        },
+        per_part_min, _width(sf_dir, "lineitem"),
+    ).to_pandas()  # ≤ buckets × k pruned rows
     if not len(finalists):
         return pa.Table.from_pandas(empty, preserve_index=False)
     out = finalists.sort_values(
@@ -3290,6 +2510,22 @@ def min_cost_supplier(
         ascending=[False, True, True, True], kind="mergesort",
     ).head(k).reset_index(drop=True)
     return pa.Table.from_pandas(out, preserve_index=False)
+
+
+def sole_late_bucket(parts: dict, grace_days: int) -> pd.DataFrame:
+    """One bucket of ``sole_late_supplier``: ``parts["o"]`` holds
+    orders (``o_orderkey, o_orderdate``), ``parts["l"]`` their lines
+    (``l_orderkey, l_suppkey, l_shipdate``). Returns (skey, cnt): per
+    supplier, the orders on which it was the ONLY late supplier among
+    at least two distinct suppliers."""
+    m = parts["l"].merge(parts["o"], left_on="l_orderkey", right_on="o_orderkey")
+    late = m[m["l_shipdate"] > (m["o_orderdate"] + pd.Timedelta(days=grace_days))]
+    per = m.groupby("l_orderkey")["l_suppkey"].nunique().to_frame("ns")
+    per["nl"] = late.groupby("l_orderkey")["l_suppkey"].nunique().reindex(per.index, fill_value=0)
+    per["lsup"] = late.groupby("l_orderkey")["l_suppkey"].max().reindex(per.index, fill_value=-1)
+    hit = per[(per["ns"] >= 2) & (per["nl"] == 1)]
+    out = hit.groupby("lsup").size()
+    return pd.DataFrame({"skey": out.index.to_numpy(np.int64), "cnt": out.to_numpy(np.int64)})
 
 
 def sole_late_supplier(
@@ -3308,24 +2544,15 @@ def sole_late_supplier(
     Scale shape:
 
     - finalized orders only (``o_orderstatus = 'F'``) pushed into the
-      scan; ONE orderkey exchange co-locates each order's lineitems
-      with its date row;
+      scan; ONE orderkey ``co_exchange`` co-locates each order's
+      lineitems with its date row;
     - the whole per-order EXISTS/NOT-EXISTS pair is vectorized inside
-      the group task (distinct-supplier count ≥ 2, distinct-late == 1)
-      and collapses to per-(bucket × suppkey) count partials;
+      the group task (:func:`sole_late_bucket`: distinct-supplier
+      count ≥ 2, distinct-late == 1) and collapses to per-(bucket ×
+      suppkey) count partials;
     - final keyed sum over supplier-cardinality partials, nation
       filter by broadcast map, then per-bucket top-k prune → the
       driver assembles from ≤ buckets × k rows."""
-    import pyarrow.dataset as pads
-    import pyarrow.parquet as pq
-
-    from ..kernels.partitioning import adaptive_buckets
-
-    nb = adaptive_buckets(
-        pq.read_metadata(f"{sf_dir}/lineitem.parquet").num_rows,
-        requested=64, rows_per_bucket=4096,
-    )
-
     nation = pq.read_table(
         f"{sf_dir}/nation.parquet", columns=["n_nationkey", "n_name"]
     ).to_pandas()
@@ -3347,50 +2574,6 @@ def sole_late_supplier(
         columns=["l_orderkey", "l_suppkey", "l_shipdate"],
     )
 
-    def tag_orders(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {"okey": df["o_orderkey"].astype("int64"),
-             "skey": np.int64(-1),
-             "ts": df["o_orderdate"],
-             "_b": (df["o_orderkey"] % nb).astype("int32"), "_k": "o"}
-        )
-
-    def tag_line(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {"okey": df["l_orderkey"].astype("int64"),
-             "skey": df["l_suppkey"].astype("int64"),
-             "ts": df["l_shipdate"],
-             "_b": (df["l_orderkey"] % nb).astype("int32"), "_k": "l"}
-        )
-
-    empty = pd.DataFrame(
-        {"skey": pd.Series(dtype="int64"), "cnt": pd.Series(dtype="int64")}
-    )
-
-    def per_order(g: pd.DataFrame) -> pd.DataFrame:
-        o = g[g["_k"] == "o"][["okey", "ts"]].rename(columns={"ts": "odate"})
-        l = g[g["_k"] == "l"][["okey", "skey", "ts"]]
-        if not len(o) or not len(l):
-            return empty.copy()
-        m = l.merge(o, on="okey")
-        if not len(m):
-            return empty.copy()
-        m["late"] = m["ts"] > (m["odate"] + pd.Timedelta(days=grace_days))
-        per = m.groupby("okey")["skey"].nunique().to_frame("ns")
-        late = m[m["late"]]
-        nl = late.groupby("okey")["skey"].nunique()
-        lsup = late.groupby("okey")["skey"].max()
-        per["nl"] = nl.reindex(per.index, fill_value=0)
-        per["lsup"] = lsup.reindex(per.index, fill_value=-1)
-        hit = per[(per["ns"] >= 2) & (per["nl"] == 1)]
-        if not len(hit):
-            return empty.copy()
-        out = hit.groupby("lsup", as_index=False).size()
-        return pd.DataFrame(
-            {"skey": out["lsup"].astype("int64"),
-             "cnt": out["size"].astype("int64")}
-        )
-
     def topk_prune(df: pd.DataFrame) -> pd.DataFrame:
         names = ray.get(names_ref)
         d = df[df["skey"].isin(names)].copy()
@@ -3400,19 +2583,22 @@ def sole_late_supplier(
         ).head(k)
         return d[["s_name", "numwait"]]
 
+    counts = co_exchange(
+        {
+            "o": (orders, "o_orderkey", typed_frame(o_orderkey="int64", o_orderdate="datetime64[us]")),
+            "l": (lineitem, "l_orderkey", typed_frame(
+                l_orderkey="int64", l_suppkey="int64", l_shipdate="datetime64[us]"
+            )),
+        },
+        lambda parts: sole_late_bucket(parts, grace_days), _width(sf_dir, "lineitem"),
+    )
     pruned = (
-        orders.map_batches(tag_orders, batch_format="pandas")
-        .union(lineitem.map_batches(tag_line, batch_format="pandas"))
-        .repartition(nb)
-        .groupby("_b")
-        .map_groups(per_order, batch_format="pandas")
-        .groupby("skey")
+        counts.groupby("skey")
         .sum("cnt")
         .map_batches(
-            lambda df: df.rename(columns={"sum(cnt)": "numwait"}),
+            lambda df: topk_prune(df.rename(columns={"sum(cnt)": "numwait"})),
             batch_format="pandas",
         )
-        .map_batches(topk_prune, batch_format="pandas")
         .to_pandas()  # ≤ blocks × k pruned rows
     )
     if not len(pruned):
@@ -3432,7 +2618,6 @@ def priority_order_counts(
     date_from: str = "1996-01-01",
     date_to: str = "1996-07-01",
     grace_days: int = 90,
-    num_buckets: int = 64,
 ) -> "ray.data.Dataset":
     """(o_orderpriority, order_count) — TPC-H Q4: orders placed in the
     window counted per priority IF at least one of their lineitems
@@ -3443,88 +2628,38 @@ def priority_order_counts(
     is counted.
 
     Scale shape: order-date window pushed into the scan; ONE orderkey
-    exchange co-locates each order's lines with its (date, priority)
-    row; the EXISTS and the per-priority partial count happen in the
-    group task, so only ≤ priorities rows per bucket leave it."""
-    import datetime as _dt
-
-    import pyarrow.dataset as pads
-    import pyarrow.parquet as pq
-
-    from ..kernels.partitioning import adaptive_buckets
-
-    nb = adaptive_buckets(
-        pq.read_metadata(f"{sf_dir}/lineitem.parquet").num_rows,
-        requested=num_buckets, rows_per_bucket=4096,
-    )
-
-    date_expr = (
-        pads.field("o_orderdate") >= _dt.datetime.fromisoformat(date_from)
-    ) & (pads.field("o_orderdate") < _dt.datetime.fromisoformat(date_to))
+    ``co_exchange`` co-locates each order's lines with its (date,
+    priority) row; the EXISTS and the per-priority partial count happen
+    in the group task, so only ≤ priorities rows per bucket leave it."""
     orders = ray.data.read_parquet(
         f"{sf_dir}/orders.parquet",
         columns=["o_orderkey", "o_orderdate", "o_orderpriority"],
-        filter=date_expr,
+        filter=_between("o_orderdate", date_from, date_to),
     )
     lineitem = ray.data.read_parquet(
         f"{sf_dir}/lineitem.parquet", columns=["l_orderkey", "l_shipdate"]
     )
 
-    def tag_orders(df: pd.DataFrame) -> pd.DataFrame:
+    def per_bucket(parts: dict) -> pd.DataFrame:
+        o = parts["o"]
+        m = parts["l"].merge(o, left_on="l_orderkey", right_on="o_orderkey")
+        late = m.loc[m["l_shipdate"] > m["o_orderdate"] + pd.Timedelta(days=grace_days), "o_orderkey"]
+        out = o[o["o_orderkey"].isin(late)].groupby("o_orderpriority").size()
         return pd.DataFrame(
-            {"okey": df["o_orderkey"].astype("int64"),
-             "prio": df["o_orderpriority"].astype(str),
-             "ts": df["o_orderdate"],
-             "_b": (df["o_orderkey"] % nb).astype("int32"), "_k": "o"}
+            {"o_orderpriority": out.index.to_numpy(object), "order_count": out.to_numpy(np.int64)}
         )
 
-    def tag_line(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {"okey": df["l_orderkey"].astype("int64"), "prio": "",
-             "ts": df["l_shipdate"],
-             "_b": (df["l_orderkey"] % nb).astype("int32"), "_k": "l"}
-        )
-
-    empty = pd.DataFrame(
-        {"o_orderpriority": pd.Series(dtype="object"),
-         "order_count": pd.Series(dtype="int64")}
-    )
-
-    def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        o = g[g["_k"] == "o"][["okey", "prio", "ts"]].rename(
-            columns={"ts": "odate"}
-        )
-        l = g[g["_k"] == "l"][["okey", "ts"]]
-        if not len(o) or not len(l):
-            return empty.copy()
-        m = l.merge(o[["okey", "odate"]], on="okey")
-        late_ok = m.loc[
-            m["ts"] > m["odate"] + pd.Timedelta(days=grace_days), "okey"
-        ].unique()
-        hit = o[o["okey"].isin(late_ok)]
-        if not len(hit):
-            return empty.copy()
-        out = hit.groupby("prio", as_index=False).size()
-        return pd.DataFrame(
-            {"o_orderpriority": out["prio"],
-             "order_count": out["size"].astype("int64")}
-        )
-
-    return (
-        orders.map_batches(tag_orders, batch_format="pandas")
-        .union(lineitem.map_batches(tag_line, batch_format="pandas"))
-        .repartition(nb)
-        .groupby("_b")
-        .map_groups(per_bucket, batch_format="pandas")
-        .groupby("o_orderpriority")
-        .sum("order_count")
-        .map_batches(
-            lambda df: pd.DataFrame(
-                {"o_orderpriority": df["o_orderpriority"],
-                 "order_count": df["sum(order_count)"].astype("int64")}
-            ),
-            batch_format="pandas",
-        )
+    return _sum_by(
+        co_exchange(
+            {
+                "o": (orders, "o_orderkey", typed_frame(
+                    o_orderkey="int64", o_orderdate="datetime64[us]", o_orderpriority="object"
+                )),
+                "l": (lineitem, "l_orderkey", typed_frame(l_orderkey="int64", l_shipdate="datetime64[us]")),
+            },
+            per_bucket, _width(sf_dir, "lineitem"),
+        ),
+        "o_orderpriority", "order_count",
     )
 
 
@@ -3544,14 +2679,9 @@ def forecast_revenue_change(
     discount band (in exact centi-steps) and the quantity cap are all
     parquet row-group predicates; what's left is a single-row partial
     per batch and a tree-sum."""
-    import datetime as _dt
-
-    import pyarrow.dataset as pads
-
     lo, hi = round(disc_lo * 100), round(disc_hi * 100)
     expr = (
-        (pads.field("l_shipdate") >= _dt.datetime.fromisoformat(date_from))
-        & (pads.field("l_shipdate") < _dt.datetime.fromisoformat(date_to))
+        _between("l_shipdate", date_from, date_to)
         & (pads.field("l_discount") >= (lo - 0.5) / 100)
         & (pads.field("l_discount") <= (hi + 0.5) / 100)
         & (pads.field("l_quantity") < max_qty)
@@ -3604,18 +2734,6 @@ def excess_shippers(
     before ONE pair-keyed exchange; the threshold filter and per-
     supplier count happen per bucket, leaving supplier-cardinality
     rows for the final keyed sum."""
-    import datetime as _dt
-
-    import pyarrow.dataset as pads
-    import pyarrow.parquet as pq
-
-    from ..kernels.partitioning import adaptive_buckets
-
-    nb = adaptive_buckets(
-        pq.read_metadata(f"{sf_dir}/lineitem.parquet").num_rows,
-        requested=64, rows_per_bucket=4096,
-    )
-
     nation = pq.read_table(
         f"{sf_dir}/nation.parquet", columns=["n_nationkey", "n_name"]
     ).to_pandas()
@@ -3634,13 +2752,10 @@ def excess_shippers(
     )
     dims_ref = ray.put((name_map, part_keys))
 
-    date_expr = (
-        pads.field("l_shipdate") >= _dt.datetime.fromisoformat(date_from)
-    ) & (pads.field("l_shipdate") < _dt.datetime.fromisoformat(date_to))
     lineitem = ray.data.read_parquet(
         f"{sf_dir}/lineitem.parquet",
         columns=["l_partkey", "l_suppkey", "l_quantity"],
-        filter=date_expr,
+        filter=_between("l_shipdate", date_from, date_to),
     )
 
     def pair_partials(df: pd.DataFrame) -> pd.DataFrame:
@@ -3649,43 +2764,28 @@ def excess_shippers(
             df["l_suppkey"].isin(names)
             & np.isin(df["l_partkey"].to_numpy(np.int64), pkeys)
         ]
-        g = pd.DataFrame(
+        return pd.DataFrame(
             {"skey": d["l_suppkey"].astype("int64"),
              "pkey": d["l_partkey"].astype("int64"),
              "qty": d["l_quantity"].round().astype("int64")}
         ).groupby(["skey", "pkey"], as_index=False)["qty"].sum()
-        g["_b"] = ((g["skey"] * 1_000_003 + g["pkey"]) % nb).astype("int32")
-        return g
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         s = g.groupby(["skey", "pkey"], as_index=False)["qty"].sum()
-        hit = s[s["qty"] > min_qty]
-        out = hit.groupby("skey", as_index=False).size()
-        return pd.DataFrame(
-            {"skey": out["skey"].astype("int64"),
-             "n_parts": out["size"].astype("int64")}
-        )
+        out = s[s["qty"] > min_qty].groupby("skey").size()
+        return pd.DataFrame({"skey": out.index.to_numpy(np.int64), "n_parts": out.to_numpy(np.int64)})
 
     def attach_name(df: pd.DataFrame) -> pd.DataFrame:
-        names, _ = ray.get(dims_ref)
         return pd.DataFrame(
-            {"s_name": df["skey"].map(names),
+            {"s_name": df["skey"].map(ray.get(dims_ref)[0]),
              "n_parts": df["n_parts"].astype("int64")}
         )
 
-    return (
-        lineitem.map_batches(pair_partials, batch_format="pandas")
-        .repartition(nb)
-        .groupby("_b")
-        .map_groups(per_bucket, batch_format="pandas")
-        .groupby("skey")
-        .sum("n_parts")
-        .map_batches(
-            lambda df: df.rename(columns={"sum(n_parts)": "n_parts"}),
-            batch_format="pandas",
-        )
-        .map_batches(attach_name, batch_format="pandas")
+    counts = keyed_exchange(
+        lineitem.map_batches(pair_partials, batch_format="pandas"), ["skey", "pkey"], per_bucket,
+        _width(sf_dir, "lineitem"),
     )
+    return _sum_by(counts, "skey", "n_parts").map_batches(attach_name, batch_format="pandas")
 
 
 def shipmode_priority_counts(
@@ -3694,7 +2794,6 @@ def shipmode_priority_counts(
     date_from: str = "1996-01-01",
     date_to: str = "1997-01-01",
     late_days: int = 30,
-    num_buckets: int = 64,
 ) -> "ray.data.Dataset":
     """(ship_mode, high_line_count, low_line_count) — TPC-H Q12 adapted
     to this schema (no ``l_shipmode``/``l_commitdate``/
@@ -3706,7 +2805,7 @@ def shipmode_priority_counts(
     (urgent/high vs everything else) per mode.
 
     Scale shape: mode + ship-date window pushed into the lineitem
-    scan as parquet predicates; ONE orderkey-bucketed exchange
+    scan as parquet predicates; ONE orderkey ``co_exchange``
     co-locates each order's (date, priority) row with its surviving
     lines; the lateness test and the per-mode conditional counts
     happen in the group task, so ≤ |modes| partial rows leave each
@@ -3714,96 +2813,43 @@ def shipmode_priority_counts(
 
     Completes the repo's TPC-H sweep alongside Q1–Q11/Q13–Q21
     (reference has no relational layer; this is engine-generic)."""
-    import datetime as _dt
-
-    import pyarrow.dataset as pads
-    import pyarrow.parquet as pq
-
-    from ..kernels.partitioning import adaptive_buckets
-
-    nb = adaptive_buckets(
-        pq.read_metadata(f"{sf_dir}/lineitem.parquet").num_rows,
-        requested=num_buckets, rows_per_bucket=4096,
-    )
     high = ("1-URGENT", "2-HIGH")
-
-    line_expr = (
-        pads.field("l_returnflag").isin(list(modes))
-        & (pads.field("l_shipdate") >= _dt.datetime.fromisoformat(date_from))
-        & (pads.field("l_shipdate") < _dt.datetime.fromisoformat(date_to))
-    )
     lineitem = ray.data.read_parquet(
         f"{sf_dir}/lineitem.parquet",
         columns=["l_orderkey", "l_returnflag", "l_shipdate"],
-        filter=line_expr,
+        filter=pads.field("l_returnflag").isin(list(modes))
+        & _between("l_shipdate", date_from, date_to),
     )
     orders = ray.data.read_parquet(
         f"{sf_dir}/orders.parquet",
         columns=["o_orderkey", "o_orderdate", "o_orderpriority"],
     )
+    empty = typed_frame(ship_mode="object", high_line_count="int64", low_line_count="int64")
 
-    def tag_orders(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {"okey": df["o_orderkey"].astype("int64"),
-             "mode": "",
-             "is_high": df["o_orderpriority"].isin(high),
-             "ts": df["o_orderdate"],
-             "_b": (df["o_orderkey"] % nb).astype("int32"), "_k": "o"}
-        )
-
-    def tag_line(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {"okey": df["l_orderkey"].astype("int64"),
-             "mode": df["l_returnflag"].astype(str),
-             "is_high": False,
-             "ts": df["l_shipdate"],
-             "_b": (df["l_orderkey"] % nb).astype("int32"), "_k": "l"}
-        )
-
-    empty = pd.DataFrame(
-        {"ship_mode": pd.Series(dtype="object"),
-         "high_line_count": pd.Series(dtype="int64"),
-         "low_line_count": pd.Series(dtype="int64")}
-    )
-
-    def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        o = g[g["_k"] == "o"][["okey", "is_high", "ts"]].rename(
-            columns={"ts": "odate"}
-        )
-        l = g[g["_k"] == "l"][["okey", "mode", "ts"]]
-        if not len(o) or not len(l):
-            return empty.copy()
-        m = l.merge(o, on="okey")
-        m = m[m["ts"] > m["odate"] + pd.Timedelta(days=late_days)]
+    def per_bucket(parts: dict) -> pd.DataFrame:
+        m = parts["l"].merge(parts["o"], left_on="l_orderkey", right_on="o_orderkey")
+        m = m[m["l_shipdate"] > m["o_orderdate"] + pd.Timedelta(days=late_days)]
         if not len(m):
             return empty.copy()
-        out = m.groupby("mode", as_index=False)["is_high"].agg(
-            high_line_count="sum", low_line_count=lambda s: (~s).sum()
-        )
-        return pd.DataFrame(
-            {"ship_mode": out["mode"],
-             "high_line_count": out["high_line_count"].astype("int64"),
-             "low_line_count": out["low_line_count"].astype("int64")}
-        )
+        is_high = m["o_orderpriority"].isin(high)
+        out = pd.DataFrame({"ship_mode": m["l_returnflag"], "high": is_high, "low": ~is_high})
+        out = out.groupby("ship_mode", as_index=False)[["high", "low"]].sum()
+        out.columns = list(empty.columns)
+        return out.astype({"high_line_count": "int64", "low_line_count": "int64"})
 
-    return (
-        lineitem.map_batches(tag_line, batch_format="pandas")
-        .union(orders.map_batches(tag_orders, batch_format="pandas"))
-        .repartition(nb)
-        .groupby("_b")
-        .map_groups(per_bucket, batch_format="pandas")
-        .groupby("ship_mode")
-        .aggregate(Sum("high_line_count"), Sum("low_line_count"))
-        .map_batches(
-            lambda df: pd.DataFrame(
-                {"ship_mode": df["ship_mode"],
-                 "high_line_count":
-                     df["sum(high_line_count)"].astype("int64"),
-                 "low_line_count":
-                     df["sum(low_line_count)"].astype("int64")}
-            ),
-            batch_format="pandas",
-        )
+    return _sum_by(
+        co_exchange(
+            {
+                "l": (lineitem, "l_orderkey", typed_frame(
+                    l_orderkey="int64", l_returnflag="object", l_shipdate="datetime64[us]"
+                )),
+                "o": (orders, "o_orderkey", typed_frame(
+                    o_orderkey="int64", o_orderdate="datetime64[us]", o_orderpriority="object"
+                )),
+            },
+            per_bucket, _width(sf_dir, "lineitem"),
+        ),
+        "ship_mode", "high_line_count", "low_line_count",
     )
 
 
@@ -3812,7 +2858,6 @@ def lapsed_customer_opportunity(
     nation_mod: int = 3,
     nation_rem: int = 1,
     cutoff: str = "2001-01-01",
-    num_buckets: int = 64,
 ) -> "ray.data.Dataset":
     """(cntrycode, numcust, totacctbal_x100) — TPC-H Q22 adapted to
     this schema (no ``c_phone``): the country code is ``c_nationkey``
@@ -3829,16 +2874,11 @@ def lapsed_customer_opportunity(
       (sum, count) partial pair tree-summed to ONE scalar — the only
       driver read;
     - the anti-join runs through the general bucketed hash anti-join
-      (per-batch right-key pre-dedup, one custkey-hash exchange,
+      (per-batch right-key pre-dedup, one custkey ``co_exchange``,
       vectorized per-bucket ``isin``) — no broadcast of the order
       keyset, which at 10^10 orders would not fit;
     - the final per-nation rollup pre-aggregates (cnt, bal) inside
       ``map_batches`` before a ≤25-key groupby."""
-    import datetime as _dt
-
-    import pyarrow.dataset as pads
-    import pyarrow.parquet as pq
-
     nation_keys = pq.read_table(
         f"{sf_dir}/nation.parquet", columns=["n_nationkey"]
     )["n_nationkey"].to_pylist()
@@ -3865,15 +2905,10 @@ def lapsed_customer_opportunity(
 
     recent = ray.data.read_parquet(
         f"{sf_dir}/orders.parquet",
-        columns=["o_custkey", "o_orderdate"],
+        columns=["o_custkey"],
         filter=(pads.field("o_orderdate")
                 >= _dt.datetime.fromisoformat(cutoff)),
-    ).map_batches(
-        lambda df: pd.DataFrame(
-            {"c_custkey": df["o_custkey"].astype("int64").unique()}
-        ),
-        batch_format="pandas",
-    )
+    ).rename_columns({"o_custkey": "c_custkey"})
 
     # integer-rational compare: bal_cents * n_pool > sum_cents avoids
     # any float threshold crossing the gate (Q11's trick)
@@ -3881,30 +2916,20 @@ def lapsed_customer_opportunity(
         cents = (df["c_acctbal"] * 100).round().astype("int64")
         return df[cents * n_pool > sum_cents]
 
-    rich = pool.map_batches(keep_rich, batch_format="pandas")
     lapsed = anti_join_bucketed(
-        rich, recent, on="c_custkey", num_buckets=num_buckets
+        pool.map_batches(keep_rich, batch_format="pandas"), recent, "c_custkey",
+        typed_frame(c_custkey="int64", c_nationkey="int32", c_acctbal="float64"),
+        _width(sf_dir, "orders"),
     )
 
     def rollup_partial(df: pd.DataFrame) -> pd.DataFrame:
         cents = (df["c_acctbal"] * 100).round().astype("int64")
-        g = pd.DataFrame(
+        return pd.DataFrame(
             {"cntrycode": df["c_nationkey"].astype("int64"),
              "numcust": 1, "totacctbal_x100": cents}
         ).groupby("cntrycode", as_index=False).sum()
-        return g
 
-    return (
-        lapsed.map_batches(rollup_partial, batch_format="pandas")
-        .groupby("cntrycode")
-        .aggregate(Sum("numcust"), Sum("totacctbal_x100"))
-        .map_batches(
-            lambda df: pd.DataFrame(
-                {"cntrycode": df["cntrycode"].astype("int64"),
-                 "numcust": df["sum(numcust)"].astype("int64"),
-                 "totacctbal_x100":
-                     df["sum(totacctbal_x100)"].astype("int64")}
-            ),
-            batch_format="pandas",
-        )
+    return _sum_by(
+        lapsed.map_batches(rollup_partial, batch_format="pandas"),
+        "cntrycode", "numcust", "totacctbal_x100",
     )

@@ -1,11 +1,15 @@
-"""Exchange budget and empty-input behaviour of the iterative graph ops.
+"""Exchange budget of the graph and relational ops, and empty-input
+behaviour of the iterative graph ops.
 
-Every keyed exchange in ``ops/graph.py`` runs through
-``kernels.partitioning.co_exchange`` / ``keyed_exchange``; these tests
+Every keyed exchange in ``ops/graph.py``, ``ops/relational.py`` and
+``ops/dedup.incremental_dedup`` is routed by ``kernels.partitioning``
+(``co_exchange`` / ``keyed_exchange``, or their ``co_route`` /
+``route_bucket`` step where the coalesce measured slower); these tests
 pin how many Dataset executions and sort-shuffles (``Sort`` operators)
-each iterative op runs on a small graph, so a change that adds an
-exchange per round shows up here, and check that every iterative op
-returns a typed empty result on an empty edge set.
+each iterative graph op runs on a small graph and each multi-exchange
+relational op runs at sf0.001, so a change that adds an exchange shows
+up here, and check that every iterative op returns a typed empty result
+on an empty edge set.
 """
 
 import numpy as np
@@ -58,7 +62,9 @@ def _count(monkeypatch, fn):
 
     monkeypatch.setattr(StreamingExecutor, "execute", counted)
     try:
-        fn().materialize()
+        out = fn()
+        if hasattr(out, "materialize"):
+            out.materialize()
     finally:
         monkeypatch.undo()
     return len(calls), sum(calls)
@@ -92,6 +98,42 @@ def test_iterative_graph_op_exchange_budget(ray_session, monkeypatch, op):
     got = _count(monkeypatch, lambda: _run(op, frame))
     executions, sorts = BUDGET[op]
     assert got[0] <= executions and got[1] <= sorts, (op, got, BUDGET[op])
+
+
+SF = "/root/testdata/sf0.001"
+
+# (Dataset executions, Sort operators) per relational op at sf0.001, as
+# measured before the relational ops moved onto keyed_exchange /
+# co_exchange; the port keeps them, except that incremental_dedup
+# materializes its keep-min result before the anti-join (one more
+# execution, measured (1, 2) before), which lets it finish at one CPU
+REL_BUDGET = {
+    "regional_nation_revenue": (1, 2),
+    "two_nation_volume": (1, 2),
+    "nation_market_share": (1, 2),
+    "part_supplier_variety": (1, 2),
+    "returned_orders_by_priority": (1, 1),
+    "returned_orders_by_priority_bloom": (2, 1),
+    "customers_without_orders": (2, 2),
+    "incremental_dedup": (2, 2),
+}
+
+
+def _run_rel(op: str):
+    from dfg_gepris_crawler_ray.ops import dedup
+    from dfg_gepris_crawler_ray.ops import relational as R
+
+    if op == "returned_orders_by_priority_bloom":
+        return R.returned_orders_by_priority(SF, route="bloom")
+    if op == "incremental_dedup":
+        return dedup.incremental_dedup(SF, route="bucketed")
+    return getattr(R, op)(SF)
+
+
+@pytest.mark.parametrize("op", sorted(REL_BUDGET))
+def test_relational_op_exchange_budget(ray_session, monkeypatch, op):
+    got = _count(monkeypatch, lambda: _run_rel(op))
+    assert got == REL_BUDGET[op], (op, got)
 
 
 def test_iterative_graph_ops_accept_an_empty_edge_set(ray_session):

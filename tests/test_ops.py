@@ -2162,6 +2162,49 @@ def test_incremental_dedup_routes_identical_and_fp_safe():
     assert bucketed["content_md5"].tolist() == want["h"].tolist()
 
 
+def test_incremental_dedup_bucketed_finishes_at_one_cpu():
+    """``incremental_dedup(route="bucketed")`` under a one-CPU Ray: a
+    plan that unions the keep-min sort-shuffle with a streaming read
+    never finished there. The test session runs Ray at 4 CPUs, so this
+    starts its own one-CPU Ray in a subprocess, under a timeout, and
+    checks the survivor rows against the brute-force answer."""
+    import hashlib as hl
+    import json
+    import os
+    import subprocess
+    import sys
+    import textwrap
+
+    import pyarrow.parquet as pq
+
+    code = textwrap.dedent(
+        f"""
+        import json, sys
+        sys.path.insert(0, {os.path.dirname(os.path.dirname(os.path.abspath(__file__)))!r})
+        import ray
+        ray.init(address="local", num_cpus=1, include_dashboard=False, logging_level="ERROR")
+        from dfg_gepris_crawler_ray.ops.dedup import incremental_dedup
+        df = incremental_dedup({SF!r}, route="bucketed").to_pandas()
+        print(json.dumps(sorted(zip(df["doc_id"].tolist(), df["content_md5"].tolist()))))
+        ray.shutdown()
+        """
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=300
+    )
+    assert out.returncode == 0, out.stderr[-2000:]
+    got = [tuple(r) for r in json.loads(out.stdout.strip().splitlines()[-1])]
+
+    docs = pq.read_table(f"{SF}/documents.parquet", columns=["doc_id", "text"]).to_pandas()
+    h = [hl.md5(t.encode()).hexdigest() for t in docs["text"]]
+    old = {x for i, x in zip(docs["doc_id"], h) if i % 3 != 2}
+    first: dict = {}
+    for i, x in sorted(zip(docs["doc_id"].tolist(), h)):
+        if i % 2 == 0 and x not in old:
+            first.setdefault(x, i)
+    assert got == sorted((i, x) for x, i in first.items()) and got
+
+
 def test_gopher_rules_matches_bruteforce():
     """Integer-exact Gopher keep decision vs a per-doc python check."""
     import pyarrow.parquet as pq
@@ -4095,9 +4138,6 @@ def test_redirect_resolve_matches_brute_and_detects_cycles():
     # chains always terminate; ~1/3 of nodes have no out-edge at all
     srcs = [int(n) for n in range(1, 400) if n % 3]
     dsts = {s: int(rng.integers(-5, s)) for s in srcs}  # -5..-1 = off-corpus
-    edges = ray.data.from_pandas(
-        pd.DataFrame({"src": srcs, "dst": [dsts[s] for s in srcs]})
-    )
 
     def chase(s: int) -> tuple[int, int]:
         cur, hops = dsts[s], 1
@@ -4105,13 +4145,18 @@ def test_redirect_resolve_matches_brute_and_detects_cycles():
             cur, hops = dsts[cur], hops + 1
         return cur, hops
 
+    def resolve(offset: int) -> dict:
+        frame = pd.DataFrame({"src": srcs, "dst": [dsts[s] for s in srcs]}) + offset
+        out = redirect_resolve_ds(ray.data.from_pandas(frame.astype("int64"))).to_pandas()
+        return {
+            int(r["node"]) - offset: (int(r["final"]) - offset, int(r["hops"]))
+            for r in out.to_dict("records")
+        }
+
     want = {s: chase(s) for s in srcs}
-    got = {
-        int(r["node"]): (int(r["final"]), int(r["hops"]))
-        for r in redirect_resolve_ds(edges)
-        .to_pandas().to_dict("records")
-    }
-    assert got == want
+    assert resolve(0) == want
+    # the same graph shifted by 2^60: ids above 2^53 resolve exactly
+    assert resolve(1 << 60) == want
 
     cyc = ray.data.from_pandas(
         pd.DataFrame({"src": [1, 2, 3, 10], "dst": [2, 3, 1, 1]})

@@ -220,18 +220,12 @@ def test_funnel_bucket_kernel_matches_reference_semantics(rows, within_hours):
         }
     )
 
-    # vectorized kernel (mirrors ops/relational.py::funnel_steps)
-    reached = None
-    got = []
-    for s in steps:
-        ev = g[g["event_type"] == s][["user_id", "ts"]]
-        if reached is not None:
-            ev = ev.merge(reached.rename("prev_ts"), left_on="user_id", right_index=True)
-            ev = ev.reset_index(drop=True)  # empty-merge index-name hazard
-            ev = ev[ev["ts"] > ev["prev_ts"]]
-            ev = ev[ev["ts"] <= ev["prev_ts"] + pd.Timedelta(hours=within_hours)]
-        reached = ev.groupby("user_id")["ts"].min()
-        got.append(len(reached))
+    from dfg_gepris_crawler_ray.ops.relational import funnel_bucket
+
+    # the per-bucket reduce funnel_steps passes to its exchange
+    out = funnel_bucket(g, steps, within_hours)
+    assert out["step_no"].tolist() == [1, 2, 3] and out["step"].tolist() == steps
+    got = out["n_users"].tolist()
 
     # reference walk, one user at a time
     want = [0, 0, 0]
@@ -272,16 +266,14 @@ def test_retention_bucket_kernel_matches_reference(rows):
         }
     )
 
-    # vectorized kernel (mirrors ops/relational.py::retention_cohorts)
-    dd = df.drop_duplicates()
-    first = dd.groupby("user_id")["day"].min().rename("cohort")
-    m = dd.merge(first, left_on="user_id", right_index=True)
-    m["day_offset"] = (m["day"] - m["cohort"]).astype("int64")
-    got = (
-        m.groupby(["cohort", "day_offset"])
-        .size()
-        .to_dict()
-    )
+    from dfg_gepris_crawler_ray.ops.relational import retention_bucket
+
+    # the per-bucket reduce retention_cohorts passes to its exchange
+    out = retention_bucket(df)
+    got = {
+        ((c - pd.Timestamp(0)).days, int(o)): int(n)
+        for c, o, n in out[["cohort_day", "day_offset", "n_users"]].itertuples(index=False)
+    }
 
     # reference walk
     want: dict[tuple[int, int], int] = {}
@@ -311,31 +303,31 @@ def test_sole_late_supplier_kernel_matches_reference_walk(rows, grace):
     (strictly-greater-than contract at exactly +grace days)."""
     import pandas as pd
 
+    from dfg_gepris_crawler_ray.ops.relational import sole_late_bucket
+
     base = pd.Timestamp("2024-01-01")
-    m = pd.DataFrame(
+    line_rows = pd.DataFrame(
         {
-            "okey": pd.Series([o for o, _, _ in rows], dtype="int64"),
-            "skey": pd.Series([s for _, s, _ in rows], dtype="int64"),
-            "ts": pd.Series(
+            "l_orderkey": pd.Series([o for o, _, _ in rows], dtype="int64"),
+            "l_suppkey": pd.Series([s for _, s, _ in rows], dtype="int64"),
+            "l_shipdate": pd.Series(
                 [base + pd.Timedelta(days=d) for _, _, d in rows],
                 dtype="datetime64[ns]",
             ),
         }
     )
-    m["odate"] = base  # one shared order date: offsets carry the signal
+    # one shared order date: offsets carry the signal
+    okeys = sorted({o for o, _, _ in rows})
+    orders = pd.DataFrame(
+        {
+            "o_orderkey": pd.Series(okeys, dtype="int64"),
+            "o_orderdate": pd.Series([base] * len(okeys), dtype="datetime64[ns]"),
+        }
+    )
 
-    # vectorized kernel (mirrors ops/relational.py::sole_late_supplier)
-    got: dict[int, int] = {}
-    if len(m):
-        m["late"] = m["ts"] > (m["odate"] + pd.Timedelta(days=grace))
-        per = m.groupby("okey")["skey"].nunique().to_frame("ns")
-        late = m[m["late"]]
-        nl = late.groupby("okey")["skey"].nunique()
-        lsup = late.groupby("okey")["skey"].max()
-        per["nl"] = nl.reindex(per.index, fill_value=0)
-        per["lsup"] = lsup.reindex(per.index, fill_value=-1)
-        hit = per[(per["ns"] >= 2) & (per["nl"] == 1)]
-        got = hit.groupby("lsup").size().to_dict()
+    # the per-bucket reduce sole_late_supplier passes to its exchange
+    out = sole_late_bucket({"o": orders, "l": line_rows}, grace)
+    got = dict(zip(out["skey"].tolist(), out["cnt"].tolist()))
 
     # reference walk, one order at a time
     want: dict[int, int] = {}

@@ -9,7 +9,9 @@ Usage::
 
     python tools/gatecheck.py [--sf /root/testdata/sf0.01] [--only q1,q2]
 
-Prints one line per query and a JSON summary; exit code 1 on any mismatch.
+Prints one line per query (status, row counts, wall time and the value
+hash of the Ray result, so two gate logs diff query by query) and a JSON
+summary; exit code 1 on any mismatch.
 """
 
 from __future__ import annotations
@@ -105,10 +107,11 @@ def main() -> int:
             continue
         t0 = time.time()
         row = {"rows_match": None, "schema_match": None, "hash_match": None,
-               "ray_rows": None, "oracle_rows": None, "err": None}
+               "ray_rows": None, "oracle_rows": None, "err": None, "hash": None}
         try:
             got = _canon(_to_pandas(fn(args.sf)))
             row["ray_rows"] = len(got)
+            row["hash"] = _value_hash(got)
             sql = oracles.get(name)
             if sql is None:
                 row["err"] = "no_oracle"
@@ -120,7 +123,7 @@ def main() -> int:
                 row["schema_match"] = list(got.columns) == list(want.columns)
                 row["hash_match"] = (
                     row["rows_match"] and row["schema_match"]
-                    and _value_hash(got) == _value_hash(want)
+                    and row["hash"] == _value_hash(want)
                 )
                 if not row["hash_match"] and row["rows_match"] and row["schema_match"]:
                     # tolerate float jitter the csv-hash misses
@@ -139,6 +142,7 @@ def main() -> int:
             n_fail += 1
         dt = time.time() - t0
         print(f"{status:9s} {name:36s} ray={row['ray_rows']} oracle={row['oracle_rows']} ({dt:.1f}s)"
+              f" hash={row['hash']}"
               + (f" err={row['err']}" if row["err"] and status == "ERROR" else ""),
               flush=True)
         results[name] = row
