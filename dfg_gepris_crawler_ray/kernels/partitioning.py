@@ -36,18 +36,35 @@ columns (a column a side lacks is filled with the default of that
 column's dtype, so no side's int64 or bool column is coerced when
 blocks of two sides meet); ``reduce`` gets a dict kind → that side's
 rows. :func:`co_route` is its tag-and-split step, which the
-uncoalesced state transitions reuse; :func:`typed_frame` builds a
-side's template.
+uncoalesced state transitions reuse, as :func:`keyed_route` is
+:func:`keyed_exchange`'s; :func:`typed_frame` builds a side's
+template.
 
 Callers: the crawl ops (``ops/crawlhealth``, ``ops/recrawl``,
-``ops/boilerplate``), every graph op (``ops/graph``), and every keyed
-join, semi-join and per-key window of ``ops/relational``. Sites that
-route with :func:`route_bucket` / :func:`co_route` but skip the
-coalesce, each because it measured slower through it: the state-scale
-ones named above, ``relational.q3_topk_revenue_shuffle`` (2.3x slower
-at one CPU), ``relational.anti_join_bucketed`` (7-10% slower for each
-of its callers) and the md5 keep-min of ``dedup.incremental_dedup``
-(~10% slower on its bloom route).
+``ops/boilerplate``), every graph op (``ops/graph``), every keyed
+join, semi-join and per-key window of ``ops/relational``, every
+router-keyed exchange of ``ops/dedup`` (exact and soft dedup, the
+MinHash band and verify exchanges, the n-gram pair sums, the
+min-label components, the cluster join, SimHash, the IVF pair dedupe,
+window and line dedup) and of ``ops/textstats`` (top tokens, TF-IDF,
+drift, heavy hitters, the inverted index, the corpus profile,
+co-occurrence, novelty, length deciles, TextRank). An op's width is
+:func:`table_width` over its driving table.
+
+Sites that route with :func:`keyed_route` / :func:`route_bucket` /
+:func:`co_route` but skip the coalesce, each because it measured
+slower through it (one CPU, the query with that site coalesced vs
+not): the state-scale ones named above,
+``relational.q3_topk_revenue_shuffle`` (2.3x),
+``relational.anti_join_bucketed`` (7-10% for each of its callers),
+the md5 keep-min of ``dedup.incremental_dedup`` (~10% on its bloom
+route), and on the small inputs of the text ops (sf0.01) ten more:
+``dedup.exact_dedup`` (1.5x), ``dedup.softdedup_weights`` (1.4x), the
+MinHash band exchange (1.2x), both n-gram pair exchanges (1.2x,
+1.1x), the first SimHash exchange (1.14x), the window exchange of
+``dedup.window_dedup`` (1.2x), ``textstats.top_tokens`` (1.35x),
+``textstats.token_novelty`` (1.45x) and ``textstats.length_deciles``
+(1.3x).
 
 The exchange stays a sort-shuffle (Ray's hash shuffle hung on this
 engine's Ray version; BASELINE.md). Hashes that are values or that an
@@ -63,6 +80,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.parquet as pq
 
 # the int64 stand-in a missing integer key routes as
 _NA_KEY = np.iinfo(np.int64).min
@@ -102,14 +120,13 @@ def _reduce_routed(routed, reduce_bucket, n: int, batch_format: str):
     return routed.repartition(n).groupby("_b").map_groups(reduce_bucket, batch_format=batch_format)
 
 
-def keyed_exchange(ds, keys, reduce, n: int = 64, batch_format: str = "pandas"):
-    """Route ``ds`` by ``keys`` into ``n`` buckets, coalesce to ``n``
-    blocks, and apply ``reduce`` to each bucket's rows (without the
-    ``_b`` routing column), as a ``batch_format`` frame.
+def keyed_route(ds, keys, n: int):
+    """``ds`` with the routing column ``_b`` (:func:`route_bucket` over
+    ``keys`` into ``n``) appended: the routing step of
+    :func:`keyed_exchange`, which the uncoalesced sites group directly.
 
-    The routing step keeps the upstream block format (Arrow string
-    buffers slice zero-copy through the shuffle; pandas blocks stay
-    pandas)."""
+    It keeps the upstream block format (Arrow string buffers slice
+    zero-copy through the shuffle; pandas blocks stay pandas)."""
     keys = [keys] if isinstance(keys, str) else list(keys)
 
     def route(batch):
@@ -118,13 +135,20 @@ def keyed_exchange(ds, keys, reduce, n: int = 64, batch_format: str = "pandas"):
             return batch.append_column("_b", pa.array(route_bucket(frame, keys, n)))
         return batch.assign(_b=route_bucket(batch, keys, n))
 
+    return ds.map_batches(route, batch_format=None, zero_copy_batch=True)
+
+
+def keyed_exchange(ds, keys, reduce, n: int = 64, batch_format: str = "pandas"):
+    """Route ``ds`` by ``keys`` into ``n`` buckets (:func:`keyed_route`),
+    coalesce to ``n`` blocks, and apply ``reduce`` to each bucket's rows
+    (without the ``_b`` routing column), as a ``batch_format`` frame."""
+
     def reduce_bucket(group):
         if isinstance(group, pa.Table):
             return reduce(group.drop_columns(["_b"]))
         return reduce(group.drop(columns="_b"))
 
-    routed = ds.map_batches(route, batch_format=None, zero_copy_batch=True)
-    return _reduce_routed(routed, reduce_bucket, n, batch_format)
+    return _reduce_routed(keyed_route(ds, keys, n), reduce_bucket, n, batch_format)
 
 
 def typed_frame(**dtypes) -> pd.DataFrame:
@@ -227,6 +251,14 @@ def adaptive_buckets(
     if n_rows <= 0:
         return lo
     return max(lo, min(requested, n_rows // rows_per_bucket + 1))
+
+
+def table_width(sf_dir: str, table: str) -> int:
+    """An op's exchange width: :func:`adaptive_buckets` over the row
+    count of its driving ``table`` (parquet metadata, no scan)."""
+    return adaptive_buckets(
+        pq.read_metadata(f"{sf_dir}/{table}.parquet").num_rows, rows_per_bucket=4096
+    )
 
 
 def cut_lineage(ds):

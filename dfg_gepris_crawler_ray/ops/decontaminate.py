@@ -36,7 +36,7 @@ import pyarrow as pa
 import ray
 import ray.data
 
-from .textstats import hash_token
+from ..kernels.hashing import stable_hash64
 
 _P = np.uint64(1099511628211)
 
@@ -55,7 +55,7 @@ def _doc_gram_hashes(text: str, n: int, cache: dict[str, np.uint64]) -> np.ndarr
     for i, t in enumerate(toks):
         h = cache.get(t)
         if h is None:
-            h = cache[t] = np.uint64(hash_token(t))
+            h = cache[t] = np.uint64(stable_hash64(t))
         th[i] = h
     with np.errstate(over="ignore"):
         acc = th[: len(toks) - n + 1].copy()

@@ -8,8 +8,11 @@
 - n-gram Jaccard: the exact verifier, reused as a standalone pairwise op
 - embedding cosine near-dup: normalised matmul in buckets
 
-All hashes are process-stable (no Python ``hash``). Each shuffle key is
-documented; candidate verification is vectorised numpy.
+All hashes are process-stable (no Python ``hash``). Every keyed
+exchange routes through ``kernels.partitioning`` (``keyed_exchange`` for
+one side, ``co_exchange`` for several) at the ``documents`` table's
+``table_width``; only natural keys (the IVF centroid, the embedding
+label) group directly. Candidate verification is vectorised numpy.
 """
 
 from __future__ import annotations
@@ -28,39 +31,54 @@ from ..kernels.hashing import (
     bloom_partial as _bloom_partial,
     minhash_permutations,
     splitmix64,
+    stable_hash64,
     stable_hash64_array,
 )
+from ..kernels.partitioning import (
+    adaptive_buckets,
+    co_exchange,
+    cut_lineage,
+    keyed_exchange,
+    keyed_route,
+    route_bucket,
+    table_width,
+    typed_frame,
+)
 from .similarity import _as_matrix_arrow, _i64, _list_column
+
+_NODE_LABEL = typed_frame(node="int64", label="int64")
 
 
 # --- exact dedup -----------------------------------------------------------
 
-def exact_dedup(sf_dir: str) -> "ray.data.Dataset":
-    """(content_md5, doc_id=min over duplicates) — hash-partition +
-    per-group first. Shuffle key = a 64-way bucket of the content hash,
-    the group-min computed vectorized per bucket: one Python call per
-    bucket, not one Ray aggregate per distinct hash (millions of groups
-    at corpus scale)."""
-    ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
+def _content_md5(sf_dir: str) -> "ray.data.Dataset":
+    """(doc_id, content_md5) per document — the exact-dedup key scan;
+    the text never leaves the scan task."""
 
     def add_hash(batch: pa.Table) -> pa.Table:
         md5s = [hashlib.md5(t.encode()).hexdigest() for t in batch.column("text").to_pylist()]
-        return pa.table(
-            {
-                "doc_id": batch.column("doc_id"),
-                "content_md5": pa.array(md5s),
-                "bucket": pa.array(
-                    [int(m[:2], 16) % 64 for m in md5s], type=pa.int32()
-                ),
-            }
-        )
+        return pa.table({"doc_id": batch.column("doc_id"), "content_md5": pa.array(md5s)})
 
-    hashed = ds.map_batches(add_hash, batch_format="pyarrow", zero_copy_batch=True)
+    ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
+    return ds.map_batches(add_hash, batch_format="pyarrow", zero_copy_batch=True)
+
+
+def exact_dedup(sf_dir: str) -> "ray.data.Dataset":
+    """(content_md5, doc_id=min over duplicates) — hash-partition +
+    per-group first. One exchange keyed on the content hash, the
+    group-min computed vectorized per bucket: one Python call per
+    bucket, not one Ray aggregate per distinct hash (millions of groups
+    at corpus scale). Routed without the coalesce (1.5x slower through
+    it at one CPU)."""
 
     def bucket_min(group: pd.DataFrame) -> pd.DataFrame:
         return group.groupby("content_md5", as_index=False)["doc_id"].min()
 
-    return hashed.groupby("bucket").map_groups(bucket_min, batch_format="pandas")
+    return (
+        keyed_route(_content_md5(sf_dir), "content_md5", table_width(sf_dir, "documents"))
+        .groupby("_b")
+        .map_groups(bucket_min, batch_format="pandas")
+    )
 
 
 def softdedup_weights(sf_dir: str) -> "ray.data.Dataset":
@@ -73,33 +91,14 @@ def softdedup_weights(sf_dir: str) -> "ray.data.Dataset":
     ``exact_dedup``'s keep-min). Exact duplicates only; the near-dup
     analogue composes ``dedup_clusters`` sizes the same way.
 
-    Shape: the ``exact_dedup`` discipline — one md5-bucket keyed
-    exchange, group sizes computed vectorized per bucket and joined
-    back to the group's doc rows IN the bucket task (a text's
-    duplicates all share its md5 bucket), so the exchange carries
-    24-byte fingerprint rows and no second pass over the corpus is
-    needed. weight_ppm = 10^6 // dup_count exactly (floor), so op
-    and oracle hash-match without float division."""
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
-    )
-
-    def add_hash(batch: pa.Table) -> pa.Table:
-        md5s = [hashlib.md5(t.encode()).hexdigest()
-                for t in batch.column("text").to_pylist()]
-        return pa.table(
-            {
-                "doc_id": batch.column("doc_id"),
-                "content_md5": pa.array(md5s),
-                "bucket": pa.array(
-                    [int(m[:2], 16) % 64 for m in md5s], type=pa.int32()
-                ),
-            }
-        )
-
-    hashed = ds.map_batches(
-        add_hash, batch_format="pyarrow", zero_copy_batch=True
-    )
+    Shape: the ``exact_dedup`` discipline — one md5-keyed exchange,
+    group sizes computed vectorized per bucket and joined back to the
+    group's doc rows IN the bucket task (a text's duplicates all share
+    its bucket), so the exchange carries fingerprint rows and no second
+    pass over the corpus is needed (routed without the coalesce, 1.4x
+    slower through it at one CPU). weight_ppm = 10^6 // dup_count
+    exactly (floor), so op and oracle hash-match without float
+    division."""
 
     def bucket_weights(group: pd.DataFrame) -> pd.DataFrame:
         n = group.groupby("content_md5")["doc_id"].transform("size")
@@ -112,19 +111,17 @@ def softdedup_weights(sf_dir: str) -> "ray.data.Dataset":
             }
         )
 
-    return hashed.groupby("bucket").map_groups(
-        bucket_weights, batch_format="pandas"
+    return (
+        keyed_route(_content_md5(sf_dir), "content_md5", table_width(sf_dir, "documents"))
+        .groupby("_b")
+        .map_groups(bucket_weights, batch_format="pandas")
     )
 
 
 # --- shingling + minhash ---------------------------------------------------
 
 def _token_hashes(text: str) -> np.ndarray:
-    toks = text.split(" ")
-    out = np.empty(len(toks), dtype=np.uint64)
-    for i, t in enumerate(toks):
-        out[i] = int.from_bytes(hashlib.blake2b(t.encode(), digest_size=8).digest(), "big")
-    return out
+    return stable_hash64_array(text.split(" "))
 
 
 def shingle_hashes(text: str, k: int = 5) -> np.ndarray:
@@ -167,12 +164,15 @@ def minhash_lsh_dedup(
     """Near-duplicate pairs (doc_a < doc_b, jaccard ≥ threshold).
 
     Pipeline: signature per doc [map_batches] → explode to
-    (band_id, band_hash, doc_id) [map_batches] → groupby band bucket
-    [the shuffle] → candidate pairs → exact-Jaccard verify inside the
-    group task (re-shingling only the candidates).
+    (band_id, band_hash, doc_id) [map_batches] → keyed exchange on the
+    band hash → candidate pairs → exact-Jaccard verify in a second
+    exchange keyed by pair bucket (re-shingling only the candidates).
 
-    ``verify_route`` picks how candidate shingle payloads reach their
-    pair bucket for verification:
+    A candidate pair's bucket is ``route_bucket`` over
+    ``(doc_a, doc_b)``, carried as the ``pb`` key column of the pair
+    row and of every payload row sent to it, so both meet in one
+    verify group. ``verify_route`` picks how candidate shingle payloads
+    reach their pair bucket:
 
     - ``"broadcast"``: the (doc_id → pair buckets) routing rides as
       three numpy arrays in the object store (sorted ids + offsets +
@@ -180,8 +180,8 @@ def minhash_lsh_dedup(
       semi-joins against it in place, so verification costs ONE keyed
       shuffle carrying only candidate payloads. O(candidates) object-
       store footprint — right while candidates fit one machine.
-    - ``"bucketed"``: no driver/broadcast routing at all — candidates
-      and per-doc payloads co-group by doc-id hash bucket (the
+    - ``"bucketed"``: no driver/broadcast routing at all — candidate
+      route rows and per-doc payloads co-partition on doc_id (the
       semi-join IS the group task), payload rows are emitted to their
       pair buckets, and a second keyed shuffle verifies. Costs one
       extra all-to-all over the corpus payloads; the form that
@@ -194,6 +194,7 @@ def minhash_lsh_dedup(
     rows_per_band = num_perm // bands
     seeds = minhash_permutations(num_perm)
     docs_path = f"{sf_dir}/documents.parquet"
+    width = table_width(sf_dir, "documents")
     ds = ray.data.read_parquet(docs_path, columns=["doc_id", "text"])
 
     def to_bands(batch: pa.Table) -> pa.Table:
@@ -204,9 +205,8 @@ def minhash_lsh_dedup(
             sig = minhash_signature(shingle_hashes(text, shingle_k), seeds)
             for band in range(bands):
                 chunk = sig[band * rows_per_band : (band + 1) * rows_per_band]
-                h = hashlib.blake2b(chunk.tobytes(), digest_size=8).digest()
                 out_band.append(band)
-                out_hash.append(int.from_bytes(h, "big") % (1 << 62))
+                out_hash.append(stable_hash64(chunk.tobytes()) % (1 << 62))
                 out_doc.append(doc_id)
         return pa.table(
             {
@@ -220,7 +220,8 @@ def minhash_lsh_dedup(
 
     # candidate pairs via self-merge per hash bucket: ONE vectorized
     # Python call per bucket instead of one per (band, band_hash) LSH
-    # bucket (billions of those at web scale)
+    # bucket (billions of those at web scale). Routed without the
+    # coalesce (1.2x slower through it at one CPU)
     def emit_bucket_pairs(group: pd.DataFrame) -> pd.DataFrame:
         g = group[["band", "band_hash", "doc_id"]].drop_duplicates()
         m = g.merge(g, on=["band", "band_hash"])
@@ -230,17 +231,8 @@ def minhash_lsh_dedup(
         return out
 
     candidates = (
-        banded.map_batches(
-            lambda b: b.append_column(
-                "bucket",
-                pa.array(
-                    (np.asarray(b.column("band_hash")) % 64).astype(np.int32)
-                ),
-            ),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        )
-        .groupby("bucket")
+        keyed_route(banded, "band_hash", width)
+        .groupby("_b")
         .map_groups(emit_bucket_pairs, batch_format="pandas")
     )
     # exact verification as a bucketed pairs⋈shingles co-group join:
@@ -262,29 +254,10 @@ def minhash_lsh_dedup(
             "broadcast" if cand.count() <= broadcast_pair_limit else "bucketed"
         )
 
-    _JOIN_SCHEMA = pa.schema(
-        [
-            ("pair_bucket", pa.int32()),
-            ("doc_id", pa.int64()),
-            ("doc_a", pa.int64()),
-            ("doc_b", pa.int64()),
-            ("payload", pa.binary()),
-        ]
+    pair_rows = cand.map_batches(
+        lambda df: df.assign(pb=route_bucket(df, ["doc_a", "doc_b"], width)),
+        batch_format="pandas",
     )
-
-    def pair_rows(batch: pa.Table) -> pa.Table:
-        da = batch.column("doc_a").to_pylist()
-        db_ = batch.column("doc_b").to_pylist()
-        rows = {
-            "pair_bucket": [(a * 1_000_003 + b2) % 64 for a, b2 in zip(da, db_)],
-            "doc_id": [-1] * len(da),
-            "doc_a": da,
-            "doc_b": db_,
-            "payload": [b""] * len(da),
-        }
-        return pa.Table.from_pydict(rows, schema=_JOIN_SCHEMA)
-
-    side_rows = cand.map_batches(pair_rows, batch_format="pyarrow")
     docs_scan = ray.data.read_parquet(docs_path, columns=["doc_id", "text"])
 
     if verify_route == "broadcast":
@@ -294,17 +267,14 @@ def minhash_lsh_dedup(
         # candidate endpoint in the object store (vs ~100+/entry for a
         # Python dict) and probed with searchsorted in the scan.
         cdf = cand.to_pandas()
-        da = cdf["doc_a"].to_numpy(dtype=np.int64)
-        db_ = cdf["doc_b"].to_numpy(dtype=np.int64)
-        pb = (da * 1_000_003 + db_) % 64
-        doc_ids = np.concatenate([da, db_])
-        buckets = np.concatenate([pb, pb]).astype(np.int32)
-        edge = np.unique(np.stack([doc_ids, buckets.astype(np.int64)], axis=1), axis=0)
+        pb = route_bucket(cdf, ["doc_a", "doc_b"], width).astype(np.int64)
+        doc_ids = np.concatenate([cdf["doc_a"].to_numpy(np.int64), cdf["doc_b"].to_numpy(np.int64)])
+        edge = np.unique(np.stack([doc_ids, np.concatenate([pb, pb])], axis=1), axis=0)
         uniq_ids, counts = np.unique(edge[:, 0], return_counts=True)
         offsets = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
         route_ref = ray.put((uniq_ids, offsets, edge[:, 1].astype(np.int32)))
 
-        def doc_shingle_rows(batch: pa.Table) -> pa.Table:
+        def doc_shingle_rows(batch: pa.Table) -> pd.DataFrame:
             """Semi-join the docs scan to candidate ids; emit each kept
             doc's shingle set once per destination pair bucket."""
             uniq, offs, bks = ray.get(route_ref)
@@ -312,111 +282,79 @@ def minhash_lsh_dedup(
             pos = np.searchsorted(uniq, ids)
             pos_c = np.clip(pos, 0, len(uniq) - 1)
             present = (len(uniq) > 0) & (uniq[pos_c] == ids)
-            rows = {"pair_bucket": [], "doc_id": [], "doc_a": [], "doc_b": [], "payload": []}
             texts = batch.column("text").to_pylist()
+            out_id, out_payload, out_pb = [], [], []
             for i in np.nonzero(present)[0]:
-                doc_id = int(ids[i])
                 payload = shingle_hashes(texts[i], shingle_k).tobytes()
                 for pb_ in bks[offs[pos[i]] : offs[pos[i] + 1]]:
-                    rows["pair_bucket"].append(int(pb_))
-                    rows["doc_id"].append(doc_id)
-                    rows["doc_a"].append(-1)
-                    rows["doc_b"].append(-1)
-                    rows["payload"].append(payload)
-            return pa.Table.from_pydict(rows, schema=_JOIN_SCHEMA)
+                    out_id.append(ids[i])
+                    out_payload.append(payload)
+                    out_pb.append(pb_)
+            return pd.DataFrame(
+                {
+                    "doc_id": np.asarray(out_id, dtype=np.int64),
+                    "payload": out_payload,
+                    "pb": np.asarray(out_pb, dtype=np.int32),
+                }
+            )
 
         shingle_rows = docs_scan.map_batches(
             doc_shingle_rows, batch_format="pyarrow", zero_copy_batch=True
         )
     else:
         # bucketed semi-join: NOTHING routing-shaped touches the driver.
-        # Stage A co-groups candidate route rows and per-doc payloads by
-        # doc-id hash bucket; the group task keeps only docs some pair
+        # Stage A co-partitions candidate route rows and per-doc
+        # payloads on doc_id; the group task keeps only docs some pair
         # needs and emits their payload once per destination pair
-        # bucket. Stage B (below, shared) groups by pair bucket.
-        _A_SCHEMA = pa.schema(
-            [
-                ("doc_bucket", pa.int32()),
-                ("doc_id", pa.int64()),
-                ("pair_bucket", pa.int32()),
-                ("payload", pa.binary()),
-            ]
+        # bucket. Stage B (below, shared) verifies per pair bucket.
+        def route_rows(df: pd.DataFrame) -> pd.DataFrame:
+            return pd.DataFrame(
+                {
+                    "doc_id": np.concatenate([df["doc_a"], df["doc_b"]]).astype(np.int64),
+                    "pb": np.concatenate([df["pb"], df["pb"]]).astype(np.int32),
+                }
+            )
+
+        def doc_payload_rows(batch: pa.Table) -> pd.DataFrame:
+            return pd.DataFrame(
+                {
+                    "doc_id": _i64(batch.column("doc_id")),
+                    "payload": [
+                        shingle_hashes(t, shingle_k).tobytes()
+                        for t in batch.column("text").to_pylist()
+                    ],
+                }
+            )
+
+        def emit_payloads(parts: dict) -> pd.DataFrame:
+            return parts["route"].drop_duplicates().merge(parts["doc"], on="doc_id")  # the semi-join
+
+        shingle_rows = co_exchange(
+            {
+                "route": (
+                    pair_rows.map_batches(route_rows, batch_format="pandas"),
+                    "doc_id",
+                    typed_frame(doc_id="int64", pb="int32"),
+                ),
+                "doc": (
+                    docs_scan.map_batches(
+                        doc_payload_rows, batch_format="pyarrow", zero_copy_batch=True
+                    ),
+                    "doc_id",
+                    typed_frame(doc_id="int64", payload="object"),
+                ),
+            },
+            emit_payloads,
+            width,
         )
 
-        def route_rows(batch: pa.Table) -> pa.Table:
-            da = _i64(batch.column("doc_a"))
-            db_ = _i64(batch.column("doc_b"))
-            pb = ((da * 1_000_003 + db_) % 64).astype(np.int32)
-            ids = np.concatenate([da, db_])
-            pbs = np.concatenate([pb, pb])
-            return pa.Table.from_pydict(
-                {
-                    "doc_bucket": pa.array((ids % 64).astype(np.int32)),
-                    "doc_id": pa.array(ids),
-                    "pair_bucket": pa.array(pbs),
-                    "payload": pa.array([b""] * len(ids), type=pa.binary()),
-                },
-                schema=_A_SCHEMA,
-            )
-
-        def doc_payload_rows(batch: pa.Table) -> pa.Table:
-            ids = _i64(batch.column("doc_id"))
-            payloads = [
-                shingle_hashes(t, shingle_k).tobytes()
-                for t in batch.column("text").to_pylist()
-            ]
-            return pa.Table.from_pydict(
-                {
-                    "doc_bucket": pa.array((ids % 64).astype(np.int32)),
-                    "doc_id": pa.array(ids),
-                    "pair_bucket": pa.array(
-                        np.full(len(ids), -1, dtype=np.int32)
-                    ),
-                    "payload": pa.array(payloads, type=pa.binary()),
-                },
-                schema=_A_SCHEMA,
-            )
-
-        def emit_payloads(group: pd.DataFrame) -> pa.Table:
-            routes = group.loc[
-                group["pair_bucket"] >= 0, ["doc_id", "pair_bucket"]
-            ].drop_duplicates()
-            docs_g = group.loc[group["pair_bucket"] < 0, ["doc_id", "payload"]]
-            m = routes.merge(docs_g, on="doc_id")  # the semi-join
-            # typed Arrow output: an empty pandas object column would
-            # become null-typed and break the union with side_rows
-            return pa.Table.from_pydict(
-                {
-                    "pair_bucket": pa.array(
-                        m["pair_bucket"].to_numpy(dtype=np.int32)
-                    ),
-                    "doc_id": pa.array(m["doc_id"].to_numpy(dtype=np.int64)),
-                    "doc_a": pa.array(np.full(len(m), -1, dtype=np.int64)),
-                    "doc_b": pa.array(np.full(len(m), -1, dtype=np.int64)),
-                    "payload": pa.array(m["payload"].tolist(), type=pa.binary()),
-                },
-                schema=_JOIN_SCHEMA,
-            )
-
-        shingle_rows = (
-            cand.map_batches(route_rows, batch_format="pyarrow")
-            .union(
-                docs_scan.map_batches(
-                    doc_payload_rows, batch_format="pyarrow", zero_copy_batch=True
-                )
-            )
-            .repartition(16)
-            .groupby("doc_bucket")
-            .map_groups(emit_payloads, batch_format="pandas")
-        )
-
-    def verify_pairs(group: pd.DataFrame) -> pd.DataFrame:
+    def verify_pairs(parts: dict) -> pd.DataFrame:
         """Per pair bucket: payloads and pair rows co-located — exact
         Jaccard per distinct pair (cross-bucket LSH duplicates collapse
         here via drop_duplicates)."""
-        is_doc = group["doc_id"] >= 0
-        by_doc = dict(zip(group.loc[is_doc, "doc_id"], group.loc[is_doc, "payload"]))
-        pairs_df = group.loc[~is_doc, ["doc_a", "doc_b"]].drop_duplicates()
+        docs = parts["doc"]
+        by_doc = dict(zip(docs["doc_id"], docs["payload"]))
+        pairs_df = parts["pair"][["doc_a", "doc_b"]].drop_duplicates()
         out_a, out_b, out_j = [], [], []
         for da, db2 in zip(pairs_df["doc_a"], pairs_df["doc_b"]):
             sh_a = np.frombuffer(by_doc[da], dtype=np.uint64)
@@ -434,11 +372,13 @@ def minhash_lsh_dedup(
             }
         )
 
-    return (
-        shingle_rows.union(side_rows)
-        .repartition(16)
-        .groupby("pair_bucket")
-        .map_groups(verify_pairs, batch_format="pandas")
+    return co_exchange(
+        {
+            "pair": (pair_rows, "pb", typed_frame(doc_a="int64", doc_b="int64", pb="int32")),
+            "doc": (shingle_rows, "pb", typed_frame(doc_id="int64", payload="object", pb="int32")),
+        },
+        verify_pairs,
+        width,
     )
 
 
@@ -451,25 +391,29 @@ def word_ngrams(text: str, n: int = 3) -> set[str]:
     return {" ".join(toks[i : i + n]) for i in range(len(toks) - n + 1)}
 
 
-def _pair_intersection_partials(
+def _pair_intersection_sums(
     sf_dir: str,
     n: int,
     max_bucket: int,
-    num_buckets: int = 64,
+    finalize,
 ) -> "ray.data.Dataset":
     """Shared candidate+intersection machinery for the exact
     set-similarity joins (symmetric Jaccard, asymmetric containment):
     doc → distinct n-gram postings → per-bucket self-merge → partial
-    ``(doc_a < doc_b, inter, size_a, size_b, pair_bucket)`` rows,
-    still needing the per-pair sum over ``pair_bucket``.
+    ``(doc_a < doc_b, inter, size_a, size_b)`` rows → per-pair sums,
+    handed to ``finalize`` one pair bucket at a time.
 
-    1. doc → distinct gram hashes [map_batches], partitioned by
-       ``gram_hash % 64`` (the ONE shuffle key; a gram's postings all
-       land in one bucket).
+    1. doc → distinct gram hashes [map_batches], keyed on
+       ``gram_hash`` (the first exchange; a gram's postings all land
+       in one bucket).
     2. per bucket: vectorized self-merge on gram_hash → per-pair
        partial intersection counts (ONE Python call per bucket).
-    3. the caller's groupby (pair_bucket) sums to the exact |A∩B|
-       (pairs sharing ≥1 gram only — lossless for any threshold > 0).
+    3. a second exchange keyed on ``(doc_a, doc_b)`` sums them to the
+       exact |A∩B| (pairs sharing ≥1 gram only — lossless for any
+       threshold > 0) and applies ``finalize`` to the summed
+       ``(doc_a, doc_b, inter, size_a, size_b)`` rows — vectorized
+       groups again, not one Ray aggregate per pair (a 1M-group
+       ``groupby().aggregate()`` pays per-group Python overhead).
     4. |A| and |B| RIDE ALONG on the gram rows (each posting carries
        its doc's distinct-gram count — a constant per doc, so any
        partial row has the true sizes) → integer-exact thresholds
@@ -478,28 +422,26 @@ def _pair_intersection_partials(
 
     Postings of hub grams with more than ``max_bucket`` docs are
     dropped with a log (at web scale drop stopword-run grams); the
-    synthetic corpus never hits the cap.
+    synthetic corpus never hits the cap. Both exchanges are routed
+    without the coalesce (1.2x and 1.1x slower through it at one CPU).
     """
-    docs_path = f"{sf_dir}/documents.parquet"
-    ds = ray.data.read_parquet(docs_path, columns=["doc_id", "text"])
+    width = table_width(sf_dir, "documents")
+    ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
 
     def to_grams(batch: pa.Table) -> pa.Table:
-        out_hash, out_doc, out_size = [], [], []
+        out_gram, out_doc, out_size = [], [], []
         for doc_id, text in zip(
             batch.column("doc_id").to_pylist(), batch.column("text").to_pylist()
         ):
             grams_set = word_ngrams(text, n)
-            n_grams = len(grams_set)
-            for g in grams_set:
-                h = hashlib.blake2b(g.encode(), digest_size=8).digest()
-                out_hash.append(int.from_bytes(h, "big") % (1 << 62))
-                out_doc.append(doc_id)
-                out_size.append(n_grams)
-        ha = np.asarray(out_hash, dtype=np.int64)
+            out_gram.extend(grams_set)
+            out_doc.extend([doc_id] * len(grams_set))
+            out_size.extend([len(grams_set)] * len(grams_set))
         return pa.table(
             {
-                "bucket": pa.array(ha % num_buckets, type=pa.int32()),
-                "gram_hash": pa.array(ha),
+                "gram_hash": pa.array(
+                    (stable_hash64_array(out_gram) % np.uint64(1 << 62)).astype(np.int64)
+                ),
                 "doc_id": pa.array(out_doc, type=pa.int64()),
                 "n_grams": pa.array(out_size, type=pa.int64()),
             }
@@ -524,20 +466,29 @@ def _pair_intersection_partials(
             g = g[post <= max_bucket]
         m = g.merge(g, on="gram_hash")
         m = m[m["doc_id_x"] < m["doc_id_y"]]
-        out = (
+        return (
             m.groupby(["doc_id_x", "doc_id_y"], as_index=False)
             .agg(inter=("gram_hash", "size"), size_a=("n_grams_x", "first"),
                  size_b=("n_grams_y", "first"))
             .rename(columns={"doc_id_x": "doc_a", "doc_id_y": "doc_b"})
         )
-        # second shuffle key: pair hash → the global sum is again 64
-        # vectorized groups, not one Ray aggregate per pair (a 1M-group
-        # Ray groupby().aggregate() pays per-group Python overhead)
-        out["pair_bucket"] = ((out["doc_a"] * 1_000_003 + out["doc_b"]) % num_buckets).astype("int32")
-        return out
 
-    return grams.groupby("bucket").map_groups(
-        bucket_pair_partials, batch_format="pandas"
+    def sum_pairs(group: pd.DataFrame) -> pd.DataFrame:
+        return finalize(
+            group.groupby(["doc_a", "doc_b"], as_index=False).agg(
+                inter=("inter", "sum"), size_a=("size_a", "first"), size_b=("size_b", "first")
+            )
+        )
+
+    partials = (
+        keyed_route(grams, "gram_hash", width)
+        .groupby("_b")
+        .map_groups(bucket_pair_partials, batch_format="pandas")
+    )
+    return (
+        keyed_route(partials, ["doc_a", "doc_b"], width)
+        .groupby("_b")
+        .map_groups(sum_pairs, batch_format="pandas")
     )
 
 
@@ -558,24 +509,18 @@ def ngram_jaccard_pairs(
     classic prefix/inverted-index family (cf. "Distributed Streaming
     Set Similarity Join", ICDE 2020) — no re-shingling verify pass;
     candidate+intersection machinery shared with
-    :func:`containment_pairs` via :func:`_pair_intersection_partials`
+    :func:`containment_pairs` via :func:`_pair_intersection_sums`
     (see its docstring for the exchange plan).
     """
-    partials = _pair_intersection_partials(sf_dir, n, max_bucket)
 
-    def sum_and_threshold(group: pd.DataFrame) -> pd.DataFrame:
-        s = group.groupby(["doc_a", "doc_b"], as_index=False).agg(
-            inter=("inter", "sum"), size_a=("size_a", "first"), size_b=("size_b", "first")
-        )
+    def threshold(s: pd.DataFrame) -> pd.DataFrame:
         union = s["size_a"].astype("int64") + s["size_b"].astype("int64") - s["inter"]
         keep = (union > 0) & (threshold_den * s["inter"] >= threshold_num * union)
         s = s[keep]
         s["jaccard_ppm"] = (s["inter"] * 1_000_000 // union[keep]).astype("int64")
         return s[["doc_a", "doc_b", "jaccard_ppm"]]
 
-    return partials.groupby("pair_bucket").map_groups(
-        sum_and_threshold, batch_format="pandas"
-    )
+    return _pair_intersection_sums(sf_dir, n, max_bucket, threshold)
 
 
 def containment_pairs(
@@ -594,7 +539,7 @@ def containment_pairs(
     high containment but low Jaccard). Classic overlap/containment
     set-join semantics (cf. the prefix-filter family, Chaudhuri et al.
     ICDE 2006); here the full-postings route of
-    :func:`_pair_intersection_partials` is reused unchanged because it
+    :func:`_pair_intersection_sums` is reused unchanged because it
     produces EXACT intersections with no verify pass — a prefix index
     would only pay off with a second re-shingling verify stage.
 
@@ -606,12 +551,8 @@ def containment_pairs(
     rows in the final per-pair-bucket stage — no extra exchange over
     the Jaccard plan (same two keyed shuffles total).
     """
-    partials = _pair_intersection_partials(sf_dir, n, max_bucket)
 
-    def finalize(group: pd.DataFrame) -> pd.DataFrame:
-        s = group.groupby(["doc_a", "doc_b"], as_index=False).agg(
-            inter=("inter", "sum"), size_a=("size_a", "first"), size_b=("size_b", "first")
-        )
+    def directed(s: pd.DataFrame) -> pd.DataFrame:
         dirs = []
         for inner, outer, sz in (("doc_a", "doc_b", "size_a"), ("doc_b", "doc_a", "size_b")):
             size_in = s[sz].astype("int64")
@@ -632,9 +573,7 @@ def containment_pairs(
             )
         return pd.concat(dirs, ignore_index=True)
 
-    return partials.groupby("pair_bucket").map_groups(
-        finalize, batch_format="pandas"
-    )
+    return _pair_intersection_sums(sf_dir, n, max_bucket, directed)
 
 
 def _cluster_labels_distributed(
@@ -643,10 +582,10 @@ def _cluster_labels_distributed(
     """Connected components over a pair Dataset via min-label
     propagation — the path for edge sets too large for a driver
     union-find. Each round: every edge proposes its endpoint's label to
-    the other endpoint; every node takes the min (two key-hash-bucket
-    shuffles per round, all per-bucket work vectorized); converges in
-    ≤ diameter rounds (near-dup clusters are shallow). Returns
-    ``(node, label)`` for every node that appears in a pair.
+    the other endpoint; every node takes the min (two node-keyed
+    ``co_exchange`` calls per round, all per-bucket work vectorized);
+    converges in ≤ diameter rounds (near-dup clusters are shallow).
+    Returns ``(node, label)`` for every node that appears in a pair.
 
     ``shortcut=True`` adds one pointer-jumping exchange per round
     (``label ← label(label)``, Shiloach–Vishkin-style star
@@ -658,7 +597,6 @@ def _cluster_labels_distributed(
     decrease within a component; the component minimum keeps its own
     label; hooking-stability forces edge-constant labels = the min),
     so the union-find oracle pins either."""
-    from ..kernels.partitioning import adaptive_buckets, cut_lineage as _cut_lineage
 
     def sym_edges(df: pd.DataFrame) -> pd.DataFrame:
         return pd.concat(
@@ -673,89 +611,57 @@ def _cluster_labels_distributed(
     # fanout is a pure perf knob (all keying is by node value); shrink
     # it when the edge set underfills 64 reduce partitions
     nb = adaptive_buckets(edges.count())
+    edge_side = (edges, "src", typed_frame(src="int64", dst="int64"))
 
     def init_labels(df: pd.DataFrame) -> pd.DataFrame:
         nodes = df["src"].unique()
         return pd.DataFrame({"node": nodes, "label": nodes}).astype("int64")
 
-    def dedupe_nodes(group: pd.DataFrame) -> pd.DataFrame:
-        return group.drop_duplicates("node")[["node", "label"]]
+    labels = keyed_exchange(
+        edges.map_batches(init_labels, batch_format="pandas"),
+        "node",
+        lambda group: group.drop_duplicates("node"),
+        nb,
+    ).materialize()
 
-    labels = (
-        edges.map_batches(init_labels, batch_format="pandas")
-        .map_batches(
-            lambda df: df.assign(_b=(df["node"] % nb).astype("int32")),
-            batch_format="pandas",
+    # 1) ship each src's label to its edges: emit (node=dst, label(src))
+    def propose(parts: dict) -> pd.DataFrame:
+        m = parts["edge"].merge(parts["label"], left_on="src", right_on="node")
+        return pd.DataFrame({"node": m["dst"], "label": m["label"]}).astype("int64")
+
+    # 2) per node: new label = min(old, proposals); count changes
+    def reduce_min(parts: dict) -> pd.DataFrame:
+        cur = parts["label"]
+        new = pd.concat([cur, parts["msg"]], ignore_index=True)
+        new = new.groupby("node", as_index=False)["label"].min()
+        merged = new.merge(cur, on="node", suffixes=("", "_old"))
+        merged["_changed"] = (merged["label"] < merged["label_old"]).astype("int64")
+        return merged[["node", "label", "_changed"]]
+
+    # pointer jumping: label ← label(label). Each (node, label) row
+    # meets the label-node's own row in the label's bucket and adopts
+    # its label — star compression halves pointer-chain depth per round
+    def jump(parts: dict) -> pd.DataFrame:
+        roots = parts["self"].drop_duplicates("node")
+        m = parts["ref"].merge(
+            roots.rename(columns={"node": "label", "label": "root"}), on="label", how="left"
         )
-        .groupby("_b")
-        .map_groups(dedupe_nodes, batch_format="pandas")
-        .materialize()
-    )
+        # a label always names a node that appears in labels; the
+        # fillna is belt-and-braces for isolated rows
+        m["label"] = m["root"].fillna(m["label"]).astype("int64")
+        return m[["node", "label"]]
 
     for _round in range(max_rounds):
-        # 1) ship each src's label to its edges: co-partition labels and
-        #    edges by src hash, emit (node=dst, label=label(src)).
-        #    Both union sides carry the SAME columns (node, label, dst)
-        #    so mixed-bucket groups always see a stable schema.
-        tagged_lbl = labels.map_batches(
-            lambda df: df.assign(
-                dst=-1, _b=(df["node"] % nb).astype("int32"), _k="l"
-            )[["node", "label", "dst", "_b", "_k"]],
-            batch_format="pandas",
+        msgs = co_exchange(
+            {"label": (labels, "node", _NODE_LABEL), "edge": edge_side}, propose, nb
         )
-        tagged_edges = edges.map_batches(
-            lambda df: pd.DataFrame(
-                {
-                    "node": df["src"].astype("int64"),
-                    "label": -1,
-                    "dst": df["dst"].astype("int64"),
-                }
-            ).assign(_b=lambda d: (d["node"] % nb).astype("int32"), _k="e"),
-            batch_format="pandas",
-        )
-
-        def propose(group: pd.DataFrame) -> pd.DataFrame:
-            lbl = group[group["_k"] == "l"]
-            edg = group[group["_k"] == "e"]
-            m = edg[["node", "dst"]].merge(
-                lbl[["node", "label"]], on="node", how="left"
-            )
-            return pd.DataFrame(
-                {"node": m["dst"].astype("int64"), "label": m["label"].astype("int64")}
-            )
-
-        msgs = (
-            tagged_lbl.union(tagged_edges)
-            .repartition(nb)
-            .groupby("_b")
-            .map_groups(propose, batch_format="pandas")
-        )
-
-        # 2) per node: new label = min(old, proposals); count changes
-        def reduce_min(group: pd.DataFrame) -> pd.DataFrame:
-            cur = group[group["_k"] == "l"][["node", "label"]]
-            prop = group[group["_k"] == "m"][["node", "label"]]
-            allr = pd.concat([cur, prop], ignore_index=True)
-            new = allr.groupby("node", as_index=False)["label"].min()
-            merged = new.merge(cur, on="node", suffixes=("", "_old"))
-            merged["_changed"] = (merged["label"] < merged["label_old"]).astype("int64")
-            return merged[["node", "label", "_changed"]]
-
-        tagged_msgs = msgs.map_batches(
-            lambda df: df.assign(
-                dst=-1, _b=(df["node"] % nb).astype("int32"), _k="m"
-            )[["node", "label", "dst", "_b", "_k"]],
-            batch_format="pandas",
-        )
-        reduced = (
-            tagged_lbl.union(tagged_msgs)
-            .repartition(nb)
-            .groupby("_b")
-            .map_groups(reduce_min, batch_format="pandas")
-            .materialize()
-        )
+        reduced = co_exchange(
+            {"label": (labels, "node", _NODE_LABEL), "msg": (msgs, "node", _NODE_LABEL)},
+            reduce_min,
+            nb,
+        ).materialize()
         n_changed = int(reduced.sum("_changed") or 0)
-        labels = _cut_lineage(
+        labels = cut_lineage(
             reduced.map_batches(
                 lambda df: df[["node", "label"]], batch_format="pandas"
             ).materialize()
@@ -764,44 +670,15 @@ def _cluster_labels_distributed(
             break
 
         if shortcut:
-            # pointer jumping: label ← label(label). One keyed
-            # exchange: each (node, label) row meets the label-node's
-            # own row in the label-hash bucket and adopts its label —
-            # star compression halves pointer-chain depth per round.
-            def tag_ref(df: pd.DataFrame) -> pd.DataFrame:
-                return pd.DataFrame(
-                    {"key": df["label"].astype("int64"),
-                     "node": df["node"].astype("int64"),
-                     "label": np.int64(-1),
-                     "_b": (df["label"] % nb).astype("int32"),
-                     "_k": "a"}
-                )
-
-            def tag_self(df: pd.DataFrame) -> pd.DataFrame:
-                return pd.DataFrame(
-                    {"key": df["node"].astype("int64"),
-                     "node": np.int64(-1),
-                     "label": df["label"].astype("int64"),
-                     "_b": (df["node"] % nb).astype("int32"),
-                     "_k": "b"}
-                )
-
-            def jump(g: pd.DataFrame) -> pd.DataFrame:
-                a = g[g["_k"] == "a"][["key", "node"]]
-                b = g[g["_k"] == "b"][["key", "label"]].drop_duplicates("key")
-                m = a.merge(b, on="key", how="left")
-                # a label always names a node that appears in labels;
-                # the fillna is belt-and-braces for isolated rows
-                m["label"] = m["label"].fillna(m["key"]).astype("int64")
-                return m[["node", "label"]]
-
-            labels = _cut_lineage(
-                labels.map_batches(tag_ref, batch_format="pandas")
-                .union(labels.map_batches(tag_self, batch_format="pandas"))
-                .repartition(nb)
-                .groupby("_b")
-                .map_groups(jump, batch_format="pandas")
-                .materialize()
+            labels = cut_lineage(
+                co_exchange(
+                    {
+                        "ref": (labels, "label", _NODE_LABEL),
+                        "self": (labels, "node", _NODE_LABEL),
+                    },
+                    jump,
+                    nb,
+                ).materialize()
             )
     else:
         # exhausted max_rounds with labels still moving: the output
@@ -843,35 +720,22 @@ def dedup_clusters(
     if mode == "auto":
         mode = "driver" if pair_ds.count() <= driver_pair_limit else "distributed"
     if mode == "distributed":
-        labels = _cluster_labels_distributed(pair_ds)
         docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id"])
 
-        def tag_docs(df: pd.DataFrame) -> pd.DataFrame:
+        def join(parts: dict) -> pd.DataFrame:
+            m = parts["doc"].merge(parts["label"], left_on="doc_id", right_on="node", how="left")
+            rep = m["label"].fillna(m["doc_id"]).astype("int64")
             return pd.DataFrame(
-                {"node": df["doc_id"].astype("int64"), "label": -1}
-            ).assign(_b=lambda d: (d["node"] % 64).astype("int32"), _k="d")
-
-        def tag_lbl(df: pd.DataFrame) -> pd.DataFrame:
-            return df.assign(_b=(df["node"] % 64).astype("int32"), _k="l")
-
-        def join(group: pd.DataFrame) -> pd.DataFrame:
-            lbl = group[group["_k"] == "l"][["node", "label"]]
-            d = group[group["_k"] == "d"][["node"]]
-            m = d.merge(lbl, on="node", how="left")
-            rep = m["label"].fillna(m["node"]).astype("int64")
-            return pd.DataFrame(
-                {
-                    "doc_id": m["node"].astype("int64"),
-                    "cluster_rep": rep,
-                    "keep": m["node"].astype("int64") == rep,
-                }
+                {"doc_id": m["doc_id"], "cluster_rep": rep, "keep": m["doc_id"] == rep}
             )
 
-        return (
-            docs.map_batches(tag_docs, batch_format="pandas")
-            .union(labels.map_batches(tag_lbl, batch_format="pandas"))
-            .groupby("_b")
-            .map_groups(join, batch_format="pandas")
+        return co_exchange(
+            {
+                "doc": (docs, "doc_id", typed_frame(doc_id="int64")),
+                "label": (_cluster_labels_distributed(pair_ds), "node", _NODE_LABEL),
+            },
+            join,
+            table_width(sf_dir, "documents"),
         )
 
     pairs = pair_ds.to_pandas()
@@ -990,36 +854,20 @@ def simhash_neardup_pairs(sf_dir: str, max_hamming: int = 3) -> "ray.data.Datase
         out = out[out["hamming"] <= max_hamming].drop_duplicates(["doc_a", "doc_b"])
         return out
 
+    width = table_width(sf_dir, "documents")
     banded = fps.map_batches(to_bands, batch_format="pyarrow")
-    # bucket on band_val only: all four band copies of a (band, band_val)
+    # keyed on band_val only: all four band copies of a (band, band_val)
     # posting stay together, and a pair sharing k bands appears in ≤ k
-    # buckets — cross-bucket duplicates removed below
-    bucketed = banded.map_batches(
-        lambda b: b.append_column(
-            "bucket",
-            pa.array((np.asarray(b.column("band_val")) % 64).astype(np.int32)),
-        ),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
+    # buckets — cross-bucket duplicates removed below. Routed without
+    # the coalesce (1.14x slower through it at one CPU)
+    pairs = (
+        keyed_route(banded, "band_val", width)
+        .groupby("_b")
+        .map_groups(emit_bucket, batch_format="pandas")
     )
-    pairs = bucketed.groupby("bucket").map_groups(emit_bucket, batch_format="pandas")
-
-    def dedupe(batch: pd.DataFrame) -> pd.DataFrame:
-        return batch.drop_duplicates(["doc_a", "doc_b"])
-
-    # global pair-dedup: cheap second pass keyed by pair hash
-    return (
-        pairs.map_batches(
-            lambda b: b.assign(
-                pair_bucket=((b["doc_a"] * 1_000_003 + b["doc_b"]) % 64).astype("int32")
-            ),
-            batch_format="pandas",
-        )
-        .groupby("pair_bucket")
-        .map_groups(dedupe, batch_format="pandas")
-        .map_batches(
-            lambda b: b[["doc_a", "doc_b", "hamming"]], batch_format="pandas"
-        )
+    # global pair-dedup: cheap second pass keyed by the pair
+    return keyed_exchange(
+        pairs, ["doc_a", "doc_b"], lambda g: g.drop_duplicates(["doc_a", "doc_b"]), width
     )
 
 
@@ -1155,8 +1003,9 @@ def _embedding_neardup_ivf(
     n_iters: int = 3,
 ) -> "ray.data.Dataset":
     """IVF multi-assignment near-dup pairs (see embedding_neardup_pairs
-    mode='ivf'). One keyed shuffle (centroid id); per-list pairwise
-    matmul; pair-hash-bucket dedup of cross-list duplicates."""
+    mode='ivf'). One natural-key shuffle (centroid id); per-list
+    pairwise matmul; a pair-keyed exchange dedups cross-list
+    duplicates."""
     from .similarity import spherical_kmeans
 
     cent = spherical_kmeans(sf_dir, n_centroids=n_centroids, n_iters=n_iters)
@@ -1189,8 +1038,7 @@ def _embedding_neardup_ivf(
             return pd.DataFrame(
                 {"vec_a": pd.Series([], dtype="int64"),
                  "vec_b": pd.Series([], dtype="int64"),
-                 "cosine": pd.Series([], dtype="float64"),
-                 "pair_bucket": pd.Series([], dtype="int32")}
+                 "cosine": pd.Series([], dtype="float64")}
             )
         mat = np.asarray([np.asarray(v) for v in g["normed"]])
         sims = mat @ mat.T
@@ -1203,22 +1051,22 @@ def _embedding_neardup_ivf(
                 "vec_a": lo,
                 "vec_b": hi,
                 "cosine": np.floor(sims[ia, ib][keep] * 1e6 + 0.5) / 1e6,
-                "pair_bucket": ((lo * 1_000_003 + hi) % 64).astype("int32"),
             }
         )
 
     pairs = assigned.groupby("centroid").map_groups(list_pairs, batch_format="pandas")
-
-    def dedupe(group: pd.DataFrame) -> pd.DataFrame:
-        return group.drop_duplicates(["vec_a", "vec_b"])[["vec_a", "vec_b", "cosine"]]
-
-    return pairs.groupby("pair_bucket").map_groups(dedupe, batch_format="pandas")
+    return keyed_exchange(
+        pairs,
+        ["vec_a", "vec_b"],
+        lambda g: g.drop_duplicates(["vec_a", "vec_b"]),
+        table_width(sf_dir, "embeddings"),
+    )
 
 
 # --- exact-substring (window) dedup ----------------------------------------
 
 
-def window_dedup(sf_dir: str, w: int = 5, num_buckets: int = 64) -> "ray.data.Dataset":
+def window_dedup(sf_dir: str, w: int = 5) -> "ray.data.Dataset":
     """Exact-substring dedup signal at w-token window granularity
     (the distributed form of Lee et al., "Deduplicating Training Data
     Makes Language Models Better": an occurrence is a *duplicate* if
@@ -1230,15 +1078,15 @@ def window_dedup(sf_dir: str, w: int = 5, num_buckets: int = 64) -> "ray.data.Da
     oracle's ``unnest``).
 
     Shape at scale: windows ride as (hash, doc_id, pos) rows — never
-    text — through ONE keyed exchange on window-hash bucket
+    text — through ONE keyed exchange on the window hash
     (first-occurrence marking is vectorised per bucket), then per-doc
-    partials are summed by a second, corpus-cardinality-bounded keyed
-    aggregation.  Window hashes are 64-bit position-sensitive
-    polynomial combines of blake2b token hashes (process-stable;
-    collision odds ~n²/2⁶⁵).
+    partials are summed by a second, doc_id-keyed exchange.  Window
+    hashes are 64-bit position-sensitive polynomial combines of blake2b
+    token hashes (process-stable; collision odds ~n²/2⁶⁵). The window
+    exchange is routed without the coalesce (1.2x slower through it at
+    one CPU).
     """
     from .decontaminate import _P
-    from .textstats import hash_token
 
     ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
 
@@ -1255,7 +1103,7 @@ def window_dedup(sf_dir: str, w: int = 5, num_buckets: int = 64) -> "ray.data.Da
             for i, tok in enumerate(toks):
                 h = cache.get(tok)
                 if h is None:
-                    h = cache[tok] = np.uint64(hash_token(tok))
+                    h = cache[tok] = np.uint64(stable_hash64(tok))
                 th[i] = h
             with np.errstate(over="ignore"):
                 acc = th[: len(toks) - w + 1].copy()
@@ -1267,7 +1115,6 @@ def window_dedup(sf_dir: str, w: int = 5, num_buckets: int = 64) -> "ray.data.Da
         if not hs:
             return pa.table(
                 {
-                    "bucket": pa.array([], type=pa.int32()),
                     "whash": pa.array([], type=pa.int64()),
                     "doc_id": pa.array([], type=pa.int64()),
                     "pos": pa.array([], type=pa.int32()),
@@ -1276,7 +1123,6 @@ def window_dedup(sf_dir: str, w: int = 5, num_buckets: int = 64) -> "ray.data.Da
         flat = np.concatenate(hs)
         return pa.table(
             {
-                "bucket": pa.array((flat % np.uint64(num_buckets)).astype(np.int32)),
                 "whash": pa.array(flat.view(np.int64)),
                 "doc_id": pa.array(np.concatenate(docs)),
                 "pos": pa.array(np.concatenate(poss)),
@@ -1298,23 +1144,14 @@ def window_dedup(sf_dir: str, w: int = 5, num_buckets: int = 64) -> "ray.data.Da
     def sum_doc(group: pd.DataFrame) -> pd.DataFrame:
         return group.groupby("doc_id", as_index=False)[["n_windows", "n_dup_windows"]].sum()
 
+    width = table_width(sf_dir, "documents")
+    windows = ds.map_batches(window_rows, batch_format="pyarrow", zero_copy_batch=True)
     partials = (
-        ds.map_batches(window_rows, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bucket")
+        keyed_route(windows, "whash", width)
+        .groupby("_b")
         .map_groups(bucket_stats, batch_format="pandas")
     )
-    return (
-        partials.repartition(8)
-        .map_batches(
-            lambda b: b.assign(doc_bucket=(b["doc_id"] % num_buckets).astype("int32")),
-            batch_format="pandas",
-        )
-        .groupby("doc_bucket")
-        .map_groups(sum_doc, batch_format="pandas")
-        .map_batches(
-            lambda b: b[["doc_id", "n_windows", "n_dup_windows"]], batch_format="pandas"
-        )
-    )
+    return keyed_exchange(partials, "doc_id", sum_doc, width)
 
 
 # ---------------------------------------------------------------------------
@@ -1372,7 +1209,6 @@ def incremental_dedup(
     """
     import pyarrow.parquet as pq
 
-    from ..kernels.partitioning import adaptive_buckets, route_bucket, typed_frame
     from .relational import anti_join_bucketed
 
     path = f"{sf_dir}/documents.parquet"
@@ -1441,9 +1277,7 @@ def incremental_dedup(
 
 # --- cross-document line/chunk dedup (rewrite) ------------------------------
 
-def line_dedup_rewrite(
-    sf_dir: str, chunk_words: int = 8, num_buckets: int = 64
-) -> "ray.data.Dataset":
+def line_dedup_rewrite(sf_dir: str, chunk_words: int = 8) -> "ray.data.Dataset":
     """(doc_id, clean_text, n_chunks, n_kept) — C4/RefinedWeb-style
     cross-document duplicate-LINE removal that REWRITES the corpus:
     the text is cut into fixed ``chunk_words``-word chunks (the
@@ -1459,20 +1293,15 @@ def line_dedup_rewrite(
     Scale shape — two keyed exchanges, nothing driver-resident:
 
     - one scan explodes (doc_id, pos, chunk) rows;
-    - exchange 1 routes by chunk-hash bucket: per bucket a vectorized
+    - exchange 1 is keyed on the chunk: per bucket a vectorized
       groupby-min over the (doc_id, pos) order key marks each copy
       kept/dropped (ALL copies of a chunk co-locate, so keep-first is
       exact and global);
-    - exchange 2 routes every marked row by doc_id bucket and
+    - exchange 2 routes every marked row by doc_id and
       reassembles kept chunks in position order per doc (every doc
       has ≥1 chunk row, so no doc goes missing — a fully-duplicated
       doc comes back with empty clean_text, exactly C4's behavior).
     """
-    import ray
-
-    from ..kernels.hashing import stable_hash64_array
-    from ..kernels.partitioning import adaptive_buckets
-
     docs = ray.data.read_parquet(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
     )
@@ -1495,13 +1324,6 @@ def line_dedup_rewrite(
              "chunk": out_chunk}
         )
 
-    chunks = docs.map_batches(explode, batch_format="pyarrow").materialize()
-    nb = adaptive_buckets(chunks.count(), requested=num_buckets)
-
-    def tag_chunk(df: pd.DataFrame) -> pd.DataFrame:
-        h = stable_hash64_array(df["chunk"].tolist()).view(np.int64)
-        return df.assign(_b=(h % nb).astype("int32"))
-
     def keep_first(g: pd.DataFrame) -> pd.DataFrame:
         # order key: first occurrence = smallest (doc_id, pos); pos is
         # bounded far below 2**20 per doc, so one int64 encodes both
@@ -1512,12 +1334,9 @@ def line_dedup_rewrite(
              "kept": (order == first.to_numpy())}
         )
 
-    marked = (
-        chunks.map_batches(tag_chunk, batch_format="pandas")
-        .repartition(nb)
-        .groupby("_b")
-        .map_groups(keep_first, batch_format="pandas")
-    )
+    width = table_width(sf_dir, "documents")
+    chunks = docs.map_batches(explode, batch_format="pyarrow")
+    marked = keyed_exchange(chunks, "chunk", keep_first, width)
 
     def reassemble(g: pd.DataFrame) -> pd.DataFrame:
         rows = []
@@ -1533,12 +1352,4 @@ def line_dedup_rewrite(
             {"doc_id": "int64", "n_chunks": "int64", "n_kept": "int64"}
         )
 
-    return (
-        marked.map_batches(
-            lambda df: df.assign(_db=(df["doc_id"] % nb).astype("int32")),
-            batch_format="pandas",
-        )
-        .repartition(nb)
-        .groupby("_db")
-        .map_groups(reassemble, batch_format="pandas")
-    )
+    return keyed_exchange(marked, "doc_id", reassemble, width)

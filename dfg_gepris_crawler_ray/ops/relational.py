@@ -17,8 +17,8 @@ layer — the same primitives the crawl pipelines compose:
 - tumbling- and sliding-window aggregates over event time
 - global sort + limit (top-k)
 
-An op's exchange width is ``adaptive_buckets`` over its driving
-table's parquet row count (:func:`_width`); every reduce is key-local,
+An op's exchange width is ``table_width`` (``adaptive_buckets`` over
+its driving table's parquet row count); every reduce is key-local,
 so the width never changes a value. Low-cardinality natural keys
 (event type, market segment, per-window register merges) group
 directly with ``groupby(col)``.
@@ -40,10 +40,10 @@ import ray.data
 from ray.data.aggregate import Sum
 
 from ..kernels.partitioning import (
-    adaptive_buckets,
     co_exchange,
     co_route,
     keyed_exchange,
+    table_width,
     typed_frame,
 )
 
@@ -54,14 +54,6 @@ def round_half_away(x, decimals: int = 2):
     m = 10.0 ** decimals
     arr = np.asarray(x, dtype=np.float64)
     return np.sign(arr) * np.floor(np.abs(arr) * m + 0.5) / m
-
-
-def _width(sf_dir: str, table: str) -> int:
-    """An op's exchange width: ``adaptive_buckets`` over the row count
-    of its driving ``table`` (parquet metadata, no scan)."""
-    return adaptive_buckets(
-        pq.read_metadata(f"{sf_dir}/{table}.parquet").num_rows, rows_per_bucket=4096
-    )
 
 
 def _between(col: str, lo: str, hi: str):
@@ -224,7 +216,7 @@ def customers_without_orders(sf_dir: str) -> "ray.data.Dataset":
     orders = ray.data.read_parquet(f"{sf_dir}/orders.parquet", columns=["o_custkey"])
     out = anti_join_bucketed(
         cust, orders.rename_columns({"o_custkey": "c_custkey"}), "c_custkey",
-        typed_frame(c_custkey="int64", c_name="object"), _width(sf_dir, "orders"),
+        typed_frame(c_custkey="int64", c_name="object"), table_width(sf_dir, "orders"),
     )
     # materialise with an explicit schema so an empty result still
     # carries its columns (Dataset.to_pandas drops them on zero blocks)
@@ -253,7 +245,7 @@ def latest_event_per_user(sf_dir: str) -> "ray.data.Dataset":
 
     return keyed_exchange(
         ds.map_batches(latest, batch_format="pandas"), "user_id", latest,
-        _width(sf_dir, "events"),
+        table_width(sf_dir, "events"),
     )
 
 
@@ -397,7 +389,7 @@ def session_windows(sf_dir: str, gap_minutes: int = 30) -> "ray.data.Dataset":
         out["sum_value"] = round_half_away(out["sum_value"], 2)
         return out[["user_id", "session_no", "session_start", "session_end", "n_events", "sum_value"]]
 
-    return keyed_exchange(ds, "user_id", sessions, _width(sf_dir, "events"))
+    return keyed_exchange(ds, "user_id", sessions, table_width(sf_dir, "events"))
 
 
 def value_quantiles(sf_dir: str, qs=(0.5, 0.9, 0.99)) -> "ray.data.Dataset":
@@ -466,7 +458,7 @@ def sliding_window_counts(
 
     return keyed_exchange(
         ds.map_batches(partial, batch_format="pandas"), "window_start", window_sum,
-        _width(sf_dir, "events"),
+        table_width(sf_dir, "events"),
     )
 
 
@@ -492,7 +484,7 @@ def distinct_customers_per_segment(sf_dir: str) -> "ray.data.Dataset":
 
     partials = keyed_exchange(
         orders.map_batches(prereduce, batch_format="pandas"), "o_custkey", bucket_count,
-        _width(sf_dir, "orders"),
+        table_width(sf_dir, "orders"),
     )
     return partials.groupby("c_mktsegment").aggregate(
         Sum("n", alias_name="distinct_customers")
@@ -588,7 +580,7 @@ def asof_join_latest_order(sf_dir: str) -> "ray.data.Dataset":
                 o_orderkey="int64", o_custkey="int64", o_orderdate="datetime64[us]"
             )),
         },
-        per_bucket, _width(sf_dir, "orders"),
+        per_bucket, table_width(sf_dir, "orders"),
     )
 
 
@@ -655,7 +647,7 @@ def q3_topk_revenue_shuffle(
             "l": (li.map_batches(line_partial, batch_format="pandas"), "o_orderkey",
                   empty[["o_orderkey", "revenue"]]),
         },
-        _width(sf_dir, "lineitem"),
+        table_width(sf_dir, "lineitem"),
     )
     per_order = routed.groupby("_b").map_groups(
         lambda g: per_bucket(split(g)), batch_format="pandas"
@@ -714,7 +706,7 @@ def customer_order_rollup_bucketed(sf_dir: str) -> "ray.data.Dataset":
             "o": (orders.map_batches(order_partial, batch_format="pandas"), "o_custkey",
                   typed_frame(o_custkey="int64", price="float64", n="int64")),
         },
-        per_bucket, _width(sf_dir, "orders"),
+        per_bucket, table_width(sf_dir, "orders"),
     )
 
 
@@ -757,7 +749,7 @@ def purchase_followup_range_join(sf_dir: str, minutes: int = 30) -> "ray.data.Da
             }
         )
 
-    return keyed_exchange(events, "user_id", per_bucket, _width(sf_dir, "events"))
+    return keyed_exchange(events, "user_id", per_bucket, table_width(sf_dir, "events"))
 
 
 EVENT_TYPES = ("click", "view", "purchase", "signup", "error")
@@ -959,7 +951,7 @@ def window_distinct_users(
 
     return keyed_exchange(
         ds.map_batches(triples, batch_format="pyarrow", zero_copy_batch=True),
-        "window_start", count_bucket, _width(sf_dir, "events"),
+        "window_start", count_bucket, table_width(sf_dir, "events"),
     )
 
 
@@ -1024,7 +1016,7 @@ def funnel_steps(
     return _sum_by(
         keyed_exchange(
             ds, "user_id", lambda g: funnel_bucket(g, step_list, within_hours),
-            _width(sf_dir, "events"),
+            table_width(sf_dir, "events"),
         ),
         ["step_no", "step"], "n_users",
     )
@@ -1077,7 +1069,7 @@ def retention_cohorts(sf_dir: str) -> "ray.data.Dataset":
     return _sum_by(
         keyed_exchange(
             ds.map_batches(pairs, batch_format="pyarrow", zero_copy_batch=True),
-            "user_id", retention_bucket, _width(sf_dir, "events"),
+            "user_id", retention_bucket, table_width(sf_dir, "events"),
         ),
         ["cohort_day", "day_offset"], "n_users",
     )
@@ -1107,7 +1099,7 @@ def running_totals(sf_dir: str) -> "ray.data.Dataset":
         g["running_value"] = g.groupby("user_id", sort=False)["value"].cumsum()
         return g[["event_id", "user_id", "running_value"]]
 
-    return keyed_exchange(ds, "user_id", cumulate, _width(sf_dir, "events"))
+    return keyed_exchange(ds, "user_id", cumulate, table_width(sf_dir, "events"))
 
 
 def returned_orders_by_priority(
@@ -1186,7 +1178,7 @@ def returned_orders_by_priority(
             "o": (orders, "o_orderkey", typed_frame(o_orderkey="int64", o_orderpriority="object")),
             "k": (keys_ds, "key", typed_frame(key="int64")),
         },
-        semi, _width(sf_dir, "orders"),
+        semi, table_width(sf_dir, "orders"),
     )
     return _sum_by(matched, "o_orderpriority", "n_orders")
 
@@ -1221,7 +1213,7 @@ def regional_nation_revenue(
       same group task, so only per-nation partials leave it;
     - final keyed sum over ≤ nations rows.
     """
-    nb = _width(sf_dir, "orders")
+    nb = table_width(sf_dir, "orders")
     nation = pq.read_table(f"{sf_dir}/nation.parquet").to_pandas()
     reg = pq.read_table(f"{sf_dir}/region.parquet").to_pandas()
     nk2name = dict(
@@ -1377,7 +1369,7 @@ def large_quantity_orders(
                 )),
                 "s": (survivors, "l_orderkey", typed_frame(l_orderkey="int64", sum_qty="float64")),
             },
-            join_bucket, _width(sf_dir, "orders"),
+            join_bucket, table_width(sf_dir, "orders"),
         )
     else:  # pragma: no cover - guarded by tests
         raise ValueError(f"unknown route {route!r}")
@@ -1439,7 +1431,7 @@ def event_transition_counts(sf_dir: str) -> "ray.data.Dataset":
         return out
 
     return _sum_by(
-        keyed_exchange(ds, "user_id", transitions, _width(sf_dir, "events")),
+        keyed_exchange(ds, "user_id", transitions, table_width(sf_dir, "events")),
         ["event_type", "next_event_type"], "n_transitions",
     )
 
@@ -1482,7 +1474,7 @@ def late_shipment_priority(sf_dir: str, grace_days: int = 90) -> "ray.data.Datas
             )),
             "l": (lines, "l_orderkey", typed_frame(l_orderkey="int64", l_shipdate="datetime64[us]")),
         },
-        per_bucket, _width(sf_dir, "lineitem"),
+        per_bucket, table_width(sf_dir, "lineitem"),
     )
     return _sum_by(per_bucket_counts, "o_orderpriority", "n_late", "n_ontime")
 
@@ -1531,7 +1523,7 @@ def rich_idle_customers(sf_dir: str, cutoff: str = "2001-01-01") -> "ray.data.Da
     idle = anti_join_bucketed(
         cust, orders, "c_custkey",
         typed_frame(c_custkey="int64", c_mktsegment="object", c_acctbal="float64"),
-        _width(sf_dir, "orders"),
+        table_width(sf_dir, "orders"),
     )
 
     def seg_partial(df: pd.DataFrame) -> pd.DataFrame:
@@ -1579,7 +1571,7 @@ def two_nation_volume(
       revenue partial all happen inside the group task, so only
       per-(direction, year) partials leave it;
     - final keyed sum over ≤ 2·years rows."""
-    nb = _width(sf_dir, "orders")
+    nb = table_width(sf_dir, "orders")
     nation = pq.read_table(
         f"{sf_dir}/nation.parquet", columns=["n_nationkey", "n_name"]
     ).to_pandas()
@@ -1718,7 +1710,7 @@ def returned_customer_revenue(
             "l": (li.map_batches(line_partial, batch_format="pandas"), "l_orderkey",
                   typed_frame(l_orderkey="int64", rev="int64")),
         },
-        join_rev, _width(sf_dir, "orders"),
+        join_rev, table_width(sf_dir, "orders"),
     ).groupby("c_custkey").sum("rev")
     winners = (
         per_cust.sort(["sum(rev)", "c_custkey"], descending=[True, False])
@@ -1809,7 +1801,7 @@ def promo_revenue_share(
                 "l": (li.map_batches(line_partial, batch_format="pandas"), "l_partkey",
                       typed_frame(l_partkey="int64", rev="int64")),
             },
-            per_bucket, _width(sf_dir, "lineitem"),
+            per_bucket, table_width(sf_dir, "lineitem"),
         ),
         ["promo_revenue_x10000", "total_revenue_x10000"],
     )
@@ -1935,7 +1927,7 @@ def small_quantity_revenue(sf_dir: str, brand: str = "Brand#4") -> pa.Table:
                 "l": (li.map_batches(line_rows, batch_format="pandas"), "l_partkey",
                       typed_frame(l_partkey="int64", qty="int64", ext="int64")),
             },
-            per_bucket, _width(sf_dir, "lineitem"),
+            per_bucket, table_width(sf_dir, "lineitem"),
         ),
         ["total_extprice_x100", "n_small_lines"],
     )
@@ -2004,7 +1996,7 @@ def disjunctive_predicate_revenue(sf_dir: str) -> pa.Table:
                 "l": (li.map_batches(line_rows, batch_format="pandas"), "l_partkey",
                       typed_frame(l_partkey="int64", qty="float64", rev="int64")),
             },
-            per_bucket, _width(sf_dir, "lineitem"),
+            per_bucket, table_width(sf_dir, "lineitem"),
         ),
         ["revenue_x10000", "n_lines"],
     )
@@ -2043,7 +2035,7 @@ def nation_market_share(
       both integer revenue partials happen in the group task, so only
       per-year (num, den) partials leave it;
     - final keyed sum over ≤ years rows."""
-    nb = _width(sf_dir, "orders")
+    nb = table_width(sf_dir, "orders")
     nation = pq.read_table(
         f"{sf_dir}/nation.parquet", columns=["n_nationkey", "n_name", "n_regionkey"]
     ).to_pandas()
@@ -2178,7 +2170,7 @@ def customer_order_distribution(
                 "o": (orders.map_batches(order_counts, batch_format="pandas"), "o_custkey",
                       typed_frame(o_custkey="int64", n="int64")),
             },
-            bucket_hist, _width(sf_dir, "orders"),
+            bucket_hist, table_width(sf_dir, "orders"),
         ),
         "c_count", "custdist",
     )
@@ -2210,7 +2202,7 @@ def part_supplier_variety(
     - exchange 2 (keyed on the attr triple): cross-part supplier dedup
       and the final count — each group task owns whole triples, so
       the count is exact with no driver collection."""
-    nb = _width(sf_dir, "lineitem")
+    nb = table_width(sf_dir, "lineitem")
     supp = pq.read_table(
         f"{sf_dir}/supplier.parquet", columns=["s_suppkey", "s_acctbal"]
     ).to_pandas()
@@ -2315,7 +2307,7 @@ def important_parts(
 
     per_part_ds = keyed_exchange(
         lineitem.map_batches(partial_values, batch_format="pandas"), "l_partkey", per_part,
-        _width(sf_dir, "lineitem"),
+        table_width(sf_dir, "lineitem"),
     ).materialize()  # reused by the total pass and the filter pass
     total = per_part_ds.sum("value_x100") or 0
     threshold_num = int(total) * fraction_num  # value*den > total*num
@@ -2406,7 +2398,7 @@ def nation_year_profit(sf_dir: str, name_word: str = "red") -> "ray.data.Dataset
             "l": (lineitem.map_batches(line_profit, batch_format="pandas"), "l_orderkey",
                   typed_frame(l_orderkey="int64", l_suppkey="int64", profit="int64")),
         },
-        join_profit, _width(sf_dir, "lineitem"),
+        join_profit, table_width(sf_dir, "lineitem"),
     )
     return _sum_by(joined, ["n_name", "o_year"], "profit_x10000")
 
@@ -2501,7 +2493,7 @@ def min_cost_supplier(
                   typed_frame(l_partkey="int64", l_suppkey="int64")),
             "p": (part, "p_partkey", typed_frame(p_partkey="int64")),
         },
-        per_part_min, _width(sf_dir, "lineitem"),
+        per_part_min, table_width(sf_dir, "lineitem"),
     ).to_pandas()  # ≤ buckets × k pruned rows
     if not len(finalists):
         return pa.Table.from_pandas(empty, preserve_index=False)
@@ -2590,7 +2582,7 @@ def sole_late_supplier(
                 l_orderkey="int64", l_suppkey="int64", l_shipdate="datetime64[us]"
             )),
         },
-        lambda parts: sole_late_bucket(parts, grace_days), _width(sf_dir, "lineitem"),
+        lambda parts: sole_late_bucket(parts, grace_days), table_width(sf_dir, "lineitem"),
     )
     pruned = (
         counts.groupby("skey")
@@ -2657,7 +2649,7 @@ def priority_order_counts(
                 )),
                 "l": (lineitem, "l_orderkey", typed_frame(l_orderkey="int64", l_shipdate="datetime64[us]")),
             },
-            per_bucket, _width(sf_dir, "lineitem"),
+            per_bucket, table_width(sf_dir, "lineitem"),
         ),
         "o_orderpriority", "order_count",
     )
@@ -2783,7 +2775,7 @@ def excess_shippers(
 
     counts = keyed_exchange(
         lineitem.map_batches(pair_partials, batch_format="pandas"), ["skey", "pkey"], per_bucket,
-        _width(sf_dir, "lineitem"),
+        table_width(sf_dir, "lineitem"),
     )
     return _sum_by(counts, "skey", "n_parts").map_batches(attach_name, batch_format="pandas")
 
@@ -2847,7 +2839,7 @@ def shipmode_priority_counts(
                     o_orderkey="int64", o_orderdate="datetime64[us]", o_orderpriority="object"
                 )),
             },
-            per_bucket, _width(sf_dir, "lineitem"),
+            per_bucket, table_width(sf_dir, "lineitem"),
         ),
         "ship_mode", "high_line_count", "low_line_count",
     )
@@ -2919,7 +2911,7 @@ def lapsed_customer_opportunity(
     lapsed = anti_join_bucketed(
         pool.map_batches(keep_rich, batch_format="pandas"), recent, "c_custkey",
         typed_frame(c_custkey="int64", c_nationkey="int32", c_acctbal="float64"),
-        _width(sf_dir, "orders"),
+        table_width(sf_dir, "orders"),
     )
 
     def rollup_partial(df: pd.DataFrame) -> pd.DataFrame:

@@ -7,6 +7,12 @@ Large-scale training-data pipeline staples, each a vectorised
 - quality scoring (length / stopword / mean-word-length ratios)
 - language ID (stopword-profile heuristic, stateful actor stage)
 - document fingerprinting (md5 content hash + 64-bit rolling hash)
+
+Corpus-wide statistics (top tokens, TF-IDF, drift, heavy hitters, the
+inverted index, co-occurrence, novelty, length deciles, TextRank) pre-
+aggregate per batch and reduce through ``kernels.partitioning``'s keyed
+exchange at the ``documents`` table's ``table_width``, keyed on the
+token, token pair, doc_id or length itself.
 """
 
 from __future__ import annotations
@@ -22,8 +28,14 @@ import pyarrow.compute as pc
 
 import ray.data
 
-from ..kernels.hashing import splitmix64
-from ..kernels.partitioning import adaptive_buckets
+from ..kernels.hashing import splitmix64, stable_hash64, stable_hash64_array
+from ..kernels.partitioning import (
+    co_exchange,
+    keyed_exchange,
+    keyed_route,
+    table_width,
+    typed_frame,
+)
 
 _STOPWORDS = {
     "en": {"the", "a", "of", "and", "to", "in", "is", "on", "for", "with"},
@@ -77,7 +89,7 @@ def fingerprint_batch(batch: pa.Table) -> pa.Table:
         for tok in t.split(" "):
             th = cache.get(tok)
             if th is None:
-                th = cache[tok] = hash_token(tok)
+                th = cache[tok] = stable_hash64(tok)
             h = (h * P + th) % M
         rolls[i] = h
     return pa.table(
@@ -87,11 +99,6 @@ def fingerprint_batch(batch: pa.Table) -> pa.Table:
             "rolling_hash": pa.array(rolls.astype(np.int64)),
         }
     )
-
-
-def hash_token(tok: str) -> int:
-    """Stable per-token hash (no process salt)."""
-    return int.from_bytes(hashlib.blake2b(tok.encode(), digest_size=8).digest(), "big")
 
 
 def fingerprints(sf_dir: str) -> "ray.data.Dataset":
@@ -194,25 +201,12 @@ def approx_distinct_tokens(sf_dir: str, p: int = 12) -> "ray.data.Dataset":
     per-(lang, batch) register rows (4 KB each at p=12) → driver merge
     of a handful of registers. Error ≈ 1.04/sqrt(2^p) ≈ 1.6% at p=12;
     verified against the exact count in tests."""
-    import hashlib as _hashlib
-
-    import ray
-
     ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet", columns=["lang", "text"])
 
     def partial(batch: pa.Table) -> pa.Table:
         by_lang: dict[str, np.ndarray] = {}
         for lang, text in zip(batch.column("lang").to_pylist(), batch.column("text").to_pylist()):
-            hs = np.fromiter(
-                (
-                    int.from_bytes(
-                        _hashlib.blake2b(t.encode(), digest_size=8).digest(), "big"
-                    )
-                    for t in set(text.split(" "))
-                ),
-                dtype=np.uint64,
-            )
-            regs = _hll_registers(hs, p)
+            regs = _hll_registers(stable_hash64_array(set(text.split(" "))), p)
             if lang in by_lang:
                 np.maximum(by_lang[lang], regs, out=by_lang[lang])
             else:
@@ -248,8 +242,6 @@ def approx_distinct_tokens(sf_dir: str, p: int = 12) -> "ray.data.Dataset":
             merged[lang] = np.maximum(merged[lang], regs)
         else:
             merged[lang] = regs.copy()
-    import ray.data
-
     return ray.data.from_arrow(
         pa.table(
             {
@@ -547,11 +539,12 @@ def bpe_token_count(sf_dir: str) -> "ray.data.Dataset":
 def top_tokens(sf_dir: str, k: int = 50) -> "ray.data.Dataset":
     """Exact corpus-wide token top-k — the canonical wordcount, shaped
     for scale: per-batch partial counts (one row per distinct token per
-    batch) → token-hash-bucket shuffle → vectorized per-bucket sum +
+    batch) → token-keyed exchange → vectorized per-bucket sum +
     per-bucket top-k pre-prune (each bucket can contribute at most k
-    winners, so the global sort sees ≤ 64·k rows, not the vocabulary).
-    Ties break by token ascending (deterministic, matches the oracle's
-    ORDER BY)."""
+    winners, so the global sort sees ≤ buckets·k rows, not the
+    vocabulary). Ties break by token ascending (deterministic, matches
+    the oracle's ORDER BY). Routed without the coalesce (1.35x slower
+    through it at one CPU)."""
     ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet", columns=["text"])
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -559,47 +552,30 @@ def top_tokens(sf_dir: str, k: int = 50) -> "ray.data.Dataset":
         for t in batch.column("text").to_pylist():
             for tok in t.split(" "):
                 counts[tok] = counts.get(tok, 0) + 1
-        toks = list(counts)
-        buckets = (
-            stable_hash64_array_local(toks) % np.uint64(64)
-        ).astype(np.int32)
         return pa.table(
             {
-                "token": pa.array(toks, type=pa.string()),
+                "token": pa.array(list(counts), type=pa.string()),
                 "n": pa.array(list(counts.values()), type=pa.int64()),
-                "bucket": pa.array(buckets),
             }
         )
 
-    def bucket_topk(group) -> "pa.Table":
-        import pandas as pd
-
+    def bucket_topk(group: pd.DataFrame) -> pd.DataFrame:
         g = group.groupby("token", as_index=False)["n"].sum()
-        g = g.sort_values(["n", "token"], ascending=[False, True], kind="stable").head(k)
-        return g[["token", "n"]]
+        return g.sort_values(["n", "token"], ascending=[False, True], kind="stable").head(k)
 
     pruned = (
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bucket")
+        keyed_route(
+            ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True),
+            "token",
+            table_width(sf_dir, "documents"),
+        )
+        .groupby("_b")
         .map_groups(bucket_topk, batch_format="pandas")
     )
-    # global merge: ≤ 64·k tiny rows
-    import pandas as pd
-
+    # global merge: ≤ buckets·k tiny rows
     allp = pruned.to_pandas()
     out = allp.sort_values(["n", "token"], ascending=[False, True], kind="stable").head(k)
     return pa.Table.from_pandas(out.reset_index(drop=True), preserve_index=False)
-
-
-def stable_hash64_array_local(tokens: list[str]) -> np.ndarray:
-    """blake2b-based uint64 per token (shared with kernels.hashing
-    semantics; local import avoids a cycle)."""
-    out = np.empty(len(tokens), dtype=np.uint64)
-    for i, t in enumerate(tokens):
-        out[i] = int.from_bytes(
-            hashlib.blake2b(t.encode(), digest_size=8).digest(), "big"
-        )
-    return out
 
 
 def _tf_rows_polars(batch: pa.Table) -> pa.Table:
@@ -662,7 +638,7 @@ def _tf_rows(batch: pa.Table) -> pa.Table:
         return _tf_rows_python(batch)
 
 
-def tfidf_top_term(sf_dir: str, num_buckets: int = 64) -> "ray.data.Dataset":
+def tfidf_top_term(sf_dir: str) -> "ray.data.Dataset":
     """Per-document top TF-IDF term, integer-exact so the SQL oracle
     reproduces it bit-for-bit: ``score = tf * n_docs // df`` (the
     idf ratio kept as an integer quotient), ties broken by token
@@ -673,35 +649,26 @@ def tfidf_top_term(sf_dir: str, num_buckets: int = 64) -> "ray.data.Dataset":
 
     1. per-doc term counting inside ``map_batches`` (one (doc, token,
        tf) row per distinct term per doc);
-    2. token-hash bucket groupby: EVERY tf row of a token lands in its
+    2. token-keyed exchange: EVERY tf row of a token lands in its
        token's bucket, so the bucket group computes the global
        document frequency locally (each (doc, token) appears once —
        df = group size) and scores in the same task.  This replaces
        the earlier union-tag co-group: same exchange volume, one
        fewer scan and no ``materialize()``;
-    3. per-doc top-1 by doc-hash bucket groupby, vectorized
+    3. per-doc top-1 by a doc_id-keyed exchange, vectorized
        sort + head inside each bucket.
 
     Token convention matches ``token_stats``: ``text.split(' ')``,
     empties kept.
     """
-    import pandas as pd
     import pyarrow.parquet as pq
-
-    import ray
 
     path = f"{sf_dir}/documents.parquet"
     n_docs = int(pq.read_metadata(path).num_rows)
-    # bucket-count is a pure perf knob here (df is token-local, top-1
-    # is doc-local for ANY count) — shrink the fanout at small inputs
-    num_buckets = adaptive_buckets(n_docs, requested=num_buckets)
+    width = table_width(sf_dir, "documents")
 
     ds = ray.data.read_parquet(path, columns=["doc_id", "text"])
     tf = ds.map_batches(_tf_rows, batch_format="pyarrow", zero_copy_batch=True)
-
-    def tag_tf(df: pd.DataFrame) -> pd.DataFrame:
-        b = stable_hash64_array_local(list(df["token"])) % num_buckets
-        return df.assign(_b=b.astype(np.int32))
 
     def score_bucket(group: pd.DataFrame) -> pd.DataFrame:
         m = group[["doc_id", "token", "tf"]].copy()
@@ -709,15 +676,9 @@ def tfidf_top_term(sf_dir: str, num_buckets: int = 64) -> "ray.data.Dataset":
         # size IS the document frequency — computed bucket-locally
         m["df"] = m.groupby("token")["token"].transform("size").astype("int64")
         m["score"] = (m["tf"].astype("int64") * n_docs) // m["df"]
-        m["_db"] = (m["doc_id"].astype("int64") % num_buckets).astype("int32")
-        return m[["doc_id", "token", "tf", "df", "score", "_db"]]
+        return m
 
-    scored = (
-        tf.map_batches(tag_tf, batch_format="pandas")
-        .repartition(num_buckets)
-        .groupby("_b")
-        .map_groups(score_bucket, batch_format="pandas")
-    )
+    scored = keyed_exchange(tf, "token", score_bucket, width)
 
     def top1(group: pd.DataFrame) -> pd.DataFrame:
         g = group.sort_values(
@@ -735,11 +696,7 @@ def tfidf_top_term(sf_dir: str, num_buckets: int = 64) -> "ray.data.Dataset":
             }
         )
 
-    return (
-        scored.repartition(num_buckets)
-        .groupby("_db")
-        .map_groups(top1, batch_format="pandas")
-    )
+    return keyed_exchange(scored, "doc_id", top1, width)
 
 
 def repetition_stats_batch(batch: pa.Table) -> pa.Table:
@@ -812,15 +769,15 @@ def token_drift(sf_dir: str, k: int = 50) -> "pa.Table":
     Distributed shape (the `top_tokens` wordcount skeleton):
 
     1. one scan emits per-batch partial rows
-       ``(token, n_a, n_b, bucket)`` — one row per distinct token per
-       batch, never the token stream;
+       ``(token, n_a, n_b)`` — one row per distinct token per batch,
+       never the token stream;
     2. partials are materialized once (vocab × blocks rows, bounded);
        side totals come from a ``Dataset.sum`` over the partials
        (two scalars to the driver, no extra corpus scan);
-    3. token-hash-bucket ``groupby`` sums counts and computes drift
+    3. a token-keyed exchange sums counts and computes drift
        vectorized per bucket, pruning to the bucket-local top-``k``
        (each bucket can contribute at most ``k`` global winners);
-    4. the driver merge sees ≤ 64·k tiny rows regardless of
+    4. the driver merge sees ≤ buckets·k tiny rows regardless of
        vocabulary or corpus size.
     """
     ds = ray.data.read_parquet(
@@ -839,7 +796,6 @@ def token_drift(sf_dir: str, k: int = 50) -> "pa.Table":
                     counts[tok] = c = [0, 0]
                 c[side] += 1
         toks = list(counts)
-        buckets = (stable_hash64_array_local(toks) % np.uint64(64)).astype(np.int32)
         n_a = np.fromiter((c[0] for c in counts.values()), dtype=np.int64, count=len(toks))
         n_b = np.fromiter((c[1] for c in counts.values()), dtype=np.int64, count=len(toks))
         return pa.table(
@@ -847,7 +803,6 @@ def token_drift(sf_dir: str, k: int = 50) -> "pa.Table":
                 "token": pa.array(toks, type=pa.string()),
                 "n_a": pa.array(n_a),
                 "n_b": pa.array(n_b),
-                "bucket": pa.array(buckets),
             }
         )
 
@@ -871,12 +826,9 @@ def token_drift(sf_dir: str, k: int = 50) -> "pa.Table":
         ).head(k)
         return g[["token", "count_a", "count_b", "drift_ppm"]]
 
-    pruned = (
-        partials.repartition(8)
-        .groupby("bucket")
-        .map_groups(bucket_topk, batch_format="pandas")
-    )
-    allp = pruned.to_pandas()
+    allp = keyed_exchange(
+        partials, "token", bucket_topk, table_width(sf_dir, "documents")
+    ).to_pandas()
     out = allp.sort_values(
         ["drift_ppm", "token"], ascending=[False, True], kind="stable"
     ).head(k)
@@ -912,21 +864,23 @@ def heavy_hitters(sf_dir: str, k: int = 32, sketch_size: int = 256) -> pa.Table:
        count ``d`` from every counter and drops the non-positive ones
        (Misra & Gries 1982); each batch also emits its ``d`` so the
        global error bound is exact, not worst-case;
-    2. keyed sum of summary rows by token-hash bucket (summing MG
+    2. a token-keyed exchange sums the summary rows (summing MG
        summaries is the standard mergeable-sketch union; per-token
        error bounds add);
     3. driver top-k over the ≤ ``sketch_size``·n_blocks surviving
-       rows, pre-reduced per bucket to ≤ k — driver input ≤ 64·k rows.
+       rows, pre-reduced per bucket to ≤ k — driver input ≤
+       buckets·(k+1) rows.
+
+    Each batch's ``d`` rides on one extra ``token=""``, ``est=0`` row
+    (the batch may keep no token at all); every bucket sums ``deduct``
+    over all its rows and the driver over all buckets, so the bound
+    does not depend on which bucket a row lands in.
 
     Guarantees (pinned in test_ops): for every reported token,
     ``est_count ≤ true_count ≤ est_count + err_bound``; and any token
     whose true count exceeds ``err_bound`` is guaranteed to survive
     the sketch (so the heavy tail is never silently lost).
     """
-    import pandas as pd
-
-    import ray
-
     ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet", columns=["text"])
 
     def mg_partial(batch: pa.Table) -> pa.Table:
@@ -947,53 +901,30 @@ def heavy_hitters(sf_dir: str, k: int = 32, sketch_size: int = 256) -> pa.Table:
                 toks.extend(t.split(" "))
             uniq, counts = np.unique(np.asarray(toks, dtype=object), return_counts=True)
         uniq, counts, d = mg_compress(uniq, counts, sketch_size)
-        b = stable_hash64_array_local(list(uniq)) % np.uint64(64)
-        t = pa.table(
+        return pa.table(
             {
-                "token": pa.array(uniq.tolist(), type=pa.string()),
-                "est": pa.array(counts.astype(np.int64)),
-                "deduct": pa.array(np.full(len(uniq), 0, dtype=np.int64)),
-                "_b": pa.array(b.astype(np.int64)),
+                "token": pa.array(uniq.tolist() + [""], type=pa.string()),
+                "est": pa.array(np.append(counts, 0).astype(np.int64)),
+                "deduct": pa.array(np.append(np.zeros(len(uniq), np.int64), d)),
             }
         )
-        # one sentinel row per batch carries the batch's deduction so
-        # the global err bound is the exact sum of per-batch deducts
-        sent = pa.table(
-            {
-                "token": pa.array([""], type=pa.string()),
-                "est": pa.array([0], type=pa.int64()),
-                "deduct": pa.array([d], type=pa.int64()),
-                "_b": pa.array([-1], type=pa.int64()),
-            }
-        )
-        return pa.concat_tables([t, sent])
 
     def bucket_reduce(group: pd.DataFrame) -> pd.DataFrame:
-        if (group["_b"] == -1).any():
-            return pd.DataFrame(
-                {
-                    "token": [""],
-                    "est": [0],
-                    "deduct": [int(group["deduct"].sum())],
-                    "_b": [-1],
-                }
-            )
         g = group.groupby("token", as_index=False)["est"].sum()
+        g = g[g["est"] > 0]
         g = g.sort_values(["est", "token"], ascending=[False, True], kind="mergesort").head(k)
-        g["deduct"] = 0
-        g["_b"] = int(group["_b"].iloc[0])
-        return g[["token", "est", "deduct", "_b"]]
+        total = pd.DataFrame({"token": [""], "est": [0], "deduct": [int(group["deduct"].sum())]})
+        return pd.concat([g.assign(deduct=0), total], ignore_index=True)
 
-    rows = (
-        ds.map_batches(mg_partial, batch_format="pyarrow", zero_copy_batch=True)
-        .repartition(64)
-        .groupby("_b")
-        .map_groups(bucket_reduce, batch_format="pandas")
-        .to_pandas()
-    )
-    err = int(rows.loc[rows["_b"] == -1, "deduct"].sum())
+    rows = keyed_exchange(
+        ds.map_batches(mg_partial, batch_format="pyarrow", zero_copy_batch=True),
+        "token",
+        bucket_reduce,
+        table_width(sf_dir, "documents"),
+    ).to_pandas()
+    err = int(rows["deduct"].sum())
     top = (
-        rows[rows["_b"] != -1]
+        rows[rows["est"] > 0]
         .sort_values(["est", "token"], ascending=[False, True], kind="mergesort")
         .head(k)
     )
@@ -1006,12 +937,7 @@ def heavy_hitters(sf_dir: str, k: int = 32, sketch_size: int = 256) -> pa.Table:
     )
 
 
-def inverted_index(
-    sf_dir: str,
-    num_buckets: int = 64,
-    keep_bucket: bool = False,
-    postings_cap: int | None = None,
-) -> "ray.data.Dataset":
+def inverted_index(sf_dir: str, postings_cap: int | None = None) -> "ray.data.Dataset":
     """(token, df, total_tf, postings) — build the corpus inverted
     index: per token, the document frequency, total term count, and
     the doc_id-ascending posting list (comma-joined string, so the
@@ -1019,12 +945,9 @@ def inverted_index(
 
     Index construction is the canonical "big keyed groupby" sink: per
     -doc term counts from the shared :func:`_tf_rows` kernel (polars
-    split/explode/group_by — no Python row loop), then ONE token-hash
-    bucket exchange; each bucket group holds its tokens' complete
-    posting lists and emits them with a vectorized pandas groupby.
-    At 100 TB the output is written as bucket-partitioned Parquet
-    (resumable, one directory per token-hash range) — the return here
-    is the same Dataset pre-sink.
+    split/explode/group_by — no Python row loop), then ONE token-keyed
+    exchange; each bucket group holds its tokens' complete posting
+    lists and emits them with a vectorized pandas groupby.
 
     Hub tokens: a stopword's posting list is O(corpus) — one unbounded
     string row. ``postings_cap`` keeps only the ``cap`` lowest doc_ids
@@ -1033,23 +956,8 @@ def inverted_index(
     the bucket layout already supports (emit (token, shard_no,
     postings) rows from ``build``).
     """
-    import pandas as pd
-
-    import ray
-
-    import pyarrow.parquet as pq
-
-    if not keep_bucket:
-        # pure perf knob when _b is not part of the output contract
-        # (posting lists are token-local for any bucket count)
-        n_docs = int(pq.read_metadata(f"{sf_dir}/documents.parquet").num_rows)
-        num_buckets = adaptive_buckets(n_docs, requested=num_buckets)
     ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
     tf = ds.map_batches(_tf_rows, batch_format="pyarrow", zero_copy_batch=True)
-
-    def tag(df: pd.DataFrame) -> pd.DataFrame:
-        b = stable_hash64_array_local(list(df["token"])) % num_buckets
-        return df.assign(_b=b.astype(np.int32))
 
     def build(group: pd.DataFrame) -> pd.DataFrame:
         g = group.sort_values(["token", "doc_id"], kind="mergesort")
@@ -1064,18 +972,9 @@ def inverted_index(
             total_tf=("tf", "sum"),
             postings=("doc_id", join_ids),
         )
-        out = agg.reset_index()[["token", "df", "total_tf", "postings"]]
-        if keep_bucket:
-            # partition column for the bucket-partitioned Parquet sink
-            out["_b"] = int(group["_b"].iloc[0]) if len(group) else 0
-        return out
+        return agg.reset_index()[["token", "df", "total_tf", "postings"]]
 
-    return (
-        tf.map_batches(tag, batch_format="pandas")
-        .repartition(num_buckets)
-        .groupby("_b")
-        .map_groups(build, batch_format="pandas")
-    )
+    return keyed_exchange(tf, "token", build, table_width(sf_dir, "documents"))
 
 
 def corpus_profile(sf_dir: str) -> pa.Table:
@@ -1089,15 +988,15 @@ def corpus_profile(sf_dir: str) -> pa.Table:
       score, so the sum is INTEGER-exact under any batching/order —
       no float accumulation drift vs the SQL oracle);
     - exact distinct-document count without shuffling rows: each batch
-      emits its distinct content-md5s, keyed by an md5-prefix bucket;
-      buckets partition the hash space, so per-bucket nunique sums to
-      the exact global distinct count (the disjointness trick the
-      dedup ops use).
+      emits its distinct content-md5s through an md5-keyed exchange;
+      every copy of an md5 lands in one bucket, so per-bucket nunique
+      sums to the exact global distinct count (the disjointness trick
+      the dedup ops use).
+
+    A batch's counts ride on its first md5 row (zeros on the rest), and
+    every bucket sums them over all its rows, so the totals do not
+    depend on which bucket a row lands in.
     """
-    import pandas as pd
-
-    import ray
-
     ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
 
     def partials(batch: pa.Table) -> pa.Table:
@@ -1105,51 +1004,29 @@ def corpus_profile(sf_dir: str) -> pa.Table:
         q6 = np.floor(q.column("quality_score").to_numpy() * 1e6 + 0.5).astype(np.int64)
         texts = batch.column("text")
         md5s = sorted({hashlib.md5(t.encode()).hexdigest() for t in texts.to_pylist()})
-        stats = pa.table(
-            {
-                "md5": pa.array([""], type=pa.string()),
-                "_b": pa.array([-1], type=pa.int64()),
-                "n_docs": pa.array([batch.num_rows], type=pa.int64()),
-                "tokens": pa.array([int(q.column("n_tokens").to_numpy().sum())]),
-                "chars": pa.array([int(pc.sum(pc.utf8_length(texts)).as_py() or 0)]),
-                "q6_sum": pa.array([int(q6.sum())]),
-            }
+        stats = {
+            "n_docs": batch.num_rows,
+            "tokens": int(q.column("n_tokens").to_numpy().sum()),
+            "chars": int(pc.sum(pc.utf8_length(texts)).as_py() or 0),
+            "q6_sum": int(q6.sum()),
+        }
+        first = np.arange(len(md5s)) == 0
+        return pa.table(
+            {"md5": pa.array(md5s, type=pa.string())}
+            | {c: pa.array(np.where(first, v, 0).astype(np.int64)) for c, v in stats.items()}
         )
-        uniq = pa.table(
-            {
-                "md5": pa.array(md5s, type=pa.string()),
-                "_b": pa.array([int(m[:2], 16) % 64 for m in md5s], type=pa.int64()),
-                "n_docs": pa.array([0] * len(md5s), type=pa.int64()),
-                "tokens": pa.array([0] * len(md5s), type=pa.int64()),
-                "chars": pa.array([0] * len(md5s), type=pa.int64()),
-                "q6_sum": pa.array([0] * len(md5s), type=pa.int64()),
-            }
-        )
-        return pa.concat_tables([stats, uniq])
 
     def reduce_bucket(group: pd.DataFrame) -> pd.DataFrame:
-        if (group["_b"] == -1).any():
-            return pd.DataFrame(
-                {
-                    "n_docs": [int(group["n_docs"].sum())],
-                    "tokens": [int(group["tokens"].sum())],
-                    "chars": [int(group["chars"].sum())],
-                    "q6_sum": [int(group["q6_sum"].sum())],
-                    "distinct": [0],
-                }
-            )
-        return pd.DataFrame(
-            {"n_docs": [0], "tokens": [0], "chars": [0], "q6_sum": [0],
-             "distinct": [int(group["md5"].nunique())]}
-        )
+        sums = group[["n_docs", "tokens", "chars", "q6_sum"]].sum()
+        return pd.DataFrame({**{c: [int(v)] for c, v in sums.items()},
+                             "distinct": [int(group["md5"].nunique())]})
 
-    rows = (
-        ds.map_batches(partials, batch_format="pyarrow", zero_copy_batch=True)
-        .repartition(16)
-        .groupby("_b")
-        .map_groups(reduce_bucket, batch_format="pandas")
-        .to_pandas()
-    )  # ≤ 65 tiny rows on the driver
+    rows = keyed_exchange(
+        ds.map_batches(partials, batch_format="pyarrow", zero_copy_batch=True),
+        "md5",
+        reduce_bucket,
+        table_width(sf_dir, "documents"),
+    ).to_pandas()  # one tiny row per bucket on the driver
     return pa.table(
         {
             "n_docs": pa.array([int(rows["n_docs"].sum())]),
@@ -1203,8 +1080,6 @@ def cms_token_counts(sf_dir: str, width: int = 4096) -> pa.Table:
     overestimate-only and ε-bound properties are pinned separately in
     tests with an adversarially small width.
     """
-    import ray
-
     ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -1215,7 +1090,7 @@ def cms_token_counts(sf_dir: str, width: int = 4096) -> pa.Table:
         )
         toks = counts.column("token").to_pylist()
         tf = counts.column("tf_sum").to_numpy(zero_copy_only=False).astype(np.int64)
-        th = np.fromiter((hash_token(t) for t in toks), dtype=np.uint64, count=len(toks))
+        th = stable_hash64_array(toks)
         grid = np.zeros((CMS_DEPTH, width), dtype=np.int64)
         pos = _cms_positions(th, width)
         for r in range(CMS_DEPTH):
@@ -1250,7 +1125,7 @@ def cms_token_counts(sf_dir: str, width: int = 4096) -> pa.Table:
             vocab.update(toks.split(","))
 
     probe = sorted(vocab)
-    th = np.fromiter((hash_token(t) for t in probe), dtype=np.uint64, count=len(probe))
+    th = stable_hash64_array(probe)
     pos = _cms_positions(th, width)
     est = np.min(
         np.stack([grid[r][pos[r]] for r in range(CMS_DEPTH)]), axis=0
@@ -1263,9 +1138,7 @@ def cms_token_counts(sf_dir: str, width: int = 4096) -> pa.Table:
     )
 
 
-def cooccurrence_topk(
-    sf_dir: str, k: int = 50, num_buckets: int = 64, max_doc_tokens: int = 1000
-) -> pa.Table:
+def cooccurrence_topk(sf_dir: str, k: int = 50, max_doc_tokens: int = 1000) -> pa.Table:
     """(token_a, token_b, n_docs) — the ``k`` most frequent co-occurring
     token pairs (both tokens in the same document, token_a < token_b),
     ties by (token_a, token_b) ascending: collocation mining, the
@@ -1279,21 +1152,13 @@ def cooccurrence_topk(
     inverted-index hub rule — so one pathological 50k-distinct-token
     document costs ≤ N²/2 rows, never 1.25G. The SQL oracle applies the
     identical cap (same deterministic tie-break) so results match
-    bit-for-bit even when the cap is active. Then ONE pair-hash keyed
+    bit-for-bit even when the cap is active. Then ONE pair-keyed
     exchange sums partials, each bucket prunes to its local top-k, and
     the driver merges ≤ buckets·k rows. n_docs counts DOCUMENTS
     containing the pair (not occurrences) so the SQL oracle is a plain
     distinct self-join over the capped token set.
     """
-    import pyarrow.parquet as pq
-
-    import ray
-
     ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
-    nb = adaptive_buckets(
-        pq.read_metadata(f"{sf_dir}/documents.parquet").num_rows,
-        requested=num_buckets,
-    )
 
     def pair_partials(batch: pa.Table) -> pd.DataFrame:
         tf = _tf_rows(batch).to_pandas()
@@ -1308,26 +1173,21 @@ def cooccurrence_topk(
         m = m[m["token_x"] < m["token_y"]]
         out = m.groupby(["token_x", "token_y"], as_index=False).size()
         out.columns = ["token_a", "token_b", "n"]
-        h = stable_hash64_array_local(
-            [a + "\x00" + b for a, b in zip(out["token_a"], out["token_b"])]
-        )
-        return out.assign(_b=(h % np.uint64(nb)).astype(np.int32))
+        return out
 
     def bucket_topk(g: pd.DataFrame) -> pd.DataFrame:
         s = g.groupby(["token_a", "token_b"], as_index=False)["n"].sum()
-        s = s.sort_values(
+        return s.sort_values(
             ["n", "token_a", "token_b"], ascending=[False, True, True],
             kind="mergesort",
         ).head(k)
-        return s
 
-    partials = (
-        ds.map_batches(pair_partials, batch_format="pyarrow", zero_copy_batch=True)
-        .repartition(nb)
-        .groupby("_b")
-        .map_groups(bucket_topk, batch_format="pandas")
-        .to_pandas()
-    )
+    partials = keyed_exchange(
+        ds.map_batches(pair_partials, batch_format="pyarrow", zero_copy_batch=True),
+        ["token_a", "token_b"],
+        bucket_topk,
+        table_width(sf_dir, "documents"),
+    ).to_pandas()
     top = partials.sort_values(
         ["n", "token_a", "token_b"], ascending=[False, True, True], kind="mergesort"
     ).head(k)
@@ -1340,7 +1200,7 @@ def cooccurrence_topk(
     )
 
 
-def token_novelty(sf_dir: str, num_buckets: int = 64) -> "ray.data.Dataset":
+def token_novelty(sf_dir: str) -> "ray.data.Dataset":
     """(doc_id, n_first_tokens) — for each document, how many distinct
     tokens make their corpus-wide FIRST appearance (min doc_id) in it:
     the vocabulary-growth / content-novelty signal a curation pipeline
@@ -1350,14 +1210,14 @@ def token_novelty(sf_dir: str, num_buckets: int = 64) -> "ray.data.Dataset":
 
     Shape: per-batch DISTINCT (doc_id, token) pairs (in-batch dedup
     shrinks the exchange to per-doc vocabulary, not token stream), ONE
-    token-hash bucket exchange, per-bucket ``min(doc_id)`` per token,
+    token-keyed exchange, per-bucket ``min(doc_id)`` per token,
     per-bucket partial counts per winning doc, then a tiny doc-keyed
     sum. Token strings never leave their bucket a second time — the
-    second aggregate carries only (doc_id, partial_count).
+    second aggregate carries only (doc_id, partial_count). The token
+    exchange is routed without the coalesce (1.45x slower through it
+    at one CPU).
     """
-    import ray
-
-    from ..kernels.hashing import stable_hash64_array
+    from ray.data.aggregate import Sum
 
     ds = ray.data.read_parquet(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
@@ -1372,14 +1232,10 @@ def token_novelty(sf_dir: str, num_buckets: int = 64) -> "ray.data.Dataset":
             toks = set(t.split(" "))
             d_out.extend([d] * len(toks))
             t_out.extend(toks)
-        h = stable_hash64_array(t_out)
         return pa.table(
             {
                 "doc_id": pa.array(d_out, type=pa.int64()),
                 "token": pa.array(t_out, type=pa.string()),
-                "_b": pa.array(
-                    (h % np.uint64(num_buckets)).astype(np.int32), type=pa.int32()
-                ),
             }
         )
 
@@ -1390,10 +1246,12 @@ def token_novelty(sf_dir: str, num_buckets: int = 64) -> "ray.data.Dataset":
         out["n_first_tokens"] = out["n_first_tokens"].astype("int64")
         return out
 
-    from ray.data.aggregate import Sum
-
     return (
-        ds.map_batches(pairs, batch_format="pyarrow", zero_copy_batch=True)
+        keyed_route(
+            ds.map_batches(pairs, batch_format="pyarrow", zero_copy_batch=True),
+            "token",
+            table_width(sf_dir, "documents"),
+        )
         .groupby("_b")
         .map_groups(bucket_firsts, batch_format="pandas")
         .groupby("doc_id")
@@ -1418,13 +1276,13 @@ def length_deciles(sf_dir: str, k: int = 10) -> "ray.data.Dataset":
     2. ONE n_chars-keyed exchange co-locates equal-length docs;
        per-group mergesort by doc_id gives the tie rank; global rank =
        cum_below[n_chars] + tie_rank, and the ntile bucket follows
-       from (rank, N, k) arithmetic row-locally.
+       from (rank, N, k) arithmetic row-locally. Routed without the
+       coalesce (1.3x slower through it at one CPU).
 
     Skew note: a degenerate corpus where most docs share ONE length
     sends that length to one task — salt by doc_id ranges inside the
     group if that ever binds (lengths here are naturally spread).
     """
-    import ray
     from ray.data.aggregate import Sum
 
     ds = ray.data.read_parquet(
@@ -1471,11 +1329,8 @@ def length_deciles(sf_dir: str, k: int = 10) -> "ray.data.Dataset":
              "decile": decile}
         )
 
-    def add_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        return df.assign(_b=(df["n_chars"] % 64).astype("int32"))
-
     return (
-        ds.map_batches(add_bucket, batch_format="pandas")
+        keyed_route(ds, "n_chars", table_width(sf_dir, "documents"))
         .groupby("_b")
         .map_groups(per_length, batch_format="pandas")
     )
@@ -1487,7 +1342,6 @@ def textrank_keywords(
     n_iters: int = 4,
     min_df: int = 2,
     max_doc_tokens: int = 1000,
-    num_buckets: int = 64,
 ) -> pa.Table:
     """(position, keyword, rank_x1e9) — TextRank (Mihalcea & Tarau,
     EMNLP 2004; doc-level co-occurrence variant): corpus keywords
@@ -1515,27 +1369,19 @@ def textrank_keywords(
     - vocab ids: global token sort, then per-block (first_token,
       n_rows) partials — the driver reads <= block-count rows, never
       the vocabulary;
-    - two token-keyed exchanges map pair endpoints to ids (the
-      id-attach join doubles as the df filter — inner join drops
+    - two token-keyed ``co_exchange`` joins map pair endpoints to ids
+      (the id-attach join doubles as the df filter — inner join drops
       low-df endpoints);
     - the rank loop is pagerank_ds's two keyed exchanges per
-      iteration; ONE id-keyed exchange joins ranks back to keyword
-      strings; only k rows reach the driver (distributed sort +
-      limit)."""
-    import pyarrow.parquet as pq
-
-    import ray
-
-    from ..kernels.hashing import stable_hash64_array
+      iteration; ONE id-keyed ``co_exchange`` joins ranks back to
+      keyword strings; only k rows reach the driver (distributed sort
+      + limit)."""
     from .graph import pagerank_ds
 
     ds = ray.data.read_parquet(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
     )
-    nb = adaptive_buckets(
-        pq.read_metadata(f"{sf_dir}/documents.parquet").num_rows,
-        requested=num_buckets,
-    )
+    width = table_width(sf_dir, "documents")
 
     def _capped(batch: pa.Table) -> pd.DataFrame:
         tf = _tf_rows(batch).to_pandas()
@@ -1552,8 +1398,7 @@ def textrank_keywords(
         dt = _capped(batch)
         out = dt.groupby("token", as_index=False).size()
         out.columns = ["token", "n"]
-        h = stable_hash64_array(out["token"].tolist())
-        return out.assign(_b=(h % np.uint64(nb)).astype(np.int32))
+        return out
 
     def df_reduce(g: pd.DataFrame) -> pd.DataFrame:
         s = g.groupby("token", as_index=False)["n"].sum()
@@ -1561,11 +1406,12 @@ def textrank_keywords(
         return s[["token"]]
 
     vocab_sorted = (
-        ds.map_batches(df_partials, batch_format="pyarrow",
-                       zero_copy_batch=True)
-        .repartition(nb)
-        .groupby("_b")
-        .map_groups(df_reduce, batch_format="pandas")
+        keyed_exchange(
+            ds.map_batches(df_partials, batch_format="pyarrow", zero_copy_batch=True),
+            "token",
+            df_reduce,
+            width,
+        )
         .sort("token")
         .materialize()
     )
@@ -1610,86 +1456,42 @@ def textrank_keywords(
         m = m[m["token_x"] < m["token_y"]]
         out = m.groupby(["token_x", "token_y"], as_index=False).size()
         out.columns = ["ta", "tb", "w"]
-        h = stable_hash64_array(
-            [a + "\x00" + b for a, b in zip(out["ta"], out["tb"])]
-        )
-        return out.assign(_b=(h % np.uint64(nb)).astype(np.int32))
+        return out
 
     def pair_reduce(g: pd.DataFrame) -> pd.DataFrame:
         s = g.groupby(["ta", "tb"], as_index=False)["w"].sum()
         s["w"] = s["w"].astype("int64")
         return s
 
-    pairs = (
-        ds.map_batches(pair_partials, batch_format="pyarrow",
-                       zero_copy_batch=True)
-        .repartition(nb)
-        .groupby("_b")
-        .map_groups(pair_reduce, batch_format="pandas")
+    pairs = keyed_exchange(
+        ds.map_batches(pair_partials, batch_format="pyarrow", zero_copy_batch=True),
+        ["ta", "tb"],
+        pair_reduce,
+        width,
     )
 
-    # --- attach ids: two token-keyed exchanges (inner join = df gate).
-    # Union frames share ONE canonical schema (key, ta, tb, w, ida,
-    # tid, _tb, _k) — dummies fill the side that lacks a column.
-    def _canon(key, ta, tb, w, ida, tid, k):
-        h = stable_hash64_array(key.tolist())
-        return pd.DataFrame(
-            {"key": key.astype(str), "ta": ta.astype(str),
-             "tb": tb.astype(str), "w": w.astype("int64"),
-             "ida": ida.astype("int64"), "tid": tid.astype("int64"),
-             "_tb": (h % np.uint64(nb)).astype(np.int32), "_k": k}
-        )
+    # --- attach ids: two token-keyed joins (inner join = df gate)
+    vocab_side = (vocab, "token", typed_frame(token="object", tid="int64"))
 
-    def tag_vocab_rows(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.reset_index(drop=True)
-        z = pd.Series([""] * len(df))
-        m1 = pd.Series([-1] * len(df))
-        return _canon(df["token"], z, z, m1, m1, df["tid"], "v")
+    def join_a(parts: dict) -> pd.DataFrame:
+        m = parts["pair"].merge(parts["vocab"], left_on="ta", right_on="token")
+        return pd.DataFrame({"ta": m["ta"], "tb": m["tb"], "w": m["w"], "ida": m["tid"]})
 
-    def tag_pairs_a(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.reset_index(drop=True)
-        m1 = pd.Series([-1] * len(df))
-        return _canon(df["ta"], df["ta"], df["tb"], df["w"], m1, m1, "p")
+    def join_b(parts: dict) -> pd.DataFrame:
+        m = parts["pair"].merge(parts["vocab"], left_on="tb", right_on="token")
+        return pd.DataFrame({"w": m["w"], "ida": m["ida"], "idb": m["tid"]})
 
-    def join_a(g: pd.DataFrame) -> pd.DataFrame:
-        v = g[g["_k"] == "v"][["key", "tid"]]
-        p = g[g["_k"] == "p"][["key", "ta", "tb", "w"]]
-        m = p.merge(v, on="key", how="inner")
-        return pd.DataFrame(
-            {"ta": m["ta"], "tb": m["tb"], "w": m["w"].astype("int64"),
-             "ida": m["tid"].astype("int64")}
-        )
-
-    step1 = (
-        pairs.map_batches(tag_pairs_a, batch_format="pandas")
-        .union(vocab.map_batches(tag_vocab_rows, batch_format="pandas"))
-        .repartition(nb)
-        .groupby("_tb")
-        .map_groups(join_a, batch_format="pandas")
+    step1 = co_exchange(
+        {"pair": (pairs, "ta", typed_frame(ta="object", tb="object", w="int64")),
+         "vocab": vocab_side},
+        join_a,
+        width,
     )
-
-    def tag_pairs_b(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.reset_index(drop=True)
-        return _canon(
-            df["tb"], df["ta"], df["tb"], df["w"], df["ida"],
-            pd.Series([-1] * len(df)), "p",
-        )
-
-    def join_b(g: pd.DataFrame) -> pd.DataFrame:
-        v = g[g["_k"] == "v"][["key", "tid"]]
-        p = g[g["_k"] == "p"][["key", "w", "ida"]]
-        m = p.merge(v, on="key", how="inner")
-        return pd.DataFrame(
-            {"w": m["w"].astype("int64"), "ida": m["ida"].astype("int64"),
-             "idb": m["tid"].astype("int64")}
-        )
-
-    with_ids = (
-        step1.map_batches(tag_pairs_b, batch_format="pandas")
-        .union(vocab.map_batches(tag_vocab_rows, batch_format="pandas"))
-        .repartition(nb)
-        .groupby("_tb")
-        .map_groups(join_b, batch_format="pandas")
+    with_ids = co_exchange(
+        {"pair": (step1, "tb", typed_frame(ta="object", tb="object", w="int64", ida="int64")),
+         "vocab": vocab_side},
+        join_b,
+        width,
     )
 
     # --- symmetric weighted edges -> fixed-iteration PageRank
@@ -1716,39 +1518,20 @@ def textrank_keywords(
     ranks = pagerank_ds(edges, n_iters=n_iters, weight_col="w")
 
     # --- ranks back to keywords (one id-keyed exchange), top-k out
-    def tag_rank(df: pd.DataFrame) -> pd.DataFrame:
+    def join_kw(parts: dict) -> pd.DataFrame:
+        m = parts["rank"].merge(parts["vocab"], left_on="node", right_on="tid")
         return pd.DataFrame(
-            {"tid": df["node"].astype("int64"),
-             "token": "",
-             "r9": (df["rank"].to_numpy(np.float64) * 1e9)
-                   .round().astype("int64"),
-             "_ib": (df["node"].astype("int64") % nb).astype("int32"),
-             "_k": "r"}
-        )
-
-    def tag_vocab_id(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {"tid": df["tid"].astype("int64"),
-             "token": df["token"],
-             "r9": -1,
-             "_ib": (df["tid"].astype("int64") % nb).astype("int32"),
-             "_k": "v"}
-        )
-
-    def join_kw(g: pd.DataFrame) -> pd.DataFrame:
-        r = g[g["_k"] == "r"][["tid", "r9"]]
-        v = g[g["_k"] == "v"][["tid", "token"]]
-        m = r.merge(v, on="tid", how="inner")
-        return pd.DataFrame(
-            {"keyword": m["token"], "rank_x1e9": m["r9"].astype("int64")}
+            {"keyword": m["token"],
+             "rank_x1e9": (m["rank"].to_numpy(np.float64) * 1e9).round().astype("int64")}
         )
 
     top = (
-        ranks.map_batches(tag_rank, batch_format="pandas")
-        .union(vocab.map_batches(tag_vocab_id, batch_format="pandas"))
-        .repartition(nb)
-        .groupby("_ib")
-        .map_groups(join_kw, batch_format="pandas")
+        co_exchange(
+            {"rank": (ranks, "node", typed_frame(node="int64", rank="float64")),
+             "vocab": (vocab, "tid", typed_frame(token="object", tid="int64"))},
+            join_kw,
+            width,
+        )
         .sort(["rank_x1e9", "keyword"], descending=[True, False])
         .limit(k)
         .to_pandas()

@@ -1,15 +1,16 @@
 """Exchange budget of the graph and relational ops, and empty-input
 behaviour of the iterative graph ops.
 
-Every keyed exchange in ``ops/graph.py``, ``ops/relational.py`` and
-``ops/dedup.incremental_dedup`` is routed by ``kernels.partitioning``
-(``co_exchange`` / ``keyed_exchange``, or their ``co_route`` /
-``route_bucket`` step where the coalesce measured slower); these tests
-pin how many Dataset executions and sort-shuffles (``Sort`` operators)
-each iterative graph op runs on a small graph and each multi-exchange
-relational op runs at sf0.001, so a change that adds an exchange shows
-up here, and check that every iterative op returns a typed empty result
-on an empty edge set.
+Every keyed exchange in ``ops/graph.py``, ``ops/relational.py``,
+``ops/dedup.py`` and ``ops/textstats.py`` is routed by
+``kernels.partitioning`` (``co_exchange`` / ``keyed_exchange``, or
+their ``co_route`` / ``route_bucket`` step where the coalesce measured
+slower); these tests pin how many Dataset executions and sort-shuffles
+(``Sort`` operators) each iterative graph op runs on a small graph and
+each multi-exchange relational, dedup and text-stats op runs at
+sf0.001, so a change that adds an exchange shows up here, and check
+that every iterative op returns a typed empty result on an empty edge
+set.
 """
 
 import numpy as np
@@ -134,6 +135,42 @@ def _run_rel(op: str):
 def test_relational_op_exchange_budget(ray_session, monkeypatch, op):
     got = _count(monkeypatch, lambda: _run_rel(op))
     assert got == REL_BUDGET[op], (op, got)
+
+
+# (Dataset executions, Sort operators) per dedup / text-stats op at
+# sf0.001, as measured before those ops moved onto keyed_exchange /
+# co_exchange; the port may not exceed them (line_dedup_rewrite no
+# longer materializes its chunk rows to count them: one execution less)
+TEXT_BUDGET = {
+    "minhash_lsh_broadcast": (2, 2),
+    "minhash_lsh_bucketed": (2, 3),
+    "ngram_jaccard_pairs": (1, 2),
+    "containment_pairs": (1, 2),
+    "dedup_clusters_distributed": (10, 8),
+    "simhash_neardup_pairs": (1, 2),
+    "window_dedup": (1, 2),
+    "line_dedup_rewrite": (2, 2),
+    "tfidf_top_term": (1, 2),
+    "textrank_keywords": (16, 19),
+}
+
+
+def _run_text(op: str):
+    from dfg_gepris_crawler_ray.ops import dedup, textstats
+
+    if op.startswith("minhash_lsh_"):
+        return dedup.minhash_lsh_dedup(SF, verify_route=op.rsplit("_", 1)[1])
+    if op == "dedup_clusters_distributed":
+        return dedup.dedup_clusters(SF, mode="distributed")
+    module = textstats if hasattr(textstats, op) else dedup
+    return getattr(module, op)(SF)
+
+
+@pytest.mark.parametrize("op", sorted(TEXT_BUDGET))
+def test_text_op_exchange_budget(ray_session, monkeypatch, op):
+    got = _count(monkeypatch, lambda: _run_text(op))
+    executions, sorts = TEXT_BUDGET[op]
+    assert got[0] <= executions and got[1] <= sorts, (op, got, TEXT_BUDGET[op])
 
 
 def test_iterative_graph_ops_accept_an_empty_edge_set(ray_session):

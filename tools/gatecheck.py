@@ -11,7 +11,8 @@ Usage::
 
 Prints one line per query (status, row counts, wall time and the value
 hash of the Ray result, so two gate logs diff query by query) and a JSON
-summary; exit code 1 on any mismatch.
+summary; exit code 1 on any mismatch. Ray gets as many CPUs as the
+process may run on; ``RAY_GRAFT_CPUS=N`` sets another count.
 """
 
 from __future__ import annotations
@@ -84,7 +85,8 @@ def main() -> int:
     import ray
 
     if not ray.is_initialized():
-        ray.init(address="local", num_cpus=int(os.environ.get("RAY_GRAFT_CPUS", "16")),
+        cpus = os.environ.get("RAY_GRAFT_CPUS") or len(os.sched_getaffinity(0))
+        ray.init(address="local", num_cpus=int(cpus),
                  include_dashboard=False, ignore_reinit_error=True,
                  logging_level="ERROR")
 
