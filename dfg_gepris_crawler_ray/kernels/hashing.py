@@ -120,27 +120,13 @@ def bloom_contains(
     return present
 
 
-def bloom_or_reduce(parts_ds, bloom_bits: int, fanin: int = 8):
-    """Tree-reduce OR-mergeable bloom partial rows (column ``w`` of
-    bitmap bytes) down to ONE driver-held bitmap.
-
-    Without the intermediate level the driver pulls one
-    ``bloom_bits/8``-byte blob per input block — O(blocks) driver
-    traffic at corpus scale. Coalescing to ``fanin`` partitions and
-    OR-ing inside each bounds the driver read to ``fanin`` blobs."""
+def bloom_or(parts, m_bits: int):
+    """OR of the bloom partial rows ``parts`` (column ``w`` of bitmap
+    bytes) as one such row — a :func:`kernels.partitioning.fan_in`
+    combine, so the driver reads a bounded number of bitmaps."""
     import pandas as pd
 
-    def or_rows(df: pd.DataFrame) -> pd.DataFrame:
-        acc = np.zeros(bloom_bits // 64, dtype=np.uint64)
-        for buf in df["w"]:
-            acc |= np.frombuffer(buf, dtype=np.uint64)
-        return pd.DataFrame({"w": [acc.tobytes()]})
-
-    reduced = parts_ds.repartition(fanin).map_batches(
-        or_rows, batch_size=None, batch_format="pandas"
-    )
-    merged = np.zeros(bloom_bits // 64, dtype=np.uint64)
-    for b in reduced.iter_batches(batch_format="pandas"):
-        for buf in b["w"]:
-            merged |= np.frombuffer(buf, dtype=np.uint64)
-    return merged
+    acc = np.zeros(m_bits // 64, dtype=np.uint64)
+    for buf in parts.get("w", ()):
+        acc |= np.frombuffer(buf, dtype=np.uint64)
+    return pd.DataFrame({"w": [acc.tobytes()]})

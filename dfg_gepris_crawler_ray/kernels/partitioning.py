@@ -40,6 +40,15 @@ uncoalesced state transitions reuse, as :func:`keyed_route` is
 :func:`keyed_exchange`'s; :func:`typed_frame` builds a side's
 template.
 
+:func:`fan_in` is the keyless counterpart: a tree-reduce of mergeable
+partial rows (re-block to :data:`FAN_IN`, combine per block, combine
+the collected results once more on the driver) for every op whose
+answer is a small driver-side merge — the kNN top-k partials
+(``similarity._merge_topk``), the k-means and PQ centroid sums, the
+PCA moments, the IRLS statistics of ``classifier``, the Count-Min
+grid, ``curation.weighted_sample``, the host-budget leftover prune and
+both bloom routes (``hashing.bloom_or``).
+
 Callers: the crawl ops (``ops/crawlhealth``, ``ops/recrawl``,
 ``ops/boilerplate``), every graph op (``ops/graph``), every keyed
 join, semi-join and per-key window of ``ops/relational``, every
@@ -48,7 +57,12 @@ MinHash band and verify exchanges, the n-gram pair sums, the
 min-label components, the cluster join, SimHash, the IVF pair dedupe,
 window and line dedup) and of ``ops/textstats`` (top tokens, TF-IDF,
 drift, heavy hitters, the inverted index, the corpus profile,
-co-occurrence, novelty, length deciles, TextRank). An op's width is
+co-occurrence, novelty, length deciles, TextRank), and the keyed
+exchanges of ``curation``, ``classifier``, ``decontaminate``,
+``cdc``, ``multimodal`` and ``search``. ``dedup.keep_min`` is the
+one exact-dedup keep-min (``exact_dedup``, ``incremental_dedup``,
+``corpus_curation``, ``extracted_corpus_funnel``,
+``pretrain_pack_pipeline``, ``model_gated_corpus``). An op's width is
 :func:`table_width` over its driving table.
 
 Sites that route with :func:`keyed_route` / :func:`route_bucket` /
@@ -64,7 +78,14 @@ MinHash band exchange (1.2x), both n-gram pair exchanges (1.2x,
 1.1x), the first SimHash exchange (1.14x), the window exchange of
 ``dedup.window_dedup`` (1.2x), ``textstats.top_tokens`` (1.35x),
 ``textstats.token_novelty`` (1.45x) and ``textstats.length_deciles``
-(1.3x).
+(1.3x). ``dedup.keep_min`` skips it for all six callers (the two
+above; ``corpus_curation`` 1.45x, ``extracted_corpus_funnel`` 4.9x,
+``pretrain_pack_pipeline`` 1.5x, ``model_gated_corpus`` even), and so
+do ``curation.source_quota`` (1.4x), both exchanges of
+``decontaminate``'s bucketed route (1.4x, 1.3x), of
+``cdc.cdc_chunk_stats`` (1.4x, 1.2x) and of
+``multimodal.media_phash_pairs`` (1.4x, 1.2x), and
+``search.phrase_search`` (1.3x).
 
 The exchange stays a sort-shuffle (Ray's hash shuffle hung on this
 engine's Ray version; BASELINE.md). Hashes that are values or that an
@@ -229,6 +250,27 @@ def co_exchange(sides: dict, reduce, n: int = 64):
     are equal meet in one call, whatever the key columns are named."""
     routed, split = co_route(sides, n)
     return _reduce_routed(routed, lambda group: reduce(split(group)), n, "pandas")
+
+
+#: the block count :func:`fan_in` re-blocks its partials to
+FAN_IN = 8
+
+
+def fan_in(partials, combine) -> pd.DataFrame:
+    """Keyless tree-reduce of mergeable partial rows to one driver frame.
+
+    ``partials`` (per-batch partial rows: sketch grids, top-k rows,
+    sufficient statistics) is re-blocked to :data:`FAN_IN` blocks,
+    ``combine`` runs once per whole block, and the at most ``FAN_IN``
+    results are collected and combined once more on the driver, so the
+    driver reads a bounded number of rows whatever the input's block
+    count. ``combine`` takes a pandas frame of partial rows (on an empty
+    input, a frame with no rows and no columns) and returns merged rows
+    of the same shape; the merged frame is returned."""
+    blocks = partials.repartition(FAN_IN).map_batches(
+        combine, batch_size=None, batch_format="pandas"
+    )
+    return combine(blocks.to_pandas())
 
 
 def adaptive_buckets(

@@ -15,9 +15,10 @@ where first-order GD needs hundreds of scans. Per iteration:
 - ONE scan over the materialized feature table emits per-batch
   sufficient statistics (gradient d-vector + Hessian d×d grid, d=257
   incl. bias — ~528 KB float64, CMS-grid-sized);
-- partials are PRE-REDUCED (repartition to fanin 8 + vectorized ADD
-  merge) so the driver reads ≤ 8 rows per iteration regardless of
-  block count — the driver-funnel discipline (VERDICT r3 §1);
+- partials are PRE-REDUCED by ``kernels.partitioning.fan_in``
+  (vectorized ADD merge per block, then once more on the driver) so
+  the driver reads ≤ 8 rows per iteration regardless of block count —
+  the driver-funnel discipline (VERDICT r3 §1);
 - the d×d solve happens on the driver (model-sized by definition),
   and the new weight vector broadcasts back via closure capture.
 
@@ -40,6 +41,8 @@ import pyarrow as pa
 import ray
 import ray.data
 
+from ..kernels.partitioning import fan_in, table_width
+from .dedup import keep_min
 from .embedder import trigram_counts
 from .similarity import _list_column
 
@@ -113,13 +116,18 @@ def featurize(sf_dir: str) -> "ray.data.Dataset":
     return docs.map_batches(feats, batch_format="pyarrow")
 
 
-def train_quality_model(
-    feats: "ray.data.Dataset", n_iters: int = N_ITERS, fanin: int = 8
-) -> np.ndarray:
+def _add_stats(df: pd.DataFrame) -> pd.DataFrame:
+    """Sum of per-batch (gradient, Hessian) rows as one row."""
+    g = np.sum(np.stack(df["g"].to_list()), axis=0)
+    h = np.sum(np.stack(df["h"].to_list()), axis=0)
+    return pd.DataFrame({"g": [g.tolist()], "h": [h.tolist()]})
+
+
+def train_quality_model(feats: "ray.data.Dataset", n_iters: int = N_ITERS) -> np.ndarray:
     """Distributed IRLS over a materialized feature table; returns the
     weight vector (model-sized — the ONLY thing that ever reaches the
-    driver, after a fanin-bounded pre-reduce of the per-batch
-    sufficient-statistic grids)."""
+    driver, after a :func:`kernels.partitioning.fan_in` pre-reduce of
+    the per-batch sufficient-statistic grids)."""
     d = N_FEATURES + 1
     w = np.zeros(d)
     n_total = feats.count()
@@ -139,19 +147,9 @@ def train_quality_model(
                 {"g": [g.tolist()], "h": [h.reshape(-1).tolist()]}
             )
 
-        def merge(df: pd.DataFrame) -> pd.DataFrame:
-            g = np.sum(np.stack(df["g"].to_list()), axis=0)
-            h = np.sum(np.stack(df["h"].to_list()), axis=0)
-            return pd.DataFrame({"g": [g.tolist()], "h": [h.tolist()]})
-
-        stats = (
-            feats.map_batches(partials, batch_format="pyarrow")
-            .repartition(fanin)
-            .map_batches(merge, batch_format="pandas")
-            .to_pandas()
-        )
-        g = np.sum(np.stack(stats["g"].to_list()), axis=0)
-        h = np.sum(np.stack(stats["h"].to_list()), axis=0).reshape(d, d)
+        stats = fan_in(feats.map_batches(partials, batch_format="pyarrow"), _add_stats)
+        g = np.asarray(stats["g"].iloc[0])
+        h = np.asarray(stats["h"].iloc[0]).reshape(d, d)
         w = _irls_step(g, h, w, n_total)
     return w
 
@@ -186,9 +184,10 @@ def model_gated_corpus(sf_dir: str) -> "ray.data.Dataset":
     pipeline. ``n_tokens`` is the kept document's whitespace token
     count (what a packing stage budgets by).
 
-    Shape: the 6 training scans (fanin-bounded funnels), then ONE
+    Shape: the 6 training scans (``fan_in``-bounded funnels), then ONE
     scoring scan that drops rejected docs before anything is hashed,
-    then ONE md5-bucket keep-min exchange over the survivors only."""
+    then ONE md5-keyed keep-min exchange (:func:`dedup.keep_min`) over
+    the survivors only."""
     import hashlib
 
     feats = featurize(sf_dir).materialize()
@@ -216,20 +215,9 @@ def model_gated_corpus(sf_dir: str) -> "ray.data.Dataset":
                 dtype=np.int64,
             ),
         }
-        df = pd.DataFrame(rows)
-        df["_b"] = df["content_md5"].str[:2].apply(
-            lambda h2: int(h2, 16) % 64
-        ).astype("int32")
-        return df
+        return pd.DataFrame(rows)
 
-    def keep_min(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["content_md5", "doc_id"], kind="mergesort")
-        first = g.drop_duplicates("content_md5", keep="first")
-        return first[["doc_id", "content_md5", "n_tokens"]]
-
-    return (
-        docs.map_batches(gate, batch_format="pyarrow")
-        .repartition(64)
-        .groupby("_b")
-        .map_groups(keep_min, batch_format="pandas")
+    return keep_min(
+        docs.map_batches(gate, batch_format="pyarrow"),
+        "content_md5", "doc_id", table_width(sf_dir, "documents"),
     )

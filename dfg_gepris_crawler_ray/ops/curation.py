@@ -5,8 +5,8 @@ ops exist for, run as ONE streaming pipeline.
 dedup keep-one — the canonical "raw crawl → training corpus" funnel.
 All row-local scoring fuses into a single ``map_batches`` pass over
 the corpus (one read, no intermediate materialization); the only
-exchange is the content-hash bucket groupby of the SURVIVORS (post-
-filter, so the shuffle carries the kept subset only). Every step is
+exchange is the content-hash keep-min of the SURVIVORS (post-filter,
+so the shuffle carries the kept subset only). Every step is
 ANSI-SQL-reproducible, so the whole pipeline is oracle-checked
 end-to-end — not just its parts.
 
@@ -26,7 +26,8 @@ import pyarrow.compute as pc
 
 import ray.data
 
-from ..kernels.hashing import stable_hash64_array as _stable_hash64_array
+from ..kernels.partitioning import fan_in, keyed_route, table_width
+from .dedup import keep_min
 from .textstats import quality_batch
 
 #: per-class keep rates for the stratified events sample (rebalancing:
@@ -71,26 +72,19 @@ def corpus_curation(
             & (split_bucket >= lo)
             & (split_bucket < hi)
         )
-        kept_md5 = [m for m, k in zip(md5s, keep) if k]
         return pa.table(
             {
                 "doc_id": pa.array([i for i, k in zip(ids, keep) if k], type=pa.int64()),
                 "n_tokens": pa.array(n_tok[keep]),
                 "quality_score": pa.array(score[keep]),
-                "content_md5": pa.array(kept_md5, type=pa.string()),
-                "bucket": pa.array(
-                    [int(m[:2], 16) % 64 for m in kept_md5], type=pa.int32()
-                ),
+                "content_md5": pa.array([m for m, k in zip(md5s, keep) if k], type=pa.string()),
             }
         )
 
     scored = ds.map_batches(score_and_filter, batch_format="pyarrow", zero_copy_batch=True)
-
-    def keep_representative(group: pd.DataFrame) -> pd.DataFrame:
-        rep = group.loc[group.groupby("content_md5")["doc_id"].idxmin()]
-        return rep[["doc_id", "n_tokens", "quality_score"]]
-
-    return scored.groupby("bucket").map_groups(keep_representative, batch_format="pandas")
+    return keep_min(
+        scored, "content_md5", "doc_id", table_width(sf_dir, "documents")
+    ).select_columns(["doc_id", "n_tokens", "quality_score"])
 
 
 def stratified_sample(sf_dir: str, rates: dict[str, float] | None = None) -> "ray.data.Dataset":
@@ -727,17 +721,13 @@ def source_quota(sf_dir: str, cap_tokens: int = 400) -> "ray.data.Dataset":
     guard against a single domain dominating a training mix (the
     per-group form of :func:`budget_select`).
 
-    ONE keyed exchange: rows carry only (doc_id, source, n_tokens) to
-    a source-hash bucket groupby; each bucket holds its sources
-    entirely, so the per-source prefix is a vectorized pandas
-    groupby-cumsum — no global sort, no driver state.  Equivalent to
-    the SQL window ``sum(n_tokens) OVER (PARTITION BY source ORDER BY
-    doc_id) <= cap`` — oracle-checked.
+    ONE source-keyed exchange (routed without the coalesce, 1.4x slower
+    through it at one CPU): rows carry only (doc_id, source, n_tokens);
+    each bucket holds its sources entirely, so the per-source prefix is
+    a vectorized pandas groupby-cumsum — no global sort, no driver
+    state.  Equivalent to the SQL window ``sum(n_tokens) OVER
+    (PARTITION BY source ORDER BY doc_id) <= cap`` — oracle-checked.
     """
-    import ray
-
-    from ..kernels.hashing import stable_hash64_array
-
     ds = ray.data.read_parquet(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "source", "text"]
     )
@@ -747,19 +737,11 @@ def source_quota(sf_dir: str, cap_tokens: int = 400) -> "ray.data.Dataset":
         n = pc.add(
             pc.count_substring(batch.column("text"), " "), 1
         )
-        src = batch.column("source")
-        enc = pc.dictionary_encode(src.combine_chunks())
-        if isinstance(enc, pa.ChunkedArray):
-            enc = enc.combine_chunks()
-        # hash once per UNIQUE source, scatter through the codes
-        uniq_h = stable_hash64_array(enc.dictionary.to_pylist()) % np.uint64(64)
-        b = uniq_h[enc.indices.to_numpy(zero_copy_only=False)]
         return pa.table(
             {
                 "doc_id": batch.column("doc_id"),
-                "source": src,
+                "source": batch.column("source"),
                 "n_tokens": pc.cast(n, pa.int64()),
-                "_b": pa.array(b.astype(np.int64)),
             }
         )
 
@@ -769,9 +751,9 @@ def source_quota(sf_dir: str, cap_tokens: int = 400) -> "ray.data.Dataset":
         out = g[cum <= cap_tokens]
         return out[["doc_id", "source", "n_tokens"]]
 
+    tokens = ds.map_batches(count_tokens, batch_format="pyarrow", zero_copy_batch=True)
     return (
-        ds.map_batches(count_tokens, batch_format="pyarrow", zero_copy_batch=True)
-        .repartition(64)
+        keyed_route(tokens, "source", table_width(sf_dir, "documents"))
         .groupby("_b")
         .map_groups(quota, batch_format="pandas")
     )
@@ -781,7 +763,6 @@ def extracted_corpus_funnel(
     items: "ray.data.Dataset",
     min_tokens: int = 12,
     train_pct: int = 80,
-    num_buckets: int = 32,
 ) -> "ray.data.Dataset":
     """Crawl→training-corpus bridge: extracted item rows (the details
     pipeline's output) → dedup'd, length-filtered, split-assigned
@@ -792,42 +773,31 @@ def extracted_corpus_funnel(
 
     1. row-local featurize (token count + content md5) fused into one
        scan of the item rows;
-    2. exact dedup keep-min-id — the ONE keyed exchange, bucketed by
-       md5 prefix, carrying only (id, n_tokens, md5) feature rows
-       (never the text);
+    2. exact dedup keep-min-id (:func:`dedup.keep_min`) — the ONE keyed
+       exchange, routed by the md5, carrying only (id, n_tokens, md5)
+       feature rows (never the text);
     3. row-local length filter + md5 train-split gate.
 
     Every step is ANSI-SQL over the generator's closed-form page
     formulas, so the whole funnel is oracle-checked end-to-end.
     """
-    import ray
-
     def featurize(batch: pa.Table) -> pa.Table:
         texts = batch.column("beschreibung_de").to_pylist()
         ids = batch.column("id").to_pylist()
-        keep_ids, toks, md5s, buckets = [], [], [], []
+        keep_ids, toks, md5s = [], [], []
         for i, t in zip(ids, texts):
             if t is None:
                 continue
             keep_ids.append(i)
             toks.append(len(t.split(" ")))
-            m = hashlib.md5(t.encode()).hexdigest()
-            md5s.append(m)
-            buckets.append(int(m[:8], 16) % num_buckets)
+            md5s.append(hashlib.md5(t.encode()).hexdigest())
         return pa.table(
             {
                 "id": pa.array(keep_ids, type=pa.int64()),
                 "n_tokens": pa.array(toks, type=pa.int64()),
                 "content_md5": pa.array(md5s, type=pa.string()),
-                "_b": pa.array(buckets, type=pa.int64()),
             }
         )
-
-    def keep_min(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.sort_values(["content_md5", "id"], kind="mergesort")
-        return g.groupby("content_md5", as_index=False, sort=False).first()[
-            ["id", "n_tokens", "content_md5"]
-        ]
 
     def gate(batch: pa.Table) -> pa.Table:
         ids = batch.column("id").to_pylist()
@@ -846,11 +816,8 @@ def extracted_corpus_funnel(
         return batch.filter(pa.array(split_ok & len_ok))
 
     feats = items.map_batches(featurize, batch_format="pyarrow", zero_copy_batch=True)
-    deduped = (
-        feats.repartition(num_buckets)
-        .groupby("_b")
-        .map_groups(keep_min, batch_format="pandas")
-    )
+    # item rows have no table to size the exchange by: a fixed width
+    deduped = keep_min(feats, "content_md5", "id", 32)
     return deduped.map_batches(gate, batch_format="pyarrow", zero_copy_batch=True)
 
 
@@ -864,13 +831,11 @@ def weighted_sample(sf_dir: str, k: int = 50) -> pa.Table:
 
     Distributed shape: the key is row-local (md5 → uniform → ln(u)/w,
     float64), each batch keeps its top-k (np.lexsort, doc_id
-    tie-break), the driver merges ≤ k rows per block partial — a
-    pre-reduced top-k, never the corpus.  The SQL oracle is the same
-    float64 expression tree ordered by (key DESC, doc_id), so the
-    selection is bit-identical.
+    tie-break), and :func:`kernels.partitioning.fan_in` merges the
+    partials — a pre-reduced top-k, never the corpus.  The SQL oracle
+    is the same float64 expression tree ordered by (key DESC, doc_id),
+    so the selection is bit-identical.
     """
-    import ray
-
     ds = ray.data.read_parquet(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "n_chars"]
     )
@@ -899,19 +864,12 @@ def weighted_sample(sf_dir: str, k: int = 50) -> pa.Table:
             }
         )
 
-    def block_topk(df: pd.DataFrame) -> pd.DataFrame:
+    def topk(df: pd.DataFrame) -> pd.DataFrame:
         return df.sort_values(
             ["_key", "doc_id"], ascending=[False, True], kind="mergesort"
         ).head(k)
 
-    parts = (
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .repartition(8)
-        .map_batches(block_topk, batch_format="pandas")
-        .to_pandas()
-    )  # driver reads ≤ 8·k rows regardless of block count
-    top = parts.sort_values(["_key", "doc_id"], ascending=[False, True],
-                            kind="mergesort").head(k)
+    top = fan_in(ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True), topk)
     return pa.table(
         {
             "doc_id": pa.array(top["doc_id"].to_numpy(np.int64)),
@@ -1023,7 +981,6 @@ def pretrain_pack_pipeline(
     sf_dir: str,
     budget: int = 1024,
     min_words: int = 50,
-    num_buckets: int = 64,
 ) -> "ray.data.Dataset":
     """(doc_id, n_tokens, seq_id, seq_offset) — the full
     web-corpus→training-shards chain as ONE pipeline: Gopher rule gate
@@ -1037,25 +994,17 @@ def pretrain_pack_pipeline(
 
     1. one pruned scan emits compact feature rows ``(doc_id, n_tokens,
        letters, stop_distinct, md5)`` — the text stays in the scan;
-    2. rule gate applied row-locally; survivors enter ONE md5-bucket
-       exchange for the keep-min dedup;
+    2. rule gate applied row-locally; survivors enter ONE md5-keyed
+       exchange for the keep-min dedup (:func:`dedup.keep_min`);
     3. survivors sort by doc_id (distributed sort) and the packing
        prefix runs as the scan-then-offset pattern of
        ``sequence_packing``: per-block (first_doc, token sum) partials
        → tiny driver cumulative → broadcast offsets → row-local
        assignment.
     """
-    import hashlib as _hashlib
-
-    import pyarrow.parquet as pq
-
     import ray
 
-    from ..kernels.partitioning import adaptive_buckets
-
-    path = f"{sf_dir}/documents.parquet"
-    nb = adaptive_buckets(pq.read_metadata(path).num_rows, requested=num_buckets)
-    ds = ray.data.read_parquet(path, columns=["doc_id", "text"])
+    ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
     stops = list(GOPHER_REQUIRED_STOPWORDS)
 
     def features(batch: pa.Table) -> pd.DataFrame:
@@ -1078,28 +1027,23 @@ def pretrain_pack_pipeline(
             & (sd >= 2)
         )
         md5s = [
-            _hashlib.md5(t_.encode()).hexdigest()
+            hashlib.md5(t_.encode()).hexdigest()
             for t_ in batch.column("text").to_pylist()
         ]
-        df = pd.DataFrame(
+        return pd.DataFrame(
             {
-                "doc_id": batch.column("doc_id").to_numpy(zero_copy_only=False),
+                "doc_id": batch.column("doc_id").to_numpy(zero_copy_only=False).astype(np.int64),
                 "n_tokens": n,
                 "h": md5s,
             }
         ).loc[keep]
-        b = _stable_hash64_array(list(df["h"])) % np.uint64(nb)
-        return df.assign(_b=b.astype(np.int32))
-
-    def keep_min(g: pd.DataFrame) -> pd.DataFrame:
-        idx = g.groupby("h")["doc_id"].idxmin()
-        return g.loc[idx, ["doc_id", "n_tokens"]].astype("int64")
 
     survivors = (
-        ds.map_batches(features, batch_format="pyarrow", zero_copy_batch=True)
-        .repartition(nb)
-        .groupby("_b")
-        .map_groups(keep_min, batch_format="pandas")
+        keep_min(
+            ds.map_batches(features, batch_format="pyarrow", zero_copy_batch=True),
+            "h", "doc_id", table_width(sf_dir, "documents"),
+        )
+        .select_columns(["doc_id", "n_tokens"])
         .sort("doc_id")
         .materialize()
     )

@@ -28,6 +28,7 @@ import ray.data
 
 from ..kernels.hashing import (
     bloom_contains as _bloom_contains,
+    bloom_or as _bloom_or,
     bloom_partial as _bloom_partial,
     minhash_permutations,
     splitmix64,
@@ -38,6 +39,7 @@ from ..kernels.partitioning import (
     adaptive_buckets,
     co_exchange,
     cut_lineage,
+    fan_in,
     keyed_exchange,
     keyed_route,
     route_bucket,
@@ -63,22 +65,26 @@ def _content_md5(sf_dir: str) -> "ray.data.Dataset":
     return ds.map_batches(add_hash, batch_format="pyarrow", zero_copy_batch=True)
 
 
-def exact_dedup(sf_dir: str) -> "ray.data.Dataset":
-    """(content_md5, doc_id=min over duplicates) — hash-partition +
-    per-group first. One exchange keyed on the content hash, the
-    group-min computed vectorized per bucket: one Python call per
-    bucket, not one Ray aggregate per distinct hash (millions of groups
-    at corpus scale). Routed without the coalesce (1.5x slower through
-    it at one CPU)."""
+def keep_min(ds: "ray.data.Dataset", key: str, id_col: str, n: int) -> "ray.data.Dataset":
+    """Per distinct ``key`` value (a content hash), the row of ``ds``
+    with the lowest ``id_col``, every column kept: one exchange routed
+    by ``key`` into ``n`` buckets, the group-min computed vectorized
+    per bucket — one Python call per bucket, not one Ray aggregate per
+    distinct hash (millions of groups at corpus scale). Routed without
+    the coalesce (``exact_dedup`` 1.5x and ``incremental_dedup`` ~10%
+    slower through it at one CPU)."""
 
     def bucket_min(group: pd.DataFrame) -> pd.DataFrame:
-        return group.groupby("content_md5", as_index=False)["doc_id"].min()
+        rows = group.sort_values(id_col, kind="mergesort").drop_duplicates(key)
+        return rows.drop(columns="_b").reset_index(drop=True)
 
-    return (
-        keyed_route(_content_md5(sf_dir), "content_md5", table_width(sf_dir, "documents"))
-        .groupby("_b")
-        .map_groups(bucket_min, batch_format="pandas")
-    )
+    return keyed_route(ds, key, n).groupby("_b").map_groups(bucket_min, batch_format="pandas")
+
+
+def exact_dedup(sf_dir: str) -> "ray.data.Dataset":
+    """(content_md5, doc_id=min over duplicates) — hash-partition +
+    per-group first (:func:`keep_min` on the content hash)."""
+    return keep_min(_content_md5(sf_dir), "content_md5", "doc_id", table_width(sf_dir, "documents"))
 
 
 def softdedup_weights(sf_dir: str) -> "ray.data.Dataset":
@@ -661,11 +667,9 @@ def _cluster_labels_distributed(
             nb,
         ).materialize()
         n_changed = int(reduced.sum("_changed") or 0)
-        labels = cut_lineage(
-            reduced.map_batches(
-                lambda df: df[["node", "label"]], batch_format="pandas"
-            ).materialize()
-        )
+        # the next round reads ``reduced`` as it is: co_route projects
+        # each side onto its template's columns, so ``_changed`` never ships
+        labels = cut_lineage(reduced)
         if n_changed == 0:
             break
 
@@ -689,7 +693,7 @@ def _cluster_labels_distributed(
             f"min-label propagation did not converge in {max_rounds} rounds "
             f"({n_changed} labels still changing) — raise max_rounds"
         )
-    return labels
+    return labels.select_columns(["node", "label"])
 
 
 def dedup_clusters(
@@ -1226,17 +1230,8 @@ def incremental_dedup(
     rows_t = typed_frame(doc_id="int64", h="object")
 
     # within-batch keep-min first (commutes with the cross-snapshot
-    # filter: members of an md5 group are all dropped or all kept).
-    # Routed without keyed_exchange's coalesce, which cost the bloom
-    # route ~10% at one CPU
-    new_min = (
-        new_h.map_batches(lambda df: df.assign(_b=route_bucket(df, "h", n)), batch_format="pandas")
-        .groupby("_b")
-        .map_groups(
-            lambda g: g.groupby("h", as_index=False)["doc_id"].min()[["doc_id", "h"]],
-            batch_format="pandas",
-        )
-    )
+    # filter: members of an md5 group are all dropped or all kept)
+    new_min = keep_min(new_h, "h", "doc_id", n)
 
     if route == "bucketed":
         # materialized first: at one CPU, a plan that unions a
@@ -1247,12 +1242,11 @@ def incremental_dedup(
             h64 = stable_hash64_array(list(df["h"]))
             return pd.DataFrame({"w": [_bloom_partial(h64, bloom_bits).tobytes()]})
 
-        from ..kernels.hashing import bloom_or_reduce
-
-        merged = bloom_or_reduce(
-            old_h.map_batches(bloom_rows, batch_format="pandas"), bloom_bits
+        merged = fan_in(
+            old_h.map_batches(bloom_rows, batch_format="pandas"),
+            lambda df: _bloom_or(df, bloom_bits),
         )
-        bloom_ref = ray.put(merged)
+        bloom_ref = ray.put(np.frombuffer(merged["w"].iloc[0], dtype=np.uint64))
 
         def split_maybe(df: pd.DataFrame) -> pd.DataFrame:
             words = ray.get(bloom_ref)

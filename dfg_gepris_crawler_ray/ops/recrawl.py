@@ -42,7 +42,7 @@ import pyarrow as pa
 import ray
 import ray.data
 
-from ..kernels.partitioning import keyed_exchange
+from ..kernels.partitioning import fan_in, keyed_exchange
 from ..testdata.gen_pages import ensure_pages
 
 
@@ -439,8 +439,8 @@ def host_budget_allocation(
     - the leftover ``budget − Σ floors`` is < #hosts by construction
       (each host contributes < 1 of remainder); selecting WHICH hosts
       get +1 is a global top-``leftover`` by (remainder desc, host
-      asc) — per-block prune to ``leftover`` rows, re-block to 8,
-      prune again, so the driver assembles from ≤ 8 × leftover rows,
+      asc) — per-block prune to ``leftover`` rows, then a ``fan_in``
+      of the same prune, so the driver reads ≤ 8 × leftover rows,
       bounded by the budget alone — independent of both host
       cardinality AND block count."""
     from ..ops.boilerplate import host_distinct_urls
@@ -479,8 +479,6 @@ def host_budget_allocation(
     leftover = budget - int(fl_ds.sum("fl") or 0)
 
     def prune(df: pd.DataFrame) -> pd.DataFrame:
-        if leftover <= 0:
-            return df.head(0)[["host", "rem"]]
         d = df.sort_values(
             ["rem", "host"], ascending=[False, True], kind="mergesort"
         ).head(leftover)
@@ -488,21 +486,11 @@ def host_budget_allocation(
 
     bonus_hosts: set = set()
     if leftover > 0:
-        # two-stage prune (the weighted_sample pattern): per-block
-        # top-leftover, re-block to 8, prune again — the driver reads
-        # ≤ 8 × leftover rows regardless of block count (a single
-        # prune stage would collect leftover × num_blocks rows)
-        cand = (
-            fl_ds.map_batches(prune, batch_format="pandas")
-            .repartition(8)
-            .map_batches(prune, batch_format="pandas",
-                         batch_size=None)  # block-complete: ≤ 8 batches
-            .to_pandas()
-        )
-        cand = cand.sort_values(
-            ["rem", "host"], ascending=[False, True], kind="mergesort"
-        ).head(leftover)
-        bonus_hosts = set(cand["host"])
+        # per-block top-leftover, then the fan-in of the same prune —
+        # the driver reads ≤ 8 × leftover rows regardless of block
+        # count (a single prune stage would collect leftover ×
+        # num_blocks rows)
+        bonus_hosts = set(fan_in(fl_ds.map_batches(prune, batch_format="pandas"), prune)["host"])
     bonus_ref = ray.put(bonus_hosts)
 
     def finalize(df: pd.DataFrame) -> pd.DataFrame:

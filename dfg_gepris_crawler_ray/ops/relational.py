@@ -42,6 +42,7 @@ from ray.data.aggregate import Sum
 from ..kernels.partitioning import (
     co_exchange,
     co_route,
+    fan_in,
     keyed_exchange,
     table_width,
     typed_frame,
@@ -1129,7 +1130,7 @@ def returned_orders_by_priority(
       the classic runtime-filter pushdown a distributed SQL engine
       plants on the probe side of a selective semi-join.
     """
-    from ..kernels.hashing import bloom_contains, bloom_or_reduce, bloom_partial
+    from ..kernels.hashing import bloom_contains, bloom_or, bloom_partial
 
     orders = ray.data.read_parquet(
         f"{sf_dir}/orders.parquet", columns=["o_orderkey", "o_orderpriority"]
@@ -1153,10 +1154,11 @@ def returned_orders_by_priority(
             h = df["key"].to_numpy().astype(np.uint64)
             return pd.DataFrame({"w": [bloom_partial(h, bloom_bits).tobytes()]})
 
-        merged = bloom_or_reduce(
-            keys_ds.map_batches(bloom_rows, batch_format="pandas"), bloom_bits
+        merged = fan_in(
+            keys_ds.map_batches(bloom_rows, batch_format="pandas"),
+            lambda df: bloom_or(df, bloom_bits),
         )
-        bloom_ref = ray.put(merged)
+        bloom_ref = ray.put(np.frombuffer(merged["w"].iloc[0], dtype=np.uint64))
 
         def prefilter(df: pd.DataFrame) -> pd.DataFrame:
             h = df["o_orderkey"].to_numpy().astype(np.uint64)

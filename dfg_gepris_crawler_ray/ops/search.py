@@ -204,7 +204,6 @@ def bm25_oracle_sql(
 def phrase_search(
     sf_dir: str,
     phrase: tuple[str, ...] = ("merge", "slow"),
-    num_buckets: int = 32,
 ) -> "ray.data.Dataset":
     """(doc_id, n_matches) — exact token-level PHRASE query: documents
     where the terms of ``phrase`` occur at consecutive token
@@ -222,8 +221,10 @@ def phrase_search(
       split/explode + cum-count positions — no Python row loop); a
       100-TB corpus yields only the phrase terms' postings, the same
       volume a positional-index lookup would read;
-    - ONE doc-keyed exchange; per bucket the adjacency join is a
-      vectorized pandas merge chain: positions of term i must equal
+    - ONE doc-keyed exchange (``kernels.partitioning.keyed_route``, its
+      width sized by the postings count, without the coalesce: 1.3x
+      slower through it at one CPU); per bucket the adjacency join is
+      a vectorized pandas merge chain: positions of term i must equal
       (start + i) within the doc — k−1 int64 merges for a k-term
       phrase, never a per-row loop.
     """
@@ -231,7 +232,7 @@ def phrase_search(
 
     import ray
 
-    from ..kernels.partitioning import adaptive_buckets
+    from ..kernels.partitioning import adaptive_buckets, keyed_route
 
     terms = [str(t) for t in phrase]
     if len(terms) < 2:
@@ -259,7 +260,6 @@ def phrase_search(
         return out[["doc_id", "pos", "term"]]
 
     posts = docs.map_batches(postings, batch_format="pyarrow").materialize()
-    nb = adaptive_buckets(posts.count(), requested=num_buckets)
 
     def match(g: pd.DataFrame) -> pd.DataFrame:
         cur = g.loc[g["term"] == terms[0], ["doc_id", "pos"]]
@@ -277,11 +277,7 @@ def phrase_search(
         return out.astype({"doc_id": "int64", "n_matches": "int64"})
 
     return (
-        posts.map_batches(
-            lambda df: df.assign(_b=(df["doc_id"] % nb).astype("int32")),
-            batch_format="pandas",
-        )
-        .repartition(nb)
+        keyed_route(posts, "doc_id", adaptive_buckets(posts.count()))
         .groupby("_b")
         .map_groups(match, batch_format="pandas")
     )

@@ -1,8 +1,9 @@
 """Similarity search over the embeddings table (``list<float>`` column).
 
 - ``knn_brute``: exact cosine top-k — broadcast query matrix
-  (``ray.put`` once), per-batch float64 matmul partials, tiny driver
-  merge. The baseline and the oracle-checkable path.
+  (``ray.put`` once), per-batch float64 matmul partials, a
+  ``kernels.partitioning.fan_in`` pre-reduce and a tiny driver merge.
+  The baseline and the oracle-checkable path.
 - ``knn_lsh``: random-hyperplane LSH bucketing — the scale path; only
   vectors sharing a probe bucket with the query are scored. Recall is
   verified against brute force in tests.
@@ -13,11 +14,14 @@ from __future__ import annotations
 import heapq
 
 import numpy as np
+import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
 import ray
 import ray.data
+
+from ..kernels.partitioning import fan_in
 
 
 def _as_matrix(embs) -> np.ndarray:
@@ -70,38 +74,24 @@ def _batch_topk_idx(scores: np.ndarray, cand_ids: np.ndarray, k: int) -> np.ndar
     return np.lexsort((cand_ids, -scores))[:k]
 
 
-def _reduce_topk(partials_ds, k: int, num_partitions: int = 8):
-    """Distributed pre-reduce of partial top-k rows: coalesce the
-    per-batch partials into ``num_partitions`` blocks and keep top-k per
-    query per block, so the driver merge reads ≤ B·Q·k rows regardless
-    of input block count (at 10^10 vectors the raw partials are ~k·Q
-    rows per *batch* — linear in block count). Same (cosine desc,
-    neighbor_id asc) ordering as the global merge → byte-identical
-    output."""
-    import pandas as pd
-
-    def block_topk(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return df
-        df = df.sort_values(
-            ["query_id", "cosine", "neighbor_id"],
-            ascending=[True, False, True],
-            kind="mergesort",
-        )
-        return df.groupby("query_id", as_index=False, sort=False).head(k)
-
-    return (
-        partials_ds.repartition(num_partitions)
-        .map_batches(block_topk, batch_format="pandas")
-        .to_pandas()
+def _topk_rows(df: pd.DataFrame, k: int) -> pd.DataFrame:
+    """The top-k partial rows per query by (cosine desc, neighbor_id
+    asc) — the :func:`kernels.partitioning.fan_in` combine of the kNN
+    partials, the same order as the global ranking."""
+    if not len(df):
+        return df
+    df = df.sort_values(
+        ["query_id", "cosine", "neighbor_id"], ascending=[True, False, True], kind="mergesort"
     )
+    return df.groupby("query_id", as_index=False, sort=False).head(k)
 
 
-def _merge_topk(partials, query_ids, k: int) -> pa.Table:
-    """Tiny driver merge of pre-reduced partial top-k rows →
-    (query_id, rank, neighbor_id, cosine); ties break by neighbor_id
-    ascending. The input is ≤ k rows per query per reduce partition
-    (see ``_reduce_topk``) — bounded, not corpus-cardinality."""
+def _merge_topk(partials_ds, query_ids, k: int) -> pa.Table:
+    """(query_id, rank, neighbor_id, cosine) from a Dataset of per-batch
+    partial top-k rows: a ``fan_in`` of :func:`_topk_rows` (the driver
+    reads ≤ k rows per query, whatever the block count), then the rank
+    and rounding; ties break by neighbor_id ascending."""
+    partials = fan_in(partials_ds, lambda df: _topk_rows(df, k))
     out = {"query_id": [], "rank": [], "neighbor_id": [], "cosine": []}
     for qid in query_ids:
         sub = partials[partials["query_id"] == qid]
@@ -179,37 +169,27 @@ def knn_brute(sf_dir: str, query_ids=(0, 1, 2, 3, 4), k: int = 10) -> pa.Table:
             }
         )
 
-    partials = _reduce_topk(
-        ds.map_batches(partial_topk, batch_format="pyarrow", batch_size=4096), k
+    return _merge_topk(
+        ds.map_batches(partial_topk, batch_format="pyarrow", batch_size=4096), query_ids, k
     )
-    return _merge_topk(partials, query_ids, k)
 
 
-def _reduce_centroid_partials(partials_ds, fanin: int = 8):
-    """Distributed ADD-merge of per-batch (centroid_id, vec_sum, count)
-    partial rows before the driver read: coalesce into ``fanin`` blocks
-    and sum per centroid inside each, so the driver collects
-    ≤ fanin × n_centroids rows regardless of input block count (the raw
-    partials are n_centroids rows per *batch* — linear in block count;
-    at 10^10 vectors / 4096-row batches that is millions of rows per
-    iteration). Mirrors the ``textstats`` CMS-grid pre-reduce."""
-    import pandas as pd
-
-    def block_addmerge(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return df
-        out = {"centroid_id": [], "vec_sum": [], "count": []}
-        for cid, grp in df.groupby("centroid_id", sort=True):
-            out["centroid_id"].append(cid)
-            out["vec_sum"].append(np.sum(np.stack(grp["vec_sum"].to_numpy()), axis=0))
-            out["count"].append(int(grp["count"].sum()))
-        return pd.DataFrame(out)
-
-    return (
-        partials_ds.repartition(fanin)
-        .map_batches(block_addmerge, batch_format="pandas")
-        .to_pandas()
-    )
+def _add_centroids(df: pd.DataFrame) -> pd.DataFrame:
+    """One (centroid_id, vec_sum, count) row per centroid id, summing
+    the partial rows — the :func:`kernels.partitioning.fan_in` combine
+    of the k-means and PQ accumulators, so the driver collects
+    ≤ n_centroids rows whatever the block count (the raw partials are
+    n_centroids rows per *batch*)."""
+    if not len(df):
+        return df
+    ids, inv = np.unique(df["centroid_id"].to_numpy(), return_inverse=True)
+    vecs = np.stack(df["vec_sum"].to_numpy())
+    sums = np.zeros((len(ids), vecs.shape[1]))
+    counts = np.zeros(len(ids), dtype=np.int64)
+    # row order within each id, as a per-id np.sum over the rows adds
+    np.add.at(sums, inv, vecs)
+    np.add.at(counts, inv, df["count"].to_numpy())
+    return pd.DataFrame({"centroid_id": ids, "vec_sum": list(sums), "count": counts})
 
 
 def spherical_kmeans(
@@ -217,11 +197,9 @@ def spherical_kmeans(
 ) -> np.ndarray:
     """Distributed spherical k-means over the embeddings table:
     centroids broadcast per iteration, per-batch partial (sum, count)
-    accumulators inside ``map_batches``, fanin-bounded distributed
-    ADD-merge (:func:`_reduce_centroid_partials`), then a tiny driver
-    reduce over ≤ fanin × n_centroids rows — driver I/O is independent
-    of block count. Deterministic init: the ``n_centroids`` lowest
-    vec_ids."""
+    accumulators inside ``map_batches``, ADD-merged by ``fan_in``
+    (:func:`_add_centroids`) — driver I/O is independent of block
+    count. Deterministic init: the ``n_centroids`` lowest vec_ids."""
     cent = _load_queries(sf_dir, list(range(n_centroids)))
     cent = cent / np.clip(np.linalg.norm(cent, axis=1, keepdims=True), 1e-12, None)
     ds = ray.data.read_parquet(f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"])
@@ -245,14 +223,12 @@ def spherical_kmeans(
                 }
             )
 
-        agg = _reduce_centroid_partials(
-            ds.map_batches(partial, batch_format="pyarrow", batch_size=4096)
+        agg = fan_in(
+            ds.map_batches(partial, batch_format="pyarrow", batch_size=4096), _add_centroids
         )
         new_cent = cent.copy()
-        for cid, grp in agg.groupby("centroid_id"):
-            total = int(grp["count"].sum())
+        for cid, s, total in zip(agg["centroid_id"], agg["vec_sum"], agg["count"]):
             if total:
-                s = np.sum(np.stack(grp["vec_sum"].to_numpy()), axis=0)
                 new_cent[cid] = s / max(np.linalg.norm(s), 1e-12)
         cent = new_cent
     return cent
@@ -322,10 +298,9 @@ def knn_ivf(
             }
         )
 
-    partials = _reduce_topk(
-        ds.map_batches(partial_topk, batch_format="pyarrow", batch_size=4096), k
+    return _merge_topk(
+        ds.map_batches(partial_topk, batch_format="pyarrow", batch_size=4096), query_ids, k
     )
-    return _merge_topk(partials, query_ids, k)
 
 
 def knn_lsh(
@@ -405,10 +380,9 @@ def knn_lsh(
             }
         )
 
-    partials = _reduce_topk(
-        ds.map_batches(partial_topk, batch_format="pyarrow", batch_size=4096), k
+    return _merge_topk(
+        ds.map_batches(partial_topk, batch_format="pyarrow", batch_size=4096), query_ids, k
     )
-    return _merge_topk(partials, query_ids, k)
 
 
 def label_centroids(sf_dir: str) -> "ray.data.Dataset":
@@ -590,7 +564,7 @@ def pca_project(sf_dir: str, n_components: int = 4):
 
     1. one scan of per-batch MOMENT PARTIALS: (Σx, XᵀX, n) — D + D²
        floats per batch regardless of batch size (for D=64 that is
-       ~33 KB), reduced on the driver;
+       ~33 KB), summed by ``fan_in``;
     2. driver: covariance = (XᵀX − n·μμᵀ)/(n−1), ``np.linalg.eigh``
        on the D×D matrix (trivial at any corpus size), deterministic
        sign fix (largest-|loading| coordinate made positive);
@@ -619,28 +593,19 @@ def pca_project(sf_dir: str, n_components: int = 4):
             }
         )
 
-    def combine(batch: pa.Table) -> pa.Table:
-        return pa.table(
+    def combine(df: pd.DataFrame) -> pd.DataFrame:
+        return pd.DataFrame(
             {
-                "n": pa.array([sum(batch.column("n").to_pylist())], type=pa.int64()),
-                "sum": pa.array(
-                    [np.sum([np.asarray(v) for v in batch.column("sum").to_pylist()], axis=0).tolist()]
-                ),
-                "xtx": pa.array(
-                    [np.sum([np.asarray(v) for v in batch.column("xtx").to_pylist()], axis=0).tolist()]
-                ),
+                "n": [int(df["n"].sum())],
+                "sum": [np.sum([np.asarray(v) for v in df["sum"]], axis=0).tolist()],
+                "xtx": [np.sum([np.asarray(v) for v in df["xtx"]], axis=0).tolist()],
             }
         )
 
-    parts = (
-        ds.map_batches(moments, batch_format="pyarrow", zero_copy_batch=True)
-        .repartition(8)
-        .map_batches(combine, batch_format="pyarrow")
-        .take_all()
-    )  # ≤ 8 partial rows on the driver regardless of block count
-    n = sum(p["n"] for p in parts)
-    s = np.sum([np.asarray(p["sum"]) for p in parts], axis=0)
-    xtx = np.sum([np.asarray(p["xtx"]) for p in parts], axis=0)
+    parts = fan_in(ds.map_batches(moments, batch_format="pyarrow", zero_copy_batch=True), combine)
+    n = int(parts["n"].iloc[0])
+    s = np.asarray(parts["sum"].iloc[0])
+    xtx = np.asarray(parts["xtx"].iloc[0])
     d = len(s)
     mu = s / n
     cov = (xtx.reshape(d, d) - n * np.outer(mu, mu)) / (n - 1)
@@ -682,8 +647,8 @@ def pq_train(
     SAME pass: per batch, per subspace, assign each subvector to its
     nearest codeword and emit (centroid_id = sub·n_codes + code,
     vec_sum, count) partials — the identical mergeable-accumulator
-    shape as :func:`spherical_kmeans`, reduced by the same
-    fanin-bounded :func:`_reduce_centroid_partials` (driver I/O
+    shape as :func:`spherical_kmeans`, reduced by the same ``fan_in``
+    of :func:`_add_centroids` to one row per codeword (driver I/O
     independent of block count). Deterministic init: subvectors of the
     ``n_codes`` lowest vec_ids."""
     init = _load_queries(sf_dir, list(range(n_codes)))
@@ -703,9 +668,7 @@ def pq_train(
     for _ in range(n_iters):
         books_ref = ray.put(books)
 
-        def partials(batch: pa.Table) -> "pd.DataFrame":
-            import pandas as pd
-
+        def partials(batch: pa.Table) -> pd.DataFrame:
             bk = ray.get(books_ref)
             mat = _as_matrix_arrow(batch.column("embedding"))
             mat = mat / np.clip(
@@ -724,8 +687,8 @@ def pq_train(
                     out["count"].append(int(len(sel)))
             return pd.DataFrame(out)
 
-        merged = _reduce_centroid_partials(
-            ds.map_batches(partials, batch_format="pyarrow", batch_size=4096)
+        merged = fan_in(
+            ds.map_batches(partials, batch_format="pyarrow", batch_size=4096), _add_centroids
         )
         new = books.copy()
         for cid, vs, ct in zip(
@@ -818,11 +781,11 @@ def knn_pq(
              "neighbor_id": pa.array(rows["neighbor_id"], type=pa.int64()),
              "cosine": pa.array(rows["cosine"], type=pa.float64())}
         )
-    partials = _reduce_topk(
+    adc = _merge_topk(
         ds.map_batches(partial_topk, batch_format="pyarrow", batch_size=4096),
+        query_ids,
         shortlist_k,
     )
-    adc = _merge_topk(partials, query_ids, shortlist_k)
     if not rerank:
         return adc
 
@@ -865,7 +828,6 @@ def knn_pq(
     ds2 = ray.data.read_parquet(
         f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"]
     )
-    exact = _reduce_topk(
-        ds2.map_batches(exact_topk, batch_format="pyarrow", batch_size=4096), k
+    return _merge_topk(
+        ds2.map_batches(exact_topk, batch_format="pyarrow", batch_size=4096), query_ids, k
     )
-    return _merge_topk(exact, query_ids, k)

@@ -31,6 +31,7 @@ import ray.data
 from ..kernels.hashing import splitmix64, stable_hash64, stable_hash64_array
 from ..kernels.partitioning import (
     co_exchange,
+    fan_in,
     keyed_exchange,
     keyed_route,
     table_width,
@@ -1103,28 +1104,19 @@ def cms_token_counts(sf_dir: str, width: int = 4096) -> pa.Table:
         )
 
     # tree-reduce the grids (ADD-mergeable) so the driver pulls a
-    # fanin-bounded handful of blobs, not one per block
+    # bounded handful of blobs, not one per block
     def sum_rows(df: pd.DataFrame) -> pd.DataFrame:
         acc = np.zeros(CMS_DEPTH * width, dtype=np.int64)
         toks: set[str] = set()
-        for blob, ts in zip(df["grid"], df["tokens"]):
+        for blob, ts in zip(df.get("grid", ()), df.get("tokens", ())):
             acc += np.frombuffer(blob, dtype=np.int64)
             toks.update(ts.split(","))
         return pd.DataFrame({"grid": [acc.tobytes()], "tokens": [",".join(sorted(toks))]})
 
-    reduced = (
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .repartition(8)
-        .map_batches(sum_rows, batch_size=None, batch_format="pandas")
-    )
-    grid = np.zeros((CMS_DEPTH, width), dtype=np.int64)
-    vocab: set[str] = set()
-    for b in reduced.iter_batches(batch_format="pandas"):
-        for blob, toks in zip(b["grid"], b["tokens"]):
-            grid += np.frombuffer(blob, dtype=np.int64).reshape(CMS_DEPTH, width)
-            vocab.update(toks.split(","))
-
-    probe = sorted(vocab)
+    merged = fan_in(ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True), sum_rows)
+    grid = np.frombuffer(merged["grid"].iloc[0], dtype=np.int64).reshape(CMS_DEPTH, width)
+    # an empty corpus counts no token and has an empty vocabulary
+    probe = merged["tokens"].iloc[0].split(",") if grid.any() else []
     th = stable_hash64_array(probe)
     pos = _cms_positions(th, width)
     est = np.min(

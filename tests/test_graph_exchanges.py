@@ -1,16 +1,14 @@
-"""Exchange budget of the graph and relational ops, and empty-input
-behaviour of the iterative graph ops.
+"""Exchange budget of the graph, relational, dedup, text and curation
+ops, and empty-input behaviour of the iterative graph ops.
 
-Every keyed exchange in ``ops/graph.py``, ``ops/relational.py``,
-``ops/dedup.py`` and ``ops/textstats.py`` is routed by
-``kernels.partitioning`` (``co_exchange`` / ``keyed_exchange``, or
-their ``co_route`` / ``route_bucket`` step where the coalesce measured
-slower); these tests pin how many Dataset executions and sort-shuffles
-(``Sort`` operators) each iterative graph op runs on a small graph and
-each multi-exchange relational, dedup and text-stats op runs at
-sf0.001, so a change that adds an exchange shows up here, and check
-that every iterative op returns a typed empty result on an empty edge
-set.
+Every keyed exchange in ``ops/`` is routed by ``kernels.partitioning``
+(``co_exchange`` / ``keyed_exchange``, or their ``co_route`` /
+``keyed_route`` step where the coalesce measured slower); these tests
+pin how many Dataset executions and sort-shuffles (``Sort`` operators)
+each iterative graph op runs on a small graph and each exchanging
+relational, dedup, text-stats and curation op runs at sf0.001, so a
+change that adds an exchange shows up here, and check that every
+iterative op returns a typed empty result on an empty edge set.
 """
 
 import numpy as np
@@ -140,13 +138,17 @@ def test_relational_op_exchange_budget(ray_session, monkeypatch, op):
 # (Dataset executions, Sort operators) per dedup / text-stats op at
 # sf0.001, as measured before those ops moved onto keyed_exchange /
 # co_exchange; the port may not exceed them (line_dedup_rewrite no
-# longer materializes its chunk rows to count them: one execution less)
+# longer materializes its chunk rows to count them: one execution less;
+# the min-label components no longer re-materialize each round's labels:
+# dedup_clusters_distributed measured (10, 8) and the shortcut form,
+# reference_graph_components, (46, 33) before)
 TEXT_BUDGET = {
     "minhash_lsh_broadcast": (2, 2),
     "minhash_lsh_bucketed": (2, 3),
     "ngram_jaccard_pairs": (1, 2),
     "containment_pairs": (1, 2),
-    "dedup_clusters_distributed": (10, 8),
+    "dedup_clusters_distributed": (8, 8),
+    "reference_graph_components": (35, 33),
     "simhash_neardup_pairs": (1, 2),
     "window_dedup": (1, 2),
     "line_dedup_rewrite": (2, 2),
@@ -156,12 +158,14 @@ TEXT_BUDGET = {
 
 
 def _run_text(op: str):
-    from dfg_gepris_crawler_ray.ops import dedup, textstats
+    from dfg_gepris_crawler_ray.ops import dedup, graph, textstats
 
     if op.startswith("minhash_lsh_"):
         return dedup.minhash_lsh_dedup(SF, verify_route=op.rsplit("_", 1)[1])
     if op == "dedup_clusters_distributed":
         return dedup.dedup_clusters(SF, mode="distributed")
+    if op == "reference_graph_components":  # the shortcut=True label loop
+        return graph.reference_graph_components(SF)
     module = textstats if hasattr(textstats, op) else dedup
     return getattr(module, op)(SF)
 
@@ -171,6 +175,39 @@ def test_text_op_exchange_budget(ray_session, monkeypatch, op):
     got = _count(monkeypatch, lambda: _run_text(op))
     executions, sorts = TEXT_BUDGET[op]
     assert got[0] <= executions and got[1] <= sorts, (op, got, TEXT_BUDGET[op])
+
+
+# (Dataset executions, Sort operators) per curation, classifier,
+# decontamination, CDC, search and media op at sf0.001, as measured
+# before their exchanges moved onto kernels.partitioning; the port keeps
+# them
+CORPUS_BUDGET = {
+    "corpus_curation": (1, 1),
+    "source_quota": (1, 1),
+    "pretrain_pack_pipeline": (3, 2),
+    "model_gated_corpus": (8, 1),
+    "decontaminate_bucketed": (1, 2),
+    "cdc_chunk_stats": (1, 2),
+    "phrase_search": (2, 1),
+    "media_phash_pairs": (2, 4),
+}
+
+
+def _run_corpus(op: str):
+    from dfg_gepris_crawler_ray.ops import cdc, classifier, curation, decontaminate, multimodal, search
+
+    if op == "decontaminate_bucketed":
+        return decontaminate.decontaminate(SF, route="bucketed")
+    for module in (curation, classifier, cdc, search, multimodal):
+        if hasattr(module, op):
+            return getattr(module, op)(SF)
+    raise KeyError(op)
+
+
+@pytest.mark.parametrize("op", sorted(CORPUS_BUDGET))
+def test_corpus_op_exchange_budget(ray_session, monkeypatch, op):
+    got = _count(monkeypatch, lambda: _run_corpus(op))
+    assert got == CORPUS_BUDGET[op], (op, got)
 
 
 def test_iterative_graph_ops_accept_an_empty_edge_set(ray_session):

@@ -223,15 +223,16 @@ def test_knn_ivf_recall_vs_brute():
 
 
 def test_kmeans_partials_prereduce_bounded():
-    """The k-means (sum, count) partial funnel is fanin-bounded: the
-    driver collects ≤ fanin × n_centroids rows regardless of input
-    block count, and the ADD-merge preserves totals exactly."""
+    """The k-means (sum, count) partial funnel is a fan_in: the driver
+    gets one row per centroid regardless of input block count, and the
+    ADD-merge preserves totals exactly."""
     import pandas as pd
     import ray.data
 
-    from dfg_gepris_crawler_ray.ops.similarity import _reduce_centroid_partials
+    from dfg_gepris_crawler_ray.kernels.partitioning import fan_in
+    from dfg_gepris_crawler_ray.ops.similarity import _add_centroids
 
-    n_centroids, n_blocks, fanin, d = 8, 40, 8, 4
+    n_centroids, n_blocks, d = 8, 40, 4
     blocks = []
     for b in range(n_blocks):
         blocks.append(
@@ -244,8 +245,8 @@ def test_kmeans_partials_prereduce_bounded():
             )
         )
     ds = ray.data.from_pandas(blocks)
-    agg = _reduce_centroid_partials(ds, fanin=fanin)
-    assert len(agg) <= fanin * n_centroids
+    agg = fan_in(ds, _add_centroids)
+    assert len(agg) <= n_centroids
     expect = sum(range(1, n_blocks + 1))
     per_cid = agg.groupby("centroid_id")
     assert (per_cid["count"].sum() == expect).all()
@@ -3296,6 +3297,51 @@ def test_knn_pq_recall_vs_brute_and_rerank_helps():
     assert checked >= 15  # ≥ half the 30 result rows are true hits
 
 
+def test_pq_train_is_one_lloyd_step_over_many_batches(tmp_path):
+    """One ``pq_train`` iteration over 10,000 embeddings (three
+    4,096-row batches, so each codeword's (sum, count) partials come
+    from several batches and fan-in blocks) equals a numpy Lloyd step
+    from the same init: every codeword is the mean of ALL the
+    subvectors assigned to it (regression: the driver kept one fan-in
+    block's partial per codeword and dropped the rest)."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from dfg_gepris_crawler_ray.ops.similarity import pq_train
+
+    base = pq.read_table(f"{SF}/embeddings.parquet", columns=["vec_id", "embedding"])
+    n = base.num_rows
+    reps = -(-10_000 // n)
+    ids = base.column("vec_id").to_numpy()
+    table = pa.table(
+        {
+            "vec_id": pa.array(np.concatenate([ids + r * n for r in range(reps)])),
+            "embedding": pa.concat_arrays(
+                [base.column("embedding").combine_chunks()] * reps
+            ),
+        }
+    )
+    assert table.num_rows >= 10_000
+    pq.write_table(table, tmp_path / "embeddings.parquet")
+
+    n_sub, n_codes = 16, 256
+    got = pq_train(str(tmp_path), n_subspaces=n_sub, n_codes=n_codes, n_iters=1)
+
+    x = np.stack(table.column("embedding").to_numpy(zero_copy_only=False)).astype(np.float64)
+    x = x / np.clip(np.linalg.norm(x, axis=1, keepdims=True), 1e-12, None)
+    order = table.column("vec_id").to_numpy()
+    init = x[np.argsort(order)[:n_codes]]
+    sd = x.shape[1] // n_sub
+    want = np.empty_like(got)
+    for m in range(n_sub):
+        sub, book = x[:, m * sd:(m + 1) * sd], init[:, m * sd:(m + 1) * sd]
+        code = np.argmax(sub @ book.T - 0.5 * (book ** 2).sum(axis=1), axis=1)
+        for c in range(n_codes):
+            sel = code == c
+            want[m, c] = sub[sel].mean(axis=0) if sel.any() else book[c]
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
+
+
 def test_q8_market_share_matches_duckdb():
     import duckdb
 
@@ -3758,20 +3804,24 @@ def test_host_budget_allocation_sums_exactly_and_orders_remainders():
 def test_host_budget_allocation_leftover_collect_is_prereduced():
     """The leftover-candidate collect is bounded by 8 × leftover on
     the driver regardless of block count: the per-block prune must be
-    followed by a repartition(8) + block-complete second prune before
-    `.to_pandas()` (regression: a single prune stage collected
-    leftover × num_blocks rows — block-count-bounded, not
-    budget-bounded)."""
+    followed by a fan_in of the same prune — a re-block to 8 and a
+    block-complete second prune before the collect (regression: a
+    single prune stage collected leftover × num_blocks rows —
+    block-count-bounded, not budget-bounded)."""
     import inspect
 
+    from dfg_gepris_crawler_ray.kernels import partitioning
     from dfg_gepris_crawler_ray.ops import recrawl
 
     src = inspect.getsource(recrawl.host_budget_allocation)
-    collect = src.index(".to_pandas()")
-    assert ".repartition(8)" in src[:collect]
+    assert "fan_in(" in src and ".to_pandas()" not in src
+    assert partitioning.FAN_IN == 8
+    fan = inspect.getsource(partitioning.fan_in)
+    collect = fan.index(".to_pandas()")
+    assert ".repartition(FAN_IN)" in fan[:collect]
     # the second prune runs block-complete so the 8-block bound is
     # real (default 1024-row batching would void it for big budgets)
-    assert "batch_size=None" in src[src.index(".repartition(8)"):collect]
+    assert "batch_size=None" in fan[fan.index(".repartition(FAN_IN)"):collect]
 
 
 def test_plan_audit_pins_documented_shuffle_shapes():
@@ -4257,7 +4307,7 @@ def test_phrase_search_three_terms_and_overlaps():
     pq.write_table(pa.Table.from_pandas(docs), os.path.join(d, "documents.parquet"))
 
     got = (
-        phrase_search(d, phrase=("a", "a", "a"), num_buckets=4)
+        phrase_search(d, phrase=("a", "a", "a"))
         .to_pandas().sort_values("doc_id").reset_index(drop=True)
     )
     assert got["doc_id"].tolist() == [0, 1, 2]

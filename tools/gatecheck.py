@@ -9,10 +9,11 @@ Usage::
 
     python tools/gatecheck.py [--sf /root/testdata/sf0.01] [--only q1,q2]
 
-Prints one line per query (status, row counts, wall time and the value
-hash of the Ray result, so two gate logs diff query by query) and a JSON
-summary; exit code 1 on any mismatch. Ray gets as many CPUs as the
-process may run on; ``RAY_GRAFT_CPUS=N`` sets another count.
+Prints one line per query (status, row counts, wall time, the Ray part of
+that time — the query call plus its ``to_pandas`` and canonical form,
+without the DuckDB oracle, as ``ray_s=`` — and the value hash of the Ray
+result, so two gate logs diff query by query) and a JSON summary; exit
+code 1 on any mismatch. Ray gets as many CPUs as the process may run on; ``RAY_GRAFT_CPUS=N`` sets another count.
 """
 
 from __future__ import annotations
@@ -108,10 +109,12 @@ def main() -> int:
         if only and name not in only:
             continue
         t0 = time.time()
+        ray_s = None
         row = {"rows_match": None, "schema_match": None, "hash_match": None,
                "ray_rows": None, "oracle_rows": None, "err": None, "hash": None}
         try:
             got = _canon(_to_pandas(fn(args.sf)))
+            ray_s = time.time() - t0
             row["ray_rows"] = len(got)
             row["hash"] = _value_hash(got)
             sql = oracles.get(name)
@@ -144,7 +147,8 @@ def main() -> int:
             n_fail += 1
         dt = time.time() - t0
         print(f"{status:9s} {name:36s} ray={row['ray_rows']} oracle={row['oracle_rows']} ({dt:.1f}s)"
-              f" hash={row['hash']}"
+              + (f" ray_s={ray_s:.2f}" if ray_s is not None else "")
+              + f" hash={row['hash']}"
               + (f" err={row['err']}" if row["err"] and status == "ERROR" else ""),
               flush=True)
         results[name] = row
