@@ -264,22 +264,7 @@ def _q_search_projekt(sf_dir: str):
     pairs from the listing pages."""
     import json
 
-    import pyarrow.compute as pc
-
-    import ray.data
-
-    from dfg_gepris_crawler_ray.sources.pages import annotate_pages, read_pages
-    from dfg_gepris_crawler_ray.stages.search_stage import extract_search_batch
-
-    ds = annotate_pages(read_pages(_pages(sf_dir)), num_buckets=8)
-    ds = ds.map_batches(
-        lambda b: b.filter(
-            pc.and_(pc.equal(b.column("kind"), "search"), pc.equal(b.column("context"), "projekt"))
-        ),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-    )
-    results = ds.map_batches(extract_search_batch, batch_format="pyarrow")
+    results = _search_items(sf_dir, "projekt")
 
     def cols(batch: pa.Table) -> pa.Table:
         rows = [json.loads(s) for s in batch.column("item").to_pylist()]
@@ -642,22 +627,9 @@ def _q_institution_edges(sf_dir: str):
 
 
 def _search_items(sf_dir: str, context: str):
-    import pyarrow.compute as pc
+    from dfg_gepris_crawler_ray.pipelines.runs import listing_scan
 
-    from dfg_gepris_crawler_ray.sources.pages import annotate_pages, read_pages
-    from dfg_gepris_crawler_ray.stages.search_stage import extract_search_batch
-
-    ds = annotate_pages(read_pages(_pages(sf_dir)), num_buckets=8)
-    ds = ds.map_batches(
-        lambda b: b.filter(
-            pc.and_(
-                pc.equal(b.column("kind"), "search"), pc.equal(b.column("context"), context)
-            )
-        ),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-    )
-    return ds.map_batches(extract_search_batch, batch_format="pyarrow")
+    return listing_scan(_pages(sf_dir), (context,))
 
 
 def _q_search_person(sf_dir: str):

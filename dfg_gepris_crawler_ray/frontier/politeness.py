@@ -30,6 +30,7 @@ import pandas as pd
 import ray
 
 from ..kernels.hashing import crc32_shard
+from .seen import shard_cpus
 
 
 def apply_host_budget(
@@ -125,14 +126,13 @@ class PolitenessGate:
         robots = robots or {}
         self.has_robots = bool(robots)
         self.num_shards = num_shards
+        shard = PolitenessShard.options(num_cpus=shard_cpus(num_shards))
         self.shards = []
         for s in range(num_shards):
             shard_robots = {
                 h: t for h, t in robots.items() if crc32_shard(h, num_shards) == s
             }
-            self.shards.append(
-                PolitenessShard.remote(min_delay_ms=min_delay_ms, robots=shard_robots)
-            )
+            self.shards.append(shard.remote(min_delay_ms=min_delay_ms, robots=shard_robots))
 
     def account(self, host_counts: dict[str, int]) -> None:
         by_shard: dict[int, dict[str, int]] = defaultdict(dict)

@@ -30,6 +30,15 @@ import ray
 from ..kernels.hashing import stable_hash64_array
 
 
+def shard_cpus(num_shards: int) -> float:
+    """The CPU request of each of ``num_shards`` shard actors: at most a
+    quarter CPU, and all of them together at most the cluster's CPUs
+    less one, so the pool never holds the CPU that the Dataset tasks
+    calling it need (on a one-CPU Ray the shards ask for none)."""
+    cpus = ray.cluster_resources().get("CPU", 1.0) if ray.is_initialized() else 1.0
+    return min(0.25, max(0.0, cpus - 1.0) / num_shards)
+
+
 @ray.remote(num_cpus=0.25)
 class SeenShard:
     """One shard of the seen-filter. Keys arrive pre-hashed (uint64)."""
@@ -255,9 +264,8 @@ class SeenFilter:
 
     def __init__(self, num_shards: int = 8, mode: str = "exact", **shard_kwargs):
         self.num_shards = num_shards
-        self.shards = [
-            SeenShard.remote(mode=mode, **shard_kwargs) for _ in range(num_shards)
-        ]
+        shard = SeenShard.options(num_cpus=shard_cpus(num_shards))
+        self.shards = [shard.remote(mode=mode, **shard_kwargs) for _ in range(num_shards)]
 
     def _scatter_gather(self, method: str, hashes: np.ndarray) -> np.ndarray:
         shard_ids = (hashes % np.uint64(self.num_shards)).astype(np.int64)

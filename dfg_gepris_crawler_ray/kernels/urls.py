@@ -126,11 +126,6 @@ def strip_google_cache(url: str) -> str | None:
     return None
 
 
-def url_host(url: str) -> str:
-    """Politeness partition key: the URL's netloc."""
-    return urlsplit(url).netloc
-
-
 def parse_page_url(url: str) -> dict:
     """Classify a corpus URL into its crawl role.
 

@@ -1639,23 +1639,6 @@ def reference_graph_scc(
     return ray.data.from_pandas(out)
 
 
-def reference_scc_brute(sf_dir: str) -> pd.DataFrame:
-    """Driver-side Tarjan census over the same edge spec — the staged
-    ground truth for the ``crawl_scc`` oracle (never runs through the
-    distributed op)."""
-    import pyarrow.parquet as pq
-
-    n_docs = pq.read_metadata(f"{sf_dir}/documents.parquet").num_rows
-    edge_list: list[tuple[int, int]] = []
-    for d in range(n_docs):
-        edge_list.extend(_directed_reference_edges_for(d, n_docs))
-    scc = _scc_brute(edge_list)
-    out = pd.DataFrame(
-        {"node": list(scc.keys()), "scc_id": list(scc.values())}
-    ).astype("int64")
-    return out.sort_values("node").reset_index(drop=True)
-
-
 def bowtie_ds(
     edges: "ray.data.Dataset",
     max_depth: int = 64,

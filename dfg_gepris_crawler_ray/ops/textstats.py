@@ -1099,7 +1099,7 @@ def cms_token_counts(sf_dir: str, width: int = 4096) -> pa.Table:
         return pa.table(
             {
                 "grid": pa.array([grid.tobytes()], type=pa.binary()),
-                "tokens": pa.array([",".join(sorted(set(toks)))], type=pa.string()),
+                "tokens": pa.array([sorted(set(toks))], type=pa.list_(pa.string())),
             }
         )
 
@@ -1110,13 +1110,13 @@ def cms_token_counts(sf_dir: str, width: int = 4096) -> pa.Table:
         toks: set[str] = set()
         for blob, ts in zip(df.get("grid", ()), df.get("tokens", ())):
             acc += np.frombuffer(blob, dtype=np.int64)
-            toks.update(ts.split(","))
-        return pd.DataFrame({"grid": [acc.tobytes()], "tokens": [",".join(sorted(toks))]})
+            toks.update(ts)
+        return pd.DataFrame({"grid": [acc.tobytes()], "tokens": [sorted(toks)]})
 
     merged = fan_in(ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True), sum_rows)
     grid = np.frombuffer(merged["grid"].iloc[0], dtype=np.int64).reshape(CMS_DEPTH, width)
     # an empty corpus counts no token and has an empty vocabulary
-    probe = merged["tokens"].iloc[0].split(",") if grid.any() else []
+    probe = list(merged["tokens"].iloc[0]) if grid.any() else []
     th = stable_hash64_array(probe)
     pos = _cms_positions(th, width)
     est = np.min(

@@ -126,11 +126,6 @@ def _frontier_members(tbl: pa.Table) -> pa.Table:
     return pg.filter(pa.array(keys(pg).isin(keys(fr)), type=pa.bool_()))
 
 
-def write_items(items: "ray.data.Dataset", out_dir: str) -> None:
-    """Partitioned parquet sink (resumable layout: one dir per run)."""
-    items.write_parquet(out_dir)
-
-
 def write_items_json(items: "ray.data.Dataset", out: str) -> None:
     """S8 feed export (README.md:58-65, runner.py:16-39).
 

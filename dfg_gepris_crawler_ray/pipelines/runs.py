@@ -12,9 +12,18 @@ Each run is one driver invocation (≙ one ``scrapy crawl`` / one
   J4 history append + J5/J7/J8 post-jobs → manifest.
 - ``run_data_monitor`` ≙ ``scrapy crawl data_monitor`` (§3.3).
 
-One body per spider, two state residencies. ``run_search`` and
-``run_details`` each write their lifecycle once; ``backend`` picks
-where the crawl state lives while the run transitions it:
+The monitor page and the search listings are static pages of one
+kind, so one scan serves them all: :func:`listing_scan` reads →
+annotates → keeps the listing pages → ``extract_listing_batch``, which
+turns the monitor page into one row (``context=""``). A cron day
+(``pipelines.schedule``) runs it once through :func:`listing_pass` and
+hands the monitor body and each context's search body its slice; a
+standalone ``run_search`` / ``run_data_monitor`` runs the same scan
+narrowed to its own rows.
+
+One body per spider, two state residencies. The search and details
+bodies each write their lifecycle once; ``backend`` picks where the
+crawl state lives while the run transitions it:
 
 - ``"pandas"`` (:class:`_DriverState`): state and history are driver
   frames and every transition is the exact pandas semantics of
@@ -24,8 +33,10 @@ where the crawl state lives while the run transitions it:
   and every transition runs through ``frontier.state_ds`` — the
   10^10-key form, in which only run-bounded artifacts reach the driver.
 
-The pages corpus never leaves the streaming path in either form.
-``run_search_ds`` / ``run_details_ds`` are the ``backend="ds"`` calls.
+The pages corpus never leaves the streaming path in either form; a
+collected listing pass is a driver frame under ``"pandas"`` and a
+materialized Dataset under ``"ds"``. ``run_search_ds`` /
+``run_details_ds`` are the ``backend="ds"`` calls.
 """
 
 from __future__ import annotations
@@ -36,21 +47,20 @@ import re
 import time
 from datetime import datetime, timezone
 
+import numpy as np
 import pandas as pd
+import pyarrow as pa
 import pyarrow.compute as pc
 
 import ray.data
 
-from ..extract.data_monitor import parse_data_monitor
 from ..frontier import state as S
 from ..frontier import state_ds as SD
 from ..frontier.manifests import CrawlStore, content_hash
-from ..kernels.htmlmini import parse_html
-from ..kernels.jsoncanon import dumps_canonical
 from ..kernels.partitioning import route_bucket
 from ..frontier.politeness import apply_host_budget
 from ..sources.pages import annotate_pages, read_pages
-from ..stages.search_stage import extract_search_batch
+from ..stages.search_stage import extract_listing_batch
 from . import derive
 from .details import run_details_extraction
 
@@ -156,6 +166,12 @@ class _DriverState:
     collect = staticmethod(ray.data.Dataset.to_pandas)
     from_frame = staticmethod(lambda df: df)
 
+    @staticmethod
+    def part(listing, context: str):
+        """``context``'s rows of a collected listing pass (``""``: the
+        monitor row)."""
+        return listing[listing["context"] == context].reset_index(drop=True)
+
     # -- details ---------------------------------------------------------
     def frontier(self, ids_spec, context, host_lookup, max_per_host):
         """J1 + host budget → the planned frontier frame."""
@@ -195,12 +211,11 @@ class _DriverState:
             )
 
     # -- search ----------------------------------------------------------
-    def duplicates(self, results) -> tuple[list[int], int]:
+    def listing_checks(self, results) -> tuple[list[int], int, list[int]]:
+        """ST1 duplicate ids (all of them) and their count, and the ST2
+        page totals."""
         ids = sorted(int(i) for i, n in results["id"].value_counts().items() if n > 1)
-        return ids, len(ids)
-
-    def totals(self, results) -> list[int]:
-        return sorted({int(t) for t in results["page_total"].unique() if t >= 0})
+        return ids, len(ids), sorted({int(t) for t in results["page_total"].unique() if t >= 0})
 
     def upsert_search(self, results, context, run_id):  # J2 + J6
         observations = [(int(r.id), r.item) for r in results.itertuples()]
@@ -261,6 +276,13 @@ class _DatasetState(_DriverState):
 
     collect = staticmethod(ray.data.Dataset.materialize)
     from_frame = staticmethod(ray.data.from_pandas)
+
+    @staticmethod
+    def part(listing, context):
+        return listing.map_batches(
+            lambda b: b.filter(pc.equal(b.column("context"), context)),
+            batch_format="pyarrow", zero_copy_batch=True,
+        ).materialize()
 
     # -- details ---------------------------------------------------------
     def frontier(self, ids_spec, context, host_lookup, max_per_host):
@@ -339,35 +361,35 @@ class _DatasetState(_DriverState):
             )
 
     # -- search ----------------------------------------------------------
-    def duplicates(self, results):
+    def listing_checks(self, results):
         """Per-batch partial counts → one id-routed exchange → the exact
-        duplicate count plus the first ``DUP_SAMPLE_CAP`` duplicate ids
-        ascending. The full list is state-cardinality on a pathological
-        corpus, so it never reaches the driver or the manifest."""
+        duplicate count, the first ``DUP_SAMPLE_CAP`` duplicate ids
+        ascending and the page totals, in one execution. The full
+        duplicate list is state-cardinality on a pathological corpus, so
+        it never reaches the driver or the manifest."""
 
         def id_counts(df: pd.DataFrame) -> pd.DataFrame:
-            g = df.groupby("id", as_index=False).size().rename(columns={"size": "n"})
+            g = df.groupby(["id", "page_total"], as_index=False).size()
             return g.assign(_b=route_bucket(g, "id", 64))
 
-        def dup_only(group: pd.DataFrame) -> pd.DataFrame:
-            g = group.groupby("id", as_index=False)["n"].sum()
-            d = g.loc[g["n"] > 1, "id"].sort_values()
-            out = pd.DataFrame({"id": d.head(DUP_SAMPLE_CAP).astype("int64")})
-            out["_b"] = int(group["_b"].iloc[0]) if len(group) else -1
-            out["total"] = len(d)
-            return out.astype({"_b": "int32", "total": "int64"})
+        def per_bucket(group: pd.DataFrame) -> pd.DataFrame:
+            n = group.groupby("id")["size"].sum()
+            dups = np.sort(n.index[n > 1].to_numpy(dtype=np.int64))
+            return pd.DataFrame({
+                "ids": [dups[:DUP_SAMPLE_CAP]],
+                "count": [len(dups)],
+                "totals": [np.unique(group["page_total"].to_numpy(dtype=np.int64))],
+            })
 
         rows = (
             results.map_batches(id_counts, batch_format="pandas")
             .groupby("_b")
-            .map_groups(dup_only, batch_format="pandas")
+            .map_groups(per_bucket, batch_format="pandas")
             .take_all()
         )
-        count = sum({int(r["_b"]): int(r["total"]) for r in rows}.values())
-        return sorted(int(r["id"]) for r in rows)[:DUP_SAMPLE_CAP], count
-
-    def totals(self, results):
-        return sorted(int(t) for t in results.unique("page_total") if t >= 0)
+        ids = sorted(int(i) for r in rows for i in r["ids"])[:DUP_SAMPLE_CAP]
+        totals = sorted({int(t) for r in rows for t in r["totals"] if t >= 0})
+        return ids, sum(int(r["count"]) for r in rows), totals
 
     def upsert_search(self, results, context, run_id):
         observations = results.map_batches(
@@ -377,11 +399,11 @@ class _DatasetState(_DriverState):
         self.state = SD.upsert_from_search_ds(self.state, observations, context, run_id)
 
 
-def _open_state(store: CrawlStore, backend: str) -> _DriverState:
+def _backend(backend: str) -> type[_DriverState]:
     if backend == "pandas":
-        return _DriverState(store)
+        return _DriverState
     if backend == "ds":
-        return _DatasetState(store)
+        return _DatasetState
     raise ValueError(f"unknown backend {backend!r}")
 
 
@@ -404,7 +426,7 @@ def run_details(
     frame, None when the ``ds`` backend keeps it resident),
     ``frontier_size``, ``delta`` (the processed rows: a DataFrame, or a
     Dataset under ``backend="ds"``), ``manifest`` and ``n_<status>``."""
-    st = _open_state(store, backend)
+    st = _backend(backend)(store)
     run_id = st.open_run("details", context)
 
     frontier = st.frontier(ids_spec, context, host_lookup, max_per_host)  # J1
@@ -470,32 +492,56 @@ def run_details_ds(store: CrawlStore, pages_dir: str, context: str, **kwargs) ->
 # search run
 # ---------------------------------------------------------------------------
 
+def listing_scan(pages_dir: str, contexts=(), monitor: bool = False) -> ray.data.Dataset:
+    """The listing scan: read → annotate → keep the search pages of
+    ``contexts`` (and the data-monitor page when ``monitor``) →
+    ``extract_listing_batch``. ``run_daily_cycle`` runs it once for the
+    monitor and all contexts; a standalone run narrows it to its own
+    rows."""
+    wanted = pa.array(list(contexts), type=pa.string())
+
+    def keep(b: pa.Table) -> pa.Table:
+        mask = pc.and_(pc.equal(b.column("kind"), "search"),
+                       pc.is_in(b.column("context"), value_set=wanted))
+        if monitor:
+            mask = pc.or_(mask, pc.equal(b.column("kind"), "monitor"))
+        return b.filter(mask)
+
+    ds = annotate_pages(read_pages(pages_dir), num_buckets=8)
+    ds = ds.map_batches(keep, batch_format="pyarrow", zero_copy_batch=True)
+    return ds.map_batches(extract_listing_batch, batch_format="pyarrow")
+
+
+def listing_pass(pages_dir: str, contexts, backend: str = "pandas") -> tuple[list[str], dict]:
+    """A cron day's one listing scan, collected once in ``backend``'s
+    form: the monitor items and each context's search rows."""
+    cls = _backend(backend)
+    listing = cls.collect(listing_scan(pages_dir, contexts, monitor=True))
+    monitor = cls.part(listing, "")
+    items = (list(monitor["item"]) if isinstance(monitor, pd.DataFrame)
+             else [r["item"] for r in monitor.take_all()])
+    return items, {c: cls.part(listing, c) for c in contexts}
+
+
 def run_search(store: CrawlStore, pages_dir: str, context: str, backend: str = "pandas") -> dict:
     """One search run. Under ``backend="ds"`` ``items`` is a Dataset
     (else a DataFrame) and ``duplicate_ids`` holds the first
     ``DUP_SAMPLE_CAP`` ascending ids of the exact ``duplicate_count``
     (else all of them)."""
-    st = _open_state(store, backend)
-    run_id = st.open_run("search_results", context)
+    results = _backend(backend).collect(listing_scan(pages_dir, (context,)))
+    return _search(store, pages_dir, context, backend, results)
 
-    ds = annotate_pages(read_pages(pages_dir), num_buckets=8)
-    ds = ds.map_batches(
-        lambda b: b.filter(
-            pc.and_(
-                pc.equal(b.column("kind"), "search"),
-                pc.equal(b.column("context"), context),
-            )
-        ),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-    )
-    results = st.collect(ds.map_batches(extract_search_batch, batch_format="pyarrow"))
+
+def _search(store: CrawlStore, pages_dir: str, context: str, backend: str, results) -> dict:
+    """The search run body over ``context``'s collected listing rows."""
+    st = _backend(backend)(store)
+    run_id = st.open_run("search_results", context)
     n_items = _size(results)
 
-    # ST1 duplicate-id detection across pages (warn-only in the reference)
-    duplicate_ids, duplicate_count = st.duplicates(results)
-    # pagination sanity (ST2): every page reported the same total
-    totals = st.totals(results)
+    # ST1 duplicate-id detection across pages (warn-only in the
+    # reference) and pagination sanity (ST2: every page reported the
+    # same total)
+    duplicate_ids, duplicate_count, totals = st.listing_checks(results)
 
     st.upsert_search(results, context, run_id)  # J2 + J6
 
@@ -527,21 +573,21 @@ def run_search_ds(store: CrawlStore, pages_dir: str, context: str) -> dict:
 # ---------------------------------------------------------------------------
 
 def run_data_monitor(store: CrawlStore, pages_dir: str) -> dict:
-    ds = annotate_pages(read_pages(pages_dir), num_buckets=2)
-    ds = ds.map_batches(
-        lambda b: b.filter(pc.equal(b.column("kind"), "monitor")),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-    )
-    rows = ds.take_all()  # exactly one monitor page
-    if not rows:
+    rows = listing_scan(pages_dir, monitor=True).take_all()
+    return _data_monitor(store, [r["item"] for r in rows])
+
+
+def _data_monitor(store: CrawlStore, items: list[str]) -> dict:
+    """The monitor run body over the listing's monitor items (canonical
+    JSON; exactly one per corpus)."""
+    if not items:
         raise ValueError("no data-monitor page in corpus")
-    item = parse_data_monitor(parse_html(rows[0]["html"]))
+    item = json.loads(items[0])
     dm = store.load_table("data_monitor", pd.DataFrame())
     row = dict(run_ended_at=_now(), **item)
     dm = pd.concat([dm, pd.DataFrame([row])], ignore_index=True)
     store.save_table("data_monitor", dm)
-    return dict(item=item, monitor_json=dumps_canonical(item))
+    return dict(item=item, monitor_json=items[0])
 
 
 def get_latest_dm_stat(store: CrawlStore, stat: str):

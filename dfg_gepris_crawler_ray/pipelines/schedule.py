@@ -7,15 +7,22 @@ cronfile:5-18), plus a monthly re-index rotation of ``db:all`` runs
 (day-of-month mod 10 picks the context; cronfile:19-33). Each run is
 one batch job here; a production deployment calls these from whatever
 scheduler it has (cron, Airflow, a driver while-loop) — the cadence is
-data, not infrastructure. The runs are the one search and details run
-bodies of ``pipelines.runs``; ``backend`` only says where the crawl
-state lives while they run.
+data, not infrastructure. The runs are the one monitor, search and
+details run bodies of ``pipelines.runs``; ``backend`` only says where
+the crawl state lives while they run.
+
+The listing pages do not change within a day and their extraction
+reads no state, so a day scans them once: one ``listing_pass`` before
+the first run extracts the monitor item and all three contexts' search
+rows, and each run then takes its own slice. The runs still open in the
+cron order (monitor, then per context search → details), so run ids
+and the J2/J6 → J1 → J3–J8 sequence are those of standalone runs.
 """
 
 from __future__ import annotations
 
 from .notify import classify_run, expected_items
-from .runs import run_data_monitor, run_details, run_search
+from .runs import _data_monitor, _search, listing_pass, run_details
 
 #: cronfile:9-18 — daily incremental budgets, in schedule order
 DAILY_NEEDED_BUDGETS = (("institution", 200), ("person", 200), ("projekt", 500))
@@ -59,11 +66,11 @@ def run_daily_cycle(
     keeps the state on the driver, ``"ds"`` keeps it in Datasets (the
     10^10-key form) — the budgets and notifier classifications are
     identical (equivalence pinned in tests/test_schedule.py)."""
-    if backend not in ("pandas", "ds"):
-        raise ValueError(f"unknown backend {backend!r}")
     out: dict = {"notifications": []}
 
-    dm = run_data_monitor(store, pages_dir)
+    contexts = [context for context, _ in DAILY_NEEDED_BUDGETS]
+    monitor, listings = listing_pass(pages_dir, contexts, backend)
+    dm = _data_monitor(store, monitor)
     out["data_monitor"] = dm
     note = classify_run(
         "data_monitor", None, scraped_items=1,
@@ -73,7 +80,7 @@ def run_daily_cycle(
         out["notifications"].append(note)
 
     for context, budget in DAILY_NEEDED_BUDGETS:
-        search = run_search(store, pages_dir, context, backend=backend)
+        search = _search(store, pages_dir, context, backend, listings[context])
         out[f"search_{context}"] = search
         n_items = int(search["manifest"]["items"])
         note = classify_run(

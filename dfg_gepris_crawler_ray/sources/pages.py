@@ -76,16 +76,17 @@ def read_pages(
 
     ``kinds``: optional page-kind pre-filter applied at the FILE level —
     the writer partitions listing/monitor pages into their own file
-    (``search_pages-*.parquet`` shards), so a details-only consumer never reads
-    those bytes at all (prune at the read, not after it). Falls back to
-    reading everything when the layout doesn't separate kinds; the
+    (``search_pages-*.parquet`` shards), so a consumer of detail kinds
+    only never reads those bytes at all (prune at the read, not after
+    it). Any other kind (search, monitor) reads everything. Falls back
+    to reading everything when the layout doesn't separate kinds; the
     downstream vectorised kind filter stays authoritative either way.
     """
     import glob
     import os
 
     paths: str | list[str] = pages_dir
-    if kinds is not None and "search" not in kinds:
+    if kinds is not None and set(kinds) <= set(DETAIL_KINDS):
         split = [
             p
             for p in sorted(glob.glob(os.path.join(pages_dir, "*.parquet")))

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import pyarrow as pa
+import pyarrow.compute as pc
 
+from ..extract.data_monitor import parse_data_monitor
 from ..extract.search import extract_total_items, parse_search_page
 from ..kernels.htmlmini import parse_html
 from ..kernels.jsoncanon import dumps_canonical
@@ -45,3 +47,24 @@ def extract_search_batch(batch: pa.Table) -> pa.Table:
                 )
             )
     return pa.Table.from_pylist(rows, schema=SEARCH_RESULT_SCHEMA)
+
+
+def extract_listing_batch(batch: pa.Table) -> pa.Table:
+    """Annotated listing pages → :data:`SEARCH_RESULT_SCHEMA` rows.
+
+    Search pages give :func:`extract_search_batch`'s rows. The
+    data-monitor page gives one row with ``context=""``, ``id=-1`` and
+    the canonical JSON of its :func:`parse_data_monitor` item (ints and
+    ISO strings, so ``json.loads`` returns the same dict) — one pass
+    serves the monitor and every context's search run.
+    """
+    is_monitor = pc.equal(batch.column("kind"), "monitor")
+    monitor = [
+        dict(id=-1, context="", page_index=-1, page_total=-1,
+             item=dumps_canonical(parse_data_monitor(parse_html(html))))
+        for html in batch.filter(is_monitor).column("html").to_pylist()
+    ]
+    return pa.concat_tables([
+        extract_search_batch(batch.filter(pc.invert(is_monitor))),
+        pa.Table.from_pylist(monitor, schema=SEARCH_RESULT_SCHEMA),
+    ])

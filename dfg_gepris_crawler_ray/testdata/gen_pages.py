@@ -470,16 +470,6 @@ def search_pages(n_docs: int) -> list[dict]:
     return out
 
 
-def generate_pages_batch(batch: pa.Table, n_docs: int) -> pa.Table:
-    """map_batches UDF: documents batch → pages batch."""
-    rows = []
-    doc_ids = batch.column("doc_id").to_pylist()
-    texts = batch.column("text").to_pylist()
-    for doc_id, text in zip(doc_ids, texts):
-        rows.extend(pages_for_doc(doc_id, text, n_docs))
-    return pa.Table.from_pylist(rows, schema=PAGES_SCHEMA)
-
-
 def pages_cache_dir(sf_dir: str, replicate: int = 1) -> str:
     key = hashlib.sha1(
         f"{os.path.abspath(sf_dir)}:v{GEN_VERSION}:r{replicate}".encode()

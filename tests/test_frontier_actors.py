@@ -5,6 +5,7 @@ import pandas as pd
 
 from dfg_gepris_crawler_ray.frontier.politeness import PolitenessGate, apply_host_budget
 from dfg_gepris_crawler_ray.frontier.seen import SeenFilter
+from test_runs_ds import SF  # the sf0.001 corpus the run tests share
 
 
 def test_seen_filter_exact(ray_session):
@@ -28,9 +29,19 @@ def test_seen_filter_in_batch_duplicates(ray_session):
     assert new.tolist() == [True, False, True, False, False]
 
 
-def test_unique_entities_by_context(ray_session):
+def _entities_per_context() -> dict:
+    """Distinct entities per context of the sf0.001 corpus, by context."""
     import duckdb
 
+    return dict(duckdb.sql(
+        "SELECT CASE doc_id % 3 WHEN 0 THEN 'projekt' WHEN 1 THEN 'person' "
+        "ELSE 'institution' END AS context, count(*) AS unique_entities "
+        f"FROM read_parquet('{SF}/documents.parquet') "
+        "GROUP BY 1 ORDER BY 1"
+    ).fetchall())
+
+
+def test_unique_entities_by_context(ray_session):
     from dfg_gepris_crawler_ray.frontier.seen import unique_entities_by_context
     from dfg_gepris_crawler_ray.testdata.gen_pages import ensure_pages
 
@@ -40,14 +51,43 @@ def test_unique_entities_by_context(ray_session):
         .sort_values("context")
         .reset_index(drop=True)
     )
-    want = duckdb.sql(
-        "SELECT CASE doc_id % 3 WHEN 0 THEN 'projekt' WHEN 1 THEN 'person' "
-        "ELSE 'institution' END AS context, count(*) AS unique_entities "
-        "FROM read_parquet('/root/testdata/sf0.001/documents.parquet') "
-        "GROUP BY 1 ORDER BY 1"
-    ).df()
-    assert got["context"].tolist() == want["context"].tolist()
-    assert got["unique_entities"].tolist() == want["unique_entities"].tolist()
+    want = _entities_per_context()
+    assert got["context"].tolist() == list(want)
+    assert got["unique_entities"].tolist() == list(want.values())
+
+
+def test_seen_filter_dedup_finishes_at_one_cpu(ray_session):
+    """Eight seen shards on a one-CPU Ray leave the CPU to the Dataset
+    tasks that call them (at 0.25 CPU each they asked for 2 CPUs, and
+    the dedup never finished). The test session runs Ray at 4 CPUs, so
+    this starts its own one-CPU Ray in a subprocess, under a timeout."""
+    import json
+    import os
+    import subprocess
+    import sys
+    import textwrap
+
+    from dfg_gepris_crawler_ray.testdata.gen_pages import ensure_pages
+
+    pages = ensure_pages(SF)
+    code = textwrap.dedent(
+        f"""
+        import json, sys
+        sys.path.insert(0, {os.path.dirname(os.path.dirname(os.path.abspath(__file__)))!r})
+        import ray
+        ray.init(address="local", num_cpus=1, include_dashboard=False, logging_level="ERROR")
+        from dfg_gepris_crawler_ray.frontier.seen import unique_entities_by_context
+        rows = unique_entities_by_context({pages!r}, num_shards=8).take_all()
+        print(json.dumps({{r["context"]: r["unique_entities"] for r in rows}}))
+        ray.shutdown()
+        """
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=300
+    )
+    assert out.returncode == 0, out.stderr[-2000:]
+    got = json.loads(out.stdout.strip().splitlines()[-1])
+    assert got == _entities_per_context()
 
 
 def test_seen_filter_bloom_no_false_negatives(ray_session):

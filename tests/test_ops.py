@@ -2286,6 +2286,20 @@ def test_cms_overestimate_and_bound_at_tiny_width():
     assert (exact.sort_index() == true.sort_index()).all()  # default width: exact regime
 
 
+def test_cms_token_counts_probes_tokens_with_commas(tmp_path):
+    """A token that holds a comma is counted whole: the distinct-token
+    set travels as a list, never joined and re-split on ","."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from dfg_gepris_crawler_ray.ops.textstats import cms_token_counts
+
+    pq.write_table(pa.table({"doc_id": [1, 2], "text": ["a,b c", "c d"]}),
+                   str(tmp_path / "documents.parquet"))
+    got = cms_token_counts(str(tmp_path)).to_pydict()
+    assert dict(zip(got["token"], got["est_count"])) == {"a,b": 1, "c": 2, "d": 1}
+
+
 def test_components_shortcut_on_deep_chain_and_reference_graph():
     """Pointer-jumping propagation must converge on a DEEP path graph
     (the case plain min-label needs O(diameter) rounds for) and match

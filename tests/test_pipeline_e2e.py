@@ -192,3 +192,16 @@ def test_host_health_matches_formula():
     )
     pd.testing.assert_frame_equal(got, want, check_dtype=False)
     assert want["n_error"].sum() > 0 and want["n_moved"].sum() > 0
+
+
+def test_read_pages_prunes_listing_shards_only_for_detail_kinds(pages_dir):
+    """A read of detail kinds skips the ``search_pages-*`` shards; a
+    monitor read keeps them, since the monitor page lives there."""
+    from dfg_gepris_crawler_ray.sources.pages import DETAIL_KINDS, annotate_pages, read_pages
+
+    def kinds(wanted):
+        ds = annotate_pages(read_pages(pages_dir, columns=["url"], kinds=wanted))
+        return set(ds.to_pandas()["kind"])
+
+    assert "monitor" in kinds(("monitor",))
+    assert not kinds(DETAIL_KINDS) & {"search", "monitor"}

@@ -1,12 +1,19 @@
 """The two state backends of the one search / details run body
-(pipelines.runs): identical manifests, and a pinned count of Dataset
-executions per cron day."""
+(pipelines.runs): identical manifests, a cron day's one listing pass
+equal to standalone runs, and a pinned count of Dataset executions per
+cron day."""
 
+import os
+
+import pandas as pd
+import pyarrow.compute as pc
+import pyarrow.parquet as pq
 import pytest
 
+from dfg_gepris_crawler_ray.frontier import state as S
 from dfg_gepris_crawler_ray.frontier.manifests import CrawlStore
-from dfg_gepris_crawler_ray.pipelines.runs import run_details, run_search
-from dfg_gepris_crawler_ray.pipelines.schedule import run_daily_cycle
+from dfg_gepris_crawler_ray.pipelines.runs import run_data_monitor, run_details, run_search
+from dfg_gepris_crawler_ray.pipelines.schedule import DAILY_NEEDED_BUDGETS, run_daily_cycle
 from dfg_gepris_crawler_ray.testdata.gen_pages import ensure_pages
 from test_runs_ds import SF  # the sf0.001 corpus the run tests share
 
@@ -62,12 +69,14 @@ def _count_executions(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("backend,day1,day2", [("pandas", 7, 5), ("ds", 57, 51)])
+@pytest.mark.parametrize("backend,day1,day2", [("pandas", 4, 2), ("ds", 55, 49)])
 def test_daily_cycle_dataset_executions(tmp_path, monkeypatch, backend, day1, day2):
-    """The pandas backend runs one Dataset execution per search, one per
-    details run with a non-empty frontier and one for the monitor: 7 on
-    day 1, 5 on day 2 (only the J8-flagged institutions come back). The
-    Dataset backend stays within its measured 57 / 51."""
+    """The pandas backend runs one listing pass for the monitor and all
+    three searches, plus one Dataset execution per details run with a
+    non-empty frontier: 4 on day 1, 2 on day 2 (only the J8-flagged
+    institutions come back). The Dataset backend stays within its
+    measured 55 / 49: the listing pass, one slice per search and the
+    monitor, and one execution for each search's ST1/ST2 checks."""
     pages = ensure_pages(SF)
     store = CrawlStore(str(tmp_path / backend))
     counts = []
@@ -80,3 +89,56 @@ def test_daily_cycle_dataset_executions(tmp_path, monkeypatch, backend, day1, da
         assert counts == [day1, day2]
     else:
         assert counts[0] <= day1 and counts[1] <= day2, counts
+
+
+def _sorted_state(store: CrawlStore, backend: str) -> pd.DataFrame:
+    if backend == "ds":
+        state = store.load_table_ds("state", S.empty_state()).to_pandas()
+    else:
+        state = store.load_table("state", S.empty_state())
+    state = state[S.STATE_COLUMNS]
+    return state.sort_values(["context", "id"]).reset_index(drop=True)
+
+
+@pytest.mark.parametrize("backend", ["pandas", "ds"])
+def test_daily_cycle_equals_standalone_runs(tmp_path, backend):
+    """The cron day's one listing pass gives the monitor and every
+    search run what their standalone scans give them: equal search
+    manifests, a byte-equal monitor item, and equal saved tables."""
+    pages = ensure_pages(SF)
+    fused = CrawlStore(str(tmp_path / "fused"))
+    day = run_daily_cycle(fused, pages, backend=backend)
+
+    alone = CrawlStore(str(tmp_path / "alone"))
+    monitor = run_data_monitor(alone, pages)
+    searches = {}
+    for context, budget in DAILY_NEEDED_BUDGETS:
+        searches[context] = run_search(alone, pages, context, backend=backend)
+        run_details(alone, pages, context, ids_spec=f"db:needed:{budget}", backend=backend)
+
+    assert day["data_monitor"]["monitor_json"] == monitor["monitor_json"]
+    for context, search in searches.items():
+        got, want = day[f"search_{context}"]["manifest"], search["manifest"]
+        for k in ("items", "reported_totals", "duplicate_ids", "duplicate_count", "delta_hash"):
+            assert got[k] == want[k], (context, k)
+    pd.testing.assert_frame_equal(_sorted_state(fused, backend), _sorted_state(alone, backend))
+    dm = [s.load_table("data_monitor", pd.DataFrame()).drop(columns="run_ended_at")
+          for s in (fused, alone)]
+    pd.testing.assert_frame_equal(*dm)
+
+
+def test_daily_cycle_without_monitor_page_opens_no_run(tmp_path):
+    """A corpus without the data-monitor page fails the day before any
+    run is opened: the runs ledger stays empty."""
+    pages = ensure_pages(SF)
+    corpus = tmp_path / "pages"
+    corpus.mkdir()
+    for name in sorted(os.listdir(pages)):
+        if name.endswith(".parquet"):
+            t = pq.read_table(os.path.join(pages, name))
+            keep = pc.invert(pc.ends_with(t.column("url"), "task=showMonitor"))
+            pq.write_table(t.filter(keep), str(corpus / name))
+    store = CrawlStore(str(tmp_path / "store"))
+    with pytest.raises(ValueError, match="no data-monitor page in corpus"):
+        run_daily_cycle(store, str(corpus))
+    assert len(store.load_table("runs", S.empty_runs())) == 0
