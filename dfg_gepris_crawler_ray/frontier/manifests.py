@@ -21,6 +21,21 @@ import json
 import os
 
 import pandas as pd
+import pyarrow as pa
+
+#: ``state.TABLE_DTYPES`` names → the Arrow types a ds table is stored as
+_ARROW_TYPES = {
+    "int64": pa.int64(), "float64": pa.float64(), "string": pa.string(), "bool": pa.bool_()
+}
+
+
+def _arrow_types(name: str) -> dict | None:
+    """Column → Arrow type of the ds-resident table ``name``, or None
+    for a table without canonical dtypes."""
+    from .state import TABLE_DTYPES
+
+    dtypes = TABLE_DTYPES.get(name)
+    return None if dtypes is None else {c: _ARROW_TYPES[t] for c, t in dtypes.items()}
 
 
 class CrawlStore:
@@ -135,13 +150,18 @@ class CrawlStore:
         artifact through the same pointer as ``load_table`` — reads the
         partitioned directory or the pandas-era single parquet, else the
         empty schema — so a ds-resident run can take over a store a
-        pandas run started (and vice versa)."""
+        pandas run started (and vice versa). The empty table of a table
+        with canonical dtypes is an Arrow table of those types: an
+        object-dtype empty frame would carry Arrow ``null`` columns."""
         import ray.data
 
         live = self._resolve_live(name)
-        if live is None:
+        if live is not None:
+            return ray.data.read_parquet(live)
+        types = _arrow_types(name)
+        if types is None:
             return ray.data.from_pandas(empty)
-        return ray.data.read_parquet(live)
+        return ray.data.from_arrow(pa.schema([(c, types[c]) for c in empty.columns]).empty_table())
 
     def save_table_ds(self, name: str, ds: "object") -> None:
         """Partitioned parquet publish, crash-atomic: blocks stream into
@@ -152,16 +172,10 @@ class CrawlStore:
         orphan the live table."""
         import shutil
 
-        from . import state as _S
+        types = _arrow_types(name)
+        if types is not None:
 
-        dtypes = _S.TABLE_DTYPES.get(name)
-        if dtypes is not None:
-            import pyarrow as _pa
-
-            _PA = {"int64": _pa.int64(), "float64": _pa.float64(),
-                   "string": _pa.string(), "bool": _pa.bool_()}
-
-            def canon(df, _dt=dtypes, _types=_PA):
+            def canon(df):
                 # pin every block to the table's canonical Arrow types
                 # so no parquet file carries a null-typed column: an
                 # all-None block otherwise infers as Arrow `null`
@@ -170,13 +184,9 @@ class CrawlStore:
                 # null with double/string blocks — the source of the
                 # pandas-3 empty/all-NA concat FutureWarning on
                 # `.to_pandas()` over the live table
-                cols = {}
-                for c in df.columns:
-                    t = _dt.get(c)
-                    cols[c] = _pa.Array.from_pandas(
-                        df[c], type=_types[t] if t else None
-                    )
-                return _pa.table(cols)
+                return pa.table(
+                    {c: pa.Array.from_pandas(df[c], type=types.get(c)) for c in df.columns}
+                )
 
             ds = ds.map_batches(canon, batch_format="pandas")
 

@@ -9,7 +9,7 @@ composition is exactly the driver-side semantics (equivalence tests in
 tests/test_state_ds.py).
 
 Shuffle key: the ``(context, id)`` entity key in ``NUM_BUCKETS``
-buckets, routed by ``kernels.partitioning.route_bucket`` — the one
+buckets, through ``kernels.partitioning.co_exchange`` — the one
 partitioning key the whole engine reuses (SURVEY.md §7.3).
 """
 
@@ -19,7 +19,7 @@ import pandas as pd
 
 import ray.data
 
-from ..kernels.partitioning import co_route
+from ..kernels.partitioning import co_exchange
 from . import state as S
 
 NUM_BUCKETS = 64
@@ -28,20 +28,14 @@ NUM_BUCKETS = 64
 def _co_bucket(sides: dict, reduce) -> "ray.data.Dataset":
     """Union-tag transition: ``sides`` maps a kind to ``(ds, template)``,
     ``template`` being that side's typed empty frame. The sides
-    co-partition by ``(context, id)``, and ``reduce`` gets, per bucket,
-    a dict kind → that side's rows (:func:`~..kernels.partitioning.co_route`
-    tags, fills and splits them, as for ``co_exchange``).
-
-    The exchange is NOT ``co_exchange``: its coalesce-to-``n`` step
-    is an extra all-to-all barrier over the state-scale union, which
-    made a 10^6-key ``bench.py --frontier-scale`` run at least 1.8x
-    slower, at 8 and at 64 buckets alike. Routing stays the shared
-    ``route_bucket``; the reduce count follows the union's blocks."""
-    routed, split = co_route(
+    co-partition by ``(context, id)`` (``co_exchange`` at
+    ``NUM_BUCKETS``), and ``reduce`` gets, per bucket, a dict kind →
+    that side's rows."""
+    return co_exchange(
         {kind: (ds, ["context", "id"], template) for kind, (ds, template) in sides.items()},
+        reduce,
         NUM_BUCKETS,
     )
-    return routed.groupby("_b").map_groups(lambda group: reduce(split(group)), batch_format="pandas")
 
 
 def collect_ids(ds: "ray.data.Dataset", col: str = "id") -> set[int]:

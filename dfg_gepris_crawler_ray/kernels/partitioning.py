@@ -14,17 +14,15 @@ Every keyed reduce in the crawl engine has the same three steps, and
    a hot host over all ``n`` buckets while every copy of one key still
    lands in one bucket, so per-bucket partials stay exact and need no
    salt.
-2. **coalesce** — the routed blocks are re-blocked to ``n`` before the
-   sort-shuffle. Ray's sort-shuffle pays a fixed cost per INPUT block
-   (measured on ``host_distinct_urls`` at sf0.1×256: 15.6 s → 4.6 s),
-   and the block count also sets the reduce-task count, so ``n`` is
-   the one knob for both. The coalesce is an all-to-all barrier, so
-   it pays off on the many small blocks of the pages corpus and costs
-   on inputs that arrive in few large blocks: the Dataset-state
-   transitions (``frontier.state_ds``, ``derive.latest_detail_items_ds``)
-   and the ``runs`` id exchanges ran 1.5-2x slower through it over
-   10^6 rows, so they route with :func:`route_bucket` and group
-   without it.
+2. **bundle** — the route runs in map tasks of about
+   :data:`ROUTE_BATCH` rows: Ray merges small input blocks into one
+   task in the stream (no barrier) and never splits a large block.
+   Ray's sort-shuffle pays a fixed cost per INPUT block, and the block
+   count also sets the reduce-task count, so the bundle bounds both by
+   the input's rows, whatever its fragmentation: a corpus of thousands
+   of tiny blocks shuffles as a few dozen, and a state table that
+   arrives in a few large blocks keeps them. The constant is the one
+   knob; ``n`` only sets the bucket count.
 3. **reduce** — ``groupby(_b).map_groups(reduce)``; ``reduce`` gets one
    bucket's rows without ``_b`` and returns its output rows. Any
    reduce that is key-local gives the same output for every ``n``.
@@ -35,10 +33,7 @@ columns, tagged with its kind, and given the union of all sides'
 columns (a column a side lacks is filled with the default of that
 column's dtype, so no side's int64 or bool column is coerced when
 blocks of two sides meet); ``reduce`` gets a dict kind → that side's
-rows. :func:`co_route` is its tag-and-split step, which the
-uncoalesced state transitions reuse, as :func:`keyed_route` is
-:func:`keyed_exchange`'s; :func:`typed_frame` builds a side's
-template.
+rows. :func:`typed_frame` builds a side's template.
 
 :func:`fan_in` is the keyless counterpart: a tree-reduce of mergeable
 partial rows (re-block to :data:`FAN_IN`, combine per block, combine
@@ -49,43 +44,14 @@ PCA moments, the IRLS statistics of ``classifier``, the Count-Min
 grid, ``curation.weighted_sample``, the host-budget leftover prune and
 both bloom routes (``hashing.bloom_or``).
 
-Callers: the crawl ops (``ops/crawlhealth``, ``ops/recrawl``,
-``ops/boilerplate``), every graph op (``ops/graph``), every keyed
-join, semi-join and per-key window of ``ops/relational``, every
-router-keyed exchange of ``ops/dedup`` (exact and soft dedup, the
-MinHash band and verify exchanges, the n-gram pair sums, the
-min-label components, the cluster join, SimHash, the IVF pair dedupe,
-window and line dedup) and of ``ops/textstats`` (top tokens, TF-IDF,
-drift, heavy hitters, the inverted index, the corpus profile,
-co-occurrence, novelty, length deciles, TextRank), and the keyed
-exchanges of ``curation``, ``classifier``, ``decontaminate``,
-``cdc``, ``multimodal`` and ``search``. ``dedup.keep_min`` is the
+Callers: every keyed exchange of the engine (the Dataset-state
+transitions of ``frontier.state_ds``, ``derive.latest_detail_items_ds``,
+the ``runs`` listing checks) and of ``ops/`` (crawl, graph, relational,
+dedup, text-stats, curation and the rest). ``dedup.keep_min`` is the
 one exact-dedup keep-min (``exact_dedup``, ``incremental_dedup``,
 ``corpus_curation``, ``extracted_corpus_funnel``,
 ``pretrain_pack_pipeline``, ``model_gated_corpus``). An op's width is
 :func:`table_width` over its driving table.
-
-Sites that route with :func:`keyed_route` / :func:`route_bucket` /
-:func:`co_route` but skip the coalesce, each because it measured
-slower through it (one CPU, the query with that site coalesced vs
-not): the state-scale ones named above,
-``relational.q3_topk_revenue_shuffle`` (2.3x),
-``relational.anti_join_bucketed`` (7-10% for each of its callers),
-the md5 keep-min of ``dedup.incremental_dedup`` (~10% on its bloom
-route), and on the small inputs of the text ops (sf0.01) ten more:
-``dedup.exact_dedup`` (1.5x), ``dedup.softdedup_weights`` (1.4x), the
-MinHash band exchange (1.2x), both n-gram pair exchanges (1.2x,
-1.1x), the first SimHash exchange (1.14x), the window exchange of
-``dedup.window_dedup`` (1.2x), ``textstats.top_tokens`` (1.35x),
-``textstats.token_novelty`` (1.45x) and ``textstats.length_deciles``
-(1.3x). ``dedup.keep_min`` skips it for all six callers (the two
-above; ``corpus_curation`` 1.45x, ``extracted_corpus_funnel`` 4.9x,
-``pretrain_pack_pipeline`` 1.5x, ``model_gated_corpus`` even), and so
-do ``curation.source_quota`` (1.4x), both exchanges of
-``decontaminate``'s bucketed route (1.4x, 1.3x), of
-``cdc.cdc_chunk_stats`` (1.4x, 1.2x) and of
-``multimodal.media_phash_pairs`` (1.4x, 1.2x), and
-``search.phrase_search`` (1.3x).
 
 The exchange stays a sort-shuffle (Ray's hash shuffle hung on this
 engine's Ray version; BASELINE.md). Hashes that are values or that an
@@ -135,19 +101,26 @@ def route_bucket(frame: pd.DataFrame, keys, n: int) -> np.ndarray:
     return (h % np.uint64(n)).astype(np.int32)
 
 
-def _reduce_routed(routed, reduce_bucket, n: int, batch_format: str):
-    """Coalesce the ``_b``-routed ``routed`` to ``n`` blocks and apply
-    ``reduce_bucket`` to each bucket's rows."""
-    return routed.repartition(n).groupby("_b").map_groups(reduce_bucket, batch_format=batch_format)
+#: rows the route step bundles into one map task: small input blocks
+#: are merged in the stream up to this many rows (no barrier, and a
+#: large block is never split), so the sort-shuffle behind it sees few
+#: blocks whether the input arrives in one block or in thousands. Sized
+#: on the most fragmented input, ``boilerplate.host_distinct_urls`` over
+#: the 1.9M-page corpus (4 CPUs: 27.7 s at 4096 rows, 13.5 s at 16384,
+#: 10.6 s at 65536, 10.2 s at 262144), against the 10^6-key
+#: ``bench.py --frontier-scale`` state exchanges (19-20 s from 32768 to
+#: 131072 rows, 36 s at 262144)
+ROUTE_BATCH = 65536
 
 
-def keyed_route(ds, keys, n: int):
-    """``ds`` with the routing column ``_b`` (:func:`route_bucket` over
-    ``keys`` into ``n``) appended: the routing step of
-    :func:`keyed_exchange`, which the uncoalesced sites group directly.
+def keyed_exchange(ds, keys, reduce, n: int = 64, batch_format: str = "pandas"):
+    """Route ``ds`` by ``keys`` into ``n`` buckets (:func:`route_bucket`
+    over the key columns, in map tasks of about :data:`ROUTE_BATCH`
+    rows) and apply ``reduce`` to each bucket's rows (without the
+    ``_b`` routing column), as a ``batch_format`` frame.
 
-    It keeps the upstream block format (Arrow string buffers slice
-    zero-copy through the shuffle; pandas blocks stay pandas)."""
+    The route keeps the upstream block format (Arrow string buffers
+    slice zero-copy through the shuffle; pandas blocks stay pandas)."""
     keys = [keys] if isinstance(keys, str) else list(keys)
 
     def route(batch):
@@ -156,20 +129,15 @@ def keyed_route(ds, keys, n: int):
             return batch.append_column("_b", pa.array(route_bucket(frame, keys, n)))
         return batch.assign(_b=route_bucket(batch, keys, n))
 
-    return ds.map_batches(route, batch_format=None, zero_copy_batch=True)
-
-
-def keyed_exchange(ds, keys, reduce, n: int = 64, batch_format: str = "pandas"):
-    """Route ``ds`` by ``keys`` into ``n`` buckets (:func:`keyed_route`),
-    coalesce to ``n`` blocks, and apply ``reduce`` to each bucket's rows
-    (without the ``_b`` routing column), as a ``batch_format`` frame."""
-
     def reduce_bucket(group):
         if isinstance(group, pa.Table):
             return reduce(group.drop_columns(["_b"]))
         return reduce(group.drop(columns="_b"))
 
-    return _reduce_routed(keyed_route(ds, keys, n), reduce_bucket, n, batch_format)
+    routed = ds.map_batches(
+        route, batch_format=None, batch_size=ROUTE_BATCH, zero_copy_batch=True
+    )
+    return routed.groupby("_b").map_groups(reduce_bucket, batch_format=batch_format)
 
 
 def typed_frame(**dtypes) -> pd.DataFrame:
@@ -186,46 +154,21 @@ def _filler(dtype, n: int):
     return pd.array([None] * n, dtype=dtype)
 
 
-def co_route(sides: dict, n: int):
-    """Tag and union the sides of a co-partition exchange.
+def _co_tag(code: int, keys, cols: dict, n: int):
+    """The route step of side ``code``: its rows in the union's columns
+    ``cols`` (name → dtype, a missing one filled by :func:`_filler`),
+    tagged with ``_kind`` = ``code`` and routed to ``_b`` by ``keys``."""
 
-    ``sides`` maps a kind to ``(ds, keys, template)``: the side's
-    Dataset, its key column(s) and its typed empty frame. Each row gets
-    ``_kind`` (the kind's position in ``sides``) and ``_b`` (
-    :func:`route_bucket` over that side's keys into ``n``), and every
-    side emits the SAME columns — the union of the templates' columns,
-    a missing one filled by :func:`_filler` with its template dtype. A
-    sorted block downstream of the union can hold rows of one side
-    only, and a single-side block carries only that side's schema, so
-    a column of another side would be missing from a group (observed
-    as a flaky KeyError); a typed filler, unlike an object ``None``,
-    leaves the other side's int64/bool columns exact when the blocks
-    meet (an int64 column next to ``None`` came back float64).
+    def tag(df: pd.DataFrame) -> pd.DataFrame:
+        out = {
+            c: df[c].array if c in df.columns else _filler(dt, len(df))
+            for c, dt in cols.items()
+        }
+        out["_kind"] = np.full(len(df), code, dtype=np.int8)
+        out["_b"] = route_bucket(df, keys, n)
+        return pd.DataFrame(out)
 
-    Returns the unioned Dataset and ``split(group)`` → dict kind → that
-    side's rows (:func:`_co_split` bound to these sides)."""
-    templates = {kind: template for kind, (_, _, template) in sides.items()}
-    dtypes = {}
-    for template in templates.values():
-        for c, dt in template.dtypes.items():
-            dtypes.setdefault(c, dt)
-    cols = list(dtypes)
-
-    def tag(code: int, keys):
-        def fn(df: pd.DataFrame) -> pd.DataFrame:
-            out = {c: df[c].array if c in df.columns else _filler(dtypes[c], len(df)) for c in cols}
-            out["_kind"] = np.full(len(df), code, dtype=np.int8)
-            out["_b"] = route_bucket(df, keys, n)
-            return pd.DataFrame(out)
-
-        return fn
-
-    tagged = [
-        ds.map_batches(tag(code, keys), batch_format="pandas")
-        for code, (ds, keys, _) in enumerate(sides.values())
-    ]
-    routed = tagged[0].union(*tagged[1:]) if len(tagged) > 1 else tagged[0]
-    return routed, lambda group: _co_split(group, templates)
+    return tag
 
 
 def _co_split(group: pd.DataFrame, templates: dict) -> dict:
@@ -243,13 +186,39 @@ def _co_split(group: pd.DataFrame, templates: dict) -> dict:
 
 
 def co_exchange(sides: dict, reduce, n: int = 64):
-    """Co-partition ``sides`` (kind → ``(ds, keys, template)``, see
-    :func:`co_route`) into ``n`` buckets through the keyed exchange's
-    coalesce and sort-shuffle, and apply ``reduce`` to each bucket's
-    dict kind → that side's rows. Rows of every side whose key values
-    are equal meet in one call, whatever the key columns are named."""
-    routed, split = co_route(sides, n)
-    return _reduce_routed(routed, lambda group: reduce(split(group)), n, "pandas")
+    """Co-partition ``sides`` into ``n`` buckets and apply ``reduce`` to
+    each bucket's dict kind → that side's rows. Rows of every side whose
+    key values are equal meet in one call, whatever the key columns are
+    named.
+
+    ``sides`` maps a kind to ``(ds, keys, template)``: the side's
+    Dataset, its key column(s) and its typed empty frame. Each row gets
+    ``_kind`` (the kind's position in ``sides``) and ``_b`` (
+    :func:`route_bucket` over that side's keys into ``n``), in map tasks
+    of about :data:`ROUTE_BATCH` rows, and every side emits the SAME
+    columns — the union of the templates' columns, a missing one filled
+    by :func:`_filler` with its template dtype. A sorted block
+    downstream of the union can hold rows of one side only, and a
+    single-side block carries only that side's schema, so a column of
+    another side would be missing from a group (observed as a flaky
+    KeyError); a typed filler, unlike an object ``None``, leaves the
+    other side's int64/bool columns exact when the blocks meet (an
+    int64 column next to ``None`` came back float64)."""
+    templates = {kind: template for kind, (_, _, template) in sides.items()}
+    cols = {}
+    for template in templates.values():
+        for c, dt in template.dtypes.items():
+            cols.setdefault(c, dt)
+    tagged = [
+        ds.map_batches(
+            _co_tag(code, keys, cols, n), batch_format="pandas", batch_size=ROUTE_BATCH
+        )
+        for code, (ds, keys, _) in enumerate(sides.values())
+    ]
+    routed = tagged[0].union(*tagged[1:]) if len(tagged) > 1 else tagged[0]
+    return routed.groupby("_b").map_groups(
+        lambda group: reduce(_co_split(group, templates)), batch_format="pandas"
+    )
 
 
 #: the block count :func:`fan_in` re-blocks its partials to

@@ -258,7 +258,7 @@ def anchor_term_index(pages_dir: str, k: int = 3) -> "ray.data.Dataset":
         terms = [w for (_, w) in cnt]
         # Arrow block (not pandas): the (target, term) partials are the
         # exchange payload — Arrow string buffers slice zero-copy through
-        # repartition/sort where pandas object columns would be pickled
+        # the sort-shuffle where pandas object columns would be pickled
         return pa.table(
             {"target": pa.array(targets, type=pa.string()),
              "term": pa.array(terms, type=pa.string()),

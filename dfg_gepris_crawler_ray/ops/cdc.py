@@ -9,8 +9,7 @@ every later block. For a crawl corpus this finds shared page fragments
 complementing the token-window dedup (``dedup.window_dedup``).
 
 Distributed shape — one scan + two keyed exchanges
-(``kernels.partitioning.keyed_route``; both skip the coalesce, 1.4x
-and 1.2x slower through it at one CPU):
+(``kernels.partitioning.keyed_exchange``):
 
 1. **chunk scan**: per doc, the Gear hash is computed VECTORIZED (the
    64-byte window is a sliding-window dot product with the 2^i decay
@@ -42,7 +41,7 @@ import ray
 import ray.data
 
 from ..kernels.hashing import splitmix64
-from ..kernels.partitioning import keyed_route, table_width
+from ..kernels.partitioning import keyed_exchange, table_width
 
 #: deterministic 256-entry Gear table (splitmix64 of the byte value)
 _GEAR = splitmix64(np.arange(256, dtype=np.uint64))
@@ -154,13 +153,5 @@ def cdc_chunk_stats(
         )
 
     chunks = ds.map_batches(chunk_rows, batch_format="pyarrow", zero_copy_batch=True)
-    marked = (
-        keyed_route(chunks, "chunk_hash", width)
-        .groupby("_b")
-        .map_groups(mark_dups, batch_format="pandas")
-    )
-    return (
-        keyed_route(marked, "doc_id", width)
-        .groupby("_b")
-        .map_groups(per_doc, batch_format="pandas")
-    )
+    marked = keyed_exchange(chunks, "chunk_hash", mark_dups, width)
+    return keyed_exchange(marked, "doc_id", per_doc, width)

@@ -79,7 +79,7 @@ def url_template_stats(
         )
         # Arrow block: the (host, template, url) partials are the
         # exchange payload — Arrow string buffers slice zero-copy
-        # through repartition/sort where pandas object blocks pickle
+        # through the sort-shuffle where pandas object blocks pickle
         return pa.Table.from_pandas(df, preserve_index=False)
 
     def cell_counts(g: pd.DataFrame) -> pa.Table:

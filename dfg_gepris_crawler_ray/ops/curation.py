@@ -26,7 +26,7 @@ import pyarrow.compute as pc
 
 import ray.data
 
-from ..kernels.partitioning import fan_in, keyed_route, table_width
+from ..kernels.partitioning import fan_in, keyed_exchange, table_width
 from .dedup import keep_min
 from .textstats import quality_batch
 
@@ -721,8 +721,7 @@ def source_quota(sf_dir: str, cap_tokens: int = 400) -> "ray.data.Dataset":
     guard against a single domain dominating a training mix (the
     per-group form of :func:`budget_select`).
 
-    ONE source-keyed exchange (routed without the coalesce, 1.4x slower
-    through it at one CPU): rows carry only (doc_id, source, n_tokens);
+    ONE source-keyed exchange: rows carry only (doc_id, source, n_tokens);
     each bucket holds its sources entirely, so the per-source prefix is
     a vectorized pandas groupby-cumsum — no global sort, no driver
     state.  Equivalent to the SQL window ``sum(n_tokens) OVER
@@ -752,11 +751,7 @@ def source_quota(sf_dir: str, cap_tokens: int = 400) -> "ray.data.Dataset":
         return out[["doc_id", "source", "n_tokens"]]
 
     tokens = ds.map_batches(count_tokens, batch_format="pyarrow", zero_copy_batch=True)
-    return (
-        keyed_route(tokens, "source", table_width(sf_dir, "documents"))
-        .groupby("_b")
-        .map_groups(quota, batch_format="pandas")
-    )
+    return keyed_exchange(tokens, "source", quota, table_width(sf_dir, "documents"))
 
 
 def extracted_corpus_funnel(

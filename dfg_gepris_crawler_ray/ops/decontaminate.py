@@ -17,10 +17,9 @@ Two routes, identical output (equivalence pinned in tests):
   real-world case: benchmarks are MBs, corpora are TBs).
 - ``route="bucketed"``: no driver-resident gram set — benchmark and
   training grams are exploded to rows, routed together by gram hash
-  (``kernels.partitioning.keyed_route``), matched inside each bucket,
-  and per-doc partial counts are summed by a second, doc-keyed
-  exchange. Both skip the coalesce (1.4x and 1.3x slower through it at
-  one CPU).  The scale form for when the "benchmark" side is itself
+  (``kernels.partitioning.keyed_exchange``), matched inside each
+  bucket, and per-doc partial counts are summed by a second, doc-keyed
+  exchange. The scale form for when the "benchmark" side is itself
   huge (e.g. decontaminating against another corpus).
 
 100-TB posture: the broadcast route touches the corpus once with no
@@ -38,7 +37,7 @@ import ray
 import ray.data
 
 from ..kernels.hashing import stable_hash64
-from ..kernels.partitioning import keyed_route, table_width
+from ..kernels.partitioning import keyed_exchange, table_width
 
 _P = np.uint64(1099511628211)
 
@@ -192,13 +191,5 @@ def _decontaminate_bucketed(sf_dir: str, n: int, bench_mod: int) -> "ray.data.Da
         return agg
 
     grams = ds.map_batches(gram_rows, batch_format="pyarrow", zero_copy_batch=True)
-    partials = (
-        keyed_route(grams, "ghash", width)
-        .groupby("_b")
-        .map_groups(match_bucket, batch_format="pandas")
-    )
-    return (
-        keyed_route(partials, "doc_id", width)
-        .groupby("_b")
-        .map_groups(sum_doc, batch_format="pandas")
-    )
+    partials = keyed_exchange(grams, "ghash", match_bucket, width)
+    return keyed_exchange(partials, "doc_id", sum_doc, width)

@@ -41,7 +41,6 @@ from ..kernels.partitioning import (
     cut_lineage,
     fan_in,
     keyed_exchange,
-    keyed_route,
     route_bucket,
     table_width,
     typed_frame,
@@ -70,15 +69,13 @@ def keep_min(ds: "ray.data.Dataset", key: str, id_col: str, n: int) -> "ray.data
     with the lowest ``id_col``, every column kept: one exchange routed
     by ``key`` into ``n`` buckets, the group-min computed vectorized
     per bucket — one Python call per bucket, not one Ray aggregate per
-    distinct hash (millions of groups at corpus scale). Routed without
-    the coalesce (``exact_dedup`` 1.5x and ``incremental_dedup`` ~10%
-    slower through it at one CPU)."""
+    distinct hash (millions of groups at corpus scale)."""
 
     def bucket_min(group: pd.DataFrame) -> pd.DataFrame:
         rows = group.sort_values(id_col, kind="mergesort").drop_duplicates(key)
-        return rows.drop(columns="_b").reset_index(drop=True)
+        return rows.reset_index(drop=True)
 
-    return keyed_route(ds, key, n).groupby("_b").map_groups(bucket_min, batch_format="pandas")
+    return keyed_exchange(ds, key, bucket_min, n)
 
 
 def exact_dedup(sf_dir: str) -> "ray.data.Dataset":
@@ -101,8 +98,7 @@ def softdedup_weights(sf_dir: str) -> "ray.data.Dataset":
     group sizes computed vectorized per bucket and joined back to the
     group's doc rows IN the bucket task (a text's duplicates all share
     its bucket), so the exchange carries fingerprint rows and no second
-    pass over the corpus is needed (routed without the coalesce, 1.4x
-    slower through it at one CPU). weight_ppm = 10^6 // dup_count
+    pass over the corpus is needed. weight_ppm = 10^6 // dup_count
     exactly (floor), so op and oracle hash-match without float
     division."""
 
@@ -117,10 +113,8 @@ def softdedup_weights(sf_dir: str) -> "ray.data.Dataset":
             }
         )
 
-    return (
-        keyed_route(_content_md5(sf_dir), "content_md5", table_width(sf_dir, "documents"))
-        .groupby("_b")
-        .map_groups(bucket_weights, batch_format="pandas")
+    return keyed_exchange(
+        _content_md5(sf_dir), "content_md5", bucket_weights, table_width(sf_dir, "documents")
     )
 
 
@@ -226,8 +220,7 @@ def minhash_lsh_dedup(
 
     # candidate pairs via self-merge per hash bucket: ONE vectorized
     # Python call per bucket instead of one per (band, band_hash) LSH
-    # bucket (billions of those at web scale). Routed without the
-    # coalesce (1.2x slower through it at one CPU)
+    # bucket (billions of those at web scale)
     def emit_bucket_pairs(group: pd.DataFrame) -> pd.DataFrame:
         g = group[["band", "band_hash", "doc_id"]].drop_duplicates()
         m = g.merge(g, on=["band", "band_hash"])
@@ -236,11 +229,7 @@ def minhash_lsh_dedup(
         out.columns = ["doc_a", "doc_b"]
         return out
 
-    candidates = (
-        keyed_route(banded, "band_hash", width)
-        .groupby("_b")
-        .map_groups(emit_bucket_pairs, batch_format="pandas")
-    )
+    candidates = keyed_exchange(banded, "band_hash", emit_bucket_pairs, width)
     # exact verification as a bucketed pairs⋈shingles co-group join:
     # the corpus text column NEVER funnels through the driver; only the
     # candidate doc-id set does (tiny by LSH construction — ≪ corpus
@@ -428,8 +417,7 @@ def _pair_intersection_sums(
 
     Postings of hub grams with more than ``max_bucket`` docs are
     dropped with a log (at web scale drop stopword-run grams); the
-    synthetic corpus never hits the cap. Both exchanges are routed
-    without the coalesce (1.2x and 1.1x slower through it at one CPU).
+    synthetic corpus never hits the cap.
     """
     width = table_width(sf_dir, "documents")
     ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
@@ -486,16 +474,8 @@ def _pair_intersection_sums(
             )
         )
 
-    partials = (
-        keyed_route(grams, "gram_hash", width)
-        .groupby("_b")
-        .map_groups(bucket_pair_partials, batch_format="pandas")
-    )
-    return (
-        keyed_route(partials, ["doc_a", "doc_b"], width)
-        .groupby("_b")
-        .map_groups(sum_pairs, batch_format="pandas")
-    )
+    partials = keyed_exchange(grams, "gram_hash", bucket_pair_partials, width)
+    return keyed_exchange(partials, ["doc_a", "doc_b"], sum_pairs, width)
 
 
 def ngram_jaccard_pairs(
@@ -667,7 +647,7 @@ def _cluster_labels_distributed(
             nb,
         ).materialize()
         n_changed = int(reduced.sum("_changed") or 0)
-        # the next round reads ``reduced`` as it is: co_route projects
+        # the next round reads ``reduced`` as it is: co_exchange projects
         # each side onto its template's columns, so ``_changed`` never ships
         labels = cut_lineage(reduced)
         if n_changed == 0:
@@ -862,13 +842,8 @@ def simhash_neardup_pairs(sf_dir: str, max_hamming: int = 3) -> "ray.data.Datase
     banded = fps.map_batches(to_bands, batch_format="pyarrow")
     # keyed on band_val only: all four band copies of a (band, band_val)
     # posting stay together, and a pair sharing k bands appears in ≤ k
-    # buckets — cross-bucket duplicates removed below. Routed without
-    # the coalesce (1.14x slower through it at one CPU)
-    pairs = (
-        keyed_route(banded, "band_val", width)
-        .groupby("_b")
-        .map_groups(emit_bucket, batch_format="pandas")
-    )
+    # buckets — cross-bucket duplicates removed below
+    pairs = keyed_exchange(banded, "band_val", emit_bucket, width)
     # global pair-dedup: cheap second pass keyed by the pair
     return keyed_exchange(
         pairs, ["doc_a", "doc_b"], lambda g: g.drop_duplicates(["doc_a", "doc_b"]), width
@@ -1086,9 +1061,7 @@ def window_dedup(sf_dir: str, w: int = 5) -> "ray.data.Dataset":
     (first-occurrence marking is vectorised per bucket), then per-doc
     partials are summed by a second, doc_id-keyed exchange.  Window
     hashes are 64-bit position-sensitive polynomial combines of blake2b
-    token hashes (process-stable; collision odds ~n²/2⁶⁵). The window
-    exchange is routed without the coalesce (1.2x slower through it at
-    one CPU).
+    token hashes (process-stable; collision odds ~n²/2⁶⁵).
     """
     from .decontaminate import _P
 
@@ -1150,11 +1123,7 @@ def window_dedup(sf_dir: str, w: int = 5) -> "ray.data.Dataset":
 
     width = table_width(sf_dir, "documents")
     windows = ds.map_batches(window_rows, batch_format="pyarrow", zero_copy_batch=True)
-    partials = (
-        keyed_route(windows, "whash", width)
-        .groupby("_b")
-        .map_groups(bucket_stats, batch_format="pandas")
-    )
+    partials = keyed_exchange(windows, "whash", bucket_stats, width)
     return keyed_exchange(partials, "doc_id", sum_doc, width)
 
 

@@ -403,14 +403,13 @@ def media_phash_pairs(
     """(doc_a, doc_b, hamming) — image near-duplicate pairs by pHash
     banding: 4 exact 16-bit bands (any pair within hamming ≤ 3 shares
     one), an exchange keyed on (band, band value), per-bucket
-    vectorized xor-popcount verify, a pair-keyed dedup exchange (both
-    skip the coalesce, 1.4x and 1.2x slower through it at one CPU) — the
+    vectorized xor-popcount verify, a pair-keyed dedup exchange — the
     ``dedup.simhash_neardup_pairs`` shape applied to the media column,
     with the hash itself computed by an actor pool (DCT matrix per
     actor, decoder stub honest)."""
     import pandas as pd
 
-    from ..kernels.partitioning import keyed_route, table_width
+    from ..kernels.partitioning import keyed_exchange, table_width
 
     if media is None:
         media = media_table(sf_dir)
@@ -464,15 +463,9 @@ def media_phash_pairs(
         return out[out["hamming"] <= max_hamming].drop_duplicates(["doc_a", "doc_b"])
 
     bands = hashes.map_batches(to_bands, batch_format="pyarrow")
-    pairs = (
-        keyed_route(bands, ["band", "band_val"], width)
-        .groupby("_b")
-        .map_groups(emit_bucket, batch_format="pandas")
-    )
-    out = (
-        keyed_route(pairs, ["doc_a", "doc_b"], width)
-        .groupby("_b")
-        .map_groups(lambda b: b.drop_duplicates(["doc_a", "doc_b"]), batch_format="pandas")
+    pairs = keyed_exchange(bands, ["band", "band_val"], emit_bucket, width)
+    out = keyed_exchange(
+        pairs, ["doc_a", "doc_b"], lambda b: b.drop_duplicates(["doc_a", "doc_b"]), width
     )
     # materialise with an explicit schema: on an all-unique corpus the
     # result is EMPTY, and Dataset.to_pandas drops columns on zero

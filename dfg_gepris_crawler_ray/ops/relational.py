@@ -10,9 +10,7 @@ layer — the same primitives the crawl pipelines compose:
   semi-joins, per-user windows, sessions and funnels — runs through
   ``kernels.partitioning.keyed_exchange`` (one side) or
   ``co_exchange`` (several sides, each routed by its own key columns;
-  the reduce gets a dict kind → that side's rows); the anti-join and
-  the Q3 shuffle join route the same way (``co_route``) without the
-  coalesce, which measured slower for them
+  the reduce gets a dict kind → that side's rows)
 - latest-per-key (the A1 pattern over the events stream)
 - tumbling- and sliding-window aggregates over event time
 - global sort + limit (top-k)
@@ -41,7 +39,6 @@ from ray.data.aggregate import Sum
 
 from ..kernels.partitioning import (
     co_exchange,
-    co_route,
     fan_in,
     keyed_exchange,
     table_width,
@@ -184,7 +181,7 @@ def anti_join_bucketed(
 
     Shape: per-batch pre-dedup of the right side's keys (one key per
     batch instead of every row), one co-partition of both sides into
-    ``n`` buckets (``co_route``), vectorized per-bucket ``isin``. This
+    ``n`` buckets (``co_exchange``), vectorized per-bucket ``isin``. This
     is the form to use when neither side fits a ``ray.put`` broadcast; the
     broadcast semi/anti-join (sources.pages.semi_join_frontier) stays
     the right call when one side is budget-bounded. Keys of any dtype
@@ -198,10 +195,7 @@ def anti_join_bucketed(
         return rows[~rows[on].isin(parts["r"][on])]
 
     keys = right.map_batches(right_keys, batch_format="pandas")
-    # routed without co_exchange's coalesce, which made every caller
-    # 7-10% slower at one CPU (sf0.01)
-    routed, split = co_route({"l": (left, on, left_t), "r": (keys, on, left_t[[on]])}, n)
-    return routed.groupby("_b").map_groups(lambda g: per_bucket(split(g)), batch_format="pandas")
+    return co_exchange({"l": (left, on, left_t), "r": (keys, on, left_t[[on]])}, per_bucket, n)
 
 
 def customers_without_orders(sf_dir: str) -> "ray.data.Dataset":
@@ -594,7 +588,7 @@ def q3_topk_revenue_shuffle(
 
     Shape: customer(segment) semi-join into orders stays broadcast
     (customers per segment ≪ orders); the orders⋈lineitem join runs as
-    one orderkey co-partition (``co_route``) — per-batch partial revenue
+    one orderkey co-partition (``co_exchange``) — per-batch partial revenue
     per order first, so the shuffle carries one row per surviving order per
     batch, never raw lineitems. Output identical to the broadcast form
     (same oracle shape)."""
@@ -639,19 +633,15 @@ def q3_topk_revenue_shuffle(
         m = rev.merge(o, on="o_orderkey")  # inner: only segment orders survive
         return m[["o_orderkey", "revenue", "o_orderdate"]]
 
-    # routed without co_exchange's coalesce, which made this op 2.3x
-    # slower at one CPU (sf0.01: 1.66 s against 0.71 s)
-    routed, split = co_route(
+    per_order = co_exchange(
         {
             "o": (orders.map_batches(seg_orders, batch_format="pandas"), "o_orderkey",
                   empty[["o_orderkey", "o_orderdate"]]),
             "l": (li.map_batches(line_partial, batch_format="pandas"), "o_orderkey",
                   empty[["o_orderkey", "revenue"]]),
         },
+        per_bucket,
         table_width(sf_dir, "lineitem"),
-    )
-    per_order = routed.groupby("_b").map_groups(
-        lambda g: per_bucket(split(g)), batch_format="pandas"
     )
     topk = per_order.sort(["revenue", "o_orderkey"], descending=[True, False]).limit(k)
 

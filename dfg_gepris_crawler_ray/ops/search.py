@@ -221,18 +221,17 @@ def phrase_search(
       split/explode + cum-count positions — no Python row loop); a
       100-TB corpus yields only the phrase terms' postings, the same
       volume a positional-index lookup would read;
-    - ONE doc-keyed exchange (``kernels.partitioning.keyed_route``, its
-      width sized by the postings count, without the coalesce: 1.3x
-      slower through it at one CPU); per bucket the adjacency join is
-      a vectorized pandas merge chain: positions of term i must equal
-      (start + i) within the doc — k−1 int64 merges for a k-term
+    - ONE doc-keyed exchange (``kernels.partitioning.keyed_exchange``,
+      its width sized by the postings count); per bucket the adjacency
+      join is a vectorized pandas merge chain: positions of term i must
+      equal (start + i) within the doc — k−1 int64 merges for a k-term
       phrase, never a per-row loop.
     """
     import polars as pl
 
     import ray
 
-    from ..kernels.partitioning import adaptive_buckets, keyed_route
+    from ..kernels.partitioning import adaptive_buckets, keyed_exchange
 
     terms = [str(t) for t in phrase]
     if len(terms) < 2:
@@ -276,8 +275,4 @@ def phrase_search(
         )
         return out.astype({"doc_id": "int64", "n_matches": "int64"})
 
-    return (
-        keyed_route(posts, "doc_id", adaptive_buckets(posts.count()))
-        .groupby("_b")
-        .map_groups(match, batch_format="pandas")
-    )
+    return keyed_exchange(posts, "doc_id", match, adaptive_buckets(posts.count()))

@@ -33,7 +33,6 @@ from ..kernels.partitioning import (
     co_exchange,
     fan_in,
     keyed_exchange,
-    keyed_route,
     table_width,
     typed_frame,
 )
@@ -544,8 +543,7 @@ def top_tokens(sf_dir: str, k: int = 50) -> "ray.data.Dataset":
     per-bucket top-k pre-prune (each bucket can contribute at most k
     winners, so the global sort sees ≤ buckets·k rows, not the
     vocabulary). Ties break by token ascending (deterministic, matches
-    the oracle's ORDER BY). Routed without the coalesce (1.35x slower
-    through it at one CPU)."""
+    the oracle's ORDER BY)."""
     ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet", columns=["text"])
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -564,14 +562,11 @@ def top_tokens(sf_dir: str, k: int = 50) -> "ray.data.Dataset":
         g = group.groupby("token", as_index=False)["n"].sum()
         return g.sort_values(["n", "token"], ascending=[False, True], kind="stable").head(k)
 
-    pruned = (
-        keyed_route(
-            ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True),
-            "token",
-            table_width(sf_dir, "documents"),
-        )
-        .groupby("_b")
-        .map_groups(bucket_topk, batch_format="pandas")
+    pruned = keyed_exchange(
+        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True),
+        "token",
+        bucket_topk,
+        table_width(sf_dir, "documents"),
     )
     # global merge: ≤ buckets·k tiny rows
     allp = pruned.to_pandas()
@@ -1205,9 +1200,7 @@ def token_novelty(sf_dir: str) -> "ray.data.Dataset":
     token-keyed exchange, per-bucket ``min(doc_id)`` per token,
     per-bucket partial counts per winning doc, then a tiny doc-keyed
     sum. Token strings never leave their bucket a second time — the
-    second aggregate carries only (doc_id, partial_count). The token
-    exchange is routed without the coalesce (1.45x slower through it
-    at one CPU).
+    second aggregate carries only (doc_id, partial_count).
     """
     from ray.data.aggregate import Sum
 
@@ -1239,13 +1232,12 @@ def token_novelty(sf_dir: str) -> "ray.data.Dataset":
         return out
 
     return (
-        keyed_route(
+        keyed_exchange(
             ds.map_batches(pairs, batch_format="pyarrow", zero_copy_batch=True),
             "token",
+            bucket_firsts,
             table_width(sf_dir, "documents"),
         )
-        .groupby("_b")
-        .map_groups(bucket_firsts, batch_format="pandas")
         .groupby("doc_id")
         .aggregate(Sum("n_first_tokens", alias_name="n_first_tokens"))
     )
@@ -1268,8 +1260,7 @@ def length_deciles(sf_dir: str, k: int = 10) -> "ray.data.Dataset":
     2. ONE n_chars-keyed exchange co-locates equal-length docs;
        per-group mergesort by doc_id gives the tie rank; global rank =
        cum_below[n_chars] + tie_rank, and the ntile bucket follows
-       from (rank, N, k) arithmetic row-locally. Routed without the
-       coalesce (1.3x slower through it at one CPU).
+       from (rank, N, k) arithmetic row-locally.
 
     Skew note: a degenerate corpus where most docs share ONE length
     sends that length to one task — salt by doc_id ranges inside the
@@ -1321,11 +1312,7 @@ def length_deciles(sf_dir: str, k: int = 10) -> "ray.data.Dataset":
              "decile": decile}
         )
 
-    return (
-        keyed_route(ds, "n_chars", table_width(sf_dir, "documents"))
-        .groupby("_b")
-        .map_groups(per_length, batch_format="pandas")
-    )
+    return keyed_exchange(ds, "n_chars", per_length, table_width(sf_dir, "documents"))
 
 
 def textrank_keywords(

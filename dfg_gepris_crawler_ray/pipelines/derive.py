@@ -37,13 +37,10 @@ def latest_detail_items_ds(
     Shuffle key = the entity key ``(context, id)``, 64 buckets; the
     per-key top-1 computes vectorized inside each bucket. ``run_started``
     (the tiny runs ledger) broadcasts via closure. Per-batch
-    pre-reduction keeps one candidate row per key before the exchange.
-    Like the ``state_ds`` transitions this exchange skips
-    ``keyed_exchange``'s coalesce barrier (2x slower over a 10^6-row
-    history); the reduce count follows the history's blocks."""
+    pre-reduction keeps one candidate row per key before the exchange."""
     import pandas as pd
 
-    from ..kernels.partitioning import route_bucket
+    from ..kernels.partitioning import keyed_exchange
 
     def latest(df: pd.DataFrame) -> pd.DataFrame:
         started = df["created_at"].map(run_started)
@@ -54,14 +51,8 @@ def latest_detail_items_ds(
             .drop(columns=["_started"])
         )
 
-    def prereduce(batch: pd.DataFrame) -> pd.DataFrame:
-        g = latest(batch)
-        return g.assign(_b=route_bucket(g, ["context", "id"], 64))
-
-    return (
-        history.map_batches(prereduce, batch_format="pandas")
-        .groupby("_b")
-        .map_groups(lambda g: latest(g.drop(columns="_b")), batch_format="pandas")
+    return keyed_exchange(
+        history.map_batches(latest, batch_format="pandas"), ["context", "id"], latest, 64
     )
 
 

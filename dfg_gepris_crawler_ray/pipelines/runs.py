@@ -57,7 +57,7 @@ import ray.data
 from ..frontier import state as S
 from ..frontier import state_ds as SD
 from ..frontier.manifests import CrawlStore, content_hash
-from ..kernels.partitioning import route_bucket
+from ..kernels.partitioning import keyed_exchange
 from ..frontier.politeness import apply_host_budget
 from ..sources.pages import annotate_pages, read_pages
 from ..stages.search_stage import extract_listing_batch
@@ -369,8 +369,7 @@ class _DatasetState(_DriverState):
         it never reaches the driver or the manifest."""
 
         def id_counts(df: pd.DataFrame) -> pd.DataFrame:
-            g = df.groupby(["id", "page_total"], as_index=False).size()
-            return g.assign(_b=route_bucket(g, "id", 64))
+            return df.groupby(["id", "page_total"], as_index=False).size()
 
         def per_bucket(group: pd.DataFrame) -> pd.DataFrame:
             n = group.groupby("id")["size"].sum()
@@ -381,12 +380,9 @@ class _DatasetState(_DriverState):
                 "totals": [np.unique(group["page_total"].to_numpy(dtype=np.int64))],
             })
 
-        rows = (
-            results.map_batches(id_counts, batch_format="pandas")
-            .groupby("_b")
-            .map_groups(per_bucket, batch_format="pandas")
-            .take_all()
-        )
+        rows = keyed_exchange(
+            results.map_batches(id_counts, batch_format="pandas"), "id", per_bucket, 64
+        ).take_all()
         ids = sorted(int(i) for r in rows for i in r["ids"])[:DUP_SAMPLE_CAP]
         totals = sorted({int(t) for r in rows for t in r["totals"] if t >= 0})
         return ids, sum(int(r["count"]) for r in rows), totals

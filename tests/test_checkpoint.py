@@ -137,3 +137,22 @@ def test_compact_table_ds_preserves_contents(tmp_path):
 
     # second compaction is a no-op (already compact)
     assert store.compact_table_ds("state", target_blocks=4) == 0
+
+
+def test_empty_ds_tables_are_typed(tmp_path):
+    """A store with no ``state`` / ``history`` yet loads them as empty
+    Datasets of the tables' canonical Arrow types, never a ``null``
+    column (an object-dtype empty frame made Ray log a size error per
+    column on every map over it)."""
+    import pyarrow as pa
+
+    from dfg_gepris_crawler_ray.frontier import state as S
+    from dfg_gepris_crawler_ray.frontier.manifests import CrawlStore
+
+    store = CrawlStore(str(tmp_path))
+    for name, empty in (("state", S.empty_state()), ("history", S.empty_history())):
+        ds = store.load_table_ds(name, empty)
+        schema = ds.schema()
+        assert list(schema.names) == list(empty.columns)
+        assert not any(pa.types.is_null(t) for t in schema.types), schema
+        assert ds.count() == 0

@@ -2,8 +2,7 @@
 ops, and empty-input behaviour of the iterative graph ops.
 
 Every keyed exchange in ``ops/`` is routed by ``kernels.partitioning``
-(``co_exchange`` / ``keyed_exchange``, or their ``co_route`` /
-``keyed_route`` step where the coalesce measured slower); these tests
+(``co_exchange`` / ``keyed_exchange``); these tests
 pin how many Dataset executions and sort-shuffles (``Sort`` operators)
 each iterative graph op runs on a small graph and each exchanging
 relational, dedup, text-stats and curation op runs at sf0.001, so a

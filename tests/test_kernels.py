@@ -226,6 +226,62 @@ def test_keyed_exchange_invariant_to_n_and_layout(ray_session):
     assert canon(keyed_exchange(arrow, ["k", "s"], reduce, n=4).to_pandas()) == want
 
 
+def test_keyed_exchange_bundles_small_blocks_and_keeps_large_ones(ray_session):
+    """The route step bundles small input blocks up to ``ROUTE_BATCH``
+    rows and never splits a large one, so the exchange's output block
+    count follows the input's rows, not its fragmentation or ``n``.
+    The rows are the driver-side reduce's either way."""
+    import math
+
+    import numpy as np
+    import pandas as pd
+    import ray.data
+
+    from dfg_gepris_crawler_ray.kernels.partitioning import ROUTE_BATCH, keyed_exchange
+
+    def reduce(g):
+        return g.groupby("k", as_index=False)["v"].sum()
+
+    def canon(out):
+        return out.sort_values("k").reset_index(drop=True).to_dict("records")
+
+    df = pd.DataFrame({"k": np.arange(51_200) % 997, "v": np.arange(51_200, dtype="int64")})
+    small = ray.data.from_pandas([df.iloc[i : i + 100] for i in range(0, 51_200, 100)])
+    out = keyed_exchange(small, "k", reduce, n=64).materialize()
+    assert out.num_blocks() <= math.ceil(51_200 / ROUTE_BATCH) + 1
+    assert canon(out.to_pandas()) == canon(reduce(df))
+
+    big = pd.DataFrame({"k": np.arange(50_000), "v": np.ones(50_000, dtype="int64")})
+    out = keyed_exchange(ray.data.from_pandas(big), "k", reduce, n=8).materialize()
+    assert out.num_blocks() == 1
+    assert canon(out.to_pandas()) == canon(reduce(big))
+
+
+def test_one_exchange_shape_in_package_source():
+    """Every keyed exchange goes through ``keyed_exchange`` /
+    ``co_exchange``: no hand-written ``_b`` group outside the
+    partitioning module, no re-blocking outside it and the manifest
+    compaction, and no second route entry point."""
+    import pathlib
+
+    import dfg_gepris_crawler_ray
+    from dfg_gepris_crawler_ray.kernels import partitioning
+
+    pkg = pathlib.Path(dfg_gepris_crawler_ray.__file__).parent
+    grouped, reblocked = [], []
+    for path in sorted(pkg.rglob("*.py")):
+        rel = path.relative_to(pkg).as_posix()
+        src = path.read_text()
+        if rel != "kernels/partitioning.py":
+            if 'groupby("_b")' in src or "groupby('_b')" in src:
+                grouped.append(rel)
+            if ".repartition(" in src and rel != "frontier/manifests.py":
+                reblocked.append(rel)
+    assert grouped == [] and reblocked == []
+    assert not hasattr(partitioning, "keyed_route")
+    assert not hasattr(partitioning, "co_route")
+
+
 def test_keyed_exchange_colocates_unioned_sides(ray_session):
     """Two unioned sides keyed the same way meet in one group even when
     one side's key column is object-typed (the fetch_waves union

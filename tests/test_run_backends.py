@@ -91,6 +91,40 @@ def test_daily_cycle_dataset_executions(tmp_path, monkeypatch, backend, day1, da
         assert counts[0] <= day1 and counts[1] <= day2, counts
 
 
+def test_ds_daily_cycle_finishes_at_one_cpu(tmp_path):
+    """A fresh ``ds`` cron day completes under a one-CPU Ray: every
+    state transition is an exchange, and a plan that needs a second
+    CPU would stall there and not at the test session's 4 CPUs. The
+    day runs in a subprocess with its own Ray, under a timeout, and
+    saves the same state as a pandas day."""
+    import subprocess
+    import sys
+    import textwrap
+
+    pages = ensure_pages(SF)
+    root = str(tmp_path / "ds")
+    code = textwrap.dedent(
+        f"""
+        import sys
+        sys.path.insert(0, {os.path.dirname(os.path.dirname(os.path.abspath(__file__)))!r})
+        import ray
+        ray.init(address="local", num_cpus=1, include_dashboard=False, logging_level="ERROR")
+        from dfg_gepris_crawler_ray.frontier.manifests import CrawlStore
+        from dfg_gepris_crawler_ray.pipelines.schedule import run_daily_cycle
+        run_daily_cycle(CrawlStore({root!r}), {pages!r}, backend="ds")
+        ray.shutdown()
+        """
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr[-2000:]
+    pandas_store = CrawlStore(str(tmp_path / "pandas"))
+    run_daily_cycle(pandas_store, pages, backend="pandas")
+    got = _sorted_state(CrawlStore(root), "ds")
+    want = _sorted_state(pandas_store, "pandas")
+    assert len(got) == len(want) > 0
+    assert got[["context", "id"]].values.tolist() == want[["context", "id"]].values.tolist()
+
+
 def _sorted_state(store: CrawlStore, backend: str) -> pd.DataFrame:
     if backend == "ds":
         state = store.load_table_ds("state", S.empty_state()).to_pandas()
