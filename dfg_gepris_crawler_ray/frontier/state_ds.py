@@ -16,11 +16,13 @@ partitioning key the whole engine reuses (SURVEY.md §7.3).
 from __future__ import annotations
 
 import pandas as pd
+import pyarrow as pa
 
 import ray.data
 
 from ..kernels.partitioning import co_exchange
 from . import state as S
+from .manifests import _arrow_types
 
 NUM_BUCKETS = 64
 
@@ -159,8 +161,11 @@ def expand_person_frontier_bucketed(
     def referenced(df: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({"id": df["person_id"].astype("int64").unique(), "context": "person"})
 
-    def per_bucket(parts: dict) -> pd.DataFrame:
+    def per_bucket(parts: dict):
         new_ids = set(parts["ref"]["id"].astype("int64")) - set(parts["known"]["id"].astype("int64"))
+        if not new_ids:
+            # Arrow-typed: Ray cannot size an empty pandas string column
+            return pa.schema(list(_arrow_types("state").items())).empty_table()
         return S.new_state_rows(sorted(new_ids), "person", needed=True)
 
     keys = pd.DataFrame(columns=["id", "context"])

@@ -58,8 +58,11 @@ engine's Ray version; BASELINE.md). Hashes that are values or that an
 oracle reads (content digests, the pages' persisted ``bucket``) are not
 routers and do not go through here.
 
-``adaptive_buckets`` sizes ``n`` from an input row count; ``cut_lineage``
-re-roots materialized blocks for iterative loops.
+``adaptive_buckets`` sizes ``n`` from an input row count. The iterative
+ops run each round through :func:`settle` (one execution, re-rooted on
+its blocks, the loop's totals read from them); :func:`supersteps` is the
+fixpoint loop over it and owns the round budget; :func:`concat` grows an
+accumulator by block refs.
 """
 
 from __future__ import annotations
@@ -272,16 +275,62 @@ def table_width(sf_dir: str, table: str) -> int:
     )
 
 
-def cut_lineage(ds):
-    """Rebuild a materialized Dataset from its object-store block refs.
+def _rooted(bundles) -> "ray.data.MaterializedDataset":
+    """A Dataset whose plan is only ``bundles`` (Ray ``RefBundle`` s of
+    object-store blocks), with no stats chain: ``materialize()`` keeps
+    the stats of every earlier plan, which grow with a loop's rounds."""
+    from ray.data._internal.logical.interfaces import LogicalPlan
+    from ray.data._internal.logical.operators.input_data_operator import InputData
+    from ray.data._internal.plan import ExecutionPlan
+    from ray.data._internal.stats import DatasetStats
+    from ray.data.context import DataContext
+    from ray.data.dataset import MaterializedDataset
 
-    Ray 2.49's ``materialize()`` keeps the dataset's full logical plan
-    (for lineage recreation); in an ITERATIVE loop (label propagation,
-    power iteration) each round's plan therefore embeds the previous
-    round's — planning time grows quadratically with rounds and deep
-    loops hit RecursionError. Re-rooting on the blocks keeps every
-    round's plan constant-depth; the blocks are referenced, NOT
-    collected to the driver."""
-    import ray.data
+    context = DataContext.get_current()
+    return MaterializedDataset(
+        ExecutionPlan(DatasetStats(metadata={}, parent=None), data_context=context.copy()),
+        LogicalPlan(InputData(input_data=list(bundles)), context),
+    )
 
-    return ray.data.from_pandas_refs(ds.to_pandas_refs())
+
+def _block_totals(block, cols) -> list:
+    from ray.data.block import BlockAccessor
+
+    df = BlockAccessor.for_block(block).to_pandas()
+    return [df[c].sum() if c in df.columns else 0 for c in cols]
+
+
+def settle(ds, *cols):
+    """Run ``ds``'s plan once and re-root it on its blocks:
+    ``(settled, totals)``. ``settled`` has no lineage, and its
+    ``count()`` reads block metadata; ``totals`` maps each of ``cols``
+    to its sum, read from the same blocks by one small task per block,
+    not by a second execution. An already settled Dataset runs nothing."""
+    import ray
+    from ray.data._internal.remote_fn import cached_remote_fn
+
+    bundles = ds.materialize()._logical_plan.dag.input_data
+    task = cached_remote_fn(_block_totals)
+    sums = ray.get([task.remote(ref, cols) for b in bundles for ref in b.block_refs]) if cols else []
+    return _rooted(bundles), {c: sum(s[i] for s in sums) for i, c in enumerate(cols)}
+
+
+def concat(*settled):
+    """One Dataset over the blocks of settled Datasets, in order: an
+    accumulator grows by block refs, with no execution and no copy."""
+    return _rooted([b for ds in settled for b in ds._logical_plan.dag.input_data])
+
+
+def supersteps(state, step, max_rounds: int, what: str, flag: str = "_changed"):
+    """The fixpoint loop: each round settles ``step(state)`` (the round's
+    lazy plan) as the next ``state``, which is returned once the round's
+    ``flag`` total is 0. With ``flag`` still nonzero after ``max_rounds``
+    rounds it raises ``RuntimeError(what)``, formatted with ``rounds``
+    and ``changed`` (the last total)."""
+    changed = None
+    for _ in range(max_rounds):
+        state, totals = settle(step(state), flag)
+        changed = totals[flag]
+        if not changed:
+            return state
+    raise RuntimeError(what.format(rounds=max_rounds, changed=changed))

@@ -38,10 +38,10 @@ from ..kernels.hashing import (
 from ..kernels.partitioning import (
     adaptive_buckets,
     co_exchange,
-    cut_lineage,
     fan_in,
     keyed_exchange,
     route_bucket,
+    supersteps,
     table_width,
     typed_frame,
 )
@@ -569,9 +569,13 @@ def _cluster_labels_distributed(
     propagation — the path for edge sets too large for a driver
     union-find. Each round: every edge proposes its endpoint's label to
     the other endpoint; every node takes the min (two node-keyed
-    ``co_exchange`` calls per round, all per-bucket work vectorized);
+    exchanges per round: the proposals, with each node's own label
+    riding along, then the min-reduce; all per-bucket work vectorized);
     converges in ≤ diameter rounds (near-dup clusters are shallow).
     Returns ``(node, label)`` for every node that appears in a pair.
+
+    Each round runs as one execution through ``supersteps``, whose
+    stop test is the round's ``_changed`` total.
 
     ``shortcut=True`` adds one pointer-jumping exchange per round
     (``label ← label(label)``, Shiloach–Vishkin-style star
@@ -610,17 +614,21 @@ def _cluster_labels_distributed(
         nb,
     ).materialize()
 
-    # 1) ship each src's label to its edges: emit (node=dst, label(src))
+    # 1) ship each src's label to its edges: emit (node=dst, label(src));
+    # the bucket's own label rows ride along (own=1) into the reduce
     def propose(parts: dict) -> pd.DataFrame:
-        m = parts["edge"].merge(parts["label"], left_on="src", right_on="node")
-        return pd.DataFrame({"node": m["dst"], "label": m["label"]}).astype("int64")
+        cur = parts["label"]
+        m = parts["edge"].merge(cur, left_on="src", right_on="node")
+        return pd.concat(
+            [cur.assign(own=np.int8(1)),
+             pd.DataFrame({"node": m["dst"], "label": m["label"], "own": np.int8(0)})],
+            ignore_index=True,
+        ).astype({"node": "int64", "label": "int64"})
 
     # 2) per node: new label = min(old, proposals); count changes
-    def reduce_min(parts: dict) -> pd.DataFrame:
-        cur = parts["label"]
-        new = pd.concat([cur, parts["msg"]], ignore_index=True)
-        new = new.groupby("node", as_index=False)["label"].min()
-        merged = new.merge(cur, on="node", suffixes=("", "_old"))
+    def reduce_min(g: pd.DataFrame) -> pd.DataFrame:
+        new = g.groupby("node", as_index=False)["label"].min()
+        merged = new.merge(g.loc[g["own"] == 1, ["node", "label"]], on="node", suffixes=("", "_old"))
         merged["_changed"] = (merged["label"] < merged["label_old"]).astype("int64")
         return merged[["node", "label", "_changed"]]
 
@@ -637,43 +645,28 @@ def _cluster_labels_distributed(
         m["label"] = m["root"].fillna(m["label"]).astype("int64")
         return m[["node", "label"]]
 
-    for _round in range(max_rounds):
-        msgs = co_exchange(
-            {"label": (labels, "node", _NODE_LABEL), "edge": edge_side}, propose, nb
-        )
-        reduced = co_exchange(
-            {"label": (labels, "node", _NODE_LABEL), "msg": (msgs, "node", _NODE_LABEL)},
-            reduce_min,
-            nb,
-        ).materialize()
-        n_changed = int(reduced.sum("_changed") or 0)
-        # the next round reads ``reduced`` as it is: co_exchange projects
-        # each side onto its template's columns, so ``_changed`` never ships
-        labels = cut_lineage(reduced)
-        if n_changed == 0:
-            break
-
-        if shortcut:
-            labels = cut_lineage(
-                co_exchange(
-                    {
-                        "ref": (labels, "label", _NODE_LABEL),
-                        "self": (labels, "node", _NODE_LABEL),
-                    },
-                    jump,
-                    nb,
-                ).materialize()
+    def hook(cur):
+        # with ``shortcut``, every round after the first starts with the
+        # jump over the labels the last round settled; the round's own
+        # stop test sits between its min-reduce and the next jump
+        if shortcut and cur is not labels:
+            cur = co_exchange(
+                {"ref": (cur, "label", _NODE_LABEL), "self": (cur, "node", _NODE_LABEL)}, jump, nb
             )
-    else:
-        # exhausted max_rounds with labels still moving: the output
-        # would silently disagree with the union-find oracle (cluster
-        # chains deeper than max_rounds). Surface it — callers on real
-        # corpora should raise max_rounds (cost is 2 shuffles/round).
-        raise RuntimeError(
-            f"min-label propagation did not converge in {max_rounds} rounds "
-            f"({n_changed} labels still changing) — raise max_rounds"
-        )
-    return labels.select_columns(["node", "label"])
+        msgs = co_exchange({"label": (cur, "node", _NODE_LABEL), "edge": edge_side}, propose, nb)
+        # the next round reads the result as it is: co_exchange projects
+        # each side onto its template's columns, so ``_changed`` never ships
+        return keyed_exchange(msgs, "node", reduce_min, nb)
+
+    # exhausted max_rounds with labels still moving: the output would
+    # silently disagree with the union-find oracle (cluster chains
+    # deeper than max_rounds). Surface it — callers on real corpora
+    # should raise max_rounds (cost is 2 shuffles/round).
+    return supersteps(
+        labels, hook, max_rounds,
+        "min-label propagation did not converge in {rounds} rounds "
+        "({changed} labels still changing) — raise max_rounds",
+    ).select_columns(["node", "label"])
 
 
 def dedup_clusters(

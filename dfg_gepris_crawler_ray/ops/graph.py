@@ -12,15 +12,14 @@ row per node) and edges co-partition by node key through
 ``kernels.partitioning.co_exchange`` (``keyed_exchange`` when there is
 one side); each bucket runs a vectorized pandas kernel; per round only
 scalars (a dangling mass, a change count) reach the driver. No op holds
-a node or edge set on the driver. Iterative loops re-root each round's
-materialized blocks with ``cut_lineage`` so plans stay constant-depth.
+a node or edge set on the driver. An iterative loop runs each round as
+one execution (``settle``: constant-depth plans, scalars read from the
+round's blocks); the fixpoint loops run on ``supersteps``.
 An op's exchange width is ``adaptive_buckets`` of its edge (or node)
 count; every reduce is key-local, so the width never changes a value.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 import pandas as pd
@@ -30,8 +29,10 @@ import ray.data
 from ..kernels.partitioning import (
     adaptive_buckets,
     co_exchange,
-    cut_lineage,
+    concat,
     keyed_exchange,
+    settle,
+    supersteps,
     typed_frame,
 )
 
@@ -93,6 +94,12 @@ def _seed_rows(stride: int):
         return pd.DataFrame({"node": 1000 + ids[ids % stride == 0]})
 
     return fn
+
+
+def _with_dangling(df: pd.DataFrame, col: str = "rank") -> pd.DataFrame:
+    """``df`` plus ``_dangling``: ``col`` on rows with no out-edge, 0
+    elsewhere — the column whose total is a round's dangling mass."""
+    return df.assign(_dangling=df[col].where(df["outdeg"] == 0, 0.0))
 
 
 def pagerank_ds(
@@ -172,25 +179,27 @@ def pagerank_ds(
             nd = parts["n"]
             return nd.assign(seed=nd["node"].isin(parts["s"]["node"].to_numpy()).astype("int64"))
 
-        nodes = co_exchange(
+        nodes, totals = settle(co_exchange(
             {"n": (nodes, "node", typed_frame(node="int64", outdeg=deg_dtype)),
              "s": (seeds.map_batches(lambda df: df[["node"]].drop_duplicates(), batch_format="pandas"),
                    "node", NODES)},
             attach_seed, nb,
-        ).materialize()
-        n_seeds = int(nodes.sum("seed") or 0)
+        ), "seed")
+        n_seeds = int(totals["seed"])
         if n_seeds == 0:
             raise ValueError(
                 "pagerank_ds: no seed id appears in the graph — "
                 "personalized rank is undefined"
             )
         ranks = nodes.map_batches(
-            lambda df: df.assign(rank=df["seed"].astype("float64") / n_seeds), batch_format="pandas"
-        ).materialize()
+            lambda df: _with_dangling(df.assign(rank=df["seed"].astype("float64") / n_seeds)),
+            batch_format="pandas",
+        )
     else:
         ranks = nodes.map_batches(
-            lambda df: df.assign(rank=1.0 / n_nodes), batch_format="pandas"
-        ).materialize()
+            lambda df: _with_dangling(df.assign(rank=1.0 / n_nodes)), batch_format="pandas"
+        )
+    ranks, totals = settle(ranks, "_dangling")  # the first round's dangling mass
 
     def contribs(parts: dict) -> pd.DataFrame:
         r, e = parts["r"], parts["e"]
@@ -205,14 +214,7 @@ def pagerank_ds(
         return out.groupby("node", as_index=False)["contrib"].sum()
 
     for _ in range(n_iters):
-        # dangling mass: tiny per-bucket partials → one driver scalar
-        dangling = float(
-            ranks.map_batches(
-                lambda df: pd.DataFrame({"m": [df.loc[df["outdeg"] == 0, "rank"].sum()]}),
-                batch_format="pandas",
-            ).sum("m")
-            or 0.0
-        )
+        dangling = float(totals["_dangling"])
         contrib = co_exchange({"r": (ranks, "node", ranks_t), "e": (edges, "src", edge_t)}, contribs, nb)
 
         base = (1.0 - damping) / n_nodes + damping * dangling / n_nodes
@@ -225,14 +227,15 @@ def pagerank_ds(
             cs = parts["c"].groupby("node")["contrib"].sum()
             s = nd.merge(cs.rename("s"), left_on="node", right_index=True, how="left")["s"].fillna(0.0)
             if personalized:
-                return nd.assign(rank=_seed_base * nd["seed"] + damping * s.to_numpy())
-            return nd.assign(rank=_base + damping * s.to_numpy())
+                return _with_dangling(nd.assign(rank=_seed_base * nd["seed"] + damping * s.to_numpy()))
+            return _with_dangling(nd.assign(rank=_base + damping * s.to_numpy()))
 
-        ranks = cut_lineage(
+        ranks, totals = settle(
             co_exchange(
                 {"n": (ranks, "node", ranks_t), "c": (contrib, "node", CONTRIB)},
                 reduce_rank, nb,
-            ).materialize()
+            ),
+            "_dangling",
         )
 
     return ranks.map_batches(lambda df: df[["node", "rank"]], batch_format="pandas")
@@ -553,20 +556,20 @@ def bfs_depth_ds(
       vectorized ``isin`` + in-bucket dst dedup), then the bucketed
       anti-join against the visited set (second exchange) keeps only
       first-time nodes;
-    - visited grows by union of materialized per-round deltas with
-      ``cut_lineage`` re-rooting (constant-depth plans — the
-      label-propagation discipline);
+    - both exchanges run as one execution per round (``settle``);
+      visited grows by the block refs of each round's settled delta
+      (``concat``: no execution, constant-depth plans);
     - the ONLY driver value per round is the new-node count (the stop
-      test a real crawler logs anyway)."""
+      test a real crawler logs anyway), read from block metadata."""
     edges = _int64_edges(edges)
     nb = adaptive_buckets(edges.count())
 
-    visited = seeds.map_batches(
+    visited, _ = settle(seeds.map_batches(
         lambda df: pd.DataFrame(
             {"node": df["node"].astype("int64")}
         ).drop_duplicates().assign(depth=np.int64(0)),
         batch_format="pandas",
-    ).materialize()
+    ))
     frontier = visited
 
     def expand(parts: dict) -> pd.DataFrame:
@@ -588,16 +591,15 @@ def bfs_depth_ds(
                  "depth": np.full(len(out), _d, dtype="int64")}
             )
 
-        new = co_exchange(
+        new, _ = settle(co_exchange(
             {"n": (nbrs.map_batches(lambda df: df.drop_duplicates("node"), batch_format="pandas"),
                    "node", NODES),
              "v": (visited, "node", NODES)},
             new_nodes, nb,
-        )
-        new = cut_lineage(new.materialize())
+        ))
         if new.count() == 0:
             break
-        visited = cut_lineage(visited.union(new).materialize())
+        visited = concat(visited, new)
         frontier = new
     return visited
 
@@ -637,9 +639,9 @@ def hits_ds(
     two join + two reduce exchanges per iteration (auth half-step joins
     hubs to edges by ``src`` and reduces by ``dst``; hub half-step joins
     auths to edges by ``dst`` and reduces by ``src``); each
-    normalization constant is one driver scalar from per-block partial
-    sums (fanin-bounded, never block-bounded).  Iterative lineage is
-    cut per round (``kernels.partitioning.cut_lineage``)."""
+    normalization constant is one driver scalar, the total the
+    half-step's ``settle`` reads from the blocks it made (no second
+    execution)."""
     edges = _int64_edges(edges)
     nb = adaptive_buckets(edges.count())
 
@@ -651,7 +653,7 @@ def hits_ds(
     if nodes.count() == 0:
         return ray.data.from_pandas(typed_frame(node="int64", hub="float64", auth="float64"))
 
-    hubs = nodes.map_batches(lambda df: df.assign(hub=1.0), batch_format="pandas").materialize()
+    hubs = nodes.map_batches(lambda df: df.assign(hub=1.0), batch_format="pandas")
     auths = None
 
     def _half_step(scores, score_col, edge_key, emit_key, keep_all_nodes):
@@ -682,15 +684,13 @@ def hits_ds(
         sides = {"c": (contrib, "node", CONTRIB)}
         if keep_all_nodes:
             sides["n"] = (nodes, "node", NODES)
-        return co_exchange(sides, reduce_sum, nb).materialize()
+        return settle(co_exchange(sides, reduce_sum, nb), "s")
 
-    def _normalize(raw, out_col):
-        # one driver scalar off the already-materialized raw sums; the
-        # scaling map stays LAZY — it fuses into whatever consumes it
-        # (the next half-step's tag stage), so each half-step costs
-        # exactly one exchange execution plus one scalar reduce
-        total = float(raw.sum("s") or 0.0)
-        t = total if total != 0.0 else 1.0
+    def _normalize(settled, out_col):
+        # the L1 total comes with the settled raw sums; the scaling map
+        # stays LAZY (it fuses into the next half-step's tag stage)
+        raw, totals = settled
+        t = float(totals["s"]) or 1.0
         return raw.map_batches(
             lambda df, _t=t: pd.DataFrame({"node": df["node"], out_col: df["s"] / _t}),
             batch_format="pandas",
@@ -699,13 +699,10 @@ def hits_ds(
     for _ in range(n_iters):
         # auth(v) = Σ_{u→v} hub(u), over in-edge nodes only (zero-auth
         # nodes re-enter at the final assembly)
-        auth_raw = _half_step(hubs, "hub", "src", "dst", keep_all_nodes=False)
-        auths = _normalize(auth_raw, "auth")
+        auths = _normalize(_half_step(hubs, "hub", "src", "dst", keep_all_nodes=False), "auth")
         # hub(u) = Σ_{u→v} auth(v), over ALL nodes (a zero-hub row must
-        # survive to the next iteration's join); lineage cut once per
-        # iteration so plan depth stays constant across rounds
-        hub_raw = _half_step(auths, "auth", "dst", "src", keep_all_nodes=True)
-        hubs = cut_lineage(_normalize(hub_raw, "hub").materialize())
+        # survive to the next iteration's join)
+        hubs = _normalize(_half_step(auths, "auth", "dst", "src", keep_all_nodes=True), "hub")
 
     # final assembly: one node-keyed exchange joins hubs (all nodes)
     # with auths (in-edge nodes), filling auth=0 elsewhere
@@ -807,12 +804,12 @@ def redirect_resolve_ds(
     ``dedup._cluster_labels_distributed``:
 
     - state = one row per src: (node, succ, hops, done);
-    - per round, ONE co-partition exchange: every pending row is
-      routed by ``succ`` into the bucket where succ's OWN state row
-      lives (rows double as lookup targets, routed by ``node``) and
+    - per round, ONE co-partition exchange: every row is a lookup
+      target, routed by ``node``, and every pending row is also routed
+      by ``succ`` into the bucket where succ's OWN state row lives and
       composes succ := state[succ].succ, hops += state[succ].hops — so
       pending chain distances DOUBLE each round and any acyclic input
-      resolves in ⌈log2 L⌉ rounds, not L;
+      resolves in ⌈log2 L⌉ rounds, not L (done rows pass through);
     - a pending row whose succ has no state row anywhere is done
       (terminal); one that composes onto a DONE row inherits its final
       in one step — so resolved rows stay in the exchange as
@@ -826,14 +823,17 @@ def redirect_resolve_ds(
       arbitrarily.
     """
     rows_t = typed_frame(node="int64", succ="int64", hops="int64", done="bool")
-    pending = edges.map_batches(
+    state, _ = settle(edges.map_batches(
         lambda df: pd.DataFrame(
             {"node": df["src"].astype("int64"), "succ": df["dst"].astype("int64"),
              "hops": np.int64(1), "done": False}
         ),
         batch_format="pandas",
-    ).materialize()
-    nb = adaptive_buckets(pending.count())
+    ))
+    n_rows = state.count()
+    if n_rows == 0:
+        return ray.data.from_pandas(typed_frame(node="int64", final="int64", hops="int64"))
+    nb = adaptive_buckets(n_rows)
 
     def compose(parts: dict) -> pd.DataFrame:
         m, q = parts["m"], parts["q"]
@@ -853,43 +853,27 @@ def redirect_resolve_ds(
             on="succ", how="left",
         )
         hit = j["m_succ"].notna()
-        return pd.DataFrame({
+        done = np.where(hit, j["m_done"].eq(True), True).astype("bool")
+        stepped = pd.DataFrame({
             "node": j["node"].astype("int64"),
             "succ": j["m_succ"].fillna(j["succ"]).astype("int64"),
             "hops": (j["hops"] + j["m_hops"].fillna(0)).astype("int64"),
             # no state row for succ → succ is terminal → done;
             # composed onto a done row → our new succ is ITS final
-            "done": np.where(hit, j["m_done"].eq(True), True).astype("bool"),
+            "done": done,
         })
+        out = pd.concat([m[m["done"]], stepped], ignore_index=True)
+        return out.assign(_changed=(~out["done"]).astype("int64"))
 
-    resolved = None  # accumulated done rows (still lookup targets)
-    for _ in range(max_rounds):
-        map_side = pending if resolved is None else pending.union(resolved)
-        stepped = cut_lineage(
-            co_exchange({"m": (map_side, "node", rows_t), "q": (pending, "succ", rows_t)}, compose, nb)
-            .materialize()
-        )
-        nd = cut_lineage(
-            stepped.map_batches(lambda df: df[df["done"]], batch_format="pandas").materialize()
-        )
-        still = cut_lineage(
-            stepped.map_batches(lambda df: df[~df["done"]], batch_format="pandas").materialize()
-        )
-        if nd.count() > 0:
-            resolved = nd if resolved is None else cut_lineage(
-                resolved.union(nd).materialize()
-            )
-        if still.count() == 0:
-            break
-        pending = still
-    else:
-        raise RuntimeError(
-            f"redirect_resolve_ds: {pending.count()} chains unresolved "
-            f"after {max_rounds} pointer-jump rounds — redirect cycle"
-        )
+    def jump(state):
+        pending = state.map_batches(lambda df: df[~df["done"]], batch_format="pandas")
+        return co_exchange({"m": (state, "node", rows_t), "q": (pending, "succ", rows_t)}, compose, nb)
 
-    if resolved is None:
-        return ray.data.from_pandas(typed_frame(node="int64", final="int64", hops="int64"))
+    resolved = supersteps(
+        state, jump, max_rounds,
+        "redirect_resolve_ds: {changed} chains unresolved "
+        "after {rounds} pointer-jump rounds — redirect cycle",
+    )
     return resolved.map_batches(
         lambda df: pd.DataFrame({"node": df["node"], "final": df["succ"], "hops": df["hops"]}),
         batch_format="pandas",
@@ -942,7 +926,7 @@ def kcore_ds(
     - exchange 2 routes survivors by DST together with the markers
       (by their node): edges pointing at a peeled node are dropped
       (symmetric list ⇒ both directions of every incident edge die
-      this round);
+      this round), in one execution with the next round's exchange 1;
     - the only driver value per round is the peeled count (stop test);
       the edge set shrinks monotonically, so later rounds cost less;
     - rounds to fixpoint is bounded by the peel depth (the graph's
@@ -964,53 +948,36 @@ def kcore_ds(
         alive = g[~g["u"].isin(dead)]
         out = pd.DataFrame(
             {"u": alive["u"], "v": alive["v"],
-             "_peel": np.zeros(len(alive), dtype=bool)}
+             "_changed": np.zeros(len(alive), dtype=bool)}
         )
         if len(dead):
             out = pd.concat(
                 [out, pd.DataFrame({"u": pd.Series(dead, dtype="int64"),
                                     "v": np.int64(-1),
-                                    "_peel": True})],
+                                    "_changed": True})],
                 ignore_index=True,
             )
         return out
 
     def drop_dst(g: pd.DataFrame) -> pd.DataFrame:
-        dead = g.loc[g["_peel"], "u"].to_numpy()
-        e = g[~g["_peel"]]
+        dead = g.loc[g["_changed"], "u"].to_numpy()
+        e = g[~g["_changed"]]
         return e.loc[~e["v"].isin(dead), ["u", "v"]]
 
-    for _ in range(max_rounds):
-        stepped = cut_lineage(keyed_exchange(cur, "u", peel_src, nb).materialize())
-        n_peeled = stepped.map_batches(
-            lambda df: pd.DataFrame(
-                {"n": [int(df["_peel"].sum())]}
-            ),
-            batch_format="pandas",
-        ).sum("n")
-        if not n_peeled:
-            final = cut_lineage(
+    def peel(stepped):
+        # after the first round, drop the last round's peeled edges
+        # first: a marker routes by its peeled node, a survivor by dst
+        if stepped is not cur:
+            stepped = keyed_exchange(
                 stepped.map_batches(
-                    lambda df: df.loc[~df["_peel"], ["u", "v"]],
-                    batch_format="pandas",
-                ).materialize()
-            )
-            break
-        # a marker routes by its peeled node, a survivor by its dst
-        cur = cut_lineage(
-            keyed_exchange(
-                stepped.map_batches(
-                    lambda df: df.assign(key=np.where(df["_peel"], df["u"], df["v"])),
+                    lambda df: df.assign(key=np.where(df["_changed"], df["u"], df["v"])),
                     batch_format="pandas",
                 ),
                 "key", drop_dst, nb,
-            ).materialize()
-        )
-    else:
-        raise RuntimeError(
-            f"kcore_ds: no fixpoint after {max_rounds} peel rounds"
-        )
+            )
+        return keyed_exchange(stepped, "u", peel_src, nb)
 
+    stepped = supersteps(cur, peel, max_rounds, f"kcore_ds: no fixpoint after {max_rounds} peel rounds")
     def degree(g: pd.DataFrame) -> pd.DataFrame:
         d = g.groupby("u", sort=False).size().rename("core_degree").reset_index()
         return pd.DataFrame(
@@ -1018,7 +985,8 @@ def kcore_ds(
              "core_degree": d["core_degree"].astype("int64")}
         )
 
-    return keyed_exchange(final, "u", degree, nb)
+    # at the fixpoint no row is a peel marker: every row is a core edge
+    return keyed_exchange(stepped, "u", degree, nb)
 
 
 def reference_kcore(sf_dir: str, k: int = 5) -> "ray.data.Dataset":
@@ -1118,8 +1086,8 @@ def hyperball_ds(
 
     ``nf_out``: an optional list the call APPENDS the neighborhood
     function to — N(r) = Σ_node ball_est(node, r) for r = 0..rounds,
-    one driver SCALAR per round (per-batch partial sums tree-reduce;
-    never per-node rows). This is HyperANF's N(r) readout (Boldi,
+    one driver SCALAR per round (the round's total of the per-node
+    estimates ``_est``; never per-node rows on the driver). This is HyperANF's N(r) readout (Boldi,
     Rosa & Vigna, WWW 2011) — effective diameter, average distance
     and connectivity mass all derive from it.
     """
@@ -1145,18 +1113,25 @@ def hyperball_ds(
     # per-singleton register loop ran once per (batch, node)
     # occurrence and dominated the whole op (~140 s of a 170 s run at
     # 2M edges)
+    tally = () if nf_out is None else ("_est",)
+
+    def with_est(out: pd.DataFrame, regmat: np.ndarray) -> pd.DataFrame:
+        # the per-node estimate whose total is N(r), only when asked for
+        return out.assign(_est=_hll_estimate_rows(regmat).astype("int64")) if tally else out
+
     def init_group(g: pd.DataFrame) -> pd.DataFrame:
         nodes = np.unique(g["node"].to_numpy())
         regmat = _hll_register_rows(splitmix64(nodes.astype(np.uint64)), p)
-        return pd.DataFrame(
+        return with_est(pd.DataFrame(
             {"node": pd.Series(nodes, dtype="int64"),
              "regs": _bytes_rows(regmat),
              "chg": np.uint8(1)}
-        )
+        ), regmat)
 
-    state = keyed_exchange(
-        edges.map_batches(_node_rows, batch_format="pandas"), "node", init_group, nb
-    ).materialize()
+    state, totals = settle(
+        keyed_exchange(edges.map_batches(_node_rows, batch_format="pandas"), "node", init_group, nb),
+        *tally,
+    )
 
     def _merge_by_key(keys: np.ndarray, regmat: np.ndarray):
         """(sorted unique keys, per-key max-merged register matrix)."""
@@ -1200,11 +1175,11 @@ def hyperball_ds(
         so = np.argsort(keys[is_self], kind="mergesort")
         selfmat = regmat[is_self][so]
         chg = (merged != selfmat).any(axis=1)
-        return pd.DataFrame(
+        return with_est(pd.DataFrame(
             {"node": pd.Series(uniq, dtype="int64"),
              "regs": _bytes_rows(merged),
              "chg": chg.astype(np.uint8)}
-        )
+        ), merged)
 
     def estimates(col: str):
         def fn(df: pd.DataFrame) -> pd.DataFrame:
@@ -1213,18 +1188,8 @@ def hyperball_ds(
 
         return fn
 
-    def _nf_scalar(st: "ray.data.Dataset") -> int:
-        """Σ ball_est over all nodes — per-batch partials, one scalar."""
-        return int(
-            st.map_batches(
-                lambda df: pd.DataFrame({"s": [int(_hll_estimate_rows(_regmat_of(df)).sum())]}),
-                batch_format="pandas",
-            ).sum("s")
-            or 0
-        )
-
-    if nf_out is not None:
-        nf_out.append(_nf_scalar(state))  # N(0): the {self} estimates
+    if tally:
+        nf_out.append(int(totals["_est"]))  # N(0): the {self} estimates
 
     # harmonic accumulator (node, prev, hc): H(n) = Σ_r (N_r − N_{r−1})
     # / r over the per-round ball estimates (Boldi–Vigna's centrality
@@ -1234,17 +1199,18 @@ def hyperball_ds(
     if harmonic:
         acc = state.map_batches(
             lambda df: estimates("prev")(df).assign(hc=0.0), batch_format="pandas"
-        ).materialize()
+        )
 
     for r in range(1, rounds + 1):
-        state = cut_lineage(
+        state, totals = settle(
             keyed_exchange(
                 co_exchange({"s": (state, "node", state_t), "e": (edges, "src", EDGES)}, ship, nb),
                 "node", absorb, nb,
-            ).materialize()
+            ),
+            *tally,
         )
-        if nf_out is not None:
-            nf_out.append(_nf_scalar(state))
+        if tally:
+            nf_out.append(int(totals["_est"]))
         if harmonic:
             def upd(parts: dict, _r=r) -> pd.DataFrame:
                 m_ = parts["a"].merge(parts["e"], on="node", how="inner")
@@ -1254,13 +1220,13 @@ def hyperball_ds(
                      "hc": m_["hc"] + (m_["est"] - m_["prev"]) / float(_r)}
                 )
 
-            acc = cut_lineage(
+            acc, _ = settle(
                 co_exchange(
                     {"a": (acc, "node", acc_t),
                      "e": (state.map_batches(estimates("est"), batch_format="pandas"), "node",
                            typed_frame(node="int64", est="int64"))},
                     upd, nb,
-                ).materialize()
+                )
             )
 
     if harmonic:
@@ -1392,7 +1358,8 @@ def scc_ds(
       in-class label-flow rows and the jump rows by the node they ask);
       each bucket's state rows ride along with its proposals into ONE
       min-reduce exchange — 2 exchanges/round;
-    - only per-round scalar change counts reach the driver.
+    - only per-round scalar change counts reach the driver (label
+      changes inside, open nodes per outer round).
 
     Round count honesty: the doubling jump composes horizons along the
     CURRENT min-pointer, so it accelerates only where ids shrink along
@@ -1409,11 +1376,12 @@ def scc_ds(
     edges = _int64_edges(edges, dedup=True)
     nb = adaptive_buckets(edges.count())
 
-    labels = keyed_exchange(
+    # every node starts open (``_rest``) in the one class (0, 0)
+    start, _ = settle(keyed_exchange(
         edges.map_batches(_node_rows, batch_format="pandas"), "node",
-        lambda g: g.drop_duplicates("node").assign(cf=np.int64(0), cb=np.int64(0)), nb,
-    ).materialize()
-    if labels.count() == 0:
+        lambda g: g.drop_duplicates("node").assign(f=np.int64(0), b=np.int64(0), _rest=np.int64(1)), nb,
+    ))
+    if start.count() == 0:
         return ray.data.from_pandas(typed_frame(node="int64", scc_id="int64"))
 
     done: list["ray.data.Dataset"] = []
@@ -1467,50 +1435,47 @@ def scc_ds(
         m = new.merge(g.loc[g["own"] == 1, ["node", "f", "b"]], on="node", suffixes=("", "_old"))
         return pd.DataFrame(
             {"node": m["node"], "f": m["f"], "b": m["b"],
-             "_changed": ((m["f"] < m["f_old"]) | (m["b"] < m["b_old"])).astype("int64")}
+             "_changed": ((m["f"] < m["f_old"]) | (m["b"] < m["b_old"])).astype("int64"),
+             "_rest": (m["f"] != m["b"]).astype("int64")}
         )
 
-    for outer in range(max_outer):
+    def open_classes(df: pd.DataFrame) -> pd.DataFrame:
+        rest = df[df["_rest"] != 0]
+        return pd.DataFrame({"node": rest["node"], "cf": rest["f"], "cb": rest["b"]})
+
+    def refine(state):
+        # the open nodes (lazy over the settled state), classed by (f, b)
+        labels = state.map_batches(open_classes, batch_format="pandas")
+
         # ---- outer setup: in-class edges → flow rows ------------------
-        flow = cut_lineage(
+        flow, _ = settle(
             co_exchange(
                 {"s": (labels, "node", cls_t),
                  "e": (co_exchange({"s": (labels, "node", cls_t), "e": (edges, "src", EDGES)},
                                    attach_src, nb),
                        "dst", typed_frame(src="int64", dst="int64", f="int64", b="int64"))},
                 attach_dst, nb,
-            ).materialize()
+            )
         )
 
         # ---- inner: f/b min-label propagation with doubling ---------
-        state = cut_lineage(labels.map_batches(
-            lambda df: pd.DataFrame({"node": df["node"], "f": df["node"], "b": df["node"]}),
-            batch_format="pandas",
-        ).materialize())
-
-        for _inner in range(max_label_rounds):
+        def propagate(fb):
             proposals = co_exchange(
-                {"s": (state, "node", fb_t),
+                {"s": (fb, "node", fb_t),
                  "flow": (flow, "key", flow_t),
-                 "j": (state.map_batches(jump_rows, batch_format="pandas"), "key", flow_t)},
+                 "j": (fb.map_batches(jump_rows, batch_format="pandas"), "key", flow_t)},
                 propose, nb,
             )
-            reduced = keyed_exchange(proposals, "node", reduce_min, nb).materialize()
-            n_changed = int(reduced.sum("_changed") or 0)
-            # reduced carries (node, f, b, _changed); the extra column
-            # rides along unused — saves a materialize per round
-            state = cut_lineage(reduced)
-            if os.environ.get("GRAFT_SCC_DEBUG"):
-                print(f"scc_ds outer={outer} inner={_inner} "
-                      f"changed={n_changed}", flush=True)
-            if n_changed == 0:
-                break
-        else:
-            raise RuntimeError(
-                f"scc_ds: f/b label propagation did not converge in "
-                f"{max_label_rounds} rounds — raise max_label_rounds"
-            )
+            return keyed_exchange(proposals, "node", reduce_min, nb)
 
+        fb = supersteps(
+            labels.map_batches(
+                lambda df: pd.DataFrame({"node": df["node"], "f": df["node"], "b": df["node"]}),
+                batch_format="pandas",
+            ),
+            propagate, max_label_rounds,
+            "scc_ds: f/b label propagation did not converge in {rounds} rounds — raise max_label_rounds",
+        )
         # ---- freeze f == b; refine the rest by (f, b) ----------------
         # any node with f == b = x is DONE: the whole (x, x) group is
         # exactly SCC(x) ∩ class = SCC(x) (x reaches every member and
@@ -1519,42 +1484,22 @@ def scc_ds(
         # share one (f, b) pair necessarily has f == b (f(b-min) = f
         # forces f ≤ b, b(f-min) = b forces b ≤ f), so every class that
         # does NOT fully freeze strictly splits — no separate stability
-        # exchange is needed; termination is "no survivors left".
-        frozen = state.map_batches(
-            lambda df: pd.DataFrame(
-                {"node": df.loc[df["f"] == df["b"], "node"].astype("int64"),
-                 "scc_id": df.loc[df["f"] == df["b"], "f"].astype("int64")}
-            ),
-            batch_format="pandas",
-        ).materialize()
-        if frozen.count() > 0:
-            done.append(cut_lineage(frozen))
-        rest = state.map_batches(
-            lambda df: pd.DataFrame(
-                {"node": df.loc[df["f"] != df["b"], "node"].astype("int64"),
-                 "cf": df.loc[df["f"] != df["b"], "f"].astype("int64"),
-                 "cb": df.loc[df["f"] != df["b"], "b"].astype("int64")}
-            ),
-            batch_format="pandas",
-        ).materialize()
-        if os.environ.get("GRAFT_SCC_DEBUG"):
-            print(f"scc_ds outer={outer} frozen={frozen.count()} "
-                  f"rest={rest.count()}", flush=True)
-        if rest.count() == 0:
-            break
-        labels = cut_lineage(rest)
-    else:
-        raise RuntimeError(
-            f"scc_ds: class refinement did not converge in {max_outer} "
-            f"outer rounds — raise max_outer"
-        )
+        # exchange is needed; termination is "no survivors left", the
+        # round's ``_rest`` total.
+        done.append(fb)
+        return fb
 
-    if not done:
-        return ray.data.from_pandas(typed_frame(node="int64", scc_id="int64"))
-    out = done[0]
-    for d in done[1:]:
-        out = out.union(d)
-    return out
+    supersteps(
+        start, refine, max_outer,
+        "scc_ds: class refinement did not converge in {rounds} outer rounds — raise max_outer",
+        flag="_rest",
+    )
+
+    def frozen(df: pd.DataFrame) -> pd.DataFrame:
+        fz = df[df["_rest"] == 0]
+        return pd.DataFrame({"node": fz["node"].astype("int64"), "scc_id": fz["f"].astype("int64")})
+
+    return concat(*done).map_batches(frozen, batch_format="pandas")
 
 
 def _directed_reference_edges_for(d: int, n_docs: int) -> "list[tuple[int, int]]":
@@ -1750,21 +1695,15 @@ def condensation_layers_ds(
         return pd.DataFrame({"csrc": m["sl"], "cdst": m["scc_id"]})
 
     mapped_src = co_exchange({"s": (scc, "node", scc_t), "e": (edges, "src", EDGES)}, map_src, nb)
-    cond = cut_lineage(
+    cond, _ = settle(
         keyed_exchange(
             co_exchange(
                 {"s": (scc, "node", scc_t), "e": (mapped_src, "dst", typed_frame(dst="int64", sl="int64"))},
                 map_dst, nb,
             ),
             "csrc", lambda g: g.drop_duplicates(["csrc", "cdst"]), nb,
-        ).materialize()
+        )
     )
-
-    # --- longest-path relaxation over the condensation DAG -----------
-    layers = cut_lineage(scc.map_batches(
-        lambda df: pd.DataFrame({"c": df["scc_id"]}).drop_duplicates().assign(layer=np.int64(0)),
-        batch_format="pandas",
-    ).materialize())
 
     def ship(parts: dict) -> pd.DataFrame:
         s = parts["s"]
@@ -1785,20 +1724,22 @@ def condensation_layers_ds(
             {"c": m["c"], "layer": m["layer"], "_changed": (m["layer"] > m["layer_old"]).astype("int64")}
         )
 
-    for _round in range(max_rounds):
+    def relax(layers):
         props = co_exchange(
             {"s": (layers, "c", layer_t), "e": (cond, "csrc", typed_frame(csrc="int64", cdst="int64"))}, ship, nb
         )
-        reduced = keyed_exchange(props, "c", reduce_max, nb).materialize()
-        n_changed = int(reduced.sum("_changed") or 0)
-        layers = cut_lineage(reduced)
-        if n_changed == 0:
-            break
-    else:
-        raise RuntimeError(
-            f"condensation_layers_ds: relaxation did not settle in "
-            f"{max_rounds} rounds — not a DAG? (raise max_rounds)"
-        )
+        return keyed_exchange(props, "c", reduce_max, nb)
+
+    # --- longest-path relaxation over the condensation DAG -----------
+    layers = supersteps(
+        scc.map_batches(
+            lambda df: pd.DataFrame({"c": df["scc_id"]}).drop_duplicates().assign(layer=np.int64(0)),
+            batch_format="pandas",
+        ),
+        relax, max_rounds,
+        "condensation_layers_ds: relaxation did not settle in "
+        "{rounds} rounds — not a DAG? (raise max_rounds)",
+    )
 
     # --- join layers back to members ---------------------------------
     def attach(parts: dict) -> pd.DataFrame:
@@ -1855,9 +1796,15 @@ def opic_ds(
         return ray.data.from_pandas(typed_frame(node="int64", importance="float64"))
 
     state_t = typed_frame(node="int64", cash="float64", hist="float64", outdeg="int64")
-    state = nodes.map_batches(
-        lambda df: df.assign(cash=1.0 / n_nodes, hist=0.0), batch_format="pandas"
-    ).materialize()
+    # the dangling cash (on out-degree-0 nodes) each round starts from,
+    # read from the blocks that hold it
+    state, totals = settle(
+        nodes.map_batches(
+            lambda df: _with_dangling(df.assign(cash=1.0 / n_nodes, hist=0.0), "cash"),
+            batch_format="pandas",
+        ),
+        "_dangling",
+    )
 
     def contribs(parts: dict) -> pd.DataFrame:
         r = parts["r"]
@@ -1867,28 +1814,21 @@ def opic_ds(
         return out.groupby("node", as_index=False)["contrib"].sum()
 
     for _ in range(n_rounds):
-        dangling = float(
-            state.map_batches(
-                lambda df: pd.DataFrame(
-                    {"m": [df.loc[df["outdeg"] == 0, "cash"].sum()]}
-                ),
-                batch_format="pandas",
-            ).sum("m")
-            or 0.0
-        )
+        dangling = float(totals["_dangling"])
         contrib = co_exchange({"r": (state, "node", state_t), "e": (edges, "src", EDGES)}, contribs, nb)
 
         def reduce_cash(parts: dict, _s=dangling / n_nodes) -> pd.DataFrame:
             nd = parts["n"]
             cs = parts["c"].groupby("node")["contrib"].sum()
             s = nd.merge(cs.rename("s"), left_on="node", right_index=True, how="left")["s"].fillna(0.0)
-            return nd.assign(cash=s.to_numpy() + _s, hist=nd["hist"] + nd["cash"])
+            return _with_dangling(nd.assign(cash=s.to_numpy() + _s, hist=nd["hist"] + nd["cash"]), "cash")
 
-        state = cut_lineage(
+        state, totals = settle(
             co_exchange(
                 {"n": (state, "node", state_t), "c": (contrib, "node", CONTRIB)},
                 reduce_cash, nb,
-            ).materialize()
+            ),
+            "_dangling",
         )
 
     return state.map_batches(
@@ -2100,12 +2040,12 @@ def label_propagation_ds(
              "e": (edges, "src", typed_frame(src="int64", dst="int64", w="int64"))},
             votes, nb,
         )
-        labels = cut_lineage(
+        labels, _ = settle(
             co_exchange(
                 {"n": (labels, "node", label_t),
                  "v": (vote, "node", typed_frame(node="int64", label="int64", w="int64"))},
                 reduce_label, nb,
-            ).materialize()
+            )
         )
 
     return labels
@@ -2185,12 +2125,9 @@ def degree_assortativity_ds(edges: "ray.data.Dataset") -> "pd.DataFrame":
     part = co_exchange(
         {"d": (deg, "node", deg_t), "e": (ex, "dst", typed_frame(dst="int64", x="int64"))}, moments, nb
     )
-    # SIX driver scalars (tree aggregate over ≤nb one-row partials)
-    tot = {c: int(part.sum(c) or 0) for c in
-           ("n", "sx", "sy", "sxy", "sxx", "syy")}
-
-    n, sx, sy = tot["n"], tot["sx"], tot["sy"]
-    sxy, sxx, syy = tot["sxy"], tot["sxx"], tot["syy"]
+    # SIX driver scalars, read from the blocks of the ≤nb one-row partials
+    _, tot = settle(part, "n", "sx", "sy", "sxy", "sxx", "syy")
+    n, sx, sy, sxy, sxx, syy = (int(v) for v in tot.values())
     num = n * sxy - sx * sy
     den1 = n * sxx - sx * sx
     den2 = n * syy - sy * sy
@@ -2320,12 +2257,12 @@ def random_walks_ds(
             nxt = m.merge(a[["src", "idx", "dst"]], on=["src", "idx"])
             return pd.DataFrame({"start": nxt["start"], "node": nxt["dst"]})
 
-        state = cut_lineage(
+        state, _ = settle(
             co_exchange(
                 {"s": (state, "node", walk_t),
                  "a": (adj, "src", typed_frame(src="int64", dst="int64", idx="int64", deg="int64"))},
                 step_reduce, nb,
-            ).materialize()
+            )
         )
         outputs.append(state.map_batches(out_rows(t + 1),
                                          batch_format="pandas"))

@@ -261,14 +261,17 @@ def test_one_exchange_shape_in_package_source():
     """Every keyed exchange goes through ``keyed_exchange`` /
     ``co_exchange``: no hand-written ``_b`` group outside the
     partitioning module, no re-blocking outside it and the manifest
-    compaction, and no second route entry point."""
+    compaction, and no second route entry point. Every iterative loop
+    settles its rounds through the same module: no ``cut_lineage``
+    re-rooting and no stop count read by a second execution
+    (``.sum("_changed")``) anywhere else."""
     import pathlib
 
     import dfg_gepris_crawler_ray
     from dfg_gepris_crawler_ray.kernels import partitioning
 
     pkg = pathlib.Path(dfg_gepris_crawler_ray.__file__).parent
-    grouped, reblocked = [], []
+    grouped, reblocked, looped = [], [], []
     for path in sorted(pkg.rglob("*.py")):
         rel = path.relative_to(pkg).as_posix()
         src = path.read_text()
@@ -277,9 +280,12 @@ def test_one_exchange_shape_in_package_source():
                 grouped.append(rel)
             if ".repartition(" in src and rel != "frontier/manifests.py":
                 reblocked.append(rel)
-    assert grouped == [] and reblocked == []
+            if "cut_lineage" in src or '.sum("_changed")' in src or ".sum('_changed')" in src:
+                looped.append(rel)
+    assert grouped == [] and reblocked == [] and looped == []
     assert not hasattr(partitioning, "keyed_route")
     assert not hasattr(partitioning, "co_route")
+    assert not hasattr(partitioning, "cut_lineage")
 
 
 def test_keyed_exchange_colocates_unioned_sides(ray_session):

@@ -95,8 +95,9 @@ def test_ds_daily_cycle_finishes_at_one_cpu(tmp_path):
     """A fresh ``ds`` cron day completes under a one-CPU Ray: every
     state transition is an exchange, and a plan that needs a second
     CPU would stall there and not at the test session's 4 CPUs. The
-    day runs in a subprocess with its own Ray, under a timeout, and
-    saves the same state as a pandas day."""
+    day runs in a subprocess with its own Ray, under a timeout, saves
+    the same state as a pandas day, and logs no block-size error (Ray
+    fails to size an empty pandas block with a string column)."""
     import subprocess
     import sys
     import textwrap
@@ -117,6 +118,8 @@ def test_ds_daily_cycle_finishes_at_one_cpu(tmp_path):
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=300)
     assert out.returncode == 0, out.stderr[-2000:]
+    # no state transition emits an empty block that Ray cannot size
+    assert "on size 0 inputs" not in out.stderr
     pandas_store = CrawlStore(str(tmp_path / "pandas"))
     run_daily_cycle(pandas_store, pages, backend="pandas")
     got = _sorted_state(CrawlStore(root), "ds")

@@ -15,9 +15,9 @@ Notes on honesty:
   leaves are `InputData` (pre-materialized blocks): the count below
   covers the TAIL plan only and the row is flagged `+pre`, meaning
   "at least this many exchanges, earlier stages already executed".
-Rows whose leaf is `FromPandas` come from lineage-cut iterative ops
-(cut_lineage re-roots on object-store block refs — nothing is
-collected to the driver).
+  The iterative ops' rounds settle this way too
+  (`kernels.partitioning.settle` re-roots each round on its
+  object-store block refs — nothing is collected to the driver).
 The per-op docstrings remain the full-shape spec; this audit is the
 mechanical lower-bound cross-check.
 """
