@@ -6,8 +6,8 @@ declarations, the ATTRIBUTES_MAP dictionaries, and a custom cache
 policy class. This engine's equivalents:
 
 - :class:`CrawlerConfig` — one dataclass for every tunable the
-  reference spreads over settings.py (concurrency, politeness,
-  budgets, retries, proxy passthrough S10).
+  reference spreads over settings.py that this engine reads
+  (politeness, proxy passthrough S10, shuffle backend).
 - :class:`StageRegistry` — named ``map_batches`` stages; a pipeline is
   a declared sequence of stage names, so users insert/replace stages
   the way the reference re-prioritises SPIDER_MIDDLEWARES
@@ -29,34 +29,27 @@ class CrawlerConfig:
     ===============================  ====================================
     this field                       reference setting
     ===============================  ====================================
-    items_per_page                   spiders/search_results.py:14 (1000)
-    concurrent_requests              CONCURRENT_REQUESTS (settings.py:69)
     min_delay_ms                     AUTOTHROTTLE_START_DELAY analogue
                                      (settings.py:119-126; 0 = bench mode)
-    max_per_host                     cron daily budget
-                                     (docker/scheduler_cronfile:19-33)
-    retry_times                      RETRY_TIMES for semantic retries
-                                     (middlewares.py:20-66)
     obey_robots + robots             ROBOTSTXT_OBEY (settings.py:66)
     proxy_list                       rotating proxies S10
                                      (proxylist.py:5-8; passthrough — a
                                      table-backed fetch needs no proxy)
-    num_buckets / num_shards         engine partitioning (no reference
+    num_shards                       politeness gate shards (no reference
                                      analogue; single-process there)
     ===============================  ====================================
+
+    Not settings: the semantic retry budget (RETRY_TIMES,
+    middlewares.py:20-66) is ``stages.extract_stage.MAX_ATTEMPTS``; the
+    cron daily budget (docker/scheduler_cronfile:19-33) is the
+    ``max_per_host`` argument of the details runs.
     """
 
-    items_per_page: int = 1000
-    concurrent_requests: int = 16
     min_delay_ms: float = 0.0
-    max_per_host: int | None = None
-    retry_times: int = 2
     obey_robots: bool = True
     robots: dict[str, str] = field(default_factory=dict)
     proxy_list: list[str] = field(default_factory=list)
-    num_buckets: int = 64
     num_shards: int = 8
-    seen_mode: str = "exact"  # "exact" | "bloom"
     #: Ray Data shuffle backend for every keyed exchange (groupby /
     #: repartition). None = Ray's default (sort, pull-based). On a real
     #: multi-node cluster "hash_shuffle" avoids the full sort and keeps

@@ -26,6 +26,14 @@ from .manifests import _arrow_types
 
 NUM_BUCKETS = 64
 
+#: the run-id columns in the saved state's dtype (float64, NaN = never).
+#: The pandas templates leave them object; state rows built here are cast
+#: to these, so no exchange mixes blocks of two schemas.
+RUN_ID_DTYPES = {
+    c: S.STATE_DTYPES[c]
+    for c in ("last_available_seen", "last_available_change", "last_detail_check")
+}
+
 
 def _co_bucket(sides: dict, reduce) -> "ray.data.Dataset":
     """Union-tag transition: ``sides`` maps a kind to ``(ds, template)``,
@@ -73,7 +81,7 @@ def upsert_from_search_ds(
 
     return _co_bucket(
         {
-            "state": (state, S.empty_state()),
+            "state": (state, S.empty_state().astype(RUN_ID_DTYPES)),
             "obs": (
                 observations.map_batches(to_obs, batch_format="pandas"),
                 pd.DataFrame(columns=["id", "context", "_obs_item"]),
@@ -141,6 +149,7 @@ def upsert_from_details_ds(
     if not new_ids:
         return updated
     new_rows = S.upsert_from_details(S.empty_state(), new_ids, context, run_id)
+    new_rows = new_rows.astype(RUN_ID_DTYPES)
     return updated.union(ray.data.from_pandas(new_rows))
 
 
@@ -166,7 +175,7 @@ def expand_person_frontier_bucketed(
         if not new_ids:
             # Arrow-typed: Ray cannot size an empty pandas string column
             return pa.schema(list(_arrow_types("state").items())).empty_table()
-        return S.new_state_rows(sorted(new_ids), "person", needed=True)
+        return S.new_state_rows(sorted(new_ids), "person", needed=True).astype(RUN_ID_DTYPES)
 
     keys = pd.DataFrame(columns=["id", "context"])
     new_rows = _co_bucket(
@@ -286,7 +295,7 @@ def upsert_from_details_bucketed(
 
     return _co_bucket(
         {
-            "state": (state, S.empty_state()),
+            "state": (state, S.empty_state().astype(RUN_ID_DTYPES)),
             "proc": (
                 processed.map_batches(to_proc, batch_format="pandas"),
                 pd.DataFrame(columns=["id", "context"]),
@@ -308,7 +317,7 @@ def latest_items_ds(
     return _co_bucket(
         {
             "latest": (latest_details, S.empty_history()),
-            "state": (state, S.empty_state()),
+            "state": (state, S.empty_state().astype(RUN_ID_DTYPES)),
         },
         lambda parts: S.latest_items(parts["latest"], parts["state"]),
     )

@@ -118,14 +118,6 @@ def google_cache_url(actual_url: str) -> str:
     return GOOGLE_CACHE_BASE_URL + actual_url
 
 
-def strip_google_cache(url: str) -> str | None:
-    """Inverse of :func:`google_cache_url`: the wrapped gepris URL, or
-    None when ``url`` is not a cache URL."""
-    if url.startswith(GOOGLE_CACHE_BASE_URL):
-        return url[len(GOOGLE_CACHE_BASE_URL):]
-    return None
-
-
 def parse_page_url(url: str) -> dict:
     """Classify a corpus URL into its crawl role.
 

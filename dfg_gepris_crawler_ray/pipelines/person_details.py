@@ -10,22 +10,26 @@ fidelity notes on the reference's own bugs.
 
 Ray-Data shape: the id source is an explicit list/file (the spider
 supports no ``db:`` source — person_details.py:20-33), so the id set
-broadcasts; the pages scan classifies every URL into
-``source='cache'`` (webcache-wrapped person-details URL,
-gepris_helper.py:27,44-45) or ``source='gepris'``; ONE keyed shuffle by
-entity bucket co-locates both sources per person, and the group task
-prefers the cache copy, falling back per entity to the gepris copy when
-the cache copy is absent or fails validation — the batch-world
-observable of the spider's request-errback chain (a google error page
-fails the GEPRIS structure check).
+broadcasts. One Arrow pass per pages batch unwraps webcache URLs
+(``source='cache'``, gepris_helper.py:27,44-45; every other URL is
+``source='gepris'``) and selects the pages through the engine's
+annotator, ``sources.pages.annotate_batch``: person details pages of a
+wanted id, each in its ``entity_bucket``. ONE keyed shuffle by that
+bucket co-locates both sources per person, and the group task prefers
+the cache copy, falling back per entity to the gepris copy when the
+cache copy is absent or fails validation — the batch-world observable
+of the spider's request-errback chain (a google error page fails the
+GEPRIS structure check). That fallback is not the details stage's
+retry-with-refresh: a moved cache copy and any exception fall through
+to gepris, and no refreshed copy is tried.
 """
 
 from __future__ import annotations
 
 import json
 
-import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 import ray
 import ray.data
@@ -37,11 +41,10 @@ from ..extract.validators import (
     check_details_structure,
     check_language,
 )
-from ..kernels.hashing import stable_hash64
 from ..kernels.htmlmini import parse_html
 from ..kernels.jsoncanon import dumps_canonical
-from ..kernels.urls import parse_page_url, strip_google_cache
-from ..sources.pages import read_pages
+from ..kernels.urls import GOOGLE_CACHE_BASE_URL
+from ..sources.pages import annotate_batch, entity_bucket, read_pages
 
 RESULT_SCHEMA = pa.schema(
     [
@@ -84,32 +87,20 @@ def run_person_details(
     ds = read_pages(pages_dir)
 
     def classify(batch: pa.Table) -> pa.Table:
-        wanted = ray.get(ids_ref)
-        out = {"id": [], "source": [], "warc_ts": [], "html": [], "bucket": []}
-        urls = batch.column("url").to_pylist()
-        ts = batch.column("warc_ts").to_pylist()
-        htmls = batch.column("html").to_pylist()
-        for url, t, html in zip(urls, ts, htmls):
-            inner = strip_google_cache(url)
-            source = "gepris" if inner is None else "cache"
-            info = parse_page_url(inner if inner is not None else url)
-            if info["kind"] != "details" or info["context"] != "person":
-                continue
-            if info["id"] not in wanted:
-                continue
-            out["id"].append(info["id"])
-            out["source"].append(source)
-            out["warc_ts"].append(t)
-            out["html"].append(html)
-            out["bucket"].append(stable_hash64(f"person/{info['id']}") % num_buckets)
-        return pa.table(
-            {
-                "id": pa.array(out["id"], type=pa.int64()),
-                "source": pa.array(out["source"], type=pa.string()),
-                "warc_ts": pa.array(out["warc_ts"], type=batch.schema.field("warc_ts").type),
-                "html": pa.array(out["html"], type=batch.schema.field("html").type),
-                "bucket": pa.array(out["bucket"], type=pa.int32()),
-            }
+        wanted = pa.array(sorted(ray.get(ids_ref)), type=pa.int64())
+        url = batch.column("url")
+        cached = pc.starts_with(url, GOOGLE_CACHE_BASE_URL)
+        inner = pc.if_else(cached, pc.utf8_slice_codeunits(url, len(GOOGLE_CACHE_BASE_URL)), url)
+        pages = annotate_batch(batch.set_column(batch.schema.get_field_index("url"), "url", inner))
+        keep = pc.and_(
+            pc.and_(pc.equal(pages["kind"], "details"), pc.equal(pages["context"], "person")),
+            pc.is_in(pages["id"], value_set=wanted),
+        )
+        pages = pages.append_column("source", pc.if_else(cached, "cache", "gepris")).filter(keep)
+        keys = pc.binary_join_element_wise("person", pc.cast(pages["id"], pa.string()), "/")
+        bucket = entity_bucket(keys.to_numpy(zero_copy_only=False), num_buckets)
+        return pages.select(["id", "source", "warc_ts", "html"]).append_column(
+            "bucket", pa.array(bucket, type=pa.int32())
         )
 
     classified = ds.map_batches(classify, batch_format="pyarrow", zero_copy_batch=True)

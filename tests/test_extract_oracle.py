@@ -23,7 +23,6 @@ from collections import Counter
 
 import pyarrow as pa
 import pyarrow.parquet as pq
-import pytest
 
 from dfg_gepris_crawler_ray.kernels import urls as U
 from dfg_gepris_crawler_ray.pipelines.person_details import RESULT_SCHEMA as PERSON_SCHEMA
@@ -138,12 +137,7 @@ def test_fault_corpus_digest():
 
 # --- person_details ---------------------------------------------------------
 
-@pytest.fixture
-def _ray(ray_session):
-    yield
-
-
-def test_person_details_digest(tmp_path, _ray):
+def test_person_details_digest(tmp_path, ray_session):
     """The cache→gepris fallback over a mixed corpus: good, garbage and
     moved cache copies; gepris de and en copies; an id outside the set;
     a cached projekt URL, a person result page and listing URLs that

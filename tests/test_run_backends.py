@@ -4,6 +4,7 @@ equal to standalone runs, and a pinned count of Dataset executions per
 cron day."""
 
 import os
+import re
 
 import pandas as pd
 import pyarrow.compute as pc
@@ -96,8 +97,9 @@ def test_ds_daily_cycle_finishes_at_one_cpu(tmp_path):
     state transition is an exchange, and a plan that needs a second
     CPU would stall there and not at the test session's 4 CPUs. The
     day runs in a subprocess with its own Ray, under a timeout, saves
-    the same state as a pandas day, and logs no block-size error (Ray
-    fails to size an empty pandas block with a string column)."""
+    the same state as a pandas day, logs no block-size error (Ray
+    fails to size an empty pandas block with a string column), and no
+    state block whose dtypes differ from another's."""
     import subprocess
     import sys
     import textwrap
@@ -120,6 +122,11 @@ def test_ds_daily_cycle_finishes_at_one_cpu(tmp_path):
     assert out.returncode == 0, out.stderr[-2000:]
     # no state transition emits an empty block that Ray cannot size
     assert "on size 0 inputs" not in out.stderr
+    # state blocks agree on their dtypes: no pandas block schema differs
+    # from its predecessor's, and no reduce concatenates object columns
+    # with float64 ones
+    assert not re.search(r"different schema.*new schema: PandasBlockSchema", out.stderr)
+    assert not re.search(r"\(reduce pid=\d+\).*FutureWarning", out.stderr)
     pandas_store = CrawlStore(str(tmp_path / "pandas"))
     run_daily_cycle(pandas_store, pages, backend="pandas")
     got = _sorted_state(CrawlStore(root), "ds")
