@@ -10,19 +10,20 @@ tests/test_state_ds.py).
 
 Shuffle key: the ``(context, id)`` entity key in ``NUM_BUCKETS``
 buckets, through ``kernels.partitioning.co_exchange`` — the one
-partitioning key the whole engine reuses (SURVEY.md §7.3).
+partitioning key the whole engine reuses (SURVEY.md §7.3). A details
+run's state merge is one such exchange for every frontier size:
+J3, and J5 on a projekt run (:func:`upsert_from_details_bucketed`);
+J7/J8 broadcast their run-bounded moved sets.
 """
 
 from __future__ import annotations
 
 import pandas as pd
-import pyarrow as pa
 
 import ray.data
 
 from ..kernels.partitioning import co_exchange
 from . import state as S
-from .manifests import _arrow_types
 
 NUM_BUCKETS = 64
 
@@ -50,7 +51,7 @@ def _co_bucket(sides: dict, reduce) -> "ray.data.Dataset":
 
 def collect_ids(ds: "ray.data.Dataset", col: str = "id") -> set[int]:
     """The distinct ints of ``col`` on the driver — only for
-    run-bounded selections (a frontier, a run's moved keys)."""
+    run-bounded selections (a run's moved keys and their targets)."""
     return {
         int(i)
         for b in ds.select_columns([col]).iter_batches(batch_format="pandas")
@@ -115,91 +116,63 @@ def insert_detail_items_ds(
     )
 
 
-def upsert_from_details_ds(
-    state: "ray.data.Dataset", ids: set[int], context: str, run_id: int
+def upsert_from_details_bucketed(
+    state: "ray.data.Dataset",
+    delta: "ray.data.Dataset",
+    context: str,
+    run_id: int,
+    references: "ray.data.Dataset | None" = None,
 ) -> "ray.data.Dataset":
-    """J3 at state scale: the processed-id set broadcasts (it is the
-    run's frontier — budget-bounded by construction); the flag update
-    is row-local. Insert-if-absent via a broadcast anti-join: each
-    state batch reports only its INTERSECTION with the frontier set, so
-    what returns to the driver is bounded by the frontier budget, never
-    by state cardinality (the J5 pattern, not a full id stream)."""
-    import ray
+    """J3, and J5 when ``references`` is given, in one exchange: the
+    state, this run's processed keys (``delta.id``) and the referenced
+    persons (``references.person_id``, a projekt run's reference edges)
+    co-partition by key bucket. Each bucket replays the exact pandas
+    upsert — the flag update and the insert-if-absent are key-local —
+    then inserts the referenced persons its state does not hold as
+    ``S.new_state_rows``, so the state is read once whatever the
+    frontier's size or residency."""
 
-    ids = {int(i) for i in ids}
-    ids_ref = ray.put(ids)
+    def to_proc(df: pd.DataFrame) -> pd.DataFrame:
+        return pd.DataFrame({"id": df["id"].astype("int64"), "context": context})
 
-    def intersect(df: pd.DataFrame) -> pd.DataFrame:
-        known = ray.get(ids_ref)
-        sel = (df["context"] == context) & df["id"].isin(known)
-        return pd.DataFrame({"id": df.loc[sel, "id"].astype("int64")})
-
-    seen_ids = collect_ids(state.map_batches(intersect, batch_format="pandas"))
-
-    def update(df: pd.DataFrame) -> pd.DataFrame:
-        known = ray.get(ids_ref)
-        sel = (df["context"] == context) & df["id"].isin(known)
-        df = df.copy()
-        df.loc[sel, "last_detail_check"] = run_id
-        df.loc[sel, "detail_check_needed"] = False
-        return df
-
-    updated = state.map_batches(update, batch_format="pandas")
-    new_ids = sorted(ids - seen_ids)
-    if not new_ids:
-        return updated
-    new_rows = S.upsert_from_details(S.empty_state(), new_ids, context, run_id)
-    new_rows = new_rows.astype(RUN_ID_DTYPES)
-    return updated.union(ray.data.from_pandas(new_rows))
-
-
-def expand_person_frontier_bucketed(
-    state: "ray.data.Dataset", references: "ray.data.Dataset"
-) -> "ray.data.Dataset":
-    """J5 at state scale: the persons this run's projekt items reference
-    (``references.person_id``) EXCEPT persons already in the state join
-    the frontier as ``S.new_state_rows``. Both sides ship only
-    ``("person", id)`` keys; each bucket dedupes the referenced ids and
-    anti-joins them with the known ones, and the new rows union onto
-    the state."""
-
-    def known(df: pd.DataFrame) -> pd.DataFrame:
-        ids = df.loc[df["context"] == "person", "id"].astype("int64")
-        return pd.DataFrame({"id": ids, "context": "person"})
-
-    def referenced(df: pd.DataFrame) -> pd.DataFrame:
+    def to_ref(df: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({"id": df["person_id"].astype("int64").unique(), "context": "person"})
 
-    def per_bucket(parts: dict):
-        new_ids = set(parts["ref"]["id"].astype("int64")) - set(parts["known"]["id"].astype("int64"))
-        if not new_ids:
-            # Arrow-typed: Ray cannot size an empty pandas string column
-            return pa.schema(list(_arrow_types("state").items())).empty_table()
-        return S.new_state_rows(sorted(new_ids), "person", needed=True).astype(RUN_ID_DTYPES)
+    def per_bucket(parts: dict) -> pd.DataFrame:
+        ids = parts["proc"]["id"].astype("int64").drop_duplicates().tolist()
+        out = S.upsert_from_details(parts["state"], ids, context, run_id)
+        if "ref" in parts:
+            known = out.loc[out["context"] == "person", "id"].astype("int64")
+            new = sorted(set(parts["ref"]["id"].astype("int64")) - set(known))
+            out = S._concat_rows(out, S.new_state_rows(new, "person", needed=True))
+        return out.astype(RUN_ID_DTYPES)
 
     keys = pd.DataFrame(columns=["id", "context"])
-    new_rows = _co_bucket(
-        {
-            "known": (state.map_batches(known, batch_format="pandas"), keys),
-            "ref": (references.map_batches(referenced, batch_format="pandas"), keys),
-        },
-        per_bucket,
-    )
-    return state.union(new_rows)
+    sides = {
+        "state": (state, S.empty_state().astype(RUN_ID_DTYPES)),
+        "proc": (delta.map_batches(to_proc, batch_format="pandas"), keys),
+    }
+    if references is not None:
+        sides["ref"] = (references.map_batches(to_ref, batch_format="pandas"), keys)
+    return _co_bucket(sides, per_bucket)
 
 
 # --- J1: crawl-priority selection at state scale ----------------------------
 
-def _j1_slim(
+def get_frontier_ds(
     state: "ray.data.Dataset",
     runs: pd.DataFrame,
     context: str,
     only_needed: bool = False,
 ) -> "ray.data.Dataset":
-    """Column-pruned J1 candidate scan: (tier, staleness rank, id) —
-    three ints per candidate row, never the item payloads. The runs
-    ledger is tiny (one row per crawl run) and broadcasts by closure
-    as a rank map."""
+    """J1 selection that STAYS a Dataset — the ``db:all:0`` form: the
+    column-pruned candidate scan, (tier, staleness rank, id) — three
+    ints per candidate row, never the item payloads. Unbudgeted
+    selection is order-free (every candidate crawls), so no sort runs;
+    the carried columns let downstream host budgeting rebuild the
+    priority order per host without a global sort. The runs ledger is
+    tiny (one row per crawl run) and broadcasts by closure as a rank
+    map."""
     ordered_runs = runs.sort_values("run_started_at", kind="stable")
     rank_of = {int(rid): pos for pos, rid in enumerate(ordered_runs["id"])}
 
@@ -225,27 +198,6 @@ def _j1_slim(
     return state.map_batches(prep, batch_format="pandas")
 
 
-def get_frontier_ds(
-    state: "ray.data.Dataset",
-    runs: pd.DataFrame,
-    context: str,
-    only_needed: bool = False,
-    limit: int = 0,
-) -> "ray.data.Dataset":
-    """J1 selection that STAYS a Dataset — the ``db:all:0`` form.
-
-    With a limit the selection needs the global priority order (one
-    distributed sort + limit — budget-bounded, but still returned as a
-    Dataset); unbudgeted (``limit=0``) selection is order-free (every
-    candidate crawls), so no sort runs at all. Rows: (tier, rank, id)
-    so downstream host budgeting can reconstruct priority order
-    per host without another global sort."""
-    slim = _j1_slim(state, runs, context, only_needed)
-    if limit > 0:
-        slim = slim.sort(["tier", "rank", "id"]).limit(limit)
-    return slim
-
-
 def get_ids_ds(
     state: "ray.data.Dataset",
     runs: pd.DataFrame,
@@ -257,52 +209,20 @@ def get_ids_ds(
     never-detail-checked keys first, then checked keys stalest-first
     (by the start time of their last check run), LIMIT on the union.
 
-    Distributed shape: the :func:`_j1_slim` scan then ONE global sort +
-    limit; the collected list is budget-bounded by the caller's limit.
-    The tie-break inside each staleness tier is ``id`` ascending
+    Distributed shape: the :func:`get_frontier_ds` scan then ONE global
+    sort + limit; the collected list is budget-bounded by the caller's
+    limit. The tie-break inside each staleness tier is ``id`` ascending
     (deterministic under any partitioning); the pandas form's tie-break
     is state-table insertion order, which a 10^10-key distributed table
     cannot observe — callers that need byte-faithful insertion order
-    must carry an explicit ``seq`` column. For the unbudgeted form use
-    :func:`get_frontier_ds`, which never collects."""
-    ordered = _j1_slim(state, runs, context, only_needed).sort(["tier", "rank", "id"])
+    must carry an explicit ``seq`` column. The unbudgeted form is
+    :func:`get_frontier_ds` itself, which never collects."""
+    ordered = get_frontier_ds(state, runs, context, only_needed).sort(["tier", "rank", "id"])
     if limit > 0:
         ordered = ordered.limit(limit)
     # iter_rows, not to_pandas: an empty selection's pandas frame has no
     # columns at all, while the pandas J1 returns [] there
     return [int(r["id"]) for r in ordered.iter_rows()]
-
-
-def upsert_from_details_bucketed(
-    state: "ray.data.Dataset", processed: "ray.data.Dataset", context: str, run_id: int
-) -> "ray.data.Dataset":
-    """J3 with the processed-id set Dataset-resident (J2's union-tag
-    shape): state rows and this run's processed ids co-partition by key
-    bucket; each bucket replays the exact pandas upsert — the flag
-    update and the insert-if-absent are both key-local, so the bucketed
-    composition equals the driver semantics at any cardinality. This is
-    the ``db:all:0`` form of :func:`upsert_from_details_ds`, whose
-    broadcast id set is only safe when a J1 budget bounds the run."""
-
-    def to_proc(df: pd.DataFrame) -> pd.DataFrame:
-        out = pd.DataFrame({"id": df["id"].astype("int64")})
-        out["context"] = context
-        return out
-
-    def per_bucket(parts: dict) -> pd.DataFrame:
-        ids = parts["proc"]["id"].astype("int64").drop_duplicates().tolist()
-        return S.upsert_from_details(parts["state"], ids, context, run_id)
-
-    return _co_bucket(
-        {
-            "state": (state, S.empty_state().astype(RUN_ID_DTYPES)),
-            "proc": (
-                processed.map_batches(to_proc, batch_format="pandas"),
-                pd.DataFrame(columns=["id", "context"]),
-            ),
-        },
-        per_bucket,
-    )
 
 
 # --- A2: coalesce view at scale ---------------------------------------------

@@ -57,15 +57,13 @@ import ray.data
 from ..frontier import state as S
 from ..frontier import state_ds as SD
 from ..frontier.manifests import CrawlStore, content_hash
-from ..kernels.partitioning import keyed_exchange
+from ..kernels.partitioning import ROUTE_BATCH, keyed_exchange
 from ..frontier.politeness import apply_host_budget
 from ..sources.pages import annotate_pages, read_pages
+from ..stages.extract_stage import RESULT_SCHEMA
 from ..stages.search_stage import extract_listing_batch
 from . import derive
 from .details import run_details_extraction
-
-DELTA_COLUMNS = ["id", "context", "status", "item", "error_kind",
-                 "host", "attempts", "pages_fetched"]
 
 #: the ``ds`` search run's duplicate-id sample cap (ST1 diagnostic)
 DUP_SAMPLE_CAP = 64
@@ -161,10 +159,11 @@ class _DriverState:
         self.store.write_run_delta(run_id, delta)
 
     delta_hash = staticmethod(content_hash)
-    # a run's rows (a Dataset to collect, or a frame) in this backend's
-    # form: driver frames here, materialized Datasets in _DatasetState
+    # a run's rows in this backend's form: driver frames here,
+    # materialized Datasets in _DatasetState; an empty frontier's delta
+    # is typed from the extract stage's schema
     collect = staticmethod(ray.data.Dataset.to_pandas)
-    from_frame = staticmethod(lambda df: df)
+    empty_delta = staticmethod(lambda: RESULT_SCHEMA.empty_table().to_pandas())
 
     @staticmethod
     def part(listing, context: str):
@@ -184,18 +183,17 @@ class _DriverState:
                             pages_fetched=int(delta["pages_fetched"].sum()),
                             attempts=int(delta["attempts"].sum()))
 
-    def upsert_details(self, delta, context, run_id, resident):  # J3
-        # every processed id (success AND moved/error rows all call
-        # upsert_available_item(id, None, details) — pipelines.py:52-54,
-        # middlewares.py:35,50)
-        self.state = S.upsert_from_details(self.state, list(delta["id"]), context, run_id)
-
     def append_history(self, delta, context, run_id):  # J4, per-key change dedup
         rows = _history_rows(delta, context, run_id).to_dict("records")
         self.history = S.insert_detail_items(self.history, self.runs, rows)
 
-    def expand_person_frontier(self, delta, run_id):  # J5
-        self.state = S.expand_person_frontier(self.state, self.history, run_id)
+    def upsert_details(self, delta, context, run_id):  # J3 (+ J5)
+        # every processed id (success AND moved/error rows all call
+        # upsert_available_item(id, None, details) — pipelines.py:52-54,
+        # middlewares.py:35,50)
+        self.state = S.upsert_from_details(self.state, list(delta["id"]), context, run_id)
+        if context == "projekt":  # J5 reads this run's history rows (J4)
+            self.state = S.expand_person_frontier(self.state, self.history, run_id)
 
     def mark_moved(self, context, run_id):  # J7 (+ J8)
         latest = S.latest_detail_items(self.history, self.runs)
@@ -246,14 +244,16 @@ class _DatasetState(_DriverState):
     - **budgeted** (``db:*:N`` with N>0, literal lists, id files): the
       frontier is run-bounded by construction, so it collects to an
       ordered driver frame (exact planned-order manifests, broadcast
-      semi-join page selection, broadcast J3) — the reference's cron
-      budgets never exceed 50k ids.
+      semi-join page selection) — the reference's cron budgets never
+      exceed 50k ids.
     - **resident** (``db:all:0`` / ``db:needed:0``): the frontier NEVER
       touches the driver — J1 selection stays a Dataset
       (``get_frontier_ds``), the host budget applies per host
-      distributed, page selection fuses into the extract shuffle
-      (``run_details_extraction`` over a key Dataset), and J3 runs
-      through the bucketed upsert.
+      distributed, and page selection fuses into the extract shuffle
+      (``run_details_extraction`` over a key Dataset).
+
+    Both regimes merge the run into the state in one exchange: J3, and
+    J5 on a projekt run, through ``upsert_from_details_bucketed``.
     """
 
     name = "dataset"
@@ -275,7 +275,7 @@ class _DatasetState(_DriverState):
         return None  # a content hash would collect the delta
 
     collect = staticmethod(ray.data.Dataset.materialize)
-    from_frame = staticmethod(ray.data.from_pandas)
+    empty_delta = staticmethod(lambda: ray.data.from_arrow(RESULT_SCHEMA.empty_table()))
 
     @staticmethod
     def part(listing, context):
@@ -322,29 +322,36 @@ class _DatasetState(_DriverState):
         ).materialize()
 
     def tally(self, delta):
-        counts = {r["status"]: int(r["n"]) for r in derive.status_counts(delta).take_all()}
-        rows = sum(counts.values())
-        return counts, dict(rows=rows,
-                            pages_fetched=int(delta.sum("pages_fetched") or 0) if rows else 0,
-                            attempts=int(delta.sum("attempts") or 0) if rows else 0)
+        """One execution: per-batch (status, count, pages, attempts)
+        partials — a few rows per batch — summed on the driver. The
+        batches bundle small blocks (``ROUTE_BATCH`` rows): Ray passes an
+        empty block through a map without calling it, as a block with
+        no schema, so a small run's empty blocks must ride in one task
+        with its typed ones."""
 
-    def upsert_details(self, delta, context, run_id, resident):
-        if resident:  # processed ids stay a Dataset → bucketed upsert
-            self.state = SD.upsert_from_details_bucketed(self.state, delta, context, run_id)
-        else:  # budget-bounded: broadcast intersection
-            self.state = SD.upsert_from_details_ds(
-                self.state, SD.collect_ids(delta), context, run_id
+        def partial(b: pa.Table) -> pa.Table:
+            return b.group_by("status").aggregate(
+                [([], "count_all"), ("pages_fetched", "sum"), ("attempts", "sum")]
             )
+
+        counts, pages_fetched, attempts = {}, 0, 0
+        partials = delta.map_batches(partial, batch_format="pyarrow", batch_size=ROUTE_BATCH)
+        for r in partials.take_all():
+            counts[r["status"]] = counts.get(r["status"], 0) + r["count_all"]
+            pages_fetched += r["pages_fetched_sum"]
+            attempts += r["attempts_sum"]
+        counts = dict(sorted(counts.items()))
+        return counts, dict(rows=sum(counts.values()), pages_fetched=pages_fetched,
+                            attempts=attempts)
 
     def append_history(self, delta, context, run_id):
         rows = delta.map_batches(_history_rows, batch_format="pandas",
                                  fn_args=(context, run_id))
         self.history = SD.insert_detail_items_ds(self.history, self.runs, rows).materialize()
 
-    def expand_person_frontier(self, delta, run_id):
-        self.state = SD.expand_person_frontier_bucketed(
-            self.state, derive.all_reference_edges(delta, "person")
-        )
+    def upsert_details(self, delta, context, run_id):
+        refs = derive.all_reference_edges(delta, "person") if context == "projekt" else None
+        self.state = SD.upsert_from_details_bucketed(self.state, delta, context, run_id, refs)
 
     def mark_moved(self, context, run_id):
         run_started = dict(zip(self.runs["id"].astype(int), self.runs["run_started_at"]))
@@ -414,14 +421,18 @@ def run_details(
     ids_spec="db:all:0",
     host_lookup=None,
     max_per_host: int | None = None,
-    num_buckets: int = 64,
     politeness=None,
     backend: str = "pandas",
 ) -> dict:
-    """One details run. Returns ``run_id``, ``frontier`` (the planned
-    frame, None when the ``ds`` backend keeps it resident),
-    ``frontier_size``, ``delta`` (the processed rows: a DataFrame, or a
-    Dataset under ``backend="ds"``), ``manifest`` and ``n_<status>``."""
+    """One details run: J1 frontier → extract → J4 history append → J3
+    state upsert (with J5 on a projekt run, which reads J4's rows on the
+    driver; under ``backend="ds"`` both are one state exchange) → J7
+    (+ J8) for the other contexts → tally → manifest.
+
+    Returns ``run_id``, ``frontier`` (the planned frame, None when the
+    ``ds`` backend keeps it resident), ``frontier_size``, ``delta`` (the
+    processed rows: a DataFrame, or a Dataset under ``backend="ds"``),
+    ``manifest`` and ``n_<status>``."""
     st = _backend(backend)(store)
     run_id = st.open_run("details", context)
 
@@ -434,20 +445,18 @@ def run_details(
         # (context, id) Dataset that joins inside the extract shuffle
         keys = frontier if resident else [(context, int(i)) for i in frontier["id"]]
         delta = st.collect(
-            run_details_extraction(pages_dir, keys, num_buckets, politeness=politeness)
+            run_details_extraction(pages_dir, keys, politeness=politeness)
         )
     else:
         # empty frontier crawls nothing (reference: no ids → the spider
         # issues no requests, spiders/details.py:53-57)
-        delta = st.from_frame(pd.DataFrame(columns=DELTA_COLUMNS))
+        delta = st.empty_delta()
     extract_wall_s = round(time.perf_counter() - t0, 3)
 
-    st.upsert_details(delta, context, run_id, resident)  # J3
     st.append_history(delta, context, run_id)  # J4
-    # post-run jobs (pipelines.py:36-43)
-    if context == "projekt":
-        st.expand_person_frontier(delta, run_id)  # J5
-    else:
+    # J3, and the post-run jobs (pipelines.py:36-43): J5 rides J3's pass
+    st.upsert_details(delta, context, run_id)
+    if context != "projekt":
         st.mark_moved(context, run_id)  # J7 (+ J8)
 
     status_counts, metrics = st.tally(delta)

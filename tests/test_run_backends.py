@@ -70,14 +70,16 @@ def _count_executions(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("backend,day1,day2", [("pandas", 4, 2), ("ds", 55, 49)])
+@pytest.mark.parametrize("backend,day1,day2", [("pandas", 4, 2), ("ds", 43, 41)])
 def test_daily_cycle_dataset_executions(tmp_path, monkeypatch, backend, day1, day2):
     """The pandas backend runs one listing pass for the monitor and all
     three searches, plus one Dataset execution per details run with a
     non-empty frontier: 4 on day 1, 2 on day 2 (only the J8-flagged
     institutions come back). The Dataset backend stays within its
-    measured 55 / 49: the listing pass, one slice per search and the
-    monitor, and one execution for each search's ST1/ST2 checks."""
+    measured 43 / 41: the listing pass, one slice per search and the
+    monitor, one execution for each search's ST1/ST2 checks, and per
+    details run one state exchange (J3, with J5 on the projekt run) and
+    one tally execution."""
     pages = ensure_pages(SF)
     store = CrawlStore(str(tmp_path / backend))
     counts = []
@@ -93,13 +95,15 @@ def test_daily_cycle_dataset_executions(tmp_path, monkeypatch, backend, day1, da
 
 
 def test_ds_daily_cycle_finishes_at_one_cpu(tmp_path):
-    """A fresh ``ds`` cron day completes under a one-CPU Ray: every
+    """Two fresh ``ds`` cron days complete under a one-CPU Ray: every
     state transition is an exchange, and a plan that needs a second
     CPU would stall there and not at the test session's 4 CPUs. The
-    day runs in a subprocess with its own Ray, under a timeout, saves
-    the same state as a pandas day, logs no block-size error (Ray
-    fails to size an empty pandas block with a string column), and no
-    state block whose dtypes differ from another's."""
+    days run in a subprocess with its own Ray, under a timeout, and
+    save the same state as two pandas days. Neither day logs a
+    block-size error (Ray fails to size an empty pandas block with a
+    string column; day 2's empty person and projekt frontiers hand the
+    run body an empty delta), a state block whose dtypes differ from
+    another's, or a tally bundle without the status schema."""
     import subprocess
     import sys
     import textwrap
@@ -114,21 +118,29 @@ def test_ds_daily_cycle_finishes_at_one_cpu(tmp_path):
         ray.init(address="local", num_cpus=1, include_dashboard=False, logging_level="ERROR")
         from dfg_gepris_crawler_ray.frontier.manifests import CrawlStore
         from dfg_gepris_crawler_ray.pipelines.schedule import run_daily_cycle
-        run_daily_cycle(CrawlStore({root!r}), {pages!r}, backend="ds")
+        for day in (1, 2):
+            print(f"=== day {{day}}", file=sys.stderr, flush=True)
+            run_daily_cycle(CrawlStore({root!r}), {pages!r}, backend="ds")
         ray.shutdown()
         """
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=300)
     assert out.returncode == 0, out.stderr[-2000:]
-    # no state transition emits an empty block that Ray cannot size
-    assert "on size 0 inputs" not in out.stderr
-    # state blocks agree on their dtypes: no pandas block schema differs
-    # from its predecessor's, and no reduce concatenates object columns
-    # with float64 ones
-    assert not re.search(r"different schema.*new schema: PandasBlockSchema", out.stderr)
-    assert not re.search(r"\(reduce pid=\d+\).*FutureWarning", out.stderr)
+    days = out.stderr.split("=== day ")[1:]
+    assert len(days) == 2
+    for log in days:
+        # no state transition emits an empty block that Ray cannot size
+        assert "on size 0 inputs" not in log, log[:1]
+        # state blocks agree on their dtypes: no pandas block schema
+        # differs from its predecessor's, and no reduce concatenates
+        # object columns with float64 ones
+        assert not re.search(r"different schema.*new schema: PandasBlockSchema", log), log[:1]
+        assert not re.search(r"\(reduce pid=\d+\).*FutureWarning", log), log[:1]
+        # the tally's partials all carry the status schema
+        assert "Previous schema: status" not in log, log[:1]
     pandas_store = CrawlStore(str(tmp_path / "pandas"))
-    run_daily_cycle(pandas_store, pages, backend="pandas")
+    for _ in range(2):
+        run_daily_cycle(pandas_store, pages, backend="pandas")
     got = _sorted_state(CrawlStore(root), "ds")
     want = _sorted_state(pandas_store, "pandas")
     assert len(got) == len(want) > 0

@@ -44,7 +44,7 @@ def test_search_then_details_projekt(pages_dir, store):
     # details run on a budget: J1 priority (all never-checked → state order)
     out2 = R.run_details(
         store, pages_dir, "projekt", ids_spec="db:all:50",
-        host_lookup=_host_lookup, num_buckets=8,
+        host_lookup=_host_lookup,
     )
     assert out2["run_id"] == 2
     assert len(out2["delta"]) == 50
@@ -83,7 +83,7 @@ def test_details_moved_and_error_states(pages_dir, store):
     error_docs = [d for d in range(N_DOCS) if d % 3 == 1 and G.corrupt_kind(d) == "error"]
     assert moved_docs and error_docs
     ids = [1000 + d for d in moved_docs + error_docs]
-    out = R.run_details(store, pages_dir, "person", ids_spec=ids, num_buckets=4)
+    out = R.run_details(store, pages_dir, "person", ids_spec=ids)
     delta = out["delta"]
     assert set(delta[delta["status"] == "moved"]["id"]) == {1000 + d for d in moved_docs}
     assert set(delta[delta["status"] == "error"]["id"]) == {1000 + d for d in error_docs}
@@ -98,7 +98,7 @@ def test_host_budget_caps_frontier(pages_dir, store):
     R.run_search(store, pages_dir, "institution")
     out = R.run_details(
         store, pages_dir, "institution", ids_spec="db:needed:200",
-        host_lookup=_host_lookup, max_per_host=5, num_buckets=4,
+        host_lookup=_host_lookup, max_per_host=5,
     )
     frontier = out["frontier"]
     assert (frontier.groupby("host").size() <= 5).all()
@@ -131,7 +131,7 @@ def test_ids_spec_variants(tmp_path, store):
 
 
 def test_downstream_edges_match_formulas(pages_dir, store):
-    R.run_details(store, pages_dir, "projekt", ids_spec=[1000 + 3, 1000 + 6], num_buckets=2)
+    R.run_details(store, pages_dir, "projekt", ids_spec=[1000 + 3, 1000 + 6])
     history = store.load_table("history", S.empty_history())
     runs = store.load_table("runs", S.empty_runs())
     latest = S.latest_detail_items(history, runs)

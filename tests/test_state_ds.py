@@ -1,14 +1,17 @@
 """Distributed state transitions equal the driver-side pandas ones
 (frontier.state_ds)."""
 
+import json
+
 import pandas as pd
 import pytest
 
 import ray.data
 
 from dfg_gepris_crawler_ray.frontier import state as S
+from dfg_gepris_crawler_ray.pipelines import derive
 from dfg_gepris_crawler_ray.frontier.state_ds import (
-    upsert_from_details_ds,
+    upsert_from_details_bucketed,
     upsert_from_search_ds,
 )
 
@@ -85,10 +88,52 @@ def test_history_append_matches_pandas():
 def test_details_transition_matches_pandas():
     obs1 = [(i, f'{{"id":{i}}}') for i in range(50)]
     st = S.upsert_from_search(S.empty_state(), obs1, "person", 1)
-    ids = set(range(25, 75))  # half known, half brand-new
-    want = S.upsert_from_details(st.copy(), sorted(ids), "person", 2)
-    got = upsert_from_details_ds(ray.data.from_pandas(st), ids, "person", 2).to_pandas()
+    ids = list(range(25, 75))  # half known, half brand-new
+    want = S.upsert_from_details(st.copy(), ids, "person", 2)
+    delta = ray.data.from_pandas(pd.DataFrame({"id": ids + ids[:5]}))
+    got = upsert_from_details_bucketed(ray.data.from_pandas(st), delta, "person", 2).to_pandas()
     assert _norm(got) == _norm(want)
+
+
+def test_details_transition_with_person_references_matches_pandas():
+    """J3 + J5 in one exchange equals the pandas J3 then J5: the
+    projekt run's processed ids get their flags (known ones) or insert
+    (new ones), and the persons its items reference that the state
+    lacks join the frontier as needed — each once, however often it is
+    referenced; a referenced person the state holds keeps its row."""
+    st = S.upsert_from_search(
+        S.empty_state(), [(i, f'{{"id":{i}}}') for i in range(20)], "projekt", 1
+    )
+    st = S.upsert_from_search(
+        st, [(100 + i, f'{{"id":{100 + i}}}') for i in range(10)], "person", 1
+    )
+    st = S.upsert_from_details(st, [100, 101, 102], "person", 2)
+    # projekt p (10..29) references persons 95 + (p % 20) and
+    # 105 + (p % 7), persons 100..109 are known; every fourth projekt
+    # failed and references nothing
+    processed = list(range(10, 30))  # half known, half brand-new projekts
+    rows = pd.DataFrame(
+        [
+            dict(id=p, context="projekt", status="success" if p % 4 else "error",
+                 item=json.dumps({"id": p, "attributes": {
+                     "antragsteller_personen": [95 + (p % 20)],
+                     "sprecher_personen": [105 + (p % 7)]}}) if p % 4 else None)
+            for p in processed
+        ]
+    )
+    want = S.upsert_from_details(st.copy(), processed, "projekt", 3)
+    want = S.expand_person_frontier(want, rows.assign(created_at=3), 3)
+    delta = ray.data.from_pandas(rows)
+    got = upsert_from_details_bucketed(
+        ray.data.from_pandas(st), delta, "projekt", 3,
+        references=derive.all_reference_edges(delta, "person"),
+    ).to_pandas()
+    persons = set(got.loc[got["context"] == "person", "id"]) - set(range(100, 110))
+    assert persons == {96, 97, 98, 110, 111, 112, 113, 114}
+    assert _norm(got) == _norm(want)
+    for c in ("last_available_seen", "last_available_change", "last_detail_check"):
+        assert got[c].dtype == "float64", c
+
 
 def test_get_ids_ds_matches_pandas():
     """J1 at state scale: same priority contract as the pandas form
