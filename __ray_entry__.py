@@ -882,7 +882,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "rel_latest_event_per_user": relational.latest_event_per_user,
         "rel_hourly_event_stats": relational.hourly_event_stats,
         "rel_top_orders": lambda sf: relational.top_orders(sf, k=20),
-        "rel_q3_topk_revenue": lambda sf: relational.segment_order_revenue_topk(sf),
+        # Q3: two registry names, one co_exchange route
+        "rel_q3_topk_revenue": relational.segment_order_revenue_topk,
         "rel_session_windows": relational.session_windows,
         "rel_value_quantiles": relational.value_quantiles,
         "rel_sliding_windows": relational.sliding_window_counts,
@@ -891,7 +892,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "rel_asof_join": relational.asof_join_latest_order,
         "rel_bucketed_join": relational.customer_order_rollup_bucketed,
         "rel_range_join": relational.purchase_followup_range_join,
-        "rel_q3_topk_shuffle": relational.q3_topk_revenue_shuffle,
+        "rel_q3_topk_shuffle": relational.segment_order_revenue_topk,
         "text_hash_split": textstats.hash_split,
         # the ONE remaining rows-only entry, formally closed: a
         # mergeable centroid digest's output is a function of the
@@ -912,13 +913,10 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "crawl_pagerank": _q_pagerank,
         "rel_stratified_sample": curation.stratified_sample,
         "dedup_clusters_dist": lambda sf: dedup.dedup_clusters(sf, mode="distributed"),
-        # benchmark n-gram decontamination (broadcast default; the
-        # bucketed no-driver-set route is oracle-identical — pinned by
-        # tests AND gated separately below)
+        # benchmark n-gram decontamination (one gram-keyed and one
+        # doc-keyed exchange, no driver gram set; both names run it)
         "text_decontaminate": decontaminate.decontaminate,
-        "text_decontaminate_bucketed": lambda sf: decontaminate.decontaminate(
-            sf, route="bucketed"
-        ),
+        "text_decontaminate_bucketed": decontaminate.decontaminate,
         # Gopher-style repetition signals (integer-exact — the float
         # filter ratios reduce to integer comparisons over these)
         "text_repetition_stats": textstats.repetition_stats,
@@ -1045,11 +1043,10 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # BM25 ranked retrieval (stats pass = mergeable partials →
         # broadcast; score pass = per-batch top-k prune → tiny sort)
         "text_bm25_topk": _q_bm25_topk,
-        # incremental (cross-snapshot) exact dedup: bucketed anti-join
-        # form, plus the bloom-prefilter fast path (definitely-new docs
-        # bypass the exchange; FPs exactly verified → identical output)
-        "dedup_incremental": lambda sf: dedup.incremental_dedup(sf, route="bucketed"),
-        "dedup_incremental_bloom": lambda sf: dedup.incremental_dedup(sf, route="bloom"),
+        # incremental (cross-snapshot) exact dedup: keep-min exchange,
+        # then a bucketed anti-join against the corpus; both names run it
+        "dedup_incremental": dedup.incremental_dedup,
+        "dedup_incremental_bloom": dedup.incremental_dedup,
         # Gopher-style rule gate (integer-exact keep; zero-shuffle scan)
         "text_gopher_rules": curation.gopher_rules,
         # change-rate-driven refresh plan (recrawl_delta → one
@@ -1116,18 +1113,14 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # TPC-H Q5 star join: two fact-fact bucket exchanges + dim
         # broadcast, integer-exact revenue (no float drift)
         "rel_q5_nation_revenue": relational.regional_nation_revenue,
-        # TPC-H-Q4-style EXISTS semi-join (union-tag exchange) + the
-        # bloom runtime-filter pushdown route (identical output)
+        # TPC-H-Q4-style EXISTS semi-join (one orderkey co_exchange);
+        # both names run it
         "rel_semi_join": relational.returned_orders_by_priority,
-        "rel_semi_join_bloom": lambda sf: relational.returned_orders_by_priority(
-            sf, route="bloom"
-        ),
-        # TPC-H Q18 HAVING-filter semi-join: survivor map broadcast
-        # (selectivity-bounded) + the zero-driver bucketed route
+        "rel_semi_join_bloom": relational.returned_orders_by_priority,
+        # TPC-H Q18 HAVING-filter semi-join: aggregate, HAVING and join
+        # in one orderkey co_exchange; both names run it
         "rel_q18_large_orders": relational.large_quantity_orders,
-        "rel_q18_large_orders_bucketed": lambda sf: relational.large_quantity_orders(
-            sf, route="bucketed"
-        ),
+        "rel_q18_large_orders_bucketed": relational.large_quantity_orders,
         # first-order Markov transition counts over per-user event
         # streams (lead() window → pair counts; one user-hash exchange)
         "rel_event_transitions": relational.event_transition_counts,
@@ -3680,8 +3673,8 @@ def oracle_sql() -> dict[str, str]:
         # approximate digests) → rows-only checks + error-bound pytest.
     }
     # the distributed-cluster labeling must produce byte-identical
-    # output to the driver union-find, so it shares its oracle; the
-    # hash-shuffle Q3 must equal the broadcast Q3
+    # output to the driver union-find, so it shares its oracle; both
+    # Q3 registry names run one route and share one oracle
     oracles["dedup_clusters_dist"] = oracles["dedup_clusters"]
     oracles["rel_q3_topk_shuffle"] = oracles["rel_q3_topk_revenue"]
     # PageRank: iterative but with a FIXED iteration count, so the
@@ -3938,9 +3931,7 @@ def oracle_sql() -> dict[str, str]:
     oracles["text_bm25_topk"] = bm25_oracle_sql()
     # incremental dedup: established snapshot = doc_id % 3 != 2,
     # re-crawl batch = even doc_ids; survivors = genuinely-new content
-    # (keep-min within the batch). Both routes share the oracle — the
-    # bloom route's false positives are exactly verified, so its
-    # output is deterministic, not approximate.
+    # (keep-min within the batch); both registry names share the oracle
     oracles["dedup_incremental"] = """
         WITH old AS (SELECT DISTINCT md5(text) AS h FROM documents
                      WHERE doc_id % 3 != 2),
@@ -4629,7 +4620,7 @@ def oracle_sql() -> dict[str, str]:
           AND o_orderdate < TIMESTAMP '1997-01-01'
         GROUP BY n_name
     """
-    # EXISTS semi-join + its bloom-pushdown route (shared oracle)
+    # EXISTS semi-join (both registry names share the oracle)
     oracles["rel_semi_join"] = """
         SELECT o_orderpriority, count(*) AS n_orders
         FROM orders
@@ -4641,7 +4632,7 @@ def oracle_sql() -> dict[str, str]:
     # Q18 HAVING-filter semi-join (threshold 300 ≈ p99.7 of per-order
     # quantity; k=100 — non-binding at sf0.01, binding at sf0.1 with a
     # deterministic (totalprice desc, orderdate, orderkey) tiebreak);
-    # shared by both routes
+    # shared by both registry names
     oracles["rel_q18_large_orders"] = """
         WITH surv AS (SELECT l_orderkey, sum(l_quantity) AS sum_qty
                       FROM lineitem GROUP BY 1 HAVING sum(l_quantity) > 300)

@@ -565,8 +565,6 @@ def main():
     from dfg_gepris_crawler_ray.ops.search import bm25_topk
     timed("text_bm25_topk", lambda: bm25_topk(SF_DIR))
     timed("dedup_incremental", lambda: dedup.incremental_dedup(SF_DIR).materialize())
-    timed("dedup_incremental_bloom",
-          lambda: dedup.incremental_dedup(SF_DIR, route="bloom").materialize())
     timed("text_gopher_rules", lambda: curation.gopher_rules(SF_DIR).materialize())
     from dfg_gepris_crawler_ray.ops.recrawl import recrawl_schedule
     timed("crawl_recrawl_schedule", lambda: recrawl_schedule(SF_DIR).materialize())

@@ -22,6 +22,7 @@ import os
 
 import pandas as pd
 import pyarrow as pa
+import pyarrow.parquet as pq
 
 #: ``state.TABLE_DTYPES`` names → the Arrow types a ds table is stored as
 _ARROW_TYPES = {
@@ -199,6 +200,12 @@ class CrawlStore:
             if os.path.isdir(leftover):
                 shutil.rmtree(leftover)
         ds.write_parquet(tmp)
+        if not os.path.isdir(tmp):
+            # no rows: write_parquet made no directory, so publish one
+            # typed empty file (every ds-saved table has canonical types)
+            os.makedirs(tmp)
+            empty = pa.schema(list(types.items())).empty_table()
+            pq.write_table(empty, os.path.join(tmp, "empty.parquet"))
         os.replace(tmp, d)  # artifact complete before pointer swap
         self._write_pointer(name, "ds", base, seq)
         self._gc_stale(name, keep=base)

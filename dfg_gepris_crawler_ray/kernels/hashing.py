@@ -86,47 +86,3 @@ def minhash_permutations(num_perm: int, seed: int = 42) -> np.ndarray:
 
 
 MERSENNE61 = _MERSENNE61
-
-
-def bloom_partial(hashes64: "np.ndarray", m_bits: int, k: int = 4) -> "np.ndarray":
-    """OR-mergeable bloom bitmap (uint64 words) over 64-bit key
-    hashes; probe positions from repeated splitmix64 remixing — the
-    same derivation ``bloom_contains`` uses on the lookup side."""
-    words = np.zeros(m_bits // 64, dtype=np.uint64)
-    z = hashes64.astype(np.uint64)
-    for _ in range(k):
-        z = splitmix64(z)
-        pos = z % np.uint64(m_bits)
-        np.bitwise_or.at(
-            words,
-            (pos // np.uint64(64)).astype(np.int64),
-            np.uint64(1) << (pos % np.uint64(64)),
-        )
-    return words
-
-
-def bloom_contains(
-    words: "np.ndarray", hashes64: "np.ndarray", m_bits: int, k: int = 4
-) -> "np.ndarray":
-    present = np.ones(len(hashes64), dtype=bool)
-    z = hashes64.astype(np.uint64)
-    for _ in range(k):
-        z = splitmix64(z)
-        pos = z % np.uint64(m_bits)
-        present &= (
-            words[(pos // np.uint64(64)).astype(np.int64)]
-            >> (pos % np.uint64(64))
-        ) & np.uint64(1) == 1
-    return present
-
-
-def bloom_or(parts, m_bits: int):
-    """OR of the bloom partial rows ``parts`` (column ``w`` of bitmap
-    bytes) as one such row — a :func:`kernels.partitioning.fan_in`
-    combine, so the driver reads a bounded number of bitmaps."""
-    import pandas as pd
-
-    acc = np.zeros(m_bits // 64, dtype=np.uint64)
-    for buf in parts.get("w", ()):
-        acc |= np.frombuffer(buf, dtype=np.uint64)
-    return pd.DataFrame({"w": [acc.tobytes()]})

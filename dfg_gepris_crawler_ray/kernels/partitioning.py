@@ -41,8 +41,7 @@ the collected results once more on the driver) for every op whose
 answer is a small driver-side merge — the kNN top-k partials
 (``similarity._merge_topk``), the k-means and PQ centroid sums, the
 PCA moments, the IRLS statistics of ``classifier``, the Count-Min
-grid, ``curation.weighted_sample``, the host-budget leftover prune and
-both bloom routes (``hashing.bloom_or``).
+grid, ``curation.weighted_sample`` and the host-budget leftover prune.
 
 Callers: every keyed exchange of the engine (the Dataset-state
 transitions of ``frontier.state_ds``, ``derive.latest_detail_items_ds``,

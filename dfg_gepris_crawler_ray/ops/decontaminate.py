@@ -8,23 +8,12 @@ benchmark side is carved deterministically out of the same
 ``documents`` table (``doc_id % bench_mod == 0``) so the op is
 self-contained and SQL-oracle-checkable.
 
-Two routes, identical output (equivalence pinned in tests):
-
-- ``route="broadcast"`` (default): the benchmark gram-hash set is
-  reduced to one sorted uint64 array, ``ray.put`` ONCE, and every
-  extract task does a vectorised ``np.searchsorted`` membership test.
-  Right whenever the eval set is small relative to the corpus (the
-  real-world case: benchmarks are MBs, corpora are TBs).
-- ``route="bucketed"``: no driver-resident gram set — benchmark and
-  training grams are exploded to rows, routed together by gram hash
-  (``kernels.partitioning.keyed_exchange``), matched inside each
-  bucket, and per-doc partial counts are summed by a second, doc-keyed
-  exchange. The scale form for when the "benchmark" side is itself
-  huge (e.g. decontaminating against another corpus).
-
-100-TB posture: the broadcast route touches the corpus once with no
-shuffle; the bucketed route is two keyed exchanges carrying only
-(hash, doc_id) rows, never text.
+Benchmark and training grams are exploded to (hash, doc_id) rows and
+routed together by gram hash (``kernels.partitioning.keyed_exchange``),
+matched inside each bucket, and per-doc partial counts are summed by a
+second, doc-keyed exchange: no gram set is held on the driver, so the
+benchmark side may itself be corpus-sized (e.g. decontaminating
+against another corpus), and no text ever crosses an exchange.
 """
 
 from __future__ import annotations
@@ -76,29 +65,10 @@ def _grams_of_batch(batch: pa.Table, n: int) -> tuple[np.ndarray, np.ndarray, np
     return ids, counts, flat
 
 
-def _benchmark_gram_array(sf_dir: str, n: int, bench_mod: int) -> np.ndarray:
-    """Sorted distinct gram hashes of the benchmark slice (small side)."""
-    ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
-
-    def bench_grams(batch: pa.Table) -> pa.Table:
-        ids = batch.column("doc_id").to_numpy(zero_copy_only=False)
-        batch = batch.filter(pa.array(ids % bench_mod == 0))
-        _, _, flat = _grams_of_batch(batch, n)
-        return pa.table({"ghash": pa.array(np.unique(flat), type=pa.uint64())})
-
-    parts = ds.map_batches(bench_grams, batch_format="pyarrow", zero_copy_batch=True)
-    # the eval set is tiny by definition — collecting its distinct gram
-    # hashes to the driver IS the broadcast pattern (MBs, not corpus-sized)
-    arrs = [b.column("ghash").to_numpy() for b in parts.iter_batches(batch_format="pyarrow")]
-    flat = np.concatenate(arrs) if arrs else np.empty(0, dtype=np.uint64)
-    return np.unique(flat)
-
-
 def decontaminate(
     sf_dir: str,
     n: int = 4,
     bench_mod: int = 29,
-    route: str = "broadcast",
 ) -> "ray.data.Dataset":
     """Per training doc: (doc_id, n_grams, n_contaminated, contaminated).
 
@@ -108,42 +78,6 @@ def decontaminate(
     ``n`` tokens have no shingles and are excluded (mirrors the SQL
     oracle's ``unnest`` semantics).
     """
-    if route == "bucketed":
-        return _decontaminate_bucketed(sf_dir, n, bench_mod)
-
-    bench_ref = ray.put(_benchmark_gram_array(sf_dir, n, bench_mod))
-    ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
-
-    def flag(batch: pa.Table) -> pa.Table:
-        all_ids = batch.column("doc_id").to_numpy(zero_copy_only=False)
-        batch = batch.filter(pa.array(all_ids % bench_mod != 0))
-        bench = ray.get(bench_ref)
-        ids, counts, flat = _grams_of_batch(batch, n)
-        if len(bench):
-            pos = np.searchsorted(bench, flat)
-            pos[pos >= len(bench)] = len(bench) - 1 if len(bench) else 0
-            hit = (bench[pos] == flat).astype(np.int64)
-        else:
-            hit = np.zeros(len(flat), dtype=np.int64)
-        # segment-sum hits back to docs
-        seg = np.repeat(np.arange(len(ids)), counts)
-        hits = np.bincount(seg, weights=hit, minlength=len(ids)).astype(np.int64)
-        mask = counts > 0
-        return pa.table(
-            {
-                "doc_id": pa.array(ids[mask], type=pa.int64()),
-                "n_grams": pa.array(counts[mask]),
-                "n_contaminated": pa.array(hits[mask]),
-                "contaminated": pa.array((hits[mask] > 0).astype(np.int64)),
-            }
-        )
-
-    return ds.map_batches(flag, batch_format="pyarrow", zero_copy_batch=True)
-
-
-def _decontaminate_bucketed(sf_dir: str, n: int, bench_mod: int) -> "ray.data.Dataset":
-    """No driver gram set: route benchmark + training grams together
-    by gram hash, match per bucket, sum per-doc partials."""
     ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
     width = table_width(sf_dir, "documents")
 

@@ -27,9 +27,6 @@ import ray
 import ray.data
 
 from ..kernels.hashing import (
-    bloom_contains as _bloom_contains,
-    bloom_or as _bloom_or,
-    bloom_partial as _bloom_partial,
     minhash_permutations,
     splitmix64,
     stable_hash64,
@@ -38,7 +35,6 @@ from ..kernels.hashing import (
 from ..kernels.partitioning import (
     adaptive_buckets,
     co_exchange,
-    fan_in,
     keyed_exchange,
     route_bucket,
     supersteps,
@@ -1142,11 +1138,7 @@ def _md5_rows(batch: pa.Table, mod: int, want: int, negate: bool = False) -> pa.
     )
 
 
-def incremental_dedup(
-    sf_dir: str,
-    route: str = "bucketed",
-    bloom_bits: int = 1 << 20,
-) -> "ray.data.Dataset":
+def incremental_dedup(sf_dir: str) -> "ray.data.Dataset":
     """Cross-snapshot exact dedup — the arrival-time form of
     ``exact_dedup``: an established corpus snapshot (docs with
     ``doc_id % 3 != 2``) already exists; a re-crawl batch (docs with
@@ -1156,22 +1148,12 @@ def incremental_dedup(
     dropped before any downstream work — the reference's
     change-detection idea (database.py upsert diffing) at corpus scale.
 
-    Routes (identical output, pinned by pytest + shared gate oracle):
-
-    - ``"bucketed"``: within-batch keep-min (one md5-keyed exchange
-      over the NEW batch only) → corpus anti-join
-      (``relational.anti_join_bucketed``, co-partitioned on the md5). At 100 TB the old side would be a PRE-BUILT hash
-      index, bucket-partitioned on disk (the ``inverted_index`` sink
-      layout), so only the new batch moves; here both sides derive
-      from one table so the old hashes shuffle once.
-    - ``"bloom"``: per-batch OR-mergeable bloom partials over the old
-      corpus reduce to one driver-held bitmap (``bloom_bits`` bits —
-      bounded and small, NOT corpus-sized), broadcast via ``ray.put``;
-      definitely-new docs bypass the anti-join exchange entirely and
-      only bloom-positive (maybe-dup) docs enter the exact verify —
-      false positives cannot drop a new doc. This is the incremental-
-      crawl fast path: when most content is new, almost nothing
-      shuffles.
+    Within-batch keep-min (one md5-keyed exchange over the NEW batch
+    only) → corpus anti-join (``relational.anti_join_bucketed``,
+    co-partitioned on the md5). At 100 TB the old side would be a
+    PRE-BUILT hash index, bucket-partitioned on disk (the
+    ``inverted_index`` sink layout), so only the new batch moves; here
+    both sides derive from one table so the old hashes shuffle once.
     """
     import pyarrow.parquet as pq
 
@@ -1195,33 +1177,9 @@ def incremental_dedup(
     # filter: members of an md5 group are all dropped or all kept)
     new_min = keep_min(new_h, "h", "doc_id", n)
 
-    if route == "bucketed":
-        # materialized first: at one CPU, a plan that unions a
-        # sort-shuffle branch with a streaming read never finishes
-        survivors = anti_join_bucketed(new_min.materialize(), old_h, "h", rows_t, n)
-    elif route == "bloom":
-        def bloom_rows(df: pd.DataFrame) -> pd.DataFrame:
-            h64 = stable_hash64_array(list(df["h"]))
-            return pd.DataFrame({"w": [_bloom_partial(h64, bloom_bits).tobytes()]})
-
-        merged = fan_in(
-            old_h.map_batches(bloom_rows, batch_format="pandas"),
-            lambda df: _bloom_or(df, bloom_bits),
-        )
-        bloom_ref = ray.put(np.frombuffer(merged["w"].iloc[0], dtype=np.uint64))
-
-        def split_maybe(df: pd.DataFrame) -> pd.DataFrame:
-            words = ray.get(bloom_ref)
-            h64 = stable_hash64_array(list(df["h"]))
-            maybe = _bloom_contains(words, h64, bloom_bits)
-            return df.assign(_maybe=maybe)
-
-        tagged = new_min.map_batches(split_maybe, batch_format="pandas").materialize()
-        fresh = tagged.filter(expr="_maybe == False").select_columns(["doc_id", "h"])
-        maybe = tagged.filter(expr="_maybe == True").select_columns(["doc_id", "h"])
-        survivors = fresh.union(anti_join_bucketed(maybe, old_h, "h", rows_t, n))
-    else:  # pragma: no cover - guarded by callers
-        raise ValueError(f"unknown route {route!r}")
+    # materialized first: at one CPU, a plan that unions a
+    # sort-shuffle branch with a streaming read never finishes
+    survivors = anti_join_bucketed(new_min.materialize(), old_h, "h", rows_t, n)
 
     return survivors.map_batches(
         lambda df: pd.DataFrame(

@@ -39,7 +39,6 @@ from ray.data.aggregate import Sum
 
 from ..kernels.partitioning import (
     co_exchange,
-    fan_in,
     keyed_exchange,
     table_width,
     typed_frame,
@@ -286,14 +285,12 @@ def segment_order_revenue_topk(
     """TPC-H Q3-shaped 3-way join: customer(segment) ⋈ orders ⋈ lineitem
     → top-k orders by discounted revenue.
 
-    Join strategy at this shape: the segment's customer keys and their
-    order keys are the *small* sides — broadcast semi-joins via
-    ``ray.put`` — so the only heavy scan (lineitem) streams once with a
-    per-batch partial aggregation and the final groupby carries one row
-    per surviving order per batch. At a scale where the order-key set
-    no longer broadcasts, swap the semi-join for a hash-shuffle join on
-    l_orderkey (same downstream code)."""
-
+    Shape: the customer(segment) semi-join into orders is a broadcast of
+    the segment's customer keys (customers per segment ≪ orders); the
+    orders⋈lineitem join runs as one orderkey co-partition
+    (``co_exchange``) — per-batch partial revenue per order first, so the
+    shuffle carries one row per order per batch, never raw lineitems,
+    and no order-key set is held on the driver."""
     cust = pq.read_table(
         f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_mktsegment"]
     )
@@ -304,51 +301,52 @@ def segment_order_revenue_topk(
         )
         if seg == segment
     }
-    orders = pq.read_table(
+    seg_ref = ray.put(seg_keys)
+
+    orders = ray.data.read_parquet(
         f"{sf_dir}/orders.parquet", columns=["o_orderkey", "o_custkey", "o_orderdate"]
     )
-    order_date = {
-        ok: od
-        for ok, ck, od in zip(
-            orders.column("o_orderkey").to_pylist(),
-            orders.column("o_custkey").to_pylist(),
-            orders.column("o_orderdate").to_pylist(),
-        )
-        if ck in seg_keys
-    }
-    dates_ref = ray.put(order_date)
-
     li = ray.data.read_parquet(
         f"{sf_dir}/lineitem.parquet",
         columns=["l_orderkey", "l_extendedprice", "l_discount"],
     )
 
-    def join_partial(batch: pa.Table) -> pa.Table:
-        lookup = ray.get(dates_ref)
-        keys = batch.column("l_orderkey").to_pylist()
-        mask = pa.array([key in lookup for key in keys])
-        kept = batch.filter(mask)
-        rev = pc.multiply(
-            kept.column("l_extendedprice"),
-            pc.subtract(pa.scalar(1.0), kept.column("l_discount")),
-        )
-        df = pd.DataFrame(
-            {"o_orderkey": kept.column("l_orderkey").to_pylist(), "revenue": rev.to_pylist()}
-        )
-        g = df.groupby("o_orderkey", as_index=False).agg(revenue=("revenue", "sum"))
-        return pa.Table.from_pandas(g, preserve_index=False)
+    def seg_orders(df: pd.DataFrame) -> pd.DataFrame:
+        return df.loc[df["o_custkey"].isin(ray.get(seg_ref)), ["o_orderkey", "o_orderdate"]]
 
-    partials = li.map_batches(join_partial, batch_format="pyarrow", zero_copy_batch=True)
-    per_order = partials.groupby("o_orderkey").aggregate(
-        Sum("revenue", alias_name="revenue")
+    def line_partial(df: pd.DataFrame) -> pd.DataFrame:
+        rev = df["l_extendedprice"] * (1.0 - df["l_discount"])
+        # per-batch partial: one row per order per batch
+        return (
+            pd.DataFrame({"o_orderkey": df["l_orderkey"], "revenue": rev})
+            .groupby("o_orderkey", as_index=False)["revenue"].sum()
+        )
+
+    empty = typed_frame(o_orderkey="int64", revenue="float64", o_orderdate="datetime64[us]")
+
+    def per_bucket(parts: dict) -> pd.DataFrame:
+        o, l = parts["o"], parts["l"]
+        if not len(o) or not len(l):
+            return empty.copy()
+        rev = l.groupby("o_orderkey", as_index=False)["revenue"].sum()
+        m = rev.merge(o, on="o_orderkey")  # inner: only segment orders survive
+        return m[["o_orderkey", "revenue", "o_orderdate"]]
+
+    per_order = co_exchange(
+        {
+            "o": (orders.map_batches(seg_orders, batch_format="pandas"), "o_orderkey",
+                  empty[["o_orderkey", "o_orderdate"]]),
+            "l": (li.map_batches(line_partial, batch_format="pandas"), "o_orderkey",
+                  empty[["o_orderkey", "revenue"]]),
+        },
+        per_bucket,
+        table_width(sf_dir, "lineitem"),
     )
     topk = per_order.sort(["revenue", "o_orderkey"], descending=[True, False]).limit(k)
 
     def finish(df: pd.DataFrame) -> pd.DataFrame:
-        lookup = ray.get(dates_ref)
         df["revenue"] = round_half_away(df["revenue"], 2)
-        df["o_orderdate"] = [lookup[key] for key in df["o_orderkey"]]
-        return df
+        return df[["o_orderkey", "revenue", "o_orderdate"]]
 
     return topk.map_batches(finish, batch_format="pandas")
 
@@ -577,79 +575,6 @@ def asof_join_latest_order(sf_dir: str) -> "ray.data.Dataset":
         },
         per_bucket, table_width(sf_dir, "orders"),
     )
-
-
-def q3_topk_revenue_shuffle(
-    sf_dir: str, segment: str = "BUILDING", k: int = 10
-) -> "ray.data.Dataset":
-    """The Q3 3-way join via HASH-SHUFFLE — the scale path
-    ``segment_order_revenue_topk`` documents for when the segment's
-    order-key set no longer fits a ``ray.put`` broadcast.
-
-    Shape: customer(segment) semi-join into orders stays broadcast
-    (customers per segment ≪ orders); the orders⋈lineitem join runs as
-    one orderkey co-partition (``co_exchange``) — per-batch partial revenue
-    per order first, so the shuffle carries one row per surviving order per
-    batch, never raw lineitems. Output identical to the broadcast form
-    (same oracle shape)."""
-    cust = pq.read_table(
-        f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_mktsegment"]
-    )
-    seg_keys = {
-        ck
-        for ck, seg in zip(
-            cust.column("c_custkey").to_pylist(), cust.column("c_mktsegment").to_pylist()
-        )
-        if seg == segment
-    }
-    seg_ref = ray.put(seg_keys)
-
-    orders = ray.data.read_parquet(
-        f"{sf_dir}/orders.parquet", columns=["o_orderkey", "o_custkey", "o_orderdate"]
-    )
-    li = ray.data.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_orderkey", "l_extendedprice", "l_discount"],
-    )
-
-    def seg_orders(df: pd.DataFrame) -> pd.DataFrame:
-        return df.loc[df["o_custkey"].isin(ray.get(seg_ref)), ["o_orderkey", "o_orderdate"]]
-
-    def line_partial(df: pd.DataFrame) -> pd.DataFrame:
-        rev = df["l_extendedprice"] * (1.0 - df["l_discount"])
-        # per-batch partial: one row per order per batch
-        return (
-            pd.DataFrame({"o_orderkey": df["l_orderkey"], "revenue": rev})
-            .groupby("o_orderkey", as_index=False)["revenue"].sum()
-        )
-
-    empty = typed_frame(o_orderkey="int64", revenue="float64", o_orderdate="datetime64[us]")
-
-    def per_bucket(parts: dict) -> pd.DataFrame:
-        o, l = parts["o"], parts["l"]
-        if not len(o) or not len(l):
-            return empty.copy()
-        rev = l.groupby("o_orderkey", as_index=False)["revenue"].sum()
-        m = rev.merge(o, on="o_orderkey")  # inner: only segment orders survive
-        return m[["o_orderkey", "revenue", "o_orderdate"]]
-
-    per_order = co_exchange(
-        {
-            "o": (orders.map_batches(seg_orders, batch_format="pandas"), "o_orderkey",
-                  empty[["o_orderkey", "o_orderdate"]]),
-            "l": (li.map_batches(line_partial, batch_format="pandas"), "o_orderkey",
-                  empty[["o_orderkey", "revenue"]]),
-        },
-        per_bucket,
-        table_width(sf_dir, "lineitem"),
-    )
-    topk = per_order.sort(["revenue", "o_orderkey"], descending=[True, False]).limit(k)
-
-    def finish(df: pd.DataFrame) -> pd.DataFrame:
-        df["revenue"] = round_half_away(df["revenue"], 2)
-        return df[["o_orderkey", "revenue", "o_orderdate"]]
-
-    return topk.map_batches(finish, batch_format="pandas")
 
 
 def customer_order_rollup_bucketed(sf_dir: str) -> "ray.data.Dataset":
@@ -1093,35 +1018,19 @@ def running_totals(sf_dir: str) -> "ray.data.Dataset":
     return keyed_exchange(ds, "user_id", cumulate, table_width(sf_dir, "events"))
 
 
-def returned_orders_by_priority(
-    sf_dir: str,
-    route: str = "bucketed",
-    bloom_bits: int = 1 << 20,
-) -> "ray.data.Dataset":
+def returned_orders_by_priority(sf_dir: str) -> "ray.data.Dataset":
     """(o_orderpriority, n_orders) — orders with at least one RETURNED
     lineitem (``l_returnflag = 'R'``), counted per priority: TPC-H Q4's
     EXISTS semi-join adapted to this schema. The anti-join sibling is
     ``customers_without_orders``; this op completes the join family
-    with the SEMI side and its bloom pushdown.
+    with the SEMI side.
 
-    Routes (identical output — FPs are exactly verified):
-
-    - ``"bucketed"``: orders and the returned keys (per-batch dedup of
-      the lineitem side first: one key per batch, not one per returned
-      line) co-partition in ONE orderkey ``co_exchange``; each bucket
-      runs a vectorized ``isin`` and emits its per-priority partial
-      counts for the tiny priority aggregate.
-    - ``"bloom"``: OR-mergeable bloom partials over returned orderkeys
-      reduce to one driver bitmap (``bloom_bits`` — bounded, NOT
-      key-cardinality) broadcast via ``ray.put``; bloom-NEGATIVE
-      orders drop in the scan (definitely no returned item — the
-      overwhelming majority on a low-return book), and only
-      bloom-positive orders enter the exact verify exchange. This is
-      the classic runtime-filter pushdown a distributed SQL engine
-      plants on the probe side of a selective semi-join.
+    Orders and the returned keys (per-batch dedup of the lineitem side
+    first: one key per batch, not one per returned line) co-partition in
+    ONE orderkey ``co_exchange``; each bucket runs a vectorized ``isin``
+    and emits its per-priority partial counts for the tiny priority
+    aggregate.
     """
-    from ..kernels.hashing import bloom_contains, bloom_or, bloom_partial
-
     orders = ray.data.read_parquet(
         f"{sf_dir}/orders.parquet", columns=["o_orderkey", "o_orderpriority"]
     )
@@ -1138,25 +1047,6 @@ def returned_orders_by_priority(
     keys_ds = returned.map_batches(
         returned_keys, batch_format="pyarrow", zero_copy_batch=True
     )
-
-    if route == "bloom":
-        def bloom_rows(df: pd.DataFrame) -> pd.DataFrame:
-            h = df["key"].to_numpy().astype(np.uint64)
-            return pd.DataFrame({"w": [bloom_partial(h, bloom_bits).tobytes()]})
-
-        merged = fan_in(
-            keys_ds.map_batches(bloom_rows, batch_format="pandas"),
-            lambda df: bloom_or(df, bloom_bits),
-        )
-        bloom_ref = ray.put(np.frombuffer(merged["w"].iloc[0], dtype=np.uint64))
-
-        def prefilter(df: pd.DataFrame) -> pd.DataFrame:
-            h = df["o_orderkey"].to_numpy().astype(np.uint64)
-            return df.loc[bloom_contains(ray.get(bloom_ref), h, bloom_bits)]
-
-        orders = orders.map_batches(prefilter, batch_format="pandas")
-    elif route != "bucketed":  # pragma: no cover - guarded by callers
-        raise ValueError(f"unknown route {route!r}")
 
     def semi(parts: dict) -> pd.DataFrame:
         o = parts["o"]
@@ -1287,7 +1177,6 @@ def large_quantity_orders(
     sf_dir: str,
     threshold: float = 300.0,
     k: int = 100,
-    route: str = "broadcast",
 ) -> "ray.data.Dataset":
     """TPC-H Q18 (large-volume customer): orders whose total lineitem
     quantity exceeds ``threshold``, joined back to orders + customer,
@@ -1296,75 +1185,44 @@ def large_quantity_orders(
     The defining shape is the HAVING-filter semi-join: the aggregate
     side is fact-cardinality going IN but selectivity-bounded coming
     OUT (threshold sits far above the quantity p95, ~0.3% of orders
-    here), so the surviving (orderkey, sum_qty) set is the small side
-    of the subsequent join.
+    here). The aggregate and the join share one exchange: per-batch
+    partial quantity sums and the orders co-partition on the order key
+    (``co_exchange``), and each bucket sums its orders' partials,
+    applies the HAVING filter and inner-merges the survivors with their
+    orders — no survivor set on the driver and no second shuffle.
 
-    Routes (identical output):
-
-    - ``"broadcast"``: partial per-batch quantity sums → one orderkey
-      groupby → HAVING filter → the tiny survivor map broadcast via
-      ``ray.put``; orders probe it in-scan. Driver traffic is
-      survivor-bounded (selectivity × orders), NOT fact-bounded.
-    - ``"bucketed"``: survivors stay a Dataset and meet orders in an
-      orderkey ``co_exchange`` — zero driver residency, the form to use
-      if the threshold were ever hot.
-
-    Customer names attach via dim broadcast either way; final top-k is
-    a per-batch partial top-k pre-reduce, so the driver sees at most
+    Customer names attach via dim broadcast; the final top-k is a
+    per-batch partial top-k pre-reduce, so the driver sees at most
     (blocks × k) rows, then exactly k.
     """
     lineitem = ray.data.read_parquet(
         f"{sf_dir}/lineitem.parquet", columns=["l_orderkey", "l_quantity"]
     )
-
-    def qty_partial(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        g = df.groupby("l_orderkey", as_index=False)["l_quantity"].sum()
-        return pa.Table.from_pandas(
-            g.rename(columns={"l_quantity": "sum_qty"}), preserve_index=False
-        )
-
-    survivors = (
-        lineitem.map_batches(qty_partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("l_orderkey")
-        .aggregate(Sum("sum_qty", alias_name="sum_qty"))
-        .filter(lambda row: row["sum_qty"] > threshold)
-    )
-
     orders = ray.data.read_parquet(
         f"{sf_dir}/orders.parquet",
         columns=["o_orderkey", "o_custkey", "o_totalprice", "o_orderdate"],
     )
 
-    if route == "broadcast":
-        sdf = survivors.to_pandas()  # survivor-bounded by construction
-        qty_map = dict(zip(sdf["l_orderkey"].astype("int64"), sdf["sum_qty"]))
-        qty_ref = ray.put(qty_map)
+    def qty_partial(df: pd.DataFrame) -> pd.DataFrame:
+        g = df.groupby("l_orderkey", as_index=False)["l_quantity"].sum()
+        return g.rename(columns={"l_quantity": "sum_qty"})
 
-        def probe(df: pd.DataFrame) -> pd.DataFrame:
-            lookup = ray.get(qty_ref)
-            hit = df[df["o_orderkey"].isin(lookup)].copy()
-            hit["sum_qty"] = hit["o_orderkey"].map(lookup)
-            return hit
+    def having_join(parts: dict) -> pd.DataFrame:
+        s = parts["s"].groupby("l_orderkey", as_index=False)["sum_qty"].sum()
+        s = s[s["sum_qty"] > threshold].rename(columns={"l_orderkey": "o_orderkey"})
+        return parts["o"].merge(s, on="o_orderkey", how="inner")
 
-        joined = orders.map_batches(probe, batch_format="pandas")
-    elif route == "bucketed":
-        def join_bucket(parts: dict) -> pd.DataFrame:
-            s = parts["s"].rename(columns={"l_orderkey": "o_orderkey"})
-            return parts["o"].merge(s, on="o_orderkey", how="inner")
-
-        joined = co_exchange(
-            {
-                "o": (orders, "o_orderkey", typed_frame(
-                    o_orderkey="int64", o_custkey="int64", o_totalprice="float64",
-                    o_orderdate="datetime64[us]",
-                )),
-                "s": (survivors, "l_orderkey", typed_frame(l_orderkey="int64", sum_qty="float64")),
-            },
-            join_bucket, table_width(sf_dir, "orders"),
-        )
-    else:  # pragma: no cover - guarded by tests
-        raise ValueError(f"unknown route {route!r}")
+    joined = co_exchange(
+        {
+            "o": (orders, "o_orderkey", typed_frame(
+                o_orderkey="int64", o_custkey="int64", o_totalprice="float64",
+                o_orderdate="datetime64[us]",
+            )),
+            "s": (lineitem.map_batches(qty_partial, batch_format="pandas"), "l_orderkey",
+                  typed_frame(l_orderkey="int64", sum_qty="float64")),
+        },
+        having_join, table_width(sf_dir, "orders"),
+    )
 
     cust = pq.read_table(
         f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_name"]

@@ -156,3 +156,29 @@ def test_empty_ds_tables_are_typed(tmp_path):
         assert list(schema.names) == list(empty.columns)
         assert not any(pa.types.is_null(t) for t in schema.types), schema
         assert ds.count() == 0
+
+
+def test_empty_ds_table_saves_and_loads_typed(tmp_path, ray_session):
+    """Saving a ``ds`` table with no rows publishes a typed empty
+    artifact: ``write_parquet`` makes no directory for zero rows, and
+    the publish used to fail at the rename (the first ``ds`` details run
+    on a store with no history, when its frontier hits no page). It
+    loads back empty, with the canonical Arrow types, and a later save
+    over it publishes the next version."""
+    import pyarrow as pa
+
+    from dfg_gepris_crawler_ray.frontier import state as S
+    from dfg_gepris_crawler_ray.frontier.manifests import CrawlStore, _arrow_types
+
+    store = CrawlStore(str(tmp_path))
+    empty = S.empty_history()
+    store.save_table_ds("history", store.load_table_ds("history", empty))
+    assert store._read_pointer("history")["seq"] == 1
+    ds = store.load_table_ds("history", empty)
+    types = _arrow_types("history")
+    assert ds.schema().base_schema == pa.schema([(c, types[c]) for c in empty.columns])
+    assert ds.count() == 0 and len(ds.to_pandas()) == 0
+
+    store.save_table_ds("history", store.load_table_ds("history", empty))
+    assert store._read_pointer("history")["seq"] == 2
+    assert store.load_table_ds("history", empty).count() == 0

@@ -121,16 +121,21 @@ SF = "/root/testdata/sf0.001"
 # measured before the relational ops moved onto keyed_exchange /
 # co_exchange; the port keeps them, except that incremental_dedup
 # materializes its keep-min result before the anti-join (one more
-# execution, measured (1, 2) before), which lets it finish at one CPU
+# execution, measured (1, 2) before), which lets it finish at one CPU.
+# large_quantity_orders runs its aggregate, HAVING filter and join in
+# one co_exchange (measured (2, 0) before: a hash aggregate, then a
+# driver-collected survivor map); segment_order_revenue_topk is one
+# orderkey co_exchange plus the top-k sort
 REL_BUDGET = {
     "regional_nation_revenue": (1, 2),
     "two_nation_volume": (1, 2),
     "nation_market_share": (1, 2),
     "part_supplier_variety": (1, 2),
     "returned_orders_by_priority": (1, 1),
-    "returned_orders_by_priority_bloom": (2, 1),
     "customers_without_orders": (2, 2),
     "incremental_dedup": (2, 2),
+    "large_quantity_orders": (1, 1),
+    "segment_order_revenue_topk": (1, 2),
 }
 
 
@@ -138,11 +143,8 @@ def _run_rel(op: str):
     from dfg_gepris_crawler_ray.ops import dedup
     from dfg_gepris_crawler_ray.ops import relational as R
 
-    if op == "returned_orders_by_priority_bloom":
-        return R.returned_orders_by_priority(SF, route="bloom")
-    if op == "incremental_dedup":
-        return dedup.incremental_dedup(SF, route="bucketed")
-    return getattr(R, op)(SF)
+    module = R if hasattr(R, op) else dedup
+    return getattr(module, op)(SF)
 
 
 @pytest.mark.parametrize("op", sorted(REL_BUDGET))
@@ -202,7 +204,7 @@ CORPUS_BUDGET = {
     "source_quota": (1, 1),
     "pretrain_pack_pipeline": (3, 2),
     "model_gated_corpus": (8, 1),
-    "decontaminate_bucketed": (1, 2),
+    "decontaminate": (1, 2),
     "cdc_chunk_stats": (1, 2),
     "phrase_search": (2, 1),
     "media_phash_pairs": (2, 4),
@@ -212,9 +214,7 @@ CORPUS_BUDGET = {
 def _run_corpus(op: str):
     from dfg_gepris_crawler_ray.ops import cdc, classifier, curation, decontaminate, multimodal, search
 
-    if op == "decontaminate_bucketed":
-        return decontaminate.decontaminate(SF, route="bucketed")
-    for module in (curation, classifier, cdc, search, multimodal):
+    for module in (curation, classifier, cdc, decontaminate, search, multimodal):
         if hasattr(module, op):
             return getattr(module, op)(SF)
     raise KeyError(op)

@@ -288,6 +288,38 @@ def test_one_exchange_shape_in_package_source():
     assert not hasattr(partitioning, "cut_lineage")
 
 
+def test_route_options_in_ops_are_the_allowlisted_ones():
+    """A user-selected route that gives the same answer as another is
+    a second way to do one thing. The public functions of ``ops/`` keep
+    a ``route`` / ``mode`` / ``*_route`` parameter only where the routes
+    answer differently (``window_distinct_users`` HLL,
+    ``embedding_neardup_pairs`` IVF) or the code picks the route from
+    the input's size (the ``"auto"`` defaults)."""
+    import importlib
+    import inspect
+    import pkgutil
+
+    from dfg_gepris_crawler_ray import ops
+
+    found = set()
+    for info in pkgutil.iter_modules(ops.__path__):
+        module = importlib.import_module(f"{ops.__name__}.{info.name}")
+        for name, fn in inspect.getmembers(module, inspect.isfunction):
+            if name.startswith("_") or fn.__module__ != module.__name__:
+                continue
+            for param in inspect.signature(fn).parameters:
+                if param in ("route", "mode") or param.endswith("_route"):
+                    found.add(f"{name}.{param}")
+    assert found == {
+        "window_distinct_users.route",
+        "embedding_neardup_pairs.mode",
+        "dedup_clusters.mode",
+        "reference_graph_scc.mode",
+        "minhash_lsh_dedup.verify_route",
+        "person_projection_triangles.degree_route",
+    }
+
+
 def test_keyed_exchange_colocates_unioned_sides(ray_session):
     """Two unioned sides keyed the same way meet in one group even when
     one side's key column is object-typed (the fetch_waves union

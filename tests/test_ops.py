@@ -876,8 +876,8 @@ def test_pagerank_matches_numpy_power_iteration():
 
 
 def test_decontaminate_matches_bruteforce_and_routes_agree():
-    """Broadcast and bucketed routes are byte-identical, and both match
-    a brute-force Python n-gram intersection at sf0.001."""
+    """The decontamination counts (gram-keyed match, doc-keyed sum)
+    match a brute-force Python n-gram intersection at sf0.001."""
     import pyarrow.parquet as pq
 
     from dfg_gepris_crawler_ray.ops.decontaminate import decontaminate
@@ -900,18 +900,14 @@ def test_decontaminate_matches_bruteforce_and_routes_agree():
         if g:
             want[int(did)] = (len(g), len(g & bench))
 
-    got_b = decontaminate(SF, n=n, bench_mod=mod).to_pandas()
-    got_k = decontaminate(SF, n=n, bench_mod=mod, route="bucketed").to_pandas()
-    for got in (got_b, got_k):
-        got = got.sort_values("doc_id").reset_index(drop=True)
-        assert set(got.doc_id) == set(want)
-        for _, r in got.iterrows():
-            ng, nc = want[int(r.doc_id)]
-            assert (int(r.n_grams), int(r.n_contaminated)) == (ng, nc)
-            assert int(r.contaminated) == int(nc > 0)
-    a = got_b.sort_values("doc_id").reset_index(drop=True)
-    b = got_k[a.columns].sort_values("doc_id").reset_index(drop=True)
-    assert a.astype("int64").equals(b.astype("int64"))
+    got = decontaminate(SF, n=n, bench_mod=mod).to_pandas()
+    assert list(got.columns) == ["doc_id", "n_grams", "n_contaminated", "contaminated"]
+    assert set(got.doc_id) == set(want) and got.doc_id.is_unique
+    for r in got.itertuples():
+        ng, nc = want[int(r.doc_id)]
+        assert (int(r.n_grams), int(r.n_contaminated)) == (ng, nc)
+        assert int(r.contaminated) == int(nc > 0)
+    assert got.contaminated.sum() > 0
 
 
 def test_repetition_stats_match_python_counter():
@@ -2109,29 +2105,18 @@ def test_bm25_topk_matches_bruteforce_and_oracle():
 
 
 def test_incremental_dedup_routes_identical_and_fp_safe():
-    """Bucketed and bloom routes must emit identical survivor sets, and
-    a deliberately tiny bloom (high FP rate) must STILL be exact —
-    false positives only route docs through the exact verify, never
-    drop them."""
-    import pandas as pd
-
+    """The survivor set (keep-min, then the bucketed corpus anti-join)
+    equals a brute-force pass over the corpus."""
     from dfg_gepris_crawler_ray.ops.dedup import incremental_dedup
 
-    def run(**kw):
-        return (
-            incremental_dedup(SF, **kw)
-            .to_pandas()
-            .sort_values("doc_id")
-            .reset_index(drop=True)[["content_md5", "doc_id"]]
-            .astype({"doc_id": "int64"})
-        )
-
-    bucketed = run(route="bucketed")
-    bloom = run(route="bloom")
-    tiny_bloom = run(route="bloom", bloom_bits=1 << 8)  # ~all maybe-dup
-    pd.testing.assert_frame_equal(bucketed, bloom)
-    pd.testing.assert_frame_equal(bucketed, tiny_bloom)
-    assert len(bucketed) > 0
+    got = (
+        incremental_dedup(SF)
+        .to_pandas()
+        .sort_values("doc_id")
+        .reset_index(drop=True)[["content_md5", "doc_id"]]
+        .astype({"doc_id": "int64"})
+    )
+    assert len(got) > 0
     # ground truth: brute force over the corpus
     import hashlib as hl
 
@@ -2148,12 +2133,12 @@ def test_incremental_dedup_routes_identical_and_fp_safe():
         .sort_values("doc_id")
         .reset_index(drop=True)
     )
-    assert bucketed["doc_id"].tolist() == want["doc_id"].tolist()
-    assert bucketed["content_md5"].tolist() == want["h"].tolist()
+    assert got["doc_id"].tolist() == want["doc_id"].tolist()
+    assert got["content_md5"].tolist() == want["h"].tolist()
 
 
 def test_incremental_dedup_bucketed_finishes_at_one_cpu():
-    """``incremental_dedup(route="bucketed")`` under a one-CPU Ray: a
+    """``incremental_dedup`` under a one-CPU Ray: a
     plan that unions the keep-min sort-shuffle with a streaming read
     never finished there. The test session runs Ray at 4 CPUs, so this
     starts its own one-CPU Ray in a subprocess, under a timeout, and
@@ -2174,7 +2159,7 @@ def test_incremental_dedup_bucketed_finishes_at_one_cpu():
         import ray
         ray.init(address="local", num_cpus=1, include_dashboard=False, logging_level="ERROR")
         from dfg_gepris_crawler_ray.ops.dedup import incremental_dedup
-        df = incremental_dedup({SF!r}, route="bucketed").to_pandas()
+        df = incremental_dedup({SF!r}).to_pandas()
         print(json.dumps(sorted(zip(df["doc_id"].tolist(), df["content_md5"].tolist()))))
         ray.shutdown()
         """
@@ -2356,27 +2341,31 @@ def test_components_shortcut_on_deep_chain_and_reference_graph():
 
 
 def test_semi_join_routes_identical_and_fp_safe():
-    """Bucketed and bloom semi-join routes must agree, including with a
-    deliberately tiny bloom (every order a false positive candidate)."""
+    """The EXISTS semi-join (one orderkey co_exchange) equals DuckDB's
+    ``IN (SELECT ...)`` answer per priority."""
+    import duckdb
     import pandas as pd
 
     from dfg_gepris_crawler_ray.ops.relational import returned_orders_by_priority
 
-    def run(**kw):
-        return (
-            returned_orders_by_priority(SF, **kw)
-            .to_pandas()
-            .sort_values("o_orderpriority")
-            .reset_index(drop=True)
-            .astype({"n_orders": "int64"})
-        )
-
-    bucketed = run(route="bucketed")
-    bloom = run(route="bloom")
-    tiny = run(route="bloom", bloom_bits=1 << 8)
-    pd.testing.assert_frame_equal(bucketed, bloom)
-    pd.testing.assert_frame_equal(bucketed, tiny)
-    assert bucketed["n_orders"].sum() > 0
+    got = (
+        returned_orders_by_priority(SF)
+        .to_pandas()
+        .sort_values("o_orderpriority")
+        .reset_index(drop=True)
+        .astype({"n_orders": "int64"})
+    )
+    want = duckdb.sql(
+        f"""
+        SELECT o_orderpriority, count(*)::BIGINT AS n_orders
+        FROM read_parquet('{SF}/orders.parquet')
+        WHERE o_orderkey IN (SELECT l_orderkey FROM read_parquet('{SF}/lineitem.parquet')
+                             WHERE l_returnflag = 'R')
+        GROUP BY 1 ORDER BY 1
+        """
+    ).df()
+    pd.testing.assert_frame_equal(got, want, check_dtype=False)
+    assert got["n_orders"].sum() > 0
 
 
 def test_cdc_chunking_shift_resistance_and_stats():
@@ -2892,27 +2881,35 @@ def test_host_distinct_urls_salting_splits_hot_key():
 
 
 def test_q18_routes_agree_and_threshold_binds():
-    """Broadcast and bucketed Q18 routes return identical rows, every
-    returned order is genuinely above the HAVING threshold, and the
-    survivor set is a strict subset of all orders (the semi-join is
-    selective, not a pass-through)."""
+    """Q18 (aggregate, HAVING and join in one co_exchange) equals the
+    DuckDB answer row for row, every returned order is genuinely above
+    the HAVING threshold, and the survivor set is a strict subset of
+    all orders (the semi-join is selective, not a pass-through)."""
     import duckdb
+    import pandas as pd
 
     from dfg_gepris_crawler_ray.ops.relational import large_quantity_orders
 
     cols = ["c_name", "o_custkey", "o_orderkey", "o_orderdate",
             "o_totalprice", "sum_qty"]
-    a = large_quantity_orders(SF).to_pandas()[cols]
-    b = large_quantity_orders(SF, route="bucketed").to_pandas()[cols]
-    key = ["o_orderkey"]
-    a = a.sort_values(key).reset_index(drop=True)
-    b = b.sort_values(key).reset_index(drop=True)
-    assert a.equals(b)
-    assert len(a) > 0 and (a["sum_qty"] > 300).all()
+    got = large_quantity_orders(SF).to_pandas()[cols]
+    want = duckdb.sql(
+        f"""
+        WITH surv AS (SELECT l_orderkey, sum(l_quantity) AS sum_qty
+                      FROM read_parquet('{SF}/lineitem.parquet')
+                      GROUP BY 1 HAVING sum(l_quantity) > 300)
+        SELECT c_name, o_custkey, o_orderkey, o_orderdate, o_totalprice, sum_qty
+        FROM surv JOIN read_parquet('{SF}/orders.parquet') o ON o_orderkey = l_orderkey
+                  JOIN read_parquet('{SF}/customer.parquet') c ON c_custkey = o_custkey
+        ORDER BY o_totalprice DESC, o_orderdate, o_orderkey LIMIT 100
+        """
+    ).df()
+    pd.testing.assert_frame_equal(got, want, check_dtype=False)
+    assert len(got) > 0 and (got["sum_qty"] > 300).all()
     n_orders = duckdb.sql(
         f"SELECT count(*) FROM read_parquet('{SF}/orders.parquet')"
     ).fetchone()[0]
-    assert len(a) < 0.05 * n_orders  # selectivity: the broadcast is justified
+    assert len(got) < 0.05 * n_orders  # selectivity: the HAVING filter binds
 
 
 def test_event_transitions_match_per_user_walk():
