@@ -12,9 +12,12 @@ Ray-native re-architecture of ``scrapy crawl details`` (SURVEY.md §3.4):
 
 The only all-to-all exchange is the bucket groupby keyed by the hashed
 canonical entity key — chosen so all language/result variants and all
-warc_ts copies of one entity co-locate (SURVEY.md §7.3). ``num_buckets``
-bounds shuffle fan-in and sets extract parallelism; size it ≈ 2–4×
-cluster cores.
+warc_ts copies of one entity co-locate (SURVEY.md §7.3). The extract
+runs one task per input block of that shuffle: the read's blocks
+(``sources.pages.auto_num_blocks`` sizes them from the files read and
+the cluster's CPUs), plus the frontier sentinels' blocks when a
+frontier Dataset is passed. ``num_buckets`` only sets how finely the
+entities are bucketed inside those tasks.
 """
 
 from __future__ import annotations

@@ -11,7 +11,12 @@ corpus scale.
 ``bucket`` is a stable hash-partition of the canonical entity key:
 all page variants (de/en/result, all warc_ts copies) of one entity land
 in one bucket, so the downstream per-entity chain assembly is a single
-keyed shuffle with bounded, tunable parallelism (SURVEY.md §7.3).
+keyed shuffle (SURVEY.md §7.3).
+
+The read's block count (:func:`auto_num_blocks`) sets the task count of
+every stage after it: annotate, filter, the shuffle (one output
+partition per input block) and the extract. It comes from the files
+the read opens and the cluster's CPUs, never from a fixed fan-out.
 """
 
 from __future__ import annotations
@@ -27,34 +32,44 @@ from ..kernels.urls import parse_page_url
 DETAIL_KINDS = ("details", "result")
 
 
-def auto_num_blocks(pages_dir: str, target_block_bytes: int = 32 << 20) -> int:
-    """Block count sized to data AND cluster width.
+def auto_num_blocks(files: list[str], target_block_bytes: int = 32 << 20) -> int:
+    """Block count for reading ``files`` (the parquet files the read
+    opens), sized to the data AND the cluster width.
 
-    Two observed failure modes at test scale:
+    Each block is one task in every stage after the read, so the count
+    trades parallelism against per-task cost. Observed failure modes:
 
     - Ray's default parallelism heuristic over-splits small corpora into
       ~100-row blocks → the keyed sort-shuffle pays per-block fixed
       costs (10-30x slowdowns);
     - too few blocks caps the shuffle's *output* partition count, which
       caps downstream ``map_groups`` parallelism (observed: 8 extract
-      tasks on a 32-CPU node).
+      tasks on a 32-CPU node);
+    - blocks beyond the CPUs of a small cluster only queue (a one-CPU
+      details pass over 1,489 pages: 20 tasks from 4 blocks, 5 from 1);
+    - more blocks than files makes Ray split every read task's output
+      (``ReadParquet->SplitBlocks(k)``) and run the maps after the read
+      as tasks of their own. So ``files`` is what the read opens: at 16
+      CPUs, a detail-kinds read of 65 files sized from all 70 files of
+      the corpus, listing shards included, ran as 130 blocks, unfused;
+      sized from its 65 files it runs 65, fused.
 
-    Rule: ≥ 4 blocks per CPU (straggler packing), ≥ 1 per ~32 MiB, but never fewer than
-    ~2000 rows per block; clamped to [4, 4000].
+    Rule: 4 blocks per CPU (straggler packing), ≥ 1 per ~32 MiB, one per
+    file when there are at least that many files, but never fewer than
+    ~2000 rows per block; clamped to [min(4, CPUs), 4000].
     """
-    import glob
     import os
 
     import pyarrow.parquet as pq
     import ray
 
-    files = glob.glob(os.path.join(pages_dir, "*.parquet"))
     total_bytes = sum(os.path.getsize(f) for f in files)
     total_rows = sum(pq.read_metadata(f).num_rows for f in files)
     try:
         cpus = int(ray.cluster_resources().get("CPU", 8))
     except Exception:
         cpus = 8
+    floor = max(1, min(4, cpus))
     want = max(4 * cpus, total_bytes // target_block_bytes + 1)
     # when the writer emitted at least that many files, go per-file:
     # bundling 2-3 files per block makes 2-3x row skew between tasks
@@ -62,8 +77,7 @@ def auto_num_blocks(pages_dir: str, target_block_bytes: int = 32 << 20) -> int:
     # while the files themselves are uniform
     if len(files) >= want:
         want = len(files)
-    cap = max(4, total_rows // 2000)
-    return int(max(4, min(4000, min(want, cap))))
+    return int(max(floor, min(4000, want, total_rows // 2000)))
 
 
 def read_pages(
@@ -85,19 +99,16 @@ def read_pages(
     import glob
     import os
 
+    files = sorted(glob.glob(os.path.join(pages_dir, "*.parquet")))
     paths: str | list[str] = pages_dir
     if kinds is not None and set(kinds) <= set(DETAIL_KINDS):
-        split = [
-            p
-            for p in sorted(glob.glob(os.path.join(pages_dir, "*.parquet")))
-            if not os.path.basename(p).startswith("search_pages")
-        ]
+        split = [p for p in files if not os.path.basename(p).startswith("search_pages")]
         if split:
-            paths = split
+            paths = files = split
     return ray.data.read_parquet(
         paths,
         columns=columns or ["url", "warc_ts", "html"],
-        override_num_blocks=num_blocks or auto_num_blocks(pages_dir),
+        override_num_blocks=num_blocks or auto_num_blocks(files),
     )
 
 

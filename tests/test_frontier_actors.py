@@ -56,11 +56,13 @@ def test_unique_entities_by_context(ray_session):
     assert got["unique_entities"].tolist() == list(want.values())
 
 
-def test_seen_filter_dedup_finishes_at_one_cpu(ray_session):
+def test_seen_filter_dedup_finishes_at_one_cpu(ray_session, tmp_path):
     """Eight seen shards on a one-CPU Ray leave the CPU to the Dataset
     tasks that call them (at 0.25 CPU each they asked for 2 CPUs, and
     the dedup never finished). The test session runs Ray at 4 CPUs, so
-    this starts its own one-CPU Ray in a subprocess, under a timeout."""
+    this starts its own one-CPU Ray in a subprocess, under a timeout.
+    The subprocess writes its answer to a file: the raylet prints its
+    worker-start warnings to stdout, after the answer or before it."""
     import json
     import os
     import subprocess
@@ -70,6 +72,7 @@ def test_seen_filter_dedup_finishes_at_one_cpu(ray_session):
     from dfg_gepris_crawler_ray.testdata.gen_pages import ensure_pages
 
     pages = ensure_pages(SF)
+    result = str(tmp_path / "result.json")
     code = textwrap.dedent(
         f"""
         import json, sys
@@ -78,7 +81,8 @@ def test_seen_filter_dedup_finishes_at_one_cpu(ray_session):
         ray.init(address="local", num_cpus=1, include_dashboard=False, logging_level="ERROR")
         from dfg_gepris_crawler_ray.frontier.seen import unique_entities_by_context
         rows = unique_entities_by_context({pages!r}, num_shards=8).take_all()
-        print(json.dumps({{r["context"]: r["unique_entities"] for r in rows}}))
+        with open({result!r}, "w") as f:
+            json.dump({{r["context"]: r["unique_entities"] for r in rows}}, f)
         ray.shutdown()
         """
     )
@@ -86,7 +90,8 @@ def test_seen_filter_dedup_finishes_at_one_cpu(ray_session):
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=300
     )
     assert out.returncode == 0, out.stderr[-2000:]
-    got = json.loads(out.stdout.strip().splitlines()[-1])
+    with open(result) as f:
+        got = json.load(f)
     assert got == _entities_per_context()
 
 

@@ -2137,12 +2137,14 @@ def test_incremental_dedup_routes_identical_and_fp_safe():
     assert got["content_md5"].tolist() == want["h"].tolist()
 
 
-def test_incremental_dedup_bucketed_finishes_at_one_cpu():
+def test_incremental_dedup_bucketed_finishes_at_one_cpu(tmp_path):
     """``incremental_dedup`` under a one-CPU Ray: a
     plan that unions the keep-min sort-shuffle with a streaming read
     never finished there. The test session runs Ray at 4 CPUs, so this
     starts its own one-CPU Ray in a subprocess, under a timeout, and
-    checks the survivor rows against the brute-force answer."""
+    checks the survivor rows against the brute-force answer. The
+    subprocess writes its rows to a file: the raylet prints its
+    worker-start warnings to stdout, after the rows or before them."""
     import hashlib as hl
     import json
     import os
@@ -2152,6 +2154,7 @@ def test_incremental_dedup_bucketed_finishes_at_one_cpu():
 
     import pyarrow.parquet as pq
 
+    result = str(tmp_path / "result.json")
     code = textwrap.dedent(
         f"""
         import json, sys
@@ -2160,7 +2163,8 @@ def test_incremental_dedup_bucketed_finishes_at_one_cpu():
         ray.init(address="local", num_cpus=1, include_dashboard=False, logging_level="ERROR")
         from dfg_gepris_crawler_ray.ops.dedup import incremental_dedup
         df = incremental_dedup({SF!r}).to_pandas()
-        print(json.dumps(sorted(zip(df["doc_id"].tolist(), df["content_md5"].tolist()))))
+        with open({result!r}, "w") as f:
+            json.dump(sorted(zip(df["doc_id"].tolist(), df["content_md5"].tolist())), f)
         ray.shutdown()
         """
     )
@@ -2168,7 +2172,8 @@ def test_incremental_dedup_bucketed_finishes_at_one_cpu():
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=300
     )
     assert out.returncode == 0, out.stderr[-2000:]
-    got = [tuple(r) for r in json.loads(out.stdout.strip().splitlines()[-1])]
+    with open(result) as f:
+        got = [tuple(r) for r in json.load(f)]
 
     docs = pq.read_table(f"{SF}/documents.parquet", columns=["doc_id", "text"]).to_pandas()
     h = [hl.md5(t.encode()).hexdigest() for t in docs["text"]]

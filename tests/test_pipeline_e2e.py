@@ -205,3 +205,132 @@ def test_read_pages_prunes_listing_shards_only_for_detail_kinds(pages_dir):
 
     assert "monitor" in kinds(("monitor",))
     assert not kinds(DETAIL_KINDS) & {"search", "monitor"}
+
+
+def _fixed_floor_blocks(n_files: int, total_bytes: int, total_rows: int, cpus: int) -> int:
+    """``auto_num_blocks`` as it was with a fixed floor of 4 blocks."""
+    want = max(4 * cpus, total_bytes // (32 << 20) + 1)
+    if n_files >= want:
+        want = n_files
+    return max(4, min(4000, min(want, max(4, total_rows // 2000))))
+
+
+def test_auto_num_blocks_floor_follows_the_cpus(pages_dir, monkeypatch, tmp_path):
+    """Below 4 CPUs a corpus too small for 4 blocks of 2,000 rows is
+    read in one block per CPU, or one per 2,000 rows if that is more,
+    not in 4; wherever the rows fill 4 such blocks, or at 4 CPUs and
+    more, the count is what it was with the fixed floor of 4."""
+    import glob
+    import os
+    import types
+
+    import pyarrow.parquet as pq
+    import ray
+
+    from dfg_gepris_crawler_ray.sources.pages import auto_num_blocks
+
+    sizes: dict = {}  # file → (bytes, rows), for files that do not exist
+    getsize, read_metadata = os.path.getsize, pq.read_metadata
+    monkeypatch.setattr(os.path, "getsize", lambda f: sizes[f][0] if f in sizes else getsize(f))
+    monkeypatch.setattr(
+        pq, "read_metadata",
+        lambda f: types.SimpleNamespace(num_rows=sizes[f][1]) if f in sizes else read_metadata(f),
+    )
+
+    def blocks(cpus: int, files: list[str]) -> int:
+        monkeypatch.setattr(ray, "cluster_resources", lambda: {"CPU": float(cpus)})
+        return auto_num_blocks(files)
+
+    def files(n: int, file_bytes: int, file_rows: int) -> list[str]:
+        sizes.clear()
+        names = [str(tmp_path / f"part-{i:05d}.parquet") for i in range(n)]
+        sizes.update((f, (file_bytes, file_rows)) for f in names)
+        return names
+
+    # the sf0.001 corpus (750 pages) and four files of 1,996 rows in all
+    corpus = sorted(glob.glob(os.path.join(pages_dir, "*.parquet")))
+    assert [blocks(c, corpus) for c in (1, 2, 3, 4, 8)] == [1, 2, 3, 4, 4]
+    small = files(4, 1 << 20, 499)
+    assert [blocks(c, small) for c in (1, 2, 3, 4, 8)] == [1, 2, 3, 4, 4]
+    for cpus in (1, 2, 3, 4, 8, 32, 64):
+        for n in (1, 4, 17, 300, 5000):
+            for file_rows in (0, 500, 1000, 1999, 2000, 40_000):
+                for file_bytes in (1 << 10, 8 << 20, 64 << 20):
+                    got = blocks(cpus, files(n, file_bytes, file_rows))
+                    rows_blocks = n * file_rows // 2000
+                    if cpus < 4 and rows_blocks < 4:
+                        want = max(cpus, rows_blocks)
+                    else:
+                        want = _fixed_floor_blocks(n, n * file_bytes, n * file_rows, cpus)
+                    assert got == want, (cpus, n, file_rows, file_bytes)
+
+
+def test_read_pages_sizes_from_the_files_it_opens(pages_dir, monkeypatch):
+    """A detail-kinds read sizes its blocks from the detail files alone,
+    not from the ``search_pages-*`` shards it prunes."""
+    import glob
+    import os
+
+    from dfg_gepris_crawler_ray.sources import pages as P
+
+    sized = []
+    monkeypatch.setattr(P, "auto_num_blocks", lambda files: sized.append(files) or 1)
+    P.read_pages(pages_dir, kinds=P.DETAIL_KINDS)
+    P.read_pages(pages_dir)
+    every = sorted(glob.glob(os.path.join(pages_dir, "*.parquet")))
+    detail = [f for f in every if not os.path.basename(f).startswith("search_pages")]
+    assert detail != every
+    assert sized == [detail, every]
+
+
+def test_details_pass_runs_one_task_per_stage_at_one_cpu(pages_dir, items_df, tmp_path):
+    """On a one-CPU Ray the sf0.001 corpus is read as one block, so the
+    read (fused with annotate and filter) and the extract each run one
+    task, and the sort makes one partition, where a fixed floor of 4
+    blocks ran 4 tasks per stage. The rows equal those of the 4-CPU Ray
+    the other tests share. The pass runs in a subprocess with its own
+    Ray, under a timeout, and writes its rows and per-operator task
+    counts to files."""
+    import os
+    import subprocess
+    import sys
+    import textwrap
+
+    import pandas as pd
+
+    rows, stats = str(tmp_path / "rows.parquet"), str(tmp_path / "stats.json")
+    code = textwrap.dedent(
+        f"""
+        import json, re, sys
+        sys.path.insert(0, {os.path.dirname(os.path.dirname(os.path.abspath(__file__)))!r})
+        import ray
+        ray.init(address="local", num_cpus=1, include_dashboard=False, logging_level="ERROR")
+        from dfg_gepris_crawler_ray.pipelines.details import run_details_extraction
+        ds = run_details_extraction({pages_dir!r}, num_buckets=16).materialize()
+        ds.to_pandas().to_parquet({rows!r})
+        ops, summary = [], ds._get_stats_summary()
+        while summary is not None:  # the parents hold the earlier operators
+            ops[:0] = [
+                (op.operator_name, op.task_rows["count"],
+                 int(re.search(r"(\\d+) blocks produced", op.block_execution_summary_str)[1]))
+                for op in summary.operators_stats
+            ]
+            summary = summary.parents[0] if summary.parents else None
+        with open({stats!r}, "w") as f:
+            json.dump(ops, f)
+        ray.shutdown()
+        """
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr[-2000:]
+    with open(stats) as f:
+        ops = json.load(f)
+    read, extract = ops[0], ops[-1]
+    assert read[0].startswith("ReadParquet") and read[1:] == [1, 1], ops
+    assert extract[1] == 1, ops
+    assert all(blocks == 1 for _, _, blocks in ops), ops
+
+    def by_key(df: pd.DataFrame) -> pd.DataFrame:
+        return df.sort_values(["context", "id"]).reset_index(drop=True)
+
+    pd.testing.assert_frame_equal(by_key(pd.read_parquet(rows)), by_key(items_df), check_dtype=False)

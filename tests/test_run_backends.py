@@ -103,7 +103,9 @@ def test_ds_daily_cycle_finishes_at_one_cpu(tmp_path):
     block-size error (Ray fails to size an empty pandas block with a
     string column; day 2's empty person and projekt frontiers hand the
     run body an empty delta), a state block whose dtypes differ from
-    another's, or a tally bundle without the status schema."""
+    another's, a tally bundle without the status schema, or an empty
+    partition of the details extraction's shuffle (the pages read as
+    one block on one CPU, so the sort makes one partition)."""
     import subprocess
     import sys
     import textwrap
@@ -138,6 +140,9 @@ def test_ds_daily_cycle_finishes_at_one_cpu(tmp_path):
         assert not re.search(r"\(reduce pid=\d+\).*FutureWarning", log), log[:1]
         # the tally's partials all carry the status schema
         assert "Previous schema: status" not in log, log[:1]
+        # the extraction's sort partitions and extract output all hold
+        # rows: none is an empty block after a page or item block
+        assert not re.search(r"different schema.*Previous schema: (url: string|id: int64)", log), log[:1]
     pandas_store = CrawlStore(str(tmp_path / "pandas"))
     for _ in range(2):
         run_daily_cycle(pandas_store, pages, backend="pandas")
